@@ -135,7 +135,7 @@ func newOpMetrics(reg *metrics.Registry, op string) *opMetrics {
 }
 
 // strategy executes whole operations under a resilience scheme. The
-// implementations run inside ARPE goroutines, so they may block.
+// implementations run inside an ARPE window slot, so they may block.
 // set and compareSet return the version installed for the write (the
 // CAS token later reads report); get returns the full item.
 type strategy interface {
@@ -252,26 +252,48 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// submit runs fn through the ARPE: it acquires a window slot and
-// executes fn on its own goroutine, completing f when done. This is
-// what lets encode/decode computation of one operation overlap the
-// response-wait of others.
-func (c *Client) submit(f *Future, fn func() (Item, error)) *Future {
+// enter admits one operation to the ARPE: it fails after Close, else
+// blocks until a window slot is free. leave gives the slot back.
+func (c *Client) enter() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		f.complete(Item{}, ErrClosed)
-		return f
+		return ErrClosed
 	}
 	c.wg.Add(1)
 	c.mu.Unlock()
-
 	c.window <- struct{}{}
+	return nil
+}
+
+func (c *Client) leave() {
+	<-c.window
+	c.wg.Done()
+}
+
+// run executes fn in a window slot on the calling goroutine — all a
+// blocking call needs: with nothing to overlap, a goroutine of its own
+// would only add a fresh stack and two wake-ups.
+func (c *Client) run(fn func() (Item, error)) (Item, error) {
+	if err := c.enter(); err != nil {
+		return Item{}, err
+	}
+	defer c.leave()
+	return fn()
+}
+
+// submit is run on a goroutine of the operation's own, which is what
+// lets encode/decode of one operation overlap the response-wait of
+// others. The slot is taken first, so a full window holds the caller.
+func (c *Client) submit(fn func() (Item, error)) *Future {
+	f := newFuture()
+	if err := c.enter(); err != nil {
+		f.complete(Item{}, err)
+		return f
+	}
 	go func() {
-		defer c.wg.Done()
-		defer func() { <-c.window }()
-		v, err := fn()
-		f.complete(v, err)
+		defer c.leave()
+		f.complete(fn())
 	}()
 	return f
 }
@@ -293,6 +315,72 @@ func (c *Client) measured(op string, fn func() (Item, error)) func() (Item, erro
 	}
 }
 
+// The operation bodies: the non-blocking form of each public operation
+// hands one to submit, the blocking form to run.
+
+func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item, error) {
+	return c.measured("set", func() (Item, error) {
+		return c.withEpochRetry(func() (Item, error) {
+			version, err := c.strat.set(key, value, ttl)
+			c.invalidate(key)
+			if err == nil {
+				c.recordDeltaBase(key, value, version, ttl)
+			}
+			return Item{Version: version}, err
+		})
+	})
+}
+
+func (c *Client) getOp(key string) func() (Item, error) {
+	return c.measured("get", func() (Item, error) { return c.readThrough(key) })
+}
+
+func (c *Client) deleteOp(key string) func() (Item, error) {
+	return c.measured("delete", func() (Item, error) {
+		return c.withEpochRetry(func() (Item, error) {
+			err := c.strat.del(key)
+			c.invalidate(key)
+			return Item{}, err
+		})
+	})
+}
+
+// deleteCasOp needs a real token: zero is the unconditional-delete
+// sentinel on the wire.
+func (c *Client) deleteCasOp(key string, cas uint64) func() (Item, error) {
+	if cas == 0 {
+		return func() (Item, error) {
+			return Item{}, fmt.Errorf("core: delete-cas needs a non-zero cas token")
+		}
+	}
+	return c.measured("delete", func() (Item, error) {
+		return c.withEpochRetry(func() (Item, error) {
+			err := c.strat.compareDelete(key, cas)
+			// Invalidate on every outcome, as casOp: success removed the
+			// item, a conflict proves the cached version stale, and on
+			// failure the state is unknown.
+			c.invalidate(key)
+			return Item{}, err
+		})
+	})
+}
+
+func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) func() (Item, error) {
+	return c.measured("cas", func() (Item, error) {
+		return c.withEpochRetry(func() (Item, error) {
+			version, err := c.strat.compareSet(key, value, ttl, cas)
+			// Invalidate on every outcome: success installed a new
+			// version, a conflict is an EXISTS observation proving the
+			// cached version stale, and on failure the state is unknown.
+			c.invalidate(key)
+			if err == nil {
+				c.recordDeltaBase(key, value, version, ttl)
+			}
+			return Item{Version: version}, err
+		})
+	})
+}
+
 // ISet stores value under key without blocking; completion is
 // observed through the returned Future (memcached_iset).
 func (c *Client) ISet(key string, value []byte) *Future {
@@ -305,65 +393,30 @@ func (c *Client) ISet(key string, value []byte) *Future {
 // truncating to 0 (which would mean "never expires") — an item may
 // live slightly longer than requested, never forever.
 func (c *Client) ISetTTL(key string, value []byte, ttl time.Duration) *Future {
-	f := newFuture()
-	return c.submit(f, c.measured("set", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			version, err := c.strat.set(key, value, ttl)
-			c.invalidate(key)
-			if err == nil {
-				c.recordDeltaBase(key, value, version, ttl)
-			}
-			return Item{Version: version}, err
-		})
-	}))
+	return c.submit(c.setOp(key, value, ttl))
 }
 
 // IGet fetches key without blocking (memcached_iget).
 func (c *Client) IGet(key string) *Future {
-	f := newFuture()
-	return c.submit(f, c.measured("get", func() (Item, error) {
-		return c.readThrough(key)
-	}))
+	return c.submit(c.getOp(key))
 }
 
 // IDelete removes key without blocking.
 func (c *Client) IDelete(key string) *Future {
-	f := newFuture()
-	return c.submit(f, c.measured("delete", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			err := c.strat.del(key)
-			c.invalidate(key)
-			return Item{}, err
-		})
-	}))
+	return c.submit(c.deleteOp(key))
 }
 
 // IDeleteCas removes key without blocking, but only while the stored
 // version still equals cas — the atomic conditional delete behind the
 // proxy's `md <key> C<cas>`. A changed version yields ErrCASConflict,
-// an absent key ErrNotFound. cas must be a real token (non-zero): zero
-// is the unconditional-delete sentinel on the wire.
+// an absent key ErrNotFound. cas must be non-zero.
 func (c *Client) IDeleteCas(key string, cas uint64) *Future {
-	f := newFuture()
-	if cas == 0 {
-		f.complete(Item{}, fmt.Errorf("core: delete-cas needs a non-zero cas token"))
-		return f
-	}
-	return c.submit(f, c.measured("delete", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			err := c.strat.compareDelete(key, cas)
-			// Invalidate on every outcome, as ICas: success removed the
-			// item, a conflict proves the cached version stale, and on
-			// failure the state is unknown.
-			c.invalidate(key)
-			return Item{}, err
-		})
-	}))
+	return c.submit(c.deleteCasOp(key, cas))
 }
 
 // DeleteCas is the blocking form of IDeleteCas.
 func (c *Client) DeleteCas(key string, cas uint64) error {
-	_, err := c.IDeleteCas(key, cas).Wait()
+	_, err := c.run(c.deleteCasOp(key, cas))
 	return err
 }
 
@@ -372,58 +425,45 @@ func (c *Client) DeleteCas(key string, cas uint64) error {
 // from Gets). cas == 0 demands the key be absent — the memcached
 // `add`. On success the Future's item carries the new version.
 func (c *Client) ICas(key string, value []byte, ttl time.Duration, cas uint64) *Future {
-	f := newFuture()
-	return c.submit(f, c.measured("cas", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			version, err := c.strat.compareSet(key, value, ttl, cas)
-			// Invalidate on every outcome: success installed a new
-			// version, a conflict is an EXISTS observation proving the
-			// cached version stale, and on failure the state is unknown.
-			c.invalidate(key)
-			if err == nil {
-				c.recordDeltaBase(key, value, version, ttl)
-			}
-			return Item{Version: version}, err
-		})
-	}))
+	return c.submit(c.casOp(key, value, ttl, cas))
 }
 
 // Set stores value under key, blocking until the configured resilience
 // guarantee holds (all replicas or all K+M chunks acknowledged).
 func (c *Client) Set(key string, value []byte) error {
-	_, err := c.ISet(key, value).Wait()
-	return err
+	return c.SetTTL(key, value, 0)
 }
 
 // SetTTL stores value under key with an item lifetime.
 func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
-	_, err := c.ISetTTL(key, value, ttl).Wait()
+	_, err := c.run(c.setOp(key, value, ttl))
 	return err
 }
 
 // Get returns the value stored under key, reconstructing it from
 // parity chunks if servers have failed.
 func (c *Client) Get(key string) ([]byte, error) {
-	return c.IGet(key).Wait()
+	item, err := c.run(c.getOp(key))
+	return item.Value, err
 }
 
 // Delete removes key from every server holding a copy or chunk.
 func (c *Client) Delete(key string) error {
-	_, err := c.IDelete(key).Wait()
+	_, err := c.run(c.deleteOp(key))
 	return err
 }
 
 // Gets returns the item stored under key with its CAS token and
 // remaining TTL — the memcached `gets`.
 func (c *Client) Gets(key string) (Item, error) {
-	return c.IGet(key).WaitItem()
+	return c.run(c.getOp(key))
 }
 
 // Cas stores value only if the current version still equals cas,
 // returning the new version on success. A lost race yields
 // ErrCASConflict; an absent key yields ErrNotFound.
 func (c *Client) Cas(key string, value []byte, ttl time.Duration, cas uint64) (uint64, error) {
-	item, err := c.ICas(key, value, ttl, cas).WaitItem()
+	item, err := c.run(c.casOp(key, value, ttl, cas))
 	return item.Version, err
 }
 
@@ -436,7 +476,7 @@ func (c *Client) Add(key string, value []byte, ttl time.Duration) (uint64, error
 // SetVersion is SetTTL returning the version the write installed, the
 // CAS token a subsequent Gets reports.
 func (c *Client) SetVersion(key string, value []byte, ttl time.Duration) (uint64, error) {
-	item, err := c.ISetTTL(key, value, ttl).WaitItem()
+	item, err := c.run(c.setOp(key, value, ttl))
 	return item.Version, err
 }
 

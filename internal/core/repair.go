@@ -59,8 +59,7 @@ func (c *Client) Repair(key string) (RepairReport, error) {
 // IRepair is the non-blocking form of Repair; the Future's value is
 // nil and its error is the repair error.
 func (c *Client) IRepair(key string) *Future {
-	f := newFuture()
-	return c.submit(f, func() (Item, error) {
+	return c.submit(func() (Item, error) {
 		_, err := c.Repair(key)
 		return Item{}, err
 	})

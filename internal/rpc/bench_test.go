@@ -80,45 +80,64 @@ func BenchmarkRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkInFlightWindow keeps an ARPE-style window of non-blocking
-// calls open on one connection — the pattern the batched frame writer
-// coalesces.
+// BenchmarkInFlightWindow keeps an ARPE-style window of 64 non-blocking
+// calls open on one connection, issued by one goroutine or split over
+// eight. frames/batch is the coalescing the FrameQueue achieved: a
+// batch forms when senders overlap, so a lone sender writes each frame
+// itself (1.0) and concurrent ones share vectored writes.
 func BenchmarkInFlightWindow(b *testing.B) {
-	const window = 32
+	const window = 64
 	for _, size := range []int{1 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
-			n := transport.NewInproc(transport.Shape{})
-			startBenchEcho(b, n, "echo")
-			p := NewPool(n)
-			defer p.Close()
-			value := bytes.Repeat([]byte{0xA5}, size)
-			b.ReportAllocs()
-			b.SetBytes(int64(size))
-			calls := make([]*Call, 0, window)
-			for i := 0; i < b.N; i++ {
-				call, err := p.Send("echo", &wire.Request{Op: wire.OpSet, Key: "bench", Value: value})
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls = append(calls, call)
-				if len(calls) == window {
-					for _, c := range calls {
-						resp, err := c.Wait()
-						if err != nil {
-							b.Fatal(err)
+		for _, senders := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%dKB/senders=%d", size>>10, senders), func(b *testing.B) {
+				n := transport.NewInproc(transport.Shape{})
+				startBenchEcho(b, n, "echo")
+				p := NewPool(n)
+				defer p.Close()
+				value := bytes.Repeat([]byte{0xA5}, size)
+				b.ReportAllocs()
+				b.SetBytes(int64(size))
+				var wg sync.WaitGroup
+				for s := 0; s < senders; s++ {
+					wg.Add(1)
+					go func(ops int) {
+						defer wg.Done()
+						calls := make([]*Call, 0, window/senders)
+						drain := func() {
+							for _, c := range calls {
+								resp, err := c.Wait()
+								if err != nil {
+									b.Error(err)
+									return
+								}
+								releaseBench(resp)
+							}
+							calls = calls[:0]
 						}
-						releaseBench(resp)
+						for i := 0; i < ops; i++ {
+							call, err := p.Send("echo", &wire.Request{Op: wire.OpSet, Key: "bench", Value: value})
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							if calls = append(calls, call); len(calls) == cap(calls) {
+								drain()
+							}
+						}
+						drain()
+					}(b.N / senders)
+				}
+				wg.Wait()
+				b.StopTimer()
+				p.mu.Lock()
+				mc := p.conns["echo"]
+				p.mu.Unlock()
+				if mc != nil { // b.N below the sender count sends nothing
+					if batches, frames := mc.fq.Stats(); batches > 0 {
+						b.ReportMetric(float64(frames)/float64(batches), "frames/batch")
 					}
-					calls = calls[:0]
 				}
-			}
-			for _, c := range calls {
-				resp, err := c.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				releaseBench(resp)
-			}
-		})
+			})
+		}
 	}
 }

@@ -57,10 +57,19 @@ func TestRecoveryHookFires(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fired) != 1 || fired[0] != "flap" {
-		t.Fatalf("recovery hook calls = %q, want exactly [flap]", fired)
+	// The hook runs on the reader's goroutine after the waiter has been
+	// released, so the successful Roundtrip can return first.
+	for {
+		mu.Lock()
+		got := append([]string(nil), fired...)
+		mu.Unlock()
+		if len(got) == 1 && got[0] == "flap" {
+			return
+		}
+		if len(got) > 1 || time.Now().After(deadline) {
+			t.Fatalf("recovery hook calls = %q, want exactly [flap]", got)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

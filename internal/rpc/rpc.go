@@ -62,6 +62,11 @@ type Call struct {
 	err       error
 	timer     *time.Timer
 
+	// sent is set once the call's frame has been written or handed to
+	// the connection's flusher; a deadline that fires before that found
+	// the caller still blocked on the send side.
+	sent atomic.Bool
+
 	// onDone, when non-nil, observes the completion error exactly once
 	// (the pool's health tracker). It is set before the call can
 	// complete and never mutated afterwards.
@@ -269,7 +274,9 @@ func (p *Pool) Send(addr string, req *wire.Request) (*Call, error) {
 
 // SendTimeout is Send with an explicit per-call deadline (0 = none).
 // A suspect server that is not due for a probe fails immediately with
-// an error wrapping ErrServerDown — no dial is attempted.
+// an error wrapping ErrServerDown — no dial is attempted. The request is
+// written before SendTimeout returns unless another sender is already
+// writing on that connection; a failed write is reported by the Call.
 //
 // If req.ValuePool is set, ownership of the value lease transfers to
 // the rpc layer the moment SendTimeout is called: the buffer is
@@ -458,10 +465,11 @@ func (p *Pool) Close() {
 
 // muxConn multiplexes calls over one transport connection. Outbound
 // frames are encoded outside any lock and handed to a per-connection
-// FrameQueue whose writer goroutine drains everything queued since its
-// last flush and writes the batch as one vectored write — a full
-// ARPE-style window of in-flight chunk operations costs a handful of
-// syscalls, not one flush per frame.
+// FrameQueue: a lone sender writes its frame itself, on its own
+// goroutine; senders that overlap ride the current flusher's next
+// vectored write — a full ARPE-style window of in-flight chunk
+// operations costs a handful of syscalls, not one flush per frame. The
+// only goroutine a connection owns is its reader.
 type muxConn struct {
 	conn transport.Conn
 	fq   *wire.FrameQueue
@@ -485,9 +493,9 @@ func newMuxConn(conn transport.Conn, pool *bufpool.Pool) *muxConn {
 		pool:    pool,
 		pending: make(map[uint64]*Call),
 	}
-	mc.fq = wire.NewFrameQueue(conn, sendQueueDepth, pool, func(err error) {
-		mc.close(fmt.Errorf("%w: %v", ErrServerDown, err))
-	})
+	// No onError: send is the queue's only user, and the call whose
+	// flush fails gets the error back and closes the connection itself.
+	mc.fq = wire.NewFrameQueue(conn, sendQueueDepth, pool, nil)
 	go mc.readLoop()
 	return mc
 }
@@ -509,40 +517,55 @@ func (mc *muxConn) send(req *wire.Request, timeout time.Duration, onDone func(er
 		return nil, err
 	}
 	mc.nextID++
-	req.ID = mc.nextID
-	mc.pending[req.ID] = call
+	id := mc.nextID
+	req.ID = id
+	mc.pending[id] = call
 	mc.mu.Unlock()
 
 	// Encode outside every lock so one big value can't stall unrelated
 	// calls; the frame either reaches the queue (which then owns it and
 	// any transferred value lease) or is released by the failing step.
 	frame, err := wire.EncodeRequestFrame(mc.pool, req)
-	if err == nil {
-		err = mc.fq.Enqueue(frame)
-	}
 	if err != nil {
-		mc.mu.Lock()
-		delete(mc.pending, req.ID)
-		mc.mu.Unlock()
-		if !errors.Is(err, wire.ErrFrameTooLarge) {
-			// Write-path errors kill the connection; an oversized
-			// request is the caller's problem, not the link's.
-			mc.close(err)
-		}
+		// An oversized request is the caller's problem, not the link's.
+		mc.forget(id)
 		return nil, err
 	}
+	// Armed before the frame is queued: Enqueue may write on this
+	// goroutine, or wait for room behind a write that is stuck, and the
+	// caller's deadline covers that too.
 	if timeout > 0 {
-		id := req.ID
-		call.arm(timeout, func() {
-			// Remove the pending entry first so a response arriving
-			// after the deadline cannot complete a dead call.
-			mc.mu.Lock()
-			delete(mc.pending, id)
-			mc.mu.Unlock()
-			call.complete(nil, fmt.Errorf("%w after %v", ErrTimeout, timeout))
-		})
+		call.arm(timeout, func() { mc.expire(id, call, timeout) })
 	}
+	if err := mc.fq.Enqueue(frame); err != nil {
+		// A write-path error kills the connection and with it every call
+		// pending on it, this one included. Wrapped, so that they all
+		// fail over (IsUnavailable); the caller reads it from Wait.
+		mc.close(fmt.Errorf("%w: %v", ErrServerDown, err))
+		return call, nil
+	}
+	call.sent.Store(true)
 	return call, nil
+}
+
+// forget drops id's pending entry, so a response arriving later cannot
+// complete a call that is already decided.
+func (mc *muxConn) forget(id uint64) {
+	mc.mu.Lock()
+	delete(mc.pending, id)
+	mc.mu.Unlock()
+}
+
+// expire is the deadline of call id. A deadline that fires while the
+// request is still unsent means a write has outlived it: the link is
+// dead, and closing it is what lets the blocked Write (and everyone
+// queued behind it) return.
+func (mc *muxConn) expire(id uint64, call *Call, timeout time.Duration) {
+	mc.forget(id)
+	err := fmt.Errorf("%w after %v", ErrTimeout, timeout)
+	if call.complete(nil, err) && !call.sent.Load() {
+		mc.close(fmt.Errorf("%w: send stalled: %v", ErrServerDown, err))
+	}
 }
 
 func (mc *muxConn) readLoop() {

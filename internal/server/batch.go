@@ -21,11 +21,28 @@ func batchable(op wire.Op) bool {
 	}
 }
 
+// runsOnWorker is the routing rule of the threading model: whether a
+// connection's reader hands op to the worker pool instead of executing
+// it itself. Everything that touches only this server (the store ops,
+// a batch of them, a delta patch, the ring protocol, ping, an unknown
+// op) runs to completion on the reader, with no goroutine handoff. The
+// coordinated ops wait on peers for up to PeerTimeout and the admin ops
+// walk or serialize the whole store; on the reader either would hold
+// every request pipelined behind it on that connection.
+func runsOnWorker(op wire.Op) bool {
+	switch op {
+	case wire.OpEncodeSet, wire.OpDecodeGet, wire.OpScan, wire.OpStats, wire.OpFlush:
+		return true
+	default:
+		return false
+	}
+}
+
 // handleBatch executes a vector of sub-requests against the store and
 // returns the sub-responses in one frame. Each sub-request goes
 // through s.handle, so per-op counters and error accounting see batched
 // and unbatched traffic identically. Sub-request values alias the
-// pooled batch frame body; that is safe for the same reason the worker
+// pooled batch frame body; that is safe for the same reason serve
 // releases the request before writing the response — the store copies
 // on Set, and Get returns store-owned copies, so nothing in a
 // sub-response aliases the inbound frame.

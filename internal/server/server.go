@@ -1,9 +1,9 @@
-// Package server implements the key-value store server: a
-// connection-multiplexing request dispatcher over a worker pool (the
-// paper's multi-threaded Memcached server with 8 workers), the item
-// store, and a server-side Asynchronous Request Processing Engine that
-// talks to peer servers to execute the server-side encode (Era-SE-*)
-// and server-side decode (Era-*-SD) schemes.
+// Package server implements the key-value store server: per-connection
+// readers that run store-local requests to completion (memcached's
+// worker-owns-connection model), the item store, and behind them a
+// worker pool (the paper's 8 workers) as the server-side Asynchronous
+// Request Processing Engine that talks to peer servers to execute the
+// server-side encode (Era-SE-*) and decode (Era-*-SD) schemes.
 package server
 
 import (
@@ -49,7 +49,8 @@ type Config struct {
 	Peers []string
 	// Store configures the item store.
 	Store store.Config
-	// Workers sets the worker pool size (DefaultWorkers if zero).
+	// Workers sets the size of the worker pool for the operations a
+	// reader hands off (runsOnWorker); DefaultWorkers if zero.
 	Workers int
 	// PeerTimeout bounds each RPC to a peer server during server-side
 	// encode/decode (DefaultPeerTimeout if zero; negative disables
@@ -107,10 +108,10 @@ type job struct {
 }
 
 // connWriter serializes response writes for one connection through a
-// FrameQueue: workers encode response frames concurrently (no shared
-// lock) and enqueue them; the queue's writer goroutine flushes
-// everything queued since its last write as one vectored batch, so
-// responses to an ARPE window of pipelined requests share syscalls.
+// FrameQueue: the reader and the workers encode response frames
+// concurrently (no shared lock) and enqueue them; whoever finds the
+// queue idle writes, and what piles up behind that write goes out as one
+// vectored batch, so answers to a window of requests share syscalls.
 type connWriter struct {
 	conn transport.Conn
 	fq   *wire.FrameQueue
@@ -118,8 +119,8 @@ type connWriter struct {
 }
 
 // respQueueDepth bounds encoded-but-unwritten responses per connection;
-// beyond it workers block on Enqueue, which is the desired flow
-// control (a slow reader should stall its own responses, not the box).
+// beyond it reader and workers block on Enqueue, which is the desired
+// flow control (a slow peer should stall its own responses, not the box).
 const respQueueDepth = 256
 
 func newConnWriter(conn transport.Conn, pool *bufpool.Pool) *connWriter {
@@ -284,9 +285,9 @@ func (s *Server) readLoop(conn transport.Conn, cw *connWriter) {
 		delete(s.conns, cw)
 		s.mu.Unlock()
 		_ = conn.Close()
-		// Stop the response writer and release any frames it still
-		// holds; workers racing a teardown get ErrQueueClosed (their
-		// frames are released by Enqueue).
+		// Wait out a worker still flushing responses (the closed conn
+		// fails its write); workers racing a teardown get
+		// ErrQueueClosed (their frames are released by Enqueue).
 		_ = cw.fq.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -298,8 +299,13 @@ func (s *Server) readLoop(conn transport.Conn, cw *connWriter) {
 			}
 			return
 		}
+		j := job{req: req, out: cw}
+		if !runsOnWorker(req.Op) {
+			s.serve(j)
+			continue
+		}
 		select {
-		case s.jobs <- job{req: req, out: cw}:
+		case s.jobs <- j:
 		case <-s.quit:
 			req.Release()
 			return
@@ -312,21 +318,26 @@ func (s *Server) worker() {
 	for {
 		select {
 		case j := <-s.jobs:
-			start := time.Now()
-			resp := s.handle(j.req)
-			s.hHandleSeconds.Record(time.Since(start))
-			resp.ID = j.req.ID
-			// The handlers never let the request body escape into the
-			// response (the store copies on Set and Get), so the leased
-			// frame body can go back to the pool before the write.
-			j.req.Release()
-			// A write error means the connection died; its read loop
-			// cleans up.
-			_ = j.out.write(resp)
+			s.serve(j)
 		case <-s.quit:
 			return
 		}
 	}
+}
+
+// serve executes one request and answers it, on whichever goroutine the
+// routing rule picked: the connection's reader or a pool worker.
+func (s *Server) serve(j job) {
+	start := time.Now()
+	resp := s.handle(j.req)
+	s.hHandleSeconds.Record(time.Since(start))
+	resp.ID = j.req.ID
+	// The handlers never let the request body escape into the response
+	// (the store copies on Set and Get), so the leased frame body can go
+	// back to the pool before the write.
+	j.req.Release()
+	// A write error means the connection died; its read loop cleans up.
+	_ = j.out.write(resp)
 }
 
 func errorResponse(err error) *wire.Response {

@@ -3,11 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"errors"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"ecstore/internal/bufpool"
 )
@@ -171,144 +167,5 @@ func TestEncodeChunkPayloadPooledMatchesUnpooled(t *testing.T) {
 		t.Fatal("pooled chunk payload differs")
 	}
 	p.Put(got)
-	mustBalance(t, p)
-}
-
-// gateWriter blocks each Write until released, letting tests pile
-// frames into the queue behind an in-flight batch.
-type gateWriter struct {
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	gate chan struct{}
-}
-
-func (w *gateWriter) Write(b []byte) (int, error) {
-	if w.gate != nil {
-		<-w.gate
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Write(b)
-}
-
-func (w *gateWriter) bytes() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]byte(nil), w.buf.Bytes()...)
-}
-
-func TestFrameQueueWritesAllFramesAndCoalesces(t *testing.T) {
-	p := bufpool.New()
-	w := &gateWriter{gate: make(chan struct{})}
-	q := NewFrameQueue(w, 64, p, nil)
-
-	const frames = 24
-	var want bytes.Buffer
-	for i := 0; i < frames; i++ {
-		// Mix inline and vectored frames so coalescing crosses both.
-		size := 64
-		if i%5 == 0 {
-			size = FrameInlineThreshold + 100
-		}
-		req := &Request{ID: uint64(i + 1), Op: OpSet, Key: fmt.Sprintf("k%d", i),
-			Value: bytes.Repeat([]byte{byte(i)}, size)}
-		enc, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Write(enc)
-		f, err := EncodeRequestFrame(p, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(w.gate) // release the writer; everything drains
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.bytes(); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("queue output differs: %d bytes vs %d expected", len(got), want.Len())
-	}
-	batches, written := q.Stats()
-	if written != frames {
-		t.Fatalf("wrote %d frames, want %d", written, frames)
-	}
-	if batches >= written {
-		t.Fatalf("no coalescing happened: %d batches for %d frames", batches, written)
-	}
-	mustBalance(t, p)
-}
-
-type errWriter struct{}
-
-func (errWriter) Write([]byte) (int, error) { return 0, errors.New("wire down") }
-
-func TestFrameQueueErrorReleasesEverything(t *testing.T) {
-	p := bufpool.New()
-	errc := make(chan error, 1)
-	q := NewFrameQueue(errWriter{}, 4, p, func(err error) {
-		select {
-		case errc <- err:
-		default:
-		}
-	})
-	var enqErr error
-	for i := 0; i < 32; i++ {
-		f, err := EncodeRequestFrame(p, &Request{ID: uint64(i + 1), Op: OpSet, Key: "k",
-			Value: bytes.Repeat([]byte{1}, FrameInlineThreshold*2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue(f); err != nil {
-			enqErr = err // frame already released by Enqueue
-		}
-	}
-	select {
-	case <-errc:
-	case <-time.After(5 * time.Second):
-		t.Fatal("onError never fired")
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if enqErr == nil {
-		// Depending on timing every Enqueue may have squeaked in before
-		// the first write failed; the post-Close enqueue must not.
-		f, err := EncodeRequestFrame(p, &Request{ID: 99, Op: OpSet, Key: "k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue(f); err == nil {
-			t.Fatal("enqueue after close must fail")
-		}
-	}
-	mustBalance(t, p)
-}
-
-func TestFrameQueueCloseDrainsQueued(t *testing.T) {
-	p := bufpool.New()
-	var w gateWriter
-	q := NewFrameQueue(&w, 64, p, nil)
-	for i := 0; i < 10; i++ {
-		f, err := EncodeRequestFrame(p, &Request{ID: uint64(i + 1), Op: OpGet, Key: "k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(bytes.NewReader(w.bytes()))
-	for i := 0; i < 10; i++ {
-		if _, err := ReadRequest(br); err != nil {
-			t.Fatalf("frame %d unreadable after close-drain: %v", i, err)
-		}
-	}
 	mustBalance(t, p)
 }

@@ -20,70 +20,68 @@ var ErrQueueClosed = errors.New("wire: frame queue closed")
 // for those the copy would cost more than the extra iovec.
 const coalesceLimit = 8 << 10
 
-// FrameQueue serializes encoded frames onto a connection through a
-// dedicated writer goroutine. Callers enqueue fully encoded Frames
-// (no encoding happens under any queue lock); the writer drains
-// everything queued since its last flush and writes the whole batch as
-// one vectored write. With an ARPE-style window of in-flight chunk
-// operations this coalesces the K+M frame writes of a Set into a
-// handful of syscalls instead of one flush per frame.
+// FrameQueue serializes encoded frames onto a connection without a
+// goroutine of its own: the enqueuer that finds no flush in progress
+// becomes the flusher and writes until the queue is empty. Enqueuers
+// that arrive meanwhile append and return; the flusher's next pass
+// writes everything queued since its last one as one vectored write. A
+// lone blocking caller pays no goroutine handoff to send a frame, while
+// an ARPE-style window of concurrent operations still coalesces its
+// frame writes into a handful of syscalls instead of one per frame.
+// No encoding happens under the queue lock.
 //
-// Ownership: a successful Enqueue transfers frame ownership to the
-// queue — the writer releases each frame's pooled buffers after the
-// batch is written (or when the queue shuts down). On Enqueue error
-// the frame is released before returning, so callers never release
-// frames themselves.
+// Ownership: Enqueue owns the frame whatever it returns — the flusher
+// releases a batch after writing (or abandoning) it, a refused frame is
+// released before Enqueue returns; callers never release frames.
 type FrameQueue struct {
 	w    io.Writer
 	pool *bufpool.Pool
 
-	// onError, if non-nil, is invoked once — on a fresh goroutine, so it
-	// may call back into Close — with the first write error; subsequent
-	// Enqueues fail with that error.
+	// onError, if non-nil, is invoked once with the first write error,
+	// by the flusher after it has let go of the queue (so it may call
+	// Close). Subsequent Enqueues fail with that error.
 	onError func(error)
 
-	mu      sync.Mutex
-	data    sync.Cond // signaled when queued frames or close arrive
-	space   sync.Cond // signaled when the writer drains the queue
-	queued  []Frame
-	standby []Frame // writer's drained batch, swapped back as next queued backing
-	max     int
-	closed  bool
-	err     error
-	done    chan struct{}
+	mu       sync.Mutex
+	changed  sync.Cond // a batch was taken, a flush ended, or the queue stopped
+	queued   []Frame
+	standby  []Frame // the flusher's drained batch, swapped back as next queued backing
+	max      int
+	flushing bool // some Enqueue call is draining the queue; queued is empty otherwise
+	closed   bool
+	err      error
 
 	batches, frames uint64 // flush stats (guarded by mu)
+
+	// Owned by the flusher: the iovec list of the batch being written,
+	// its backing array kept from batch to batch, and the copy of its
+	// header that net.Buffers.WriteTo consumes.
+	iov, wv net.Buffers
 }
 
-// NewFrameQueue starts a writer goroutine draining frames onto w.
-// maxQueued bounds the number of undrained frames (Enqueue blocks when
+// NewFrameQueue returns a queue writing frames onto w. maxQueued bounds
+// the frames waiting behind a flush in progress (Enqueue blocks when
 // full, providing backpressure); values < 1 default to 64. pool is the
 // scratch-buffer source for write coalescing (nil disables coalescing).
-// Close must be called to stop the writer.
 func NewFrameQueue(w io.Writer, maxQueued int, pool *bufpool.Pool, onError func(error)) *FrameQueue {
 	if maxQueued < 1 {
 		maxQueued = 64
 	}
-	q := &FrameQueue{
-		w:       w,
-		pool:    pool,
-		onError: onError,
-		max:     maxQueued,
-		done:    make(chan struct{}),
-	}
-	q.data.L = &q.mu
-	q.space.L = &q.mu
-	go q.run()
+	q := &FrameQueue{w: w, pool: pool, onError: onError, max: maxQueued}
+	q.changed.L = &q.mu
 	return q
 }
 
-// Enqueue hands a frame to the writer, blocking while the queue is
-// full. On success the queue owns the frame; on error the frame has
-// already been released.
+// Enqueue queues a frame, blocking while the queue is full, and — when
+// no other call is flushing — writes it and everything queued meanwhile
+// before returning. Nil means the frame was written or handed to the
+// call that is flushing; an error means the queue is closed or its
+// writer failed (possibly on another call's frame: the connection is
+// unusable either way).
 func (q *FrameQueue) Enqueue(f Frame) error {
 	q.mu.Lock()
 	for !q.closed && q.err == nil && len(q.queued) >= q.max {
-		q.space.Wait()
+		q.changed.Wait()
 	}
 	if q.closed || q.err != nil {
 		err := q.err
@@ -95,22 +93,64 @@ func (q *FrameQueue) Enqueue(f Frame) error {
 		return ErrQueueClosed
 	}
 	q.queued = append(q.queued, f)
-	q.data.Signal()
+	if q.flushing {
+		q.mu.Unlock()
+		return nil
+	}
+	q.flushing = true
+	err := q.flushLocked()
+	q.flushing = false
+	q.changed.Broadcast()
 	q.mu.Unlock()
+	if err != nil && q.onError != nil {
+		q.onError(err)
+	}
+	return err
+}
+
+// flushLocked writes batches until the queue is empty or a write fails.
+// Called with q.mu held by the call that owns q.flushing; the lock is
+// dropped around each write so Enqueue can refill behind it.
+func (q *FrameQueue) flushLocked() error {
+	for len(q.queued) > 0 {
+		batch := q.queued
+		q.queued = q.standby[:0]
+		q.standby = batch
+		q.changed.Broadcast()
+		q.mu.Unlock()
+
+		err := q.writeBatch(batch)
+		for i := range batch {
+			batch[i].Release()
+		}
+
+		q.mu.Lock()
+		if err != nil {
+			q.err = err
+			// Release anything that slipped in behind the failed batch.
+			for i := range q.queued {
+				q.queued[i].Release()
+			}
+			q.queued = q.queued[:0]
+			return err
+		}
+		q.batches++
+		q.frames += uint64(len(batch))
+	}
 	return nil
 }
 
-// Close stops the writer after it drains frames already queued, then
-// waits for it to exit. Safe to call more than once.
+// Close fails later Enqueues and returns once any flush in progress has
+// drained the frames already queued. Safe to call more than once, but
+// not from inside the queue's writer.
 func (q *FrameQueue) Close() error {
 	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.data.Broadcast()
-		q.space.Broadcast()
+	q.closed = true
+	q.changed.Broadcast()
+	for q.flushing {
+		q.changed.Wait()
 	}
 	q.mu.Unlock()
-	<-q.done
 	return nil
 }
 
@@ -122,83 +162,28 @@ func (q *FrameQueue) Stats() (batches, frames uint64) {
 	return q.batches, q.frames
 }
 
-func (q *FrameQueue) run() {
-	defer close(q.done)
-	for {
-		q.mu.Lock()
-		for len(q.queued) == 0 && !q.closed && q.err == nil {
-			q.data.Wait()
-		}
-		if q.err != nil || (q.closed && len(q.queued) == 0) {
-			// Release anything that slipped in after the error.
-			for i := range q.queued {
-				q.queued[i].Release()
-			}
-			q.queued = q.queued[:0]
-			q.mu.Unlock()
-			return
-		}
-		// Swap the queued batch out so Enqueue can refill while we
-		// write without holding the lock.
-		batch := q.queued
-		q.queued = q.standby[:0]
-		q.standby = batch
-		q.space.Broadcast()
-		q.mu.Unlock()
-
-		err := q.writeBatch(batch)
-		for i := range batch {
-			batch[i].Release()
-		}
-
-		q.mu.Lock()
-		if err == nil {
-			q.batches++
-			q.frames += uint64(len(batch))
-		} else if q.err == nil {
-			q.err = err
-			q.data.Broadcast()
-			q.space.Broadcast()
-		}
-		q.mu.Unlock()
-		if err != nil && q.onError != nil {
-			go q.onError(err)
-		}
-	}
-}
-
 // writeBatch writes every frame in batch as a single vectored write,
 // coalescing runs of small vectors into a pooled scratch buffer. The
 // scratch is sized in a first pass before any bytes are copied, so
 // appends can never reallocate it and invalidate aliases already in
-// the iovec list.
+// the iovec list. A lone small vector (one inline frame, the blocking
+// small-message case) has nothing to coalesce with and goes as it is.
 func (q *FrameQueue) writeBatch(batch []Frame) error {
-	if len(batch) == 1 && q.pool == nil {
-		_, err := batch[0].WriteTo(q.w)
-		return err
-	}
-
-	// Pass 1: total bytes of coalescable (small) vectors.
-	small := 0
-	nvec := 0
+	// Pass 1: count and total bytes of coalescable (small) vectors.
+	small, nsmall := 0, 0
 	for i := range batch {
 		h, v := batch[i].Vectors()
 		if len(h) <= coalesceLimit {
 			small += len(h)
-		} else {
-			nvec++
+			nsmall++
 		}
-		if len(v) > 0 {
-			if len(v) <= coalesceLimit {
-				small += len(v)
-			} else {
-				nvec++
-			}
+		if n := len(v); n > 0 && n <= coalesceLimit {
+			small += n
+			nsmall++
 		}
 	}
-
 	var scratch []byte
-	if small > 0 && q.pool != nil {
+	if nsmall > 1 && q.pool != nil {
 		scratch = q.pool.GetRaw(small)[:0]
 	}
 
@@ -206,11 +191,11 @@ func (q *FrameQueue) writeBatch(batch []Frame) error {
 	// appended to scratch; each run becomes one vector aliasing the
 	// scratch region it occupies. scratch never grows past its leased
 	// capacity, so earlier aliases stay valid.
-	bufs := make(net.Buffers, 0, nvec+len(batch))
+	iov := q.iov[:0]
 	runStart := 0
 	flushRun := func() {
 		if len(scratch) > runStart {
-			bufs = append(bufs, scratch[runStart:len(scratch):len(scratch)])
+			iov = append(iov, scratch[runStart:len(scratch):len(scratch)])
 			runStart = len(scratch)
 		}
 	}
@@ -223,7 +208,7 @@ func (q *FrameQueue) writeBatch(batch []Frame) error {
 			return
 		}
 		flushRun()
-		bufs = append(bufs, b)
+		iov = append(iov, b)
 	}
 	for i := range batch {
 		h, v := batch[i].Vectors()
@@ -231,13 +216,18 @@ func (q *FrameQueue) writeBatch(batch []Frame) error {
 		addVec(v)
 	}
 	flushRun()
+	q.iov = iov
 
 	var err error
-	if len(bufs) == 1 {
-		_, err = q.w.Write(bufs[0])
-	} else if len(bufs) > 1 {
-		_, err = bufs.WriteTo(q.w)
+	if len(iov) == 1 {
+		_, err = q.w.Write(iov[0])
+	} else {
+		q.wv = iov
+		_, err = q.wv.WriteTo(q.w)
+		q.wv = nil
 	}
+	// Drop the references so the kept array pins no released buffer.
+	clear(q.iov)
 	if scratch != nil {
 		q.pool.Put(scratch)
 	}
