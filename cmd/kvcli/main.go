@@ -93,7 +93,7 @@ func run() error {
 	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent scrub repairs (0 = default 4)")
 	migrateRate := flag.Float64("migrate-rate", 0, "ring add/remove migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
 	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
-	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (requires servers that understand apply-delta)")
+	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (false: the benchmark baseline)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {

@@ -54,7 +54,7 @@ func run() error {
 	migrateOn := flag.Bool("migrate", false, "run the online migration daemon: rebalance data automatically on membership epoch changes")
 	migrateRate := flag.Float64("migrate-rate", 0, "migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
 	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
-	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (requires servers that understand apply-delta)")
+	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (false: the benchmark baseline)")
 	flag.Parse()
 
 	resilience, scheme, err := parseMode(*mode)

@@ -3,51 +3,78 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ecstore/internal/bufpool"
 	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
 
-// subOp is one planned sub-operation of a bulk call: where it goes,
-// what it asks, and — after the batch round — what came back. The
-// bulk strategies build sub-ops, hand them to a batcher, and read the
-// results out of the same structs.
+// subOp is one planned sub-operation of a strategy round: where it
+// goes, what it asks, and — after the round — what came back. The
+// strategies build a slice of sub-ops, hand it to the batcher, and read
+// the results out of the same slice. The executor never keeps the
+// slice, so a round of a few sub-ops lives on its strategy's stack
+// (roundOps).
 type subOp struct {
 	addr string
-	req  wire.BatchReq
+	// key is the position, in the strategy call's key slice, of the key
+	// this sub-op serves; results are collected by position, never by
+	// key string.
+	key int
+	req wire.BatchReq
 
-	// epoch is the membership epoch the sub-op's placement was resolved
-	// at; it rides on the carrying frame (OpBatch or plain) so a server
-	// whose ring differs rejects the whole frame with WrongEpoch. All
-	// sub-ops of one strategy round come from ONE view snapshot, so the
-	// sub-ops sharing a frame always agree. Zero means epoch-unaware
-	// (the rpc pool then stamps the current epoch at send time).
-	epoch uint64
+	// rawChunk marks req.Value as a bare erasure-coded chunk that goes on
+	// the wire wrapped in its chunk payload (header + CRC, from req.Meta).
+	// The executor wraps it as it issues the frame — into a frame-pool
+	// lease it hands to the connection with a plain frame, or copies into
+	// the batch payload and returns — so chunk i is on its way while
+	// chunk i+1 is still being checksummed, and no payload outlives its
+	// frame. The chunk itself must stay valid until the round is over (a
+	// bisected batch wraps it again).
+	rawChunk bool
 
-	// reqPool, when non-nil, marks req.Value as leased from that pool.
-	// The executor releases it only after the whole round completes —
-	// a whole-frame failure may re-encode the sub into a smaller batch,
-	// so the lease must survive until no re-send can happen. (Sub-ops
-	// that fall back to a plain single-op frame transfer the lease to
-	// the rpc layer instead.)
-	reqPool *bufpool.Pool
-
-	// resp is the sub-response (value copied out of the pooled frame)
-	// when err is nil; err is the transport-level failure (server down,
-	// timeout, malformed frame) that prevented any authoritative
-	// answer. Status-level outcomes (NotFound, Exists, per-sub errors)
-	// live in resp.Status.
+	// resp is the sub-response when err is nil; err is the
+	// transport-level failure (server down, timeout, malformed frame)
+	// that prevented any authoritative answer. Status-level outcomes
+	// (NotFound, Exists, per-sub errors) live in resp.Status.
+	// resp.Value aliases a pooled frame body the batcher holds until
+	// release: copy out whatever outlives the round.
 	resp wire.BatchResp
 	err  error
+
+	// next chains the sub-ops sharing one frame (-1 ends the chain);
+	// planned marks a sub-op already placed in a frame of this round;
+	// call, on the first sub-op of a frame, is that frame in flight.
+	next    int
+	planned bool
+	call    *rpc.Call
+}
+
+// roundBuf is the stack room a strategy gives a round: one key's K+M
+// sub-ops at the usual geometries.
+type roundBuf [8]subOp
+
+// roundOps returns an empty sub-op slice with room for n: buf itself —
+// an array on the caller's stack, so a round of a few sub-ops allocates
+// nothing — or a heap slice for a round that does not fit.
+func roundOps(buf *roundBuf, n int) []subOp {
+	if n > len(buf) {
+		return make([]subOp, 0, n)
+	}
+	return buf[:0]
+}
+
+// encodedSize is the bytes the sub-op adds to a batch payload.
+func (op *subOp) encodedSize() int {
+	if op.rawChunk {
+		return op.req.EncodedSize() + wire.ChunkPayloadOverhead
+	}
+	return op.req.EncodedSize()
 }
 
 // fail returns the sub-op's failure: the transport error when the
 // frame never completed, else the wire status mapped through the same
-// table single-op callers use (nil for StatusOK).
+// table Response.Err uses (nil for StatusOK).
 func (op *subOp) fail() error {
 	if op.err != nil {
 		return op.err
@@ -55,74 +82,64 @@ func (op *subOp) fail() error {
 	return op.resp.Err()
 }
 
-// unavailable reports whether the sub-op failed for a reason that
-// walking to another replica can fix (down or timed-out server), the
-// same classification rpc.IsUnavailable gives single-op failovers.
-func (op *subOp) unavailable() bool {
-	return op.err != nil && rpc.IsUnavailable(op.err)
-}
-
-// batcher accumulates the frame count of one logical bulk operation
-// across however many rounds its strategy needs (failover walks, parity
-// rounds, unwinds). The public bulk APIs record frames-per-op from it.
+// batcher is the executor every operation's wire rounds go through,
+// single-key and bulk alike, and the per-operation ledger beside it:
+// the Figure 9 phase times (issue = request, wait-all = wait-response,
+// plus the encode/decode time the modes add), the frame and sub-op
+// counts, and the pooled responses the current round's results alias.
+// One batcher serves one logical operation across however many rounds
+// its strategy needs (failover walks, parity rounds, unwinds, purges).
+//
+// Executor rules: every frame of a round is issued before any is
+// waited on, all on the calling goroutine; a frame that would carry
+// exactly one sub-op is sent as that op's plain frame (no batch
+// wrapper), anything larger as one OpBatch per server within the
+// size/count budget; response bodies stay leased until release; a
+// whole-frame rejection is retried by bisection.
 type batcher struct {
-	c      *Client
-	frames int64
+	c     *Client
+	om    *opMetrics // the calling op's metrics, set by begin
+	start time.Time
+
+	// bulk is set by the M* entry points: their frames and sub-ops feed
+	// the ecstore_client_bulk_* series. Single-key ops leave it unset.
+	bulk           bool
+	frames, subops int64
+
+	request, wait, code time.Duration
+
+	// The round in progress: its epoch and per-call deadline.
+	epoch   uint64
+	timeout time.Duration
+
+	leases []*wire.Response
+	reqs   []wire.BatchReq // scratch for batch encoding
+
+	// Backing for leases while they are few: a round of one key holds
+	// K+M at most, and should not pay a slice's growth for them.
+	leaseBuf [8]*wire.Response
 }
 
-// send executes ops — one frame per target server per round, subject
-// to the frame-size budget — and fills each sub-op's result in place.
-func (b *batcher) send(ops []*subOp) {
-	b.frames += b.c.sendBatches(ops)
+// newBatcher returns an executor whose ledger nobody reads (repair's
+// rewrites); operations open theirs with begin.
+func newBatcher(c *Client) *batcher {
+	b := &batcher{c: c}
+	b.leases = b.leaseBuf[:0]
+	return b
+}
+
+// begin opens the batcher of one operation, labelled op: timed from
+// here, so the ARPE window wait is not charged to the op.
+func (c *Client) begin(op string) *batcher {
+	b := newBatcher(c)
+	b.om, b.start = c.ops[op], time.Now()
+	return b
 }
 
 // batchBytesBudget bounds one OpBatch frame's encoded payload; batches
 // that would exceed it are split (and a single sub-op too large to
-// wrap at all falls back to a plain single-op frame, which has no
-// batch overhead).
+// wrap at all goes as a plain frame, which has no batch overhead).
 const batchBytesBudget = wire.MaxValueLen
-
-// sendBatches groups ops by target server, sends one OpBatch frame per
-// server (splitting only over the size/count budget), waits for every
-// response, and fills results in place. It returns the number of
-// frames sent. Per-server work runs concurrently — the whole round
-// costs one round trip to the slowest server, not a sum.
-func (c *Client) sendBatches(ops []*subOp) int64 {
-	if len(ops) == 0 {
-		return 0
-	}
-	byAddr := make(map[string][]*subOp)
-	addrs := make([]string, 0, 8)
-	for _, op := range ops {
-		if _, ok := byAddr[op.addr]; !ok {
-			addrs = append(addrs, op.addr)
-		}
-		byAddr[op.addr] = append(byAddr[op.addr], op)
-	}
-	var frames atomic.Int64
-	var wg sync.WaitGroup
-	for _, addr := range addrs {
-		subs := byAddr[addr]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			frames.Add(c.sendToServer(addr, subs))
-		}()
-	}
-	wg.Wait()
-	// Every sub-op that still owns a value lease is past its last
-	// possible re-encode: hand the buffers back.
-	for _, op := range ops {
-		if op.reqPool != nil {
-			op.reqPool.Put(op.req.Value)
-			op.reqPool, op.req.Value = nil, nil
-		}
-	}
-	n := frames.Load()
-	c.mBulkFrames.Add(n)
-	c.mBulkSubops.Add(int64(len(ops)))
-	return n
-}
 
 // batchableOp mirrors the server's admission list: the store-local ops
 // a batch frame may carry. Coordinated ops (encode-set / decode-get)
@@ -138,223 +155,262 @@ func batchableOp(op wire.Op) bool {
 	}
 }
 
-// pendingFrame is one issued-but-unwaited frame: either a batch
-// carrying group, or a plain single-op frame carrying single.
-type pendingFrame struct {
-	call   *rpc.Call
-	group  []*subOp
-	single *subOp
+// send executes one round under the client's per-call deadline. All
+// sub-ops of a round come from ONE view snapshot, whose epoch rides on
+// every frame so a server whose ring differs rejects it with
+// WrongEpoch (zero = epoch-unaware: the rpc pool stamps the current
+// epoch at send time).
+func (b *batcher) send(ops []subOp, epoch uint64) {
+	b.sendWithin(ops, epoch, b.c.cfg.OpTimeout)
 }
 
-// sendToServer plans subs into frames for one server, issues them all
-// before waiting on any (so multiple frames to one server pipeline),
-// then collects results. Returns frames successfully sent.
-func (c *Client) sendToServer(addr string, subs []*subOp) int64 {
-	var pendings []pendingFrame
-	var frames int64
-
-	issueGroup := func(group []*subOp) {
-		if len(group) == 0 {
-			return
-		}
-		call, ok := c.issueBatchFrame(addr, group)
-		if !ok {
-			return
-		}
-		frames++
-		pendings = append(pendings, pendingFrame{call: call, group: group})
+// sendWithin groups ops by target server, issues every frame, waits
+// for every response and fills the results in place — the round costs
+// one round trip to the slowest server, not a sum.
+func (b *batcher) sendWithin(ops []subOp, epoch uint64, timeout time.Duration) {
+	if len(ops) == 0 {
+		return
 	}
+	start := time.Now()
+	b.epoch, b.timeout = epoch, timeout
+	for i := range ops {
+		if !ops[i].planned {
+			b.issueServer(ops, i)
+		}
+	}
+	issued := time.Now()
+	for i := range ops {
+		if ops[i].call != nil {
+			b.await(ops, i)
+		}
+	}
+	b.request += issued.Sub(start)
+	b.wait += time.Since(issued)
+	b.subops += int64(len(ops))
+}
 
-	var group []*subOp
-	size := wire.BatchOverhead
-	for _, op := range subs {
-		esz := op.req.EncodedSize()
+// issueServer plans every not-yet-planned sub-op bound for ops[i]'s
+// server into frames and issues them, so multiple frames to one server
+// pipeline. Grouping is a scan per distinct server — rounds address a
+// handful of servers, and a scan allocates nothing.
+func (b *batcher) issueServer(ops []subOp, i int) {
+	addr := ops[i].addr
+	first, last, n, size := -1, -1, 0, wire.BatchOverhead
+	for j := i; j < len(ops); j++ {
+		op := &ops[j]
+		if op.planned || op.addr != addr {
+			continue
+		}
+		op.planned, op.next = true, -1
+		esz := op.encodedSize()
 		if !batchableOp(op.req.Op) || wire.BatchOverhead+esz > batchBytesBudget {
 			// Not batchable (or too large to wrap): its own frame,
 			// issued now so it pipelines with the batch frames.
-			if call, ok := c.issuePlainFrame(addr, op); ok {
-				frames++
-				pendings = append(pendings, pendingFrame{call: call, single: op})
-			}
+			b.issueFrame(ops, j, 1)
 			continue
 		}
-		if len(group) >= wire.MaxBatchOps || size+esz > batchBytesBudget {
-			issueGroup(group)
-			group, size = nil, wire.BatchOverhead
+		if n >= wire.MaxBatchOps || size+esz > batchBytesBudget {
+			b.issueFrame(ops, first, n)
+			first, n, size = -1, 0, wire.BatchOverhead
 		}
-		group = append(group, op)
+		if first < 0 {
+			first = j
+		} else {
+			ops[last].next = j
+		}
+		last = j
+		n++
 		size += esz
 	}
-	issueGroup(group)
-
-	for _, p := range pendings {
-		if p.single != nil {
-			c.waitPlainFrame(p.single, p.call)
-			continue
-		}
-		frames += c.waitBatchFrame(addr, p.group, p.call)
+	if n > 0 {
+		b.issueFrame(ops, first, n)
 	}
-	return frames
 }
 
-// issueBatchFrame encodes group into one OpBatch frame (payload leased
-// from the frame pool, ownership transferred with the request) and
-// sends it. On failure every sub-op is marked failed and ok is false.
-func (c *Client) issueBatchFrame(addr string, group []*subOp) (*rpc.Call, bool) {
-	reqs := make([]wire.BatchReq, len(group))
-	size := wire.BatchOverhead
-	for i, op := range group {
-		reqs[i] = op.req
-		size += op.req.EncodedSize()
-	}
-	fp := c.pool.FramePool()
-	var buf []byte
-	if fp != nil {
-		buf = fp.GetRaw(size)[:0]
-	}
-	payload, err := wire.AppendBatchRequests(buf, reqs)
-	if err != nil {
+// issueFrame sends the n sub-ops chained from ops[first] as one frame —
+// the sub-op's own plain frame when n is one, an OpBatch otherwise —
+// and leaves the call in flight on ops[first] for the round's wait
+// pass. On a send failure every sub-op is marked failed instead.
+func (b *batcher) issueFrame(ops []subOp, first, n int) {
+	op := &ops[first]
+	fp := b.c.pool.FramePool()
+	req := &wire.Request{Epoch: b.epoch}
+	if n == 1 {
+		req.Op, req.Key, req.Value = op.req.Op, op.req.Key, op.req.Value
+		req.TTLSeconds, req.Compare, req.Meta = op.req.TTLSeconds, op.req.Compare, op.req.Meta
+		if op.rawChunk {
+			req.Value, req.ValuePool = wire.EncodeChunkPayloadPooled(fp, op.req.Meta, op.req.Value), fp
+		}
+	} else {
+		b.reqs = b.reqs[:0]
+		size := wire.BatchOverhead
+		for i := first; i >= 0; i = ops[i].next {
+			r := ops[i].req
+			if ops[i].rawChunk {
+				r.Value = wire.EncodeChunkPayloadPooled(fp, r.Meta, r.Value)
+			}
+			b.reqs = append(b.reqs, r)
+			size += r.EncodedSize()
+		}
+		// The payload is leased from the frame pool at its final size
+		// and handed over with the request.
+		var buf []byte
 		if fp != nil {
-			fp.Put(buf[:cap(buf)][:0])
+			buf = fp.GetRaw(size)[:0]
 		}
-		for _, op := range group {
-			op.err = err
+		payload, err := wire.AppendBatchRequests(buf, b.reqs)
+		if fp != nil {
+			for i, j := first, 0; i >= 0; i, j = ops[i].next, j+1 {
+				if ops[i].rawChunk {
+					fp.Put(b.reqs[j].Value) // copied into the batch payload
+				}
+			}
 		}
-		return nil, false
+		if err != nil {
+			if fp != nil {
+				fp.Put(buf[:cap(buf)][:0])
+			}
+			failChain(ops, first, err)
+			return
+		}
+		req.Op, req.Key, req.Value, req.ValuePool = wire.OpBatch, "batch", payload, fp
 	}
-	call, err := c.pool.Send(addr, &wire.Request{
-		Op:        wire.OpBatch,
-		Key:       "batch",
-		Value:     payload,
-		ValuePool: fp,
-		Epoch:     group[0].epoch,
-	})
+	call, err := b.c.pool.SendTimeout(op.addr, req, b.timeout)
 	if err != nil {
-		for _, op := range group {
-			op.err = err
-		}
-		return nil, false
+		failChain(ops, first, err)
+		return
 	}
-	c.hBulkBatchSize.Record(time.Duration(len(group)))
-	return call, true
+	op.call = call
+	b.frames++
+	if b.bulk {
+		b.c.hBulkBatchSize.Record(time.Duration(n))
+	}
 }
 
-// waitBatchFrame waits out one batch frame and distributes the
-// sub-responses (values copied out of the pooled body). A whole-frame
-// status error — the batch itself was rejected, or its aggregate
-// response outgrew the frame — is retried by bisection: halves
-// re-send as smaller batches, and a single sub falls back to a plain
-// frame with no batch overhead. Re-sending is safe: batch rejection
-// means no sub-op executed, and a response-overflow re-send repeats
-// idempotent reads or re-applies the same versioned writes. Returns
-// the extra frames the retry path sent.
-func (c *Client) waitBatchFrame(addr string, group []*subOp, call *rpc.Call) int64 {
+// failChain marks every sub-op chained from ops[first] failed with err.
+func failChain(ops []subOp, first int, err error) {
+	for i := first; i >= 0; i = ops[i].next {
+		ops[i].err = err
+	}
+}
+
+// await waits out the frame in flight on ops[first] and distributes
+// its sub-responses, which alias the pooled body until release. A
+// whole-frame status error on a batch — the batch itself was rejected,
+// or its aggregate response outgrew the frame — is retried by
+// bisection: the halves re-send as smaller frames, down to plain ones.
+// Re-sending is safe: batch rejection means no sub-op executed, and a
+// response-overflow re-send repeats idempotent reads or re-applies the
+// same versioned writes.
+func (b *batcher) await(ops []subOp, first int) {
+	call := ops[first].call
+	ops[first].call = nil
 	resp, err := call.Wait()
 	if err != nil {
 		resp.Release()
-		for _, op := range group {
-			op.err = err
+		failChain(ops, first, err)
+		return
+	}
+	if ops[first].next < 0 { // a frame of one is that op's plain frame
+		ops[first].resp = wire.BatchResp{
+			Status: resp.Status, Value: resp.Value, TTLSeconds: resp.TTLSeconds, Meta: resp.Meta,
 		}
-		return 0
+		b.hold(resp)
+		return
+	}
+	n := 0
+	for i := first; i >= 0; i = ops[i].next {
+		n++
 	}
 	if respErr := resp.Err(); respErr != nil {
 		resp.Release()
 		if errors.Is(respErr, wire.ErrWrongEpoch) {
 			// A membership rejection applies to every sub-op of the frame
 			// — they share one placement snapshot — so report it directly;
-			// bisecting into smaller frames would only repeat the same
-			// rejection with the same stale epoch.
-			for _, op := range group {
-				op.resp, op.err = wire.BatchResp{Status: wire.StatusWrongEpoch}, nil
+			// bisecting would only repeat the same rejection.
+			for i := first; i >= 0; i = ops[i].next {
+				ops[i].resp = wire.BatchResp{Status: wire.StatusWrongEpoch}
 			}
-			return 0
+			return
 		}
-		if len(group) == 1 {
-			var extra int64
-			if pcall, ok := c.issuePlainFrame(addr, group[0]); ok {
-				extra++
-				c.waitPlainFrame(group[0], pcall)
+		// Cut the chain in two and re-send each half synchronously.
+		mid := first
+		for i := 1; i < n/2; i++ {
+			mid = ops[mid].next
+		}
+		second := ops[mid].next
+		ops[mid].next = -1
+		for _, half := range [2][2]int{{first, n / 2}, {second, n - n/2}} {
+			if b.issueFrame(ops, half[0], half[1]); ops[half[0]].call != nil {
+				b.await(ops, half[0])
 			}
-			return extra
 		}
-		mid := len(group) / 2
-		return c.resendGroup(addr, group[:mid]) + c.resendGroup(addr, group[mid:])
+		return
 	}
 	rs, derr := wire.DecodeBatchResponses(resp.Value)
-	if derr == nil && len(rs) != len(group) {
-		derr = fmt.Errorf("%w: batch answered %d of %d sub-requests", wire.ErrMalformed, len(rs), len(group))
+	if derr == nil && len(rs) != n {
+		derr = fmt.Errorf("%w: batch answered %d of %d sub-requests", wire.ErrMalformed, len(rs), n)
 	}
 	if derr != nil {
 		resp.Release()
-		for _, op := range group {
-			op.err = derr
-		}
-		return 0
-	}
-	for i, op := range group {
-		r := rs[i]
-		if len(r.Value) > 0 {
-			// The sub-value escapes to strategy code while the frame
-			// body goes back to the pool: copy out first.
-			r.Value = append([]byte(nil), r.Value...)
-		}
-		op.resp, op.err = r, nil
-	}
-	resp.Release()
-	return 0
-}
-
-// resendGroup synchronously re-sends a bisected half of a failed batch
-// frame, returning the frames it sent.
-func (c *Client) resendGroup(addr string, group []*subOp) int64 {
-	call, ok := c.issueBatchFrame(addr, group)
-	if !ok {
-		return 0
-	}
-	return 1 + c.waitBatchFrame(addr, group, call)
-}
-
-// issuePlainFrame sends one sub-op as an ordinary single-op frame. A
-// pool-leased value transfers to the rpc layer with the request (the
-// executor's end-of-round release then skips it).
-func (c *Client) issuePlainFrame(addr string, op *subOp) (*rpc.Call, bool) {
-	req := &wire.Request{
-		Op:         op.req.Op,
-		Key:        op.req.Key,
-		Value:      op.req.Value,
-		TTLSeconds: op.req.TTLSeconds,
-		Compare:    op.req.Compare,
-		Meta:       op.req.Meta,
-		Epoch:      op.epoch,
-	}
-	if op.reqPool != nil {
-		req.ValuePool = op.reqPool
-		op.reqPool, op.req.Value = nil, nil
-	}
-	call, err := c.pool.Send(addr, req)
-	if err != nil {
-		op.err = err
-		return nil, false
-	}
-	return call, true
-}
-
-// waitPlainFrame completes a plain single-op frame into the sub-op.
-func (c *Client) waitPlainFrame(op *subOp, call *rpc.Call) {
-	resp, err := call.Wait()
-	if err != nil {
-		resp.Release()
-		op.err = err
+		failChain(ops, first, derr)
 		return
 	}
-	r := wire.BatchResp{
-		Status:     resp.Status,
-		TTLSeconds: resp.TTLSeconds,
-		Meta:       resp.Meta,
+	for i, j := first, 0; i >= 0; i, j = ops[i].next, j+1 {
+		ops[i].resp = rs[j]
 	}
-	if len(resp.Value) > 0 {
-		r.Value = append([]byte(nil), resp.Value...)
+	b.hold(resp)
+}
+
+// hold keeps a response whose body sub-results alias until release; a
+// bodiless one (a write's ack) goes back at once.
+func (b *batcher) hold(resp *wire.Response) {
+	if len(resp.Value) == 0 {
+		resp.Release()
+		return
 	}
-	resp.Release()
-	op.resp, op.err = r, nil
+	b.leases = append(b.leases, resp)
+}
+
+// release returns the held response bodies to the frame pool. The
+// strategies call it once a round's results are classified and every
+// value that outlives the round is copied (or Joined) out.
+func (b *batcher) release() {
+	for i, resp := range b.leases {
+		resp.Release()
+		b.leases[i] = nil
+	}
+	b.leases = b.leases[:0]
+}
+
+// end closes the operation's ledger with its outcome, which it passes
+// through: the accumulated phase times under the op's label (also fed
+// to the optional Config.Instrument breakdown, phase-keyed as the
+// benchmarks have always rendered it; a phase the op never entered
+// records nothing), an M* call's frame and sub-op counts to the bulk
+// series, then the end-to-end latency and the total and error counters.
+func (b *batcher) end(v Item, err error) (Item, error) {
+	c := b.c
+	for _, ph := range [...]struct {
+		name string
+		d    time.Duration
+	}{{phaseCode, b.code}, {phaseRequest, b.request}, {phaseWait, b.wait}} {
+		if ph.d <= 0 {
+			continue
+		}
+		b.om.phases[ph.name].Record(ph.d)
+		if c.cfg.Instrument != nil {
+			c.cfg.Instrument.Add(ph.name, ph.d)
+		}
+	}
+	if c.cfg.Instrument != nil {
+		c.cfg.Instrument.AddOp()
+	}
+	if b.bulk {
+		c.mBulkFrames.Add(b.frames)
+		c.mBulkSubops.Add(b.subops)
+		c.hFramesPerBulk.Record(time.Duration(b.frames))
+	}
+	b.om.done(b.start, err)
+	return v, err
 }

@@ -10,24 +10,47 @@ import (
 )
 
 // Bulk-path benchmarks: MGet/MSet through real servers over the
-// in-process transport, batched (one OpBatch frame per target server)
-// vs the per-key pipelined baseline (DisableBulkBatch). Reported
-// metrics: qps counts LOGICAL keys per second, frames_per_op the
-// request frames one bulk call costs — the number the batching exists
-// to shrink.
+// in-process transport, batched (one frame per target server) vs the
+// per-key pipelined baseline, which the benchmark writes itself: N
+// IGet/ISet, then wait. Reported metrics: qps counts LOGICAL keys per
+// second, frames_per_op the request frames one bulk call costs (0 on
+// the perkey rows: single-key ops do not feed the bulk series) — the
+// number the batching exists to shrink.
 
 var bulkBenchSizes = []int{16, 64, 256} // keys per bulk call
 
+// bulkBenchVariants pairs the two row names with their MGet and MSet.
 func bulkBenchVariants() []struct {
-	name    string
-	disable bool
+	name string
+	mget func(c *core.Client, keys []string) (int, error)
+	mset func(c *core.Client, pairs map[string][]byte) error
 } {
 	return []struct {
-		name    string
-		disable bool
+		name string
+		mget func(c *core.Client, keys []string) (int, error)
+		mset func(c *core.Client, pairs map[string][]byte) error
 	}{
-		{"batched", false},
-		{"perkey", true},
+		{"batched",
+			func(c *core.Client, keys []string) (int, error) {
+				got, err := c.MGet(keys)
+				return len(got), err
+			},
+			(*core.Client).MSet},
+		{"perkey",
+			func(c *core.Client, keys []string) (int, error) {
+				futures := make([]*core.Future, len(keys))
+				for i, key := range keys {
+					futures[i] = c.IGet(key)
+				}
+				return len(keys), core.WaitAll(futures...)
+			},
+			func(c *core.Client, pairs map[string][]byte) error {
+				futures := make([]*core.Future, 0, len(pairs))
+				for key, value := range pairs {
+					futures = append(futures, c.ISet(key, value))
+				}
+				return core.WaitAll(futures...)
+			}},
 	}
 }
 
@@ -55,9 +78,7 @@ func BenchmarkBulkMGet(b *testing.B) {
 	for _, variant := range bulkBenchVariants() {
 		for _, n := range bulkBenchSizes {
 			b.Run(fmt.Sprintf("%s/%dkeys", variant.name, n), func(b *testing.B) {
-				cfg := core.Config{Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2}
-				cfg.DisableBulkBatch = variant.disable
-				c := benchClient(b, cfg)
+				c := benchClient(b, core.Config{Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2})
 				pairs, keys := benchBulkPairs(n)
 				if err := c.MSet(pairs); err != nil {
 					b.Fatal(err)
@@ -67,12 +88,12 @@ func BenchmarkBulkMGet(b *testing.B) {
 				b.ResetTimer()
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					got, err := c.MGet(keys)
+					got, err := variant.mget(c, keys)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if len(got) != n {
-						b.Fatalf("got %d of %d keys", len(got), n)
+					if got != n {
+						b.Fatalf("got %d of %d keys", got, n)
 					}
 				}
 				elapsed := time.Since(start)
@@ -88,16 +109,14 @@ func BenchmarkBulkMSet(b *testing.B) {
 	for _, variant := range bulkBenchVariants() {
 		for _, n := range bulkBenchSizes {
 			b.Run(fmt.Sprintf("%s/%dkeys", variant.name, n), func(b *testing.B) {
-				cfg := core.Config{Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2}
-				cfg.DisableBulkBatch = variant.disable
-				c := benchClient(b, cfg)
+				c := benchClient(b, core.Config{Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2})
 				pairs, _ := benchBulkPairs(n)
 				before := c.Metrics().Snapshot().Counter("ecstore_client_bulk_frames_total")
 				b.ReportAllocs()
 				b.ResetTimer()
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					if err := c.MSet(pairs); err != nil {
+					if err := variant.mset(c, pairs); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,54 +4,34 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"ecstore/internal/nearcache"
-	"ecstore/internal/wire"
 )
 
-// The bulk APIs (MSet / MGet / MGetItems / MDelete) run through the
-// batched wire path by default: sub-operations are grouped per target
-// server and sent as ONE OpBatch frame per server per round (DESIGN
-// §12), so a 64-key multi-get on a 5-server cluster costs at most one
-// request frame per contacted server instead of 64. Per-key semantics —
-// failover walks, NotFound-vs-Unavailable classification, torn-write
-// discipline, retries — are identical to the single-op paths.
-// Config.DisableBulkBatch falls back to the per-key pipelined path.
+// The bulk APIs (MSet / MGet / MGetItems / MDelete) call the same
+// strategy methods the single-key APIs do, with many keys instead of
+// one: sub-operations are grouped per target server and sent as ONE
+// frame per server per round (DESIGN §12), so a 64-key multi-get on a
+// 5-server cluster costs at most one request frame per contacted server
+// instead of 64. Per-key semantics — failover walks,
+// NotFound-vs-Unavailable classification, torn-write discipline,
+// retries — are not merely identical to the single-key ones, they are
+// the same code.
 
-// bulkStrat returns the strategy's bulk implementation, or false when
-// the batched path is disabled (or the strategy has no bulk form).
-func (c *Client) bulkStrat() (bulkStrategy, bool) {
-	if c.cfg.DisableBulkBatch {
-		return nil, false
-	}
-	bs, ok := c.strat.(bulkStrategy)
-	return bs, ok
-}
-
-// enterBulk is the bulk calls' admission: the closed check plus ONE
-// ARPE window slot for the whole call (the executor bounds its own
-// per-server fan-out), released by exitBulk.
-func (c *Client) enterBulk() bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	c.window <- struct{}{}
-	return true
-}
-
-func (c *Client) exitBulk() {
-	<-c.window
-	c.wg.Done()
+// bulkOp runs one M* call: one ARPE window slot for the whole call (the
+// executor bounds its own per-server fan-out), the per-op accounting
+// every operation gets, and the bulk frame/sub-op series.
+func (c *Client) bulkOp(op string, fn func(b *batcher) error) error {
+	_, err := c.run(func() (Item, error) {
+		b := c.begin(op)
+		b.bulk = true
+		return b.end(Item{}, fn(b))
+	})
+	return err
 }
 
 // dedupeKeys returns keys with duplicates removed, first occurrence
-// order preserved: a duplicated key must not issue duplicate wire work
-// (or duplicate futures, on the legacy path).
+// order preserved: a duplicated key must not issue duplicate wire work.
 func dedupeKeys(keys []string) []string {
 	seen := make(map[string]bool, len(keys))
 	out := make([]string, 0, len(keys))
@@ -64,169 +44,102 @@ func dedupeKeys(keys []string) []string {
 	return out
 }
 
-// bulkEpochRetry re-runs round for the keys rejected with a
-// membership-epoch error, refreshing the view between attempts — the
-// write-side analogue of bulkRetry's WrongEpoch handling (the bulk
-// reads retry inside the strategies via bulkRetry; the write rounds
-// resolve placement once per call, so the re-resolution has to happen
-// out here). Bounded by epochRetryLimit like the single-op paths.
-func (c *Client) bulkEpochRetry(keys []string, round func(keys []string) map[string]error) map[string]error {
-	errs := round(keys)
-	for attempt := 0; attempt < epochRetryLimit; attempt++ {
-		var stale []string
-		for _, key := range keys {
-			if errors.Is(errs[key], wire.ErrWrongEpoch) {
-				stale = append(stale, key)
-			}
+// firstFailure names the first failed key of a bulk write, by position
+// — the callers sort their keys, so the reported error is deterministic
+// across runs (map iteration order never picks it).
+func firstFailure(op string, keys []string, res []result) error {
+	for i, r := range res {
+		if r.err != nil {
+			return fmt.Errorf("core: %s %q: %w", op, keys[i], r.err)
 		}
-		if len(stale) == 0 {
-			return errs
-		}
-		sort.Strings(stale)
-		c.mEpochRetries.Inc()
-		_, _ = c.RefreshView()
-		redo := round(stale)
-		for _, key := range stale {
-			if err, ok := redo[key]; ok {
-				errs[key] = err
-			} else {
-				delete(errs, key)
-			}
-		}
-		keys = stale
 	}
-	return errs
+	return nil
 }
 
-// MSet stores every pair through the batched bulk path — chunked and
-// grouped so each target server receives one frame per round. All
-// writes are attempted; the error identifies the FIRST failed key in
-// sorted key order (deterministic across runs — map iteration order
-// never picks the reported error) and wraps the per-key cause.
+// MSet stores every pair — chunked and grouped so each target server
+// receives one frame per round. All writes are attempted; the error
+// identifies the FIRST failed key in sorted key order and wraps the
+// per-key cause.
 func (c *Client) MSet(pairs map[string][]byte) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(pairs))
-	for key := range pairs {
-		keys = append(keys, key)
+	writes := make([]write, 0, len(pairs))
+	for key, value := range pairs {
+		writes = append(writes, write{key: key, value: value})
 	}
-	sort.Strings(keys)
-	bs, ok := c.bulkStrat()
-	if !ok {
-		return c.msetLegacy(keys, pairs)
-	}
-	if !c.enterBulk() {
-		return ErrClosed
-	}
-	defer c.exitBulk()
-	om := c.ops["mset"]
-	start := time.Now()
-	b := &batcher{c: c}
-	errs := c.bulkEpochRetry(keys, func(keys []string) map[string]error {
-		writes := make([]bulkWrite, len(keys))
-		for i, key := range keys {
-			writes[i] = bulkWrite{key: key, value: pairs[key]}
+	sort.Slice(writes, func(i, j int) bool { return writes[i].key < writes[j].key })
+	keys := keysOf(writes)
+	return c.bulkOp("mset", func(b *batcher) error {
+		res := c.retryKeys(false, func(idx []int) []result {
+			return c.strat.set(b, subset(writes, idx))
+		})
+		for _, key := range keys {
+			c.invalidate(key)
 		}
-		return bs.bulkSet(b, writes)
+		return firstFailure("mset", keys, res)
 	})
-	for _, key := range keys {
-		c.invalidate(key)
-	}
-	c.hFramesPerBulk.Record(time.Duration(b.frames))
-	om.seconds.Record(time.Since(start))
-	om.total.Inc()
-	for _, key := range keys {
-		if err := errs[key]; err != nil {
-			om.errs.Inc()
-			return fmt.Errorf("core: mset %q: %w", key, err)
-		}
-	}
-	return nil
 }
 
-// msetLegacy is the per-key pipelined MSet (DisableBulkBatch). keys is
-// sorted, so the reported first error is deterministic here too.
-func (c *Client) msetLegacy(keys []string, pairs map[string][]byte) error {
-	futures := make([]*Future, len(keys))
-	for i, key := range keys {
-		futures[i] = c.ISet(key, pairs[key])
-	}
-	var firstKey string
-	var firstErr error
-	for i, f := range futures {
-		if _, err := f.WaitItem(); err != nil && firstErr == nil {
-			firstKey, firstErr = keys[i], err
-		}
-	}
-	if firstErr != nil {
-		return fmt.Errorf("core: mset %q: %w", firstKey, firstErr)
-	}
-	return nil
-}
+// errSomeFailed marks an MGetItems call whose failed map is non-empty,
+// for the per-op error counter.
+var errSomeFailed = errors.New("core: some keys failed")
 
-// MGetItems fetches every key through the batched bulk path, returning
-// the items found plus a per-key error map for the keys whose state
-// could not be determined (ErrUnavailable etc.). A key in neither map
-// is authoritatively absent. The split is what lets a caller — the
-// memcached proxy above all — answer a multi-get with an error for an
-// unreachable key instead of a silent miss that a cache filler would
-// then treat as permission to overwrite. Duplicate keys are fetched
-// once. Cached keys are served from the near cache without any wire
-// work; misses coalesce per key with concurrent readers through the
-// singleflight group and fill the cache generation-guarded, exactly as
-// single-key reads do.
+// MGetItems fetches every key, returning the items found plus a per-key
+// error map for the keys whose state could not be determined
+// (ErrUnavailable etc.). A key in neither map is authoritatively
+// absent. The split is what lets a caller — the memcached proxy above
+// all — answer a multi-get with an error for an unreachable key instead
+// of a silent miss that a cache filler would then treat as permission
+// to overwrite. Duplicate keys are fetched once. Cached keys are served
+// from the near cache without any wire work; misses coalesce per key
+// with concurrent readers through the singleflight group and fill the
+// cache generation-guarded, exactly as single-key reads do.
 func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
 	keys = dedupeKeys(keys)
 	found := make(map[string]Item, len(keys))
 	if len(keys) == 0 {
 		return found, nil
 	}
-	bs, ok := c.bulkStrat()
-	if !ok {
-		return c.mgetItemsLegacy(keys)
-	}
-	if !c.enterBulk() {
-		failed := make(map[string]error, len(keys))
-		for _, key := range keys {
-			failed[key] = ErrClosed
-		}
-		return found, failed
-	}
-	defer c.exitBulk()
-	om := c.ops["mget"]
-	start := time.Now()
-	misses := make([]string, 0, len(keys))
-	for _, key := range keys {
-		if v, ok := c.cache.Get(key); ok {
-			found[key] = Item{Value: v.Data, Version: v.Version, TTL: v.TTL}
-		} else {
-			misses = append(misses, key)
-		}
-	}
 	var failed map[string]error
-	if len(misses) > 0 {
-		b := &batcher{c: c}
+	err := c.bulkOp("mget", func(b *batcher) error {
+		misses := make([]string, 0, len(keys))
+		for _, key := range keys {
+			if v, ok := c.cache.Get(key); ok {
+				found[key] = Item{Value: v.Data, Version: v.Version, TTL: v.TTL}
+			} else {
+				misses = append(misses, key)
+			}
+		}
+		if len(misses) == 0 {
+			return nil
+		}
 		values, errs, joined := c.flight.DoBulk(misses, func(lead []string) (map[string]nearcache.Value, map[string]error) {
 			// Generations are drawn BEFORE the fetch so a concurrent
 			// local write's invalidation in between wins and the fill is
 			// dropped — the bulk form of readThrough's discipline.
-			gens := make(map[string]uint64, len(lead))
-			for _, key := range lead {
-				gens[key] = c.cache.Begin(key)
+			gens := make([]uint64, len(lead))
+			for i, key := range lead {
+				gens[i] = c.cache.Begin(key)
 			}
-			f, ferrs := bs.bulkGet(b, lead)
-			vals := make(map[string]nearcache.Value, len(f))
-			for key, item := range f {
-				v := nearcache.Value{Data: item.Value, Version: item.Version, TTL: item.TTL}
-				vals[key] = v
-				c.cache.Put(key, v, gens[key])
-			}
-			for key, err := range ferrs {
-				if errors.Is(err, ErrNotFound) {
-					// Authoritative absence: any cached value is stale.
-					c.cache.Invalidate(key)
+			vals := make(map[string]nearcache.Value, len(lead))
+			var ferrs map[string]error
+			for i, r := range c.strat.get(b, lead) {
+				key := lead[i]
+				if r.err != nil {
+					if errors.Is(r.err, ErrNotFound) {
+						// Authoritative absence: any cached value is stale.
+						c.cache.Invalidate(key)
+					}
+					if ferrs == nil {
+						ferrs = make(map[string]error)
+					}
+					ferrs[key] = r.err
+					continue
 				}
+				v := nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}
+				vals[key] = v
+				c.cache.Put(key, v, gens[i])
 			}
 			return vals, ferrs
 		})
@@ -245,43 +158,21 @@ func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
 			}
 			failed[key] = err
 		}
-		c.hFramesPerBulk.Record(time.Duration(b.frames))
-	}
-	om.seconds.Record(time.Since(start))
-	om.total.Inc()
-	if len(failed) > 0 {
-		om.errs.Inc()
-	}
-	return found, failed
-}
-
-// mgetItemsLegacy is the per-key pipelined MGetItems (DisableBulkBatch).
-// keys is already deduplicated.
-func (c *Client) mgetItemsLegacy(keys []string) (map[string]Item, map[string]error) {
-	futures := make([]*Future, len(keys))
-	for i, key := range keys {
-		futures[i] = c.IGet(key)
-	}
-	found := make(map[string]Item, len(keys))
-	var failed map[string]error
-	for i, f := range futures {
-		item, err := f.WaitItem()
-		switch {
-		case err == nil:
-			found[keys[i]] = item
-		case errors.Is(err, ErrNotFound):
-			// absent key: not an error for a bulk read
-		default:
-			if failed == nil {
-				failed = make(map[string]error)
-			}
-			failed[keys[i]] = err
+		if len(failed) > 0 {
+			return errSomeFailed
+		}
+		return nil
+	})
+	if errors.Is(err, ErrClosed) {
+		failed = make(map[string]error, len(keys))
+		for _, key := range keys {
+			failed[key] = ErrClosed
 		}
 	}
 	return found, failed
 }
 
-// MGet fetches every key through the batched bulk path. The result
+// MGet fetches every key. The result
 // holds the keys that were found; keys that do not exist are simply
 // absent. The error reports the first infrastructure failure in key
 // order (ErrUnavailable etc.) — ErrNotFound is not an error for MGet.
@@ -300,63 +191,23 @@ func (c *Client) MGet(keys []string) (map[string][]byte, error) {
 	return out, nil
 }
 
-// MDelete removes every key through the batched bulk path. All deletes
-// are attempted; the error identifies the FIRST failed key in sorted
-// key order (deterministic across runs) and wraps the per-key cause —
-// including ErrNotFound when a key was absent everywhere, matching the
-// single-op Delete.
+// MDelete removes every key. All deletes are attempted; the error
+// identifies the FIRST failed key in sorted key order and wraps the
+// per-key cause — including ErrNotFound when a key was absent
+// everywhere, matching Delete.
 func (c *Client) MDelete(keys []string) error {
 	keys = dedupeKeys(keys)
 	if len(keys) == 0 {
 		return nil
 	}
 	sort.Strings(keys)
-	bs, ok := c.bulkStrat()
-	if !ok {
-		return c.mdeleteLegacy(keys)
-	}
-	if !c.enterBulk() {
-		return ErrClosed
-	}
-	defer c.exitBulk()
-	om := c.ops["mdelete"]
-	start := time.Now()
-	b := &batcher{c: c}
-	errs := c.bulkEpochRetry(keys, func(keys []string) map[string]error {
-		return bs.bulkDel(b, keys)
+	return c.bulkOp("mdelete", func(b *batcher) error {
+		res := c.retryKeys(false, func(idx []int) []result {
+			return c.strat.del(b, subset(keys, idx))
+		})
+		for _, key := range keys {
+			c.invalidate(key)
+		}
+		return firstFailure("mdelete", keys, res)
 	})
-	for _, key := range keys {
-		c.invalidate(key)
-	}
-	c.hFramesPerBulk.Record(time.Duration(b.frames))
-	om.seconds.Record(time.Since(start))
-	om.total.Inc()
-	for _, key := range keys {
-		if err := errs[key]; err != nil {
-			om.errs.Inc()
-			return fmt.Errorf("core: mdelete %q: %w", key, err)
-		}
-	}
-	return nil
-}
-
-// mdeleteLegacy is the per-key pipelined MDelete (DisableBulkBatch).
-// keys is deduplicated and sorted, so the reported first error is
-// deterministic here too.
-func (c *Client) mdeleteLegacy(keys []string) error {
-	futures := make([]*Future, len(keys))
-	for i, key := range keys {
-		futures[i] = c.IDelete(key)
-	}
-	var firstKey string
-	var firstErr error
-	for i, f := range futures {
-		if _, err := f.WaitItem(); err != nil && firstErr == nil {
-			firstKey, firstErr = keys[i], err
-		}
-	}
-	if firstErr != nil {
-		return fmt.Errorf("core: mdelete %q: %w", firstKey, firstErr)
-	}
-	return nil
 }

@@ -187,52 +187,6 @@ func TestMGetDedupesDuplicateKeys(t *testing.T) {
 	if subops != 2 {
 		t.Fatalf("6 listed / 2 distinct keys issued %d sub-ops, want 2", subops)
 	}
-
-	// The legacy per-key path must dedupe too.
-	cfg := allModes()["none"]
-	cfg.DisableBulkBatch = true
-	lc := newClient(t, cl, cfg)
-	if err := lc.Set("dup", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	gbefore := lc.Metrics().Snapshot().Counter(`ecstore_client_ops_total{op="get"}`)
-	if found, failed := lc.MGetItems(keys); len(failed) != 0 || len(found) != 1 {
-		t.Fatalf("legacy: found=%v failed=%v", found, failed)
-	}
-	gets := lc.Metrics().Snapshot().Counter(`ecstore_client_ops_total{op="get"}`) - gbefore
-	if gets != 2 {
-		t.Fatalf("legacy path issued %d gets for 2 distinct keys, want 2", gets)
-	}
-}
-
-// TestBulkBatchDisabledFallback: the DisableBulkBatch escape hatch must
-// preserve full bulk semantics through the per-key path.
-func TestBulkBatchDisabledFallback(t *testing.T) {
-	cl := startCluster(t, 5)
-	cfg := allModes()["era-ce-cd"]
-	cfg.DisableBulkBatch = true
-	c := newClient(t, cl, cfg)
-
-	pairs := bulkPairs("legacy", 16, 256)
-	if err := c.MSet(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if frames := c.Metrics().Snapshot().Counter("ecstore_client_bulk_frames_total"); frames != 0 {
-		t.Fatalf("legacy path sent %d batch frames, want 0", frames)
-	}
-	got, err := c.MGet(append(pairKeys(pairs), "legacy-absent"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pairs) {
-		t.Fatalf("MGet returned %d of %d keys", len(got), len(pairs))
-	}
-	if err := c.MDelete(pairKeys(pairs)); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.MGet(pairKeys(pairs)); len(got) != 0 {
-		t.Fatalf("keys survive MDelete: %v", got)
-	}
 }
 
 // TestMSetMGetRoundTripAllModes runs the batched bulk cycle through

@@ -68,13 +68,13 @@ type Client struct {
 	mCoalesced     *metrics.Counter
 	mEpochRetries  *metrics.Counter
 
-	// Bulk-path metric handles. mBulkFrames / mBulkSubops count wire
-	// frames and sub-operations issued by the batch executor — their
-	// ratio is the amortization the batching buys. hFramesPerBulk and
-	// hBulkBatchSize are count-valued histograms (samples recorded as
-	// time.Duration(n), so "1" in the export means one frame / one
-	// sub-op, not a nanosecond): frames per logical bulk call, and
-	// sub-ops per batch frame.
+	// Bulk metric handles, fed by the M* calls only. mBulkFrames /
+	// mBulkSubops count the wire frames and sub-operations those calls
+	// issue — their ratio is the amortization the batching buys.
+	// hFramesPerBulk and hBulkBatchSize are count-valued histograms
+	// (samples recorded as time.Duration(n), so "1" in the export means
+	// one frame / one sub-op, not a nanosecond): frames per logical bulk
+	// call, and sub-ops per frame.
 	mBulkFrames    *metrics.Counter
 	mBulkSubops    *metrics.Counter
 	hFramesPerBulk *stats.Histogram
@@ -121,6 +121,16 @@ const (
 	phaseCode    = "encode-decode"
 )
 
+// done counts one finished operation: total and error counters and the
+// end-to-end latency since start.
+func (om *opMetrics) done(start time.Time, err error) {
+	om.seconds.Record(time.Since(start))
+	om.total.Inc()
+	if err != nil {
+		om.errs.Inc()
+	}
+}
+
 func newOpMetrics(reg *metrics.Registry, op string) *opMetrics {
 	phases := make(map[string]*stats.Histogram, 3)
 	for _, ph := range []string{phaseRequest, phaseWait, phaseCode} {
@@ -134,16 +144,37 @@ func newOpMetrics(reg *metrics.Registry, op string) *opMetrics {
 	}
 }
 
-// strategy executes whole operations under a resilience scheme. The
-// implementations run inside an ARPE window slot, so they may block.
-// set and compareSet return the version installed for the write (the
-// CAS token later reads report); get returns the full item.
+// write is one key's write within a strategy set call.
+type write struct {
+	key   string
+	value []byte
+	ttl   time.Duration
+	// patch asks an erasure-coded write to try the delta overwrite
+	// (DESIGN §14) before the full re-stripe. Set passes it; MSet does
+	// not — it never refreshes the near-cached base a chain of deltas
+	// lives on, so the attempt would only buy a read-before-write.
+	patch bool
+}
+
+// strategy executes whole operations under a resilience scheme, and
+// the key-slice form is the only form: a single-key Get/Set/Delete is a
+// call with one key, MGet/MSet/MDelete a call with many, through the
+// same failover walk, absence classification, torn-write discipline and
+// unwind. Every wire round goes through the operation's batcher, one
+// frame per target server. Results come back by key position; key
+// slices are duplicate-free (the public layer dedupes). get retries
+// transient failures and epoch rejections itself; set and del are not
+// idempotent and leave the epoch retry to the caller (retryKeys). An
+// ErrNotFound result is authoritative absence — the public APIs decide
+// whether that is an error for their call. compareSet and compareDelete
+// are single-key by nature (one decider per key) and return the version
+// installed, the CAS token later reads report.
 type strategy interface {
-	set(key string, value []byte, ttl time.Duration) (uint64, error)
-	get(key string) (Item, error)
-	del(key string) error
-	compareSet(key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
-	compareDelete(key string, expect uint64) error
+	get(b *batcher, keys []string) []result
+	set(b *batcher, writes []write) []result
+	del(b *batcher, keys []string) []result
+	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
+	compareDelete(b *batcher, key string, expect uint64) error
 }
 
 // New returns a Client for the given configuration.
@@ -298,77 +329,65 @@ func (c *Client) submit(fn func() (Item, error)) *Future {
 	return f
 }
 
-// measured wraps an operation body with the per-op metrics: total and
-// error counters plus the end-to-end latency histogram (timed from
-// execution start, so the ARPE window wait is not charged to the op).
-func (c *Client) measured(op string, fn func() (Item, error)) func() (Item, error) {
-	om := c.ops[op]
+// The operation bodies: the non-blocking form of each public operation
+// hands one to submit, the blocking form to run. Each opens the
+// operation's batcher (begin) — the executor all its wire rounds go
+// through and the ledger of its per-op accounting — and closes it with
+// the outcome (end).
+
+func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item, error) {
 	return func() (Item, error) {
-		start := time.Now()
-		v, err := fn()
-		om.seconds.Record(time.Since(start))
-		om.total.Inc()
-		if err != nil {
-			om.errs.Inc()
+		b := c.begin("set")
+		r := c.retryKeys(false, func([]int) []result {
+			return c.strat.set(b, []write{{key: key, value: value, ttl: ttl, patch: true}})
+		})[0]
+		c.invalidate(key)
+		if r.err == nil {
+			c.recordDeltaBase(key, value, r.item.Version, ttl)
 		}
-		return v, err
+		return b.end(r.item, r.err)
 	}
 }
 
-// The operation bodies: the non-blocking form of each public operation
-// hands one to submit, the blocking form to run.
-
-func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item, error) {
-	return c.measured("set", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			version, err := c.strat.set(key, value, ttl)
-			c.invalidate(key)
-			if err == nil {
-				c.recordDeltaBase(key, value, version, ttl)
-			}
-			return Item{Version: version}, err
-		})
-	})
-}
-
 func (c *Client) getOp(key string) func() (Item, error) {
-	return c.measured("get", func() (Item, error) { return c.readThrough(key) })
+	return func() (Item, error) { return c.readThrough(key) }
 }
 
 func (c *Client) deleteOp(key string) func() (Item, error) {
-	return c.measured("delete", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			err := c.strat.del(key)
-			c.invalidate(key)
-			return Item{}, err
-		})
-	})
+	return func() (Item, error) {
+		b := c.begin("delete")
+		r := c.retryKeys(false, func([]int) []result {
+			return c.strat.del(b, []string{key})
+		})[0]
+		c.invalidate(key)
+		return b.end(Item{}, r.err)
+	}
 }
 
 // deleteCasOp needs a real token: zero is the unconditional-delete
 // sentinel on the wire.
 func (c *Client) deleteCasOp(key string, cas uint64) func() (Item, error) {
-	if cas == 0 {
-		return func() (Item, error) {
+	return func() (Item, error) {
+		if cas == 0 {
 			return Item{}, fmt.Errorf("core: delete-cas needs a non-zero cas token")
 		}
-	}
-	return c.measured("delete", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			err := c.strat.compareDelete(key, cas)
+		b := c.begin("delete")
+		return b.end(epochRetry(c, func() (Item, error) {
+			err := c.strat.compareDelete(b, key, cas)
 			// Invalidate on every outcome, as casOp: success removed the
 			// item, a conflict proves the cached version stale, and on
 			// failure the state is unknown.
 			c.invalidate(key)
 			return Item{}, err
-		})
-	})
+		}))
+	}
 }
 
 func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) func() (Item, error) {
-	return c.measured("cas", func() (Item, error) {
-		return c.withEpochRetry(func() (Item, error) {
-			version, err := c.strat.compareSet(key, value, ttl, cas)
+	return func() (Item, error) {
+		b := c.begin("cas")
+		return b.end(epochRetry(c, func() (Item, error) {
+			version, err := c.strat.compareSet(b, key, value, ttl, cas)
 			// Invalidate on every outcome: success installed a new
 			// version, a conflict is an EXISTS observation proving the
 			// cached version stale, and on failure the state is unknown.
@@ -377,8 +396,8 @@ func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) 
 				c.recordDeltaBase(key, value, version, ttl)
 			}
 			return Item{Version: version}, err
-		})
-	})
+		}))
+	}
 }
 
 // ISet stores value under key without blocking; completion is
@@ -575,7 +594,7 @@ func (c *Client) placement(key string, n int) ([]string, uint64) {
 }
 
 // placementSnapshot returns the current view's ring and epoch as one
-// consistent pair. Bulk strategies take one snapshot per round and
+// consistent pair. The strategies take one snapshot per round and
 // resolve every key against it, so all sub-ops of a round agree.
 func (c *Client) placementSnapshot() (*hashring.Ring, uint64) {
 	view, ring := c.view.Snapshot()
@@ -587,6 +606,9 @@ func placementOn(ring *hashring.Ring, key string, n int) []string {
 	servers := ring.GetN(key, n)
 	if len(servers) == 0 {
 		return nil
+	}
+	if len(servers) == n {
+		return servers
 	}
 	out := make([]string, n)
 	for i := range out {

@@ -203,8 +203,7 @@ type Config struct {
 	// re-stripe, exactly as before the delta protocol existed. The
 	// delta path is semantically identical (the patched chunks are
 	// byte-identical to a re-encode) — this switch exists for benchmark
-	// baselines and as an escape hatch against servers predating
-	// OpApplyDelta.
+	// baselines.
 	DisableDeltaWrites bool
 	// DeltaReadBeforeMin is the smallest value size at which an EC
 	// overwrite with no near-cached base value performs a
@@ -212,12 +211,6 @@ type Config struct {
 	// (DefaultDeltaReadBeforeMin if zero; negative disables
 	// read-before-write so only near-cache hits take the delta path).
 	DeltaReadBeforeMin int
-	// DisableBulkBatch turns off the batched bulk wire path: MGet/MSet/
-	// MDelete fall back to issuing one frame per key, exactly as the
-	// single-op APIs do. The batched path is semantically identical —
-	// this switch exists for benchmark baselines and as an escape hatch
-	// against servers predating OpBatch.
-	DisableBulkBatch bool
 	// Instrument, when non-nil, receives the per-op phase breakdown
 	// (encode / request / wait-response) used by Figure 9. It is fed
 	// from the same instrumentation points as Metrics — a benchmark-

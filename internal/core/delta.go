@@ -58,7 +58,7 @@ func (e *ecStrategy) deltaFallback(reason string) (uint64, error) {
 // CAS overwrites never read-before-write: the caller's token came from
 // its own Gets, so if the cache cannot produce the matching value the
 // base is gone and the full path should decide the race.
-func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.Value, bool) {
+func (e *ecStrategy) deltaBase(b *batcher, key string, valueLen int, isCas bool) (nearcache.Value, bool) {
 	if base, ok := e.c.cache.Get(key); ok {
 		return base, true
 	}
@@ -66,11 +66,11 @@ func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.
 	if isCas || min <= 0 || valueLen < min {
 		return nearcache.Value{}, false
 	}
-	item, err := e.get(key)
-	if err != nil {
+	r := e.get(b, []string{key})[0]
+	if r.err != nil {
 		return nearcache.Value{}, false
 	}
-	return nearcache.Value{Data: item.Value, Version: item.Version, TTL: item.TTL}, true
+	return nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}, true
 }
 
 // trySetDelta attempts the delta overwrite for a Set (expect == 0,
@@ -101,12 +101,12 @@ func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.
 // path's stripe-conditional delete unwind: a holder that stays down
 // keeps a sub-K orphan that can never decode and that the scrubber
 // heals from parity.
-func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, expect uint64, isCas bool) (uint64, error) {
+func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.Duration, expect uint64, isCas bool) (uint64, error) {
 	c := e.c
 	if c.cfg.DisableDeltaWrites {
 		return 0, errDeltaFallback
 	}
-	base, ok := e.deltaBase(key, len(value), isCas)
+	base, ok := e.deltaBase(b, key, len(value), isCas)
 	if !ok || base.Version == 0 {
 		return e.deltaFallback("no-base")
 	}
@@ -114,10 +114,6 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 		return e.deltaFallback("stale-base")
 	}
 
-	op := "set"
-	if isCas {
-		op = "cas"
-	}
 	start := time.Now()
 	ps, err := erasure.EncodeDelta(e.code, base.Data, value, nil)
 	if err != nil {
@@ -141,7 +137,7 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 		return e.deltaFallback("oversized")
 	}
 	encoded := time.Now()
-	c.instrument(op, phaseCode, encoded.Sub(start))
+	b.code += encoded.Sub(start)
 
 	placement, epoch := c.placement(key, n)
 	if placement == nil {
@@ -176,7 +172,7 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 		calls = append(calls, call)
 	}
 	issued := time.Now()
-	c.instrument(op, phaseRequest, issued.Sub(encoded))
+	b.request += issued.Sub(encoded)
 	conflicts, missing := 0, 0
 	for i, call := range calls {
 		resp, err := call.Wait()
@@ -196,10 +192,9 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 			}
 		}
 	}
-	c.instrument(op, phaseWait, time.Since(issued))
+	b.wait += time.Since(issued)
 
 	if conflicts == 0 && missing == 0 && firstErr == nil {
-		c.instrumentOp()
 		full := int64(n) * int64(wire.ChunkPayloadOverhead+per)
 		c.mDeltaWrites.Inc()
 		c.mDeltaSaved.Add(full - int64(patchBytes))
@@ -211,14 +206,12 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 	e.unwindDelta(key, placement, runs, per, base, meta, len(calls), epoch)
 	switch {
 	case conflicts > 0 && isCas:
-		c.instrumentOp()
 		return 0, ErrCASConflict
 	case conflicts > 0:
 		return e.deltaFallback("conflict")
 	case missing > 0:
 		return e.deltaFallback("missing")
 	case isCas:
-		c.instrumentOp()
 		return 0, firstErr
 	default:
 		return e.deltaFallback("error")
@@ -239,7 +232,7 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 // chunks — the inverse patch restores instead of removing.
 func (e *ecStrategy) unwindDelta(key string, placement []string, runs [][]wire.DeltaRun, shardLen int, base nearcache.Value, meta wire.ECMeta, issued int, epoch uint64) {
 	e.c.mUnwinds.Inc()
-	// Same budget as unwindStripe: half a deadline keeps the whole
+	// Same budget as unwindStripes: half a deadline keeps the whole
 	// write within the documented 2x OpTimeout bound.
 	timeout := e.c.cfg.OpTimeout / 2
 	inv := wire.ECMeta{
@@ -295,8 +288,8 @@ func (c *Client) recordDeltaBase(key string, value []byte, version uint64, ttl t
 }
 
 // deltaCapable reports whether this client can ever take the delta
-// overwrite path: the near cache must exist to hold base values, the
-// escape hatch must be off, and the resilience mode must have an
+// overwrite path: the near cache must exist to hold base values, delta
+// writes must not be switched off, and the resilience mode must have an
 // erasure-coded write path.
 func (c *Client) deltaCapable() bool {
 	if c.cache == nil || c.cfg.DisableDeltaWrites {

@@ -46,95 +46,456 @@ func (e *ecStrategy) clientDecodes() bool {
 	return e.scheme == SchemeCECD || e.scheme == SchemeSECD
 }
 
-func (e *ecStrategy) set(key string, value []byte, ttl time.Duration) (uint64, error) {
-	// Overwrite of a known base: ship K+M sparse patches instead of
-	// re-striping the whole value (DESIGN §14). Any disagreement —
-	// no base, resized value, oversized patch, version conflict, lost
-	// chunk — falls through to the full path below.
-	if version, err := e.trySetDelta(key, value, ttl, 0, false); !errors.Is(err, errDeltaFallback) {
-		return version, err
+// set is the erasure-coded write. A write that asks for it first tries
+// the delta overwrite of a known base: K+M sparse patches instead of a
+// re-stripe (DESIGN §14); any disagreement — no base, resized value,
+// oversized patch, version conflict, lost chunk — falls through to the
+// full write with the rest.
+func (e *ecStrategy) set(b *batcher, writes []write) []result {
+	out := make([]result, len(writes))
+	for i, w := range writes {
+		// errDeltaFallback marks the writes still to be done in full.
+		out[i].err = errDeltaFallback
+		if w.patch {
+			out[i].item.Version, out[i].err = e.trySetDelta(b, w.key, w.value, w.ttl, 0, false)
+		}
 	}
+	if e.clientEncodes() {
+		e.stripeSet(b, writes, out)
+	} else {
+		e.coordinatorSet(b, writes, out)
+	}
+	return out
+}
+
+// stripeSet is the client-encode full write of every write still marked
+// errDeltaFallback in out: split, compute parity, then distribute ALL
+// keys' K+M chunks in one round of non-blocking writes — each chunk
+// holder receives one frame carrying its chunk of every key (Equation
+// 7: T_encode + max over chunks of (L + D/(B·K))). The round is waited
+// out in full even after a failure: returning early would let the
+// remaining in-flight chunk writes keep landing after the error is
+// reported, leaving a torn stripe of this write that can shadow the
+// previous complete one. Failed keys' stripes are then unwound.
+func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	n := e.k + e.m
-	placement, epoch := e.c.placement(key, n)
-	if placement == nil {
-		return 0, ErrUnavailable
-	}
-	if !e.clientEncodes() {
-		return e.serverEncodeSet(key, value, ttl, placement, epoch)
-	}
-
-	// Client-side encode: split, compute parity, distribute all K+M
-	// chunks with non-blocking writes (Equation 7: T_encode + max over
-	// chunks of (L + D/(B·K))). Shard buffers come from the shared
-	// pool; the chunk payloads below copy them, so releasing when the
-	// writes have completed is safe.
+	ring, epoch := e.c.placementSnapshot()
+	var buf roundBuf
+	ops := roundOps(&buf, len(writes)*n)
+	// The common few-writes call keeps its split handles on the stack.
+	var splitBuf [4]*erasure.PooledShards
+	splits := splitBuf[:0]
 	start := time.Now()
-	ps := erasure.SplitPooled(value, e.k, e.m, nil)
-	defer ps.Release()
-	shards := ps.Shards
-	if err := e.code.Encode(shards); err != nil {
-		return 0, err
+	for i, w := range writes {
+		if out[i].err != errDeltaFallback {
+			continue
+		}
+		placement := placementOn(ring, w.key, n)
+		if placement == nil {
+			out[i] = result{err: ErrUnavailable}
+			continue
+		}
+		// Shard buffers come from the shared pool and ride in the sub-ops
+		// as raw chunks, so they are held until the round is over.
+		ps := erasure.SplitPooled(w.value, e.k, e.m, nil)
+		splits = append(splits, ps)
+		if err := e.code.Encode(ps.Shards); err != nil {
+			out[i] = result{err: err}
+			continue
+		}
+		e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(ps.Shards[0])))
+		meta := wire.ECMeta{
+			K:        uint8(e.k),
+			M:        uint8(e.m),
+			TotalLen: uint32(len(w.value)),
+			Stripe:   wire.NewStripeID(),
+		}
+		for j, addr := range placement {
+			cm := meta
+			cm.ChunkIndex = uint8(j)
+			ops = append(ops, subOp{addr: addr, key: i, rawChunk: true, req: wire.BatchReq{
+				Op:         wire.OpSetChunk,
+				Key:        wire.ChunkKey(w.key, j),
+				Value:      ps.Shards[j],
+				TTLSeconds: ttlSeconds(w.ttl),
+				Meta:       cm,
+			}})
+		}
+		out[i] = result{item: Item{Version: meta.Stripe}}
 	}
-	encoded := time.Now()
-	e.c.instrument("set", phaseCode, encoded.Sub(start))
-	e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(shards[0])))
+	b.code += time.Since(start)
+	b.send(ops, epoch)
+	for _, ps := range splits {
+		ps.Release()
+	}
+	var dead []deadStripe
+	for j := range ops {
+		op := &ops[j]
+		if err := op.fail(); err != nil && out[op.key].err == nil {
+			key := writes[op.key].key
+			dead = append(dead, deadStripe{key, placementOn(ring, key, n), out[op.key].item.Version})
+			out[op.key] = result{err: fmt.Errorf("chunk %d write: %w", op.req.Meta.ChunkIndex, err)}
+		}
+	}
+	b.release()
+	e.unwindStripes(b, epoch, dead)
+}
 
-	meta := wire.ECMeta{
-		K:        uint8(e.k),
-		M:        uint8(e.m),
-		TotalLen: uint32(len(value)),
-		Stripe:   wire.NewStripeID(),
+// deadStripe names the chunks a failed write may have left behind.
+type deadStripe struct {
+	key       string
+	placement []string
+	stripe    uint64
+}
+
+// unwindStripes best-effort deletes the chunks failed writes may have
+// landed, in one round of stripe-conditional deletes — so a concurrent
+// newer overwrite is never deleted by mistake. Errors are ignored: a
+// chunk holder that is down keeps its stale chunk, but with fewer than
+// K chunks the dead stripe can never be decoded or shadow an older one.
+func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) {
+	if len(dead) == 0 {
+		return
 	}
-	calls := make([]*rpc.Call, 0, n)
-	var firstErr error
-	for i, addr := range placement {
-		cm := meta
-		cm.ChunkIndex = uint8(i)
-		// Chunk payloads are leased from the frame pool and handed over
-		// with the request (ValuePool): the connection's frame writer
-		// releases each one as its bytes hit the wire, success or not.
-		fp := e.c.pool.FramePool()
-		call, err := e.c.pool.Send(addr, &wire.Request{
-			Op:         wire.OpSetChunk,
-			Key:        wire.ChunkKey(key, i),
-			Value:      wire.EncodeChunkPayloadPooled(fp, cm, shards[i]),
-			ValuePool:  fp,
-			TTLSeconds: ttlSeconds(ttl),
-			Meta:       cm,
-			Epoch:      epoch,
-		})
+	e.c.mUnwinds.Add(int64(len(dead)))
+	var buf roundBuf
+	ops := roundOps(&buf, len(dead)*(e.k+e.m))
+	for _, d := range dead {
+		for j, addr := range d.placement {
+			ops = append(ops, subOp{addr: addr, req: wire.BatchReq{
+				Op:   wire.OpDelete,
+				Key:  wire.ChunkKey(d.key, j),
+				Meta: wire.ECMeta{Stripe: d.stripe},
+			}})
+		}
+	}
+	// Cleanup runs after the failed write already spent up to one full
+	// deadline waiting; half a deadline here keeps the whole Set within
+	// the documented 2x OpTimeout bound even when the same hung holder
+	// eats both phases.
+	b.sendWithin(ops, epoch, e.c.cfg.OpTimeout/2)
+	b.release()
+}
+
+// coordinatorSet is the server-encode full write (Era-SE-*): the whole
+// value goes to the primary, which encodes and distributes the chunks
+// itself and mints the stripe ID that is the write's version. If the
+// primary is down the next placement server takes over as coordinator —
+// but ONLY when it was unreachable. A timeout is NOT failed over: the
+// write may be mid-flight on the first coordinator, and re-running it
+// elsewhere would be a silent retry past the stripe-write stage.
+// OpEncodeSet is not batchable; the executor pipelines plain frames.
+func (e *ecStrategy) coordinatorSet(b *batcher, writes []write, out []result) {
+	var idx []int
+	for i := range writes {
+		if out[i].err == errDeltaFallback {
+			idx = append(idx, i)
+			e.c.mECWriteBytes.Add(int64(len(writes[i].value)))
+		}
+	}
+	if len(idx) == 0 {
+		return
+	}
+	todo := pick(writes, idx)
+	res := e.c.walk(b, keysOf(todo), e.k+e.m,
+		func(i int) wire.BatchReq {
+			w := todo[i]
+			return wire.BatchReq{
+				Op: wire.OpEncodeSet, Key: w.key, Value: w.value,
+				TTLSeconds: ttlSeconds(w.ttl),
+				Meta:       wire.ECMeta{K: uint8(e.k), M: uint8(e.m), TotalLen: uint32(len(w.value))},
+			}
+		},
+		func(err error) bool { return errors.Is(err, rpc.ErrServerDown) })
+	for j, i := range idx {
+		out[i] = res[j]
+	}
+}
+
+// keysOf returns the keys of writes, by position.
+func keysOf(writes []write) []string {
+	keys := make([]string, len(writes))
+	for i, w := range writes {
+		keys[i] = w.key
+	}
+	return keys
+}
+
+// get is the erasure-coded read. Reads are idempotent, so transient
+// failures (timeouts, down servers) are retried with backoff and epoch
+// rejections re-resolved; authoritative answers are not retried.
+// Server-decode schemes (Era-*-SD) ask the primary to aggregate and
+// decode, walking to the next placement server when it is down — a
+// decode coordinator that times out IS failed over, unlike an encode
+// coordinator, because asking another server to read is always safe.
+func (e *ecStrategy) get(b *batcher, keys []string) []result {
+	return e.c.retryKeys(true, func(idx []int) []result {
+		keys := subset(keys, idx)
+		if e.clientDecodes() {
+			return e.gatherGet(b, keys)
+		}
+		meta := wire.ECMeta{K: uint8(e.k), M: uint8(e.m)}
+		return e.c.walk(b, keys, e.k+e.m,
+			func(i int) wire.BatchReq { return wire.BatchReq{Op: wire.OpDecodeGet, Key: keys[i], Meta: meta} },
+			rpc.IsUnavailable)
+	})
+}
+
+// gatherGet is the client-decode read (Equation 8): one round fetching
+// chunks [0,K) of every key — each server receives ONE frame carrying
+// its chunk of every key it holds — then a parity round [K,N) only for
+// the keys still short of K chunks, then per-key reconstruction. The
+// chunks alias the pooled response bodies, which stay leased until Join
+// has copied every value out.
+func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
+	n := e.k + e.m
+	out := make([]result, len(keys))
+	states := make([]gather, len(keys))
+	ring, epoch := e.c.placementSnapshot()
+	for i, key := range keys {
+		if states[i].placement = placementOn(ring, key, n); states[i].placement == nil {
+			out[i].err = ErrUnavailable
+		}
+	}
+	defer b.release()
+
+	var buf roundBuf
+	ops := roundOps(&buf, len(keys)*e.k) // the parity round, when needed, may grow it
+	fetch := func(lo, hi int) {
+		ops = ops[:0]
+		for i, key := range keys {
+			st := &states[i]
+			if st.placement == nil || st.best(e.k) != nil {
+				continue
+			}
+			for j := lo; j < hi; j++ {
+				ops = append(ops, subOp{addr: st.placement[j], key: i, req: wire.BatchReq{
+					Op: wire.OpGetChunk, Key: wire.ChunkKey(key, j),
+				}})
+			}
+		}
+		b.send(ops, epoch)
+		for j := range ops {
+			op, st := &ops[j], &states[ops[j].key]
+			if op.err != nil {
+				continue // unreachable or hung; parity covers it
+			}
+			st.reachable++
+			switch op.resp.Status {
+			case wire.StatusOK:
+			case wire.StatusNotFound:
+				st.notFound++
+				continue
+			case wire.StatusWrongEpoch:
+				st.wrongEpoch = true
+				continue
+			default:
+				continue
+			}
+			meta, chunk, err := wire.DecodeChunkPayload(op.resp.Value)
+			if err != nil {
+				continue // corrupt or torn chunk: parity covers it
+			}
+			st.add(meta, chunk, op.resp.TTLSeconds, n)
+		}
+	}
+	fetch(0, e.k)
+	fetch(e.k, n)
+
+	start := time.Now()
+	for i, key := range keys {
+		st := &states[i]
+		if st.placement == nil {
+			continue
+		}
+		win := st.best(e.k)
+		switch {
+		case win != nil:
+		case st.wrongEpoch:
+			// A membership rejection anywhere means this placement was
+			// computed against the wrong ring: let the retry loop refresh
+			// and re-resolve instead of misreporting availability.
+			out[i].err = wire.ErrWrongEpoch
+		case st.reachable > 0 && st.notFound == st.reachable && n-st.reachable < e.k:
+			// Not-found only on conclusive evidence: every reachable chunk
+			// location answered an authoritative miss, and the unreachable
+			// ones could not hold K chunks between them — so the key
+			// cannot exist in decodable form. Anything weaker (a hung
+			// majority, partial stripes, corrupt chunks) is unavailability,
+			// not absence.
+			out[i].err = ErrNotFound
+		default:
+			out[i].err = fmt.Errorf("%w: no stripe of %q has %d chunks available", ErrUnavailable, key, e.k)
+		}
+		if win == nil {
+			continue
+		}
+		// Degraded read: rebuild only the missing data chunks (parity is
+		// not needed once the value is joined).
+		chunks := win.chunks
+		var rebuilt []int
+		for j := 0; j < e.k; j++ {
+			if chunks[j] == nil {
+				rebuilt = append(rebuilt, j)
+			}
+		}
+		if len(rebuilt) > 0 {
+			e.c.mDegraded.Inc()
+			e.c.mRebuilt.Add(int64(len(rebuilt)))
+			if out[i].err = erasure.ReconstructData(e.code, chunks); out[i].err != nil {
+				continue
+			}
+		}
+		value, err := erasure.Join(chunks, e.k, int(win.totalLen))
+		// Join copied the data out; the chunks the codec pool-allocated can
+		// go back. Network-owned chunk buffers are never released here.
+		for _, j := range rebuilt {
+			erasure.DefaultPool.Put(chunks[j])
+		}
 		if err != nil {
-			firstErr = fmt.Errorf("chunk %d to %s: %w", i, addr, err)
+			out[i].err = err
+			continue
+		}
+		out[i].item = Item{Value: value, Version: win.stripe, TTL: win.ttl}
+	}
+	b.code += time.Since(start)
+	return out
+}
+
+// gather is one key's state across the rounds of a client-decode read:
+// the chunks fetched so far, grouped by stripe so decoding never mixes
+// chunks from different writes of the key (with concurrent writers a
+// key's chunk set can transiently hold a blend of stripes).
+type gather struct {
+	placement []string
+	stripes   []stripeChunks
+	// reachable counts locations that answered at all (chunk, not-found
+	// or another status); notFound the authoritative misses among them.
+	// Timed-out and unreachable locations are in neither. wrongEpoch
+	// marks a membership rejection from any holder: the key's verdict is
+	// then the retriable epoch error, never NotFound/Unavailable.
+	reachable, notFound int
+	wrongEpoch          bool
+}
+
+// stripeChunks is what one stripe (one write) of a key has shown so
+// far: its chunks by index (nil = not fetched) and the remaining TTL
+// its first-seen holder reported, so the winning stripe's lifetime
+// rides along with the value.
+type stripeChunks struct {
+	stripe   uint64
+	totalLen uint32
+	ttl      uint32
+	chunks   [][]byte
+	count    int
+}
+
+// add records a fetched chunk of an n-chunk stripe.
+func (g *gather) add(meta wire.ECMeta, chunk []byte, ttl uint32, n int) {
+	idx := int(meta.ChunkIndex)
+	if idx >= n {
+		return
+	}
+	var s *stripeChunks
+	for i := range g.stripes {
+		if g.stripes[i].stripe == meta.Stripe {
+			s = &g.stripes[i]
 			break
 		}
-		calls = append(calls, call)
 	}
-	issued := time.Now()
-	e.c.instrument("set", phaseRequest, issued.Sub(encoded))
-	// Wait out every issued call even after a failure: returning early
-	// would let the remaining in-flight chunk writes keep landing after
-	// the error is reported, leaving a torn stripe of this write that
-	// can shadow the previous complete one.
-	for i, call := range calls {
-		resp, err := call.Wait()
-		if err == nil {
-			err = resp.Err()
+	if s == nil {
+		g.stripes = append(g.stripes, stripeChunks{
+			stripe: meta.Stripe, totalLen: meta.TotalLen, ttl: ttl, chunks: make([][]byte, n),
+		})
+		s = &g.stripes[len(g.stripes)-1]
+	}
+	if s.chunks[idx] == nil {
+		s.chunks[idx] = chunk
+		s.count++
+	}
+}
+
+// best returns the stripe to decode — the most complete one with at
+// least k chunks, ties to the highest stripe ID (approximate
+// last-write-wins) — or nil when none is decodable yet.
+func (g *gather) best(k int) *stripeChunks {
+	var best *stripeChunks
+	for i := range g.stripes {
+		s := &g.stripes[i]
+		if s.count >= k && (best == nil || s.count > best.count || (s.count == best.count && s.stripe > best.stripe)) {
+			best = s
 		}
-		resp.Release()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("chunk %d write: %w", i, err)
+	}
+	return best
+}
+
+// del is the erasure-coded delete: every key's K+M chunk deletes in one
+// round, every frame waited out, then classified per key.
+func (e *ecStrategy) del(b *batcher, keys []string) []result {
+	n := e.k + e.m
+	out := make([]result, len(keys))
+	ring, epoch := e.c.placementSnapshot()
+	var buf roundBuf
+	ops := roundOps(&buf, len(keys)*n)
+	for i, key := range keys {
+		placement := placementOn(ring, key, n)
+		if placement == nil {
+			out[i].err = ErrUnavailable
+			continue
+		}
+		for j, addr := range placement {
+			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{
+				Op: wire.OpDelete, Key: wire.ChunkKey(key, j),
+			}})
 		}
 	}
-	e.c.instrument("set", phaseWait, time.Since(issued))
-	e.c.instrumentOp()
-	if firstErr != nil {
-		// calls[i] carries chunk i (the issue loop stops at the first
-		// Send failure), so exactly chunks [0, len(calls)) may have
-		// landed with this stripe ID.
-		e.unwindStripe(key, placement, meta.Stripe, len(calls), epoch)
-		return 0, firstErr
+	b.send(ops, epoch)
+	// A key's sub-ops are contiguous: classify one key's run at a time.
+	for lo := 0; lo < len(ops); {
+		i := ops[lo].key
+		// deleted counts authoritative removals; failed counts unreachable
+		// or timed-out chunk holders; status is the first answer that was
+		// neither OK nor NotFound.
+		deleted, failed := 0, 0
+		var failErr, status error
+		for ; lo < len(ops) && ops[lo].key == i; lo++ {
+			switch op := &ops[lo]; {
+			case op.err != nil:
+				failed++
+				if failErr == nil {
+					failErr = op.err
+				}
+			case op.resp.Status == wire.StatusOK:
+				deleted++
+			case op.resp.Status != wire.StatusNotFound && status == nil:
+				status = op.resp.Err()
+			}
+		}
+		switch {
+		case status != nil:
+			// Surfaces as is — an epoch rejection above all, which the
+			// retry layer answers by re-resolving placement.
+			out[i].err = status
+		case deleted == 0 && failed >= e.k:
+			// Nothing confirmed deleted and enough holders unreached to
+			// hold a decodable stripe between them: the key may still
+			// exist.
+			out[i].err = fmt.Errorf("%w: delete %q: %v", ErrUnavailable, keys[i], failErr)
+		case deleted == 0:
+			// Every reachable location answered authoritatively not-found,
+			// and the unreached ones (fewer than K) cannot hold a decodable
+			// stripe between them: the key does not exist (memcached delete
+			// semantics). Mirrors the get-side classification.
+			out[i].err = ErrNotFound
+		case failed >= e.k:
+			// Some chunks were deleted but K or more holders never answered;
+			// enough chunks may survive to still decode the old value, so
+			// the delete cannot be reported as durable.
+			out[i].err = fmt.Errorf("%w: delete %q left %d chunk holders unreached", ErrUnavailable, keys[i], failed)
+		}
 	}
-	return meta.Stripe, nil
+	b.release()
+	return out
 }
 
 // compareSet implements the conditional write for erasure coding: the
@@ -155,13 +516,13 @@ func (e *ecStrategy) set(key string, value []byte, ttl time.Duration) (uint64, e
 // Any holder answering StatusExists is a lost race: the new stripe is
 // unwound (stripe-conditional deletes, so a newer write is never
 // collateral damage) and ErrCASConflict returned.
-func (e *ecStrategy) compareSet(key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
+func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	// A CAS against a near-cached base at exactly the expected version
 	// can be expressed as K+M version-conditional patches — the delta
 	// round's per-holder Compare IS the CAS check (DESIGN §14). An add
 	// (expect == absent) has nothing to patch.
 	if expect != wire.CompareAbsent {
-		if version, err := e.trySetDelta(key, value, ttl, expect, true); !errors.Is(err, errDeltaFallback) {
+		if version, err := e.trySetDelta(b, key, value, ttl, expect, true); !errors.Is(err, errDeltaFallback) {
 			return version, err
 		}
 	}
@@ -178,7 +539,7 @@ func (e *ecStrategy) compareSet(key string, value []byte, ttl time.Duration, exp
 		return 0, err
 	}
 	encoded := time.Now()
-	e.c.instrument("cas", phaseCode, encoded.Sub(start))
+	b.code += encoded.Sub(start)
 	e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(shards[0])))
 
 	meta := wire.ECMeta{
@@ -210,7 +571,7 @@ func (e *ecStrategy) compareSet(key string, value []byte, ttl time.Duration, exp
 		calls = append(calls, call)
 	}
 	issued := time.Now()
-	e.c.instrument("cas", phaseRequest, issued.Sub(encoded))
+	b.request += issued.Sub(encoded)
 	conflicts, priors := 0, 0
 	for i, call := range calls {
 		resp, err := call.Wait()
@@ -231,356 +592,20 @@ func (e *ecStrategy) compareSet(key string, value []byte, ttl time.Duration, exp
 		}
 		resp.Release()
 	}
-	e.c.instrument("cas", phaseWait, time.Since(issued))
-	e.c.instrumentOp()
+	b.wait += time.Since(issued)
 	switch {
 	case conflicts > 0:
-		e.unwindStripe(key, placement, meta.Stripe, len(calls), epoch)
-		return 0, ErrCASConflict
+		firstErr = ErrCASConflict
 	case firstErr != nil:
-		e.unwindStripe(key, placement, meta.Stripe, len(calls), epoch)
-		return 0, firstErr
 	case expect != wire.CompareAbsent && priors == 0:
 		// Every holder accepted, but none of them held the old stripe:
 		// the key did not exist, so a strict CAS must not create it.
-		e.unwindStripe(key, placement, meta.Stripe, len(calls), epoch)
-		return 0, ErrNotFound
-	}
-	return meta.Stripe, nil
-}
-
-// unwindStripe best-effort deletes the chunks a failed Set may have
-// written, using stripe-conditional deletes so a concurrent newer
-// overwrite is never deleted by mistake. Errors are ignored: a chunk
-// holder that is down keeps its stale chunk, but with fewer than K
-// chunks the dead stripe can never be decoded or shadow an older one.
-func (e *ecStrategy) unwindStripe(key string, placement []string, stripe uint64, issued int, epoch uint64) {
-	e.c.mUnwinds.Inc()
-	// Cleanup runs after the failed write already spent up to one full
-	// deadline waiting; half a deadline here keeps the whole Set within
-	// the documented 2x OpTimeout bound even when the same hung holder
-	// eats both phases.
-	timeout := e.c.cfg.OpTimeout / 2
-	calls := make([]*rpc.Call, 0, issued)
-	for i := 0; i < issued; i++ {
-		call, err := e.c.pool.SendTimeout(placement[i], &wire.Request{
-			Op:    wire.OpDelete,
-			Key:   wire.ChunkKey(key, i),
-			Meta:  wire.ECMeta{Stripe: stripe},
-			Epoch: epoch,
-		}, timeout)
-		if err != nil {
-			continue
-		}
-		calls = append(calls, call)
-	}
-	for _, call := range calls {
-		resp, _ := call.Wait()
-		resp.Release()
-	}
-}
-
-// serverEncodeSet sends the whole value to the primary, which encodes
-// and distributes the chunks itself (Era-SE-*). If the primary is
-// down, the next server in the placement takes over as coordinator.
-func (e *ecStrategy) serverEncodeSet(key string, value []byte, ttl time.Duration, placement []string, epoch uint64) (uint64, error) {
-	meta := wire.ECMeta{K: uint8(e.k), M: uint8(e.m), TotalLen: uint32(len(value))}
-	e.c.mECWriteBytes.Add(int64(len(value)))
-	start := time.Now()
-	defer func() {
-		e.c.instrument("set", phaseWait, time.Since(start))
-		e.c.instrumentOp()
-	}()
-	var lastErr error
-	// Healthy coordinators first: a suspect primary is tried last (its
-	// probe window still lets recovery be noticed) instead of eating a
-	// dial or deadline on every write.
-	for i, addr := range e.c.orderByHealth(distinct(placement)) {
-		if i > 0 {
-			e.c.mFailovers.Inc()
-		}
-		resp, err := e.c.pool.Roundtrip(addr, &wire.Request{
-			Op: wire.OpEncodeSet, Key: key, Value: value,
-			TTLSeconds: ttlSeconds(ttl), Meta: meta, Epoch: epoch,
-		})
-		if err == nil {
-			// The coordinator minted the stripe ID; it is this write's
-			// version.
-			version := resp.Meta.Stripe
-			resp.Release()
-			return version, nil
-		}
-		resp.Release()
-		lastErr = err
-		// Fail over only when the coordinator was unreachable (down or
-		// suspect). A timeout is NOT failed over: the write may be
-		// mid-flight on the first coordinator, and re-running it
-		// elsewhere would be a silent retry past the stripe-write
-		// stage.
-		if !errors.Is(err, rpc.ErrServerDown) {
-			return 0, err
-		}
-	}
-	return 0, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
-}
-
-func (e *ecStrategy) get(key string) (Item, error) {
-	n := e.k + e.m
-	placement, epoch := e.c.placement(key, n)
-	if placement == nil {
-		return Item{}, ErrUnavailable
-	}
-	// Reads are idempotent, so transient failures (timeouts, down
-	// servers) are retried with backoff; authoritative answers are not.
-	// WrongEpoch is not retried here: it propagates to the client's
-	// epoch-retry layer, which re-resolves placement first.
-	var item Item
-	err := e.c.withRetry(func() error {
-		var err error
-		if e.clientDecodes() {
-			item, err = e.clientDecodeGet(key, placement, epoch)
-		} else {
-			item, err = e.serverDecodeGet(key, placement, epoch)
-		}
-		return err
-	})
-	return item, err
-}
-
-// clientDecodeGet aggregates chunks (data first, parity on failure)
-// grouped by stripe so concurrent writes never produce a torn value,
-// then reconstructs if needed (Equation 8).
-func (e *ecStrategy) clientDecodeGet(key string, placement []string, epoch uint64) (Item, error) {
-	n := e.k + e.m
-	start := time.Now()
-	collector := wire.NewChunkCollector(e.k, n)
-	// reachable counts locations that answered at all (chunk, not-found
-	// or another status); notFound counts authoritative misses among
-	// them. Timed-out and unreachable locations are in neither.
-	// wrongEpoch remembers a membership rejection so a non-decodable
-	// outcome surfaces as the retriable epoch error, not unavailability.
-	reachable, notFound := 0, 0
-	var wrongEpoch bool
-	// Remaining TTL as reported by the first holder of each stripe, so
-	// the winning stripe's lifetime rides along with the value.
-	ttlByStripe := make(map[uint64]uint32)
-
-	// Chunks in the collector alias the pooled bodies of the responses
-	// that carried them; the leases are held until Join has copied the
-	// value out, then returned to the frame pool.
-	var retained []*wire.Response
-	defer func() {
-		for _, r := range retained {
-			r.Release()
-		}
-	}()
-
-	fetch := func(lo, hi int) {
-		calls := make(map[int]*rpc.Call, hi-lo)
-		for i := lo; i < hi; i++ {
-			call, err := e.c.pool.Send(placement[i], &wire.Request{
-				Op: wire.OpGetChunk, Key: wire.ChunkKey(key, i), Epoch: epoch,
-			})
-			if err != nil {
-				continue // server down; parity will cover it
-			}
-			calls[i] = call
-		}
-		for _, call := range calls {
-			resp, err := call.Wait()
-			if err != nil {
-				continue // hung or dead mid-call; parity covers it
-			}
-			reachable++
-			if respErr := resp.Err(); respErr != nil {
-				if errors.Is(respErr, wire.ErrNotFound) {
-					notFound++
-				}
-				if errors.Is(respErr, wire.ErrWrongEpoch) {
-					wrongEpoch = true
-				}
-				resp.Release()
-				continue
-			}
-			meta, chunk, err := wire.DecodeChunkPayload(resp.Value)
-			if err != nil {
-				resp.Release()
-				continue // corrupt or torn chunk: parity covers it
-			}
-			collector.Add(meta, chunk)
-			if _, seen := ttlByStripe[meta.Stripe]; !seen {
-				ttlByStripe[meta.Stripe] = resp.TTLSeconds
-			}
-			retained = append(retained, resp)
-		}
-	}
-
-	fetch(0, e.k)
-	if !collector.Decodable() {
-		fetch(e.k, n)
-	}
-	gathered := time.Now()
-	e.c.instrument("get", phaseWait, gathered.Sub(start))
-	stripe, totalLen, chunks, ok := collector.Best()
-	if !ok {
-		e.c.instrumentOp()
-		// A membership rejection anywhere means this placement was
-		// computed against the wrong ring: let the epoch-retry layer
-		// refresh and re-resolve instead of misreporting availability.
-		if wrongEpoch {
-			return Item{}, wire.ErrWrongEpoch
-		}
-		// Not-found only on conclusive evidence: every reachable chunk
-		// location answered an authoritative miss, and the unreachable
-		// ones could not hold K chunks between them — so the key
-		// cannot exist in decodable form. Anything weaker (a hung
-		// majority, partial stripes, corrupt chunks) is unavailability,
-		// not absence.
-		if reachable > 0 && notFound == reachable && n-reachable < e.k {
-			return Item{}, ErrNotFound
-		}
-		return Item{}, fmt.Errorf("%w: no stripe of %q has %d chunks available", ErrUnavailable, key, e.k)
-	}
-
-	// Degraded read: rebuild only the missing data chunks (parity is
-	// not needed once the value is joined).
-	var rebuilt []int
-	for i := 0; i < e.k; i++ {
-		if chunks[i] == nil {
-			rebuilt = append(rebuilt, i)
-		}
-	}
-	if len(rebuilt) > 0 {
-		e.c.mDegraded.Inc()
-		e.c.mRebuilt.Add(int64(len(rebuilt)))
-		if err := erasure.ReconstructData(e.code, chunks); err != nil {
-			return Item{}, err
-		}
-	}
-	value, err := erasure.Join(chunks, e.k, int(totalLen))
-	// Join copied the data out; the chunks the codec pool-allocated can
-	// go back. Network-owned chunk buffers are never released.
-	for _, i := range rebuilt {
-		erasure.DefaultPool.Put(chunks[i])
-	}
-	e.c.instrument("get", phaseCode, time.Since(gathered))
-	e.c.instrumentOp()
-	if err != nil {
-		return Item{}, err
-	}
-	return Item{Value: value, Version: stripe, TTL: ttlByStripe[stripe]}, nil
-}
-
-// serverDecodeGet asks the primary to aggregate and decode
-// (Era-*-SD), falling over to the next placement server if it is down.
-func (e *ecStrategy) serverDecodeGet(key string, placement []string, epoch uint64) (Item, error) {
-	meta := wire.ECMeta{K: uint8(e.k), M: uint8(e.m)}
-	start := time.Now()
-	defer func() {
-		e.c.instrument("get", phaseWait, time.Since(start))
-		e.c.instrumentOp()
-	}()
-	var lastErr error
-	// Unlike serverEncodeSet, a decode coordinator that times out IS
-	// failed over: the read is idempotent, so asking another server is
-	// always safe.
-	for i, addr := range e.c.orderByHealth(distinct(placement)) {
-		if i > 0 {
-			e.c.mFailovers.Inc()
-		}
-		resp, err := e.c.pool.Roundtrip(addr, &wire.Request{
-			Op: wire.OpDecodeGet, Key: key, Meta: meta, Epoch: epoch,
-		})
-		switch {
-		case err == nil:
-			// The joined value escapes to the caller; copy it out of the
-			// pooled frame body before the lease goes back.
-			item := Item{
-				Value:   append([]byte(nil), resp.Value...),
-				Version: resp.Meta.Stripe,
-				TTL:     resp.TTLSeconds,
-			}
-			resp.Release()
-			return item, nil
-		case errors.Is(err, wire.ErrNotFound):
-			resp.Release()
-			return Item{}, ErrNotFound
-		case rpc.IsUnavailable(err):
-			resp.Release()
-			lastErr = err
-			continue
-		default:
-			resp.Release()
-			return Item{}, err
-		}
-	}
-	return Item{}, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
-}
-
-func (e *ecStrategy) del(key string) error {
-	n := e.k + e.m
-	placement, epoch := e.c.placement(key, n)
-	if placement == nil {
-		return ErrUnavailable
-	}
-	calls := make([]*rpc.Call, 0, n)
-	// deleted / notFound count authoritative answers; failed counts
-	// unreachable or timed-out chunk holders (including Send failures).
-	deleted, notFound, failed := 0, 0, 0
-	var failErr error
-	for i, addr := range placement {
-		call, err := e.c.pool.Send(addr, &wire.Request{
-			Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Epoch: epoch,
-		})
-		if err != nil {
-			failed++
-			if failErr == nil {
-				failErr = err
-			}
-			continue
-		}
-		calls = append(calls, call)
-	}
-	for _, call := range calls {
-		resp, err := call.Wait()
-		if err != nil {
-			failed++
-			if failErr == nil {
-				failErr = err
-			}
-			continue
-		}
-		respErr := resp.Err()
-		resp.Release()
-		switch {
-		case respErr == nil:
-			deleted++
-		case errors.Is(respErr, wire.ErrNotFound):
-			notFound++
-		default:
-			return respErr
-		}
-	}
-	switch {
-	case deleted == 0 && failed >= e.k:
-		// Nothing confirmed deleted and enough holders unreached to
-		// hold a decodable stripe between them: the key may still
-		// exist.
-		return fmt.Errorf("%w: delete %q: %v", ErrUnavailable, key, failErr)
-	case deleted == 0:
-		// Every reachable location answered authoritatively not-found,
-		// and the unreached ones (fewer than K) cannot hold a decodable
-		// stripe between them: the key does not exist (memcached delete
-		// semantics). Mirrors the get-side classification.
-		return ErrNotFound
-	case failed >= e.k:
-		// Some chunks were deleted but K or more holders never answered;
-		// enough chunks may survive to still decode the old value, so
-		// the delete cannot be reported as durable.
-		return fmt.Errorf("%w: delete %q left %d chunk holders unreached", ErrUnavailable, key, failed)
+		firstErr = ErrNotFound
 	default:
-		return nil
+		return meta.Stripe, nil
 	}
+	e.unwindStripes(b, epoch, []deadStripe{{key, placement, meta.Stripe}})
+	return 0, firstErr
 }
 
 // compareDelete for erasure coding: the stripe ID doubles as the
@@ -595,17 +620,14 @@ func (e *ecStrategy) del(key string) error {
 // decides, the remaining chunks are removed with STRIPE-conditional
 // deletes (Meta.Stripe = expect) so a concurrent newer write's chunks
 // are never collateral damage.
-func (e *ecStrategy) compareDelete(key string, expect uint64) error {
+func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error {
 	n := e.k + e.m
 	placement, epoch := e.c.placement(key, n)
 	if placement == nil {
 		return ErrUnavailable
 	}
 	start := time.Now()
-	defer func() {
-		e.c.instrument("delete", phaseWait, time.Since(start))
-		e.c.instrumentOp()
-	}()
+	defer func() { b.wait += time.Since(start) }()
 	decided := -1
 	failed := 0
 	var lastErr error
@@ -667,30 +689,62 @@ type hybridStrategy struct {
 
 var _ strategy = (*hybridStrategy)(nil)
 
-func (h *hybridStrategy) set(key string, value []byte, ttl time.Duration) (uint64, error) {
-	// After the write lands, purge the OTHER representation: a previous
-	// write of this key may have been on the far side of the size
-	// threshold, and its leftovers would shadow this value on the
-	// rep-first read path or fail verification forever. The purge is
-	// best-effort — the new value is already durable, and the
-	// anti-entropy scrubber converges whatever a down holder makes this
-	// miss — but it must run AFTER the write succeeds, never before:
-	// purging first and then failing the write would lose the old value
-	// without installing the new one.
-	if len(value) < h.threshold {
-		version, err := h.rep.set(key, value, ttl)
-		if err != nil {
-			return 0, err
+// set for the hybrid policy: writes partition by the size threshold
+// into one replicated and one erasure-coded write. After a key's write
+// lands, its OTHER representation is purged: a previous write of the
+// key may have been on the far side of the threshold, and its leftovers
+// would shadow this value on the rep-first read path or fail
+// verification forever. The purge is best-effort — the new value is
+// already durable, and the anti-entropy scrubber converges whatever a
+// down holder makes this miss — but it must run AFTER the write
+// succeeds, never before: purging first and then failing the write
+// would lose the old value without installing the new one.
+func (h *hybridStrategy) set(b *batcher, writes []write) []result {
+	isSmall := func(w write) bool { return len(w.value) < h.threshold }
+	nSmall := 0
+	for _, w := range writes {
+		if isSmall(w) {
+			nSmall++
 		}
-		_ = h.ec.del(key)
-		return version, nil
 	}
-	version, err := h.ec.set(key, value, ttl)
-	if err != nil {
-		return 0, err
+	// All on one side — every single-key Set — needs no split and merge.
+	switch nSmall {
+	case len(writes):
+		return h.setVia(b, h.rep, h.ec, writes)
+	case 0:
+		return h.setVia(b, h.ec, h.rep, writes)
 	}
-	_ = h.rep.del(key)
-	return version, nil
+	small, large := make([]int, 0, nSmall), make([]int, 0, len(writes)-nSmall)
+	for i, w := range writes {
+		if isSmall(w) {
+			small = append(small, i)
+		} else {
+			large = append(large, i)
+		}
+	}
+	out := make([]result, len(writes))
+	for j, r := range h.setVia(b, h.rep, h.ec, pick(writes, small)) {
+		out[small[j]] = r
+	}
+	for j, r := range h.setVia(b, h.ec, h.rep, pick(writes, large)) {
+		out[large[j]] = r
+	}
+	return out
+}
+
+// setVia writes through target and purges other for the keys that landed.
+func (h *hybridStrategy) setVia(b *batcher, target, other strategy, writes []write) []result {
+	out := target.set(b, writes)
+	var purge []string
+	for i, r := range out {
+		if r.err == nil {
+			purge = append(purge, writes[i].key)
+		}
+	}
+	if len(purge) > 0 {
+		other.del(b, purge)
+	}
+	return out
 }
 
 // compareSet for the hybrid policy. The new value's size picks the
@@ -700,25 +754,27 @@ func (h *hybridStrategy) set(key string, value []byte, ttl time.Duration) (uint6
 // verified read followed by a plain hybrid set — atomic within each
 // representation, best-effort across them (the same consistency class
 // as hybrid get/del).
-func (h *hybridStrategy) compareSet(key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
+func (h *hybridStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	var target, other strategy = h.ec, h.rep
 	if len(value) < h.threshold {
 		target, other = h.rep, h.ec
 	}
-	otherItem, otherErr := other.get(key)
+	cur := other.get(b, []string{key})[0]
+	otherErr := cur.err
 	switch {
 	case otherErr == nil:
 		// The key currently lives in the other representation.
-		if expect == wire.CompareAbsent || otherItem.Version != expect {
+		if expect == wire.CompareAbsent || cur.item.Version != expect {
 			return 0, ErrCASConflict
 		}
 		// Cross-threshold CAS: checked, then written (hybrid set purges
 		// the old form after the new one lands).
-		return h.set(key, value, ttl)
+		r := h.set(b, []write{{key: key, value: value, ttl: ttl, patch: true}})[0]
+		return r.item.Version, r.err
 	case errors.Is(otherErr, ErrNotFound):
 		// Normal case: the key is absent from the other form, so the
 		// conditional write is atomic within the target representation.
-		return target.compareSet(key, value, ttl, expect)
+		return target.compareSet(b, key, value, ttl, expect)
 	default:
 		// The other form is unreachable: its state is unknown, and a
 		// blind decision could resurrect or clobber it.
@@ -726,48 +782,56 @@ func (h *hybridStrategy) compareSet(key string, value []byte, ttl time.Duration,
 	}
 }
 
-func (h *hybridStrategy) get(key string) (Item, error) {
-	// The write-side size is unknown at read time: probe the cheap
-	// replicated form first, then the erasure-coded form.
-	item, repErr := h.rep.get(key)
-	if repErr == nil {
-		return item, nil
+// get for the hybrid policy. The write-side size is unknown at read
+// time: probe the cheap replicated form for every key first, then the
+// erasure-coded form for the keys the replicated probe reported absent
+// or unavailable.
+func (h *hybridStrategy) get(b *batcher, keys []string) []result {
+	out := h.rep.get(b, keys)
+	var probe []int
+	for i, r := range out {
+		if errors.Is(r.err, ErrNotFound) || errors.Is(r.err, ErrUnavailable) {
+			probe = append(probe, i)
+		}
 	}
-	if !errors.Is(repErr, ErrNotFound) && !errors.Is(repErr, ErrUnavailable) {
-		return Item{}, repErr
+	if len(probe) == 0 {
+		return out
 	}
-	item, ecErr := h.ec.get(key)
-	if ecErr == nil {
-		return item, nil
+	for j, ec := range h.ec.get(b, pick(keys, probe)) {
+		// "Not found" is conclusive only when BOTH probes answered
+		// authoritatively. An EC-side miss proves nothing about the
+		// replicated form: a small value whose replica holders are all
+		// unreachable would otherwise be misreported as absent when it
+		// still exists — so the replicated probe's unavailability wins.
+		i := probe[j]
+		if errors.Is(ec.err, ErrNotFound) && errors.Is(out[i].err, ErrUnavailable) {
+			continue
+		}
+		out[i] = ec
 	}
-	// "Not found" is conclusive only when BOTH probes answered
-	// authoritatively. An EC-side miss proves nothing about the
-	// replicated form: a small value whose replica holders are all
-	// unreachable would otherwise be misreported as absent when it
-	// still exists — so the replicated probe's unavailability wins.
-	if errors.Is(ecErr, ErrNotFound) && errors.Is(repErr, ErrUnavailable) {
-		return Item{}, repErr
-	}
-	return Item{}, ecErr
+	return out
 }
 
-func (h *hybridStrategy) del(key string) error {
-	// The write-side form is unknown, so delete both. A real failure on
-	// either side must surface even when the other side succeeded:
-	// swallowing it would leave the value resurrectable through the
-	// failed form. Only authoritative not-found is ignorable.
-	repErr := h.rep.del(key)
-	ecErr := h.ec.del(key)
-	if repErr != nil && !errors.Is(repErr, ErrNotFound) {
-		return repErr
+// del for the hybrid policy. The write-side form is unknown, so delete
+// both. A real failure on either side must surface even when the other
+// side succeeded: swallowing it would leave the value resurrectable
+// through the failed form. Only authoritative not-found is ignorable,
+// and it is the verdict only when both sides agree.
+func (h *hybridStrategy) del(b *batcher, keys []string) []result {
+	out := h.rep.del(b, keys)
+	for i, ec := range h.ec.del(b, keys) {
+		rep := out[i].err
+		switch {
+		case rep != nil && !errors.Is(rep, ErrNotFound):
+		case ec.err != nil && !errors.Is(ec.err, ErrNotFound):
+			out[i].err = ec.err
+		case rep != nil && ec.err != nil:
+			out[i].err = ErrNotFound
+		default:
+			out[i].err = nil
+		}
 	}
-	if ecErr != nil && !errors.Is(ecErr, ErrNotFound) {
-		return ecErr
-	}
-	if errors.Is(repErr, ErrNotFound) && errors.Is(ecErr, ErrNotFound) {
-		return ErrNotFound
-	}
-	return nil
+	return out
 }
 
 // compareDelete for the hybrid policy: the live representation is
@@ -779,14 +843,14 @@ func (h *hybridStrategy) del(key string) error {
 // outcome (conflict, unavailability) is final: guessing against an
 // unreachable form could delete a value whose version no longer
 // matches.
-func (h *hybridStrategy) compareDelete(key string, expect uint64) error {
-	repErr := h.rep.compareDelete(key, expect)
+func (h *hybridStrategy) compareDelete(b *batcher, key string, expect uint64) error {
+	repErr := h.rep.compareDelete(b, key, expect)
 	switch {
 	case repErr == nil:
-		_ = h.ec.del(key)
+		h.ec.del(b, []string{key})
 		return nil
 	case errors.Is(repErr, ErrNotFound):
-		return h.ec.compareDelete(key, expect)
+		return h.ec.compareDelete(b, key, expect)
 	default:
 		return repErr
 	}

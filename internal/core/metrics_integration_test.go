@@ -62,6 +62,26 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 		t.Error("degraded reads counted on a healthy cluster")
 	}
 
+	// Single-key and bulk calls share one executor, but the bulk series
+	// count M* calls only: the Sets/Gets/Delete above moved neither
+	// counter, an MGet moves both — and, going through the same executor,
+	// reports the Figure 9 phases under its own label.
+	for _, name := range []string{"ecstore_client_bulk_frames_total", "ecstore_client_bulk_subops_total"} {
+		if got := snap.Counter(name); got != 0 {
+			t.Errorf("%s = %d after single-key ops only, want 0", name, got)
+		}
+	}
+	if got, err := c.MGet([]string{"metrics-1", "metrics-2"}); err != nil || len(got) != 2 {
+		t.Fatalf("MGet: %d found, %v", len(got), err)
+	}
+	snap = c.Metrics().Snapshot()
+	if frames, subops := snap.Counter("ecstore_client_bulk_frames_total"), snap.Counter("ecstore_client_bulk_subops_total"); frames < 1 || subops != 6 {
+		t.Errorf("2-key MGet: bulk frames = %d, sub-ops = %d; want >= 1 and 6 (K=3 chunks per key)", frames, subops)
+	}
+	if h := snap.Histograms[`ecstore_client_phase_seconds{op="mget",phase="wait-response"}`]; h.Count == 0 {
+		t.Error("MGet recorded no wait-response phase")
+	}
+
 	// Kill one chunk holder: the next read reconstructs from parity and
 	// must show up in the degraded-read and rebuilt-chunk counters.
 	dead := cl.Addrs()[0]

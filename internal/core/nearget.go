@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"ecstore/internal/nearcache"
 )
@@ -24,21 +25,29 @@ import (
 // Authoritative absence invalidates: a NotFound observed from the
 // cluster means any cached value is stale.
 func (c *Client) readThrough(key string) (Item, error) {
+	start := time.Now()
 	if v, ok := c.cache.Get(key); ok {
+		// A hit does no wire work: it takes the op's counters, not a
+		// batcher.
+		c.ops["get"].done(start, nil)
 		return Item{Value: v.Data, Version: v.Version, TTL: v.TTL}, nil
 	}
+	b := c.begin("get")
+	return b.end(c.fetchThrough(b, key))
+}
+
+// fetchThrough is readThrough past the cache miss: steps 2 and 3.
+func (c *Client) fetchThrough(b *batcher, key string) (Item, error) {
 	gen := c.cache.Begin(key)
 	v, coalesced, err := c.flight.Do(key, func() (nearcache.Value, error) {
-		// The epoch retry lives INSIDE the flight leader: placement is
-		// re-resolved against the refreshed view, and every coalesced
-		// waiter shares the one corrected fetch.
-		item, err := c.withEpochRetry(func() (Item, error) {
-			return c.strat.get(key)
-		})
-		if err != nil {
-			return nearcache.Value{}, err
+		// The strategy's retries (transient and epoch) run INSIDE the
+		// flight leader: placement is re-resolved against the refreshed
+		// view, and every coalesced waiter shares the one corrected fetch.
+		r := c.strat.get(b, []string{key})[0]
+		if r.err != nil {
+			return nearcache.Value{}, r.err
 		}
-		return nearcache.Value{Data: item.Value, Version: item.Version, TTL: item.TTL}, nil
+		return nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}, nil
 	})
 	if coalesced {
 		c.mCoalesced.Inc()

@@ -10,8 +10,8 @@ import (
 )
 
 // repStrategy implements no-replication (replicas = 1), synchronous
-// replication (blocking round trips, one replica at a time) and
-// asynchronous replication (overlapped non-blocking replica writes).
+// replication (one replica round at a time) and asynchronous
+// replication (overlapped non-blocking replica writes).
 type repStrategy struct {
 	c        *Client
 	replicas int
@@ -20,74 +20,204 @@ type repStrategy struct {
 
 var _ strategy = (*repStrategy)(nil)
 
-func (r *repStrategy) set(key string, value []byte, ttl time.Duration) (uint64, error) {
-	ttlSecs := ttlSeconds(ttl)
-	placement, epoch := r.c.placement(key, r.replicas)
-	if placement == nil {
-		return 0, ErrUnavailable
+// walk runs every key's failover walk in lockstep — the one walk
+// behind replicated reads and the coordinator forms of erasure coding
+// (Equation 4's T_check + one round trip). Each key's order is its
+// width placement servers, healthy first: a suspect server is demoted
+// to the back so the common case never waits on a known-bad one (its
+// probe window still lets recovery be noticed). Round r sends each
+// outstanding key's request, built by mk, to the r-th server of its
+// order — so one round is one frame per distinct server — and a key
+// moves on only when failover says the attempt's transport error is one
+// another server can fix. StatusOK ends a key's walk with the answer
+// (value copied out of the pooled frame); StatusNotFound from a live
+// server is authoritative absence (memcached semantics — evictions are
+// cache misses); any other failure is final. A key that exhausts its
+// order reports ErrUnavailable wrapping the last failure walked past.
+func (c *Client) walk(b *batcher, keys []string, width int,
+	mk func(i int) wire.BatchReq, failover func(err error) bool) []result {
+	out := make([]result, len(keys))
+	// One view snapshot for the whole walk: every key's placement and
+	// every sub-op's epoch agree.
+	ring, epoch := c.placementSnapshot()
+	type walkState struct {
+		order   []string
+		lastErr error
+		done    bool
 	}
-	// The write's version is minted client-side and carried in
-	// Meta.Stripe (the same field chunk writes use), so every replica
-	// stores one CAS token for this logical write.
-	version := wire.NewStripeID()
-	if !r.async {
-		// Sync-Rep: each replica write is a full blocking round trip
-		// (Equation 2: F * (L + D/B)).
-		for _, addr := range placement {
-			start := time.Now()
-			resp, err := r.c.pool.Roundtrip(addr, &wire.Request{
-				Op: wire.OpSet, Key: key, Value: value, TTLSeconds: ttlSecs,
-				Meta: wire.ECMeta{Stripe: version}, Epoch: epoch,
-			})
-			resp.Release()
-			if err != nil {
-				return 0, err
+	states := make([]walkState, len(keys))
+	for i, key := range keys {
+		if placement := placementOn(ring, key, width); placement != nil {
+			states[i].order = c.orderByHealth(distinct(placement))
+		} else {
+			out[i].err, states[i].done = ErrUnavailable, true
+		}
+	}
+	var buf roundBuf
+	ops := roundOps(&buf, len(keys))
+	for r := 0; ; r++ {
+		ops = ops[:0]
+		for i := range states {
+			st := &states[i]
+			switch {
+			case st.done:
+			case r >= len(st.order):
+				out[i].err, st.done = fmt.Errorf("%w: %v", ErrUnavailable, st.lastErr), true
+			default:
+				if r > 0 {
+					c.mFailovers.Inc()
+				}
+				ops = append(ops, subOp{addr: st.order[r], key: i, req: mk(i)})
 			}
-			r.c.instrument("set", phaseWait, time.Since(start))
 		}
-		r.c.instrumentOp()
-		return version, nil
-	}
-	// Async-Rep: issue every replica write, then wait for all
-	// (Equation 6: max over replicas of (L + D/B)). A Send failure
-	// stops issuing, but the error is held until every already-issued
-	// replica write has been waited out: returning early would let
-	// those writes keep landing after the failure is reported, so a
-	// caller acting on the error (rewrite, delete, give up) would race
-	// its own torn write — the same torn-write class the EC set path
-	// guards against.
-	start := time.Now()
-	calls := make([]*rpc.Call, 0, len(placement))
-	var firstErr error
-	for _, addr := range placement {
-		call, err := r.c.pool.Send(addr, &wire.Request{
-			Op: wire.OpSet, Key: key, Value: value, TTLSeconds: ttlSecs,
-			Meta: wire.ECMeta{Stripe: version}, Epoch: epoch,
-		})
-		if err != nil {
-			firstErr = err
-			break
+		if len(ops) == 0 {
+			return out
 		}
-		calls = append(calls, call)
-	}
-	issued := time.Now()
-	r.c.instrument("set", phaseRequest, issued.Sub(start))
-	for _, call := range calls {
-		resp, err := call.Wait()
-		if err == nil {
-			err = resp.Err()
+		b.send(ops, epoch)
+		for j := range ops {
+			op := &ops[j]
+			st := &states[op.key]
+			switch {
+			case op.err == nil && op.resp.Status == wire.StatusOK:
+				out[op.key].item = Item{
+					Value:   append([]byte(nil), op.resp.Value...),
+					Version: op.resp.Meta.Stripe,
+					TTL:     op.resp.TTLSeconds,
+				}
+				st.done = true
+			case op.err == nil && op.resp.Status == wire.StatusNotFound:
+				out[op.key].err, st.done = ErrNotFound, true
+			case failover(op.err):
+				st.lastErr = op.err
+			default:
+				out[op.key].err, st.done = op.fail(), true
+			}
 		}
-		resp.Release()
-		if err != nil && firstErr == nil {
-			firstErr = err
+		b.release()
+	}
+}
+
+// get is the replicated read: the failover walk with one OpGet per
+// outstanding key per round. Reads are idempotent, so the whole walk is
+// retried on transient failure, and re-resolved on an epoch rejection.
+func (r *repStrategy) get(b *batcher, keys []string) []result {
+	return r.c.retryKeys(true, func(idx []int) []result {
+		keys := subset(keys, idx)
+		return r.c.walk(b, keys, r.replicas,
+			func(i int) wire.BatchReq { return wire.BatchReq{Op: wire.OpGet, Key: keys[i]} },
+			rpc.IsUnavailable)
+	})
+}
+
+// set is the replicated write. Async-Rep issues every replica write of
+// every key in one round and waits for all (Equation 6: max over
+// replicas of (L + D/B)); Sync-Rep keeps its blocking ladder per key
+// (Equation 2: F * (L + D/B) — replica j only after replica j-1 landed)
+// by walking replica-index rounds, each round still one frame per
+// server. Either way a key's error is its first failure in placement
+// order, reported only after every issued write was waited out: the
+// executor waits each round fully, so no replica write keeps landing
+// after the failure is reported — a caller acting on the error
+// (rewrite, delete, give up) never races its own torn write.
+func (r *repStrategy) set(b *batcher, writes []write) []result {
+	out := make([]result, len(writes))
+	ring, epoch := r.c.placementSnapshot()
+	step := r.replicas
+	if !r.async {
+		step = 1
+	}
+	var buf roundBuf
+	ops := roundOps(&buf, len(writes)*step)
+	for lo := 0; lo < r.replicas; lo += step {
+		ops = ops[:0]
+		for i, w := range writes {
+			if out[i].err != nil {
+				continue
+			}
+			// Every round resolves against the same ring snapshot, so a
+			// Sync-Rep key's later rounds see the placement its first did.
+			placement := placementOn(ring, w.key, r.replicas)
+			if placement == nil {
+				out[i].err = ErrUnavailable
+				continue
+			}
+			if lo == 0 {
+				// The write's version is minted client-side and carried in
+				// Meta.Stripe (the same field chunk writes use), so every
+				// replica stores one CAS token for this logical write.
+				out[i].item.Version = wire.NewStripeID()
+			}
+			for _, addr := range placement[lo : lo+step] {
+				ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{
+					Op: wire.OpSet, Key: w.key, Value: w.value,
+					TTLSeconds: ttlSeconds(w.ttl),
+					Meta:       wire.ECMeta{Stripe: out[i].item.Version},
+				}})
+			}
+		}
+		b.send(ops, epoch)
+		for j := range ops {
+			if err := ops[j].fail(); err != nil && out[ops[j].key].err == nil {
+				out[ops[j].key] = result{err: err}
+			}
+		}
+		b.release()
+	}
+	return out
+}
+
+// del is the replicated delete: every (key, replica) delete in one
+// round, classified per key — no replica reachable is unavailability,
+// every reachable replica answering not-found an authoritative miss
+// (memcached delete semantics).
+func (r *repStrategy) del(b *batcher, keys []string) []result {
+	out := make([]result, len(keys))
+	ring, epoch := r.c.placementSnapshot()
+	var buf roundBuf
+	ops := roundOps(&buf, len(keys)*r.replicas)
+	for i, key := range keys {
+		placement := placementOn(ring, key, r.replicas)
+		if placement == nil {
+			out[i].err = ErrUnavailable
+			continue
+		}
+		for _, addr := range placement {
+			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{Op: wire.OpDelete, Key: key}})
 		}
 	}
-	r.c.instrument("set", phaseWait, time.Since(issued))
-	r.c.instrumentOp()
-	if firstErr != nil {
-		return 0, firstErr
+	b.send(ops, epoch)
+	// A key's sub-ops are contiguous: classify one key's run at a time.
+	for lo := 0; lo < len(ops); {
+		i := ops[lo].key
+		live, stale, deleted := false, false, 0
+		for ; lo < len(ops) && ops[lo].key == i; lo++ {
+			if ops[lo].err != nil {
+				continue
+			}
+			switch ops[lo].resp.Status {
+			case wire.StatusOK:
+				live = true
+				deleted++
+			case wire.StatusNotFound:
+				live = true
+			case wire.StatusWrongEpoch:
+				// Placement was computed against the wrong ring; surface the
+				// epoch error so the retry layer re-resolves — classifying the
+				// replica as dead could misreport NotFound or Unavailable.
+				stale = true
+			}
+		}
+		switch {
+		case stale:
+			out[i].err = wire.ErrWrongEpoch
+		case !live:
+			out[i].err = ErrUnavailable
+		case deleted == 0:
+			out[i].err = ErrNotFound
+		}
 	}
-	return version, nil
+	b.release()
+	return out
 }
 
 // compareSet implements the conditional write for replication. The
@@ -101,7 +231,7 @@ func (r *repStrategy) set(key string, value []byte, ttl time.Duration) (uint64, 
 // force-write is converged later by the anti-entropy scrubber; until
 // then a failover read may observe the previous version — the same
 // read-your-writes window async replication already has.
-func (r *repStrategy) compareSet(key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
+func (r *repStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	placement, epoch := r.c.placement(key, r.replicas)
 	placement = distinct(placement)
 	if placement == nil {
@@ -110,10 +240,7 @@ func (r *repStrategy) compareSet(key string, value []byte, ttl time.Duration, ex
 	ttlSecs := ttlSeconds(ttl)
 	version := wire.NewStripeID()
 	start := time.Now()
-	defer func() {
-		r.c.instrument("cas", phaseWait, time.Since(start))
-		r.c.instrumentOp()
-	}()
+	defer func() { b.wait += time.Since(start) }()
 	var lastErr error
 	for i, addr := range placement {
 		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{
@@ -151,105 +278,6 @@ func (r *repStrategy) compareSet(key string, value []byte, ttl time.Duration, ex
 	return 0, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
 }
 
-func (r *repStrategy) get(key string) (Item, error) {
-	placement, epoch := r.c.placement(key, r.replicas)
-	if placement == nil {
-		return Item{}, ErrUnavailable
-	}
-	// Reads are idempotent: retry the whole replica walk on transient
-	// failure with backoff. A WrongEpoch rejection is NOT retriable
-	// here — it propagates to the client's epoch-retry layer, which
-	// refreshes the view and re-resolves placement.
-	var item Item
-	err := r.c.withRetry(func() error {
-		var err error
-		item, err = r.getOnce(key, placement, epoch)
-		return err
-	})
-	return item, err
-}
-
-func (r *repStrategy) getOnce(key string, placement []string, epoch uint64) (Item, error) {
-	start := time.Now()
-	defer func() {
-		r.c.instrument("get", phaseWait, time.Since(start))
-		r.c.instrumentOp()
-	}()
-	// Read from the designated primary; walk the replicas only when a
-	// server has failed (Equation 4's T_check + one round trip). A
-	// suspect primary is demoted to the back of the walk so the common
-	// case never waits on a known-bad server.
-	var lastErr error
-	for i, addr := range r.c.orderByHealth(distinct(placement)) {
-		if i > 0 {
-			r.c.mFailovers.Inc()
-		}
-		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpGet, Key: key, Epoch: epoch})
-		switch {
-		case err == nil:
-			// The value escapes to the caller while the response body
-			// goes back to the frame pool: copy out first.
-			item := Item{
-				Value:   append([]byte(nil), resp.Value...),
-				Version: resp.Meta.Stripe,
-				TTL:     resp.TTLSeconds,
-			}
-			resp.Release()
-			return item, nil
-		case errors.Is(err, wire.ErrNotFound):
-			resp.Release()
-			// A live server answered authoritatively: the key is gone
-			// (memcached semantics — evictions are cache misses).
-			return Item{}, ErrNotFound
-		case rpc.IsUnavailable(err):
-			resp.Release()
-			lastErr = err
-			continue
-		default:
-			resp.Release()
-			return Item{}, err
-		}
-	}
-	if lastErr != nil {
-		return Item{}, ErrUnavailable
-	}
-	return Item{}, ErrNotFound
-}
-
-func (r *repStrategy) del(key string) error {
-	placement, epoch := r.c.placement(key, r.replicas)
-	if placement == nil {
-		return ErrUnavailable
-	}
-	anyLive := false
-	deleted := 0
-	for _, addr := range placement {
-		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpDelete, Key: key, Epoch: epoch})
-		resp.Release()
-		switch {
-		case err == nil:
-			anyLive = true
-			deleted++
-		case errors.Is(err, wire.ErrNotFound):
-			anyLive = true
-		case errors.Is(err, wire.ErrWrongEpoch):
-			// Placement was computed against the wrong ring; surface the
-			// epoch error so the retry layer re-resolves — classifying it
-			// as a dead server could misreport ErrNotFound.
-			return err
-		}
-	}
-	if !anyLive {
-		return ErrUnavailable
-	}
-	if deleted == 0 {
-		// Every reachable replica said not-found (memcached delete
-		// semantics).
-		return ErrNotFound
-	}
-	return nil
-}
-
 // compareDelete is the conditional delete for replication: like
 // compareSet, the decision is serialized through the first reachable
 // replica in FIXED placement order — the wire-level conditional delete
@@ -262,17 +290,14 @@ func (r *repStrategy) del(key string) error {
 // copy until the anti-entropy scrubber sees the authoritative
 // placement-order read resolve elsewhere — the same window every
 // best-effort converge in this strategy has.
-func (r *repStrategy) compareDelete(key string, expect uint64) error {
+func (r *repStrategy) compareDelete(b *batcher, key string, expect uint64) error {
 	placement, epoch := r.c.placement(key, r.replicas)
 	placement = distinct(placement)
 	if placement == nil {
 		return ErrUnavailable
 	}
 	start := time.Now()
-	defer func() {
-		r.c.instrument("delete", phaseWait, time.Since(start))
-		r.c.instrumentOp()
-	}()
+	defer func() { b.wait += time.Since(start) }()
 	var lastErr error
 	for i, addr := range placement {
 		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{
@@ -305,25 +330,4 @@ func (r *repStrategy) compareDelete(key string, expect uint64) error {
 		}
 	}
 	return fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
-}
-
-// instrument records one phase duration into the per-op latency
-// histogram of the metrics registry; the optional Config.Instrument
-// breakdown consumes the same stream (phase-keyed, as the benchmarks
-// have always rendered it).
-func (c *Client) instrument(op, phase string, d time.Duration) {
-	if om := c.ops[op]; om != nil {
-		if h := om.phases[phase]; h != nil {
-			h.Record(d)
-		}
-	}
-	if c.cfg.Instrument != nil {
-		c.cfg.Instrument.Add(phase, d)
-	}
-}
-
-func (c *Client) instrumentOp() {
-	if c.cfg.Instrument != nil {
-		c.cfg.Instrument.AddOp()
-	}
 }

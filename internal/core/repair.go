@@ -125,18 +125,20 @@ func (r *repStrategy) repair(key string) (RepairReport, error) {
 	// The rewrites carry the authoritative copy's version so the
 	// reconverged replicas agree on the CAS token too. They go out as
 	// one batched round — one frame per distinct holder — through the
-	// same executor the bulk APIs use; a holder still down just stays
+	// same executor every operation uses; a holder still down just stays
 	// unrewritten (partial repair).
-	rewrites := make([]*subOp, len(missing))
+	rewrites := make([]subOp, len(missing))
 	for i, addr := range missing {
-		rewrites[i] = &subOp{addr: addr, epoch: epoch, req: wire.BatchReq{
+		rewrites[i] = subOp{addr: addr, req: wire.BatchReq{
 			Op: wire.OpSet, Key: key, Value: value,
 			Meta: wire.ECMeta{Stripe: version},
 		}}
 	}
-	r.c.sendBatches(rewrites)
-	for _, op := range rewrites {
-		if op.fail() == nil {
+	b := newBatcher(r.c)
+	b.send(rewrites, epoch)
+	defer b.release()
+	for i := range rewrites {
+		if rewrites[i].fail() == nil {
 			report.Rewritten++
 			report.BytesMoved += int64(len(value))
 		}
@@ -218,7 +220,7 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 			// read and every scrub cycle fail on a value that cannot
 			// come back, so treat this as authoritative loss: purge the
 			// remnants and report a clean miss.
-			if err := e.del(key); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := e.del(newBatcher(e.c), []string{key})[0].err; err != nil && !errors.Is(err, ErrNotFound) {
 				return report, err
 			}
 			return report, ErrNotFound
@@ -245,8 +247,8 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 	}
 	e.c.mReconstructs.Inc()
 	// The rebuilt chunks were drawn from the shared shard pool; the
-	// rewrite payloads below copy them, so hand them back once every
-	// write has completed. Surviving chunks are network-owned and are
+	// rewrites below copy them into their payloads, so hand them back
+	// once every write has completed. Surviving chunks are network-owned and are
 	// left to the garbage collector.
 	defer func() {
 		for _, i := range missing {
@@ -254,40 +256,31 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 		}
 	}()
 	// Chunk rewrites go out as one batched round — one frame per chunk
-	// holder — through the bulk executor; a holder still down stays
-	// unrewritten (partial repair). Payloads are pool leases the
-	// executor returns when the round is over.
-	rewrites := make([]*subOp, len(missing))
+	// holder — through the executor, which wraps each rebuilt chunk in
+	// its payload as it issues the frame; a holder still down stays
+	// unrewritten (partial repair).
+	rewrites := make([]subOp, len(missing))
 	for j, i := range missing {
-		cm := wire.ECMeta{
-			ChunkIndex: uint8(i),
-			K:          uint8(e.k),
-			M:          uint8(e.m),
-			TotalLen:   totalLen,
-			Stripe:     stripe,
-		}
-		fp := e.c.pool.FramePool()
-		rewrites[j] = &subOp{
-			addr:    placement[i],
-			epoch:   epoch,
-			reqPool: fp,
-			req: wire.BatchReq{
-				Op:    wire.OpSetChunk,
-				Key:   wire.ChunkKey(key, i),
-				Value: wire.EncodeChunkPayloadPooled(fp, cm, chunks[i]),
-				Meta:  cm,
+		rewrites[j] = subOp{addr: placement[i], rawChunk: true, req: wire.BatchReq{
+			Op:    wire.OpSetChunk,
+			Key:   wire.ChunkKey(key, i),
+			Value: chunks[i],
+			Meta: wire.ECMeta{
+				ChunkIndex: uint8(i),
+				K:          uint8(e.k),
+				M:          uint8(e.m),
+				TotalLen:   totalLen,
+				Stripe:     stripe,
 			},
-		}
+		}}
 	}
-	chunkLen := make([]int, len(missing))
-	for j, i := range missing {
-		chunkLen[j] = len(chunks[i])
-	}
-	e.c.sendBatches(rewrites)
-	for j, op := range rewrites {
-		if op.fail() == nil {
+	b := newBatcher(e.c)
+	b.send(rewrites, epoch)
+	defer b.release()
+	for j := range rewrites {
+		if rewrites[j].fail() == nil {
 			report.Rewritten++
-			report.BytesMoved += int64(chunkLen[j])
+			report.BytesMoved += int64(len(rewrites[j].req.Value))
 		}
 	}
 	return report, nil
@@ -454,7 +447,7 @@ func (h *hybridStrategy) verify(key string) (bool, error) {
 func (h *hybridStrategy) repair(key string) (RepairReport, error) {
 	repReport, repErr := h.rep.repair(key)
 	if repErr == nil {
-		if err := h.ec.del(key); err != nil && !errors.Is(err, ErrNotFound) {
+		if err := h.ec.del(newBatcher(h.ec.c), []string{key})[0].err; err != nil && !errors.Is(err, ErrNotFound) {
 			// A stale stripe survives on an unreachable holder: report
 			// the error so the scrubber retries next cycle.
 			return repReport, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ecstore/internal/rpc"
+	"ecstore/internal/wire"
 )
 
 // retryBackoffCap bounds the exponential retry backoff so a long
@@ -20,23 +21,96 @@ func retriable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || rpc.IsUnavailable(err)
 }
 
-// withRetry runs op, retrying transient failures up to
-// Config.MaxRetries times with exponential backoff and jitter. Only
-// idempotent operations may go through here: a Set must never be
-// silently retried once any chunk or replica write has been issued,
-// because the first attempt may have partially (or wholly) landed.
-func (c *Client) withRetry(op func() error) error {
+// result is one key's outcome of a strategy call: the fetched item for
+// a read, the installed version (Item.Version) for a write, nothing for
+// a delete. Strategy calls return one result per key, by position.
+type result struct {
+	item Item
+	err  error
+}
+
+// pick returns the elements of all at positions idx.
+func pick[T any](all []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = all[i]
+	}
+	return out
+}
+
+// subset is pick for a retryKeys round, whose nil idx addresses every
+// key (the first round, which then copies nothing).
+func subset[T any](all []T, idx []int) []T {
+	if idx == nil {
+		return all
+	}
+	return pick(all, idx)
+}
+
+// retryKeys is the one retry loop of the data path. round runs the
+// keys of a strategy call — all of them first (idx nil), then the
+// positions idx still worth re-running — and returns one result per
+// key it was given. A key is re-run when
+//
+//   - a server rejected it with a membership-epoch error
+//     (wire.ErrWrongEpoch): the view is refreshed from the cluster
+//     first, without backoff — the rejection was instant, not
+//     congestion — and the round re-resolves placement against the new
+//     ring. The server rejects BEFORE executing, so the rejected request
+//     never landed; partially-landed multi-location writes are unwound
+//     by the strategies like any other mid-write failure. Bounded by
+//     epochRetryLimit, so under a flapping ring the key fails with the
+//     epoch error instead of spinning;
+//   - idempotent is set and the failure is transient (retriable): up to
+//     Config.MaxRetries times, with exponential backoff and jitter. Only
+//     reads pass idempotent: a Set must never be silently retried once
+//     any chunk or replica write has been issued, because the first
+//     attempt may have partially (or wholly) landed.
+//
+// The keys retried together share one counted retry and one sleep.
+func (c *Client) retryKeys(idempotent bool, round func(idx []int) []result) []result {
+	out := round(nil)
+	n := len(out) // keys the latest round ran
 	// Clamp the starting point too: a Config.RetryBackoff above the
 	// cap would otherwise make the first sleep exceed it.
 	backoff := min(c.cfg.RetryBackoff, retryBackoffCap)
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || attempt >= c.cfg.MaxRetries || !retriable(err) {
-			return err
+	var last []int // their positions (nil: all)
+	for epochTries, tries := 0, 0; ; {
+		var redo []int
+		stale := false
+		for j := 0; j < n; j++ {
+			i := j
+			if last != nil {
+				i = last[j]
+			}
+			switch err := out[i].err; {
+			case err == nil:
+			case errors.Is(err, wire.ErrWrongEpoch):
+				if epochTries < epochRetryLimit {
+					stale = true
+					redo = append(redo, i)
+				}
+			case idempotent && tries < c.cfg.MaxRetries && retriable(err):
+				redo = append(redo, i)
+			}
 		}
-		c.mRetries.Inc()
-		c.retrySleep(retryJitter(backoff))
-		backoff = nextBackoff(backoff)
+		if len(redo) == 0 {
+			return out
+		}
+		if stale {
+			epochTries++
+			c.mEpochRetries.Inc()
+			_, _ = c.RefreshView()
+		} else {
+			tries++
+			c.mRetries.Inc()
+			c.retrySleep(retryJitter(backoff))
+			backoff = nextBackoff(backoff)
+		}
+		for j, r := range round(redo) {
+			out[redo[j]] = r
+		}
+		last, n = redo, len(redo)
 	}
 }
 

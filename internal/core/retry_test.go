@@ -31,11 +31,16 @@ func TestNextBackoffNeverExceedsCap(t *testing.T) {
 	}
 }
 
-// End-to-end through withRetry: every observed sleep must stay within
+// retryOne runs one key through retryKeys as an idempotent read would.
+func retryOne(c *Client, op func() error) error {
+	return c.retryKeys(true, func([]int) []result { return []result{{err: op()}} })[0].err
+}
+
+// End-to-end through retryKeys: every observed sleep must stay within
 // jitter range of the cap — at most 3/2 * retryBackoffCap — no matter
 // how many attempts run or how large the configured starting backoff
 // is.
-func TestWithRetryMaxObservedBackoff(t *testing.T) {
+func TestRetryKeysMaxObservedBackoff(t *testing.T) {
 	var sleeps []time.Duration
 	c := &Client{
 		cfg: Config{
@@ -47,7 +52,7 @@ func TestWithRetryMaxObservedBackoff(t *testing.T) {
 		mRetries: metrics.NewRegistry().Counter("retries"),
 		sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
 	}
-	err := c.withRetry(func() error { return ErrUnavailable })
+	err := retryOne(c, func() error { return ErrUnavailable })
 	if err != ErrUnavailable {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -64,21 +69,21 @@ func TestWithRetryMaxObservedBackoff(t *testing.T) {
 
 // Non-retriable errors return immediately without sleeping, and nil
 // errors stop the loop.
-func TestWithRetryStopsOnAuthoritativeAnswer(t *testing.T) {
+func TestRetryKeysStopsOnAuthoritativeAnswer(t *testing.T) {
 	var sleeps int
 	c := &Client{
 		cfg:      Config{MaxRetries: 5, RetryBackoff: time.Millisecond},
 		mRetries: metrics.NewRegistry().Counter("retries"),
 		sleep:    func(time.Duration) { sleeps++ },
 	}
-	if err := c.withRetry(func() error { return ErrNotFound }); err != ErrNotFound {
+	if err := retryOne(c, func() error { return ErrNotFound }); err != ErrNotFound {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if sleeps != 0 {
 		t.Fatalf("slept %d times on a non-retriable error", sleeps)
 	}
 	calls := 0
-	if err := c.withRetry(func() error {
+	if err := retryOne(c, func() error {
 		calls++
 		if calls < 3 {
 			return ErrUnavailable

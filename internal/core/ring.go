@@ -15,21 +15,13 @@ import (
 // with the epoch error instead of spinning forever.
 const epochRetryLimit = 3
 
-// withEpochRetry runs fn and, on a membership-epoch rejection
+// epochRetry runs fn and, on a membership-epoch rejection
 // (wire.ErrWrongEpoch), refreshes the client's view from the cluster
-// and re-runs it. fn re-resolves placement through c.placement on
-// every attempt, so the retry really does route against the new ring.
-// The rejection is raised by the server BEFORE executing the request,
-// so the rejected request itself never landed; partially-landed
-// multi-location writes are unwound by the strategies exactly as any
-// other mid-write failure.
-func (c *Client) withEpochRetry(fn func() (Item, error)) (Item, error) {
-	return epochRetry(c, fn)
-}
-
-// epochRetry is the typed core of withEpochRetry, shared by entry
-// points whose results are not Items (Repair's report, Verify's
-// verdict).
+// and re-runs it — retryKeys' epoch rule for the single-key entry
+// points that have no key-slice form (Cas and DeleteCas, Repair's
+// report, Verify's verdict). fn re-resolves placement through
+// c.placement on every attempt, so the retry really does route against
+// the new ring.
 func epochRetry[T any](c *Client, fn func() (T, error)) (T, error) {
 	for attempt := 0; ; attempt++ {
 		v, err := fn()

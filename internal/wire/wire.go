@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"ecstore/internal/bufpool"
 )
@@ -651,7 +652,8 @@ func readFramePooled(r *bufio.Reader, minLen int, pool *bufpool.Pool) ([]byte, e
 }
 
 // ChunkKey derives the storage key for chunk idx of key. Replication
-// reuses it with the replica index.
+// reuses it with the replica index. Plain concatenation, not fmt: a
+// client derives K+M of these before an operation's first frame leaves.
 func ChunkKey(key string, idx int) string {
-	return fmt.Sprintf("%s\x00c%d", key, idx)
+	return key + "\x00c" + strconv.Itoa(idx)
 }
