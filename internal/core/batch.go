@@ -282,7 +282,9 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 	}
 	op.call = call
 	b.frames++
-	if b.bulk {
+	if b.bulk && (n > 1 || batchableOp(op.req.Op)) {
+		// Sub-ops per batch frame; a batchable group of one counts as a
+		// batch of 1, a coordinated op's plain frame is not a batch.
 		b.c.hBulkBatchSize.Record(time.Duration(n))
 	}
 }
@@ -406,7 +408,7 @@ func (b *batcher) end(v Item, err error) (Item, error) {
 	if c.cfg.Instrument != nil {
 		c.cfg.Instrument.AddOp()
 	}
-	if b.bulk {
+	if b.bulk && b.subops > 0 { // an MGet served from the near cache sent no round
 		c.mBulkFrames.Add(b.frames)
 		c.mBulkSubops.Add(b.subops)
 		c.hFramesPerBulk.Record(time.Duration(b.frames))

@@ -74,7 +74,8 @@ type Client struct {
 	// hFramesPerBulk and hBulkBatchSize are count-valued histograms
 	// (samples recorded as time.Duration(n), so "1" in the export means
 	// one frame / one sub-op, not a nanosecond): frames per logical bulk
-	// call, and sub-ops per frame.
+	// call that sent a round, and sub-ops per batch frame (a batchable
+	// group of one counts as a batch of 1).
 	mBulkFrames    *metrics.Counter
 	mBulkSubops    *metrics.Counter
 	hFramesPerBulk *stats.Histogram

@@ -250,9 +250,14 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	n := e.k + e.m
 	out := make([]result, len(keys))
-	states := make([]gather, len(keys))
+	var one [1]gather // a single-key read keeps its state on the stack
+	states := one[:]
+	if len(keys) > 1 {
+		states = make([]gather, len(keys))
+	}
 	ring, epoch := e.c.placementSnapshot()
 	for i, key := range keys {
+		states[i].ChunkCollector = wire.NewChunkCollector(e.k, n)
 		if states[i].placement = placementOn(ring, key, n); states[i].placement == nil {
 			out[i].err = ErrUnavailable
 		}
@@ -265,7 +270,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		ops = ops[:0]
 		for i, key := range keys {
 			st := &states[i]
-			if st.placement == nil || st.best(e.k) != nil {
+			if st.placement == nil || st.Best() != nil {
 				continue
 			}
 			for j := lo; j < hi; j++ {
@@ -296,7 +301,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			if err != nil {
 				continue // corrupt or torn chunk: parity covers it
 			}
-			st.add(meta, chunk, op.resp.TTLSeconds, n)
+			st.Add(meta, chunk, op.resp.TTLSeconds)
 		}
 	}
 	fetch(0, e.k)
@@ -308,7 +313,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		if st.placement == nil {
 			continue
 		}
-		win := st.best(e.k)
+		win := st.Best()
 		switch {
 		case win != nil:
 		case st.wrongEpoch:
@@ -332,7 +337,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		}
 		// Degraded read: rebuild only the missing data chunks (parity is
 		// not needed once the value is joined).
-		chunks := win.chunks
+		chunks := win.Chunks
 		var rebuilt []int
 		for j := 0; j < e.k; j++ {
 			if chunks[j] == nil {
@@ -346,7 +351,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 				continue
 			}
 		}
-		value, err := erasure.Join(chunks, e.k, int(win.totalLen))
+		value, err := erasure.Join(chunks, e.k, int(win.TotalLen))
 		// Join copied the data out; the chunks the codec pool-allocated can
 		// go back. Network-owned chunk buffers are never released here.
 		for _, j := range rebuilt {
@@ -356,19 +361,17 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			out[i].err = err
 			continue
 		}
-		out[i].item = Item{Value: value, Version: win.stripe, TTL: win.ttl}
+		out[i].item = Item{Value: value, Version: win.Stripe, TTL: win.TTL}
 	}
 	b.code += time.Since(start)
 	return out
 }
 
 // gather is one key's state across the rounds of a client-decode read:
-// the chunks fetched so far, grouped by stripe so decoding never mixes
-// chunks from different writes of the key (with concurrent writers a
-// key's chunk set can transiently hold a blend of stripes).
+// the chunks fetched so far, grouped by stripe in the collector.
 type gather struct {
 	placement []string
-	stripes   []stripeChunks
+	wire.ChunkCollector
 	// reachable counts locations that answered at all (chunk, not-found
 	// or another status); notFound the authoritative misses among them.
 	// Timed-out and unreachable locations are in neither. wrongEpoch
@@ -376,57 +379,6 @@ type gather struct {
 	// then the retriable epoch error, never NotFound/Unavailable.
 	reachable, notFound int
 	wrongEpoch          bool
-}
-
-// stripeChunks is what one stripe (one write) of a key has shown so
-// far: its chunks by index (nil = not fetched) and the remaining TTL
-// its first-seen holder reported, so the winning stripe's lifetime
-// rides along with the value.
-type stripeChunks struct {
-	stripe   uint64
-	totalLen uint32
-	ttl      uint32
-	chunks   [][]byte
-	count    int
-}
-
-// add records a fetched chunk of an n-chunk stripe.
-func (g *gather) add(meta wire.ECMeta, chunk []byte, ttl uint32, n int) {
-	idx := int(meta.ChunkIndex)
-	if idx >= n {
-		return
-	}
-	var s *stripeChunks
-	for i := range g.stripes {
-		if g.stripes[i].stripe == meta.Stripe {
-			s = &g.stripes[i]
-			break
-		}
-	}
-	if s == nil {
-		g.stripes = append(g.stripes, stripeChunks{
-			stripe: meta.Stripe, totalLen: meta.TotalLen, ttl: ttl, chunks: make([][]byte, n),
-		})
-		s = &g.stripes[len(g.stripes)-1]
-	}
-	if s.chunks[idx] == nil {
-		s.chunks[idx] = chunk
-		s.count++
-	}
-}
-
-// best returns the stripe to decode — the most complete one with at
-// least k chunks, ties to the highest stripe ID (approximate
-// last-write-wins) — or nil when none is decodable yet.
-func (g *gather) best(k int) *stripeChunks {
-	var best *stripeChunks
-	for i := range g.stripes {
-		s := &g.stripes[i]
-		if s.count >= k && (best == nil || s.count > best.count || (s.count == best.count && s.stripe > best.stripe)) {
-			best = s
-		}
-	}
-	return best
 }
 
 // del is the erasure-coded delete: every key's K+M chunk deletes in one

@@ -171,7 +171,6 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 	// gate the refills and drains below.
 	newStripe := make([]uint64, n)
 	oldStripe := make([]uint64, n)
-	ttlByStripe := make(map[uint64]uint32)
 	reached, probed := 0, 0
 	fetch := func(addr string, i int, stripeAt []uint64) {
 		probed++
@@ -193,11 +192,8 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 		}
 		// The chunk aliases the pooled response body and outlives it
 		// (reconstruction and refills come later): copy out first.
-		collector.Add(m, append([]byte(nil), chunk...))
+		collector.Add(m, append([]byte(nil), chunk...), resp.TTLSeconds)
 		stripeAt[i] = m.Stripe
-		if _, seen := ttlByStripe[m.Stripe]; !seen {
-			ttlByStripe[m.Stripe] = resp.TTLSeconds
-		}
 		resp.Release()
 	}
 	for i := 0; i < n; i++ {
@@ -206,8 +202,8 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 			fetch(oldPlacement[i], i, oldStripe)
 		}
 	}
-	stripe, totalLen, chunks, ok := collector.Best()
-	if !ok {
+	win := collector.Best()
+	if win == nil {
 		if collector.Seen() == 0 && reached == probed {
 			return report, ErrNotFound
 		}
@@ -253,6 +249,7 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 		}
 		return report, fmt.Errorf("%w: no stripe of %q has %d chunks to migrate", ErrUnavailable, key, e.k)
 	}
+	stripe, chunks := win.Stripe, win.Chunks
 	var rebuilt []int
 	for i := 0; i < n; i++ {
 		if chunks[i] == nil {
@@ -285,7 +282,7 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 			ChunkIndex: uint8(i),
 			K:          uint8(e.k),
 			M:          uint8(e.m),
-			TotalLen:   totalLen,
+			TotalLen:   win.TotalLen,
 			Stripe:     stripe,
 		}
 		// Compare = the stripe observed at the holder: an absent chunk is
@@ -294,7 +291,7 @@ func (e *ecStrategy) migrate(key string, oldRing *hashring.Ring) (MigrateReport,
 		resp, err := e.c.pool.Roundtrip(newPlacement[i], &wire.Request{
 			Op: wire.OpCompareSet, Key: wire.ChunkKey(key, i),
 			Value:      wire.EncodeChunkPayload(cm, chunks[i]),
-			TTLSeconds: ttlByStripe[stripe], Compare: newStripe[i],
+			TTLSeconds: win.TTL, Compare: newStripe[i],
 			Meta: cm,
 		})
 		resp.Release()

@@ -199,7 +199,7 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 			resp.Release()
 			continue // corrupt chunk: rebuild it below
 		}
-		collector.Add(m, chunk)
+		collector.Add(m, chunk, resp.TTLSeconds)
 		retained = append(retained, resp)
 	}
 	if wrongEpoch {
@@ -207,8 +207,8 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 		// layer re-resolves before any rewrite lands on the wrong ring.
 		return report, wire.ErrWrongEpoch
 	}
-	stripe, totalLen, chunks, ok := collector.Best()
-	if !ok {
+	win := collector.Best()
+	if win == nil {
 		if collector.Seen() == 0 && notFound == n {
 			return report, ErrNotFound
 		}
@@ -232,6 +232,7 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 	}
 	// Everything not holding the winning stripe's chunk — lost,
 	// corrupt, or from a superseded write — gets rewritten.
+	chunks := win.Chunks
 	missing := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if chunks[i] == nil {
@@ -269,8 +270,8 @@ func (e *ecStrategy) repair(key string) (RepairReport, error) {
 				ChunkIndex: uint8(i),
 				K:          uint8(e.k),
 				M:          uint8(e.m),
-				TotalLen:   totalLen,
-				Stripe:     stripe,
+				TotalLen:   win.TotalLen,
+				Stripe:     win.Stripe,
 			},
 		}}
 	}

@@ -160,9 +160,9 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	// fetch attempts to retrieve the chunk set indexed by idxs;
 	// failures are tolerated (they are what parity is for), and
 	// chunks group by stripe so concurrent writes never tear. The TTL
-	// each chunk holder reports is remembered per stripe so the final
-	// response can carry the remaining lifetime of the winning stripe.
-	ttlByStripe := make(map[uint64]uint32)
+	// each chunk holder reports is kept on the collector's stripe group
+	// so the final response can carry the remaining lifetime of the
+	// winning stripe.
 	fetch := func(idxs []int) {
 		calls := make(map[int]*rpc.Call, len(idxs))
 		for _, i := range idxs {
@@ -171,10 +171,7 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 			if addr == s.cfg.Addr {
 				if payload, _, ttl, ok := s.store.GetMeta(key); ok {
 					if meta, chunk, err := wire.DecodeChunkPayload(payload); err == nil {
-						collector.Add(meta, chunk)
-						if _, seen := ttlByStripe[meta.Stripe]; !seen {
-							ttlByStripe[meta.Stripe] = ttlSeconds(ttl)
-						}
+						collector.Add(meta, chunk, ttlSeconds(ttl))
 					}
 				}
 				continue
@@ -196,26 +193,24 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 				resp.Release()
 				continue
 			}
-			collector.Add(meta, chunk)
-			if _, seen := ttlByStripe[meta.Stripe]; !seen {
-				ttlByStripe[meta.Stripe] = resp.TTLSeconds
-			}
+			collector.Add(meta, chunk, resp.TTLSeconds)
 			retained = append(retained, resp)
 		}
 	}
 
 	// Round 1: the K data chunks. Round 2: parity as needed.
 	fetch(seqInts(0, k))
-	if !collector.Decodable() {
+	if collector.Best() == nil {
 		fetch(seqInts(k, k+m))
 	}
-	stripe, totalLen, chunks, ok := collector.Best()
-	if !ok {
+	win := collector.Best()
+	if win == nil {
 		return &wire.Response{Status: wire.StatusNotFound}
 	}
 
 	// Degraded read: rebuild only the missing data chunks — the caller
 	// gets the joined value, so recomputing parity would be wasted work.
+	chunks := win.Chunks
 	var rebuilt []int
 	for i := 0; i < k; i++ {
 		if chunks[i] == nil {
@@ -231,7 +226,7 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 			return errorResponse(err)
 		}
 	}
-	value, err := erasure.Join(chunks, k, int(totalLen))
+	value, err := erasure.Join(chunks, k, int(win.TotalLen))
 	// Join copied the data; pool-allocated rebuilt chunks can be
 	// recycled. Peer-owned chunk buffers are never released.
 	for _, i := range rebuilt {
@@ -243,8 +238,8 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	return &wire.Response{
 		Status:     wire.StatusOK,
 		Value:      value,
-		TTLSeconds: ttlByStripe[stripe],
-		Meta:       wire.ECMeta{K: uint8(k), M: uint8(m), TotalLen: totalLen, Stripe: stripe},
+		TTLSeconds: win.TTL,
+		Meta:       wire.ECMeta{K: uint8(k), M: uint8(m), TotalLen: win.TotalLen, Stripe: win.Stripe},
 	}
 }
 

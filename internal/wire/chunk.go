@@ -95,78 +95,79 @@ func DecodeChunkPayload(payload []byte) (ECMeta, []byte, error) {
 // writers, a key's chunk set can transiently hold a blend of stripes;
 // the collector selects one complete (>= K chunks) stripe — preferring
 // the most complete group, then the highest stripe ID (approximate
-// last-write-wins).
+// last-write-wins). It is a plain value: a read that collects for many
+// keys keeps one per key in a slice.
 type ChunkCollector struct {
 	k, n   int
-	groups map[uint64]*stripeGroup
+	groups []StripeGroup // a handful at most: one per concurrent write
 }
 
-type stripeGroup struct {
-	stripe   uint64
-	totalLen uint32
-	chunks   [][]byte
-	count    int
+// StripeGroup is what one stripe (one write) of a key has shown so
+// far.
+type StripeGroup struct {
+	Stripe   uint64
+	TotalLen uint32
+	// TTL is the remaining lifetime in seconds reported by the holder
+	// of the first chunk seen, so the winning stripe's lifetime rides
+	// along with the value.
+	TTL uint32
+	// Chunks has length n with nil entries for chunks not fetched,
+	// ready for Reconstruct.
+	Chunks [][]byte
+	count  int
 }
 
 // NewChunkCollector returns a collector for an RS stripe of k data
 // chunks out of n total.
-func NewChunkCollector(k, n int) *ChunkCollector {
-	return &ChunkCollector{k: k, n: n, groups: make(map[uint64]*stripeGroup)}
+func NewChunkCollector(k, n int) ChunkCollector {
+	return ChunkCollector{k: k, n: n}
 }
 
-// Add records a fetched chunk. Chunks with an index outside [0, n) are
-// ignored.
-func (c *ChunkCollector) Add(meta ECMeta, chunk []byte) {
+// Add records a fetched chunk and the remaining TTL its holder
+// reported. Chunks with an index outside [0, n) are ignored.
+func (c *ChunkCollector) Add(meta ECMeta, chunk []byte, ttl uint32) {
 	idx := int(meta.ChunkIndex)
-	if idx < 0 || idx >= c.n {
+	if idx >= c.n {
 		return
 	}
-	g, ok := c.groups[meta.Stripe]
-	if !ok {
-		g = &stripeGroup{stripe: meta.Stripe, totalLen: meta.TotalLen, chunks: make([][]byte, c.n)}
-		c.groups[meta.Stripe] = g
+	var g *StripeGroup
+	for i := range c.groups {
+		if c.groups[i].Stripe == meta.Stripe {
+			g = &c.groups[i]
+			break
+		}
 	}
-	if g.chunks[idx] == nil {
-		g.chunks[idx] = chunk
+	if g == nil {
+		c.groups = append(c.groups, StripeGroup{
+			Stripe: meta.Stripe, TotalLen: meta.TotalLen, TTL: ttl, Chunks: make([][]byte, c.n),
+		})
+		g = &c.groups[len(c.groups)-1]
+	}
+	if g.Chunks[idx] == nil {
+		g.Chunks[idx] = chunk
 		g.count++
 	}
 }
 
-// Decodable reports whether some stripe already has >= K chunks.
-func (c *ChunkCollector) Decodable() bool {
-	for _, g := range c.groups {
-		if g.count >= c.k {
-			return true
-		}
-	}
-	return false
-}
-
-// Best returns the chunks of the winning stripe (most chunks, ties to
-// the highest stripe ID) together with its metadata, and false when no
-// stripe has at least K chunks. The returned slice has length n with
-// nil entries for missing chunks, ready for Reconstruct.
-func (c *ChunkCollector) Best() (stripe uint64, totalLen uint32, chunks [][]byte, ok bool) {
-	var best *stripeGroup
-	for _, g := range c.groups {
-		if g.count < c.k {
-			continue
-		}
-		if best == nil || g.count > best.count || (g.count == best.count && g.stripe > best.stripe) {
+// Best returns the winning stripe — the one with the most chunks among
+// those holding at least K, ties to the highest stripe ID — or nil when
+// no stripe is decodable yet. The group stays valid until the next Add.
+func (c *ChunkCollector) Best() *StripeGroup {
+	var best *StripeGroup
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.count >= c.k && (best == nil || g.count > best.count || (g.count == best.count && g.Stripe > best.Stripe)) {
 			best = g
 		}
 	}
-	if best == nil {
-		return 0, 0, nil, false
-	}
-	return best.stripe, best.totalLen, best.chunks, true
+	return best
 }
 
 // Seen returns the number of chunks accepted across all stripes.
 func (c *ChunkCollector) Seen() int {
 	total := 0
-	for _, g := range c.groups {
-		total += g.count
+	for i := range c.groups {
+		total += c.groups[i].count
 	}
 	return total
 }

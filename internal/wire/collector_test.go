@@ -4,29 +4,31 @@ import (
 	"testing"
 )
 
+// addChunk adds chunk idx of stripe with a one-byte body, reporting the
+// stripe ID as its TTL so tests can tell whose TTL a group kept.
 func addChunk(c *ChunkCollector, stripe uint64, idx int, body byte) {
-	c.Add(ECMeta{ChunkIndex: uint8(idx), K: 3, M: 2, TotalLen: 10, Stripe: stripe}, []byte{body})
+	c.Add(ECMeta{ChunkIndex: uint8(idx), K: 3, M: 2, TotalLen: 10, Stripe: stripe}, []byte{body}, uint32(stripe))
 }
 
 func TestCollectorSingleStripe(t *testing.T) {
 	c := NewChunkCollector(3, 5)
-	if c.Decodable() {
+	if c.Best() != nil {
 		t.Fatal("empty collector decodable")
 	}
-	addChunk(c, 7, 0, 'a')
-	addChunk(c, 7, 1, 'b')
-	if c.Decodable() {
+	addChunk(&c, 7, 0, 'a')
+	addChunk(&c, 7, 1, 'b')
+	if c.Best() != nil {
 		t.Fatal("2 of 3 chunks decodable")
 	}
-	addChunk(c, 7, 4, 'e')
-	if !c.Decodable() {
+	addChunk(&c, 7, 4, 'e')
+	win := c.Best()
+	if win == nil {
 		t.Fatal("3 chunks not decodable")
 	}
-	stripe, totalLen, chunks, ok := c.Best()
-	if !ok || stripe != 7 || totalLen != 10 {
-		t.Fatalf("Best = %d %d %v", stripe, totalLen, ok)
+	if win.Stripe != 7 || win.TotalLen != 10 || win.TTL != 7 {
+		t.Fatalf("Best = %+v", win)
 	}
-	if chunks[0] == nil || chunks[1] == nil || chunks[4] == nil || chunks[2] != nil {
+	if chunks := win.Chunks; len(chunks) != 5 || chunks[0] == nil || chunks[1] == nil || chunks[4] == nil || chunks[2] != nil {
 		t.Fatalf("chunk layout wrong: %v", chunks)
 	}
 	if c.Seen() != 3 {
@@ -38,26 +40,24 @@ func TestCollectorPrefersMostCompleteStripe(t *testing.T) {
 	c := NewChunkCollector(3, 5)
 	// Old stripe (id 100) has 4 chunks; new stripe (id 200) has 3.
 	for i := 0; i < 4; i++ {
-		addChunk(c, 100, i, 'o')
+		addChunk(&c, 100, i, 'o')
 	}
 	for i := 0; i < 3; i++ {
-		addChunk(c, 200, i, 'n')
+		addChunk(&c, 200, i, 'n')
 	}
-	stripe, _, _, ok := c.Best()
-	if !ok || stripe != 100 {
-		t.Fatalf("Best stripe = %d, want the more complete 100", stripe)
+	if win := c.Best(); win == nil || win.Stripe != 100 || win.TTL != 100 {
+		t.Fatalf("Best = %+v, want the more complete stripe 100 with its own TTL", win)
 	}
 }
 
 func TestCollectorTieBreaksToNewerStripe(t *testing.T) {
 	c := NewChunkCollector(3, 5)
 	for i := 0; i < 3; i++ {
-		addChunk(c, 100, i, 'o')
-		addChunk(c, 200, i, 'n')
+		addChunk(&c, 100, i, 'o')
+		addChunk(&c, 200, i, 'n')
 	}
-	stripe, _, _, ok := c.Best()
-	if !ok || stripe != 200 {
-		t.Fatalf("Best stripe = %d, want the newer 200 on a tie", stripe)
+	if win := c.Best(); win == nil || win.Stripe != 200 || win.TTL != 200 {
+		t.Fatalf("Best = %+v, want the newer stripe 200 on a tie, with its own TTL", win)
 	}
 }
 
@@ -65,15 +65,12 @@ func TestCollectorNoDecodableStripe(t *testing.T) {
 	c := NewChunkCollector(3, 5)
 	// Two chunks each of two stripes: 4 chunks total but no stripe
 	// reaches K = 3 — the torn state grouped decoding must reject.
-	addChunk(c, 100, 0, 'o')
-	addChunk(c, 100, 1, 'o')
-	addChunk(c, 200, 2, 'n')
-	addChunk(c, 200, 3, 'n')
-	if c.Decodable() {
-		t.Fatal("mixed stripes reported decodable")
-	}
-	if _, _, _, ok := c.Best(); ok {
-		t.Fatal("Best returned a group below K")
+	addChunk(&c, 100, 0, 'o')
+	addChunk(&c, 100, 1, 'o')
+	addChunk(&c, 200, 2, 'n')
+	addChunk(&c, 200, 3, 'n')
+	if win := c.Best(); win != nil {
+		t.Fatalf("Best returned a group below K: %+v", win)
 	}
 	if c.Seen() != 4 {
 		t.Fatalf("Seen = %d", c.Seen())
@@ -82,17 +79,19 @@ func TestCollectorNoDecodableStripe(t *testing.T) {
 
 func TestCollectorIgnoresDuplicatesAndBadIndexes(t *testing.T) {
 	c := NewChunkCollector(3, 5)
-	addChunk(c, 1, 0, 'a')
-	addChunk(c, 1, 0, 'X')                                           // duplicate index: first wins
-	c.Add(ECMeta{ChunkIndex: 9, K: 3, M: 2, Stripe: 1}, []byte{'z'}) // out of range
+	addChunk(&c, 1, 0, 'a')
+	// Duplicate index: the first chunk wins, and so does the TTL its
+	// holder reported.
+	c.Add(ECMeta{ChunkIndex: 0, K: 3, M: 2, TotalLen: 10, Stripe: 1}, []byte{'X'}, 99)
+	c.Add(ECMeta{ChunkIndex: 9, K: 3, M: 2, Stripe: 1}, []byte{'z'}, 99) // out of range
 	if c.Seen() != 1 {
 		t.Fatalf("Seen = %d", c.Seen())
 	}
-	addChunk(c, 1, 1, 'b')
-	addChunk(c, 1, 2, 'c')
-	_, _, chunks, ok := c.Best()
-	if !ok || chunks[0][0] != 'a' {
-		t.Fatalf("duplicate overwrote original: %v", chunks[0])
+	addChunk(&c, 1, 1, 'b')
+	addChunk(&c, 1, 2, 'c')
+	win := c.Best()
+	if win == nil || win.Chunks[0][0] != 'a' || win.TTL != 1 {
+		t.Fatalf("duplicate overwrote original: %+v", win)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 
 	"ecstore/internal/bufpool"
 )
@@ -652,8 +651,7 @@ func readFramePooled(r *bufio.Reader, minLen int, pool *bufpool.Pool) ([]byte, e
 }
 
 // ChunkKey derives the storage key for chunk idx of key. Replication
-// reuses it with the replica index. Plain concatenation, not fmt: a
-// client derives K+M of these before an operation's first frame leaves.
+// reuses it with the replica index.
 func ChunkKey(key string, idx int) string {
-	return key + "\x00c" + strconv.Itoa(idx)
+	return fmt.Sprintf("%s\x00c%d", key, idx)
 }
