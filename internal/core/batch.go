@@ -120,19 +120,11 @@ type batcher struct {
 	leaseBuf [8]*wire.Response
 }
 
-// newBatcher returns an executor whose ledger nobody reads (repair's
-// rewrites); operations open theirs with begin.
-func newBatcher(c *Client) *batcher {
-	b := &batcher{c: c}
-	b.leases = b.leaseBuf[:0]
-	return b
-}
-
 // begin opens the batcher of one operation, labelled op: timed from
 // here, so the ARPE window wait is not charged to the op.
 func (c *Client) begin(op string) *batcher {
-	b := newBatcher(c)
-	b.om, b.start = c.ops[op], time.Now()
+	b := &batcher{c: c, om: c.ops[op], start: time.Now()}
+	b.leases = b.leaseBuf[:0]
 	return b
 }
 

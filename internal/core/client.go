@@ -169,13 +169,19 @@ type write struct {
 // ErrNotFound result is authoritative absence — the public APIs decide
 // whether that is an error for their call. compareSet and compareDelete
 // are single-key by nature (one decider per key) and return the version
-// installed, the CAS token later reads report.
+// installed, the CAS token later reads report. converge and verify are
+// the background half (converge.go): converge brings one key to full
+// redundancy at the current placement — from that placement alone
+// (repair, old nil) or also from the one an older ring gave it
+// (migration) — and verify attests that redundancy without writing.
 type strategy interface {
 	get(b *batcher, keys []string) []result
 	set(b *batcher, writes []write) []result
 	del(b *batcher, keys []string) []result
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
 	compareDelete(b *batcher, key string, expect uint64) error
+	converge(b *batcher, key string, old *hashring.Ring) (convergence, error)
+	verify(b *batcher, key string) (bool, error)
 }
 
 // New returns a Client for the given configuration.
@@ -204,6 +210,9 @@ func New(cfg Config) (*Client, error) {
 			"mget":    newOpMetrics(reg, "mget"),
 			"mset":    newOpMetrics(reg, "mset"),
 			"mdelete": newOpMetrics(reg, "mdelete"),
+			"repair":  newOpMetrics(reg, "repair"),
+			"verify":  newOpMetrics(reg, "verify"),
+			"migrate": newOpMetrics(reg, "migrate"),
 		},
 		mRetries:       reg.Counter("ecstore_client_retries_total"),
 		mDegraded:      reg.Counter("ecstore_client_degraded_reads_total"),

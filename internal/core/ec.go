@@ -281,27 +281,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		}
 		b.send(ops, epoch)
 		for j := range ops {
-			op, st := &ops[j], &states[ops[j].key]
-			if op.err != nil {
-				continue // unreachable or hung; parity covers it
-			}
-			st.reachable++
-			switch op.resp.Status {
-			case wire.StatusOK:
-			case wire.StatusNotFound:
-				st.notFound++
-				continue
-			case wire.StatusWrongEpoch:
-				st.wrongEpoch = true
-				continue
-			default:
-				continue
-			}
-			meta, chunk, err := wire.DecodeChunkPayload(op.resp.Value)
-			if err != nil {
-				continue // corrupt or torn chunk: parity covers it
-			}
-			st.Add(meta, chunk, op.resp.TTLSeconds)
+			states[ops[j].key].classify(&ops[j])
 		}
 	}
 	fetch(0, e.k)
@@ -379,6 +359,36 @@ type gather struct {
 	// then the retriable epoch error, never NotFound/Unavailable.
 	reachable, notFound int
 	wrongEpoch          bool
+}
+
+// classify files the outcome of one chunk fetch — the one
+// classification reads, verification, repair and migration share — and
+// returns the stripe of the chunk it accepted, 0 when the location
+// yielded none: unreachable or hung (op.err), an authoritative miss, an
+// epoch rejection, another status, or a corrupt or torn payload. The
+// other chunks cover for it: parity on a read, a rewrite in a repair.
+func (st *gather) classify(op *subOp) uint64 {
+	if op.err != nil {
+		return 0
+	}
+	st.reachable++
+	switch op.resp.Status {
+	case wire.StatusOK:
+	case wire.StatusNotFound:
+		st.notFound++
+		return 0
+	case wire.StatusWrongEpoch:
+		st.wrongEpoch = true
+		return 0
+	default:
+		return 0
+	}
+	meta, chunk, err := wire.DecodeChunkPayload(op.resp.Value)
+	if err != nil {
+		return 0
+	}
+	st.Add(meta, chunk, op.resp.TTLSeconds)
+	return meta.Stripe
 }
 
 // del is the erasure-coded delete: every key's K+M chunk deletes in one

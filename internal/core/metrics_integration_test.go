@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/hashring"
 )
 
 // TestMetricsMoveAcrossOps exercises the whole observability layer end
@@ -97,6 +99,38 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 	}
 	if got := snap.Counter("ecstore_client_chunks_rebuilt_total"); got < 1 {
 		t.Errorf("chunks_rebuilt_total = %d after a degraded read, want >= 1", got)
+	}
+
+	// The background operations keep the same ledger as the foreground:
+	// each call counts under its own op label and records its rounds'
+	// phases there. The repair finds the stripe healthy now the holder is
+	// back; the migration is from the ring the key already sits on.
+	if ok, err := c.Verify("metrics-1"); err != nil || !ok {
+		t.Fatalf("Verify: %v, %v", ok, err)
+	}
+	if _, err := c.Repair("metrics-1"); err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	if _, err := c.MigrateKey("metrics-1", hashring.Build(0, cl.Addrs()[:4])); err != nil {
+		t.Fatalf("MigrateKey: %v", err)
+	}
+	if _, err := c.Verify("metrics-absent"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("Verify of an absent key: %v", err)
+	}
+	snap = c.Metrics().Snapshot()
+	for op, want := range map[string][2]int64{"verify": {2, 1}, "repair": {1, 0}, "migrate": {1, 0}} {
+		if got := snap.Counter(fmt.Sprintf("ecstore_client_ops_total{op=%q}", op)); got != want[0] {
+			t.Errorf("ops_total{op=%q} = %d, want %d", op, got, want[0])
+		}
+		if got := snap.Counter(fmt.Sprintf("ecstore_client_op_errors_total{op=%q}", op)); got != want[1] {
+			t.Errorf("op_errors_total{op=%q} = %d, want %d", op, got, want[1])
+		}
+		if h := snap.Histograms[fmt.Sprintf("ecstore_client_op_seconds{op=%q}", op)]; h.Count != uint64(want[0]) {
+			t.Errorf("op_seconds{op=%q} has %d samples, want %d", op, h.Count, want[0])
+		}
+		if h := snap.Histograms[fmt.Sprintf("ecstore_client_phase_seconds{op=%q,phase=\"wait-response\"}", op)]; h.Count == 0 {
+			t.Errorf("%s recorded no wait-response phase", op)
+		}
 	}
 
 	// Server-side snapshot over the wire: dispatch and store counters

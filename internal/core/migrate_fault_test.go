@@ -3,9 +3,11 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"ecstore/internal/core"
 	"ecstore/internal/hashring"
 )
 
@@ -114,6 +116,144 @@ func TestMigrationLeakUnderServerKill(t *testing.T) {
 				}
 			}
 			waitPoolBaseline(t, baseline)
+		})
+	}
+}
+
+// goroutineBaseline returns the goroutine count once it has stopped
+// moving, and awaitGoroutines polls until it is back at or below want —
+// the baseline discipline of internal/cluster's goroutines_test.go, for
+// a test that owns everything it started.
+func goroutineBaseline() int {
+	n, same := runtime.NumGoroutine(), 0
+	for same < 20 {
+		time.Sleep(time.Millisecond)
+		if now := runtime.NumGoroutine(); now == n {
+			same++
+		} else {
+			n, same = now, 0
+		}
+	}
+	return n
+}
+
+func awaitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want %d\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConvergenceHoldsNoLeaseAcrossFaults is the sweep for what the
+// batched convergence path holds that the per-RPC one copied: response
+// leases live from the probe round to the end of the refill round. On
+// the harness above, every server answers one round in no less than
+// step, and one holder is Cut and another Hung part-way through a
+// Verify, a Repair and a MigrateKey — before the probe, while its
+// answers are in flight (so the refills meet the faults) and while the
+// refill acks are (so the drains do). Whatever each call returns, the
+// frame pool must balance, the values must read back intact once the
+// faults clear — a lease recycled under a refill would corrupt one —
+// and closing client and cluster must give every goroutine back.
+func TestConvergenceHoldsNoLeaseAcrossFaults(t *testing.T) {
+	const step = 30 * time.Millisecond
+	for name, cfg := range migrationModes() {
+		t.Run(name, func(t *testing.T) {
+			idle := goroutineBaseline()
+			baseline := poolDelta()
+			cl, netem := startNetemCluster(t, 6)
+			cfg.OpTimeout = 4 * step
+			cfg.HybridThreshold = 4096 // hybrid: half the keys replicated, half striped
+			admin := newClient(t, cl, cfg)
+
+			values := map[string][]byte{}
+			var keys []string
+			for i := 0; i < 12; i++ {
+				key := fmt.Sprintf("%s-lease-%02d", name, i)
+				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 1024+(i%2)*8192)
+				if err := admin.Set(key, values[key]); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, key)
+			}
+			oldRing := hashring.Build(0, admin.View().Servers)
+			if _, err := cl.AddServer("kv-joiner"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := admin.RingAdd("kv-joiner"); err != nil {
+				t.Fatal(err)
+			}
+			// The first half of the keys is migrated now, for Verify and
+			// Repair; the second half stays where the old ring put it, for
+			// MigrateKey. (A Repair of an unmigrated stripe sees only the
+			// chunks whose position did not move and may purge them as
+			// authoritative loss — a Repair/MigrateKey ordering hazard this
+			// sweep is not about.) Then one founder restarts empty, so
+			// repairs have rewrites to send.
+			for _, key := range keys[:6] {
+				if _, err := admin.MigrateKey(key, oldRing); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Kill(0)
+			if err := cl.RestartWithView(0, admin.View()); err != nil {
+				t.Fatal(err)
+			}
+
+			calls := []func(c *core.Client, i int){
+				func(c *core.Client, i int) { _, _ = c.Verify(keys[i%6]) },
+				func(c *core.Client, i int) { _, _ = c.Repair(keys[i%6]) },
+				func(c *core.Client, i int) { _, _ = c.MigrateKey(keys[6+i%6], oldRing) },
+			}
+			addrs := cl.Addrs()
+			next := 0
+			for _, call := range calls {
+				for _, after := range []time.Duration{0, step / 2, 3 * step / 2} {
+					for _, addr := range addrs {
+						netem.Delay(addr, step)
+					}
+					// A client of its own, so one case's suspects do not
+					// fast-fail the next.
+					c := newClient(t, cl, cfg)
+					c.AdoptView(admin.View())
+					cut, hung := addrs[1+next%3], addrs[4+next%3]
+					faults := time.AfterFunc(after, func() {
+						netem.Cut(cut)
+						netem.Hang(hung)
+					})
+					for i := 0; i < 2; i++ { // one small key, one large
+						call(c, next+i)
+					}
+					faults.Stop()
+					c.Close()
+					for _, addr := range addrs {
+						netem.Restore(addr)
+					}
+					next++
+				}
+			}
+			waitPoolBaseline(t, baseline)
+
+			for key, want := range values {
+				if _, err := admin.MigrateKey(key, oldRing); err != nil {
+					t.Errorf("migrate %q after the faults cleared: %v", key, err)
+				}
+				if _, err := admin.Repair(key); err != nil {
+					t.Errorf("repair %q after the faults cleared: %v", key, err)
+				}
+				if got, err := admin.Get(key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("get %q after the faults cleared: %d bytes, %v", key, len(got), err)
+				}
+			}
+			waitPoolBaseline(t, baseline)
+			admin.Close()
+			cl.Close()
+			awaitGoroutines(t, idle)
 		})
 	}
 }

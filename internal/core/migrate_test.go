@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ecstore/internal/core"
@@ -352,6 +353,18 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 
 			old := admin.View()
 			oldRing := hashring.Build(0, old.Servers)
+			// A second key, one the joiner takes a copy or chunk of, stays
+			// unmigrated for the stale-migrate leg below.
+			joined := hashring.Build(0, append(cl.Addrs(), "kv-joiner"))
+			movedKey := ""
+			for i := 0; movedKey == ""; i++ {
+				if k := fmt.Sprintf("%s-epoch-moved-%d", name, i); slices.Contains(joined.GetN(k, 3), "kv-joiner") {
+					movedKey = k
+				}
+			}
+			if err := admin.Set(movedKey, []byte("moved payload")); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := cl.AddServer("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
@@ -385,6 +398,33 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			}
 			if staleRepair.View().Epoch != old.Epoch+1 {
 				t.Fatalf("repair client did not adopt the new epoch: %d", staleRepair.View().Epoch)
+			}
+
+			// MigrateKey from one epoch behind: the client's ring must
+			// differ from the source ring for there to be anything to
+			// probe, so it first adopts the joined view, and then the ring
+			// moves on once more behind its back. Its rounds carry its stale
+			// epoch like everyone else's; it used to count the rejections as
+			// unreachable holders and fail with ErrUnavailable forever.
+			staleMigrate := newClient(t, cl, cfg)
+			staleMigrate.AdoptView(admin.View())
+			bumped := admin.View()
+			bumped.Epoch++
+			if _, err := admin.PushView(bumped); err != nil {
+				t.Fatal(err)
+			}
+			if staleMigrate.View().Epoch != old.Epoch+1 {
+				t.Fatalf("migrate client already at epoch %d", staleMigrate.View().Epoch)
+			}
+			moved, err := staleMigrate.MigrateKey(movedKey, oldRing)
+			if err != nil || !moved.Moved {
+				t.Fatalf("migrate from stale epoch: %+v, %v", moved, err)
+			}
+			if staleMigrate.View().Epoch != bumped.Epoch {
+				t.Fatalf("migrate client did not adopt the new epoch: %d", staleMigrate.View().Epoch)
+			}
+			if got, err := admin.Get(movedKey); err != nil || string(got) != "moved payload" {
+				t.Fatalf("read after stale-epoch migration: %q, %v", got, err)
 			}
 		})
 	}

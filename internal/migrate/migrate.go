@@ -16,8 +16,10 @@
 package migrate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,7 +27,7 @@ import (
 	"ecstore/internal/hashring"
 	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
-	"ecstore/internal/stats"
+	"ecstore/internal/paced"
 )
 
 // Defaults for the daemon's tunables.
@@ -33,7 +35,7 @@ const (
 	// DefaultRate caps the migration walk at this many keys per second.
 	DefaultRate = 500.0
 	// DefaultMaxConcurrent bounds simultaneous in-flight key moves.
-	DefaultMaxConcurrent = 4
+	DefaultMaxConcurrent = paced.DefaultMaxConcurrent
 	// maxPendingSources bounds the queued old views; beyond it the
 	// OLDEST sources fold together (migrating from an older ring
 	// subsumes the intermediate placements for any key both moved).
@@ -110,32 +112,23 @@ func (r Report) String() string {
 	return s
 }
 
-// Daemon is the background migration scheduler. Create with New, then
-// Start; a stopped daemon can be restarted.
+// Daemon is the background migration scheduler: the drain-the-pending-
+// sources task on a paced.Runner, which owns the loop, the pacing and
+// the cycle bookkeeping. Create with New, then Start; a stopped daemon
+// can be restarted.
 type Daemon struct {
-	cfg     Config
-	perKey  time.Duration // rate-limit spacing, 0 = unthrottled
-	workers int
+	cfg Config
+	run *paced.Runner
 
-	mKeysScanned  *metrics.Counter
-	mKeysMoved    *metrics.Counter
-	mKeysFailed   *metrics.Counter
-	mRefilled     *metrics.Counter
-	mChunksDrop   *metrics.Counter
-	mBytesMoved   *metrics.Counter
-	mCycles       *metrics.Counter
-	mKicks        *metrics.Counter
-	gInProgress   *metrics.Gauge
-	gPending      *metrics.Gauge
-	hCycleSeconds *stats.Histogram
-
-	kick chan struct{}
+	mKeysMoved  *metrics.Counter
+	mKeysFailed *metrics.Counter
+	mRefilled   *metrics.Counter
+	mChunksDrop *metrics.Counter
+	mBytesMoved *metrics.Counter
+	gPending    *metrics.Gauge
 
 	mu      sync.Mutex
 	pending []membership.View // queued old views, oldest first
-	running bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
 }
 
 // New returns a Daemon for cfg.
@@ -143,40 +136,32 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Client == nil {
 		return nil, errors.New("migrate: Config.Client is required")
 	}
-	rate := cfg.Rate
-	if rate == 0 {
-		rate = DefaultRate
-	}
-	var perKey time.Duration
-	if rate > 0 {
-		perKey = time.Duration(float64(time.Second) / rate)
-	}
-	workers := cfg.MaxConcurrent
-	if workers <= 0 {
-		workers = DefaultMaxConcurrent
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	reg := cfg.Metrics
 	d := &Daemon{
-		cfg:     cfg,
-		perKey:  perKey,
-		workers: workers,
-		kick:    make(chan struct{}, 1),
-
-		mKeysScanned:  reg.Counter("ecstore_migration_keys_scanned_total"),
-		mKeysMoved:    reg.Counter("ecstore_migration_keys_moved_total"),
-		mKeysFailed:   reg.Counter("ecstore_migration_keys_failed_total"),
-		mRefilled:     reg.Counter("ecstore_migration_refills_total"),
-		mChunksDrop:   reg.Counter("ecstore_migration_chunks_dropped_total"),
-		mBytesMoved:   reg.Counter("ecstore_migration_bytes_moved_total"),
-		mCycles:       reg.Counter("ecstore_migration_cycles_total"),
-		mKicks:        reg.Counter("ecstore_migration_kicks_total"),
-		gInProgress:   reg.Gauge("ecstore_migration_in_progress"),
-		gPending:      reg.Gauge("ecstore_migration_pending_sources"),
-		hCycleSeconds: reg.Histogram("ecstore_migration_cycle_seconds"),
+		cfg:         cfg,
+		mKeysMoved:  reg.Counter("ecstore_migration_keys_moved_total"),
+		mKeysFailed: reg.Counter("ecstore_migration_keys_failed_total"),
+		mRefilled:   reg.Counter("ecstore_migration_refills_total"),
+		mChunksDrop: reg.Counter("ecstore_migration_chunks_dropped_total"),
+		mBytesMoved: reg.Counter("ecstore_migration_bytes_moved_total"),
+		gPending:    reg.Gauge("ecstore_migration_pending_sources"),
 	}
+	d.run = paced.New(paced.Config{
+		Name:          "migration",
+		Rate:          cmp.Or(cfg.Rate, DefaultRate), // negative: unthrottled
+		MaxConcurrent: cfg.MaxConcurrent,
+		Metrics:       reg,
+		Logf:          cfg.Logf,
+	}, func(cancel <-chan struct{}) bool {
+		report := d.RunCycle(cancel)
+		d.run.Logf("migrate: cycle complete: %s", report)
+		if cfg.OnCycle != nil {
+			cfg.OnCycle(report)
+		}
+		// A failed pass leaves its source queued and nothing else will
+		// kick it: ask to run again.
+		return report.Err != nil || report.Failed > 0
+	})
 	return d, nil
 }
 
@@ -200,10 +185,8 @@ func (d *Daemon) Attach(c any) bool {
 func (d *Daemon) Enqueue(old membership.View) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, v := range d.pending {
-		if v.Epoch == old.Epoch {
-			return
-		}
+	if slices.ContainsFunc(d.pending, func(v membership.View) bool { return v.Epoch == old.Epoch }) {
+		return
 	}
 	d.pending = append(d.pending, old)
 	if len(d.pending) > maxPendingSources {
@@ -226,194 +209,81 @@ func (d *Daemon) Pending() int {
 // Start launches the background loop: one cycle per kick (Enqueue via
 // Attach kicks automatically). Calling Start on a running daemon is a
 // no-op.
-func (d *Daemon) Start() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.running {
-		return
-	}
-	d.running = true
-	d.stop = make(chan struct{})
-	stop := d.stop
-	d.wg.Add(1)
-	go d.loop(stop)
-}
+func (d *Daemon) Start() { d.run.Start() }
 
 // Stop halts the background loop, waiting for an in-flight cycle to
 // finish. The daemon can be started again afterwards.
-func (d *Daemon) Stop() {
-	d.mu.Lock()
-	if !d.running {
-		d.mu.Unlock()
-		return
-	}
-	d.running = false
-	close(d.stop)
-	d.mu.Unlock()
-	d.wg.Wait()
-}
+func (d *Daemon) Stop() { d.run.Stop() }
 
 // Kick requests an immediate cycle; it never blocks, and repeated
 // kicks fold into one pending cycle.
-func (d *Daemon) Kick() {
-	d.mKicks.Inc()
-	select {
-	case d.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (d *Daemon) loop(stop chan struct{}) {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-d.kick:
-		}
-		report := d.RunCycle(stop)
-		d.cfg.Logf("migrate: cycle complete: %s", report)
-		if d.cfg.OnCycle != nil {
-			d.cfg.OnCycle(report)
-		}
-		if report.Err != nil || report.Failed > 0 {
-			// The source stays queued; try again shortly rather than
-			// spinning (the failed holders may be mid-restart).
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Second):
-				d.Kick()
-			}
-		}
-	}
-}
+func (d *Daemon) Kick() { d.run.Kick() }
 
 // RunCycle drains every pending migration source synchronously and
 // returns the aggregate report. A nil cancel channel runs to
 // completion; the background loop passes its stop channel so Stop
 // interrupts a cycle between keys. A source whose pass failed for any
-// key stays queued for retry.
+// key, or was cut short, stays queued for retry.
 func (d *Daemon) RunCycle(cancel <-chan struct{}) Report {
-	start := time.Now()
-	d.gInProgress.Set(1)
-	defer d.gInProgress.Set(0)
 	var report Report
-	for {
-		d.mu.Lock()
-		if len(d.pending) == 0 {
-			d.mu.Unlock()
-			break
-		}
-		src := d.pending[0]
-		d.mu.Unlock()
-
-		pass, canceled := d.runSource(src, cancel)
-		report.Sources++
-		report.Scanned += pass.Scanned
-		report.Moved += pass.Moved
-		report.Refilled += pass.Refilled
-		report.Dropped += pass.Dropped
-		report.BytesMoved += pass.BytesMoved
-		report.Failed += pass.Failed
-		if pass.Err != nil {
-			report.Err = pass.Err
-		}
-		done := pass.Err == nil && pass.Failed == 0 && !canceled
-		if done {
+	report.Duration = d.run.Cycle(func() {
+		for clean := true; clean; {
 			d.mu.Lock()
-			for i, v := range d.pending {
-				if v.Epoch == src.Epoch {
-					d.pending = append(d.pending[:i], d.pending[i+1:]...)
-					break
-				}
+			if len(d.pending) == 0 {
+				d.mu.Unlock()
+				return
 			}
-			d.gPending.Set(int64(len(d.pending)))
+			src := d.pending[0]
 			d.mu.Unlock()
+
+			failed := report.Failed
+			clean = d.runSource(src, cancel, &report) && report.Failed == failed
+			if clean {
+				d.mu.Lock()
+				d.pending = slices.DeleteFunc(d.pending, func(v membership.View) bool { return v.Epoch == src.Epoch })
+				d.gPending.Set(int64(len(d.pending)))
+				d.mu.Unlock()
+			}
 		}
-		if !done || canceled {
-			break
-		}
-	}
-	report.Duration = time.Since(start)
-	d.mCycles.Inc()
-	d.hCycleSeconds.Record(report.Duration)
+	})
 	return report
 }
 
-// runSource migrates every key for one queued old view.
-func (d *Daemon) runSource(src membership.View, cancel <-chan struct{}) (Report, bool) {
-	var report Report
+// runSource migrates every key for one queued old view, folding each
+// key's outcome into report, and reports whether the walk covered the
+// whole scan.
+func (d *Daemon) runSource(src membership.View, cancel <-chan struct{}, report *Report) bool {
+	report.Sources++
 	cur := d.cfg.Client.View()
 	oldRing := hashring.Build(0, src.Servers)
 	scanOn := append(append([]string{}, src.Servers...), cur.Servers...)
 	keys, err := d.cfg.Client.ScanKeysOn(scanOn)
 	if err != nil {
-		d.cfg.Logf("migrate: scan failed: %v", err)
+		d.run.Logf("migrate: scan failed: %v", err)
 		report.Err = err
-		return report, false
+		return false
 	}
-
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, d.workers)
-	)
-	canceled := false
-	next := time.Now()
-walk:
-	for _, key := range keys {
-		if d.perKey > 0 {
-			// Fixed-rate schedule, as the scrubber: each key is due no
-			// earlier than `next`, independent of how long the previous
-			// move took.
-			if wait := time.Until(next); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-cancel:
-					canceled = true
-					break walk
-				}
-			}
-			next = next.Add(d.perKey)
-		} else {
-			select {
-			case <-cancel:
-				canceled = true
-				break walk
-			default:
-			}
-		}
-		d.mKeysScanned.Inc()
+	var mu sync.Mutex
+	walked := d.run.Walk(keys, cancel, func(key string) {
+		rep, err := d.cfg.Client.MigrateKey(key, oldRing)
 		mu.Lock()
-		report.Scanned++
-		mu.Unlock()
-
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rep, err := d.cfg.Client.MigrateKey(key, oldRing)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && !errors.Is(err, core.ErrNotFound) {
-				d.mKeysFailed.Inc()
-				report.Failed++
-				d.cfg.Logf("migrate: %q: %v", key, err)
-			}
-			if rep.Moved {
-				d.mKeysMoved.Inc()
-				report.Moved++
-			}
-			report.Refilled += rep.Refilled
-			report.Dropped += rep.Dropped
-			report.BytesMoved += rep.BytesMoved
-			d.mRefilled.Add(int64(rep.Refilled))
-			d.mChunksDrop.Add(int64(rep.Dropped))
-			d.mBytesMoved.Add(rep.BytesMoved)
-		}(key)
-	}
-	wg.Wait()
-	return report, canceled
+		defer mu.Unlock()
+		if err != nil && !errors.Is(err, core.ErrNotFound) {
+			d.mKeysFailed.Inc()
+			report.Failed++
+			d.run.Logf("migrate: %q: %v", key, err)
+		}
+		if rep.Moved {
+			d.mKeysMoved.Inc()
+			report.Moved++
+		}
+		report.Refilled += rep.Refilled
+		report.Dropped += rep.Dropped
+		report.BytesMoved += rep.BytesMoved
+		d.mRefilled.Add(int64(rep.Refilled))
+		d.mChunksDrop.Add(int64(rep.Dropped))
+		d.mBytesMoved.Add(rep.BytesMoved)
+	})
+	report.Scanned += walked
+	return walked == len(keys)
 }

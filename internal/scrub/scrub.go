@@ -21,15 +21,15 @@
 package scrub
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"ecstore/internal/core"
 	"ecstore/internal/metrics"
-	"ecstore/internal/stats"
+	"ecstore/internal/paced"
 )
 
 // Defaults for the daemon's tunables.
@@ -39,7 +39,7 @@ const (
 	// DefaultRate caps keyspace walking at this many keys per second.
 	DefaultRate = 1000.0
 	// DefaultMaxConcurrent bounds simultaneous in-flight repairs.
-	DefaultMaxConcurrent = 4
+	DefaultMaxConcurrent = paced.DefaultMaxConcurrent
 )
 
 // Client is the slice of core.Client the daemon needs. It is an
@@ -116,31 +116,19 @@ func (r Report) String() string {
 	return s
 }
 
-// Daemon is the background scrubber. Create with New, then Start; a
-// stopped daemon can be restarted.
+// Daemon is the background scrubber: the scan-verify-repair task on a
+// paced.Runner, which owns the loop, the pacing and the cycle
+// bookkeeping. Create with New, then Start; a stopped daemon can be
+// restarted.
 type Daemon struct {
-	cfg      Config
-	interval time.Duration
-	perKey   time.Duration // rate-limit spacing, 0 = unthrottled
-	workers  int
+	cfg Config
+	run *paced.Runner
 
-	mKeysScanned  *metrics.Counter
 	mKeysHealthy  *metrics.Counter
 	mKeysRepaired *metrics.Counter
 	mKeysFailed   *metrics.Counter
 	mRewritten    *metrics.Counter
-	mCycles       *metrics.Counter
-	mKicks        *metrics.Counter
-	gInProgress   *metrics.Gauge
 	gLastDone     *metrics.Gauge
-	hCycleSeconds *stats.Histogram
-
-	kick chan struct{}
-
-	mu      sync.Mutex
-	stop    chan struct{}
-	running bool
-	wg      sync.WaitGroup
 }
 
 // New returns a Daemon for cfg. If cfg.Client also implements
@@ -150,50 +138,33 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Client == nil {
 		return nil, errors.New("scrub: Config.Client is required")
 	}
-	interval := cfg.Interval
-	switch {
-	case interval == 0:
-		interval = DefaultInterval
-	case interval < 0:
-		interval = 0 // periodic timer disabled
-	}
-	rate := cfg.Rate
-	if rate == 0 {
-		rate = DefaultRate
-	}
-	var perKey time.Duration
-	if rate > 0 {
-		perKey = time.Duration(float64(time.Second) / rate)
-	}
-	workers := cfg.MaxConcurrent
-	if workers <= 0 {
-		workers = DefaultMaxConcurrent
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	reg := cfg.Metrics
 	d := &Daemon{
-		cfg:      cfg,
-		interval: interval,
-		perKey:   perKey,
-		workers:  workers,
-		kick:     make(chan struct{}, 1),
-
-		mKeysScanned:  reg.Counter("ecstore_scrub_keys_scanned_total"),
+		cfg:           cfg,
 		mKeysHealthy:  reg.Counter("ecstore_scrub_keys_healthy_total"),
 		mKeysRepaired: reg.Counter("ecstore_scrub_keys_repaired_total"),
 		mKeysFailed:   reg.Counter("ecstore_scrub_keys_failed_total"),
 		mRewritten:    reg.Counter("ecstore_scrub_rewrites_total"),
-		mCycles:       reg.Counter("ecstore_scrub_cycles_total"),
-		mKicks:        reg.Counter("ecstore_scrub_kicks_total"),
-		gInProgress:   reg.Gauge("ecstore_scrub_in_progress"),
 		gLastDone:     reg.Gauge("ecstore_scrub_last_completed_unix"),
-		hCycleSeconds: reg.Histogram("ecstore_scrub_cycle_seconds"),
 	}
+	d.run = paced.New(paced.Config{
+		Name:          "scrub",
+		Interval:      cmp.Or(cfg.Interval, DefaultInterval), // negative: no periodic timer
+		Rate:          cmp.Or(cfg.Rate, DefaultRate),         // negative: unthrottled
+		MaxConcurrent: cfg.MaxConcurrent,
+		Metrics:       reg,
+		Logf:          cfg.Logf,
+	}, func(cancel <-chan struct{}) bool {
+		report := d.RunCycle(cancel)
+		d.run.Logf("scrub: cycle complete: %s", report)
+		if cfg.OnCycle != nil {
+			cfg.OnCycle(report)
+		}
+		return false // the next tick or recovery kick is the retry
+	})
 	if r, ok := cfg.Client.(recoverable); ok {
 		r.OnServerRecovered(func(addr string) {
-			d.cfg.Logf("scrub: server %s recovered, kicking cycle", addr)
+			d.run.Logf("scrub: server %s recovered, kicking cycle", addr)
 			d.Kick()
 		})
 	}
@@ -202,130 +173,35 @@ func New(cfg Config) (*Daemon, error) {
 
 // Start launches the background loop: one cycle per interval, plus any
 // kicked cycles. Calling Start on a running daemon is a no-op.
-func (d *Daemon) Start() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.running {
-		return
-	}
-	d.running = true
-	d.stop = make(chan struct{})
-	stop := d.stop
-	d.wg.Add(1)
-	go d.loop(stop)
-}
+func (d *Daemon) Start() { d.run.Start() }
 
 // Stop halts the background loop, waiting for an in-flight cycle to
 // finish. The daemon can be started again afterwards.
-func (d *Daemon) Stop() {
-	d.mu.Lock()
-	if !d.running {
-		d.mu.Unlock()
-		return
-	}
-	d.running = false
-	close(d.stop)
-	d.mu.Unlock()
-	d.wg.Wait()
-}
+func (d *Daemon) Stop() { d.run.Stop() }
 
 // Kick requests an immediate cycle. It never blocks: if a kick is
 // already pending (or a kicked cycle is running), the request folds
 // into it — repeated recovery events during one outage cost one extra
 // cycle, not one per event.
-func (d *Daemon) Kick() {
-	d.mKicks.Inc()
-	select {
-	case d.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (d *Daemon) loop(stop chan struct{}) {
-	defer d.wg.Done()
-	var tick <-chan time.Time
-	if d.interval > 0 {
-		t := time.NewTicker(d.interval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick:
-		case <-d.kick:
-		}
-		report := d.RunCycle(stop)
-		d.cfg.Logf("scrub: cycle complete: %s", report)
-		if d.cfg.OnCycle != nil {
-			d.cfg.OnCycle(report)
-		}
-	}
-}
+func (d *Daemon) Kick() { d.run.Kick() }
 
 // RunCycle performs one full scrub pass synchronously and returns its
 // report. A nil cancel channel runs to completion; the background loop
 // passes its stop channel so Stop interrupts a cycle between keys.
 func (d *Daemon) RunCycle(cancel <-chan struct{}) Report {
-	start := time.Now()
-	d.gInProgress.Set(1)
-	defer d.gInProgress.Set(0)
-	finish := func(r Report) Report {
-		r.Duration = time.Since(start)
-		d.mCycles.Inc()
-		d.hCycleSeconds.Record(r.Duration)
-		d.gLastDone.Set(time.Now().Unix())
-		return r
-	}
-
-	keys, err := d.cfg.Client.ScanKeys()
-	if err != nil {
-		d.cfg.Logf("scrub: scan failed: %v", err)
-		return finish(Report{Err: err})
-	}
-
-	var (
-		mu     sync.Mutex
-		report Report
-		wg     sync.WaitGroup
-		sem    = make(chan struct{}, d.workers)
-	)
-	next := time.Now()
-walk:
-	for _, key := range keys {
-		if d.perKey > 0 {
-			// Pace the walk: each key's verification is due no earlier
-			// than `next`, independent of how long the previous
-			// verify/repair took — a fixed-rate schedule, not a fixed
-			// sleep.
-			if wait := time.Until(next); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-cancel:
-					break walk
-				}
-			}
-			next = next.Add(d.perKey)
-		} else {
-			select {
-			case <-cancel:
-				break walk
-			default:
-			}
+	var report Report
+	report.Duration = d.run.Cycle(func() {
+		keys, err := d.cfg.Client.ScanKeys()
+		if err != nil {
+			d.run.Logf("scrub: scan failed: %v", err)
+			report.Err = err
+			return
 		}
-		d.mKeysScanned.Inc()
-		mu.Lock()
-		report.Scanned++
-		mu.Unlock()
-
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		var mu sync.Mutex
+		report.Scanned = d.run.Walk(keys, cancel, func(key string) {
 			healthy, repaired, rewritten, failed := d.scrubKey(key)
 			mu.Lock()
+			defer mu.Unlock()
 			if healthy {
 				report.Healthy++
 			}
@@ -336,11 +212,10 @@ walk:
 			if failed {
 				report.Failed++
 			}
-			mu.Unlock()
-		}(key)
-	}
-	wg.Wait()
-	return finish(report)
+		})
+	})
+	d.gLastDone.Set(time.Now().Unix())
+	return report
 }
 
 // scrubKey verifies one key and repairs it when degraded.
@@ -355,11 +230,11 @@ func (d *Daemon) scrubKey(key string) (healthy, repaired bool, rewritten int, fa
 		// to maintain. The next cycle will not see it.
 		d.mKeysHealthy.Inc()
 		return true, false, 0, false
-	case err != nil && !isVerifyUnsupported(err):
+	case err != nil:
 		// Transient verification failure (e.g. unreachable holders):
 		// attempting repair is still correct — it probes the same
 		// locations and rewrites whatever it can.
-		d.cfg.Logf("scrub: verify %q: %v", key, err)
+		d.run.Logf("scrub: verify %q: %v", key, err)
 	}
 
 	rep, err := d.cfg.Client.Repair(key)
@@ -369,7 +244,7 @@ func (d *Daemon) scrubKey(key string) (healthy, repaired bool, rewritten int, fa
 			return true, false, 0, false
 		}
 		d.mKeysFailed.Inc()
-		d.cfg.Logf("scrub: repair %q: %v", key, err)
+		d.run.Logf("scrub: repair %q: %v", key, err)
 		return false, false, 0, true
 	}
 	if rep.Rewritten < rep.Missing {
@@ -389,11 +264,4 @@ func (d *Daemon) scrubKey(key string) (healthy, repaired bool, rewritten int, fa
 	d.mKeysRepaired.Inc()
 	d.mRewritten.Add(int64(rep.Rewritten))
 	return false, true, rep.Rewritten, false
-}
-
-// isVerifyUnsupported matches the core error for resilience modes
-// without a verify implementation, where repair-always is the scrub
-// policy.
-func isVerifyUnsupported(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "does not support verify")
 }

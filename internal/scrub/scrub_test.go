@@ -110,7 +110,6 @@ func TestRunCycleAllHealthy(t *testing.T) {
 // through RunCycle with a single scripted key.
 func TestScrubKeyOutcomes(t *testing.T) {
 	notFound := core.ErrNotFound
-	unsupported := errors.New("core: resilience mode 2 does not support verify")
 	for name, tc := range map[string]struct {
 		verify  func(string) (bool, error)
 		repair  func(string) (core.RepairReport, error)
@@ -133,8 +132,8 @@ func TestScrubKeyOutcomes(t *testing.T) {
 			want:    scrub.Report{Scanned: 1, Repaired: 1, Rewritten: 2},
 			repairs: 1,
 		},
-		"verify-unsupported-falls-back-to-repair": {
-			verify: func(string) (bool, error) { return false, unsupported },
+		"verify-error-falls-back-to-repair": {
+			verify: func(string) (bool, error) { return false, core.ErrUnavailable },
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{Checked: 3, Missing: 1, Rewritten: 1}, nil
 			},
