@@ -33,6 +33,13 @@ type subOp struct {
 	// bisected batch wraps it again).
 	rawChunk bool
 
+	// leased marks req.Value as a payload the strategy encoded into a
+	// frame-pool lease (a delta patch): the executor hands the lease over
+	// with the frame, which releases it once written or abandoned — or
+	// returns it itself after copying the value into a batch payload.
+	// Either way the value is gone once the round is issued.
+	leased bool
+
 	// resp is the sub-response when err is nil; err is the
 	// transport-level failure (server down, timeout, malformed frame)
 	// that prevented any authoritative answer. Status-level outcomes
@@ -44,7 +51,7 @@ type subOp struct {
 
 	// next chains the sub-ops sharing one frame (-1 ends the chain);
 	// planned marks a sub-op already placed in a frame of this round;
-	// call, on the first sub-op of a frame, is that frame in flight.
+	// call, on the first sub-op of a frame, is that frame's call slot.
 	next    int
 	planned bool
 	call    *rpc.Call
@@ -91,11 +98,18 @@ func (op *subOp) fail() error {
 // its strategy needs (failover walks, parity rounds, unwinds, purges).
 //
 // Executor rules: every frame of a round is issued before any is
-// waited on, all on the calling goroutine; a frame that would carry
-// exactly one sub-op is sent as that op's plain frame (no batch
+// waited on, all on the calling goroutine, which then parks once for
+// the whole round under the round's one deadline; a frame that would
+// carry exactly one sub-op is sent as that op's plain frame (no batch
 // wrapper), anything larger as one OpBatch per server within the
 // size/count budget; response bodies stay leased until release; a
 // whole-frame rejection is retried by bisection.
+//
+// The batcher also owns the memory its calls run in: the rpc round and
+// one call slot per frame. A slot serves one call only (rpc.Call says
+// why), so slots are handed out and never taken back, and the batcher
+// itself is an ordinary allocation per operation — never pooled, or a
+// response arriving late could land in another operation's call.
 type batcher struct {
 	c     *Client
 	om    *opMetrics // the calling op's metrics, set by begin
@@ -108,24 +122,40 @@ type batcher struct {
 
 	request, wait, code time.Duration
 
-	// The round in progress: its epoch and per-call deadline.
+	// The round in progress: its epoch, its deadline, and the rpc round
+	// its frames are calls of.
 	epoch   uint64
 	timeout time.Duration
+	round   rpc.Round
 
 	leases []*wire.Response
 	reqs   []wire.BatchReq // scratch for batch encoding
+	free   []rpc.Call      // call slots not handed out yet
 
-	// Backing for leases while they are few: a round of one key holds
-	// K+M at most, and should not pay a slice's growth for them.
+	// Backing for leases and slots while they are few: one key's rounds
+	// take K+M of each at most, and should not pay an allocation apiece.
 	leaseBuf [8]*wire.Response
+	slotBuf  [8]rpc.Call
 }
 
 // begin opens the batcher of one operation, labelled op: timed from
 // here, so the ARPE window wait is not charged to the op.
 func (c *Client) begin(op string) *batcher {
 	b := &batcher{c: c, om: c.ops[op], start: time.Now()}
-	b.leases = b.leaseBuf[:0]
+	b.leases, b.free = b.leaseBuf[:0], b.slotBuf[:]
 	return b
+}
+
+// slot hands out a fresh call slot: from the batcher's own array while
+// it lasts, then from heap chunks (a slot must not move while its call
+// is in flight, so the supply grows by whole chunks, never by append).
+func (b *batcher) slot() *rpc.Call {
+	if len(b.free) == 0 {
+		b.free = make([]rpc.Call, len(b.slotBuf))
+	}
+	c := &b.free[0]
+	b.free = b.free[1:]
+	return c
 }
 
 // batchBytesBudget bounds one OpBatch frame's encoded payload; batches
@@ -147,7 +177,7 @@ func batchableOp(op wire.Op) bool {
 	}
 }
 
-// send executes one round under the client's per-call deadline. All
+// send executes one round under the client's operation deadline. All
 // sub-ops of a round come from ONE view snapshot, whose epoch rides on
 // every frame so a server whose ring differs rejects it with
 // WrongEpoch (zero = epoch-unaware: the rpc pool stamps the current
@@ -157,23 +187,27 @@ func (b *batcher) send(ops []subOp, epoch uint64) {
 }
 
 // sendWithin groups ops by target server, issues every frame, waits
-// for every response and fills the results in place — the round costs
-// one round trip to the slowest server, not a sum.
+// once for all of them and fills the results in place — the round costs
+// one round trip to the slowest server, not a sum, and one wake-up, not
+// one per frame. timeout bounds the round from its first frame: a frame
+// issued late gets what is left.
 func (b *batcher) sendWithin(ops []subOp, epoch uint64, timeout time.Duration) {
 	if len(ops) == 0 {
 		return
 	}
 	start := time.Now()
 	b.epoch, b.timeout = epoch, timeout
+	b.c.pool.BeginTimeout(&b.round, timeout)
 	for i := range ops {
 		if !ops[i].planned {
 			b.issueServer(ops, i)
 		}
 	}
 	issued := time.Now()
+	b.round.Wait()
 	for i := range ops {
 		if ops[i].call != nil {
-			b.await(ops, i)
+			b.collect(ops, i)
 		}
 	}
 	b.request += issued.Sub(start)
@@ -220,9 +254,10 @@ func (b *batcher) issueServer(ops []subOp, i int) {
 }
 
 // issueFrame sends the n sub-ops chained from ops[first] as one frame —
-// the sub-op's own plain frame when n is one, an OpBatch otherwise —
-// and leaves the call in flight on ops[first] for the round's wait
-// pass. On a send failure every sub-op is marked failed instead.
+// the sub-op's own plain frame when n is one, an OpBatch otherwise — as
+// a call of the round in progress, and leaves its slot on ops[first]
+// for collect. A payload that cannot be built marks every sub-op failed
+// instead; a send that fails is the call's outcome.
 func (b *batcher) issueFrame(ops []subOp, first, n int) {
 	op := &ops[first]
 	fp := b.c.pool.FramePool()
@@ -232,6 +267,8 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		req.TTLSeconds, req.Compare, req.Meta = op.req.TTLSeconds, op.req.Compare, op.req.Meta
 		if op.rawChunk {
 			req.Value, req.ValuePool = wire.EncodeChunkPayloadPooled(fp, op.req.Meta, op.req.Value), fp
+		} else if op.leased {
+			req.ValuePool = fp
 		}
 	} else {
 		b.reqs = b.reqs[:0]
@@ -253,7 +290,7 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		payload, err := wire.AppendBatchRequests(buf, b.reqs)
 		if fp != nil {
 			for i, j := first, 0; i >= 0; i, j = ops[i].next, j+1 {
-				if ops[i].rawChunk {
+				if ops[i].rawChunk || ops[i].leased {
 					fp.Put(b.reqs[j].Value) // copied into the batch payload
 				}
 			}
@@ -267,12 +304,10 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		}
 		req.Op, req.Key, req.Value, req.ValuePool = wire.OpBatch, "batch", payload, fp
 	}
-	call, err := b.c.pool.SendTimeout(op.addr, req, b.timeout)
-	if err != nil {
-		failChain(ops, first, err)
-		return
+	op.call = b.slot()
+	if !b.round.Issue(op.call, op.addr, req) {
+		return // never framed; collect reads why from the slot
 	}
-	op.call = call
 	b.frames++
 	if b.bulk && (n > 1 || batchableOp(op.req.Op)) {
 		// Sub-ops per batch frame; a batchable group of one counts as a
@@ -288,20 +323,19 @@ func failChain(ops []subOp, first int, err error) {
 	}
 }
 
-// await waits out the frame in flight on ops[first] and distributes
-// its sub-responses, which alias the pooled body until release. A
-// whole-frame status error on a batch — the batch itself was rejected,
-// or its aggregate response outgrew the frame — is retried by
-// bisection: the halves re-send as smaller frames, down to plain ones.
+// collect reads the outcome of the frame issued from ops[first], once
+// its round has been waited out, and distributes its sub-responses,
+// which alias the pooled body until release. A whole-frame status error
+// on a batch — the batch itself was rejected, or its aggregate response
+// outgrew the frame — is retried by bisection: the halves re-send as
+// smaller frames, down to plain ones, each a round of its own.
 // Re-sending is safe: batch rejection means no sub-op executed, and a
 // response-overflow re-send repeats idempotent reads or re-applies the
 // same versioned writes.
-func (b *batcher) await(ops []subOp, first int) {
-	call := ops[first].call
+func (b *batcher) collect(ops []subOp, first int) {
+	resp, err := ops[first].call.Result()
 	ops[first].call = nil
-	resp, err := call.Wait()
 	if err != nil {
-		resp.Release()
 		failChain(ops, first, err)
 		return
 	}
@@ -327,7 +361,8 @@ func (b *batcher) await(ops []subOp, first int) {
 			}
 			return
 		}
-		// Cut the chain in two and re-send each half synchronously.
+		// Cut the chain in two and re-send each half synchronously, as a
+		// round of its own (the round that carried the whole is over).
 		mid := first
 		for i := 1; i < n/2; i++ {
 			mid = ops[mid].next
@@ -335,8 +370,11 @@ func (b *batcher) await(ops []subOp, first int) {
 		second := ops[mid].next
 		ops[mid].next = -1
 		for _, half := range [2][2]int{{first, n / 2}, {second, n - n/2}} {
-			if b.issueFrame(ops, half[0], half[1]); ops[half[0]].call != nil {
-				b.await(ops, half[0])
+			b.c.pool.BeginTimeout(&b.round, b.timeout)
+			b.issueFrame(ops, half[0], half[1])
+			b.round.Wait()
+			if ops[half[0]].call != nil {
+				b.collect(ops, half[0])
 			}
 		}
 		return

@@ -350,6 +350,8 @@ func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, cur, prev []str
 	stripes := make([]uint64, 2*n)
 	at = [2][]uint64{stripes[:n], stripes[n:]}
 	ops := make([]subOp, 0, 2*n)
+	var keyBuf [8]string
+	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
 	for s, placement := range [2][]string{cur, prev} {
 		for i, addr := range placement {
 			if s == 1 && addr == cur[i] {
@@ -357,7 +359,7 @@ func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, cur, prev []str
 			}
 			// key is the location's slot in stripes.
 			ops = append(ops, subOp{addr: addr, key: s*n + i, req: wire.BatchReq{
-				Op: wire.OpGetChunk, Key: wire.ChunkKey(key, i),
+				Op: wire.OpGetChunk, Key: keys[i],
 			}})
 		}
 	}
@@ -395,7 +397,7 @@ func (e *ecStrategy) verify(b *batcher, key string) (bool, error) {
 		}
 	}
 	start := time.Now()
-	ok, err := e.code.Verify(win.Chunks)
+	ok, err := e.code.Verify(win.Chunks())
 	b.code += time.Since(start)
 	return ok, err
 }
@@ -471,17 +473,18 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 	// time-ordered, and a newer one is a concurrent overwrite the current
 	// ring already routed correctly.
 	var need, lost []int
+	chunks := win.Chunks()
 	for i, held := range at[0] {
 		if held != win.Stripe && (old == nil || held < win.Stripe) {
 			need = append(need, i)
 		}
-		if win.Chunks[i] == nil {
+		if chunks[i] == nil {
 			lost = append(lost, i)
 		}
 	}
 	if len(need) > 0 && len(lost) > 0 {
 		start := time.Now()
-		if err := e.code.Reconstruct(win.Chunks); err != nil {
+		if err := e.code.Reconstruct(chunks); err != nil {
 			return v, err
 		}
 		b.code += time.Since(start)
@@ -491,7 +494,7 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 		// every write has completed. Surviving chunks are network-owned.
 		defer func() {
 			for _, i := range lost {
-				erasure.DefaultPool.Put(win.Chunks[i])
+				erasure.DefaultPool.Put(chunks[i])
 			}
 		}()
 	}
@@ -504,7 +507,7 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 		// The executor wraps each chunk in its payload as it issues the
 		// frame.
 		refills[j] = subOp{addr: cur[i], rawChunk: true, req: wire.BatchReq{
-			Op: wire.OpSetChunk, Key: wire.ChunkKey(key, i), Value: win.Chunks[i],
+			Op: wire.OpSetChunk, Key: wire.ChunkKey(key, i), Value: chunks[i],
 			TTLSeconds: win.TTL, Meta: cm,
 		}}
 		if old != nil {

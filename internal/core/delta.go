@@ -7,7 +7,6 @@ import (
 
 	"ecstore/internal/erasure"
 	"ecstore/internal/nearcache"
-	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
 
@@ -136,9 +135,6 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 	if patchBytes*deltaMaxPatchFraction >= len(value) {
 		return e.deltaFallback("oversized")
 	}
-	encoded := time.Now()
-	b.code += encoded.Sub(start)
-
 	placement, epoch := c.placement(key, n)
 	if placement == nil {
 		return e.deltaFallback("error")
@@ -149,50 +145,27 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 		TotalLen: uint32(len(value)),
 		Stripe:   wire.NewStripeID(),
 	}
-	calls := make([]*rpc.Call, 0, n)
-	var firstErr error
-	for i, addr := range placement {
-		cm := meta
-		cm.ChunkIndex = uint8(i)
-		fp := c.pool.FramePool()
-		call, err := c.pool.Send(addr, &wire.Request{
-			Op:         wire.OpApplyDelta,
-			Key:        wire.ChunkKey(key, i),
-			Value:      wire.EncodeDeltaPatchPooled(fp, uint32(per), runs[i]),
-			ValuePool:  fp,
-			TTLSeconds: ttlSeconds(ttl),
-			Compare:    base.Version,
-			Meta:       cm,
-			Epoch:      epoch,
-		})
-		if err != nil {
-			firstErr = fmt.Errorf("chunk %d delta to %s: %w", i, addr, err)
-			break
-		}
-		calls = append(calls, call)
-	}
-	issued := time.Now()
-	b.request += issued.Sub(encoded)
+	// One round: a patch per chunk holder, each conditional on the base
+	// stripe. OpApplyDelta is not batchable, so every patch rides in its
+	// own frame, which takes over the patch's lease.
+	var buf roundBuf
+	ops := e.deltaRound(roundOps(&buf, n), key, placement, runs, per, ttlSeconds(ttl), base.Version, meta)
+	b.code += time.Since(start)
+	b.send(ops, epoch)
 	conflicts, missing := 0, 0
-	for i, call := range calls {
-		resp, err := call.Wait()
-		if err == nil {
-			err = resp.Err()
-		}
-		resp.Release()
-		switch {
+	var firstErr error
+	for i := range ops {
+		switch err := ops[i].fail(); {
 		case err == nil:
 		case errors.Is(err, wire.ErrExists):
 			conflicts++
 		case errors.Is(err, wire.ErrNotFound):
 			missing++
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("chunk %d delta write: %w", i, err)
-			}
+		case firstErr == nil:
+			firstErr = fmt.Errorf("chunk %d delta write: %w", i, err)
 		}
 	}
-	b.wait += time.Since(issued)
+	b.release()
 
 	if conflicts == 0 && missing == 0 && firstErr == nil {
 		full := int64(n) * int64(wire.ChunkPayloadOverhead+per)
@@ -203,7 +176,7 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 		return meta.Stripe, nil
 	}
 
-	e.unwindDelta(key, placement, runs, per, base, meta, len(calls), epoch)
+	e.unwindDelta(b, key, placement, runs, per, base, meta, epoch)
 	switch {
 	case conflicts > 0 && isCas:
 		return 0, ErrCASConflict
@@ -230,41 +203,44 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 // A delete-based unwind would be UNSAFE here: with j new-stripe chunks
 // committed, M < j < K+M-x deletes could leave NEITHER stripe with K
 // chunks — the inverse patch restores instead of removing.
-func (e *ecStrategy) unwindDelta(key string, placement []string, runs [][]wire.DeltaRun, shardLen int, base nearcache.Value, meta wire.ECMeta, issued int, epoch uint64) {
+func (e *ecStrategy) unwindDelta(b *batcher, key string, placement []string, runs [][]wire.DeltaRun, shardLen int, base nearcache.Value, meta wire.ECMeta, epoch uint64) {
 	e.c.mUnwinds.Inc()
-	// Same budget as unwindStripes: half a deadline keeps the whole
-	// write within the documented 2x OpTimeout bound.
-	timeout := e.c.cfg.OpTimeout / 2
 	inv := wire.ECMeta{
 		K:        meta.K,
 		M:        meta.M,
 		TotalLen: uint32(len(base.Data)),
 		Stripe:   base.Version,
 	}
-	calls := make([]*rpc.Call, 0, issued)
-	for i := 0; i < issued; i++ {
-		cm := inv
-		cm.ChunkIndex = uint8(i)
-		fp := e.c.pool.FramePool()
-		call, err := e.c.pool.SendTimeout(placement[i], &wire.Request{
+	var buf roundBuf
+	// Only chunks that committed the delta (Compare = the new stripe)
+	// roll back.
+	ops := e.deltaRound(roundOps(&buf, len(placement)), key, placement, runs, shardLen, base.TTL, meta.Stripe, inv)
+	// Same budget as unwindStripes: half a deadline keeps the whole
+	// write within the documented 2x OpTimeout bound.
+	b.sendWithin(ops, epoch, e.c.cfg.OpTimeout/2)
+	b.release()
+}
+
+// deltaRound appends one OpApplyDelta per chunk holder to ops: chunk
+// i's runs as a patch leased from the frame pool, conditional on the
+// holder's chunk being at stripe compare, installing meta (with the
+// chunk's index).
+func (e *ecStrategy) deltaRound(ops []subOp, key string, placement []string, runs [][]wire.DeltaRun, shardLen int, ttl uint32, compare uint64, meta wire.ECMeta) []subOp {
+	fp := e.c.pool.FramePool()
+	var keyBuf [8]string
+	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, len(placement))
+	for i, addr := range placement {
+		meta.ChunkIndex = uint8(i)
+		ops = append(ops, subOp{addr: addr, leased: true, req: wire.BatchReq{
 			Op:         wire.OpApplyDelta,
-			Key:        wire.ChunkKey(key, i),
+			Key:        keys[i],
 			Value:      wire.EncodeDeltaPatchPooled(fp, uint32(shardLen), runs[i]),
-			ValuePool:  fp,
-			TTLSeconds: base.TTL,
-			Compare:    meta.Stripe, // only chunks that committed the delta roll back
-			Meta:       cm,
-			Epoch:      epoch,
-		}, timeout)
-		if err != nil {
-			continue
-		}
-		calls = append(calls, call)
+			TTLSeconds: ttl,
+			Compare:    compare,
+			Meta:       meta,
+		}})
 	}
-	for _, call := range calls {
-		resp, _ := call.Wait()
-		resp.Release()
-	}
+	return ops
 }
 
 // recordDeltaBase re-installs the value a successful Set/Cas just

@@ -85,6 +85,7 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	// The common few-writes call keeps its split handles on the stack.
 	var splitBuf [4]*erasure.PooledShards
 	splits := splitBuf[:0]
+	var keyBuf [8]string // one key's chunk keys: substrings of one string
 	start := time.Now()
 	for i, w := range writes {
 		if out[i].err != errDeltaFallback {
@@ -110,12 +111,13 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			TotalLen: uint32(len(w.value)),
 			Stripe:   wire.NewStripeID(),
 		}
+		keys := wire.AppendChunkKeys(keyBuf[:0], w.key, 0, n)
 		for j, addr := range placement {
 			cm := meta
 			cm.ChunkIndex = uint8(j)
 			ops = append(ops, subOp{addr: addr, key: i, rawChunk: true, req: wire.BatchReq{
 				Op:         wire.OpSetChunk,
-				Key:        wire.ChunkKey(w.key, j),
+				Key:        keys[j],
 				Value:      ps.Shards[j],
 				TTLSeconds: ttlSeconds(w.ttl),
 				Meta:       cm,
@@ -160,11 +162,13 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 	e.c.mUnwinds.Add(int64(len(dead)))
 	var buf roundBuf
 	ops := roundOps(&buf, len(dead)*(e.k+e.m))
+	var keyBuf [8]string
 	for _, d := range dead {
+		keys := wire.AppendChunkKeys(keyBuf[:0], d.key, 0, len(d.placement))
 		for j, addr := range d.placement {
 			ops = append(ops, subOp{addr: addr, req: wire.BatchReq{
 				Op:   wire.OpDelete,
-				Key:  wire.ChunkKey(d.key, j),
+				Key:  keys[j],
 				Meta: wire.ECMeta{Stripe: d.stripe},
 			}})
 		}
@@ -266,6 +270,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys)*e.k) // the parity round, when needed, may grow it
+	var keyBuf [8]string
 	fetch := func(lo, hi int) {
 		ops = ops[:0]
 		for i, key := range keys {
@@ -273,9 +278,10 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			if st.placement == nil || st.Best() != nil {
 				continue
 			}
+			chunkKeys := wire.AppendChunkKeys(keyBuf[:0], key, lo, hi)
 			for j := lo; j < hi; j++ {
 				ops = append(ops, subOp{addr: st.placement[j], key: i, req: wire.BatchReq{
-					Op: wire.OpGetChunk, Key: wire.ChunkKey(key, j),
+					Op: wire.OpGetChunk, Key: chunkKeys[j-lo],
 				}})
 			}
 		}
@@ -317,7 +323,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		}
 		// Degraded read: rebuild only the missing data chunks (parity is
 		// not needed once the value is joined).
-		chunks := win.Chunks
+		chunks := win.Chunks()
 		var rebuilt []int
 		for j := 0; j < e.k; j++ {
 			if chunks[j] == nil {
@@ -399,15 +405,17 @@ func (e *ecStrategy) del(b *batcher, keys []string) []result {
 	ring, epoch := e.c.placementSnapshot()
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys)*n)
+	var keyBuf [8]string
 	for i, key := range keys {
 		placement := placementOn(ring, key, n)
 		if placement == nil {
 			out[i].err = ErrUnavailable
 			continue
 		}
+		chunkKeys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
 		for j, addr := range placement {
 			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{
-				Op: wire.OpDelete, Key: wire.ChunkKey(key, j),
+				Op: wire.OpDelete, Key: chunkKeys[j],
 			}})
 		}
 	}
@@ -500,8 +508,7 @@ func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.D
 	if err := e.code.Encode(shards); err != nil {
 		return 0, err
 	}
-	encoded := time.Now()
-	b.code += encoded.Sub(start)
+	b.code += time.Since(start)
 	e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(shards[0])))
 
 	meta := wire.ECMeta{
@@ -510,51 +517,40 @@ func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.D
 		TotalLen: uint32(len(value)),
 		Stripe:   wire.NewStripeID(),
 	}
-	calls := make([]*rpc.Call, 0, n)
-	var firstErr error
+	// One round of per-holder conditional writes; the executor wraps each
+	// chunk as it issues its frame.
+	var buf roundBuf
+	ops := roundOps(&buf, n)
+	var keyBuf [8]string
+	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
 	for i, addr := range placement {
 		cm := meta
 		cm.ChunkIndex = uint8(i)
-		fp := e.c.pool.FramePool()
-		call, err := e.c.pool.Send(addr, &wire.Request{
+		ops = append(ops, subOp{addr: addr, rawChunk: true, req: wire.BatchReq{
 			Op:         wire.OpCompareSet,
-			Key:        wire.ChunkKey(key, i),
-			Value:      wire.EncodeChunkPayloadPooled(fp, cm, shards[i]),
-			ValuePool:  fp,
+			Key:        keys[i],
+			Value:      shards[i],
 			TTLSeconds: ttlSeconds(ttl),
 			Compare:    expect,
 			Meta:       cm,
-			Epoch:      epoch,
-		})
-		if err != nil {
-			firstErr = fmt.Errorf("chunk %d to %s: %w", i, addr, err)
-			break
-		}
-		calls = append(calls, call)
+		}})
 	}
-	issued := time.Now()
-	b.request += issued.Sub(encoded)
+	b.send(ops, epoch)
 	conflicts, priors := 0, 0
-	for i, call := range calls {
-		resp, err := call.Wait()
-		if err == nil {
-			err = resp.Err()
-		}
-		switch {
+	var firstErr error
+	for i := range ops {
+		switch err := ops[i].fail(); {
 		case err == nil:
-			if resp.Meta.Stripe != 0 {
+			if ops[i].resp.Meta.Stripe != 0 {
 				priors++ // this holder really held the old stripe
 			}
 		case errors.Is(err, wire.ErrExists):
 			conflicts++
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("chunk %d conditional write: %w", i, err)
-			}
+		case firstErr == nil:
+			firstErr = fmt.Errorf("chunk %d conditional write: %w", i, err)
 		}
-		resp.Release()
 	}
-	b.wait += time.Since(issued)
+	b.release()
 	switch {
 	case conflicts > 0:
 		firstErr = ErrCASConflict

@@ -58,79 +58,100 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 	waitPoolBaseline(t, baseline)
 }
 
-// TestSingleKeyCostThroughExecutor pins what one key costs on the path
-// every operation shares: heap allocations of a blocking era-ce-cd 1 KB
-// Get and Set on a 5-server in-proc cluster (client and servers share
-// the process, so the servers' allocations are counted too), and that
-// neither a Get nor a 16-key MGet leaves or spawns a goroutine — the
-// executor issues and waits on the caller's. bench/ is a nested module
-// outside `go test ./...`; this is its tier-1 stand-in for allocs/op.
+// TestSingleKeyCostThroughExecutor pins what an operation costs on the
+// path every operation shares: heap allocations per blocking call on a
+// 5-server in-proc cluster (client and servers share the process, so
+// the servers' allocations are counted too), and that neither a Get nor
+// a 16-key MGet leaves or spawns a goroutine — the executor issues and
+// waits on the caller's. bench/ is a nested module outside
+// `go test ./...`; these rows are its tier-1 stand-ins for allocs/op:
+// the era-ce-cd pair for ycsb-b-1k, the hybrid MGet (two of its sixteen
+// keys above the threshold, so both representations answer) for
+// proxy-mget below the proxy.
 func TestSingleKeyCostThroughExecutor(t *testing.T) {
-	// Measured at the commit before single-key ops moved onto the batch
-	// executor (Get 63, Set 105), plus 2 of headroom.
-	const maxGetAllocs, maxSetAllocs = 65, 107
-
 	cl := startCluster(t, 5)
-	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2,
-		DisableDeltaWrites: true,
-	})
-	value := bytes.Repeat([]byte("v"), 1<<10)
+	small := bytes.Repeat([]byte("v"), 1<<10)
+	large := bytes.Repeat([]byte("V"), 32<<10)
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("cost-%d", i)
-		if err := c.Set(keys[i], value); err != nil {
-			t.Fatal(err)
-		}
 	}
-	get := func() {
-		if _, err := c.Get(keys[0]); err != nil {
-			t.Fatal(err)
-		}
+	// Ceilings are the counts measured when call slots moved into the
+	// batcher, plus 2 of headroom; the commit before measured 62 / 106 /
+	// 25 / 60 / 425 / 550.
+	rows := []struct {
+		name   string
+		mode   core.Config
+		mixed  bool // every eighth key holds the large value
+		op     string
+		allocs float64
+	}{
+		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 15},
+		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 21},
+		{"sync-rep Get", allModes()["sync-rep"], false, "get", 14},
+		{"sync-rep Set", allModes()["sync-rep"], false, "set", 16},
+		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 199},
+		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 190},
 	}
-	set := func() {
-		if err := c.Set(keys[0], value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mget := func() {
-		if found, err := c.MGet(keys); err != nil || len(found) != len(keys) {
-			t.Fatalf("MGet: %d found, %v", len(found), err)
-		}
-	}
-	// Warm the connections, pools and lazily started workers.
-	for i := 0; i < 20; i++ {
-		get()
-		set()
-		mget()
-	}
-
-	// The race detector's instrumentation allocates; the counts are
-	// pinned without it.
-	if !raceEnabled {
-		if got := testing.AllocsPerRun(200, get); got > maxGetAllocs {
-			t.Errorf("Get allocates %.0f objects, want <= %d", got, maxGetAllocs)
-		} else {
-			t.Logf("Get allocates %.0f objects", got)
-		}
-		if got := testing.AllocsPerRun(200, set); got > maxSetAllocs {
-			t.Errorf("Set allocates %.0f objects, want <= %d", got, maxSetAllocs)
-		} else {
-			t.Logf("Set allocates %.0f objects", got)
-		}
-	}
-
-	for name, op := range map[string]func(){"Get": get, "MGet": mget} {
-		before := runtime.NumGoroutine()
-		sawMore := false
-		for i := 0; i < 50; i++ {
-			op()
-			if runtime.NumGoroutine() != before {
-				sawMore = true
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.mode
+			cfg.DisableDeltaWrites = true
+			c := newClient(t, cl, cfg)
+			for i, key := range keys {
+				value := small
+				if row.mixed && i%8 == 0 {
+					value = large
+				}
+				if err := c.Set(key, value); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if sawMore {
-			t.Errorf("%s changed the goroutine count (was %d, now %d)", name, before, runtime.NumGoroutine())
-		}
+			ops := map[string]func(){
+				"get": func() {
+					if _, err := c.Get(keys[1]); err != nil {
+						t.Fatal(err)
+					}
+				},
+				"set": func() {
+					if err := c.Set(keys[1], small); err != nil {
+						t.Fatal(err)
+					}
+				},
+				"mget": func() {
+					if found, err := c.MGet(keys); err != nil || len(found) != len(keys) {
+						t.Fatalf("MGet: %d found, %v", len(found), err)
+					}
+				},
+			}
+			op := ops[row.op]
+			// Warm the connections, pools and lazily started workers.
+			for i := 0; i < 20; i++ {
+				op()
+			}
+			// The race detector's instrumentation allocates; the counts
+			// are pinned without it.
+			if !raceEnabled {
+				if got := testing.AllocsPerRun(200, op); got > row.allocs {
+					t.Errorf("allocates %.0f objects, want <= %.0f", got, row.allocs)
+				} else {
+					t.Logf("allocates %.0f objects", got)
+				}
+			}
+			if row.op == "set" {
+				return
+			}
+			before := runtime.NumGoroutine()
+			sawMore := false
+			for i := 0; i < 50; i++ {
+				op()
+				if runtime.NumGoroutine() != before {
+					sawMore = true
+				}
+			}
+			if sawMore {
+				t.Errorf("changed the goroutine count (was %d, now %d)", before, runtime.NumGoroutine())
+			}
+		})
 	}
 }

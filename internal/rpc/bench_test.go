@@ -102,29 +102,26 @@ func BenchmarkInFlightWindow(b *testing.B) {
 					wg.Add(1)
 					go func(ops int) {
 						defer wg.Done()
-						calls := make([]*Call, 0, window/senders)
-						drain := func() {
-							for _, c := range calls {
-								resp, err := c.Wait()
+						// The window is a round: its slots are taken fresh each
+						// time (a slot serves one call), all issued, waited once.
+						var round Round
+						for left := ops; left > 0; {
+							calls := make([]Call, min(left, window/senders))
+							left -= len(calls)
+							p.Begin(&round)
+							for i := range calls {
+								round.Issue(&calls[i], "echo", &wire.Request{Op: wire.OpSet, Key: "bench", Value: value})
+							}
+							round.Wait()
+							for i := range calls {
+								resp, err := calls[i].Result()
 								if err != nil {
 									b.Error(err)
 									return
 								}
 								releaseBench(resp)
 							}
-							calls = calls[:0]
 						}
-						for i := 0; i < ops; i++ {
-							call, err := p.Send("echo", &wire.Request{Op: wire.OpSet, Key: "bench", Value: value})
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							if calls = append(calls, call); len(calls) == cap(calls) {
-								drain()
-							}
-						}
-						drain()
 					}(b.N / senders)
 				}
 				wg.Wait()

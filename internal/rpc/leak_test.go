@@ -84,9 +84,9 @@ func TestLeaseBalanceSendFailure(t *testing.T) {
 	// value lease.
 	for i := 0; i < DefaultFailureThreshold+3; i++ {
 		value := pool.GetRaw(1024)
-		_, err := p.Send("nobody-home", &wire.Request{
+		_, err := send(p, "nobody-home", &wire.Request{
 			Op: wire.OpSet, Key: "k", Value: value, ValuePool: pool,
-		})
+		}).wait()
 		if err == nil {
 			t.Fatal("send to unreachable server succeeded")
 		}
@@ -139,17 +139,22 @@ func TestLeaseBalanceTimeoutThenLateResponse(t *testing.T) {
 	defer p.Close()
 
 	value := pool.GetRaw(2048)
-	call, err := p.SendTimeout("slow", &wire.Request{
+	call := sendTimeout(p, "slow", &wire.Request{
 		Op: wire.OpSet, Key: "k", Value: value, ValuePool: pool,
 	}, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call.Wait(); !errors.Is(err, ErrTimeout) {
+	if _, err := call.wait(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want timeout, got %v", err)
 	}
 	// The late response's pooled body must be released by the read
 	// loop once it finds nobody waiting.
+	waitBalance(t, pool)
+
+	// And when thousands of responses race their deadlines, each body is
+	// released exactly once whichever side wins: by the caller that got
+	// it, or by the reader that found the call already timed out.
+	storm := NewPool(n, WithFramePool(pool), WithFailureThreshold(1<<30))
+	defer storm.Close()
+	raceDeadlines(t, storm, n, "edge")
 	waitBalance(t, pool)
 }
 
@@ -159,20 +164,19 @@ func TestLeaseBalanceConnectionTeardown(t *testing.T) {
 	pool := bufpool.New()
 	p := NewPool(n, WithFramePool(pool))
 
-	calls := make([]*Call, 0, 8)
-	for i := 0; i < 8; i++ {
+	var round Round
+	calls := make([]Call, 8)
+	p.Begin(&round)
+	for i := range calls {
 		value := pool.GetRaw(8192)
-		call, err := p.Send("mute", &wire.Request{
+		round.Issue(&calls[i], "mute", &wire.Request{
 			Op: wire.OpSet, Key: "k", Value: value, ValuePool: pool,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, call)
 	}
 	p.Close() // tears the connection down with calls in flight
-	for _, call := range calls {
-		if _, err := call.Wait(); err == nil {
+	round.Wait()
+	for i := range calls {
+		if _, err := calls[i].Result(); err == nil {
 			t.Fatal("call survived pool close")
 		}
 	}

@@ -31,7 +31,7 @@ func TestRecoveryHookFires(t *testing.T) {
 
 	// Nothing listens on "flap" yet: trip the failure threshold.
 	for i := 0; i < 3; i++ {
-		if _, err := p.Send("flap", &wire.Request{Op: wire.OpPing, Key: "k"}); !errors.Is(err, ErrServerDown) {
+		if _, err := send(p, "flap", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("failure %d: got %v", i, err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestRecoveryHookNotCalledWhenUnset(t *testing.T) {
 	defer p.Close()
 
 	for i := 0; i < 2; i++ {
-		_, _ = p.Send("ghost", &wire.Request{Op: wire.OpPing, Key: "k"})
+		_, _ = send(p, "ghost", &wire.Request{Op: wire.OpPing, Key: "k"}).wait()
 	}
 	startEcho(t, netem, "ghost")
 	deadline := time.Now().Add(5 * time.Second)

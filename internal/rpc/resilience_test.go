@@ -3,6 +3,8 @@ package rpc
 import (
 	"bufio"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,11 +48,8 @@ func TestCallTimeout(t *testing.T) {
 	p := NewPool(n, WithCallTimeout(timeout))
 	defer p.Close()
 	start := time.Now()
-	call, err := p.Send("hung", &wire.Request{Op: wire.OpPing, Key: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call.Wait(); !errors.Is(err, ErrTimeout) {
+	call := send(p, "hung", &wire.Request{Op: wire.OpPing, Key: "k"})
+	if _, err := call.wait(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	} else if !IsUnavailable(err) {
 		t.Fatal("ErrTimeout must satisfy IsUnavailable")
@@ -68,11 +67,8 @@ func TestSendTimeoutOverridesDefault(t *testing.T) {
 	// No pool-level deadline: only the per-call override bounds it.
 	p := NewPool(n)
 	defer p.Close()
-	call, err := p.SendTimeout("hung", &wire.Request{Op: wire.OpPing, Key: "k"}, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call.Wait(); !errors.Is(err, ErrTimeout) {
+	call := sendTimeout(p, "hung", &wire.Request{Op: wire.OpPing, Key: "k"}, 30*time.Millisecond)
+	if _, err := call.wait(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
 }
@@ -121,13 +117,10 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 	p := NewPool(n, WithFailureThreshold(100))
 	defer p.Close()
 
-	first, err := p.SendTimeout("slow-once", &wire.Request{
+	first := sendTimeout(p, "slow-once", &wire.Request{
 		Op: wire.OpGet, Key: "k", Value: []byte("first"),
 	}, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Wait(); !errors.Is(err, ErrTimeout) {
+	if _, err := first.wait(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("first call: got %v, want ErrTimeout", err)
 	}
 
@@ -141,8 +134,117 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 		t.Fatalf("second call got %q — late first response leaked into a later call", resp.Value)
 	}
 	// The late response must not have mutated the completed first call.
-	if r, err := first.Wait(); !errors.Is(err, ErrTimeout) || r != nil {
+	if r, err := first.wait(); !errors.Is(err, ErrTimeout) || r != nil {
 		t.Fatalf("first call changed after completion: resp=%v err=%v", r, err)
+	}
+
+	// The same, at scale and on the knife's edge: thousands of calls
+	// whose responses land around their round's deadline, so the reader
+	// and the deadline race for the same slots all the time.
+	storm := NewPool(n, WithFailureThreshold(1<<30))
+	defer storm.Close()
+	raceDeadlines(t, storm, n, "edge")
+	// A call leaves the pending table when it is answered or when its
+	// deadline forgets it, so once every round is over nothing is left —
+	// not even the entries of calls whose late answers are still on
+	// their way.
+	storm.mu.Lock()
+	mc := storm.conns["edge"]
+	storm.mu.Unlock()
+	if mc != nil {
+		mc.mu.Lock()
+		left := len(mc.pending)
+		mc.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d calls still pending after every round ended", left)
+		}
+	}
+}
+
+// raceDeadlines drives 20 000 calls through one connection of p to an
+// echo server it starts at addr, in rounds of four from eight
+// goroutines. The server answers every request after the same short
+// delay, and each goroutine steers its deadline toward the point where
+// half of its rounds time out — so responses keep landing around the
+// deadline whatever the host's speed. Every call carries a key of its
+// own as its value, which the echo returns. It fails the test unless
+// every call ends in exactly one of: its own key back, or ErrTimeout no
+// earlier than the round's deadline — never another call's bytes, never
+// a deadline that came early (a firing left over from the round before).
+// The one other outcome tolerated is the documented one of a deadline
+// that finds a frame still unsent: the connection is closed ("send
+// stalled") and its calls fail as unavailable.
+//
+// (The delay is the server's, not transport.Netem.Delay's: that one
+// sleeps once per delivery on the connection's reader, and 20 000
+// deliveries in a row would take the test half a minute.)
+func raceDeadlines(t *testing.T, p *Pool, network transport.Network, addr string) {
+	t.Helper()
+	const (
+		senders   = 8
+		perRound  = 4
+		rounds    = 20000 / senders / perRound
+		delay     = 500 * time.Microsecond
+		minBudget = delay / 2
+	)
+	startSlowEcho(t, network, addr, delay)
+	var answered, timedOut, stalled atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var round Round // one round, begun again and again with fresh slots
+			budget := 2 * delay
+			for r := 0; r < rounds; r++ {
+				calls := make([]Call, perRound)
+				start := time.Now()
+				p.BeginTimeout(&round, budget)
+				for i := range calls {
+					key := fmt.Sprintf("g%d-r%d-c%d", g, r, i)
+					round.Issue(&calls[i], addr, &wire.Request{Op: wire.OpSet, Key: key, Value: []byte(key)})
+				}
+				round.Wait()
+				elapsed := time.Since(start)
+				late := false
+				for i := range calls {
+					want := fmt.Sprintf("g%d-r%d-c%d", g, r, i)
+					resp, err := calls[i].Result()
+					switch {
+					case err == nil && string(resp.Value) == want:
+						answered.Add(1)
+					case err == nil:
+						t.Errorf("call %s was handed %q", want, resp.Value)
+					case errors.Is(err, ErrTimeout):
+						timedOut.Add(1)
+						late = true
+						if elapsed < budget {
+							t.Errorf("call %s timed out after %v of a %v deadline", want, elapsed, budget)
+						}
+					case errors.Is(err, ErrServerDown):
+						stalled.Add(1)
+					default:
+						t.Errorf("call %s ended with %v", want, err)
+					}
+					if resp, err := calls[i].Result(); err == nil {
+						resp.Release()
+					}
+				}
+				// Steer toward the edge: a round that timed out gets more
+				// time, one that did not gets less.
+				if late {
+					budget += budget / 16
+				} else if budget > minBudget {
+					budget -= budget / 16
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	a, o, s := answered.Load(), timedOut.Load(), stalled.Load()
+	t.Logf("%d calls: %d answered, %d timed out, %d on a connection closed as stalled", a+o+s, a, o, s)
+	if a == 0 || o == 0 {
+		t.Fatalf("the race was not run: %d answered, %d timed out", a, o)
 	}
 }
 
@@ -155,7 +257,7 @@ func TestSuspectFailsFastAndProbesRecover(t *testing.T) {
 
 	// Nothing is listening on "flap": every dial fails.
 	for i := 0; i < 3; i++ {
-		if _, err := p.Send("flap", &wire.Request{Op: wire.OpPing, Key: "k"}); !errors.Is(err, ErrServerDown) {
+		if _, err := send(p, "flap", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("failure %d: got %v", i, err)
 		}
 	}
@@ -167,7 +269,7 @@ func TestSuspectFailsFastAndProbesRecover(t *testing.T) {
 	// fast without a dial.
 	dials := netem.DialCount("flap")
 	for i := 0; i < 10; i++ {
-		if _, err := p.Send("flap", &wire.Request{Op: wire.OpPing, Key: "k"}); !errors.Is(err, ErrServerDown) {
+		if _, err := send(p, "flap", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("suspect send: got %v", err)
 		}
 	}

@@ -8,9 +8,15 @@
 // flight on a single connection — the transport-level analogue of the
 // paper's non-blocking RDMA verbs.
 //
-// The pool is also the failure detector: every call can carry a
-// deadline (completed with ErrTimeout by a timer when the response
-// does not arrive), and a per-server health tracker turns consecutive
+// Calls are issued in rounds: the calls one caller sends together and
+// waits for together. The caller owns the memory — a Round and one Call
+// slot per request, typically fields of the operation's own ledger — so
+// a call allocates nothing, a round has one deadline, and its waiter
+// parks once, woken by the last completion.
+//
+// The pool is also the failure detector: every round can carry a
+// deadline (its unanswered calls complete with ErrTimeout when it
+// passes), and a per-server health tracker turns consecutive
 // failures into a "suspect" state in which requests fail fast and only
 // periodic probes — spaced with exponential backoff and jitter — are
 // let through to detect recovery. Callers therefore never block
@@ -51,92 +57,237 @@ func IsUnavailable(err error) bool {
 	return errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout)
 }
 
-// Call is a pending request. Exactly one of Resp/Err is set once Done
-// is closed.
-type Call struct {
-	done chan struct{}
+// Call states. A slot is used for one call only (see Call), so the
+// state never goes back.
+const (
+	callIdle    uint32 = iota // not issued yet
+	callPending               // issued, waiting for its completion
+	callClaimed               // a completion won and is filling the slot
+	callDone                  // resp/err are final
+)
 
-	mu        sync.Mutex
-	completed bool
-	resp      *wire.Response
-	err       error
-	timer     *time.Timer
+// Call is the slot of one request: the caller provides it, Round.Issue
+// fills it in, and after Round.Wait it holds the outcome (Result). It
+// lives wherever the caller keeps it — an array beside the round, a
+// slice sized to the fan-out — so issuing a call allocates nothing.
+//
+// A slot serves ONE call, ever. The connection's reader and the round's
+// deadline each take a slot pointer under the connection lock and use it
+// after dropping that lock, so a late completion can land on a slot whose
+// round is long over. On a slot nobody reuses that is harmless (the
+// completion loses and releases its response); on a recycled slot it
+// would hand one call's answer to another. Callers therefore let used
+// slots go to the garbage collector with whatever holds them and take
+// fresh ones for the next round.
+type Call struct {
+	state atomic.Uint32
+	resp  wire.Response
+	err   error
+
+	// Set by Issue before the call can complete, never changed after.
+	round *Round
+	next  *Call // the round's list of issued calls
+	pool  *Pool
+	mc    *muxConn
+	id    uint64
+	addr  string    // for the health tracker
+	start time.Time // for the call-latency histogram
 
 	// sent is set once the call's frame has been written or handed to
 	// the connection's flusher; a deadline that fires before that found
 	// the caller still blocked on the send side.
 	sent atomic.Bool
-
-	// onDone, when non-nil, observes the completion error exactly once
-	// (the pool's health tracker). It is set before the call can
-	// complete and never mutated afterwards.
-	onDone func(error)
 }
 
-func newCall() *Call { return &Call{done: make(chan struct{})} }
+// Ready reports whether the call has completed, without blocking.
+func (c *Call) Ready() bool { return c.state.Load() == callDone }
 
-// Done returns a channel closed when the call completes.
-func (c *Call) Done() <-chan struct{} { return c.done }
+// Result returns the call's outcome. It is valid once the call's round
+// has been waited out (or Ready reports true): the response, which
+// lives in the slot, or the error that prevented one — a refused or
+// failed send, a dead connection, the round's deadline. The response's
+// Value may alias a pooled frame buffer: call Response.Release once done
+// with it (copy the value first if it outlives the call), or let the
+// garbage collector have it at the cost of a pool miss.
+func (c *Call) Result() (*wire.Response, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return &c.resp, nil
+}
 
-// Ready reports whether the call has completed without blocking.
-func (c *Call) Ready() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
+// refuse settles a call that never joined its round: the send was not
+// attempted (suspect server, dial failure).
+func (c *Call) refuse(err error) {
+	c.err = err
+	c.state.Store(callDone)
+}
+
+// settle finishes the call exactly once; a late completion (a response
+// racing the deadline, or vice versa) is dropped. It reports whether
+// this completion was the one delivered — a false return means resp was
+// NOT handed to the caller, so a pooled response must be released by
+// whoever called settle. The round's waiter is released before settle
+// returns.
+func (c *Call) settle(resp *wire.Response, err error) bool {
+	if !c.state.CompareAndSwap(callPending, callClaimed) {
 		return false
 	}
+	if resp != nil {
+		c.resp = *resp // the lease moves into the slot with it
+	}
+	c.err = err
+	c.state.Store(callDone)
+	c.round.wg.Done()
+	return true
 }
 
-// Wait blocks until the call completes and returns its response. The
-// response's Value may alias a pooled frame buffer: call
-// Response.Release once done with it (copy the value first if it
-// outlives the call), or let the garbage collector have it at the cost
-// of a pool miss.
-func (c *Call) Wait() (*wire.Response, error) {
-	<-c.done
-	return c.resp, c.err
-}
-
-// complete finishes the call exactly once; a late completion (a
-// response racing the deadline timer, or vice versa) is dropped. It
-// reports whether this completion was the one delivered — a false
-// return means resp was NOT handed to the caller, so a pooled response
-// must be released by whoever called complete.
+// complete is settle for a call that reached the wire (or its
+// connection's pending table): the outcome also feeds the pool's
+// counters, latency histogram and health tracker, after the waiter has
+// been released.
 func (c *Call) complete(resp *wire.Response, err error) bool {
-	c.mu.Lock()
-	if c.completed {
-		c.mu.Unlock()
+	if !c.settle(resp, err) {
 		return false
 	}
-	c.completed = true
-	c.resp, c.err = resp, err
-	timer := c.timer
-	c.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
+	p := c.pool
+	p.hCallSeconds.Record(time.Since(c.start))
+	switch {
+	case err == nil:
+		p.mOK.Inc()
+	case errors.Is(err, ErrTimeout):
+		p.mTimeouts.Inc()
+	default:
+		p.mCallErrors.Inc()
 	}
-	close(c.done)
-	if c.onDone != nil {
-		c.onDone(err)
+	p.observe(c.addr, err)
+	return true
+}
+
+// sendFailed settles a call that joined its round but could not be put
+// on the wire (dead connection, unencodable request): the connection is
+// dropped and the failure counts against the server.
+func (c *Call) sendFailed(err error) {
+	p := c.pool
+	p.mSendErrors.Inc()
+	p.drop(c.addr, c.mc)
+	p.observe(c.addr, err)
+	c.settle(nil, fmt.Errorf("%w: %s: %v", ErrServerDown, c.addr, err))
+}
+
+// expire is the round's deadline reaching a call that is still pending.
+// A deadline that fires while the request is still unsent means a write
+// has outlived it: the link is dead, and closing it is what lets the
+// blocked Write (and everyone queued behind it) return.
+func (c *Call) expire(timeout time.Duration) {
+	if c.Ready() {
+		return
+	}
+	c.mc.forget(c.id)
+	err := fmt.Errorf("%w after %v", ErrTimeout, timeout)
+	if c.complete(nil, err) && !c.sent.Load() {
+		c.mc.close(fmt.Errorf("%w: send stalled: %v", ErrServerDown, err))
+	}
+}
+
+// Round is a set of calls issued together and waited for together:
+// Begin (or BeginTimeout) on a pool, Issue any number of calls, Wait.
+// The round has ONE deadline, running from Begin — a call issued late in
+// a long round gets what is left of it, not a fresh one — and ONE
+// wake-up: every completion counts the round down and the last one
+// releases Wait, so the waiter parks once however many calls it sent.
+// A blocking call is a round of one. After Wait a Round may begin again
+// (with fresh slots); the zero value is ready for its first Begin. A
+// Round must not be copied once used.
+type Round struct {
+	pool *Pool
+	wg   sync.WaitGroup // calls issued and not yet settled
+
+	mu       sync.Mutex
+	open     bool  // between Begin and the end of Wait
+	expired  bool  // the deadline fired during this round
+	head     *Call // calls issued this round, newest first
+	timeout  time.Duration
+	deadline time.Time
+	timer    *time.Timer // created by the first deadline, re-armed after
+}
+
+// Begin opens r as a round of calls on p under the pool's default
+// deadline (WithCallTimeout).
+func (p *Pool) Begin(r *Round) { p.BeginTimeout(r, p.timeout) }
+
+// BeginTimeout is Begin with an explicit deadline for the round
+// (0 = none), counted from now.
+func (p *Pool) BeginTimeout(r *Round, timeout time.Duration) {
+	r.mu.Lock()
+	r.pool, r.open, r.expired, r.head, r.timeout = p, true, false, nil, timeout
+	if timeout > 0 {
+		r.deadline = time.Now().Add(timeout)
+	}
+	r.mu.Unlock()
+}
+
+// watch puts c under the round's deadline, arming it with the round's
+// first call — before that call's frame is queued, so a write that
+// sticks is covered too. It reports false when the deadline has already
+// fired: the call is out of time before it was sent.
+func (r *Round) watch(c *Call) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.expired {
+		return false
+	}
+	c.next, r.head = r.head, c
+	if c.next == nil && r.timeout > 0 {
+		if d := time.Until(r.deadline); r.timer == nil {
+			r.timer = time.AfterFunc(d, r.fire)
+		} else {
+			r.timer.Reset(d)
+		}
 	}
 	return true
 }
 
-// arm starts the deadline timer unless the call already completed.
-func (c *Call) arm(d time.Duration, expire func()) {
-	c.mu.Lock()
-	if !c.completed {
-		c.timer = time.AfterFunc(d, expire)
+// fire is the deadline: every call of the round still pending expires.
+// The timer is re-armed round after round, and stopping it does not wait
+// for a firing already on its way, so a firing that finds no round open,
+// or one whose deadline is still ahead, is a leftover of an earlier
+// round and does nothing.
+func (r *Round) fire() {
+	r.mu.Lock()
+	if !r.open || r.timeout <= 0 || time.Now().Before(r.deadline) {
+		r.mu.Unlock()
+		return
 	}
-	c.mu.Unlock()
+	r.expired = true // calls issued from here on are refused by watch
+	c, timeout := r.head, r.timeout
+	r.mu.Unlock()
+	// The list is only ever pushed at its head, and a slot's link is
+	// never rewritten (slots are not reused), so it is walked unlocked.
+	for ; c != nil; c = c.next {
+		c.expire(timeout)
+	}
+}
+
+// Wait blocks until every call issued in the round has completed — by
+// its response, its connection's failure or the round's deadline — then
+// disarms the deadline. The calls' Results are final from here on.
+func (r *Round) Wait() {
+	r.wg.Wait()
+	r.mu.Lock()
+	r.open, r.head = false, nil
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	r.mu.Unlock()
 }
 
 // Option configures a Pool.
 type Option func(*Pool)
 
-// WithCallTimeout sets the default per-call deadline; 0 (the initial
-// default) disables deadlines. SendTimeout overrides it per call.
+// WithCallTimeout sets the default deadline of a round (Begin,
+// Roundtrip); 0 (the initial default) disables deadlines. BeginTimeout
+// and RoundtripTimeout override it per round.
 func WithCallTimeout(d time.Duration) Option {
 	return func(p *Pool) { p.timeout = d }
 }
@@ -210,7 +361,7 @@ type Pool struct {
 	hCallSeconds *stats.Histogram
 
 	// epochSource, when set, supplies the sender's membership epoch;
-	// SendTimeout stamps it onto every request that is not already
+	// Issue stamps it onto every request that is not already
 	// stamped, so all call sites — strategies, bulk batches, scans —
 	// carry the epoch without threading it through each request
 	// literal. Atomic: the send path must not take the pool lock.
@@ -265,24 +416,24 @@ func NewPool(network transport.Network, opts ...Option) *Pool {
 // from it so buffers recycle within one pool.
 func (p *Pool) FramePool() *bufpool.Pool { return p.framePool }
 
-// Send issues req to addr and returns the pending Call under the
-// pool's default deadline. Dial happens lazily; a broken connection is
-// dropped so the next Send redials.
-func (p *Pool) Send(addr string, req *wire.Request) (*Call, error) {
-	return p.SendTimeout(addr, req, p.timeout)
-}
-
-// SendTimeout is Send with an explicit per-call deadline (0 = none).
-// A suspect server that is not due for a probe fails immediately with
-// an error wrapping ErrServerDown — no dial is attempted. The request is
-// written before SendTimeout returns unless another sender is already
-// writing on that connection; a failed write is reported by the Call.
+// Issue sends req to addr as one call of the round, using slot c (which
+// must be fresh: see Call). It never fails as such: whatever goes wrong —
+// a suspect server that is not due for a probe (no dial is attempted), a
+// refused dial, a dead connection, a failed write — is the call's
+// Result, an error wrapping ErrServerDown, which the caller reads with
+// every other outcome after Wait; the return value only says whether
+// the request was handed to a connection (false: refused or failed
+// before a byte was queued), for callers that count frames. Dial
+// happens lazily; a broken connection is dropped so the next Issue
+// redials. The request is written before Issue returns unless another
+// sender is already writing on that connection.
 //
 // If req.ValuePool is set, ownership of the value lease transfers to
-// the rpc layer the moment SendTimeout is called: the buffer is
-// released after the frame is written — or on any failure path — and
-// the caller must not touch req.Value afterwards, success or not.
-func (p *Pool) SendTimeout(addr string, req *wire.Request, timeout time.Duration) (*Call, error) {
+// the rpc layer the moment Issue is called: the buffer is released after
+// the frame is written — or on any failure path — and the caller must
+// not touch req.Value afterwards, success or not.
+func (r *Round) Issue(c *Call, addr string, req *wire.Request) bool {
+	p := r.pool
 	if req.Epoch == 0 {
 		if src := p.epochSource.Load(); src != nil {
 			req.Epoch = (*src)()
@@ -292,52 +443,75 @@ func (p *Pool) SendTimeout(addr string, req *wire.Request, timeout time.Duration
 	if h != nil && !h.admit(time.Now(), p.probeBase, p.probeMax) {
 		p.mFailFast.Inc()
 		req.ReleaseValue()
-		return nil, fmt.Errorf("%w: %s: suspect, awaiting probe", ErrServerDown, addr)
+		c.refuse(fmt.Errorf("%w: %s: suspect, awaiting probe", ErrServerDown, addr))
+		return false
 	}
 	mc, err := p.conn(addr)
 	if err != nil {
 		p.mSendErrors.Inc()
 		p.observe(addr, err)
 		req.ReleaseValue()
-		return nil, err
+		c.refuse(err)
+		return false
 	}
-	start := time.Now()
-	call, err := mc.send(req, timeout, func(callErr error) {
-		p.hCallSeconds.Record(time.Since(start))
-		switch {
-		case callErr == nil:
-			p.mOK.Inc()
-		case errors.Is(callErr, ErrTimeout):
-			p.mTimeouts.Inc()
-		default:
-			p.mCallErrors.Inc()
-		}
-		p.observe(addr, callErr)
-	})
+	c.round, c.pool, c.mc, c.addr, c.start = r, p, mc, addr, time.Now()
+	c.state.Store(callPending)
+	r.wg.Add(1) // before anything can settle the call
+	if err := mc.register(c, req); err != nil {
+		req.ReleaseValue()
+		c.sendFailed(err)
+		return false
+	}
+	if !r.watch(c) {
+		mc.forget(c.id)
+		req.ReleaseValue()
+		c.settle(nil, fmt.Errorf("%w: round deadline passed before the send", ErrTimeout))
+		return false
+	}
+	// Encode outside every lock so one big value can't stall unrelated
+	// calls; the frame either reaches the queue (which then owns it and
+	// any transferred value lease) or is released by the failing step.
+	frame, err := wire.EncodeRequestFrame(mc.pool, req)
 	if err != nil {
-		p.mSendErrors.Inc()
-		p.drop(addr, mc)
-		p.observe(addr, err)
-		return nil, fmt.Errorf("%w: %s: %v", ErrServerDown, addr, err)
+		mc.forget(c.id)
+		c.sendFailed(err)
+		return false
 	}
 	p.mCalls.Inc()
-	return call, nil
+	// The round's deadline is armed by now: Enqueue may write on this
+	// goroutine, or wait for room behind a write that is stuck, and the
+	// deadline covers that too.
+	if err := mc.fq.Enqueue(frame); err != nil {
+		// A write-path error kills the connection and with it every call
+		// pending on it, this one included. Wrapped, so that they all
+		// fail over (IsUnavailable).
+		mc.close(fmt.Errorf("%w: %v", ErrServerDown, err))
+		return true
+	}
+	c.sent.Store(true)
+	return true
 }
 
-// Roundtrip is Send followed by Wait, with server status mapped to an
-// error via Response.Err; the response is returned even on status
-// errors so callers can inspect metadata.
+// Roundtrip is a round of one under the pool's default deadline: issue,
+// wait, with server status mapped to an error via Response.Err; the
+// response is returned even on status errors so callers can inspect
+// metadata.
 func (p *Pool) Roundtrip(addr string, req *wire.Request) (*wire.Response, error) {
 	return p.RoundtripTimeout(addr, req, p.timeout)
 }
 
-// RoundtripTimeout is Roundtrip with an explicit per-call deadline.
+// RoundtripTimeout is Roundtrip with an explicit deadline.
 func (p *Pool) RoundtripTimeout(addr string, req *wire.Request, timeout time.Duration) (*wire.Response, error) {
-	call, err := p.SendTimeout(addr, req, timeout)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := call.Wait()
+	// The round and its slot share one allocation, which the returned
+	// response (it lives in the slot) keeps alive.
+	one := new(struct {
+		round Round
+		call  Call
+	})
+	p.BeginTimeout(&one.round, timeout)
+	one.round.Issue(&one.call, addr, req)
+	one.round.Wait()
+	resp, err := one.call.Result()
 	if err != nil {
 		return nil, err
 	}
@@ -506,46 +680,18 @@ func (mc *muxConn) broken() bool {
 	return mc.dead
 }
 
-func (mc *muxConn) send(req *wire.Request, timeout time.Duration, onDone func(error)) (*Call, error) {
-	call := newCall()
-	call.onDone = onDone
+// register enters c in the pending table under a fresh request ID,
+// which it stamps on req. It fails on a connection already torn down.
+func (mc *muxConn) register(c *Call, req *wire.Request) error {
 	mc.mu.Lock()
+	defer mc.mu.Unlock()
 	if mc.dead {
-		err := mc.deadErr
-		mc.mu.Unlock()
-		req.ReleaseValue()
-		return nil, err
+		return mc.deadErr
 	}
 	mc.nextID++
-	id := mc.nextID
-	req.ID = id
-	mc.pending[id] = call
-	mc.mu.Unlock()
-
-	// Encode outside every lock so one big value can't stall unrelated
-	// calls; the frame either reaches the queue (which then owns it and
-	// any transferred value lease) or is released by the failing step.
-	frame, err := wire.EncodeRequestFrame(mc.pool, req)
-	if err != nil {
-		// An oversized request is the caller's problem, not the link's.
-		mc.forget(id)
-		return nil, err
-	}
-	// Armed before the frame is queued: Enqueue may write on this
-	// goroutine, or wait for room behind a write that is stuck, and the
-	// caller's deadline covers that too.
-	if timeout > 0 {
-		call.arm(timeout, func() { mc.expire(id, call, timeout) })
-	}
-	if err := mc.fq.Enqueue(frame); err != nil {
-		// A write-path error kills the connection and with it every call
-		// pending on it, this one included. Wrapped, so that they all
-		// fail over (IsUnavailable); the caller reads it from Wait.
-		mc.close(fmt.Errorf("%w: %v", ErrServerDown, err))
-		return call, nil
-	}
-	call.sent.Store(true)
-	return call, nil
+	c.id, req.ID = mc.nextID, mc.nextID
+	mc.pending[c.id] = c
+	return nil
 }
 
 // forget drops id's pending entry, so a response arriving later cannot
@@ -556,23 +702,13 @@ func (mc *muxConn) forget(id uint64) {
 	mc.mu.Unlock()
 }
 
-// expire is the deadline of call id. A deadline that fires while the
-// request is still unsent means a write has outlived it: the link is
-// dead, and closing it is what lets the blocked Write (and everyone
-// queued behind it) return.
-func (mc *muxConn) expire(id uint64, call *Call, timeout time.Duration) {
-	mc.forget(id)
-	err := fmt.Errorf("%w after %v", ErrTimeout, timeout)
-	if call.complete(nil, err) && !call.sent.Load() {
-		mc.close(fmt.Errorf("%w: send stalled: %v", ErrServerDown, err))
-	}
-}
-
 func (mc *muxConn) readLoop() {
 	br := bufio.NewReaderSize(mc.conn, 64<<10)
+	// Every frame is parsed into this one response, which complete
+	// copies — lease and all — into the slot of the call it answers.
+	var resp wire.Response
 	for {
-		resp, err := wire.ReadResponsePooled(br, mc.pool)
-		if err != nil {
+		if err := resp.ReadPooled(br, mc.pool); err != nil {
 			mc.close(fmt.Errorf("%w: %v", ErrServerDown, err))
 			return
 		}
@@ -581,9 +717,9 @@ func (mc *muxConn) readLoop() {
 		delete(mc.pending, resp.ID)
 		mc.mu.Unlock()
 		// A response nobody is waiting for (late arrival after a
-		// deadline, or a lost race with the timer inside complete) must
-		// return its leased frame body itself.
-		if !ok || !call.complete(resp, nil) {
+		// deadline, or a lost race with the deadline inside complete)
+		// must return its leased frame body itself.
+		if !ok || !call.complete(&resp, nil) {
 			resp.Release()
 		}
 	}

@@ -14,9 +14,15 @@ import (
 )
 
 // startEcho runs a minimal wire-speaking server that echoes request
-// values back, with optional artificial reordering by responding to
-// even IDs after odd ones.
+// values back, each request answered from a goroutine of its own.
 func startEcho(t *testing.T, network transport.Network, addr string) {
+	t.Helper()
+	startSlowEcho(t, network, addr, 0)
+}
+
+// startSlowEcho is startEcho answering each request delay after it
+// arrived; the delays of requests in flight together overlap.
+func startSlowEcho(t *testing.T, network transport.Network, addr string, delay time.Duration) {
 	t.Helper()
 	l, err := network.Listen(addr)
 	if err != nil {
@@ -39,6 +45,7 @@ func startEcho(t *testing.T, network transport.Network, addr string) {
 						return
 					}
 					go func() {
+						time.Sleep(delay)
 						mu.Lock()
 						defer mu.Unlock()
 						_ = wire.WriteResponse(conn, &wire.Response{
@@ -49,6 +56,33 @@ func startEcho(t *testing.T, network transport.Network, addr string) {
 			}()
 		}
 	}()
+}
+
+// inflight is a round of one between its issue and its outcome: what
+// the tests hold where they need a call in flight rather than a
+// Roundtrip.
+type inflight struct {
+	round Round
+	call  Call
+}
+
+// send issues req to addr as a round of one under the pool's default
+// deadline; sendTimeout under an explicit one.
+func send(p *Pool, addr string, req *wire.Request) *inflight {
+	return sendTimeout(p, addr, req, p.timeout)
+}
+
+func sendTimeout(p *Pool, addr string, req *wire.Request, timeout time.Duration) *inflight {
+	f := new(inflight)
+	p.BeginTimeout(&f.round, timeout)
+	f.round.Issue(&f.call, addr, req)
+	return f
+}
+
+// wait returns the call's outcome once it has one.
+func (f *inflight) wait() (*wire.Response, error) {
+	f.round.Wait()
+	return f.call.Result()
 }
 
 func TestRoundtrip(t *testing.T) {
@@ -71,18 +105,18 @@ func TestManyInFlight(t *testing.T) {
 	p := NewPool(n)
 	defer p.Close()
 	const ops = 200
-	calls := make([]*Call, ops)
+	// One round of 200 calls: one deadline, one wake-up.
+	var round Round
+	calls := make([]Call, ops)
+	p.Begin(&round)
 	for i := range calls {
-		call, err := p.Send("echo", &wire.Request{
+		round.Issue(&calls[i], "echo", &wire.Request{
 			Op: wire.OpSet, Key: "k", Value: []byte(fmt.Sprintf("v%d", i)),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls[i] = call
 	}
-	for i, call := range calls {
-		resp, err := call.Wait()
+	round.Wait()
+	for i := range calls {
+		resp, err := calls[i].Result()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +156,7 @@ func TestConcurrentSenders(t *testing.T) {
 func TestDialFailure(t *testing.T) {
 	p := NewPool(transport.NewInproc(transport.Shape{}))
 	defer p.Close()
-	if _, err := p.Send("nobody", &wire.Request{Op: wire.OpPing, Key: "k"}); !errors.Is(err, ErrServerDown) {
+	if _, err := send(p, "nobody", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -143,10 +177,7 @@ func TestServerDiesMidCall(t *testing.T) {
 	}()
 	p := NewPool(n)
 	defer p.Close()
-	call, err := p.Send("dead", &wire.Request{Op: wire.OpPing, Key: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	call := send(p, "dead", &wire.Request{Op: wire.OpPing, Key: "k"})
 	// Kill the server side without responding.
 	select {
 	case c := <-accepted:
@@ -154,7 +185,7 @@ func TestServerDiesMidCall(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no connection accepted")
 	}
-	if _, err := call.Wait(); !errors.Is(err, ErrServerDown) {
+	if _, err := call.wait(); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("got %v", err)
 	}
 	// The broken connection must be dropped so a later Send redials.
@@ -173,24 +204,32 @@ func TestPoolClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := p.Send("echo", &wire.Request{Op: wire.OpPing, Key: "k"}); !errors.Is(err, transport.ErrClosed) {
+	if _, err := send(p, "echo", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
 
 func TestCallReady(t *testing.T) {
-	c := newCall()
+	n := transport.NewInproc(transport.Shape{})
+	startEcho(t, n, "echo")
+	p := NewPool(n)
+	defer p.Close()
+	var c Call
 	if c.Ready() {
 		t.Fatal("fresh call is ready")
 	}
-	c.complete(&wire.Response{Status: wire.StatusOK}, nil)
+	var round Round
+	p.Begin(&round)
+	round.Issue(&c, "echo", &wire.Request{Op: wire.OpPing, Key: "k"})
+	round.Wait()
 	if !c.Ready() {
 		t.Fatal("completed call not ready")
 	}
-	select {
-	case <-c.Done():
-	default:
-		t.Fatal("Done not closed")
+	if c.complete(&wire.Response{Status: wire.StatusNotFound}, nil) {
+		t.Fatal("a second completion was delivered")
+	}
+	if resp, err := c.Result(); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("result changed after completion: %+v, %v", resp, err)
 	}
 }
 

@@ -21,30 +21,24 @@ func TestWriteErrorFailsPendingCallsUnavailable(t *testing.T) {
 	p := NewPool(n, WithFramePool(pool))
 	defer p.Close()
 
-	inflight := make([]*Call, 2)
-	for i := range inflight {
-		call, err := p.Send("cut", &wire.Request{
+	pending := make([]*inflight, 2)
+	for i := range pending {
+		pending[i] = send(p, "cut", &wire.Request{
 			Op: wire.OpSetChunk, Key: "k", Value: pool.GetRaw(8192), ValuePool: pool,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inflight[i] = call
 	}
 	// The reader is parked in Read, so the dead link shows on the next
 	// write: the send path is what tears the connection down.
 	n.Cut("cut")
-	failing, err := p.Send("cut", &wire.Request{
+	// A failed write is the call's outcome, like any other.
+	_, err := send(p, "cut", &wire.Request{
 		Op: wire.OpSetChunk, Key: "k", Value: pool.GetRaw(8192), ValuePool: pool,
-	})
-	if err == nil {
-		_, err = failing.Wait() // a failed write is the call's outcome
-	}
+	}).wait()
 	if !IsUnavailable(err) {
 		t.Fatalf("send on a cut connection: %v", err)
 	}
-	for i, call := range inflight {
-		if _, err := call.Wait(); !IsUnavailable(err) {
+	for i, call := range pending {
+		if _, err := call.wait(); !IsUnavailable(err) {
 			t.Fatalf("in-flight call %d failed with %v, which IsUnavailable does not recognise", i, err)
 		}
 	}
@@ -108,12 +102,9 @@ func TestDeadlineCoversBlockedSend(t *testing.T) {
 	p := NewPool(n, WithCallTimeout(timeout), WithFramePool(pool))
 	defer p.Close()
 	send := func() error {
-		call, err := p.Send("wedged", &wire.Request{
+		_, err := send(p, "wedged", &wire.Request{
 			Op: wire.OpSetChunk, Key: "k", Value: pool.GetRaw(8192), ValuePool: pool,
-		})
-		if err == nil {
-			_, err = call.Wait()
-		}
+		}).wait()
 		return err
 	}
 

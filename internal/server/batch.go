@@ -44,19 +44,20 @@ func runsOnWorker(op wire.Op) bool {
 // and unbatched traffic identically. Sub-request values alias the
 // pooled batch frame body; that is safe for the same reason serve
 // releases the request before writing the response — the store copies
-// on Set, and Get returns store-owned copies, so nothing in a
-// sub-response aliases the inbound frame.
+// on Set, and Get lends the store's own immutable slice, so nothing in
+// a sub-response aliases the inbound frame.
 //
 // Failure discipline: a sub-op that fails reports its status in its
 // own slot; the frame-level response is an error only when the batch
 // itself is unusable — undecodable payload, or an aggregate response
 // too large for one frame (the client then splits and re-sends).
-func (s *Server) handleBatch(req *wire.Request) *wire.Response {
+func (s *Server) handleBatch(req *wire.Request) wire.Response {
 	subs, err := wire.DecodeBatchRequests(req.Value)
 	if err != nil {
 		return errorResponse(err)
 	}
 	resps := make([]wire.BatchResp, len(subs))
+	var one wire.Request // each sub-request in turn, as the frame it would have been
 	for i := range subs {
 		sub := &subs[i]
 		if !batchable(sub.Op) {
@@ -67,14 +68,15 @@ func (s *Server) handleBatch(req *wire.Request) *wire.Response {
 			}
 			continue
 		}
-		r := s.handle(&wire.Request{
+		one = wire.Request{
 			Op:         sub.Op,
 			Key:        sub.Key,
 			Value:      sub.Value,
 			TTLSeconds: sub.TTLSeconds,
 			Compare:    sub.Compare,
 			Meta:       sub.Meta,
-		})
+		}
+		r := s.handle(&one)
 		resps[i] = wire.BatchResp{
 			Status:     r.Status,
 			Value:      r.Value,
@@ -88,5 +90,5 @@ func (s *Server) handleBatch(req *wire.Request) *wire.Response {
 		// have landed; the client bisects the batch and re-reads.
 		return errorResponse(err)
 	}
-	return &wire.Response{Status: wire.StatusOK, Value: val}
+	return wire.Response{Status: wire.StatusOK, Value: val}
 }

@@ -49,10 +49,10 @@ func (s *Server) placement(key string, n int) ([]string, error) {
 // computes parity on its own CPU (overlapped with peer communication
 // by the worker pool), stores its own chunks locally, and distributes
 // the rest to peers with non-blocking chunk writes.
-func (s *Server) handleEncodeSet(req *wire.Request) *wire.Response {
+func (s *Server) handleEncodeSet(req *wire.Request) wire.Response {
 	k, m := int(req.Meta.K), int(req.Meta.M)
 	if k == 0 {
-		return &wire.Response{Status: wire.StatusError, Value: []byte("encode-set: missing K/M metadata")}
+		return wire.Response{Status: wire.StatusError, Value: []byte("encode-set: missing K/M metadata")}
 	}
 	code, err := s.code(k, m)
 	if err != nil {
@@ -74,72 +74,79 @@ func (s *Server) handleEncodeSet(req *wire.Request) *wire.Response {
 	meta.TotalLen = uint32(len(req.Value))
 	meta.Stripe = wire.NewStripeID()
 
-	// Issue all remote chunk writes first (non-blocking), then store
-	// local chunks while the network requests are in flight.
-	calls := make([]*rpc.Call, 0, k+m)
-	var localErr error
-	type localChunk struct {
-		idx  int
-		addr string
-	}
-	locals := make([]localChunk, 0, 2)
+	// Issue all remote chunk writes first (non-blocking, one round under
+	// one deadline), then store local chunks while the network requests
+	// are in flight. Every write is waited out, whatever the others did.
+	var round rpc.Round
+	calls := make([]rpc.Call, k+m) // slot i is chunk i's; a local chunk leaves its unused
+	s.peers.Begin(&round)
+	keys := wire.AppendChunkKeys(make([]string, 0, k+m), req.Key, 0, k+m)
 	for i, addr := range placement {
-		cm := meta
-		cm.ChunkIndex = uint8(i)
 		if addr == s.cfg.Addr {
-			locals = append(locals, localChunk{idx: i, addr: addr})
 			continue
 		}
-		// The payload buffer is leased; Send owns it on every path and
+		cm := meta
+		cm.ChunkIndex = uint8(i)
+		// The payload buffer is leased; Issue owns it on every path and
 		// the frame writer releases it once the bytes are on the wire.
-		call, err := s.peers.Send(addr, &wire.Request{
+		round.Issue(&calls[i], addr, &wire.Request{
 			Op:         wire.OpSetChunk,
-			Key:        wire.ChunkKey(req.Key, i),
+			Key:        keys[i],
 			Value:      wire.EncodeChunkPayloadPooled(s.framePool, cm, shards[i]),
 			ValuePool:  s.framePool,
 			TTLSeconds: req.TTLSeconds,
 			Meta:       cm,
 		})
-		if err != nil {
-			return errorResponse(fmt.Errorf("distribute chunk %d to %s: %w", i, addr, err))
-		}
-		calls = append(calls, call)
 	}
+	var localErr error
 	ttl := time.Duration(req.TTLSeconds) * time.Second
-	for _, lc := range locals {
+	for i, addr := range placement {
+		if addr != s.cfg.Addr {
+			continue
+		}
 		cm := meta
-		cm.ChunkIndex = uint8(lc.idx)
-		payload := wire.EncodeChunkPayloadPooled(s.framePool, cm, shards[lc.idx])
-		err := s.store.SetVersioned(wire.ChunkKey(req.Key, lc.idx), payload, ttl, cm.Stripe)
+		cm.ChunkIndex = uint8(i)
+		payload := wire.EncodeChunkPayloadPooled(s.framePool, cm, shards[i])
+		// A key of its own: the store keeps it, and keys[i] would pin the
+		// string all k+m keys share.
+		err := s.store.SetVersioned(wire.ChunkKey(req.Key, i), payload, ttl, cm.Stripe)
 		s.framePool.Put(payload) // the store copied it
 		if err != nil {
 			localErr = err
 		}
 	}
-	for _, call := range calls {
-		resp, err := call.Wait()
+	round.Wait()
+	var peerErr error
+	for i, addr := range placement {
+		if addr == s.cfg.Addr {
+			continue
+		}
+		resp, err := calls[i].Result()
 		if err == nil {
 			err = resp.Err()
 		}
 		resp.Release()
-		if err != nil {
-			return errorResponse(fmt.Errorf("peer chunk write: %w", err))
+		if err != nil && peerErr == nil {
+			peerErr = fmt.Errorf("chunk %d to %s: %w", i, addr, err)
 		}
+	}
+	if peerErr != nil {
+		return errorResponse(fmt.Errorf("peer chunk write: %w", peerErr))
 	}
 	if localErr != nil {
 		return errorResponse(localErr)
 	}
-	return &wire.Response{Status: wire.StatusOK, Meta: meta}
+	return wire.Response{Status: wire.StatusOK, Meta: meta}
 }
 
 // handleDecodeGet implements the server-side-decode half of the
 // Era-SE-SD and Era-CE-SD schemes: the primary aggregates any K of the
 // K+M chunks (local reads plus non-blocking peer reads), reconstructs
 // missing data chunks if needed, and returns the whole value.
-func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
+func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 	k, m := int(req.Meta.K), int(req.Meta.M)
 	if k == 0 {
-		return &wire.Response{Status: wire.StatusError, Value: []byte("decode-get: missing K/M metadata")}
+		return wire.Response{Status: wire.StatusError, Value: []byte("decode-get: missing K/M metadata")}
 	}
 	placement, err := s.placement(req.Key, k+m)
 	if err != nil {
@@ -148,69 +155,65 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	collector := wire.NewChunkCollector(k, k+m)
 
 	// Chunks handed to the collector alias the pooled bodies of peer
-	// responses, so those leases stay live until after Join copies the
-	// data out; only then do they go back to the pool.
-	var retained []*wire.Response
+	// responses, which live in the call slots: those leases stay live
+	// until after Join copies the data out; only then do they go back to
+	// the pool. Slot i is chunk i's — each chunk is fetched at most once,
+	// so no slot serves two calls.
+	calls := make([]rpc.Call, k+m)
 	defer func() {
-		for _, r := range retained {
-			r.Release()
+		for i := range calls {
+			if resp, err := calls[i].Result(); err == nil {
+				resp.Release()
+			}
 		}
 	}()
+	keys := wire.AppendChunkKeys(make([]string, 0, k+m), req.Key, 0, k+m)
 
-	// fetch attempts to retrieve the chunk set indexed by idxs;
-	// failures are tolerated (they are what parity is for), and
-	// chunks group by stripe so concurrent writes never tear. The TTL
-	// each chunk holder reports is kept on the collector's stripe group
-	// so the final response can carry the remaining lifetime of the
-	// winning stripe.
-	fetch := func(idxs []int) {
-		calls := make(map[int]*rpc.Call, len(idxs))
-		for _, i := range idxs {
-			addr := placement[i]
-			key := wire.ChunkKey(req.Key, i)
-			if addr == s.cfg.Addr {
-				if payload, _, ttl, ok := s.store.GetMeta(key); ok {
-					if meta, chunk, err := wire.DecodeChunkPayload(payload); err == nil {
-						collector.Add(meta, chunk, ttlSeconds(ttl))
-					}
+	// fetch attempts to retrieve chunks [lo, hi) in one round; failures
+	// are tolerated (they are what parity is for), and chunks group by
+	// stripe so concurrent writes never tear. The TTL each chunk holder
+	// reports is kept on the collector's stripe group so the final
+	// response can carry the remaining lifetime of the winning stripe.
+	fetch := func(lo, hi int) {
+		var round rpc.Round
+		s.peers.Begin(&round)
+		for i := lo; i < hi; i++ {
+			if addr := placement[i]; addr != s.cfg.Addr {
+				round.Issue(&calls[i], addr, &wire.Request{Op: wire.OpGetChunk, Key: keys[i]})
+				continue
+			}
+			// Read-only: the payload is the store's own slice, lent.
+			if payload, _, ttl, ok := s.store.GetMeta(keys[i]); ok {
+				if meta, chunk, err := wire.DecodeChunkPayload(payload); err == nil {
+					collector.Add(meta, chunk, ttlSeconds(ttl))
 				}
-				continue
 			}
-			call, err := s.peers.Send(addr, &wire.Request{Op: wire.OpGetChunk, Key: key})
-			if err != nil {
-				continue
-			}
-			calls[i] = call
 		}
-		for _, call := range calls {
-			resp, err := call.Wait()
-			if err != nil || resp.Err() != nil {
-				resp.Release()
+		round.Wait()
+		for i := lo; i < hi; i++ {
+			resp, err := calls[i].Result()
+			if err != nil || placement[i] == s.cfg.Addr || resp.Err() != nil {
 				continue
 			}
-			meta, chunk, err := wire.DecodeChunkPayload(resp.Value)
-			if err != nil {
-				resp.Release()
-				continue
+			if meta, chunk, err := wire.DecodeChunkPayload(resp.Value); err == nil {
+				collector.Add(meta, chunk, resp.TTLSeconds)
 			}
-			collector.Add(meta, chunk, resp.TTLSeconds)
-			retained = append(retained, resp)
 		}
 	}
 
 	// Round 1: the K data chunks. Round 2: parity as needed.
-	fetch(seqInts(0, k))
+	fetch(0, k)
 	if collector.Best() == nil {
-		fetch(seqInts(k, k+m))
+		fetch(k, k+m)
 	}
 	win := collector.Best()
 	if win == nil {
-		return &wire.Response{Status: wire.StatusNotFound}
+		return wire.Response{Status: wire.StatusNotFound}
 	}
 
 	// Degraded read: rebuild only the missing data chunks — the caller
 	// gets the joined value, so recomputing parity would be wasted work.
-	chunks := win.Chunks
+	chunks := win.Chunks()
 	var rebuilt []int
 	for i := 0; i < k; i++ {
 		if chunks[i] == nil {
@@ -235,18 +238,10 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	if err != nil {
 		return errorResponse(err)
 	}
-	return &wire.Response{
+	return wire.Response{
 		Status:     wire.StatusOK,
 		Value:      value,
 		TTLSeconds: win.TTL,
 		Meta:       wire.ECMeta{K: uint8(k), M: uint8(m), TotalLen: win.TotalLen, Stripe: win.Stripe},
 	}
-}
-
-func seqInts(lo, hi int) []int {
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
-	}
-	return out
 }

@@ -86,22 +86,24 @@ func TestCoordinatedOpDoesNotBlockConnection(t *testing.T) {
 	if _, err := pool.Roundtrip("s0", &wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: meta}); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := pool.Send("s0", &wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: meta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := pool.Send("s0", &wire.Request{Op: wire.OpGetChunk, Key: "local"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := fast.Wait()
+	// Two rounds of one, pipelined on the same connection, so each can be
+	// waited on its own.
+	var slowRound, fastRound rpc.Round
+	var slow, fast rpc.Call
+	pool.Begin(&slowRound)
+	slowRound.Issue(&slow, "s0", &wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: meta})
+	pool.Begin(&fastRound)
+	fastRound.Issue(&fast, "s0", &wire.Request{Op: wire.OpGetChunk, Key: "local"})
+	fastRound.Wait()
+	resp, err := fast.Result()
 	if err != nil || resp.Err() != nil || string(resp.Value) != "v" {
 		t.Fatalf("get-chunk behind a decode-get: %v / %+v", err, resp)
 	}
 	if slow.Ready() {
 		t.Fatal("the delayed decode-get finished before the get-chunk pipelined behind it: the delay did not bite")
 	}
-	resp, err = slow.Wait()
+	slowRound.Wait()
+	resp, err = slow.Result()
 	if err != nil || resp.Err() != nil {
 		t.Fatalf("decode-get: %v / %+v", err, resp)
 	}
@@ -153,12 +155,10 @@ func TestMetricsIdenticalOnBothRoutes(t *testing.T) {
 			}
 			errsBefore, handledBefore := s.mOpErrors.Value(), s.hHandleSeconds.Count()
 
-			call, err := pool.Send(s.Addr(), tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := call.Wait()
-			if err != nil {
+			// Roundtrip maps the statuses these cases provoke to errors;
+			// only a transport failure leaves no response.
+			resp, err := pool.Roundtrip(s.Addr(), tc.req)
+			if resp == nil {
 				t.Fatal(err)
 			}
 			resp.Release()

@@ -102,8 +102,11 @@ type Server struct {
 	framePool *bufpool.Pool
 }
 
+// job is a request on its way to a worker. The request rides by value:
+// the reader parses every frame into one per-connection request, so what
+// is queued must be a copy — which takes the frame lease with it.
 type job struct {
-	req *wire.Request
+	req wire.Request
 	out *connWriter
 }
 
@@ -291,21 +294,24 @@ func (s *Server) readLoop(conn transport.Conn, cw *connWriter) {
 		_ = cw.fq.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	// Every frame is parsed into this one request. An op served here is
+	// done with it before the next frame is read (serve releases the body
+	// before it writes the answer); an op for the workers is copied into
+	// its job.
+	var req wire.Request
 	for {
-		req, err := wire.ReadRequestPooled(br, s.framePool)
-		if err != nil {
+		if err := req.ReadPooled(br, s.framePool); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, transport.ErrClosed) {
 				s.logf("server %s: read: %v", s.cfg.Addr, err)
 			}
 			return
 		}
-		j := job{req: req, out: cw}
 		if !runsOnWorker(req.Op) {
-			s.serve(j)
+			s.serve(&req, cw)
 			continue
 		}
 		select {
-		case s.jobs <- j:
+		case s.jobs <- job{req: req, out: cw}:
 		case <-s.quit:
 			req.Release()
 			return
@@ -318,7 +324,7 @@ func (s *Server) worker() {
 	for {
 		select {
 		case j := <-s.jobs:
-			s.serve(j)
+			s.serve(&j.req, j.out)
 		case <-s.quit:
 			return
 		}
@@ -327,31 +333,33 @@ func (s *Server) worker() {
 
 // serve executes one request and answers it, on whichever goroutine the
 // routing rule picked: the connection's reader or a pool worker.
-func (s *Server) serve(j job) {
+func (s *Server) serve(req *wire.Request, out *connWriter) {
 	start := time.Now()
-	resp := s.handle(j.req)
+	resp := s.handle(req)
 	s.hHandleSeconds.Record(time.Since(start))
-	resp.ID = j.req.ID
-	// The handlers never let the request body escape into the response
-	// (the store copies on Set and Get), so the leased frame body can go
-	// back to the pool before the write.
-	j.req.Release()
+	resp.ID = req.ID
+	// The handlers never let the request body escape into the response:
+	// the store copies what a write hands it, and what a read returns is
+	// the store's own slice — lent, immutable once installed, so the
+	// response may alias it for as long as the write takes. The leased
+	// frame body can therefore go back to the pool before the write.
+	req.Release()
 	// A write error means the connection died; its read loop cleans up.
-	_ = j.out.write(resp)
+	_ = out.write(&resp)
 }
 
-func errorResponse(err error) *wire.Response {
+func errorResponse(err error) wire.Response {
 	switch {
 	case errors.Is(err, wire.ErrNotFound):
-		return &wire.Response{Status: wire.StatusNotFound}
+		return wire.Response{Status: wire.StatusNotFound}
 	case errors.Is(err, store.ErrOutOfMemory), errors.Is(err, store.ErrValueTooLarge):
-		return &wire.Response{Status: wire.StatusOutOfMemory}
+		return wire.Response{Status: wire.StatusOutOfMemory}
 	default:
-		return &wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
+		return wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
 	}
 }
 
-func (s *Server) handle(req *wire.Request) *wire.Response {
+func (s *Server) handle(req *wire.Request) wire.Response {
 	if c, ok := s.mOps[req.Op]; ok {
 		c.Inc()
 	} else {
@@ -382,7 +390,7 @@ func epochExempt(op wire.Op) bool {
 	}
 }
 
-func (s *Server) dispatch(req *wire.Request) *wire.Response {
+func (s *Server) dispatch(req *wire.Request) wire.Response {
 	// Membership epoch gate (DESIGN §13): a data request stamped with
 	// an epoch other than ours was placed against a different ring.
 	// Reject it with our encoded view — a stale sender adopts it and
@@ -392,14 +400,14 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	// address-directed, not placement-derived.
 	if req.Epoch != 0 && !epochExempt(req.Op) {
 		if cur := s.view.Current(); req.Epoch != cur.Epoch {
-			return &wire.Response{Status: wire.StatusWrongEpoch, Value: cur.Encode()}
+			return wire.Response{Status: wire.StatusWrongEpoch, Value: cur.Encode()}
 		}
 	}
 	switch req.Op {
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpRingGet:
-		return &wire.Response{Status: wire.StatusOK, Value: s.view.Current().Encode()}
+		return wire.Response{Status: wire.StatusOK, Value: s.view.Current().Encode()}
 	case wire.OpRingUpdate:
 		v, err := membership.Decode(req.Value)
 		if err != nil {
@@ -408,7 +416,7 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		s.view.Adopt(v)
 		// Answer with the now-current view: the pusher learns whether it
 		// was adopted or superseded by something even newer.
-		return &wire.Response{Status: wire.StatusOK, Value: s.view.Current().Encode()}
+		return wire.Response{Status: wire.StatusOK, Value: s.view.Current().Encode()}
 	case wire.OpSet, wire.OpSetChunk:
 		// Meta.Stripe doubles as the item version (chunk writes already
 		// carry their stripe there; whole-value writers mint one the same
@@ -416,13 +424,13 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if err := s.store.SetVersioned(req.Key, req.Value, time.Duration(req.TTLSeconds)*time.Second, req.Meta.Stripe); err != nil {
 			return errorResponse(err)
 		}
-		return &wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
+		return wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
 	case wire.OpGet, wire.OpGetChunk:
 		v, version, ttl, ok := s.store.GetMeta(req.Key)
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Response{Status: wire.StatusNotFound}
 		}
-		return &wire.Response{
+		return wire.Response{
 			Status: wire.StatusOK, Value: v,
 			Meta: wire.ECMeta{Stripe: version}, TTLSeconds: ttlSeconds(ttl),
 		}
@@ -432,7 +440,7 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		return s.handleApplyDelta(req)
 	case wire.OpFlush:
 		s.store.Flush()
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpDelete:
 		// A delete carrying Compare is the atomic conditional delete
 		// behind the proxy's `md C<cas>`: it removes the item only while
@@ -440,7 +448,7 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		// (no check-then-delete window).
 		if req.Compare != 0 {
 			out, prior := s.store.CompareDelete(req.Key, req.Compare)
-			resp := &wire.Response{Meta: wire.ECMeta{Stripe: prior}}
+			resp := wire.Response{Meta: wire.ECMeta{Stripe: prior}}
 			switch out {
 			case store.CASStored:
 				resp.Status = wire.StatusOK
@@ -458,19 +466,19 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if req.Meta.Stripe != 0 {
 			v, ok := s.store.Get(req.Key)
 			if !ok {
-				return &wire.Response{Status: wire.StatusNotFound}
+				return wire.Response{Status: wire.StatusNotFound}
 			}
 			if m, _, err := wire.DecodeChunkPayload(v); err == nil && m.Stripe != req.Meta.Stripe {
 				// Superseded by a newer write: nothing to unwind.
-				return &wire.Response{Status: wire.StatusOK}
+				return wire.Response{Status: wire.StatusOK}
 			}
 			// Matching stripe (or an undecodable chunk, which can only
 			// shadow good data): fall through and delete it.
 		}
 		if !s.store.Delete(req.Key) {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Response{Status: wire.StatusNotFound}
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpScan:
 		return s.handleScan(req)
 	case wire.OpEncodeSet:
@@ -490,9 +498,9 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if err != nil {
 			return errorResponse(err)
 		}
-		return &wire.Response{Status: wire.StatusOK, Value: data}
+		return wire.Response{Status: wire.StatusOK, Value: data}
 	default:
-		return &wire.Response{Status: wire.StatusError, Value: []byte("unknown op")}
+		return wire.Response{Status: wire.StatusError, Value: []byte("unknown op")}
 	}
 }
 
@@ -518,14 +526,14 @@ func ttlSeconds(ttl time.Duration) uint32 {
 // a chunk that one server evicted while the stripe as a whole is still
 // readable — and the response's Meta.Stripe reports the prior version
 // so the client can tell a genuinely absent stripe from a conflict.
-func (s *Server) handleCompareSet(req *wire.Request) *wire.Response {
+func (s *Server) handleCompareSet(req *wire.Request) wire.Response {
 	allowMissing := req.Meta.K > 0
 	ttl := time.Duration(req.TTLSeconds) * time.Second
 	out, prior, err := s.store.CompareSwap(req.Key, req.Value, ttl, req.Compare, req.Meta.Stripe, allowMissing)
 	if err != nil {
 		return errorResponse(err)
 	}
-	resp := &wire.Response{Meta: wire.ECMeta{Stripe: prior}}
+	resp := wire.Response{Meta: wire.ECMeta{Stripe: prior}}
 	switch out {
 	case store.CASStored:
 		resp.Status = wire.StatusOK
@@ -542,7 +550,8 @@ func (s *Server) handleCompareSet(req *wire.Request) *wire.Response {
 // the patch was computed against, req.Meta.Stripe the new stripe to
 // install, and req.Value the sparse XOR patch. The flow is
 // read-patch-swap: the chunk is read with its version, patched in a
-// private copy (GetMeta copies), and swapped back in only while the
+// private copy (made here: the store lends its slice read-only, and a
+// reader may be holding it), and swapped back in only while the
 // stored version STILL equals the base stripe — so a concurrent write
 // between read and swap loses nothing, and a chunk can never end up a
 // blend of two stripes. A version mismatch answers StatusExists with
@@ -550,14 +559,15 @@ func (s *Server) handleCompareSet(req *wire.Request) *wire.Response {
 // chunk answers StatusNotFound (a delta cannot re-materialise what it
 // has nothing to patch). Malformed or mismatched patches are errors
 // and leave the chunk untouched.
-func (s *Server) handleApplyDelta(req *wire.Request) *wire.Response {
-	v, version, _, ok := s.store.GetMeta(req.Key)
+func (s *Server) handleApplyDelta(req *wire.Request) wire.Response {
+	stored, version, _, ok := s.store.GetMeta(req.Key)
 	if !ok {
-		return &wire.Response{Status: wire.StatusNotFound}
+		return wire.Response{Status: wire.StatusNotFound}
 	}
 	if version != req.Compare {
-		return &wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: version}}
+		return wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: version}}
 	}
+	v := append([]byte(nil), stored...)
 	if err := wire.ApplyDeltaPatch(v, req.Value, req.Meta); err != nil {
 		return errorResponse(err)
 	}
@@ -568,11 +578,11 @@ func (s *Server) handleApplyDelta(req *wire.Request) *wire.Response {
 	}
 	switch out {
 	case store.CASStored:
-		return &wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
+		return wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
 	case store.CASNotFound:
-		return &wire.Response{Status: wire.StatusNotFound}
+		return wire.Response{Status: wire.StatusNotFound}
 	default:
-		return &wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: prior}}
+		return wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: prior}}
 	}
 }
 
@@ -581,7 +591,7 @@ func (s *Server) handleApplyDelta(req *wire.Request) *wire.Response {
 // between pages — the store's ScanShard contract), and returns the
 // keys plus the next cursor. An empty next cursor means the scan is
 // complete.
-func (s *Server) handleScan(req *wire.Request) *wire.Response {
+func (s *Server) handleScan(req *wire.Request) wire.Response {
 	cur, err := wire.DecodeScanCursor(req.Value)
 	if err != nil {
 		return errorResponse(err)
@@ -609,5 +619,5 @@ func (s *Server) handleScan(req *wire.Request) *wire.Response {
 	if shard < s.store.Shards() {
 		out.Next = wire.EncodeScanCursor(wire.ScanCursor{Shard: uint32(shard), After: after})
 	}
-	return &wire.Response{Status: wire.StatusOK, Value: wire.EncodeScanPage(out)}
+	return wire.Response{Status: wire.StatusOK, Value: wire.EncodeScanPage(out)}
 }

@@ -7,7 +7,6 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"hash/fnv"
 	"sort"
@@ -70,9 +69,11 @@ type Store struct {
 }
 
 type shard struct {
-	mu       sync.Mutex
-	items    map[string]*list.Element
-	lru      *list.List // front = most recent
+	mu    sync.Mutex
+	items map[string]*entry
+	// lru is the sentinel of the recency ring the entries link into:
+	// lru.next is the most recent entry, lru.prev the eviction candidate.
+	lru      entry
 	maxBytes int64
 	used     int64
 	noEvict  bool
@@ -80,12 +81,35 @@ type shard struct {
 	stats    Stats
 }
 
+// entry is one stored item. value is immutable once installed: a write
+// installs a fresh slice and never touches the old one, which is what
+// lets Get lend it out without copying.
 type entry struct {
 	key       string
 	value     []byte
 	expiresAt time.Time // zero means no expiry
 	size      int64
 	version   uint64 // CAS token; 0 for unversioned writes
+
+	prev, next *entry // recency ring links
+}
+
+// unlink takes e out of the recency ring.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFront links e in as the most recent entry.
+func (sh *shard) pushFront(e *entry) {
+	e.prev, e.next = &sh.lru, sh.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// reset empties the shard's table and recency ring.
+func (sh *shard) reset() {
+	sh.items = make(map[string]*entry)
+	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 }
 
 // New returns a Store with the given configuration.
@@ -107,13 +131,8 @@ func New(cfg Config) *Store {
 	}
 	s := &Store{shards: make([]*shard, n), now: now}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			items:    make(map[string]*list.Element),
-			lru:      list.New(),
-			maxBytes: perShard,
-			noEvict:  cfg.DisableEviction,
-			now:      now,
-		}
+		s.shards[i] = &shard{maxBytes: perShard, noEvict: cfg.DisableEviction, now: now}
+		s.shards[i].reset()
 	}
 	return s
 }
@@ -167,7 +186,7 @@ func (sh *shard) setLocked(key string, value []byte, ttl time.Duration, version 
 	old, overwriting := sh.items[key]
 	var oldSize int64
 	if overwriting {
-		oldSize = old.Value.(*entry).size
+		oldSize = old.size
 	}
 	if sh.maxBytes > 0 {
 		for sh.used-oldSize+size > sh.maxBytes {
@@ -184,92 +203,83 @@ func (sh *shard) setLocked(key string, value []byte, ttl time.Duration, version 
 			}
 		}
 	}
-	if overwriting {
-		sh.used -= oldSize
-		sh.lru.Remove(old)
-		delete(sh.items, key)
-	}
 	v := make([]byte, len(value))
 	copy(v, value)
-	e := &entry{key: key, value: v, expiresAt: expires, size: size, version: version}
-	sh.items[key] = sh.lru.PushFront(e)
+	if overwriting {
+		// The entry stays; only the value slice is new, so a reader still
+		// holding the old one keeps a whole version.
+		old.unlink()
+		sh.used -= oldSize
+		old.value, old.expiresAt, old.size, old.version = v, expires, size, version
+	} else {
+		old = &entry{key: key, value: v, expiresAt: expires, size: size, version: version}
+		sh.items[key] = old
+	}
+	sh.pushFront(old)
 	sh.used += size
 	return nil
 }
 
 // evictOldestLocked removes the LRU entry; returns false if empty.
 func (sh *shard) evictOldestLocked() bool {
-	el := sh.lru.Back()
-	if el == nil {
+	e := sh.lru.prev
+	if e == &sh.lru {
 		return false
 	}
-	e := el.Value.(*entry)
-	sh.removeLocked(el, e)
+	sh.removeLocked(e)
 	sh.stats.Evictions++
 	sh.stats.EvictBytes += e.size
 	return true
 }
 
-func (sh *shard) removeLocked(el *list.Element, e *entry) {
-	sh.lru.Remove(el)
+func (sh *shard) removeLocked(e *entry) {
+	e.unlink()
 	delete(sh.items, e.key)
 	sh.used -= e.size
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns the value stored under key: GetMeta without the metadata,
+// under the same lend contract.
 func (s *Store) Get(key string) ([]byte, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.Gets++
-	el, ok := sh.items[key]
-	if !ok {
-		sh.stats.Misses++
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if !e.expiresAt.IsZero() && !sh.now().Before(e.expiresAt) {
-		sh.removeLocked(el, e)
-		sh.stats.Expired++
-		sh.stats.Misses++
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	sh.stats.Hits++
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
-	return out, true
+	value, _, _, ok := s.GetMeta(key)
+	return value, ok
 }
 
-// GetMeta returns a copy of the value stored under key together with
-// its version and remaining TTL (0 = no expiry). It counts as a Get
-// for stats and LRU purposes.
+// GetMeta returns the value stored under key together with its version
+// and remaining TTL (0 = no expiry). It counts as a Get for stats and
+// LRU purposes.
+//
+// The value is LENT, not copied: it is the stored slice itself, and the
+// caller must treat it as read-only. It stays whole and unchanged for as
+// long as the caller holds it, whatever happens to the key meanwhile —
+// the store never writes to an installed slice (an overwrite, a delta
+// patch, a delete or an eviction installs or drops a slice, it does not
+// modify one) and never recycles one (it is the collector's). A caller
+// that needs to modify the bytes makes its own copy.
 func (s *Store) GetMeta(key string) (value []byte, version uint64, ttl time.Duration, ok bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.Gets++
-	el, present := sh.items[key]
+	e, present := sh.items[key]
 	if !present {
 		sh.stats.Misses++
 		return nil, 0, 0, false
 	}
-	e := el.Value.(*entry)
 	now := sh.now()
 	if !e.expiresAt.IsZero() && !now.Before(e.expiresAt) {
-		sh.removeLocked(el, e)
+		sh.removeLocked(e)
 		sh.stats.Expired++
 		sh.stats.Misses++
 		return nil, 0, 0, false
 	}
-	sh.lru.MoveToFront(el)
+	e.unlink()
+	sh.pushFront(e)
 	sh.stats.Hits++
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
 	if !e.expiresAt.IsZero() {
 		ttl = e.expiresAt.Sub(now)
 	}
-	return out, e.version, ttl, true
+	return e.value, e.version, ttl, true
 }
 
 // CASOutcome classifies the result of a CompareSwap.
@@ -307,14 +317,11 @@ func (s *Store) CompareSwap(key string, value []byte, ttl time.Duration, expect,
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.Sets++
-	el, present := sh.items[key]
-	if present {
-		e := el.Value.(*entry)
-		if !e.expiresAt.IsZero() && !sh.now().Before(e.expiresAt) {
-			sh.removeLocked(el, e)
-			sh.stats.Expired++
-			present = false
-		}
+	e, present := sh.items[key]
+	if present && !e.expiresAt.IsZero() && !sh.now().Before(e.expiresAt) {
+		sh.removeLocked(e)
+		sh.stats.Expired++
+		present = false
 	}
 	if !present {
 		if expect != 0 && !allowMissing {
@@ -325,7 +332,6 @@ func (s *Store) CompareSwap(key string, value []byte, ttl time.Duration, expect,
 		}
 		return CASStored, 0, nil
 	}
-	e := el.Value.(*entry)
 	if expect == 0 || e.version != expect {
 		return CASExists, e.version, nil
 	}
@@ -348,20 +354,19 @@ func (s *Store) CompareDelete(key string, expect uint64) (CASOutcome, uint64) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
+	e, ok := sh.items[key]
 	if !ok {
 		return CASNotFound, 0
 	}
-	e := el.Value.(*entry)
 	if !e.expiresAt.IsZero() && !sh.now().Before(e.expiresAt) {
-		sh.removeLocked(el, e)
+		sh.removeLocked(e)
 		sh.stats.Expired++
 		return CASNotFound, 0
 	}
 	if e.version != expect {
 		return CASExists, e.version
 	}
-	sh.removeLocked(el, e)
+	sh.removeLocked(e)
 	sh.stats.Deletes++
 	return CASStored, e.version
 }
@@ -371,11 +376,11 @@ func (s *Store) Delete(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
+	e, ok := sh.items[key]
 	if !ok {
 		return false
 	}
-	sh.removeLocked(el, el.Value.(*entry))
+	sh.removeLocked(e)
 	sh.stats.Deletes++
 	return true
 }
@@ -404,11 +409,10 @@ func (s *Store) ScanShard(si int, after string, limit int) []string {
 	sh.mu.Lock()
 	now := sh.now()
 	keys := make([]string, 0, len(sh.items))
-	for k, el := range sh.items {
+	for k, e := range sh.items {
 		if k <= after {
 			continue
 		}
-		e := el.Value.(*entry)
 		if !e.expiresAt.IsZero() && !now.Before(e.expiresAt) {
 			continue // lazily expired: invisible to readers already
 		}
@@ -505,8 +509,7 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 func (s *Store) Flush() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.items = make(map[string]*list.Element)
-		sh.lru.Init()
+		sh.reset()
 		sh.used = 0
 		sh.mu.Unlock()
 	}

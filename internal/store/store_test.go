@@ -61,11 +61,68 @@ func TestValueCopied(t *testing.T) {
 	if string(got) != "abc" {
 		t.Fatal("store aliased caller's value")
 	}
-	got[0] = 'Y'
-	got2, _ := s.Get("k")
-	if string(got2) != "abc" {
-		t.Fatal("Get returned aliased value")
+}
+
+// TestGetLendsImmutableValue pins the lend contract: Get and GetMeta
+// hand out the stored slice itself, and nothing the store does to the
+// key afterwards may change those bytes — an overwrite installs a new
+// slice, a delete or an eviction drops the old one, none writes to it.
+// (The server's delta patch, the one read-modify-write, is pinned in
+// internal/server: it patches a copy of its own.)
+func TestGetLendsImmutableValue(t *testing.T) {
+	// One shard with room for exactly one item of this size.
+	budget := itemSize("k", bytes.Repeat([]byte{0}, 64))
+	s := New(Config{MaxBytes: budget, Shards: 1})
+	want := bytes.Repeat([]byte("v1"), 32)
+	if err := s.Set("k", want, 0); err != nil {
+		t.Fatal(err)
 	}
+	lent, _, _, ok := s.GetMeta("k")
+	if !ok {
+		t.Fatal("GetMeta missed a stored key")
+	}
+	if again, _ := s.Get("k"); &again[0] != &lent[0] {
+		t.Fatal("Get copied the value: reads are meant to lend the stored slice")
+	}
+	check := func(after string) {
+		t.Helper()
+		if !bytes.Equal(lent, want) {
+			t.Fatalf("lent value changed after %s: %q", after, lent)
+		}
+	}
+
+	if err := s.Set("k", bytes.Repeat([]byte("v2"), 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	check("an overwrite")
+	if out, _, err := s.CompareSwap("k", bytes.Repeat([]byte("v3"), 32), 0, 0, 7, true); err != nil || out != CASExists {
+		t.Fatalf("add over a present key: %v %v", out, err)
+	}
+	if err := s.SetVersioned("k", bytes.Repeat([]byte("v4"), 32), 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err := s.CompareSwap("k", bytes.Repeat([]byte("v5"), 32), 0, 9, 10, false); err != nil || out != CASStored {
+		t.Fatalf("swap: %v %v", out, err)
+	}
+	check("a compare-and-swap")
+	if !s.Delete("k") {
+		t.Fatal("Delete missed the key")
+	}
+	check("a delete")
+
+	// Re-install, lend again, then evict it with a second key under the
+	// one-item budget.
+	if err := s.Set("k", want, 0); err != nil {
+		t.Fatal(err)
+	}
+	lent, _ = s.Get("k")
+	if err := s.Set("o", bytes.Repeat([]byte("zz"), 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("k survived a Set that needed its room")
+	}
+	check("an eviction")
 }
 
 func TestDelete(t *testing.T) {
@@ -241,7 +298,7 @@ func TestConcurrentAccess(t *testing.T) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, el := range sh.items {
-			want += el.Value.(*entry).size
+			want += el.size
 		}
 		sh.mu.Unlock()
 	}
@@ -275,7 +332,7 @@ func TestAccountingInvariantQuick(t *testing.T) {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
 			for _, el := range sh.items {
-				want += el.Value.(*entry).size
+				want += el.size
 			}
 			items += len(sh.items)
 			if sh.maxBytes > 0 && sh.used > sh.maxBytes {

@@ -3,6 +3,8 @@ package transport
 import (
 	"sync"
 	"time"
+
+	"ecstore/internal/bufpool"
 )
 
 // Inproc is an in-process Network. Connections are buffered duplex
@@ -98,24 +100,32 @@ func (c *pipeConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c *pipeConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // Close shuts both directions: the peer's reads drain then EOF, and
-// the peer's writes fail.
+// the peer's writes fail. What this side had not read yet is dropped —
+// nobody is left to read it.
 func (c *pipeConn) Close() error {
-	c.r.Close()
-	c.w.Close()
+	c.r.Close(true)
+	c.w.Close(false)
 	return nil
 }
 
 // segment is a block of written bytes that becomes readable at ready.
+// buf is the whole lease, data the part of it not read yet.
 type segment struct {
-	data  []byte
-	ready time.Time
+	buf, data []byte
+	ready     time.Time
 }
 
 // pipe is a unidirectional buffered byte stream with optional shaping.
+// It is the in-process stand-in for a kernel socket buffer: each Write
+// is copied into a buffer leased from bufpool.Default (returned once
+// Read has drained it), and the segments queue in a ring that is reused
+// as it drains.
 type pipe struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	segs     []segment
+	segs     []segment // ring: count segments starting at head
+	head     int
+	count    int
 	closed   bool
 	shape    Shape
 	lastDone time.Time // when the link finishes the previous segment
@@ -131,12 +141,13 @@ func (p *pipe) Write(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
-	data := make([]byte, len(b))
-	copy(data, b)
+	buf := bufpool.Default.GetRaw(len(b))
+	copy(buf, b)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
+		bufpool.Default.Put(buf)
 		return 0, ErrClosed
 	}
 	ready := time.Time{}
@@ -146,11 +157,20 @@ func (p *pipe) Write(b []byte) (int, error) {
 		if p.lastDone.After(start) {
 			start = p.lastDone
 		}
-		done := start.Add(p.shape.delay(len(data)))
+		done := start.Add(p.shape.delay(len(b)))
 		p.lastDone = done
 		ready = done.Add(p.shape.Latency)
 	}
-	p.segs = append(p.segs, segment{data: data, ready: ready})
+	if p.count == len(p.segs) {
+		// Full (or not yet sized): double the ring, oldest segment first.
+		grown := make([]segment, max(4, 2*len(p.segs)))
+		for i := 0; i < p.count; i++ {
+			grown[i] = p.segs[(p.head+i)%len(p.segs)]
+		}
+		p.segs, p.head = grown, 0
+	}
+	p.segs[(p.head+p.count)%len(p.segs)] = segment{buf: buf, data: buf, ready: ready}
+	p.count++
 	p.cond.Broadcast()
 	return len(b), nil
 }
@@ -159,13 +179,13 @@ func (p *pipe) Read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if len(p.segs) > 0 {
-			seg := &p.segs[0]
+		if p.count > 0 {
+			seg := &p.segs[p.head]
 			if seg.ready.IsZero() || !time.Now().Before(seg.ready) {
 				n := copy(b, seg.data)
 				seg.data = seg.data[n:]
 				if len(seg.data) == 0 {
-					p.segs = p.segs[1:]
+					p.pop()
 				}
 				return n, nil
 			}
@@ -184,9 +204,25 @@ func (p *pipe) Read(b []byte) (int, error) {
 	}
 }
 
-func (p *pipe) Close() {
+// pop returns the drained (or abandoned) head segment's lease and
+// frees its ring slot. Caller holds p.mu.
+func (p *pipe) pop() {
+	seg := &p.segs[p.head]
+	bufpool.Default.Put(seg.buf)
+	*seg = segment{}
+	p.head = (p.head + 1) % len(p.segs)
+	p.count--
+}
+
+// Close ends the stream: writes fail, and reads drain what was written
+// and then report EOF — unless it is the reading side that closes
+// (drop), which abandons the unread segments and returns their leases.
+func (p *pipe) Close(drop bool) {
 	p.mu.Lock()
 	p.closed = true
+	for drop && p.count > 0 {
+		p.pop()
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }

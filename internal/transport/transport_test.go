@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ecstore/internal/bufpool"
 )
 
 // networksUnderTest returns each Network implementation with a
@@ -165,6 +167,81 @@ func TestCloseGivesEOFAfterDrain(t *testing.T) {
 	}
 	if string(got) != "bye" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestPipeLeasesAndRing: the in-process pipe keeps each Write in a
+// bufpool.Default lease and its segments in a ring. Bytes must come out
+// in order across ring wrap-around and growth, every lease must be back
+// once the data is read, and data still unread when both ends close —
+// the reader's end dropping it — must be given back too.
+func TestPipeLeasesAndRing(t *testing.T) {
+	outstanding := func() uint64 {
+		st := bufpool.Default.Stats()
+		return st.Gets - st.Puts
+	}
+	baseline := outstanding()
+	// settled polls briefly: goroutines of earlier tests may still be
+	// closing pipes of their own.
+	settled := func() uint64 {
+		for deadline := time.Now().Add(2 * time.Second); outstanding() != baseline && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return outstanding() - baseline
+	}
+	n := NewInproc(Shape{})
+	l, _ := n.Listen("a")
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := n.Dial("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := <-accepted
+
+	// Bursts of growing size, each written whole and then read whole, so
+	// the ring fills to a new high-water mark, drains and wraps.
+	var want, got []byte
+	seq := byte(0)
+	for burst := 1; burst <= 40; burst++ {
+		for i := 0; i < burst; i++ {
+			msg := bytes.Repeat([]byte{seq}, 1+int(seq)%700)
+			seq++
+			want = append(want, msg...)
+			if _, err := c.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 333) // never a whole segment's multiple
+		for len(got) < len(want) {
+			k, err := srv.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, buf[:k]...)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bytes reordered or lost across the ring")
+	}
+	if d := settled(); d != 0 {
+		t.Fatalf("%d leases outstanding with everything read", d)
+	}
+
+	// Unread data in both directions, then both ends close.
+	for i := 0; i < 5; i++ {
+		_, _ = c.Write(bytes.Repeat([]byte{'c'}, 2000))
+		_, _ = srv.Write(bytes.Repeat([]byte{'s'}, 2000))
+	}
+	c.Close()
+	srv.Close()
+	if d := settled(); d != 0 {
+		t.Fatalf("%d leases outstanding after both ends closed", d)
 	}
 }
 

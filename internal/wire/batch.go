@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // OpBatch payload layout (all integers big-endian). The batch frame is
@@ -197,6 +198,7 @@ func AppendBatchResponses(buf []byte, subs []BatchResp) ([]byte, error) {
 	if size > MaxValueLen {
 		return nil, fmt.Errorf("%w: batch response payload %d bytes", ErrFrameTooLarge, size)
 	}
+	buf = slices.Grow(buf, size) // once, not by doubling through the appends
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for i := range subs {
 		sub := &subs[i]

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -90,16 +92,60 @@ func DecodeChunkPayload(payload []byte) (ECMeta, []byte, error) {
 	return meta, chunk, nil
 }
 
+// ChunkKey derives the storage key for chunk idx of key. Replication
+// reuses it with the replica index.
+func ChunkKey(key string, idx int) string {
+	return key + chunkKeySep + strconv.Itoa(idx)
+}
+
+// AppendChunkKeys appends the storage keys of chunks [lo, hi) of key to
+// dst. The keys are substrings of one string, so a round that addresses
+// a key's whole stripe allocates once for all of them.
+func AppendChunkKeys(dst []string, key string, lo, hi int) []string {
+	if hi <= lo {
+		return dst
+	}
+	var all strings.Builder
+	all.Grow((hi - lo) * (len(key) + len(chunkKeySep) + 3))
+	var num [3]byte // chunk indices are below 256
+	for idx := lo; idx < hi; idx++ {
+		all.WriteString(key)
+		all.WriteString(chunkKeySep)
+		all.Write(strconv.AppendInt(num[:0], int64(idx), 10))
+	}
+	s := all.String()
+	for idx, off := lo, 0; idx < hi; idx++ {
+		n := len(key) + len(chunkKeySep) + 1
+		if idx >= 10 {
+			n++
+		}
+		if idx >= 100 {
+			n++
+		}
+		dst = append(dst, s[off:off+n])
+		off += n
+	}
+	return dst
+}
+
+// inlineChunks is how many chunks a stripe group holds without
+// allocating: K+M at the usual geometries.
+const inlineChunks = 8
+
 // ChunkCollector groups fetched chunks by stripe so decoding never
 // mixes chunks from different writes of the same key. With concurrent
 // writers, a key's chunk set can transiently hold a blend of stripes;
 // the collector selects one complete (>= K chunks) stripe — preferring
 // the most complete group, then the highest stripe ID (approximate
 // last-write-wins). It is a plain value: a read that collects for many
-// keys keeps one per key in a slice.
+// keys keeps one per key in a slice. The first stripe seen — the only
+// one, without a concurrent writer — lives in the collector itself, so
+// collecting a quiet key of up to inlineChunks chunks allocates nothing.
 type ChunkCollector struct {
 	k, n   int
-	groups []StripeGroup // a handful at most: one per concurrent write
+	used   int           // stripe groups in use: first, then others
+	first  StripeGroup   // the first stripe seen
+	others []StripeGroup // further stripes: one per concurrent write
 }
 
 // StripeGroup is what one stripe (one write) of a key has shown so
@@ -110,17 +156,38 @@ type StripeGroup struct {
 	// TTL is the remaining lifetime in seconds reported by the holder
 	// of the first chunk seen, so the winning stripe's lifetime rides
 	// along with the value.
-	TTL uint32
-	// Chunks has length n with nil entries for chunks not fetched,
-	// ready for Reconstruct.
-	Chunks [][]byte
-	count  int
+	TTL   uint32
+	count int
+	n     int
+	// The chunks by index: inline while they fit, spilled beyond. The
+	// group hands out a slice on request (Chunks) rather than keeping one
+	// into itself, so groups and collectors stay copyable values.
+	inline  [inlineChunks][]byte
+	spilled [][]byte
+}
+
+// Chunks returns the group's chunks by index, length n with nil entries
+// for chunks not fetched, ready for Reconstruct. The slice aliases the
+// group: writes to it (a reconstruction filling the gaps) are kept.
+func (g *StripeGroup) Chunks() [][]byte {
+	if g.spilled != nil {
+		return g.spilled
+	}
+	return g.inline[:g.n]
 }
 
 // NewChunkCollector returns a collector for an RS stripe of k data
 // chunks out of n total.
 func NewChunkCollector(k, n int) ChunkCollector {
 	return ChunkCollector{k: k, n: n}
+}
+
+// group returns stripe group i of the c.used in use.
+func (c *ChunkCollector) group(i int) *StripeGroup {
+	if i == 0 {
+		return &c.first
+	}
+	return &c.others[i-1]
 }
 
 // Add records a fetched chunk and the remaining TTL its holder
@@ -131,20 +198,24 @@ func (c *ChunkCollector) Add(meta ECMeta, chunk []byte, ttl uint32) {
 		return
 	}
 	var g *StripeGroup
-	for i := range c.groups {
-		if c.groups[i].Stripe == meta.Stripe {
-			g = &c.groups[i]
-			break
+	for i := 0; i < c.used && g == nil; i++ {
+		if have := c.group(i); have.Stripe == meta.Stripe {
+			g = have
 		}
 	}
 	if g == nil {
-		c.groups = append(c.groups, StripeGroup{
-			Stripe: meta.Stripe, TotalLen: meta.TotalLen, TTL: ttl, Chunks: make([][]byte, c.n),
-		})
-		g = &c.groups[len(c.groups)-1]
+		if c.used > 0 {
+			c.others = append(c.others, StripeGroup{})
+		}
+		c.used++
+		g = c.group(c.used - 1)
+		*g = StripeGroup{Stripe: meta.Stripe, TotalLen: meta.TotalLen, TTL: ttl, n: c.n}
+		if c.n > inlineChunks {
+			g.spilled = make([][]byte, c.n)
+		}
 	}
-	if g.Chunks[idx] == nil {
-		g.Chunks[idx] = chunk
+	if chunks := g.Chunks(); chunks[idx] == nil {
+		chunks[idx] = chunk
 		g.count++
 	}
 }
@@ -154,8 +225,8 @@ func (c *ChunkCollector) Add(meta ECMeta, chunk []byte, ttl uint32) {
 // no stripe is decodable yet. The group stays valid until the next Add.
 func (c *ChunkCollector) Best() *StripeGroup {
 	var best *StripeGroup
-	for i := range c.groups {
-		g := &c.groups[i]
+	for i := 0; i < c.used; i++ {
+		g := c.group(i)
 		if g.count >= c.k && (best == nil || g.count > best.count || (g.count == best.count && g.Stripe > best.Stripe)) {
 			best = g
 		}
@@ -166,8 +237,8 @@ func (c *ChunkCollector) Best() *StripeGroup {
 // Seen returns the number of chunks accepted across all stripes.
 func (c *ChunkCollector) Seen() int {
 	total := 0
-	for i := range c.groups {
-		total += c.groups[i].count
+	for i := 0; i < c.used; i++ {
+		total += c.group(i).count
 	}
 	return total
 }

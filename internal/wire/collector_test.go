@@ -28,7 +28,7 @@ func TestCollectorSingleStripe(t *testing.T) {
 	if win.Stripe != 7 || win.TotalLen != 10 || win.TTL != 7 {
 		t.Fatalf("Best = %+v", win)
 	}
-	if chunks := win.Chunks; len(chunks) != 5 || chunks[0] == nil || chunks[1] == nil || chunks[4] == nil || chunks[2] != nil {
+	if chunks := win.Chunks(); len(chunks) != 5 || chunks[0] == nil || chunks[1] == nil || chunks[4] == nil || chunks[2] != nil {
 		t.Fatalf("chunk layout wrong: %v", chunks)
 	}
 	if c.Seen() != 3 {
@@ -90,8 +90,56 @@ func TestCollectorIgnoresDuplicatesAndBadIndexes(t *testing.T) {
 	addChunk(&c, 1, 1, 'b')
 	addChunk(&c, 1, 2, 'c')
 	win := c.Best()
-	if win == nil || win.Chunks[0][0] != 'a' || win.TTL != 1 {
+	if win == nil || win.Chunks()[0][0] != 'a' || win.TTL != 1 {
 		t.Fatalf("duplicate overwrote original: %+v", win)
+	}
+}
+
+// TestCollectorIsACopyableValue: a collector keeps its first stripe's
+// chunks inside itself and hands slices out on request, so copying one
+// (core's probe returns its gather by value) yields an independent
+// collector, collecting a quiet key allocates nothing, and a geometry
+// wider than the inline room spills to the heap and still works.
+func TestCollectorIsACopyableValue(t *testing.T) {
+	c := NewChunkCollector(3, 5)
+	addChunk(&c, 7, 0, 'a')
+	addChunk(&c, 7, 1, 'b')
+	d := c // copies the inline chunks with it
+	addChunk(&c, 7, 2, 'c')
+	if d.Best() != nil || d.Seen() != 2 {
+		t.Fatalf("the copy saw a chunk added to the original: Seen = %d", d.Seen())
+	}
+	addChunk(&d, 7, 4, 'e')
+	if win := c.Best(); win == nil || win.Chunks()[4] != nil || win.Chunks()[2][0] != 'c' {
+		t.Fatalf("the original saw a chunk added to the copy: %+v", win)
+	}
+	// Reconstruction writes the missing chunks into the slice it is
+	// handed; the group must keep them.
+	win := d.Best()
+	win.Chunks()[2] = []byte{'r'}
+	if got := d.Best().Chunks()[2]; len(got) != 1 || got[0] != 'r' {
+		t.Fatalf("a write through Chunks() was lost: %q", got)
+	}
+
+	chunk := []byte{'x'}
+	if n := testing.AllocsPerRun(100, func() {
+		q := NewChunkCollector(3, 5)
+		for i := 0; i < 3; i++ {
+			q.Add(ECMeta{ChunkIndex: uint8(i), K: 3, M: 2, Stripe: 9}, chunk, 0)
+		}
+		if q.Best() == nil {
+			t.Fatal("3 chunks not decodable")
+		}
+	}); n != 0 {
+		t.Errorf("collecting one stripe of 5 allocates %.0f times, want 0", n)
+	}
+
+	wide := NewChunkCollector(10, 14)
+	for i := 0; i < 10; i++ {
+		wide.Add(ECMeta{ChunkIndex: uint8(i + 2), K: 10, M: 4, Stripe: 3}, chunk, 0)
+	}
+	if win := wide.Best(); win == nil || len(win.Chunks()) != 14 || win.Chunks()[0] != nil || win.Chunks()[11] == nil {
+		t.Fatalf("wide stripe: %+v", win)
 	}
 }
 

@@ -109,3 +109,28 @@ func TestChunkKeyLogicalKeyInverse(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkKeyFormat pins the derived-key format — stored data is
+// addressed by it, so it may never drift — and that the whole-stripe
+// form yields the same keys as the one-at-a-time form, for every index
+// width, from one allocation.
+func TestChunkKeyFormat(t *testing.T) {
+	if got := ChunkKey("user:42", 3); got != "user:42\x00c3" {
+		t.Fatalf("ChunkKey = %q", got)
+	}
+	for _, span := range [][2]int{{0, 5}, {3, 5}, {8, 12}, {98, 102}, {0, 256}, {4, 4}} {
+		keys := AppendChunkKeys(nil, "k", span[0], span[1])
+		if len(keys) != span[1]-span[0] {
+			t.Fatalf("AppendChunkKeys [%d,%d) returned %d keys", span[0], span[1], len(keys))
+		}
+		for i, key := range keys {
+			if want := ChunkKey("k", span[0]+i); key != want {
+				t.Fatalf("AppendChunkKeys [%d,%d)[%d] = %q, want %q", span[0], span[1], i, key, want)
+			}
+		}
+	}
+	var buf [8]string
+	if n := testing.AllocsPerRun(100, func() { AppendChunkKeys(buf[:0], "some-user-key", 0, 5) }); n != 1 {
+		t.Errorf("AppendChunkKeys allocates %.0f times for five keys, want 1", n)
+	}
+}

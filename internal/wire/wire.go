@@ -240,7 +240,7 @@ type Request struct {
 	// immediately, or carries the buffer as a scatter-gather vector and
 	// releases it once the frame has been written or abandoned. Senders
 	// that pass a ValuePool must not touch Value after handing the
-	// request to rpc.Pool.Send — on success OR failure.
+	// request to rpc.Round.Issue — on success OR failure.
 	ValuePool *bufpool.Pool
 
 	// lease/pool back a pooled read: Value aliases lease, which Release
@@ -443,40 +443,41 @@ func WriteRequest(w io.Writer, req *Request) error {
 	return err
 }
 
-// parseRequest decodes a request frame body. With copyValue the value
-// is copied out of body; otherwise it aliases body (pooled mode).
-func parseRequest(body []byte, copyValue bool) (*Request, error) {
-	req := &Request{
+// parse decodes a request frame body into r, overwriting every field.
+// With copyValue the value is copied out of body; otherwise it aliases
+// body (pooled mode).
+func (r *Request) parse(body []byte, copyValue bool) error {
+	*r = Request{
 		ID: binary.BigEndian.Uint64(body[0:8]),
 		Op: Op(body[8]),
+		Meta: ECMeta{
+			ChunkIndex: body[11],
+			K:          body[12],
+			M:          body[13],
+			TotalLen:   binary.BigEndian.Uint32(body[14:18]),
+			Stripe:     binary.BigEndian.Uint64(body[18:26]),
+		},
+		TTLSeconds: binary.BigEndian.Uint32(body[26:30]),
+		Compare:    binary.BigEndian.Uint64(body[30:38]),
+		Epoch:      binary.BigEndian.Uint64(body[38:46]),
 	}
 	keyLen := int(binary.BigEndian.Uint16(body[9:11]))
-	req.Meta = ECMeta{
-		ChunkIndex: body[11],
-		K:          body[12],
-		M:          body[13],
-		TotalLen:   binary.BigEndian.Uint32(body[14:18]),
-		Stripe:     binary.BigEndian.Uint64(body[18:26]),
-	}
-	req.TTLSeconds = binary.BigEndian.Uint32(body[26:30])
-	req.Compare = binary.BigEndian.Uint64(body[30:38])
-	req.Epoch = binary.BigEndian.Uint64(body[38:46])
 	valueLen := int(binary.BigEndian.Uint32(body[46:50]))
-	if !req.Op.Valid() || keyLen > MaxKeyLen || valueLen > MaxValueLen {
-		return nil, ErrMalformed
+	if !r.Op.Valid() || keyLen > MaxKeyLen || valueLen > MaxValueLen {
+		return ErrMalformed
 	}
 	if len(body) != reqHeaderLen+keyLen+valueLen {
-		return nil, fmt.Errorf("%w: frame length mismatch", ErrMalformed)
+		return fmt.Errorf("%w: frame length mismatch", ErrMalformed)
 	}
-	req.Key = string(body[reqHeaderLen : reqHeaderLen+keyLen])
+	r.Key = string(body[reqHeaderLen : reqHeaderLen+keyLen])
 	if valueLen > 0 {
 		if copyValue {
-			req.Value = append([]byte(nil), body[reqHeaderLen+keyLen:]...)
+			r.Value = append([]byte(nil), body[reqHeaderLen+keyLen:]...)
 		} else {
-			req.Value = body[reqHeaderLen+keyLen:]
+			r.Value = body[reqHeaderLen+keyLen:]
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // ReadRequest reads one request frame from r. The returned request
@@ -486,7 +487,11 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseRequest(body, true)
+	req := new(Request)
+	if err := req.parse(body, true); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // ReadRequestPooled reads one request frame into a buffer leased from
@@ -499,17 +504,34 @@ func ReadRequestPooled(r *bufio.Reader, pool *bufpool.Pool) (*Request, error) {
 	if pool == nil {
 		return ReadRequest(r)
 	}
-	body, err := readFramePooled(r, reqHeaderLen, pool)
-	if err != nil {
+	req := new(Request)
+	if err := req.ReadPooled(r, pool); err != nil {
 		return nil, err
 	}
-	req, err := parseRequest(body, false)
-	if err != nil {
-		pool.Put(body)
-		return nil, err
-	}
-	req.lease, req.pool = body, pool
 	return req, nil
+}
+
+// ReadPooled is ReadRequestPooled into a request the caller owns: a
+// connection's reader keeps one and reads every frame into it, so a
+// request costs no allocation beyond its key. Every field is
+// overwritten; the previous frame's lease must have been released (or
+// handed on by copying the request) before the next read. A nil pool
+// reads into a plain allocation that Release leaves to the collector.
+func (r *Request) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
+	body, err := readFramePooled(br, reqHeaderLen, pool)
+	if err != nil {
+		return err
+	}
+	if err := r.parse(body, false); err != nil {
+		if pool != nil {
+			pool.Put(body)
+		}
+		return err
+	}
+	if pool != nil {
+		r.lease, r.pool = body, pool
+	}
+	return nil
 }
 
 // appendResponseHeader appends the length prefix and fixed header —
@@ -547,36 +569,37 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	return err
 }
 
-// parseResponse decodes a response frame body. With copyValue the
-// value is copied out of body; otherwise it aliases body (pooled mode).
-func parseResponse(body []byte, copyValue bool) (*Response, error) {
-	resp := &Response{
+// parse decodes a response frame body into r, overwriting every field.
+// With copyValue the value is copied out of body; otherwise it aliases
+// body (pooled mode).
+func (r *Response) parse(body []byte, copyValue bool) error {
+	*r = Response{
 		ID:     binary.BigEndian.Uint64(body[0:8]),
 		Status: Status(body[8]),
+		Meta: ECMeta{
+			ChunkIndex: body[9],
+			K:          body[10],
+			M:          body[11],
+			TotalLen:   binary.BigEndian.Uint32(body[12:16]),
+			Stripe:     binary.BigEndian.Uint64(body[16:24]),
+		},
+		TTLSeconds: binary.BigEndian.Uint32(body[24:28]),
 	}
-	resp.Meta = ECMeta{
-		ChunkIndex: body[9],
-		K:          body[10],
-		M:          body[11],
-		TotalLen:   binary.BigEndian.Uint32(body[12:16]),
-		Stripe:     binary.BigEndian.Uint64(body[16:24]),
-	}
-	resp.TTLSeconds = binary.BigEndian.Uint32(body[24:28])
 	valueLen := int(binary.BigEndian.Uint32(body[28:32]))
 	if valueLen > MaxValueLen {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	if len(body) != respHeaderLen+valueLen {
-		return nil, fmt.Errorf("%w: frame length mismatch", ErrMalformed)
+		return fmt.Errorf("%w: frame length mismatch", ErrMalformed)
 	}
 	if valueLen > 0 {
 		if copyValue {
-			resp.Value = append([]byte(nil), body[respHeaderLen:]...)
+			r.Value = append([]byte(nil), body[respHeaderLen:]...)
 		} else {
-			resp.Value = body[respHeaderLen:]
+			r.Value = body[respHeaderLen:]
 		}
 	}
-	return resp, nil
+	return nil
 }
 
 // ReadResponse reads one response frame from r. The returned response
@@ -586,7 +609,11 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseResponse(body, true)
+	resp := new(Response)
+	if err := resp.parse(body, true); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // ReadResponsePooled reads one response frame into a buffer leased
@@ -599,17 +626,32 @@ func ReadResponsePooled(r *bufio.Reader, pool *bufpool.Pool) (*Response, error) 
 	if pool == nil {
 		return ReadResponse(r)
 	}
-	body, err := readFramePooled(r, respHeaderLen, pool)
-	if err != nil {
+	resp := new(Response)
+	if err := resp.ReadPooled(r, pool); err != nil {
 		return nil, err
 	}
-	resp, err := parseResponse(body, false)
-	if err != nil {
-		pool.Put(body)
-		return nil, err
-	}
-	resp.lease, resp.pool = body, pool
 	return resp, nil
+}
+
+// ReadPooled is ReadResponsePooled into a response the caller owns (a
+// connection's reader keeps one and copies it, lease and all, into the
+// waiting call's slot). Every field is overwritten. A nil pool reads
+// into a plain allocation that Release leaves to the collector.
+func (r *Response) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
+	body, err := readFramePooled(br, respHeaderLen, pool)
+	if err != nil {
+		return err
+	}
+	if err := r.parse(body, false); err != nil {
+		if pool != nil {
+			pool.Put(body)
+		}
+		return err
+	}
+	if pool != nil {
+		r.lease, r.pool = body, pool
+	}
+	return nil
 }
 
 // readFrame reads the length prefix and frame body, enforcing limits.
@@ -621,11 +663,17 @@ func readFrame(r *bufio.Reader, minLen int) ([]byte, error) {
 // allocation when pool is nil). On error the buffer is returned to the
 // pool before the call returns.
 func readFramePooled(r *bufio.Reader, minLen int, pool *bufpool.Pool) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	// The length prefix is read where it lies in the reader's buffer: a
+	// local array handed to io.ReadFull would escape to the heap.
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if len(prefix) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err // io.EOF on clean close
 	}
-	frameLen := int(binary.BigEndian.Uint32(lenBuf[:]))
+	frameLen := int(binary.BigEndian.Uint32(prefix))
+	_, _ = r.Discard(4) // cannot fail: the four bytes are buffered
 	if frameLen < minLen {
 		return nil, fmt.Errorf("%w: frame too short (%d)", ErrMalformed, frameLen)
 	}
@@ -648,10 +696,4 @@ func readFramePooled(r *bufio.Reader, minLen int, pool *bufpool.Pool) ([]byte, e
 		return nil, err
 	}
 	return body, nil
-}
-
-// ChunkKey derives the storage key for chunk idx of key. Replication
-// reuses it with the replica index.
-func ChunkKey(key string, idx int) string {
-	return fmt.Sprintf("%s\x00c%d", key, idx)
 }
