@@ -416,27 +416,19 @@ func (b *batcher) release() {
 }
 
 // end closes the operation's ledger with its outcome, which it passes
-// through: the accumulated phase times under the op's label (also fed
-// to the optional Config.Instrument breakdown, phase-keyed as the
-// benchmarks have always rendered it; a phase the op never entered
-// records nothing), an M* call's frame and sub-op counts to the bulk
-// series, then the end-to-end latency and the total and error counters.
+// through: the accumulated phase times under the op's label (a phase
+// the op never entered records nothing), an M* call's frame and sub-op
+// counts to the bulk series, then the end-to-end latency and the total
+// and error counters.
 func (b *batcher) end(v Item, err error) (Item, error) {
 	c := b.c
 	for _, ph := range [...]struct {
 		name string
 		d    time.Duration
 	}{{phaseCode, b.code}, {phaseRequest, b.request}, {phaseWait, b.wait}} {
-		if ph.d <= 0 {
-			continue
+		if ph.d > 0 {
+			b.om.phases[ph.name].Record(ph.d)
 		}
-		b.om.phases[ph.name].Record(ph.d)
-		if c.cfg.Instrument != nil {
-			c.cfg.Instrument.Add(ph.name, ph.d)
-		}
-	}
-	if c.cfg.Instrument != nil {
-		c.cfg.Instrument.AddOp()
 	}
 	if b.bulk && b.subops > 0 { // an MGet served from the near cache sent no round
 		c.mBulkFrames.Add(b.frames)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -28,20 +29,6 @@ func (c *Client) bulkOp(op string, fn func(b *batcher) error) error {
 		return b.end(Item{}, fn(b))
 	})
 	return err
-}
-
-// dedupeKeys returns keys with duplicates removed, first occurrence
-// order preserved: a duplicated key must not issue duplicate wire work.
-func dedupeKeys(keys []string) []string {
-	seen := make(map[string]bool, len(keys))
-	out := make([]string, 0, len(keys))
-	for _, key := range keys {
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
-		}
-	}
-	return out
 }
 
 // firstFailure names the first failed key of a bulk write, by position
@@ -81,92 +68,40 @@ func (c *Client) MSet(pairs map[string][]byte) error {
 	})
 }
 
-// errSomeFailed marks an MGetItems call whose failed map is non-empty,
-// for the per-op error counter.
-var errSomeFailed = errors.New("core: some keys failed")
-
 // MGetItems fetches every key, returning the items found plus a per-key
 // error map for the keys whose state could not be determined
 // (ErrUnavailable etc.). A key in neither map is authoritatively
 // absent. The split is what lets a caller — the memcached proxy above
 // all — answer a multi-get with an error for an unreachable key instead
 // of a silent miss that a cache filler would then treat as permission
-// to overwrite. Duplicate keys are fetched once. Cached keys are served
-// from the near cache without any wire work; misses coalesce per key
-// with concurrent readers through the singleflight group and fill the
-// cache generation-guarded, exactly as single-key reads do.
+// to overwrite. Duplicate keys are fetched once. It is the map-shaped
+// face of read: cached keys are served from the near cache without any
+// wire work, misses coalesce per key with concurrent readers and fill
+// the cache generation-guarded, exactly as single-key reads do.
 func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
-	keys = dedupeKeys(keys)
+	keys = distinct(keys)
 	found := make(map[string]Item, len(keys))
 	if len(keys) == 0 {
 		return found, nil
 	}
+	res := make([]nearcache.Result, len(keys))
+	// One ARPE window slot for the whole call.
+	_, closed := c.run(func() (Item, error) {
+		c.read(true, keys, res)
+		return Item{}, nil
+	})
 	var failed map[string]error
-	err := c.bulkOp("mget", func(b *batcher) error {
-		misses := make([]string, 0, len(keys))
-		for _, key := range keys {
-			if v, ok := c.cache.Get(key); ok {
-				found[key] = Item{Value: v.Data, Version: v.Version, TTL: v.TTL}
-			} else {
-				misses = append(misses, key)
-			}
-		}
-		if len(misses) == 0 {
-			return nil
-		}
-		values, errs, joined := c.flight.DoBulk(misses, func(lead []string) (map[string]nearcache.Value, map[string]error) {
-			// Generations are drawn BEFORE the fetch so a concurrent
-			// local write's invalidation in between wins and the fill is
-			// dropped — the bulk form of readThrough's discipline.
-			gens := make([]uint64, len(lead))
-			for i, key := range lead {
-				gens[i] = c.cache.Begin(key)
-			}
-			vals := make(map[string]nearcache.Value, len(lead))
-			var ferrs map[string]error
-			for i, r := range c.strat.get(b, lead) {
-				key := lead[i]
-				if r.err != nil {
-					if errors.Is(r.err, ErrNotFound) {
-						// Authoritative absence: any cached value is stale.
-						c.cache.Invalidate(key)
-					}
-					if ferrs == nil {
-						ferrs = make(map[string]error)
-					}
-					ferrs[key] = r.err
-					continue
-				}
-				v := nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}
-				vals[key] = v
-				c.cache.Put(key, v, gens[i])
-			}
-			return vals, ferrs
-		})
-		if joined > 0 {
-			c.mCoalesced.Add(int64(joined))
-		}
-		for key, v := range values {
-			found[key] = Item{Value: v.Data, Version: v.Version, TTL: v.TTL}
-		}
-		for key, err := range errs {
-			if errors.Is(err, ErrNotFound) {
-				continue // absent key: not an error for a bulk read
-			}
+	for i, key := range keys {
+		switch err := cmp.Or(closed, res[i].Err); {
+		case err == nil:
+			found[key] = Item{Value: res[i].Data, Version: res[i].Version, TTL: res[i].TTL}
+		case errors.Is(err, ErrNotFound):
+			// absent key: not an error for a bulk read
+		default:
 			if failed == nil {
 				failed = make(map[string]error)
 			}
 			failed[key] = err
-		}
-		if len(failed) > 0 {
-			return errSomeFailed
-		}
-		return nil
-	})
-	if errors.Is(err, ErrClosed) {
-		failed = make(map[string]error, len(keys))
-		for _, key := range keys {
-			failed[key] = ErrClosed
 		}
 	}
 	return found, failed
@@ -196,7 +131,7 @@ func (c *Client) MGet(keys []string) (map[string][]byte, error) {
 // per-key cause — including ErrNotFound when a key was absent
 // everywhere, matching Delete.
 func (c *Client) MDelete(keys []string) error {
-	keys = dedupeKeys(keys)
+	keys = distinct(keys)
 	if len(keys) == 0 {
 		return nil
 	}

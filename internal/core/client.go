@@ -360,7 +360,11 @@ func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item
 }
 
 func (c *Client) getOp(key string) func() (Item, error) {
-	return func() (Item, error) { return c.readThrough(key) }
+	return func() (Item, error) {
+		keys, res := [1]string{key}, [1]nearcache.Result{}
+		c.read(false, keys[:], res[:])
+		return Item{Value: res[0].Data, Version: res[0].Version, TTL: res[0].TTL}, res[0].Err
+	}
 }
 
 func (c *Client) deleteOp(key string) func() (Item, error) {

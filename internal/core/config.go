@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"ecstore/internal/metrics"
-	"ecstore/internal/stats"
 	"ecstore/internal/transport"
 )
 
@@ -211,12 +210,6 @@ type Config struct {
 	// (DefaultDeltaReadBeforeMin if zero; negative disables
 	// read-before-write so only near-cache hits take the delta path).
 	DeltaReadBeforeMin int
-	// Instrument, when non-nil, receives the per-op phase breakdown
-	// (encode / request / wait-response) used by Figure 9. It is fed
-	// from the same instrumentation points as Metrics — a benchmark-
-	// friendly consumer of the registry's phase stream, not a parallel
-	// mechanism.
-	Instrument *stats.Breakdown
 }
 
 // withDefaults validates cfg and fills defaults.

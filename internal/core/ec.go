@@ -569,40 +569,38 @@ func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.D
 // compareDelete for erasure coding: the stripe ID doubles as the
 // version and every chunk store entry carries it, so the decision is a
 // per-chunk conditional delete against the expected stripe, walked in
-// FIXED placement order. A holder that answers NotFound merely evicted
-// (or crashed and restarted without) its chunk — the stripe as a whole
-// may still be readable, so the walk continues to the next holder,
-// succeeding exactly when a plain Get would still have decoded the old
-// value. A holder answering Exists is a lost race; nothing was
-// removed, so ErrCASConflict is safe to report. Once one holder
-// decides, the remaining chunks are removed with STRIPE-conditional
-// deletes (Meta.Stripe = expect) so a concurrent newer write's chunks
-// are never collateral damage.
+// FIXED placement order, each step a round of one sub-op. A holder that
+// answers NotFound merely evicted (or crashed and restarted without)
+// its chunk — the stripe as a whole may still be readable, so the walk
+// continues to the next holder, succeeding exactly when a plain Get
+// would still have decoded the old value. A holder answering Exists is
+// a lost race; nothing was removed, so ErrCASConflict is safe to
+// report. Once one holder decides, the remaining chunks are removed in
+// ONE round of STRIPE-conditional deletes (Meta.Stripe = expect) so a
+// concurrent newer write's chunks are never collateral damage.
 func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error {
 	n := e.k + e.m
 	placement, epoch := e.c.placement(key, n)
 	if placement == nil {
 		return ErrUnavailable
 	}
-	start := time.Now()
-	defer func() { b.wait += time.Since(start) }()
-	decided := -1
-	failed := 0
+	var keyBuf [8]string
+	chunkKeys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
+	decided, failed := -1, 0
 	var lastErr error
-walk:
-	for i := 0; i < n; i++ {
-		resp, err := e.c.pool.Roundtrip(placement[i], &wire.Request{
-			Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Compare: expect, Epoch: epoch,
-		})
-		resp.Release()
+	for i := 0; i < n && decided < 0; i++ {
+		step := [1]subOp{{addr: placement[i], req: wire.BatchReq{
+			Op: wire.OpDelete, Key: chunkKeys[i], Compare: expect,
+		}}}
+		b.send(step[:], epoch)
+		err := step[0].fail()
+		b.release()
 		switch {
 		case err == nil:
 			decided = i
-			break walk
 		case errors.Is(err, wire.ErrExists):
 			return ErrCASConflict
 		case errors.Is(err, wire.ErrNotFound):
-			continue
 		case errors.Is(err, wire.ErrWrongEpoch):
 			return err
 		default:
@@ -618,21 +616,20 @@ walk:
 		}
 		return ErrNotFound
 	}
-	// Decided: converge the remaining holders with stripe-conditional
-	// deletes. Best-effort — a down holder keeps an orphan chunk, but a
+	// Decided: converge the remaining holders. The round is waited out
+	// and its errors ignored — a down holder keeps an orphan chunk, but a
 	// sub-K remnant can never decode, and the scrubber purges it.
-	for i := 0; i < n; i++ {
-		if i == decided {
-			continue
+	var buf roundBuf
+	rest := roundOps(&buf, n-1)
+	for i, addr := range placement {
+		if i != decided {
+			rest = append(rest, subOp{addr: addr, req: wire.BatchReq{
+				Op: wire.OpDelete, Key: chunkKeys[i], Meta: wire.ECMeta{Stripe: expect},
+			}})
 		}
-		resp, _ := e.c.pool.Roundtrip(placement[i], &wire.Request{
-			Op:    wire.OpDelete,
-			Key:   wire.ChunkKey(key, i),
-			Meta:  wire.ECMeta{Stripe: expect},
-			Epoch: epoch,
-		})
-		resp.Release()
 	}
+	b.send(rest, epoch)
+	b.release()
 	return nil
 }
 
@@ -814,15 +811,17 @@ func (h *hybridStrategy) compareDelete(b *batcher, key string, expect uint64) er
 	}
 }
 
-// distinct returns addrs with duplicates (from wrapped placements on
-// small clusters) removed, preserving order.
-func distinct(addrs []string) []string {
-	seen := make(map[string]bool, len(addrs))
-	out := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+// distinct returns a copy of ss with duplicates removed, first
+// occurrence order preserved: the servers of a placement that wrapped on
+// a small cluster, or the keys of a bulk call — a duplicated key must
+// not issue duplicate wire work.
+func distinct(ss []string) []string {
+	seen := make(map[string]bool, len(ss))
+	out := make([]string, 0, len(ss))
+	for _, s := range ss {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
 	return out

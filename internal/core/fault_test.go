@@ -386,3 +386,48 @@ func TestRetryRecoversAfterBlip(t *testing.T) {
 		t.Fatal("wrong value after retry")
 	}
 }
+
+// TestCasConvergenceIsOneRound: once a conditional op's decider has
+// answered, the other holders are converged in ONE batcher round under
+// one deadline — so with two of them hung the op returns about one
+// OpTimeout after the decision, not one timeout per hung holder as the
+// hand-rolled serial walk cost.
+func TestCasConvergenceIsOneRound(t *testing.T) {
+	const opTimeout = 250 * time.Millisecond
+	for _, tc := range []struct {
+		name, mode string
+		holders    int
+		op         func(c *core.Client, key string, token uint64) error
+	}{
+		{"rep Cas", "async-rep", 3, func(c *core.Client, key string, token uint64) error {
+			_, err := c.Cas(key, []byte("v2"), 0, token)
+			return err
+		}},
+		{"rep DeleteCas", "async-rep", 3, (*core.Client).DeleteCas},
+		{"ec DeleteCas", "era-ce-cd", 5, (*core.Client).DeleteCas},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, netem := startNetemCluster(t, 5)
+			cfg := allModes()[tc.mode]
+			cfg.OpTimeout = opTimeout
+			c := newClient(t, cl, cfg)
+			const key = "converge"
+			token, err := c.SetVersion(key, bytes.Repeat([]byte("v"), 4<<10), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first holder decides; two of the others never answer.
+			for _, addr := range replicaPlacement(cl.Addrs(), key, tc.holders)[1:3] {
+				netem.Hang(addr)
+				defer netem.Restore(addr)
+			}
+			start := time.Now()
+			if err := tc.op(c, key, token); err != nil {
+				t.Fatalf("decided at a live holder, yet: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed >= 2*opTimeout {
+				t.Errorf("took %v with two hung holders: a timeout each, want one round (%v)", elapsed, opTimeout)
+			}
+		})
+	}
+}

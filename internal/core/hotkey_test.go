@@ -337,3 +337,80 @@ func TestNearCacheMGet(t *testing.T) {
 		t.Fatalf("MGet after write: %q, err %v", got[keys[0]], err)
 	}
 }
+
+// TestGetAndMGetCoalesceOntoOneRead: a Get of k and an MGet containing
+// k issued concurrently share ONE strategy read of k, whichever of the
+// two got there first — both go through the same flight entry point, so
+// the later one joins the earlier one's fetch. Counted at the servers:
+// k is read once, the MGet's other key once.
+func TestGetAndMGetCoalesceOntoOneRead(t *testing.T) {
+	// Server-side reads one key costs: one get from a replica, K chunks.
+	for mode, perKey := range map[string]int64{"sync-rep": 1, "era-ce-cd": 3} {
+		for _, leader := range []string{"Get", "MGet"} {
+			t.Run(mode+"/"+leader+" leads", func(t *testing.T) {
+				// Every response is held back long enough that the leader is
+				// still in flight when the joiner arrives.
+				cl, netem := startNetemCluster(t, 5)
+				for _, addr := range cl.Addrs() {
+					netem.Delay(addr, 100*time.Millisecond)
+				}
+				c := newClient(t, cl, allModes()[mode])
+				values := map[string][]byte{"k": bytes.Repeat([]byte("k"), 2048), "other": []byte("o")}
+				if err := c.MSet(values); err != nil {
+					t.Fatal(err)
+				}
+				reads := func() (n int64) {
+					for i := range cl.Addrs() {
+						snap := cl.Server(i).Metrics().Snapshot()
+						n += snap.Counter(`ecstore_server_ops_total{op="get"}`) + snap.Counter(`ecstore_server_ops_total{op="get-chunk"}`)
+					}
+					return n
+				}
+				get := func() map[string][]byte {
+					v, err := c.Get("k")
+					if err != nil {
+						t.Error(err)
+					}
+					return map[string][]byte{"k": v}
+				}
+				mget := func() map[string][]byte {
+					found, err := c.MGet([]string{"other", "k"})
+					if err != nil {
+						t.Error(err)
+					}
+					return found
+				}
+				first, second := get, mget
+				if leader == "MGet" {
+					first, second = mget, get
+				}
+
+				before := reads()
+				led := make(chan map[string][]byte, 1)
+				go func() { led <- first() }()
+				// The leader registers its flights before it sends anything, so
+				// once a server has seen a read the joiner cannot miss them.
+				for deadline := time.Now().Add(5 * time.Second); reads() == before; {
+					if time.Now().After(deadline) {
+						t.Fatal("the leading read never reached a server")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				joined := second()
+				for _, found := range []map[string][]byte{<-led, joined} {
+					for key, got := range found {
+						if !bytes.Equal(got, values[key]) {
+							t.Errorf("%s = %d bytes, want %d", key, len(got), len(values[key]))
+						}
+					}
+				}
+				if got := reads() - before; got != 2*perKey {
+					t.Errorf("servers saw %d reads, want %d: k once and other once", got, 2*perKey)
+				}
+				if n := c.Metrics().Snapshot().Counter("ecstore_client_coalesced_reads_total"); n != 1 {
+					t.Errorf("coalesced reads = %d, want 1", n)
+				}
+			})
+		}
+	}
+}

@@ -7,63 +7,94 @@ import (
 	"ecstore/internal/nearcache"
 )
 
-// readThrough is the hot-key read-scaling path every logical Get goes
-// through (DESIGN §11):
+// read is the hot-key read-scaling path every logical read goes through
+// (DESIGN §11), results by position: Get, Gets and IGet call it with
+// one key under the op label "get", MGetItems with many under "mget"
+// (bulk, which also feeds the bulk frame series).
 //
 //  1. the near cache (when Config.CacheBytes enables it) answers
 //     without any RPC, returning the value stamped with the stripe
 //     version it was read at — so a Cas built on it behaves exactly as
 //     if the read had dialed;
-//  2. on a miss, the singleflight group coalesces concurrent fetches
-//     of the same key into ONE strategy read; waiters receive their
-//     own copies of the leader's result (never a shared or released
-//     buffer);
-//  3. the leader installs its result in the cache, guarded by the
+//  2. the misses go through the flight group, which coalesces
+//     concurrent fetches of one key into ONE strategy read — per key,
+//     so a bulk read shares a hot key's fetch with single-key readers
+//     and the other way round; waiters receive their own copies of the
+//     leader's result (never a shared or released buffer);
+//  3. the leader installs what it fetched in the cache, guarded by the
 //     generation it drew before fetching — a local write's
 //     invalidation in between wins and the fill is dropped.
 //
 // Authoritative absence invalidates: a NotFound observed from the
 // cluster means any cached value is stale.
-func (c *Client) readThrough(key string) (Item, error) {
-	start := time.Now()
-	if v, ok := c.cache.Get(key); ok {
-		// A hit does no wire work: it takes the op's counters, not a
-		// batcher.
-		c.ops["get"].done(start, nil)
-		return Item{Value: v.Data, Version: v.Version, TTL: v.TTL}, nil
+//
+// keys must be duplicate-free and the caller's own: read reorders keys
+// and res together (cache misses first, then as Group.Fetch does), and
+// res[i] answers keys[i] as they stand on return. A single-key caller
+// passes arrays of one, which keeps the read's state off the heap.
+func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
+	op := "get"
+	if bulk {
+		op = "mget"
 	}
-	b := c.begin("get")
-	return b.end(c.fetchThrough(b, key))
-}
-
-// fetchThrough is readThrough past the cache miss: steps 2 and 3.
-func (c *Client) fetchThrough(b *batcher, key string) (Item, error) {
-	gen := c.cache.Begin(key)
-	v, coalesced, err := c.flight.Do(key, func() (nearcache.Value, error) {
+	start := time.Now()
+	miss := 0
+	for i, key := range keys {
+		v, ok := c.cache.Get(key)
+		if ok {
+			res[i].Value = v
+			continue
+		}
+		keys[miss], keys[i] = keys[i], keys[miss]
+		res[miss], res[i] = res[i], res[miss]
+		miss++
+	}
+	if miss == 0 {
+		// Hits do no wire work: they take the op's counters, not a
+		// batcher.
+		c.ops[op].done(start, nil)
+		return
+	}
+	b := c.begin(op)
+	b.bulk = bulk
+	joined := c.flight.Fetch(keys[:miss], res[:miss], func(lead []string) {
+		// Generations are drawn BEFORE the fetch, so a concurrent local
+		// write's invalidation in between wins and the fill is dropped.
+		var one [1]uint64
+		gens := one[:]
+		if len(lead) > 1 {
+			gens = make([]uint64, len(lead))
+		}
+		for i, key := range lead {
+			gens[i] = c.cache.Begin(key)
+		}
 		// The strategy's retries (transient and epoch) run INSIDE the
 		// flight leader: placement is re-resolved against the refreshed
 		// view, and every coalesced waiter shares the one corrected fetch.
-		r := c.strat.get(b, []string{key})[0]
-		if r.err != nil {
-			return nearcache.Value{}, r.err
+		for i, r := range c.strat.get(b, lead) {
+			if r.err != nil {
+				if errors.Is(r.err, ErrNotFound) {
+					c.cache.Invalidate(lead[i])
+				}
+				res[i].Err = r.err
+				continue
+			}
+			// Only the leader fills: every waiter carries the same bytes,
+			// and the leader is the one whose generation predates the fetch.
+			res[i].Value = nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}
+			c.cache.Put(lead[i], res[i].Value, gens[i])
 		}
-		return nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}, nil
 	})
-	if coalesced {
-		c.mCoalesced.Inc()
-	}
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			c.cache.Invalidate(key)
+	c.mCoalesced.Add(int64(joined))
+	// The op failed if a key did; absence fails a Get but is an answer
+	// to a bulk read.
+	var err error
+	for i := 0; i < miss && err == nil; i++ {
+		if e := res[i].Err; e != nil && !(bulk && errors.Is(e, ErrNotFound)) {
+			err = e
 		}
-		return Item{}, err
 	}
-	// Only the leader fills: every waiter carries the same bytes, and
-	// the leader is the one whose generation predates the fetch.
-	if !coalesced {
-		c.cache.Put(key, v, gen)
-	}
-	return Item{Value: v.Data, Version: v.Version, TTL: v.TTL}, nil
+	b.end(Item{}, err)
 }
 
 // invalidate drops key from the near cache after a local mutation

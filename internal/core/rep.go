@@ -48,7 +48,7 @@ func (c *Client) walk(b *batcher, keys []string, width int,
 	states := make([]walkState, len(keys))
 	for i, key := range keys {
 		if placement := placementOn(ring, key, width); placement != nil {
-			states[i].order = c.orderByHealth(distinct(placement))
+			states[i].order = c.healthOrder(placement)
 		} else {
 			out[i].err, states[i].done = ErrUnavailable, true
 		}
@@ -220,103 +220,44 @@ func (r *repStrategy) del(b *batcher, keys []string) []result {
 	return out
 }
 
-// compareSet implements the conditional write for replication. The
-// decision is serialized through the first reachable replica in FIXED
-// placement order — every writer walks the same order, so concurrent
-// CAS attempts for one key race at one decider and exactly one wins.
-// Once decided, the remaining replicas are force-converged with
-// unconditional writes of the same version: they hold an older version
-// by construction (every write lands on all replicas), so overwriting
-// them cannot lose a newer value. A replica that is down during the
-// force-write is converged later by the anti-entropy scrubber; until
-// then a failover read may observe the previous version — the same
-// read-your-writes window async replication already has.
-func (r *repStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
-	placement, epoch := r.c.placement(key, r.replicas)
+// decide is the conditional write and the conditional delete for
+// replication. The decision is serialized through the first reachable
+// replica in FIXED placement order — every writer walks the same order,
+// and the server checks-and-applies cond under one shard lock, so
+// concurrent conditional ops for one key (CAS against CAS, a deleter
+// against a CAS) race at one decider and exactly one wins. Each step of
+// the walk is a round of one sub-op. Once decided, the remaining
+// replicas are converged with force — the same op made unconditional —
+// in ONE round under one deadline: every write lands on all replicas,
+// so they hold the version just checked by construction and forcing
+// them cannot lose a newer value. The round is waited out and its
+// errors ignored: a replica that is down for it is converged later by
+// the anti-entropy scrubber; until then a failover read may observe the
+// previous version — the same read-your-writes window async replication
+// already has.
+func (r *repStrategy) decide(b *batcher, cond, force wire.BatchReq) error {
+	placement, epoch := r.c.placement(cond.Key, r.replicas)
 	placement = distinct(placement)
-	if placement == nil {
-		return 0, ErrUnavailable
-	}
-	ttlSecs := ttlSeconds(ttl)
-	version := wire.NewStripeID()
-	start := time.Now()
-	defer func() { b.wait += time.Since(start) }()
-	var lastErr error
-	for i, addr := range placement {
-		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{
-			Op: wire.OpCompareSet, Key: key, Value: value,
-			TTLSeconds: ttlSecs, Compare: expect,
-			Meta: wire.ECMeta{Stripe: version}, Epoch: epoch,
-		})
-		resp.Release()
-		switch {
-		case err == nil:
-			// Decided. Converge the other replicas; best-effort (see
-			// above).
-			for j, other := range placement {
-				if j == i {
-					continue
-				}
-				fresp, _ := r.c.pool.Roundtrip(other, &wire.Request{
-					Op: wire.OpSet, Key: key, Value: value, TTLSeconds: ttlSecs,
-					Meta: wire.ECMeta{Stripe: version}, Epoch: epoch,
-				})
-				fresp.Release()
-			}
-			return version, nil
-		case errors.Is(err, wire.ErrExists):
-			return 0, ErrCASConflict
-		case errors.Is(err, wire.ErrNotFound):
-			return 0, ErrNotFound
-		case rpc.IsUnavailable(err):
-			lastErr = err
-			continue
-		default:
-			return 0, err
-		}
-	}
-	return 0, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
-}
-
-// compareDelete is the conditional delete for replication: like
-// compareSet, the decision is serialized through the first reachable
-// replica in FIXED placement order — the wire-level conditional delete
-// (OpDelete with Compare) checks-and-removes under one shard lock, so
-// two racing deleters (or a deleter racing a CAS) decide at the same
-// replica and exactly one wins. Once decided, the remaining replicas
-// are converged with unconditional deletes: every replica of the key
-// carries the same version by construction, so removing them cannot
-// lose a newer write. A replica down during convergence keeps a stale
-// copy until the anti-entropy scrubber sees the authoritative
-// placement-order read resolve elsewhere — the same window every
-// best-effort converge in this strategy has.
-func (r *repStrategy) compareDelete(b *batcher, key string, expect uint64) error {
-	placement, epoch := r.c.placement(key, r.replicas)
-	placement = distinct(placement)
-	if placement == nil {
+	if len(placement) == 0 {
 		return ErrUnavailable
 	}
-	start := time.Now()
-	defer func() { b.wait += time.Since(start) }()
 	var lastErr error
 	for i, addr := range placement {
-		resp, err := r.c.pool.Roundtrip(addr, &wire.Request{
-			Op: wire.OpDelete, Key: key, Compare: expect, Epoch: epoch,
-		})
-		resp.Release()
+		step := [1]subOp{{addr: addr, req: cond}}
+		b.send(step[:], epoch)
+		err := step[0].fail()
+		b.release()
 		switch {
 		case err == nil:
-			// Decided. Converge the other replicas; best-effort (see
-			// above).
+			var buf roundBuf
+			rest := roundOps(&buf, len(placement)-1)
 			for j, other := range placement {
-				if j == i {
-					continue
+				if j != i {
+					rest = append(rest, subOp{addr: other, req: force})
 				}
-				fresp, _ := r.c.pool.Roundtrip(other, &wire.Request{
-					Op: wire.OpDelete, Key: key, Epoch: epoch,
-				})
-				fresp.Release()
 			}
+			b.send(rest, epoch)
+			b.release()
 			return nil
 		case errors.Is(err, wire.ErrExists):
 			return ErrCASConflict
@@ -324,10 +265,32 @@ func (r *repStrategy) compareDelete(b *batcher, key string, expect uint64) error
 			return ErrNotFound
 		case rpc.IsUnavailable(err):
 			lastErr = err
-			continue
 		default:
 			return err
 		}
 	}
 	return fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+}
+
+// compareSet decides an OpCompareSet carrying the new version and
+// converges with plain sets of it.
+func (r *repStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
+	force := wire.BatchReq{
+		Op: wire.OpSet, Key: key, Value: value, TTLSeconds: ttlSeconds(ttl),
+		Meta: wire.ECMeta{Stripe: wire.NewStripeID()},
+	}
+	cond := force
+	cond.Op, cond.Compare = wire.OpCompareSet, expect
+	if err := r.decide(b, cond, force); err != nil {
+		return 0, err
+	}
+	return force.Meta.Stripe, nil
+}
+
+// compareDelete decides the wire-level conditional delete (OpDelete
+// with Compare) and converges with unconditional deletes.
+func (r *repStrategy) compareDelete(b *batcher, key string, expect uint64) error {
+	return r.decide(b,
+		wire.BatchReq{Op: wire.OpDelete, Key: key, Compare: expect},
+		wire.BatchReq{Op: wire.OpDelete, Key: key})
 }

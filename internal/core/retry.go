@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"ecstore/internal/rpc"
@@ -146,19 +147,29 @@ func retryJitter(d time.Duration) time.Duration {
 	return d/2 + rand.N(d)
 }
 
-// orderByHealth partitions addrs into healthy-first order: servers the
-// rpc health tracker currently suspects move to the back, so failover
-// loops try known-good candidates first while still reaching suspects
-// as a last resort (whose probes are how recovery gets noticed).
-func (c *Client) orderByHealth(addrs []string) []string {
-	healthy := make([]string, 0, len(addrs))
-	var suspect []string
-	for _, a := range addrs {
-		if c.pool.Suspect(a) {
-			suspect = append(suspect, a)
-		} else {
-			healthy = append(healthy, a)
+// healthOrder returns a placement's distinct servers (a placement
+// wraps on a small cluster) in failover order: healthy first, servers
+// the rpc health tracker currently suspects moved to the back — each
+// group in placement order — so failover loops try known-good
+// candidates first while still reaching suspects as a last resort
+// (whose probes are how recovery gets noticed).
+func (c *Client) healthOrder(placement []string) []string {
+	out := make([]string, len(placement))
+	// Healthy servers fill from the front, suspects from the back.
+	h, s := 0, len(out)
+	for _, a := range placement {
+		switch {
+		case slices.Contains(out[:h], a) || slices.Contains(out[s:], a):
+		case c.pool.Suspect(a):
+			s--
+			out[s] = a
+		default:
+			out[h] = a
+			h++
 		}
 	}
-	return append(healthy, suspect...)
+	// The suspects were written backwards; close the gap duplicates left.
+	slices.Reverse(out[s:])
+	h += copy(out[h:], out[s:])
+	return out[:h]
 }

@@ -4,33 +4,69 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// The bulk cases of Group.Fetch. The former "fetch forgot a key" case
+// is gone with the error it pinned: results are slots the fetch fills
+// by position, so an omission is not representable — a slot left alone
+// is the empty value, and every led key has one.
+
+// fetchMap runs g.Fetch over a copy of keys and returns the outcome
+// keyed by key string, which is how these cases read best; fetch fills
+// res[i] for lead[i].
+func fetchMap(g *Group, keys []string, fetch func(lead []string, res []Result)) (values map[string]Value, errs map[string]error, joined int) {
+	keys = append([]string(nil), keys...)
+	res := make([]Result, len(keys))
+	joined = g.Fetch(keys, res, func(lead []string) { fetch(lead, res) })
+	values, errs = make(map[string]Value), make(map[string]error)
+	for i, key := range keys {
+		if res[i].Err != nil {
+			errs[key] = res[i].Err
+		} else {
+			values[key] = res[i].Value
+		}
+	}
+	return values, errs, joined
+}
+
+// fetchOne is a read of one key: the value, whether it was another
+// caller's fetch that served it, and the error.
+func fetchOne(g *Group, key string, fn func() (Value, error)) (Value, bool, error) {
+	keys, res := [1]string{key}, [1]Result{}
+	joined := g.Fetch(keys[:], res[:], func([]string) {
+		res[0].Value, res[0].Err = fn()
+	})
+	return res[0].Value, joined == 1, res[0].Err
+}
+
 func TestDoBulkLeadsAllWhenIdle(t *testing.T) {
 	var g Group
 	var calls int32
 	var gotLead []string
-	values, errs, joined := g.DoBulk([]string{"b", "a", "c"}, func(lead []string) (map[string]Value, map[string]error) {
+	boom := errors.New("boom")
+	values, errs, joined := fetchMap(&g, []string{"b", "a", "c"}, func(lead []string, res []Result) {
 		atomic.AddInt32(&calls, 1)
 		gotLead = append([]string(nil), lead...)
-		return map[string]Value{
-				"a": {Data: []byte("va"), Version: 1},
-				"b": {Data: []byte("vb"), Version: 2},
-			}, map[string]error{
-				"c": errors.New("boom"),
+		for i, key := range lead {
+			switch key {
+			case "a":
+				res[i].Value = Value{Data: []byte("va"), Version: 1}
+			case "b":
+				res[i].Value = Value{Data: []byte("vb"), Version: 2}
+			case "c":
+				res[i].Err = boom
 			}
+		}
 	})
 	if calls != 1 {
 		t.Fatalf("fetch ran %d times, want 1", calls)
 	}
-	sort.Strings(gotLead)
-	if fmt.Sprint(gotLead) != "[a b c]" {
-		t.Fatalf("lead = %v, want all three keys", gotLead)
+	if fmt.Sprint(gotLead) != "[b a c]" {
+		t.Fatalf("lead = %v, want all three keys in input order", gotLead)
 	}
 	if joined != 0 {
 		t.Fatalf("joined = %d with no concurrent flights", joined)
@@ -38,51 +74,46 @@ func TestDoBulkLeadsAllWhenIdle(t *testing.T) {
 	if len(values) != 2 || !bytes.Equal(values["a"].Data, []byte("va")) || values["b"].Version != 2 {
 		t.Fatalf("values = %v", values)
 	}
-	if len(errs) != 1 || errs["c"] == nil || errs["c"].Error() != "boom" {
+	if len(errs) != 1 || errs["c"] != boom {
 		t.Fatalf("errs = %v", errs)
 	}
 }
 
+// A key listed twice is fetched once: the later occurrences join the
+// flight the first one leads, and every position still gets a result of
+// its own.
 func TestDoBulkDedupesKeys(t *testing.T) {
 	var g Group
-	values, errs, _ := g.DoBulk([]string{"k", "k", "j", "k"}, func(lead []string) (map[string]Value, map[string]error) {
-		if len(lead) != 2 {
-			t.Errorf("lead = %v, want 2 distinct keys", lead)
+	keys := []string{"k", "k", "j", "k"}
+	res := make([]Result, len(keys))
+	joined := g.Fetch(keys, res, func(lead []string) {
+		if fmt.Sprint(lead) != "[k j]" {
+			t.Errorf("lead = %v, want the 2 distinct keys in input order", lead)
 		}
-		out := make(map[string]Value, len(lead))
-		for _, key := range lead {
-			out[key] = Value{Data: []byte(key)}
+		for i, key := range lead {
+			res[i].Data = []byte(key)
 		}
-		return out, nil
 	})
-	if len(errs) != 0 || len(values) != 2 {
-		t.Fatalf("values=%v errs=%v", values, errs)
+	if joined != 2 {
+		t.Fatalf("joined = %d, want the 2 repeats", joined)
+	}
+	for i, key := range keys {
+		if res[i].Err != nil || string(res[i].Data) != key {
+			t.Fatalf("position %d (%s) = %q, %v", i, key, res[i].Data, res[i].Err)
+		}
 	}
 }
 
-func TestDoBulkOmittedLeadKeyReportsError(t *testing.T) {
-	var g Group
-	values, errs, _ := g.DoBulk([]string{"present", "forgotten"}, func(lead []string) (map[string]Value, map[string]error) {
-		return map[string]Value{"present": {Data: []byte("v")}}, nil
-	})
-	if _, ok := values["present"]; !ok {
-		t.Fatal("covered key missing from values")
-	}
-	if !errors.Is(errs["forgotten"], errNoFlightResult) {
-		t.Fatalf("omitted key reported %v, want errNoFlightResult", errs["forgotten"])
-	}
-}
-
-// TestDoBulkJoinsInFlightDo: keys already being fetched by a Do leader
-// are joined, not re-fetched — and the joined result is this caller's
-// own copy of the bytes.
+// TestDoBulkJoinsInFlightDo: keys already being fetched by a
+// single-key leader are joined, not re-fetched — and the joined result
+// is this caller's own copy of the bytes.
 func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	var g Group
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
 	leaderDone := make(chan Value, 1)
 	go func() {
-		v, _, _ := g.Do("hot", func() (Value, error) {
+		v, _, _ := fetchOne(&g, "hot", func() (Value, error) {
 			close(leaderIn)
 			<-release
 			return Value{Data: []byte("shared"), Version: 7}, nil
@@ -92,22 +123,14 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	<-leaderIn
 
 	var fetchLead []string
-	done := make(chan struct{})
-	var values map[string]Value
-	var errs map[string]error
-	var joined int
-	go func() {
-		defer close(done)
-		values, errs, joined = g.DoBulk([]string{"hot", "cold"}, func(lead []string) (map[string]Value, map[string]error) {
-			fetchLead = append([]string(nil), lead...)
-			// Registration (including the join on "hot") happened before
-			// this fetch ran, so the leader may finish now.
-			close(release)
-			return map[string]Value{"cold": {Data: []byte("mine")}}, nil
-		})
-	}()
 	// The bulk call parks on "hot" until the leader finishes.
-	<-done
+	values, errs, joined := fetchMap(&g, []string{"hot", "cold"}, func(lead []string, res []Result) {
+		fetchLead = append([]string(nil), lead...)
+		// Registration (including the join on "hot") happened before
+		// this fetch ran, so the leader may finish now.
+		close(release)
+		res[0].Data = []byte("mine")
+	})
 
 	if fmt.Sprint(fetchLead) != "[cold]" {
 		t.Fatalf("bulk fetch led %v, want only the un-flighted key", fetchLead)
@@ -117,6 +140,9 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	}
 	if len(errs) != 0 {
 		t.Fatalf("errs = %v", errs)
+	}
+	if !bytes.Equal(values["cold"].Data, []byte("mine")) {
+		t.Fatalf(`values["cold"] = %v`, values["cold"])
 	}
 	if !bytes.Equal(values["hot"].Data, []byte("shared")) || values["hot"].Version != 7 {
 		t.Fatalf(`values["hot"] = %v`, values["hot"])
@@ -129,21 +155,21 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	}
 }
 
-// TestDoBulkServesDoWaiters: a Do call that parks on a key DoBulk is
-// leading receives the bulk fetch's result (its own copy), and the
-// bulk caller counts no join for it.
+// TestDoBulkServesDoWaiters: a single-key read that parks on a key a
+// bulk read is leading receives the bulk fetch's result (its own copy),
+// and the bulk caller counts no join for it.
 func TestDoBulkServesDoWaiters(t *testing.T) {
 	var g Group
 	fetchIn := make(chan struct{})
 	release := make(chan struct{})
-	bulkDone := make(chan struct{})
+	bulkDone := make(chan int, 1)
 	go func() {
-		defer close(bulkDone)
-		g.DoBulk([]string{"led"}, func(lead []string) (map[string]Value, map[string]error) {
+		_, _, joined := fetchMap(&g, []string{"led"}, func(lead []string, res []Result) {
 			close(fetchIn)
 			<-release
-			return map[string]Value{"led": {Data: []byte("bulk"), Version: 3}}, nil
+			res[0].Value = Value{Data: []byte("bulk"), Version: 3}
 		})
+		bulkDone <- joined
 	}()
 	<-fetchIn
 
@@ -152,27 +178,29 @@ func TestDoBulkServesDoWaiters(t *testing.T) {
 	var wCoalesced bool
 	go func() {
 		defer close(waiterDone)
-		wv, wCoalesced, _ = g.Do("led", func() (Value, error) {
+		wv, wCoalesced, _ = fetchOne(&g, "led", func() (Value, error) {
 			t.Error("waiter ran its own fetch instead of joining the bulk flight")
 			return Value{}, nil
 		})
 	}()
-	// Give the waiter time to park on the bulk flight, then release it.
 	waitForWaiter(t, &g, "led", 1)
 	close(release)
 	<-waiterDone
-	<-bulkDone
 
+	if joined := <-bulkDone; joined != 0 {
+		t.Fatalf("bulk leader counted %d joins", joined)
+	}
 	if !wCoalesced {
-		t.Fatal("Do call did not coalesce onto the bulk flight")
+		t.Fatal("single-key read did not coalesce onto the bulk flight")
 	}
 	if !bytes.Equal(wv.Data, []byte("bulk")) || wv.Version != 3 {
 		t.Fatalf("waiter got %v", wv)
 	}
 }
 
-// TestDoBulkErrorSharedWithWaiters: a failed bulk fetch delivers the
-// error (and errNoFlightResult for omitted keys) to parked waiters.
+// TestDoBulkErrorSharedWithWaiters: a failed bulk fetch delivers each
+// key's own outcome to the waiters parked on it — the error for the key
+// that failed, the value for the one beside it.
 func TestDoBulkErrorSharedWithWaiters(t *testing.T) {
 	var g Group
 	boom := errors.New("backend down")
@@ -180,47 +208,46 @@ func TestDoBulkErrorSharedWithWaiters(t *testing.T) {
 	release := make(chan struct{})
 	bulkDone := make(chan map[string]error, 1)
 	go func() {
-		_, errs, _ := g.DoBulk([]string{"bad", "lost"}, func(lead []string) (map[string]Value, map[string]error) {
+		_, errs, _ := fetchMap(&g, []string{"bad", "good"}, func(lead []string, res []Result) {
 			close(fetchIn)
 			<-release
-			return nil, map[string]error{"bad": boom}
+			res[0].Err = boom
+			res[1].Data = []byte("fine")
 		})
 		bulkDone <- errs
 	}()
 	<-fetchIn
 
-	type res struct {
+	type outcome struct {
+		v   Value
 		err error
 	}
-	badCh := make(chan res, 1)
-	lostCh := make(chan res, 1)
-	go func() {
-		_, _, err := g.Do("bad", func() (Value, error) { return Value{}, nil })
-		badCh <- res{err}
-	}()
-	go func() {
-		_, _, err := g.Do("lost", func() (Value, error) { return Value{}, nil })
-		lostCh <- res{err}
-	}()
+	badCh := make(chan outcome, 1)
+	goodCh := make(chan outcome, 1)
+	for key, ch := range map[string]chan outcome{"bad": badCh, "good": goodCh} {
+		go func() {
+			v, _, err := fetchOne(&g, key, func() (Value, error) { return Value{}, nil })
+			ch <- outcome{v, err}
+		}()
+	}
 	waitForWaiter(t, &g, "bad", 1)
-	waitForWaiter(t, &g, "lost", 1)
+	waitForWaiter(t, &g, "good", 1)
 	close(release)
 
-	errs := <-bulkDone
-	if !errors.Is(errs["bad"], boom) || !errors.Is(errs["lost"], errNoFlightResult) {
+	if errs := <-bulkDone; len(errs) != 1 || errs["bad"] != boom {
 		t.Fatalf("bulk errs = %v", errs)
 	}
-	if r := <-badCh; !errors.Is(r.err, boom) {
-		t.Fatalf("waiter on failed key got %v", r.err)
+	if r := <-badCh; r.err != boom || r.v.Data != nil {
+		t.Fatalf("waiter on failed key got %q, %v", r.v.Data, r.err)
 	}
-	if r := <-lostCh; !errors.Is(r.err, errNoFlightResult) {
-		t.Fatalf("waiter on omitted key got %v", r.err)
+	if r := <-goodCh; r.err != nil || string(r.v.Data) != "fine" {
+		t.Fatalf("waiter on fetched key got %q, %v", r.v.Data, r.err)
 	}
 }
 
 // TestDoBulkGenerationGuard: an Invalidate between a flight's creation
-// and a DoBulk call must prevent coalescing — the bulk call leads a
-// fresh fetch so the caller's own completed write is visible.
+// and a bulk read must prevent coalescing — the bulk read leads a fresh
+// fetch so the caller's own completed write is visible.
 func TestDoBulkGenerationGuard(t *testing.T) {
 	var g Group
 	staleIn := make(chan struct{})
@@ -228,7 +255,7 @@ func TestDoBulkGenerationGuard(t *testing.T) {
 	staleDone := make(chan struct{})
 	go func() {
 		defer close(staleDone)
-		g.Do("w", func() (Value, error) {
+		fetchOne(&g, "w", func() (Value, error) {
 			close(staleIn)
 			<-release
 			return Value{Data: []byte("stale")}, nil
@@ -240,15 +267,15 @@ func TestDoBulkGenerationGuard(t *testing.T) {
 	g.Invalidate("w")
 
 	var fetchCalls int32
-	values, errs, joined := g.DoBulk([]string{"w"}, func(lead []string) (map[string]Value, map[string]error) {
+	values, errs, joined := fetchMap(&g, []string{"w"}, func(lead []string, res []Result) {
 		atomic.AddInt32(&fetchCalls, 1)
-		return map[string]Value{"w": {Data: []byte("fresh")}}, nil
+		res[0].Data = []byte("fresh")
 	})
 	if fetchCalls != 1 {
-		t.Fatalf("post-invalidate DoBulk ran fetch %d times, want a fresh lead", fetchCalls)
+		t.Fatalf("post-invalidate read ran fetch %d times, want a fresh lead", fetchCalls)
 	}
 	if joined != 0 {
-		t.Fatal("DoBulk coalesced onto a flight that predates the invalidation")
+		t.Fatal("read coalesced onto a flight that predates the invalidation")
 	}
 	if len(errs) != 0 || !bytes.Equal(values["w"].Data, []byte("fresh")) {
 		t.Fatalf("values=%v errs=%v", values, errs)
@@ -257,10 +284,9 @@ func TestDoBulkGenerationGuard(t *testing.T) {
 	<-staleDone
 }
 
-// TestDoBulkConcurrentStorm: many DoBulk callers over an overlapping
-// key space must produce exactly one fetch per (key, storm) — every
-// caller gets every key, and total leads+joins account for every
-// request.
+// TestDoBulkConcurrentStorm: many bulk readers over an overlapping key
+// space must produce at most one fetch per (key, caller) — every caller
+// gets every key, whichever of them it led and whichever it joined.
 func TestDoBulkConcurrentStorm(t *testing.T) {
 	var g Group
 	const callers = 16
@@ -275,16 +301,14 @@ func TestDoBulkConcurrentStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			values, errs, _ := g.DoBulk(keys, func(lead []string) (map[string]Value, map[string]error) {
+			values, errs, _ := fetchMap(&g, keys, func(lead []string, res []Result) {
 				atomic.AddInt32(&fetches, 1)
-				out := make(map[string]Value, len(lead))
 				mu.Lock()
-				for _, key := range lead {
+				for i, key := range lead {
 					perKeyLeads[key]++
-					out[key] = Value{Data: []byte("v-" + key)}
+					res[i].Data = []byte("v-" + key)
 				}
 				mu.Unlock()
-				return out, nil
 			})
 			if len(errs) != 0 || len(values) != len(keys) {
 				t.Errorf("storm caller: values=%d errs=%v", len(values), errs)
@@ -307,6 +331,121 @@ func TestDoBulkConcurrentStorm(t *testing.T) {
 	}
 	if fetches > callers {
 		t.Fatalf("%d fetch invocations for %d callers", fetches, callers)
+	}
+}
+
+// TestFlightServesLedWaitersBeforeParking: a bulk read that leads one
+// key and joins another serves the led key's waiters BEFORE it parks on
+// its join, so readers chained through it hand results on instead of
+// waiting on each other. (A literal cycle of two calls — each leading a
+// key the other joins — cannot form: a call registers all its keys
+// under one lock hold, so it only ever joins flights begun before it.
+// What the rule protects is this chain, and a call joining its own
+// flight through a repeated key, TestDoBulkDedupesKeys.) Here the read
+// holding "a" is released only once the read waiting on "b" has its
+// answer; parking first would hang all three.
+func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
+	var g Group
+	inA, releaseA := make(chan struct{}), make(chan struct{})
+	inB, releaseB := make(chan struct{}), make(chan struct{})
+	fill := func(who string, in, release chan struct{}) func(lead []string, res []Result) {
+		return func(lead []string, res []Result) {
+			if in != nil {
+				close(in)
+				<-release
+			}
+			for i, key := range lead {
+				res[i].Data = []byte(who + ":" + key)
+			}
+		}
+	}
+	type outcome struct {
+		values map[string]Value
+		joined int
+	}
+	read := func(keys []string, fetch func(lead []string, res []Result)) chan outcome {
+		done := make(chan outcome, 1)
+		go func() {
+			values, _, joined := fetchMap(&g, keys, fetch)
+			done <- outcome{values, joined}
+		}()
+		return done
+	}
+	check := func(name string, done chan outcome, joined int, want map[string]string) {
+		t.Helper()
+		select {
+		case got := <-done:
+			if got.joined != joined {
+				t.Errorf("%s joined %d keys, want %d", name, got.joined, joined)
+			}
+			for key, v := range want {
+				if string(got.values[key].Data) != v {
+					t.Errorf("%s: %s = %q, want %q", name, key, got.values[key].Data, v)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never completed: a leader parked on its join before serving its waiters", name)
+		}
+	}
+
+	r1 := read([]string{"a"}, fill("r1", inA, releaseA))
+	<-inA
+	r2 := read([]string{"b", "a"}, fill("r2", inB, releaseB)) // leads b, joins a
+	<-inB
+	r3 := read([]string{"b", "c"}, fill("r3", nil, nil)) // joins b, leads c
+	waitForWaiter(t, &g, "b", 1)
+	close(releaseB)
+	check("r3", r3, 1, map[string]string{"b": "r2:b", "c": "r3:c"})
+	close(releaseA)
+	check("r1", r1, 0, map[string]string{"a": "r1:a"})
+	check("r2", r2, 1, map[string]string{"b": "r2:b", "a": "r1:a"})
+}
+
+// TestFlightWaitersOwnTheirBytes: a single-key waiter and a bulk waiter
+// coalesced onto one fetch, and the leader itself, each hold bytes of
+// their own — scribbling on one result changes neither of the others.
+func TestFlightWaitersOwnTheirBytes(t *testing.T) {
+	var g Group
+	in, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan Value, 1)
+	go func() {
+		v, _, _ := fetchOne(&g, "k", func() (Value, error) {
+			close(in)
+			<-release
+			return Value{Data: []byte("payload")}, nil
+		})
+		leader <- v
+	}()
+	<-in
+	single := make(chan Value, 1)
+	go func() {
+		v, joined, _ := fetchOne(&g, "k", func() (Value, error) { return Value{}, errors.New("not led") })
+		if !joined {
+			t.Error("single-key reader did not join")
+		}
+		single <- v
+	}()
+	bulk := make(chan Value, 1)
+	go func() {
+		values, _, joined := fetchMap(&g, []string{"z", "k"}, func(lead []string, res []Result) {
+			res[0].Data = []byte("z")
+		})
+		if joined != 1 {
+			t.Errorf("bulk reader joined %d keys, want 1", joined)
+		}
+		bulk <- values["k"]
+	}()
+	waitForWaiter(t, &g, "k", 2)
+	close(release)
+
+	got := []Value{<-leader, <-single, <-bulk}
+	for i := range got {
+		got[i].Data[0] = byte('0' + i)
+	}
+	for i, want := range []string{"0ayload", "1ayload", "2ayload"} {
+		if string(got[i].Data) != want {
+			t.Errorf("result %d = %q after scribbling on all three, want %q", i, got[i].Data, want)
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ package nearcache
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 	"time"
 
@@ -353,30 +352,34 @@ func (c *Cache) removeLocked(el *list.Element) {
 
 // ---- singleflight ----
 
-type flightResult struct {
-	v   Value
-	err error
+// Result is one key's outcome of Group.Fetch.
+type Result struct {
+	Value
+	Err error
+	// wait is where a key that joined another caller's fetch receives
+	// that fetch's outcome.
+	wait chan Result
 }
 
 type flight struct {
 	gen     uint64 // key's generation when the flight was created
-	waiters []chan flightResult
+	waiters []chan Result
 }
 
 // Group coalesces concurrent fetches of one key: the first caller (the
-// leader) runs fn; callers arriving while it is in flight wait and
+// leader) fetches it; callers arriving while that is in flight wait and
 // receive the leader's result instead of dialing themselves. The zero
 // Group is ready to use.
 //
 // Ownership: each waiter receives its own copy of the result bytes,
-// made by the leader BEFORE its own return value escapes — so no two
-// callers ever share a buffer, and fn's result may alias memory the
+// made by the leader BEFORE its own results escape — so no two callers
+// ever share a buffer, and a fetched value may alias memory the
 // leader's caller will mutate. Errors are shared as-is (errors are
 // immutable).
 //
 // Write ordering: flights are generation-guarded. Invalidate (called
 // after every local write of the key) bumps the key's generation, and
-// Do refuses to coalesce onto a flight created under an older
+// Fetch refuses to coalesce onto a flight created under an older
 // generation — without the guard, a read issued after the caller's own
 // completed write could park on a fetch that began before the write
 // and return the pre-write value. A superseded flight still delivers
@@ -388,171 +391,87 @@ type Group struct {
 	flights map[string]*flight
 }
 
-// Do runs fn for key, coalescing with an in-flight call if one exists
-// and no invalidation of key happened since that call began.
-// coalesced reports whether this caller shared another caller's fetch
-// (true for waiters, false for the leader).
-func (g *Group) Do(key string, fn func() (Value, error)) (v Value, coalesced bool, err error) {
+// Fetch resolves keys, one Result per key by position — a read of one
+// key is a call with one. Each key independently either joins the
+// in-flight fetch of its current generation or is led by this call, and
+// fetch runs ONCE, on the calling goroutine, for all led keys together:
+// that is what lets a bulk read stay one frame per server while still
+// coalescing per key with concurrent readers. The return counts the
+// keys satisfied from another caller's fetch.
+//
+// Fetch reorders keys and res together, led keys first in their input
+// order, so what fetch is handed is a prefix of the caller's own slice:
+// it must fill res[i] for every lead[i]. (A fetch cannot forget a key:
+// a slot it leaves alone reports the empty value.) A key listed twice
+// joins the flight its first occurrence leads.
+//
+// Served before parking: led keys are fetched and their waiters served
+// BEFORE this call parks on the flights it joined. A call only joins
+// flights registered before its own, so calls cannot wait on each other
+// in a cycle; the order keeps a led key's waiters from being held
+// behind the leader's own joins, and lets a call that joined its own
+// flight (a repeated key) be served by itself.
+func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (joined int) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = make(map[string]*flight)
 	}
-	cur := g.gens[genSlot(key)]
-	if f, ok := g.flights[key]; ok && f.gen == cur {
-		ch := make(chan flightResult, 1)
-		f.waiters = append(f.waiters, ch)
-		g.mu.Unlock()
-		r := <-ch
-		return r.v, true, r.err
-	}
-	// Either no flight exists, or the one in flight predates an
-	// invalidation of key (its generation is stale): joining it could
-	// return a value fetched before this caller's own completed write.
-	// Become the leader of a fresh flight instead, superseding the
-	// stale one in the map.
-	f := &flight{gen: cur}
-	g.flights[key] = f
-	g.mu.Unlock()
-
-	v, err = fn()
-
-	// Unregister before distributing: a Get arriving after this point
-	// starts a fresh fetch instead of waiting on an already-finished
-	// one (and observing ever-staler data). Delete only if the map
-	// still points at this flight — a superseded flight must not tear
-	// down its replacement.
-	g.mu.Lock()
-	if g.flights[key] == f {
-		delete(g.flights, key)
-	}
-	waiters := f.waiters
-	g.mu.Unlock()
-	for _, ch := range waiters {
-		r := flightResult{err: err}
-		if err == nil {
-			r.v = Value{
-				Data:    append([]byte(nil), v.Data...),
-				Version: v.Version,
-				TTL:     v.TTL,
-			}
-		}
-		ch <- r
-	}
-	return v, false, err
-}
-
-// errNoFlightResult is delivered to waiters (and reported for led
-// keys) when a DoBulk fetch returns neither a value nor an error for a
-// key it was asked to lead — a fetch-contract violation surfaced as an
-// error rather than a hang or a silent miss.
-var errNoFlightResult = errors.New("nearcache: fetch returned no result for key")
-
-// DoBulk is Do over a key set: each key independently either joins an
-// in-flight fetch of the same generation or is led by this call, and
-// fetch runs ONCE for all led keys together — that is what lets a bulk
-// read stay one frame per server while still coalescing per key with
-// concurrent readers. fetch must cover every lead key in values or
-// errs; a key it omits reports errNoFlightResult.
-//
-// values and errs are keyed like fetch's returns (disjoint; a key
-// appears in exactly one); joined counts the keys satisfied from
-// another caller's fetch. Ownership matches Do: every waiter gets its
-// own copy of the bytes, and results delivered to this caller from
-// another flight are that flight's copies.
-//
-// Deadlock discipline: led keys are fetched and their waiters served
-// BEFORE this call parks on the flights it joined — two DoBulk calls
-// that each join a key the other leads hand off results instead of
-// waiting on each other.
-func (g *Group) DoBulk(keys []string, fetch func(lead []string) (values map[string]Value, errs map[string]error)) (values map[string]Value, errs map[string]error, joined int) {
-	values = make(map[string]Value, len(keys))
-	errs = make(map[string]error)
-
-	type joinedFlight struct {
-		key string
-		ch  chan flightResult
-	}
-	var joins []joinedFlight
-	var lead []string
-	led := make(map[string]*flight)
-	seen := make(map[string]bool, len(keys))
-
-	g.mu.Lock()
-	if g.flights == nil {
-		g.flights = make(map[string]*flight)
-	}
-	for _, key := range keys {
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	var led []flight // led[i] is the flight of keys[i], for i < n
+	n := 0
+	for i, key := range keys {
 		cur := g.gens[genSlot(key)]
 		if f, ok := g.flights[key]; ok && f.gen == cur {
-			ch := make(chan flightResult, 1)
-			f.waiters = append(f.waiters, ch)
-			joins = append(joins, joinedFlight{key: key, ch: ch})
+			res[i].wait = make(chan Result, 1)
+			f.waiters = append(f.waiters, res[i].wait)
 			continue
 		}
-		f := &flight{gen: cur}
-		g.flights[key] = f
-		led[key] = f
-		lead = append(lead, key)
+		// Either no flight exists, or the one in flight predates an
+		// invalidation of key (its generation is stale): joining it could
+		// return a value fetched before this caller's own completed
+		// write. Lead a fresh flight instead, superseding the stale one
+		// in the map.
+		if led == nil {
+			led = make([]flight, len(keys)-i)
+		}
+		led[n].gen = cur
+		g.flights[key] = &led[n]
+		keys[n], keys[i] = keys[i], keys[n]
+		res[n], res[i] = res[i], res[n]
+		n++
 	}
 	g.mu.Unlock()
 
-	var fetched map[string]Value
-	var fetchErrs map[string]error
-	if len(lead) > 0 {
-		fetched, fetchErrs = fetch(lead)
+	if n > 0 {
+		fetch(keys[:n])
 	}
 
-	// Unregister led flights (only where the map still points at ours —
-	// a superseded flight must not tear down its replacement), then
-	// deliver to their waiters before parking on our own joins.
+	// Unregister before distributing: a read arriving after this point
+	// starts a fresh fetch instead of waiting on an already-finished one
+	// (and observing ever-staler data). Delete only where the map still
+	// points at our flight — a superseded flight must not tear down its
+	// replacement.
 	g.mu.Lock()
-	waitersByKey := make(map[string][]chan flightResult, len(led))
-	for key, f := range led {
-		if g.flights[key] == f {
-			delete(g.flights, key)
+	for i := range led[:n] {
+		if g.flights[keys[i]] == &led[i] {
+			delete(g.flights, keys[i])
 		}
-		waitersByKey[key] = f.waiters
 	}
 	g.mu.Unlock()
-	for _, key := range lead {
-		switch {
-		case fetchErrs[key] != nil:
-			errs[key] = fetchErrs[key]
-		default:
-			v, ok := fetched[key]
-			if !ok {
-				errs[key] = errNoFlightResult
-				break
-			}
-			values[key] = v
-		}
-		for _, ch := range waitersByKey[key] {
-			r := flightResult{err: errs[key]}
-			if _, failed := errs[key]; !failed {
-				r.v = Value{
-					Data:    append([]byte(nil), values[key].Data...),
-					Version: values[key].Version,
-					TTL:     values[key].TTL,
-				}
+	for i := range led[:n] {
+		for _, ch := range led[i].waiters {
+			r := Result{Err: res[i].Err}
+			if r.Err == nil {
+				r.Value = res[i].Value
+				r.Data = append([]byte(nil), r.Data...)
 			}
 			ch <- r
 		}
 	}
 
-	for _, j := range joins {
-		r := <-j.ch
-		joined++
-		if r.err != nil {
-			errs[j.key] = r.err
-		} else {
-			values[j.key] = r.v
-		}
+	for i := n; i < len(keys); i++ {
+		res[i] = <-res[i].wait
 	}
-	return values, errs, joined
+	return len(keys) - n
 }
 
 // Invalidate marks any in-flight fetch of key as predating a write:

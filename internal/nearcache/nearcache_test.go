@@ -325,7 +325,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := g.Do("k", func() (Value, error) {
+			v, shared, err := fetchOne(&g, "k", func() (Value, error) {
 				calls.Add(1)
 				close(started)
 				<-release
@@ -380,7 +380,7 @@ func TestSingleflightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := g.Do("k", func() (Value, error) {
+			_, _, err := fetchOne(&g, "k", func() (Value, error) {
 				close(started)
 				<-release
 				return Value{}, boom
@@ -408,7 +408,7 @@ func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
-			v, _, err := g.Do(key, func() (Value, error) {
+			v, _, err := fetchOne(&g, key, func() (Value, error) {
 				calls.Add(1)
 				return Value{Data: []byte(key)}, nil
 			})
@@ -438,7 +438,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	var leaderV Value
 	go func() {
 		defer wg.Done()
-		leaderV, _, _ = g.Do("k", func() (Value, error) {
+		leaderV, _, _ = fetchOne(&g, "k", func() (Value, error) {
 			close(started)
 			<-release
 			return Value{Data: []byte("old"), Version: 1}, nil
@@ -453,7 +453,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	var preShared bool
 	go func() {
 		defer wg.Done()
-		preV, preShared, _ = g.Do("k", func() (Value, error) {
+		preV, preShared, _ = fetchOne(&g, "k", func() (Value, error) {
 			return Value{Data: []byte("fresh-pre")}, nil
 		})
 	}()
@@ -465,14 +465,14 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	// A read arriving after the write must not park on the stale
 	// flight — it runs its own fetch even though the old leader is
 	// still blocked.
-	post, shared, err := g.Do("k", func() (Value, error) {
+	post, shared, err := fetchOne(&g, "k", func() (Value, error) {
 		return Value{Data: []byte("new"), Version: 2}, nil
 	})
 	if err != nil || shared {
-		t.Fatalf("post-write Do: err=%v shared=%v, want a fresh fetch", err, shared)
+		t.Fatalf("post-write read: err=%v shared=%v, want a fresh fetch", err, shared)
 	}
 	if string(post.Data) != "new" {
-		t.Fatalf("post-write Do returned %q, want \"new\"", post.Data)
+		t.Fatalf("post-write read returned %q, want \"new\"", post.Data)
 	}
 
 	close(release)
@@ -485,12 +485,12 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	}
 
 	// The superseded flight's completion must not have torn down live
-	// state: a fresh sequential Do still works uncoalesced.
-	v, shared, err := g.Do("k", func() (Value, error) {
+	// state: a fresh sequential read still works uncoalesced.
+	v, shared, err := fetchOne(&g, "k", func() (Value, error) {
 		return Value{Data: []byte("after")}, nil
 	})
 	if err != nil || shared || string(v.Data) != "after" {
-		t.Fatalf("Do after settle: %q shared=%v err=%v", v.Data, shared, err)
+		t.Fatalf("read after settle: %q shared=%v err=%v", v.Data, shared, err)
 	}
 }
 
@@ -504,7 +504,7 @@ func TestSingleflightInvalidateAll(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		g.Do("k", func() (Value, error) {
+		fetchOne(&g, "k", func() (Value, error) {
 			close(started)
 			<-release
 			return Value{Data: []byte("old")}, nil
@@ -512,11 +512,11 @@ func TestSingleflightInvalidateAll(t *testing.T) {
 	}()
 	<-started
 	g.InvalidateAll()
-	v, shared, err := g.Do("k", func() (Value, error) {
+	v, shared, err := fetchOne(&g, "k", func() (Value, error) {
 		return Value{Data: []byte("new")}, nil
 	})
 	if err != nil || shared || string(v.Data) != "new" {
-		t.Fatalf("post-flush Do: %q shared=%v err=%v, want fresh \"new\"", v.Data, shared, err)
+		t.Fatalf("post-flush read: %q shared=%v err=%v, want fresh \"new\"", v.Data, shared, err)
 	}
 	close(release)
 	wg.Wait()
@@ -528,7 +528,7 @@ func TestSingleflightSequential(t *testing.T) {
 	var g Group
 	var calls int
 	for i := 0; i < 3; i++ {
-		v, shared, err := g.Do("k", func() (Value, error) {
+		v, shared, err := fetchOne(&g, "k", func() (Value, error) {
 			calls++
 			return Value{Data: []byte{byte(calls)}}, nil
 		})
