@@ -416,6 +416,13 @@ func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) 
 
 // ISet stores value under key without blocking; completion is
 // observed through the returned Future (memcached_iset).
+//
+// The client reads value while the operation runs — an erasure-coded Set
+// codes its data shards straight out of it (erasure.SplitPooled lends
+// them), a replicated one puts it on the wire from where it lies once it
+// is past wire.FrameInlineThreshold — so, as with memcached_iset's
+// buffer, value must not be modified until the Future completes. The
+// blocking calls (Set, SetTTL, Cas, Add, MSet) return only then.
 func (c *Client) ISet(key string, value []byte) *Future {
 	return c.ISetTTL(key, value, 0)
 }
@@ -424,7 +431,8 @@ func (c *Client) ISet(key string, value []byte) *Future {
 // memcached). The wire carries whole seconds, so ttl is rounded UP to
 // the next second: a sub-second TTL becomes 1s rather than silently
 // truncating to 0 (which would mean "never expires") — an item may
-// live slightly longer than requested, never forever.
+// live slightly longer than requested, never forever. As with ISet,
+// value must not be modified until the Future completes.
 func (c *Client) ISetTTL(key string, value []byte, ttl time.Duration) *Future {
 	return c.submit(c.setOp(key, value, ttl))
 }

@@ -96,8 +96,10 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			out[i] = result{err: ErrUnavailable}
 			continue
 		}
-		// Shard buffers come from the shared pool and ride in the sub-ops
-		// as raw chunks, so they are held until the round is over.
+		// The data shards are windows of w.value (the caller keeps it
+		// unmodified until the Set returns), the ragged last one and the
+		// parity come from the shared pool; all ride in the sub-ops as raw
+		// chunks, so the split is held until the round is over.
 		ps := erasure.SplitPooled(w.value, e.k, e.m, nil)
 		splits = append(splits, ps)
 		if err := e.code.Encode(ps.Shards); err != nil {

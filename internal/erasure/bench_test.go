@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// Codec benchmarks in benchstat-readable form. The serial-vs-parallel
-// pairs share the path=... label so that
+// Codec benchmarks in benchstat-readable form: sub-benchmarks are
+// labelled key=value (size=..., pool=..., mode=...) so that
 //
-//	go test -bench=Encode -run='^$' ./internal/erasure | benchstat -col /path -
+//	go test -bench=EncodeAlloc -benchmem -run='^$' ./internal/erasure | benchstat -col /pool -
 //
-// lines them up, and the pooled-vs-unpooled pairs do the same with the
-// pool=... label (run with -benchmem to compare allocs/op).
+// lines the pairs up.
 
 var benchSizes = []int{1 << 10, 64 << 10, 256 << 10, 1 << 20}
 
@@ -31,67 +30,48 @@ func benchCode(b *testing.B, opts ...Option) *RSVan {
 	return code
 }
 
-// BenchmarkEncode compares the serial and striped-parallel encode paths
-// for RS(3,2) across Figure 4's value-size range. Both run unpooled so
-// the delta is pure coding time.
+// BenchmarkEncode is RS(3,2) encode across Figure 4's value-size range,
+// unpooled so the time is pure coding time.
 func BenchmarkEncode(b *testing.B) {
-	paths := []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", []Option{WithParallel(false), WithPool(nil)}},
-		{"parallel", []Option{WithParallelThreshold(1), WithPool(nil)}},
-	}
-	for _, p := range paths {
-		for _, size := range benchSizes {
-			b.Run(fmt.Sprintf("path=%s/size=%d", p.name, size), func(b *testing.B) {
-				code := benchCode(b, p.opts...)
-				shards := Split(benchValue(size), 3, 2)
+	for _, size := range benchSizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			code := benchCode(b, WithPool(nil))
+			shards := Split(benchValue(size), 3, 2)
+			if err := code.Encode(shards); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := code.Encode(shards); err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := code.Encode(shards); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkReconstruct compares serial and parallel decode with the
-// worst-case erasure (two data shards lost).
+// BenchmarkReconstruct is decode with the worst-case erasure (two data
+// shards lost).
 func BenchmarkReconstruct(b *testing.B) {
-	paths := []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", []Option{WithParallel(false), WithPool(nil)}},
-		{"parallel", []Option{WithParallelThreshold(1), WithPool(nil)}},
-	}
-	for _, p := range paths {
-		for _, size := range benchSizes {
-			b.Run(fmt.Sprintf("path=%s/size=%d", p.name, size), func(b *testing.B) {
-				code := benchCode(b, p.opts...)
-				shards := Split(benchValue(size), 3, 2)
-				if err := code.Encode(shards); err != nil {
+	for _, size := range benchSizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			code := benchCode(b, WithPool(nil))
+			shards := Split(benchValue(size), 3, 2)
+			if err := code.Encode(shards); err != nil {
+				b.Fatal(err)
+			}
+			work := make([][]byte, len(shards))
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, shards)
+				work[0], work[1] = nil, nil
+				if err := code.ReconstructData(work); err != nil {
 					b.Fatal(err)
 				}
-				work := make([][]byte, len(shards))
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(work, shards)
-					work[0], work[1] = nil, nil
-					if err := code.ReconstructData(work); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"fmt"
 
 	"ecstore/internal/gf256"
@@ -79,7 +80,7 @@ func (b *bitCode) Encode(shards [][]byte) error {
 		if shards[i] == nil {
 			shards[i] = make([]byte, size)
 		} else {
-			clearSlice(shards[i])
+			clear(shards[i])
 		}
 	}
 	for p := 0; p < b.m; p++ {
@@ -202,7 +203,7 @@ func (b *bitCode) Verify(shards [][]byte) (bool, error) {
 	}
 	buf := make([]byte, size)
 	for p := 0; p < b.m; p++ {
-		clearSlice(buf)
+		clear(buf)
 		outPkts := b.packets(buf)
 		for r := 0; r < b.w; r++ {
 			row := b.gen.Row(b.w*(b.k+p) + r)
@@ -212,7 +213,7 @@ func (b *bitCode) Verify(shards [][]byte) (bool, error) {
 				}
 			}
 		}
-		if !equalBytes(buf, shards[b.k+p]) {
+		if !bytes.Equal(buf, shards[b.k+p]) {
 			return false, nil
 		}
 	}

@@ -23,9 +23,9 @@ var ErrDeltaShape = errors.New("erasure: old and new values have different shard
 //
 // The data shards are built directly as (new XOR old) per segment, with
 // both values zero-padded to the common shard size; the parity delta
-// shards come from running the code's normal (parallel, widened-kernel)
-// Encode over those data deltas. Both values must round to the same
-// shard size for the code's K, otherwise ErrDeltaShape is returned.
+// shards come from running the code's normal Encode over those data
+// deltas. Both values must round to the same shard size for the code's
+// K, otherwise ErrDeltaShape is returned.
 //
 // Shard buffers are drawn from pool (DefaultPool when nil); the caller
 // must Release the returned set once the delta runs have been
@@ -39,12 +39,7 @@ func EncodeDelta(code Code, oldValue, newValue []byte, pool *BufferPool) (*Poole
 	if pool == nil {
 		pool = DefaultPool
 	}
-	ps := &PooledShards{pool: pool}
-	if n := k + m; n <= len(ps.arr) {
-		ps.Shards = ps.arr[:n]
-	} else {
-		ps.Shards = make([][]byte, n)
-	}
+	ps := newPooledShards(k+m, pool)
 	for i := 0; i < k; i++ {
 		s := pool.GetRaw(per)
 		lo := i * per
@@ -52,7 +47,7 @@ func EncodeDelta(code Code, oldValue, newValue []byte, pool *BufferPool) (*Poole
 		if lo < len(newValue) {
 			n = copy(s, newValue[lo:])
 		}
-		clearSlice(s[n:]) // zero the padding a raw pool buffer may carry
+		clear(s[n:]) // zero the padding a raw pool buffer may carry
 		if lo < len(oldValue) {
 			seg := oldValue[lo:]
 			if len(seg) > per {

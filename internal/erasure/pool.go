@@ -34,45 +34,66 @@ type PooledShards struct {
 	// Shards holds k data buffers followed by m parity slots. Parity
 	// slots start nil; Code.Encode fills them (pool-allocating when the
 	// code itself is pooled). The slice may be passed directly to
-	// Encode/Reconstruct/Verify.
+	// Encode/Reconstruct/Verify. The data shards SplitPooled lends are
+	// windows of the caller's value: read them, never write them.
 	Shards [][]byte
 
 	// arr backs Shards for the common k+m <= 16 configurations, saving
 	// a separate slice allocation per operation.
-	arr      [16][]byte
-	pool     *BufferPool
+	arr  [16][]byte
+	pool *BufferPool
+	// lent counts the leading data shards that alias the value handed
+	// to SplitPooled. They are the caller's memory: Release leaves them
+	// alone and returns Shards[lent:] only.
+	lent     int
 	released atomic.Bool
 }
 
-// SplitPooled is Split with pooled data-shard buffers: it copies value
-// into k equally sized data shards (zero-padded) followed by m nil
-// parity slots, drawing the buffers from pool. A nil pool uses
-// DefaultPool.
+// newPooledShards returns an empty set of n shard slots over pool.
+func newPooledShards(n int, pool *BufferPool) *PooledShards {
+	ps := &PooledShards{pool: pool}
+	if n <= len(ps.arr) {
+		ps.Shards = ps.arr[:n]
+	} else {
+		ps.Shards = make([][]byte, n)
+	}
+	return ps
+}
+
+// SplitPooled is Split without the copy: it cuts value into k equally
+// sized data shards followed by m nil parity slots. Every data shard
+// that lies wholly inside value is a window of it — capacity clipped,
+// so an append cannot run into the next shard — and only the ragged
+// last one and any that are all padding are leased from pool, copied
+// into and zero-padded. A nil pool uses DefaultPool.
+//
+// value must stay unmodified until Release: the lent shards are value's
+// own bytes.
 func SplitPooled(value []byte, k, m int, pool *BufferPool) *PooledShards {
 	if pool == nil {
 		pool = DefaultPool
 	}
 	per := ShardSize(len(value), k, packetAlign)
-	ps := &PooledShards{pool: pool}
-	if n := k + m; n <= len(ps.arr) {
-		ps.Shards = ps.arr[:n]
-	} else {
-		ps.Shards = make([][]byte, n)
+	ps := newPooledShards(k+m, pool)
+	ps.lent = min(len(value)/per, k)
+	for i := 0; i < ps.lent; i++ {
+		ps.Shards[i] = value[i*per : (i+1)*per : (i+1)*per]
 	}
-	for i := 0; i < k; i++ {
+	for i := ps.lent; i < k; i++ {
 		s := pool.GetRaw(per)
-		lo := i * per
 		n := 0
-		if lo < len(value) {
+		if lo := i * per; lo < len(value) {
 			n = copy(s, value[lo:])
 		}
-		clearSlice(s[n:]) // zero the padding a raw pool buffer may carry
+		clear(s[n:]) // zero the padding a raw pool buffer may carry
 		ps.Shards[i] = s
 	}
 	return ps
 }
 
-// Release returns every shard buffer to the pool and clears the Shards
+// Release returns every shard buffer the set owns — the leased data
+// shards and whatever Encode put in the parity slots, not the windows
+// lent from the caller's value — to the pool and clears the Shards
 // slice. The first call wins; subsequent calls (including concurrent
 // ones) do nothing, so a double release can never hand the same buffer
 // out twice.
@@ -81,7 +102,9 @@ func (ps *PooledShards) Release() {
 		return
 	}
 	for i, s := range ps.Shards {
-		ps.pool.Put(s)
+		if i >= ps.lent {
+			ps.pool.Put(s)
+		}
 		ps.Shards[i] = nil
 	}
 }

@@ -127,18 +127,92 @@ func TestSplitPooledZeroPadsRecycledBuffers(t *testing.T) {
 	ps.Release()
 }
 
+func TestSplitPooledLendsWholeShards(t *testing.T) {
+	// An exactly divisible value lends every data shard, a ragged one all
+	// but the last, and one shorter than a shard none: whatever it lends
+	// is the value's own memory, whatever it leases equals Split's copy,
+	// and Release hands the pool the leased and parity buffers only.
+	const k, m = 3, 2
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		name string
+		n    int
+		lent int
+	}{
+		// 3 × 4096: every lent window's cap is a pool size class, the
+		// case a careless Release would push into the pool.
+		{"divisible", 3 * 4096, 3},
+		{"ragged", 3*4096 - 5, 2},
+		{"short", 5, 0},
+		{"one-shard-and-a-bit", 8 + 3, 1},
+		{"empty", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewBufferPool()
+			code, err := NewRSVan(k, m, WithPool(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			value := randValue(rng, tc.n)
+			orig := bytes.Clone(value)
+			want := Split(value, k, m)
+			ps := SplitPooled(value, k, m, pool)
+			per := len(want[0])
+			for i := 0; i < k; i++ {
+				if !bytes.Equal(ps.Shards[i], want[i]) {
+					t.Fatalf("shard %d differs from Split", i)
+				}
+				aliased := (i+1)*per <= len(value) && &ps.Shards[i][0] == &value[i*per]
+				if aliased != (i < tc.lent) {
+					t.Fatalf("shard %d aliases the value: %v, want %v", i, aliased, i < tc.lent)
+				}
+				if aliased && cap(ps.Shards[i]) != per {
+					t.Fatalf("lent shard %d has cap %d, want it clipped to %d", i, cap(ps.Shards[i]), per)
+				}
+			}
+			if got := pool.Stats().Gets; got != uint64(k-tc.lent) {
+				t.Fatalf("SplitPooled leased %d buffers, want %d", got, k-tc.lent)
+			}
+			if err := code.Encode(ps.Shards); err != nil {
+				t.Fatal(err)
+			}
+			if err := code.Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			for i := k; i < k+m; i++ {
+				if !bytes.Equal(ps.Shards[i], want[i]) {
+					t.Fatalf("parity shard %d differs from the copying split's", i)
+				}
+			}
+			ps.Release()
+			if !bytes.Equal(value, orig) {
+				t.Fatal("the value was written through a lent shard")
+			}
+			// Owned: the leased data shards and the m parity buffers.
+			if got := pool.Stats().Puts; got != uint64(k-tc.lent+m) {
+				t.Fatalf("Release put back %d buffers, want %d", got, k-tc.lent+m)
+			}
+			ps.Release()
+			if got := pool.Stats().Puts; got != uint64(k-tc.lent+m) {
+				t.Fatalf("second Release put back buffers: Puts = %d", got)
+			}
+		})
+	}
+}
+
 func TestPooledShardsDoubleRelease(t *testing.T) {
 	p := NewBufferPool()
-	ps := SplitPooled(bytes.Repeat([]byte{1}, 4<<10), 3, 2, p)
+	// Five bytes over three shards: nothing to lend, all three leased.
+	ps := SplitPooled(bytes.Repeat([]byte{1}, 5), 3, 2, p)
 	ps.Release()
 
 	// The pool now holds the three data buffers. A second Release must
 	// not push anything again — otherwise the same backing array could
 	// be handed to two callers.
-	a := p.GetRaw(2048)
+	a := p.GetRaw(8)
 	ps.Release()
-	b := p.GetRaw(2048)
-	c := p.GetRaw(2048)
+	b := p.GetRaw(8)
+	c := p.GetRaw(8)
 	if &a[0] == &b[0] || &a[0] == &c[0] || &b[0] == &c[0] {
 		t.Fatal("double release produced aliased buffers")
 	}
@@ -147,6 +221,45 @@ func TestPooledShardsDoubleRelease(t *testing.T) {
 	}
 	var nilPS *PooledShards
 	nilPS.Release() // must not panic
+}
+
+func TestSplitPooledConcurrentStress(t *testing.T) {
+	// 100 goroutines, each splitting its own value against one shared
+	// pool and code: lent shards are only ever read, leased ones never
+	// shared (the race detector fires on either), and every stripe
+	// verifies.
+	pool := NewBufferPool()
+	code, err := NewRSVan(3, 2, WithPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 100; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + id)))
+			for i := 0; i < 10; i++ {
+				value := randValue(rng, 1+rng.Intn(48<<10))
+				ps := SplitPooled(value, 3, 2, pool)
+				if err := code.Encode(ps.Shards); err != nil {
+					t.Error(err)
+					return
+				}
+				if ok, err := code.Verify(ps.Shards); err != nil || !ok {
+					t.Errorf("goroutine %d iter %d: Verify ok=%v err=%v", id, i, ok, err)
+					return
+				}
+				got, err := Join(ps.Shards, 3, len(value))
+				if err != nil || !bytes.Equal(got, value) {
+					t.Errorf("goroutine %d iter %d: join differs (err=%v)", id, i, err)
+					return
+				}
+				ps.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestBufferPoolConcurrentStress(t *testing.T) {

@@ -1,6 +1,9 @@
 package erasure
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // RSVan is classic Reed-Solomon coding with a systematic generator
 // matrix derived from a Vandermonde matrix (Jerasure's reed_sol_van, the
@@ -8,26 +11,22 @@ import "fmt"
 // GF(2^8) matrix-vector products executed with split-table slice
 // kernels.
 //
-// Large shards are striped into cache-friendly segments and coded
-// concurrently on a bounded worker pool, and parity/reconstruction
-// buffers come from a shard BufferPool — both on by default and
-// tunable through Options (WithParallel, WithWorkers,
-// WithParallelThreshold, WithPool).
+// Coding runs on the calling goroutine, one cache-sized segment of the
+// shards at a time (runBlocked); parity and reconstruction buffers come
+// from a shard BufferPool (DefaultPool unless WithPool says otherwise).
 type RSVan struct {
 	k, m int
 	// gen is the (k+m)×k systematic generator matrix: the top k rows
 	// are the identity, the bottom m rows produce parity.
 	gen  *Matrix
 	opts codecOpts
-	exec executor
 }
 
 var _ Code = (*RSVan)(nil)
 
 // NewRSVan constructs an RS(k, m) Vandermonde code. k and m must be
-// positive with k+m <= 256. With no options the code stripes large
-// shards across the shared GOMAXPROCS worker pool and draws scratch
-// buffers from DefaultPool.
+// positive with k+m <= 256. With no options the code draws scratch
+// buffers from DefaultPool. It starts no goroutine.
 func NewRSVan(k, m int, opts ...Option) (*RSVan, error) {
 	if err := checkKM(k, m); err != nil {
 		return nil, err
@@ -39,11 +38,11 @@ func NewRSVan(k, m int, opts ...Option) (*RSVan, error) {
 		// Vandermonde square submatrices are always invertible.
 		return nil, fmt.Errorf("rs-van generator: %w", err)
 	}
-	o := defaultCodecOpts()
+	o := codecOpts{pool: DefaultPool}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return &RSVan{k: k, m: m, gen: v.Mul(topInv), opts: o, exec: o.newExecutor()}, nil
+	return &RSVan{k: k, m: m, gen: v.Mul(topInv), opts: o}, nil
 }
 
 func checkKM(k, m int) error {
@@ -97,7 +96,7 @@ func (r *RSVan) Encode(shards [][]byte) error {
 			srcs:   shards[:r.k],
 		})
 	}
-	r.exec.run(jobs, size)
+	runBlocked(jobs, size)
 	return nil
 }
 
@@ -152,7 +151,7 @@ func (r *RSVan) reconstruct(shards [][]byte, withParity bool) error {
 			srcs:   shards[:r.k],
 		})
 	}
-	r.exec.run(jobs, size)
+	runBlocked(jobs, size)
 	return nil
 }
 
@@ -183,7 +182,7 @@ func (r *RSVan) reconstructData(shards [][]byte, size int) error {
 			srcs:   srcs,
 		})
 	}
-	r.exec.run(jobs, size)
+	runBlocked(jobs, size)
 	return nil
 }
 
@@ -206,30 +205,12 @@ func (r *RSVan) Verify(shards [][]byte) (bool, error) {
 			coeffs: r.gen.Row(r.k + row)[:r.k],
 			srcs:   shards[:r.k],
 		}}
-		r.exec.run(jobs, size)
-		if !equalBytes(buf, shards[r.k+row]) {
+		runBlocked(jobs, size)
+		if !bytes.Equal(buf, shards[r.k+row]) {
 			return false, nil
 		}
 	}
 	return true, nil
-}
-
-func clearSlice(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReconstructData recovers only the missing data shards of c, using the

@@ -8,7 +8,7 @@ import (
 // Kernel benchmarks across the shard sizes the erasure codes feed the
 // kernels (a 1 MB value with RS(3,2) means ~350 KB slices).
 
-var benchSizes = []int{1 << 10, 64 << 10, 1 << 20}
+var benchSizes = []int{341, 344, 1 << 10, 64 << 10, 1 << 20}
 
 func benchPair(size int) (in, out []byte) {
 	in = make([]byte, size)

@@ -6,11 +6,24 @@
 // w = 8). Addition and subtraction are both XOR; multiplication and
 // division are performed through discrete log/antilog tables.
 //
-// The package also provides bulk slice kernels (MulSlice, MulAddSlice,
-// AddSlice) that index the per-coefficient row of the full 256×256
-// product table and run unrolled eight bytes per iteration (with plain
-// uint64 XOR words for the addition-only path) — the fastest portable
-// scheme without SIMD intrinsics.
+// The package also provides the bulk slice kernels every matrix code in
+// the repository is built on (MulSlice, MulAddSlice, AddSlice). Each is
+// one function with two bodies under it, chosen by the hardware:
+//
+//   - On amd64 with AVX2 (checked once, at init) whole 32-byte blocks go
+//     through an assembly kernel using GF-Complete's SIMD split tables,
+//     the arithmetic under the paper's Jerasure v2.0: per coefficient two
+//     16-entry nibble tables (c·x and c·(x<<4), 8 KB for all 256
+//     coefficients), and per block a shift, two masks, two VPSHUFB table
+//     lookups and an XOR, 64 bytes per loop iteration.
+//   - The tail (len % 32), and the whole slice on every other
+//     architecture, on amd64 without AVX2 or under the purego build tag,
+//     goes through the portable loop: one load per byte from the
+//     coefficient's row of the full 256×256 product table, unrolled eight
+//     bytes per iteration (plain uint64 XOR words for AddSlice).
+//
+// Both bodies compute the same bytes; nothing selects between them but
+// the CPU and the purego tag.
 package gf256
 
 import (
@@ -139,21 +152,22 @@ func Pow(a byte, n int) byte {
 }
 
 // MulSlice computes out[i] = c * in[i] for every element. The two slices
-// must have equal length; out may alias in.
+// must have equal length; out may alias in exactly (the same first
+// element), not overlap it partially.
 func MulSlice(c byte, in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: MulSlice length mismatch")
 	}
 	switch c {
 	case 0:
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out)
 		return
 	case 1:
 		copy(out, in)
 		return
 	}
+	n := mulVec(c, in, out)
+	in, out = in[n:], out[n:]
 	p := &_tables.mul[c]
 	for i, v := range in {
 		out[i] = p[v]
@@ -161,13 +175,14 @@ func MulSlice(c byte, in, out []byte) {
 }
 
 // MulAddSlice computes out[i] ^= c * in[i] for every element. The two
-// slices must have equal length; out may alias in. This is the inner
-// kernel of matrix-based erasure coding.
+// slices must have equal length; out may alias in exactly. This is the
+// inner kernel of matrix-based erasure coding.
 //
-// The main loop indexes the full 256-entry product row for c (one load
-// per byte instead of the two nibble-table loads) and processes eight
-// bytes per iteration over bounds-check-free sub-slices. A scalar loop
-// handles the tail.
+// Whole 32-byte blocks go through the vector kernel where there is one
+// (see the package comment). The portable loop under it indexes the full
+// 256-entry product row for c (one load per byte instead of the two
+// nibble-table loads) and processes eight bytes per iteration over
+// bounds-check-free sub-slices, with a byte loop for the last few.
 func MulAddSlice(c byte, in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: MulAddSlice length mismatch")
@@ -179,6 +194,8 @@ func MulAddSlice(c byte, in, out []byte) {
 		AddSlice(in, out)
 		return
 	}
+	v := mulAddVec(c, in, out)
+	in, out = in[v:], out[v:]
 	p := &_tables.mul[c]
 	n := len(in) &^ 7
 	for i := 0; i < n; i += 8 {
@@ -198,12 +215,16 @@ func MulAddSlice(c byte, in, out []byte) {
 }
 
 // AddSlice computes out[i] ^= in[i] for every element (the c = 1 case of
-// MulAddSlice, exported because XOR-only codes use it heavily). The loop
-// XORs eight bytes per iteration as uint64 words, with a scalar tail.
+// MulAddSlice, exported because XOR-only codes and delta writes use it
+// heavily). Whole 32-byte blocks go through the vector kernel where there
+// is one; the portable loop XORs eight bytes per iteration as uint64
+// words, with a byte loop for the last few.
 func AddSlice(in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: AddSlice length mismatch")
 	}
+	v := addVec(in, out)
+	in, out = in[v:], out[v:]
 	n := len(in) &^ 7
 	for i := 0; i < n; i += 8 {
 		binary.LittleEndian.PutUint64(out[i:],

@@ -62,8 +62,9 @@ func (s *Server) handleEncodeSet(req *wire.Request) wire.Response {
 	if err != nil {
 		return errorResponse(err)
 	}
-	// Pooled split: chunk payloads are copies, so the shard buffers go
-	// back to the pool when the handler returns.
+	// Pooled split: the data shards are windows of req.Value, which the
+	// handler holds until it returns; chunk payloads are copies, so the
+	// leased tail and parity buffers go back to the pool then too.
 	ps := erasure.SplitPooled(req.Value, k, m, nil)
 	defer ps.Release()
 	shards := ps.Shards
