@@ -55,29 +55,6 @@ func main() {
 	}
 }
 
-func parseMode(s string) (core.Resilience, core.Scheme, error) {
-	switch s {
-	case "none":
-		return core.ResilienceNone, 0, nil
-	case "sync-rep":
-		return core.ResilienceSyncRep, 0, nil
-	case "async-rep":
-		return core.ResilienceAsyncRep, 0, nil
-	case "era-ce-cd":
-		return core.ResilienceErasure, core.SchemeCECD, nil
-	case "era-se-sd":
-		return core.ResilienceErasure, core.SchemeSESD, nil
-	case "era-se-cd":
-		return core.ResilienceErasure, core.SchemeSECD, nil
-	case "era-ce-sd":
-		return core.ResilienceErasure, core.SchemeCESD, nil
-	case "hybrid":
-		return core.ResilienceHybrid, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
 func run() error {
 	servers := flag.String("servers", "127.0.0.1:7001", "comma-separated server addresses")
 	mode := flag.String("mode", "era-ce-cd", "resilience mode")
@@ -93,7 +70,6 @@ func run() error {
 	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent scrub repairs (0 = default 4)")
 	migrateRate := flag.Float64("migrate-rate", 0, "ring add/remove migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
 	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
-	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (false: the benchmark baseline)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -101,7 +77,7 @@ func run() error {
 		return fmt.Errorf("missing command")
 	}
 
-	resilience, scheme, err := parseMode(*mode)
+	resilience, scheme, err := core.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -116,8 +92,6 @@ func run() error {
 		OpTimeout:    *opTimeout,
 		MaxRetries:   *retries,
 		RetryBackoff: *retryBackoff,
-
-		DisableDeltaWrites: !*deltaWrites,
 	})
 	if err != nil {
 		return err

@@ -58,7 +58,7 @@ func run() error {
 	once := flag.Bool("once", false, "run one cycle, print the report, exit (non-zero if keys failed)")
 	flag.Parse()
 
-	resilience, scheme, err := parseMode(*mode)
+	resilience, scheme, err := core.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -132,27 +132,4 @@ func run() error {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	return nil
-}
-
-func parseMode(s string) (core.Resilience, core.Scheme, error) {
-	switch s {
-	case "none":
-		return core.ResilienceNone, 0, nil
-	case "sync-rep":
-		return core.ResilienceSyncRep, 0, nil
-	case "async-rep":
-		return core.ResilienceAsyncRep, 0, nil
-	case "era-ce-cd":
-		return core.ResilienceErasure, core.SchemeCECD, nil
-	case "era-se-sd":
-		return core.ResilienceErasure, core.SchemeSESD, nil
-	case "era-se-cd":
-		return core.ResilienceErasure, core.SchemeSECD, nil
-	case "era-ce-sd":
-		return core.ResilienceErasure, core.SchemeCESD, nil
-	case "hybrid":
-		return core.ResilienceHybrid, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown mode %q", s)
-	}
 }

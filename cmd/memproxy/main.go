@@ -54,10 +54,9 @@ func run() error {
 	migrateOn := flag.Bool("migrate", false, "run the online migration daemon: rebalance data automatically on membership epoch changes")
 	migrateRate := flag.Float64("migrate-rate", 0, "migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
 	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
-	deltaWrites := flag.Bool("delta-writes", true, "allow EC overwrites to ship delta patches instead of full re-stripes (false: the benchmark baseline)")
 	flag.Parse()
 
-	resilience, scheme, err := parseMode(*mode)
+	resilience, scheme, err := core.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -75,8 +74,6 @@ func run() error {
 		RetryBackoff: *retryBackoff,
 		CacheBytes:   *cacheBytes,
 		CacheMaxAge:  *cacheMaxAge,
-
-		DisableDeltaWrites: !*deltaWrites,
 	})
 	if err != nil {
 		return err
@@ -152,27 +149,4 @@ func run() error {
 	<-sig
 	srv.Close()
 	return nil
-}
-
-func parseMode(s string) (core.Resilience, core.Scheme, error) {
-	switch s {
-	case "none":
-		return core.ResilienceNone, 0, nil
-	case "sync-rep":
-		return core.ResilienceSyncRep, 0, nil
-	case "async-rep":
-		return core.ResilienceAsyncRep, 0, nil
-	case "era-ce-cd":
-		return core.ResilienceErasure, core.SchemeCECD, nil
-	case "era-se-sd":
-		return core.ResilienceErasure, core.SchemeSESD, nil
-	case "era-se-cd":
-		return core.ResilienceErasure, core.SchemeSECD, nil
-	case "era-ce-sd":
-		return core.ResilienceErasure, core.SchemeCESD, nil
-	case "hybrid":
-		return core.ResilienceHybrid, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown mode %q", s)
-	}
 }

@@ -163,20 +163,6 @@ func (b *batcher) slot() *rpc.Call {
 // wrap at all goes as a plain frame, which has no batch overhead).
 const batchBytesBudget = wire.MaxValueLen
 
-// batchableOp mirrors the server's admission list: the store-local ops
-// a batch frame may carry. Coordinated ops (encode-set / decode-get)
-// stay per-key — their server-side peer fan-out must overlap across
-// keys, which one worker executing a batch serially cannot do.
-func batchableOp(op wire.Op) bool {
-	switch op {
-	case wire.OpSet, wire.OpSetChunk, wire.OpGet, wire.OpGetChunk,
-		wire.OpDelete, wire.OpCompareSet, wire.OpPing:
-		return true
-	default:
-		return false
-	}
-}
-
 // send executes one round under the client's operation deadline. All
 // sub-ops of a round come from ONE view snapshot, whose epoch rides on
 // every frame so a server whose ring differs rejects it with
@@ -229,7 +215,7 @@ func (b *batcher) issueServer(ops []subOp, i int) {
 		}
 		op.planned, op.next = true, -1
 		esz := op.encodedSize()
-		if !batchableOp(op.req.Op) || wire.BatchOverhead+esz > batchBytesBudget {
+		if !op.req.Op.Batchable() || wire.BatchOverhead+esz > batchBytesBudget {
 			// Not batchable (or too large to wrap): its own frame,
 			// issued now so it pipelines with the batch frames.
 			b.issueFrame(ops, j, 1)
@@ -309,7 +295,7 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		return // never framed; collect reads why from the slot
 	}
 	b.frames++
-	if b.bulk && (n > 1 || batchableOp(op.req.Op)) {
+	if b.bulk && (n > 1 || op.req.Op.Batchable()) {
 		// Sub-ops per batch frame; a batchable group of one counts as a
 		// batch of 1, a coordinated op's plain frame is not a batch.
 		b.c.hBulkBatchSize.Record(time.Duration(n))

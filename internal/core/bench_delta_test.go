@@ -15,8 +15,8 @@ import (
 // BenchmarkECOverwrite measures what the delta-write path buys an EC
 // overwrite: a 1 MB value is repeatedly rewritten with a contiguous
 // edit of 64 B / 4 KB / 256 KB, with delta writes on (near cache warm,
-// so every overwrite after the first finds its base) and off (every
-// overwrite is a full K+M re-stripe).
+// so every overwrite after the first finds its base) and off (a
+// cache-less client: every overwrite is a full K+M re-stripe).
 //
 // The grid runs over a shaped link rather than the instantaneous
 // in-proc pipe: delta writes trade client CPU (the delta encode costs
@@ -50,7 +50,6 @@ func BenchmarkECOverwrite(b *testing.B) {
 				cfg := core.Config{
 					Network: cl.Network(), Servers: cl.Addrs(),
 					Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2,
-					DisableDeltaWrites: !delta,
 				}
 				if delta {
 					cfg.CacheBytes = 64 << 20

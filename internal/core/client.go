@@ -589,17 +589,6 @@ func (c *Client) ServerMetrics(addr string) (metrics.Snapshot, error) {
 	return payload.Metrics, nil
 }
 
-// ttlSeconds converts an item lifetime to the whole seconds the wire
-// carries, rounding UP so a sub-second TTL becomes 1s instead of 0
-// (0 on the wire means "no expiry" — truncation would make short-lived
-// items immortal).
-func ttlSeconds(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	return uint32((ttl + time.Second - 1) / time.Second)
-}
-
 // placement returns the n servers holding key's replicas or chunks —
 // the consistent-hash primary plus the next distinct servers (entries
 // wrap on a cluster smaller than n) — together with the membership

@@ -99,6 +99,24 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseMode parses a mode name as the commands' -mode flag takes it:
+// a Resilience mnemonic (none, sync-rep, async-rep, hybrid) or an
+// erasure Scheme mnemonic (era-ce-cd, era-se-sd, era-se-cd, era-ce-sd),
+// which implies ResilienceErasure.
+func ParseMode(name string) (Resilience, Scheme, error) {
+	for r := ResilienceNone; r <= ResilienceHybrid; r++ {
+		if r != ResilienceErasure && r.String() == name {
+			return r, 0, nil
+		}
+	}
+	for s := SchemeCECD; s <= SchemeCESD; s++ {
+		if s.String() == name {
+			return ResilienceErasure, s, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // Defaults mirroring the paper's evaluation setup.
 const (
 	// DefaultReplicas is the paper's three-way replication factor.
@@ -190,14 +208,6 @@ type Config struct {
 	// timeout / health-transition counters. A fresh registry is
 	// created if nil; expose it with Client.Metrics.
 	Metrics *metrics.Registry
-	// DisableDeltaWrites turns off the delta-encoded EC overwrite path:
-	// every Set/Cas of an erasure-coded key falls back to the full
-	// re-stripe, exactly as before the delta protocol existed. The
-	// delta path is semantically identical (the patched chunks are
-	// byte-identical to a re-encode) — this switch exists for benchmark
-	// baselines. The path takes its base values from the near cache
-	// only, so without CacheBytes it is off anyway.
-	DisableDeltaWrites bool
 }
 
 // withDefaults validates cfg and fills defaults.

@@ -133,7 +133,7 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 	// stripe. OpApplyDelta is not batchable, so every patch rides in its
 	// own frame, which takes over the patch's lease.
 	var buf roundBuf
-	ops := e.deltaRound(roundOps(&buf, n), key, placement, runs, per, ttlSeconds(ttl), base.Version, meta)
+	ops := e.deltaRound(roundOps(&buf, n), key, placement, runs, per, wire.TTLSeconds(ttl), base.Version, meta)
 	b.code += time.Since(start)
 	b.send(ops, epoch)
 	conflicts, missing := 0, 0
@@ -243,16 +243,16 @@ func (c *Client) recordDeltaBase(key string, value []byte, version uint64, ttl t
 	c.cache.Put(key, nearcache.Value{
 		Data:    value,
 		Version: version,
-		TTL:     ttlSeconds(ttl),
+		TTL:     wire.TTLSeconds(ttl),
 	}, c.cache.Begin(key))
 }
 
 // deltaCapable reports whether this client can ever take the delta
-// overwrite path: the near cache must exist to hold base values, delta
-// writes must not be switched off, and the resilience mode must have an
-// erasure-coded write path.
+// overwrite path: the near cache must exist to hold base values, and the
+// resilience mode must have an erasure-coded write path. A cache-less
+// client always re-stripes.
 func (c *Client) deltaCapable() bool {
-	if c.cache == nil || c.cfg.DisableDeltaWrites {
+	if c.cache == nil {
 		return false
 	}
 	switch c.cfg.Resilience {

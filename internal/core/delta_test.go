@@ -412,13 +412,17 @@ func TestDeltaReadBeforeWrite(t *testing.T) {
 	}
 }
 
-// TestDeltaDisabled: the escape hatch really disables the path — no
-// delta frames, no fallback accounting, identical results.
+// TestDeltaDisabled: a client without a near cache has no delta path —
+// no delta frames, no fallback accounting, identical results.
 func TestDeltaDisabled(t *testing.T) {
 	cl := startCluster(t, 5)
-	cfg := deltaCfg("era-ce-cd")
-	cfg.DisableDeltaWrites = true
-	c := newClient(t, cl, cfg)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	deltaFrames := func() (n int64) {
+		for i := range cl.Addrs() {
+			n += cl.Server(i).Metrics().Snapshot().Counter(`ecstore_server_ops_total{op="apply-delta"}`)
+		}
+		return n
+	}
 
 	key := "delta-disabled"
 	v1 := make([]byte, 32<<10)
@@ -432,6 +436,9 @@ func TestDeltaDisabled(t *testing.T) {
 	}
 	if n := deltaWrites(c); n != 0 {
 		t.Fatalf("delta_writes_total = %d with the path disabled", n)
+	}
+	if n := deltaFrames(); n != 0 {
+		t.Fatalf("%d apply-delta frames reached the servers with the path disabled", n)
 	}
 	if n := deltaFallbacks(c, ""); n != 0 {
 		t.Fatalf("delta_fallbacks_total = %d with the path disabled", n)

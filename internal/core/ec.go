@@ -121,7 +121,7 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 				Op:         wire.OpSetChunk,
 				Key:        keys[j],
 				Value:      ps.Shards[j],
-				TTLSeconds: ttlSeconds(w.ttl),
+				TTLSeconds: wire.TTLSeconds(w.ttl),
 				Meta:       cm,
 			}})
 		}
@@ -208,7 +208,7 @@ func (e *ecStrategy) coordinatorSet(b *batcher, writes []write, out []result) {
 			w := todo[i]
 			return wire.BatchReq{
 				Op: wire.OpEncodeSet, Key: w.key, Value: w.value,
-				TTLSeconds: ttlSeconds(w.ttl),
+				TTLSeconds: wire.TTLSeconds(w.ttl),
 				Meta:       wire.ECMeta{K: uint8(e.k), M: uint8(e.m), TotalLen: uint32(len(w.value))},
 			}
 		},
@@ -543,7 +543,7 @@ func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.D
 			Op:         wire.OpCompareSet,
 			Key:        keys[i],
 			Value:      shards[i],
-			TTLSeconds: ttlSeconds(ttl),
+			TTLSeconds: wire.TTLSeconds(ttl),
 			Compare:    expect,
 			Meta:       cm,
 		}})

@@ -150,7 +150,7 @@ func (r *repStrategy) set(b *batcher, writes []write) []result {
 			for _, addr := range placement[lo : lo+step] {
 				ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{
 					Op: wire.OpSet, Key: w.key, Value: w.value,
-					TTLSeconds: ttlSeconds(w.ttl),
+					TTLSeconds: wire.TTLSeconds(w.ttl),
 					Meta:       wire.ECMeta{Stripe: out[i].item.Version},
 				}})
 			}
@@ -276,7 +276,7 @@ func (r *repStrategy) decide(b *batcher, cond, force wire.BatchReq) error {
 // converges with plain sets of it.
 func (r *repStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	force := wire.BatchReq{
-		Op: wire.OpSet, Key: key, Value: value, TTLSeconds: ttlSeconds(ttl),
+		Op: wire.OpSet, Key: key, Value: value, TTLSeconds: wire.TTLSeconds(ttl),
 		Meta: wire.ECMeta{Stripe: wire.NewStripeID()},
 	}
 	cond := force

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -63,5 +65,32 @@ func TestISetTTL(t *testing.T) {
 	}
 	if got, err := c.Get("k"); err != nil || string(got) != "v" {
 		t.Fatalf("get: %q, %v", got, err)
+	}
+}
+
+// TestSetTTLBeyondWireClamps: the wire carries whole seconds in 32 bits,
+// and a longer TTL is clamped to the longest it can carry — never
+// wrapped around into a short lifetime or into 0, which means "no
+// expiry".
+func TestSetTTLBeyondWireClamps(t *testing.T) {
+	cl := startCluster(t, 5)
+	for name, cfg := range map[string]core.Config{
+		"async-rep": {Resilience: core.ResilienceAsyncRep, Replicas: 3},
+		"era-ce-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2},
+	} {
+		for _, ttl := range []time.Duration{1 << 32 * time.Second, (1<<32 + 5) * time.Second} {
+			key := fmt.Sprintf("ttl-clamp-%s-%d", name, ttl/time.Second)
+			c := newClient(t, cl, cfg)
+			if err := c.SetTTL(key, []byte("v"), ttl); err != nil {
+				t.Fatal(err)
+			}
+			item, err := c.Gets(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if item.TTL != math.MaxUint32 {
+				t.Errorf("%s: SetTTL(%v) reads back TTL %d s, want %d", name, ttl, item.TTL, uint32(math.MaxUint32))
+			}
+		}
 	}
 }

@@ -42,6 +42,8 @@ func FuzzServeConn(f *testing.F) {
 		"ms k -5\r\n",
 		"mg\r\nms\r\nmd\r\nma\r\n",
 		"set k 99999999999999999999 99999999999999999999 2\r\nhi\r\n",
+		"set k 0 0 1\r\n1\r\nms k 1 MA C999\r\nx\r\nms k 1 MR C999\r\ny\r\nms k 1 MP C1 c\r\nz\r\n",
+		"set k 0 0 2\r\n10\r\nma k M- D3 v\r\nma k M+ q\r\nma k MX\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -14,29 +13,10 @@ import (
 
 var crlf = []byte("\r\n")
 
-// casRetries bounds the read-modify-write loops behind the derived
-// commands (replace/append/prepend/incr/decr/touch). Each retry means
-// another writer won the conditional write in between; eight in a row
-// is contention no memcached client expects to survive atomically.
-const casRetries = 8
-
 var (
 	errQuit        = errors.New("memproto: quit")
 	errLineTooLong = errors.New("memproto: line too long")
-
-	// errCasExhausted marks an RMW loop that lost its conditional write
-	// casRetries times in a row. It reaches the client as SERVER_ERROR
-	// (the operation did NOT happen — retryable by the caller) and is
-	// counted separately so hot-key contention is visible in metrics
-	// rather than folded into generic command errors.
-	errCasExhausted = errors.New("cas retries exhausted")
 )
-
-// casExhausted builds the per-key exhaustion error every bounded RMW
-// loop returns, keeping the sentinel testable via errors.Is.
-func casExhausted(key string) error {
-	return fmt.Errorf("%w on %s", errCasExhausted, key)
-}
 
 // Handler executes memcached ASCII protocol conversations over any
 // reader/writer pair. Splitting it from Server keeps the protocol
@@ -137,62 +117,55 @@ func (h *Handler) dispatch(br *bufio.Reader, bw *bufio.Writer, line []byte) erro
 		return nil
 	}
 	cmd, args := fields[0], fields[1:]
-	var done func(miss, failed bool)
+	var done func(failed bool)
 	if h.pm != nil {
 		done = h.pm.begin(cmd)
 	}
-	miss, failed, err := h.run(br, bw, cmd, args)
+	failed, err := h.run(br, bw, cmd, args)
 	if done != nil {
-		done(miss, failed)
+		done(failed)
 	}
 	return err
 }
 
-// run executes one command, reporting whether it ended in a cache miss
-// and whether it failed (for metrics), plus any fatal error.
-func (h *Handler) run(br *bufio.Reader, bw *bufio.Writer, cmd string, args []string) (miss, failed bool, fatal error) {
+// run executes one command, reporting whether it was answered with
+// ERROR, CLIENT_ERROR or SERVER_ERROR (for metrics; a miss or a lost
+// conditional write is an answer, not a failure), plus any fatal error.
+func (h *Handler) run(br *bufio.Reader, bw *bufio.Writer, cmd string, args []string) (failed bool, fatal error) {
 	switch cmd {
 	case "get":
-		return h.handleGet(bw, args, false)
+		return h.handleGet(bw, args, false), nil
 	case "gets":
-		return h.handleGet(bw, args, true)
+		return h.handleGet(bw, args, true), nil
 	case "set", "add", "replace", "append", "prepend", "cas":
-		return h.handleStorage(br, bw, cmd, args)
-	case "delete":
-		return h.handleDelete(bw, args)
-	case "incr", "decr":
-		return h.handleIncrDecr(bw, cmd, args)
-	case "touch":
-		return h.handleTouch(bw, args)
+		return h.textStore(br, bw, cmd, args)
+	case "delete", "incr", "decr", "touch":
+		return h.textKeyed(bw, cmd, args), nil
 	case "flush_all":
-		return h.handleFlushAll(bw, args)
+		return h.handleFlushAll(bw, args), nil
 	case "stats":
-		return h.handleStats(bw, args)
+		h.handleStats(bw, args)
 	case "version":
 		writeString(bw, "VERSION "+h.version+"\r\n")
-		return false, false, nil
 	case "verbosity":
 		if !hasNoreply(args) {
 			writeString(bw, "OK\r\n")
 		}
-		return false, false, nil
 	case "quit":
-		return false, false, errQuit
+		return false, errQuit
 	case "mg":
-		return h.handleMetaGet(bw, args)
+		return h.metaGet(bw, args), nil
 	case "ms":
-		return h.handleMetaSet(br, bw, args)
-	case "md":
-		return h.handleMetaDelete(bw, args)
-	case "ma":
-		return h.handleMetaArith(bw, args)
+		return h.metaStore(br, bw, args)
+	case "md", "ma":
+		return h.metaKeyed(bw, cmd, args), nil
 	case "mn":
 		writeString(bw, "MN\r\n")
-		return false, false, nil
 	default:
 		writeString(bw, "ERROR\r\n")
-		return false, true, nil
+		return true, nil
 	}
+	return false, nil
 }
 
 // ---- retrieval ----
@@ -201,22 +174,22 @@ func (h *Handler) run(br *bufio.Reader, bw *bufio.Writer, cmd string, args []str
 // backend GetMulti — the proxy's whole reason to exist is that the
 // fan-out below it is pipelined — and per-key infrastructure errors
 // turn the reply into SERVER_ERROR rather than a silent miss.
-func (h *Handler) handleGet(bw *bufio.Writer, keys []string, withCas bool) (bool, bool, error) {
+func (h *Handler) handleGet(bw *bufio.Writer, keys []string, withCas bool) bool {
 	if len(keys) == 0 {
 		writeString(bw, "ERROR\r\n")
-		return false, true, nil
+		return true
 	}
 	for _, k := range keys {
 		if !validKey(k) {
 			writeString(bw, "CLIENT_ERROR bad key\r\n")
-			return false, true, nil
+			return true
 		}
 	}
 	found, errs := h.backend.GetMulti(keys)
 	for _, k := range keys {
 		if err, ok := errs[k]; ok {
 			h.serverError(bw, false, err)
-			return false, true, nil
+			return true
 		}
 	}
 	var hits, misses int64
@@ -246,321 +219,157 @@ func (h *Handler) handleGet(bw *bufio.Writer, keys []string, withCas bool) (bool
 		h.pm.hits.Add(hits)
 		h.pm.misses.Add(misses)
 	}
-	return misses > 0 && hits == 0, false, nil
+	return false
 }
 
-// ---- storage ----
+// ---- the text dialect: parse into an op, execute, word the outcome ----
 
-// handleStorage covers set/add/replace/append/prepend/cas:
+// textStore parses set/add/replace/append/prepend/cas:
 // <cmd> <key> <flags> <exptime> <bytes> [<cas unique>] [noreply]\r\n<data>\r\n
-func (h *Handler) handleStorage(br *bufio.Reader, bw *bufio.Writer, cmd string, args []string) (bool, bool, error) {
+func (h *Handler) textStore(br *bufio.Reader, bw *bufio.Writer, cmd string, args []string) (bool, error) {
+	o := op{mode: 'S'}
+	switch cmd {
+	case "add":
+		o.mode = 'E'
+	case "replace":
+		o.mode = 'R'
+	case "append":
+		o.mode = 'A'
+	case "prepend":
+		o.mode = 'P'
+	}
 	want := 4
 	if cmd == "cas" {
-		want = 5
+		want, o.hasCas = 5, true
 	}
-	noreply := false
-	if len(args) == want+1 && args[len(args)-1] == "noreply" {
-		noreply = true
-		args = args[:len(args)-1]
+	if len(args) == want+1 && args[want] == "noreply" {
+		o.quiet, args = true, args[:want]
 	}
 	if len(args) != want {
 		writeString(bw, "ERROR\r\n")
-		return false, true, nil
+		return true, nil
 	}
-	key := args[0]
-	flags64, errFlags := strconv.ParseUint(args[1], 10, 32)
+	flags, errFlags := strconv.ParseUint(args[1], 10, 32)
 	exptime, errExp := strconv.ParseInt(args[2], 10, 64)
 	nbytes, errBytes := strconv.Atoi(args[3])
-	var casToken uint64
 	var errCas error
-	if cmd == "cas" {
-		casToken, errCas = strconv.ParseUint(args[4], 10, 64)
+	if o.hasCas {
+		o.cas, errCas = strconv.ParseUint(args[4], 10, 64)
 	}
 	if errBytes != nil || nbytes < 0 {
 		// Without a byte count we cannot skip the data block; the
 		// client's next line will re-sync as a (failing) command.
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
+		h.clientError(bw, o.quiet, "bad command line format")
+		return true, nil
 	}
-	if nbytes > h.maxItem {
-		if err := discard(br, nbytes+2); err != nil {
-			return false, true, err
-		}
-		if !noreply {
-			writeString(bw, "SERVER_ERROR object too large for cache\r\n")
-		}
-		return false, true, nil
+	data, err := h.readData(br, bw, nbytes, o.quiet)
+	if data == nil {
+		return true, err
 	}
-	data, err := readDataBlock(br, nbytes)
-	if err != nil {
-		if errors.Is(err, errBadDataChunk) {
-			h.clientError(bw, noreply, "bad data chunk")
-			return false, true, nil
-		}
-		return false, true, err
+	if errFlags != nil || errExp != nil || errCas != nil || !validKey(args[0]) {
+		h.clientError(bw, o.quiet, "bad command line format")
+		return true, nil
 	}
-	if errFlags != nil || errExp != nil || errCas != nil || !validKey(key) {
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
-	}
-	ttl := expTimeToTTL(exptime)
-	stored := encodeFlags(uint32(flags64), data)
+	o.key, o.flags, o.ttl, o.data = args[0], uint32(flags), expTimeToTTL(exptime), data
+	out, err := h.store(&o)
+	return h.textReply(bw, &o, "STORED\r\n", out, err), nil
+}
 
-	reply := func(s string) {
-		if !noreply {
-			writeString(bw, s)
-		}
+// textKeyed parses the commands that name one key and at most one
+// argument: delete <key>, incr|decr <key> <delta>, touch <key>
+// <exptime>, each with an optional noreply.
+func (h *Handler) textKeyed(bw *bufio.Writer, cmd string, args []string) bool {
+	o := op{quiet: hasNoreply(args)}
+	if o.quiet {
+		args = args[:len(args)-1]
 	}
+	want := 2
+	if cmd == "delete" {
+		want = 1
+	}
+	if len(args) != want || !validKey(args[0]) {
+		h.clientError(bw, o.quiet, "bad command line format")
+		return true
+	}
+	o.key = args[0]
 	switch cmd {
-	case "set":
-		if _, err := h.backend.Set(key, stored, ttl); err != nil {
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
-		reply("STORED\r\n")
-	case "add":
-		_, err := h.backend.Cas(key, stored, ttl, 0)
-		switch {
-		case err == nil:
-			reply("STORED\r\n")
-		case errors.Is(err, ErrCASConflict):
-			reply("NOT_STORED\r\n")
-		default:
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
-	case "cas":
-		_, err := h.backend.Cas(key, stored, ttl, casToken)
-		switch {
-		case err == nil:
-			reply("STORED\r\n")
-		case errors.Is(err, ErrCASConflict):
-			reply("EXISTS\r\n")
-		case errors.Is(err, ErrCacheMiss):
-			reply("NOT_FOUND\r\n")
-			return true, false, nil
-		default:
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
-	case "replace", "append", "prepend":
-		status, err := h.storeExisting(cmd, key, uint32(flags64), ttl, data)
+	case "delete":
+		out, err := h.remove(&o)
+		return h.textReply(bw, &o, "DELETED\r\n", out, err)
+	case "touch":
+		exptime, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
-			h.serverError(bw, noreply, err)
-			return false, true, nil
+			h.clientError(bw, o.quiet, "bad command line format")
+			return true
 		}
-		reply(status)
-	}
-	return false, false, nil
-}
-
-// storeExisting implements the commands that require the key to be
-// present, as conditional-write loops so they are atomic against
-// concurrent mutations. Returns the protocol status line.
-func (h *Handler) storeExisting(cmd, key string, flags uint32, ttl time.Duration, data []byte) (string, error) {
-	for i := 0; i < casRetries; i++ {
-		cur, err := h.backend.Get(key)
-		if errors.Is(err, ErrCacheMiss) {
-			return "NOT_STORED\r\n", nil
-		}
-		if err != nil {
-			return "", err
-		}
-		var next []byte
-		nextTTL := ttl
-		switch cmd {
-		case "replace":
-			next = encodeFlags(flags, data)
-		case "append", "prepend":
-			// append/prepend keep the original item's flags and TTL;
-			// the command's own flags/exptime are ignored, as
-			// memcached does.
-			curFlags, payload := decodeFlags(cur.Value)
-			joined := make([]byte, 0, len(payload)+len(data))
-			if cmd == "append" {
-				joined = append(append(joined, payload...), data...)
-			} else {
-				joined = append(append(joined, data...), payload...)
-			}
-			next = encodeFlags(curFlags, joined)
-			nextTTL = secondsTTL(cur.TTL)
-		}
-		_, err = h.backend.Cas(key, next, nextTTL, cur.CAS)
-		switch {
-		case err == nil:
-			return "STORED\r\n", nil
-		case errors.Is(err, ErrCASConflict), errors.Is(err, ErrCacheMiss):
-			continue // lost the race; re-read and retry
-		default:
-			return "", err
-		}
-	}
-	return "", casExhausted(key)
-}
-
-// ---- delete / arithmetic / touch / flush ----
-
-func (h *Handler) handleDelete(bw *bufio.Writer, args []string) (bool, bool, error) {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 1 || !validKey(args[0]) {
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
-	}
-	existed, err := h.backend.Delete(args[0])
-	if err != nil {
-		h.serverError(bw, noreply, err)
-		return false, true, nil
-	}
-	if !noreply {
-		if existed {
-			writeString(bw, "DELETED\r\n")
-		} else {
-			writeString(bw, "NOT_FOUND\r\n")
-		}
-	}
-	return !existed, false, nil
-}
-
-// handleIncrDecr: incr/decr <key> <delta> [noreply]. The counter is
-// read, parsed as a 64-bit unsigned decimal, adjusted, and written
-// back conditionally, so concurrent adjustments never lose updates.
-func (h *Handler) handleIncrDecr(bw *bufio.Writer, cmd string, args []string) (bool, bool, error) {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 2 || !validKey(args[0]) {
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
+		o.ttl = expTimeToTTL(exptime)
+		out, err := h.touch(&o)
+		return h.textReply(bw, &o, "TOUCHED\r\n", out, err)
 	}
 	delta, err := strconv.ParseUint(args[1], 10, 64)
 	if err != nil {
-		h.clientError(bw, noreply, "invalid numeric delta argument")
-		return false, true, nil
+		h.clientError(bw, o.quiet, "invalid numeric delta argument")
+		return true
 	}
-	key := args[0]
-	for i := 0; i < casRetries; i++ {
-		cur, err := h.backend.Get(key)
-		if errors.Is(err, ErrCacheMiss) {
-			if !noreply {
-				writeString(bw, "NOT_FOUND\r\n")
-			}
-			return true, false, nil
-		}
-		if err != nil {
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
-		flags, payload := decodeFlags(cur.Value)
-		n, err := strconv.ParseUint(string(payload), 10, 64)
-		if err != nil {
-			h.clientError(bw, noreply, "cannot increment or decrement non-numeric value")
-			return false, true, nil
-		}
-		if cmd == "incr" {
-			n += delta // wraps at 2^64, as memcached does
-		} else if delta > n {
-			n = 0 // decr clamps at zero
-		} else {
-			n -= delta
-		}
-		out := strconv.FormatUint(n, 10)
-		_, err = h.backend.Cas(key, encodeFlags(flags, []byte(out)), secondsTTL(cur.TTL), cur.CAS)
-		switch {
-		case err == nil:
-			if !noreply {
-				writeString(bw, out+"\r\n")
-			}
-			return false, false, nil
-		case errors.Is(err, ErrCASConflict), errors.Is(err, ErrCacheMiss):
-			continue
-		default:
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
+	o.delta, o.mode = delta, '+'
+	if cmd == "decr" {
+		o.mode = '-'
 	}
-	h.serverError(bw, noreply, casExhausted(key))
-	return false, true, nil
+	out, err := h.arith(&o)
+	return h.textReply(bw, &o, out.value+"\r\n", out, err)
 }
 
-// handleTouch: touch <key> <exptime> [noreply].
-func (h *Handler) handleTouch(bw *bufio.Writer, args []string) (bool, bool, error) {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 2 || !validKey(args[0]) {
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
-	}
-	exptime, err := strconv.ParseInt(args[1], 10, 64)
+// textWords are the text dialect's answers other than success, whose
+// line each command names itself.
+var textWords = [...]string{resNotStored: "NOT_STORED\r\n", resExists: "EXISTS\r\n", resNotFound: "NOT_FOUND\r\n"}
+
+// textReply words an executed op in the text dialect, ok being its
+// success line; noreply silences every answer, errors included. It
+// reports whether the op failed.
+func (h *Handler) textReply(bw *bufio.Writer, o *op, ok string, out outcome, err error) bool {
 	if err != nil {
-		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
+		h.execError(bw, o.quiet, err)
+		return true
 	}
-	key := args[0]
-	ttl := expTimeToTTL(exptime)
-	for i := 0; i < casRetries; i++ {
-		cur, err := h.backend.Get(key)
-		if errors.Is(err, ErrCacheMiss) {
-			if !noreply {
-				writeString(bw, "NOT_FOUND\r\n")
-			}
-			return true, false, nil
+	if !o.quiet {
+		if out.res != resOK {
+			ok = textWords[out.res]
 		}
-		if err != nil {
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
-		_, err = h.backend.Cas(key, cur.Value, ttl, cur.CAS)
-		switch {
-		case err == nil:
-			if !noreply {
-				writeString(bw, "TOUCHED\r\n")
-			}
-			return false, false, nil
-		case errors.Is(err, ErrCASConflict), errors.Is(err, ErrCacheMiss):
-			continue
-		default:
-			h.serverError(bw, noreply, err)
-			return false, true, nil
-		}
+		writeString(bw, ok)
 	}
-	h.serverError(bw, noreply, casExhausted(key))
-	return false, true, nil
+	return false
 }
+
+// ---- flush / stats ----
 
 // handleFlushAll: flush_all [delay] [noreply]. The optional delay is
 // accepted but not honoured — the flush is immediate.
-func (h *Handler) handleFlushAll(bw *bufio.Writer, args []string) (bool, bool, error) {
+func (h *Handler) handleFlushAll(bw *bufio.Writer, args []string) bool {
 	noreply := hasNoreply(args)
 	if noreply {
 		args = args[:len(args)-1]
 	}
 	if len(args) > 1 {
 		h.clientError(bw, noreply, "bad command line format")
-		return false, true, nil
+		return true
 	}
 	if len(args) == 1 {
 		if _, err := strconv.ParseInt(args[0], 10, 64); err != nil {
 			h.clientError(bw, noreply, "bad command line format")
-			return false, true, nil
+			return true
 		}
 	}
 	if err := h.backend.Flush(); err != nil {
 		h.serverError(bw, noreply, err)
-		return false, true, nil
+		return true
 	}
 	if !noreply {
 		writeString(bw, "OK\r\n")
 	}
-	return false, false, nil
+	return false
 }
 
-func (h *Handler) handleStats(bw *bufio.Writer, args []string) (bool, bool, error) {
+func (h *Handler) handleStats(bw *bufio.Writer, args []string) {
 	if len(args) == 0 {
 		st := h.backend.Stats()
 		names := make([]string, 0, len(st))
@@ -573,44 +382,59 @@ func (h *Handler) handleStats(bw *bufio.Writer, args []string) (bool, bool, erro
 		}
 	}
 	writeString(bw, "END\r\n")
-	return false, false, nil
 }
 
 // ---- shared helpers ----
 
-var errBadDataChunk = errors.New("memproto: bad data chunk")
-
-// readDataBlock reads exactly n payload bytes plus the trailing CRLF.
-func readDataBlock(br *bufio.Reader, n int) ([]byte, error) {
+// readData reads a command's n-byte data block and its CRLF. A block
+// over the item limit is skipped and answered SERVER_ERROR, one not
+// ending in CRLF answered CLIENT_ERROR; either way data is nil, as it
+// is when err (always fatal) is set.
+func (h *Handler) readData(br *bufio.Reader, bw *bufio.Writer, n int, quiet bool) ([]byte, error) {
+	if n > h.maxItem {
+		if _, err := io.CopyN(io.Discard, br, int64(n)+2); err != nil {
+			return nil, err
+		}
+		if !quiet {
+			writeString(bw, "SERVER_ERROR object too large for cache\r\n")
+		}
+		return nil, nil
+	}
 	buf := make([]byte, n+2)
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
 	if !bytes.HasSuffix(buf, crlf) {
-		return nil, errBadDataChunk
+		h.clientError(bw, quiet, "bad data chunk")
+		return nil, nil
 	}
 	return buf[:n], nil
 }
 
-func discard(br *bufio.Reader, n int) error {
-	_, err := io.CopyN(io.Discard, br, int64(n))
-	return err
-}
-
-func (h *Handler) clientError(bw *bufio.Writer, noreply bool, msg string) {
-	if !noreply {
+func (h *Handler) clientError(bw *bufio.Writer, quiet bool, msg string) {
+	if !quiet {
 		writeString(bw, "CLIENT_ERROR "+msg+"\r\n")
 	}
 }
 
+// execError answers an op the executor could not run: a non-numeric
+// counter is the client's error, anything else the backend's.
+func (h *Handler) execError(bw *bufio.Writer, quiet bool, err error) {
+	if errors.Is(err, errNonNumeric) {
+		h.clientError(bw, quiet, err.Error())
+		return
+	}
+	h.serverError(bw, quiet, err)
+}
+
 // serverError is the single funnel every backend failure reaches the
 // wire through, which makes it the one place to classify them for
-// metrics (exhausted RMW loops get their own counter).
-func (h *Handler) serverError(bw *bufio.Writer, noreply bool, err error) {
+// metrics (exhausted update loops get their own counter).
+func (h *Handler) serverError(bw *bufio.Writer, quiet bool, err error) {
 	if h.pm != nil && errors.Is(err, errCasExhausted) {
 		h.pm.casExhausted.Inc()
 	}
-	if !noreply {
+	if !quiet {
 		writeString(bw, "SERVER_ERROR "+sanitize(err.Error())+"\r\n")
 	}
 }

@@ -9,6 +9,15 @@
 // introduction) connect to the proxy and transparently get resilient,
 // memory-efficient storage.
 //
+// A command goes parse → execute → reply. Each dialect keeps only its
+// syntax: a text command line and a meta one both parse into the same
+// op (key, store mode, flags, TTL, data, optional CAS token, delta,
+// quiet, return flags), one executor runs it against the Backend
+// (exec.go: store, arith, touch, remove), and a per-dialect writer
+// words the outcome (STORED/NOT_STORED/EXISTS/NOT_FOUND… or
+// HD/NS/EX/NF…, the meta return flags through one writer). So the
+// text and meta forms of an operation make the same Backend calls.
+//
 // Protocol notes and deviations:
 //
 //   - Client flags are stored as a 4-byte big-endian prefix inside the
@@ -17,10 +26,16 @@
 //     directly with kvcli, and vice versa.
 //   - CAS tokens are the cluster's stripe-version IDs, threaded from
 //     the store through core.Client (see DESIGN §10); gets/mg report
-//     them and cas/ms-C check them with real conditional writes.
-//   - append/prepend/incr/decr/touch are read-modify-write loops built
-//     on the conditional write, so they are atomic against concurrent
-//     proxy mutations of the same key.
+//     them and cas/ms-C check them with real conditional writes. The
+//     token is compared in every store mode but add: a stale one
+//     answers EXISTS/EX and changes nothing.
+//   - replace/append/prepend/incr/decr/touch (and their ms/ma forms)
+//     run through one read-modify-write loop built on the conditional
+//     write, bounded by casRetries, so they are atomic against
+//     concurrent proxy mutations of the same key.
+//   - A command counts in ecstore_proxy_cmd_errors_total only when it
+//     is answered ERROR, CLIENT_ERROR or SERVER_ERROR; a miss or a lost
+//     conditional write (NOT_STORED, EXISTS, NS, EX, NF) is an answer.
 //   - Requests are pipelined: responses are buffered and flushed only
 //     when the read side has no more buffered input, so a burst of
 //     pipelined commands costs a handful of writes.

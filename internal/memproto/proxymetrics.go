@@ -60,14 +60,16 @@ func newProxyMetrics(reg *metrics.Registry) *proxyMetrics {
 	return pm
 }
 
-// begin starts timing one command and returns the completion callback.
-func (pm *proxyMetrics) begin(cmd string) func(miss, failed bool) {
+// begin starts timing one command and returns the completion callback;
+// failed means the command was answered ERROR, CLIENT_ERROR or
+// SERVER_ERROR.
+func (pm *proxyMetrics) begin(cmd string) func(failed bool) {
 	cm, ok := pm.cmds[cmd]
 	if !ok {
 		cm = pm.cmds["other"]
 	}
 	start := time.Now()
-	return func(miss, failed bool) {
+	return func(failed bool) {
 		cm.total.Inc()
 		if failed {
 			cm.errors.Inc()

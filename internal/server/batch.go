@@ -6,23 +6,6 @@ import (
 	"ecstore/internal/wire"
 )
 
-// batchable reports whether op may ride inside an OpBatch frame. Only
-// store-local operations qualify: the coordinated ops (OpEncodeSet /
-// OpDecodeGet) each fan out to peers inside a worker, so batching N of
-// them would serialize N peer round-trip groups on one worker — the
-// client keeps those per-key and pipelined instead. Admin ops
-// (stats/scan/flush) have no bulk caller and carry frame-sized
-// payloads of their own.
-func batchable(op wire.Op) bool {
-	switch op {
-	case wire.OpSet, wire.OpSetChunk, wire.OpGet, wire.OpGetChunk,
-		wire.OpDelete, wire.OpCompareSet, wire.OpPing:
-		return true
-	default:
-		return false
-	}
-}
-
 // runsOnWorker is the routing rule of the threading model: whether a
 // connection's reader hands op to the worker pool instead of executing
 // it itself. Everything that touches only this server (the store ops,
@@ -63,7 +46,7 @@ func (s *Server) handleBatch(req *wire.Request) wire.Response {
 	var one wire.Request // each sub-request in turn, as the frame it would have been
 	for i := range subs {
 		sub := &subs[i]
-		if !batchable(sub.Op) {
+		if !sub.Op.Batchable() {
 			s.mOpErrors.Inc()
 			resps[i] = wire.BatchResp{
 				Status: wire.StatusError,

@@ -198,7 +198,7 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 				continue
 			}
 			if meta, chunk, err := wire.DecodeChunkPayload(payload); err == nil {
-				collector.Add(meta, chunk, ttlSeconds(ttl))
+				collector.Add(meta, chunk, wire.TTLSeconds(ttl))
 			}
 		}
 		round.Wait()

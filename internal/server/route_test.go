@@ -42,7 +42,7 @@ func TestRoutingRuleCoversEveryOp(t *testing.T) {
 		}
 		// A batch executes on the reader, so nothing that may block on a
 		// peer can be allowed inside one.
-		if batchable(op) && runsOnWorker(op) {
+		if op.Batchable() && runsOnWorker(op) {
 			t.Errorf("op %v is batchable but routed to a worker", op)
 		}
 	}

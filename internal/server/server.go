@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"sync"
 	"time"
 
@@ -435,7 +434,7 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 		}
 		return wire.Response{
 			Status: wire.StatusOK, Value: v,
-			Meta: wire.ECMeta{Stripe: version}, TTLSeconds: ttlSeconds(ttl),
+			Meta: wire.ECMeta{Stripe: version}, TTLSeconds: wire.TTLSeconds(ttl),
 		}
 	case wire.OpCompareSet:
 		return s.handleCompareSet(req)
@@ -505,20 +504,6 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 	default:
 		return wire.Response{Status: wire.StatusError, Value: []byte("unknown op")}
 	}
-}
-
-// ttlSeconds converts a remaining lifetime to whole seconds for the
-// wire, rounding up so an item with 500ms left is not reported as
-// never-expiring (0 is the no-expiry sentinel).
-func ttlSeconds(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	secs := (ttl + time.Second - 1) / time.Second
-	if secs > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(secs)
 }
 
 // handleCompareSet implements the conditional write behind the proxy's

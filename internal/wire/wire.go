@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"time"
 
 	"ecstore/internal/bufpool"
 )
@@ -125,6 +127,33 @@ func (o Op) String() string {
 func (o Op) Valid() bool {
 	_, ok := opNames[o]
 	return ok
+}
+
+// Batchable reports whether o may ride inside an OpBatch frame: the
+// admission list servers enforce and clients batch by. Only store-local
+// operations qualify. The coordinated ops (OpEncodeSet / OpDecodeGet)
+// each fan out to peers, so batching N of them would serialize N peer
+// round-trip groups on one server goroutine — clients keep those
+// per-key and pipelined instead. Admin ops (stats/scan/flush) have no
+// bulk caller and carry frame-sized payloads of their own.
+func (o Op) Batchable() bool {
+	switch o {
+	case OpSet, OpSetChunk, OpGet, OpGetChunk, OpDelete, OpCompareSet, OpPing:
+		return true
+	default:
+		return false
+	}
+}
+
+// TTLSeconds converts an item lifetime to the whole seconds a frame
+// carries. It rounds UP, so a sub-second TTL becomes 1 s rather than 0
+// (0 on the wire means "no expiry"), and clamps a lifetime beyond 32
+// bits of seconds to math.MaxUint32 rather than wrapping it around.
+func TTLSeconds(ttl time.Duration) uint32 {
+	if ttl <= 0 {
+		return 0
+	}
+	return uint32(min((ttl-1)/time.Second+1, math.MaxUint32))
 }
 
 // Status is a response status code.

@@ -299,6 +299,45 @@ func TestE2EMetaProtocol(t *testing.T) {
 	}
 }
 
+// TestE2EMetaTokenEveryMode: a C token is compared in every ms mode but
+// add, so a stale one answers EX in append and replace mode and leaves
+// the value alone; and ma's M- decrements like MD.
+func TestE2EMetaTokenEveryMode(t *testing.T) {
+	c := dialProxy(t)
+	c.send("ms e2e-tok 3 c\r\nabc\r\n")
+	resp := c.line()
+	if !strings.HasPrefix(resp, "HD c") {
+		t.Fatalf("ms -> %q", resp)
+	}
+	token := strings.TrimPrefix(resp, "HD c")
+	c.set("e2e-tok", "abc") // the token is stale from here on
+
+	c.send("ms e2e-tok 1 MA C%s\r\nZ\r\n", token)
+	if got := c.line(); got != "EX" {
+		t.Fatalf("ms MA with a stale C -> %q, want EX", got)
+	}
+	c.send("ms e2e-tok 1 MR C%s\r\nZ\r\n", token)
+	if got := c.line(); got != "EX" {
+		t.Fatalf("ms MR with a stale C -> %q, want EX", got)
+	}
+	c.send("mg e2e-tok v\r\n")
+	if got := c.line(); got != "VA 3" {
+		t.Fatalf("mg after stale writes -> %q", got)
+	}
+	if got := c.read(3 + 2); got != "abc\r\n" {
+		t.Fatalf("a stale token changed the value to %q", got)
+	}
+
+	c.set("e2e-tok-ctr", "10")
+	c.send("ma e2e-tok-ctr M- D3 v\r\n")
+	if got := c.line(); got != "VA 1" {
+		t.Fatalf("ma M- -> %q", got)
+	}
+	if got := c.read(1 + 2); got != "7\r\n" {
+		t.Fatalf("ma M- value %q, want 7", got)
+	}
+}
+
 // TestE2ELargeValue pushes a value big enough to stripe across all
 // erasure-coded chunks through the text protocol.
 func TestE2ELargeValue(t *testing.T) {
