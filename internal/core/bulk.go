@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecstore/internal/nearcache"
@@ -68,21 +69,48 @@ func (c *Client) MSet(pairs map[string][]byte) error {
 	})
 }
 
-// MGetItems fetches every key, returning the items found plus a per-key
-// error map for the keys whose state could not be determined
-// (ErrUnavailable etc.). A key in neither map is authoritatively
-// absent. The split is what lets a caller — the memcached proxy above
-// all — answer a multi-get with an error for an unreachable key instead
-// of a silent miss that a cache filler would then treat as permission
-// to overwrite. Duplicate keys are fetched once. It is the map-shaped
-// face of read: cached keys are served from the near cache without any
-// wire work, misses coalesce per key with concurrent readers and fill
-// the cache generation-guarded, exactly as single-key reads do.
-func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
-	keys = distinct(keys)
-	found := make(map[string]Item, len(keys))
+// sortedKeys returns the distinct keys of a bulk write, sorted, in a
+// slice of their own: a duplicated key must not issue duplicate wire
+// work, and the sort makes the reported failure deterministic.
+func sortedKeys(keys []string) []string {
+	keys = slices.Clone(keys)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// readKeys returns the distinct keys of a bulk read in a slice of their
+// own (read reorders what it is handed), in the order the caller listed
+// them: the near cache sees a read's keys in that order, so which
+// entries stay warm does not depend on how a call was deduplicated.
+// A sorted scratch copy, in the same allocation, finds duplicates; only
+// a call that has some pays for distinct's map.
+func readKeys(keys []string) []string {
+	buf := make([]string, 2*len(keys))
+	sorted := buf[len(keys):]
+	copy(sorted, keys)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) < len(keys) {
+		return distinct(keys)
+	}
+	return append(buf[:0:len(keys)], keys...)
+}
+
+// MGetEach is the bulk read every map-shaped face is built on —
+// MGetItems here, the memcached proxy's GetMulti above — so each face
+// builds its own map straight from the results and nothing builds one
+// in between. It reads the distinct keys of keys in one call of read:
+// cached keys are served from the near cache without any wire work,
+// misses coalesce per key with concurrent readers and fill the cache
+// generation-guarded, exactly as single-key reads do. Then it calls
+// each once per distinct key, on the calling goroutine and in no
+// particular order, with the key's item or the error that kept it from
+// being read: ErrNotFound for an authoritatively absent key,
+// ErrUnavailable and the like for one whose state could not be
+// determined. The item's Value is read-only (Item).
+func (c *Client) MGetEach(keys []string, each func(key string, item Item, err error)) {
+	keys = readKeys(keys)
 	if len(keys) == 0 {
-		return found, nil
+		return
 	}
 	res := make([]nearcache.Result, len(keys))
 	// One ARPE window slot for the whole call.
@@ -90,11 +118,26 @@ func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
 		c.read(true, keys, res)
 		return Item{}, nil
 	})
-	var failed map[string]error
 	for i, key := range keys {
-		switch err := cmp.Or(closed, res[i].Err); {
+		r := &res[i]
+		each(key, Item{Value: r.Data, Version: r.Version, TTL: r.TTL}, cmp.Or(closed, r.Err))
+	}
+}
+
+// MGetItems fetches every key, returning the items found plus a per-key
+// error map for the keys whose state could not be determined
+// (ErrUnavailable etc.). A key in neither map is authoritatively
+// absent. The split is what lets a caller — the memcached proxy above
+// all — answer a multi-get with an error for an unreachable key instead
+// of a silent miss that a cache filler would then treat as permission
+// to overwrite. It is the map face of MGetEach.
+func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
+	found := make(map[string]Item, len(keys))
+	var failed map[string]error
+	c.MGetEach(keys, func(key string, item Item, err error) {
+		switch {
 		case err == nil:
-			found[key] = Item{Value: res[i].Data, Version: res[i].Version, TTL: res[i].TTL}
+			found[key] = item
 		case errors.Is(err, ErrNotFound):
 			// absent key: not an error for a bulk read
 		default:
@@ -103,7 +146,7 @@ func (c *Client) MGetItems(keys []string) (map[string]Item, map[string]error) {
 			}
 			failed[key] = err
 		}
-	}
+	})
 	return found, failed
 }
 
@@ -131,11 +174,10 @@ func (c *Client) MGet(keys []string) (map[string][]byte, error) {
 // per-key cause — including ErrNotFound when a key was absent
 // everywhere, matching Delete.
 func (c *Client) MDelete(keys []string) error {
-	keys = distinct(keys)
+	keys = sortedKeys(keys)
 	if len(keys) == 0 {
 		return nil
 	}
-	sort.Strings(keys)
 	return c.bulkOp("mdelete", func(b *batcher) error {
 		res := c.retryKeys(false, func(idx []int) []result {
 			return c.strat.del(b, subset(keys, idx))

@@ -482,7 +482,8 @@ func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
 }
 
 // Get returns the value stored under key, reconstructing it from
-// parity chunks if servers have failed.
+// parity chunks if servers have failed. The value is read-only
+// (Item.Value).
 func (c *Client) Get(key string) ([]byte, error) {
 	item, err := c.run(c.getOp(key))
 	return item.Value, err
@@ -612,18 +613,22 @@ func (c *Client) placementSnapshot() (*hashring.Ring, uint64) {
 	return ring, view.Epoch
 }
 
-// placementOn resolves key's n holders against a specific ring.
+// placementOn resolves key's n holders against a specific ring; nil on
+// an empty ring.
 func placementOn(ring *hashring.Ring, key string, n int) []string {
-	servers := ring.GetN(key, n)
-	if len(servers) == 0 {
-		return nil
+	if p := appendPlacement(make([]string, 0, n), ring, key, n); len(p) > 0 {
+		return p
 	}
-	if len(servers) == n {
-		return servers
+	return nil
+}
+
+// appendPlacement appends key's n holders on ring to dst — the entries
+// wrap on a ring of fewer than n members — and nothing on an empty ring.
+func appendPlacement(dst []string, ring *hashring.Ring, key string, n int) []string {
+	base := len(dst)
+	dst = ring.AppendN(dst, key, n)
+	for i, got := len(dst)-base, len(dst)-base; got > 0 && i < n; i++ {
+		dst = append(dst, dst[base+i%got])
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = servers[i%len(servers)]
-	}
-	return out
+	return dst
 }

@@ -235,13 +235,15 @@ func (e *ecStrategy) deltaRound(ops []subOp, key string, placement []string, run
 // overwrite of a hot key find a same-version base and take the delta
 // path, instead of only overwrites that follow a read. Gated on the
 // delta path being live: without it the refresh would spend cache
-// space on write-heavy keys for no benefit.
+// space on write-heavy keys for no benefit. value is the writer's, who
+// may reuse it once the write returns, so the cache adopts a copy — the
+// one copy on the way into the cache (nearcache's lease discipline).
 func (c *Client) recordDeltaBase(key string, value []byte, version uint64, ttl time.Duration) {
 	if version == 0 || !c.deltaCapable() {
 		return
 	}
 	c.cache.Put(key, nearcache.Value{
-		Data:    value,
+		Data:    append([]byte(nil), value...),
 		Version: version,
 		TTL:     wire.TTLSeconds(ttl),
 	}, c.cache.Begin(key))

@@ -273,11 +273,16 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		states = make([]gather, len(keys))
 	}
 	ring, epoch := e.c.placementSnapshot()
+	// Every key's placement is a window of one backing slice.
+	holders := make([]string, 0, len(keys)*n)
 	for i, key := range keys {
 		states[i].ChunkCollector = wire.NewChunkCollector(e.k, n)
-		if states[i].placement = placementOn(ring, key, n); states[i].placement == nil {
+		start := len(holders)
+		if holders = appendPlacement(holders, ring, key, n); len(holders) == start {
 			out[i].err = ErrUnavailable
+			continue
 		}
+		states[i].placement = holders[start:]
 	}
 	defer b.release()
 
@@ -826,8 +831,8 @@ func (h *hybridStrategy) compareDelete(b *batcher, key string, expect uint64) er
 
 // distinct returns a copy of ss with duplicates removed, first
 // occurrence order preserved: the servers of a placement that wrapped on
-// a small cluster, or the keys of a bulk call — a duplicated key must
-// not issue duplicate wire work.
+// a small cluster, or of two views, and the keys of a bulk read that
+// lists one twice (readKeys).
 func distinct(ss []string) []string {
 	seen := make(map[string]bool, len(ss))
 	out := make([]string, 0, len(ss))

@@ -4,6 +4,10 @@ package core
 // token `gets` exposes and Cas checks (0 for a legacy unversioned
 // write), TTL the remaining lifetime in whole seconds (0 = no expiry).
 type Item struct {
+	// Value is read-only and may be shared: a read returns the near
+	// cache's entry and the bytes every coalesced reader of the key
+	// received, not a copy of its own. A caller that wants to modify it
+	// copies it first.
 	Value   []byte
 	Version uint64
 	TTL     uint32

@@ -37,10 +37,10 @@ func waitPoolBaseline(t *testing.T, baseline uint64) {
 }
 
 // A storm of concurrent Gets of one hot key: every waiter must receive
-// the correct full value (its own copy — mutations must not leak
-// between waiters), at least some requests must coalesce, and the
-// frame pool must balance. Run under -race this is the singleflight
-// correctness gate.
+// the correct full value — the leader's bytes, shared read-only, so
+// under -race a reader that wrote to its result would be flagged — at
+// least some requests must coalesce, and the frame pool must balance.
+// Run under -race this is the singleflight correctness gate.
 func TestSingleflightGetStorm(t *testing.T) {
 	for _, mode := range []string{"era-ce-cd", "sync-rep"} {
 		t.Run(mode, func(t *testing.T) {
@@ -79,9 +79,6 @@ func TestSingleflightGetStorm(t *testing.T) {
 							t.Errorf("goroutine %d round %d: wrong value (%d bytes)", g, r, len(got))
 							return
 						}
-						// Scribble on the result: each waiter owns its
-						// bytes, so this must not affect anyone else.
-						got[0] = byte(g)
 					}
 				}(g)
 			}
@@ -335,6 +332,83 @@ func TestNearCacheMGet(t *testing.T) {
 	got, err := c.MGet(keys[:1])
 	if err != nil || string(got[keys[0]]) != "updated" {
 		t.Fatalf("MGet after write: %q, err %v", got[keys[0]], err)
+	}
+}
+
+// A writer may reuse its buffer once Set returns: the near cache, which
+// lends what it holds to every reader, keeps a copy of a written value
+// (the delta base), never the caller's bytes.
+func TestSetCallerMayReuseBuffer(t *testing.T) {
+	cl := startCluster(t, 5)
+	for _, mode := range []string{"era-ce-cd", "hybrid"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := allModes()[mode]
+			cfg.CacheBytes = 1 << 20
+			c := newClient(t, cl, cfg)
+			// A small value and a large one: hybrid replicates the first
+			// and erasure-codes the second.
+			for _, size := range []int{100, 64 << 10} {
+				key := fmt.Sprintf("%s-reuse-%d", mode, size)
+				want := bytes.Repeat([]byte("w"), size)
+				buf := bytes.Clone(want)
+				if err := c.Set(key, buf); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = 'X'
+				}
+				got, err := c.Get(key)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%d B: Get after the writer reused its buffer: %q…, %v", size, got[:min(len(got), 8)], err)
+				}
+				item, err := c.Gets(key)
+				if err != nil || !bytes.Equal(item.Value, want) {
+					t.Fatalf("%d B: Gets after the writer reused its buffer: %q…, %v", size, item.Value[:min(len(item.Value), 8)], err)
+				}
+				found, failed := c.MGetItems([]string{key})
+				if v := found[key].Value; failed != nil || !bytes.Equal(v, want) {
+					t.Fatalf("%d B: MGetItems after the writer reused its buffer: %q…, %v", size, v[:min(len(v), 8)], failed)
+				}
+			}
+			if hits := c.Metrics().Snapshot().Counter("ecstore_client_nearcache_hits_total"); hits == 0 {
+				t.Fatal("no read was served from the near cache: the test checked nothing")
+			}
+		})
+	}
+}
+
+// A multi-get the near cache answers in full allocates per call, not
+// per key: hits are lent, not copied (25 objects while they were).
+func TestCachedMGetAllocatesPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cl := startCluster(t, 5)
+	cfg := allModes()["hybrid"]
+	cfg.CacheBytes = 1 << 20
+	c := newClient(t, cl, cfg)
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("percall-%d", i)
+		if err := c.Set(keys[i], bytes.Repeat([]byte("v"), 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mget := func() {
+		if found, failed := c.MGetItems(keys); len(found) != len(keys) || failed != nil {
+			t.Fatalf("MGetItems: %d found, %v", len(found), failed)
+		}
+	}
+	mget() // fills the cache
+	misses := func() int64 { return c.Metrics().Snapshot().Counter("ecstore_client_nearcache_misses_total") }
+	before := misses()
+	if got := testing.AllocsPerRun(100, mget); got > 8 {
+		t.Errorf("a 16-key MGetItems of cached keys allocates %.0f objects, want <= 8", got)
+	} else {
+		t.Logf("allocates %.0f objects", got)
+	}
+	if m := misses() - before; m != 0 {
+		t.Fatalf("%d near-cache misses: not every key was a hit", m)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"ecstore/internal/nearcache"
@@ -19,14 +20,19 @@ import (
 //  2. the misses go through the flight group, which coalesces
 //     concurrent fetches of one key into ONE strategy read — per key,
 //     so a bulk read shares a hot key's fetch with single-key readers
-//     and the other way round; waiters receive their own copies of the
-//     leader's result (never a shared or released buffer);
+//     and the other way round; waiters receive the leader's result
+//     itself — bytes the strategy copied out of the pooled frames or
+//     joined fresh, never a released buffer;
 //  3. the leader installs what it fetched in the cache, guarded by the
 //     generation it drew before fetching — a local write's
 //     invalidation in between wins and the fill is dropped.
 //
 // Authoritative absence invalidates: a NotFound observed from the
 // cluster means any cached value is stale.
+//
+// Nothing is copied on the way: a cached value, a fetched one, the
+// cache's entry and every coalesced waiter's result are the same
+// read-only bytes (Item.Value).
 //
 // keys must be duplicate-free and the caller's own: read reorders keys
 // and res together (cache misses first, then as Group.Fetch does), and
@@ -81,7 +87,9 @@ func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
 			}
 			// Only the leader fills: every waiter carries the same bytes,
 			// and the leader is the one whose generation predates the fetch.
-			res[i].Value = nearcache.Value{Data: r.item.Value, Version: r.item.Version, TTL: r.item.TTL}
+			// Clipped, so no holder's append writes into what the others
+			// share.
+			res[i].Value = nearcache.Value{Data: slices.Clip(r.item.Value), Version: r.item.Version, TTL: r.item.TTL}
 			c.cache.Put(lead[i], res[i].Value, gens[i])
 		}
 	})

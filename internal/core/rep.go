@@ -23,7 +23,8 @@ var _ strategy = (*repStrategy)(nil)
 // walk runs every key's failover walk in lockstep — the one walk
 // behind replicated reads and the coordinator forms of erasure coding
 // (Equation 4's T_check + one round trip). Each key's order is its
-// width placement servers, healthy first: a suspect server is demoted
+// width placement servers, distinct (a placement wraps on a small
+// cluster, an order does not), healthy first: a suspect server is demoted
 // to the back so the common case never waits on a known-bad one (its
 // probe window still lets recovery be noticed). Round r sends each
 // outstanding key's request, built by mk, to the r-th server of its
@@ -46,12 +47,17 @@ func (c *Client) walk(b *batcher, keys []string, width int,
 		done    bool
 	}
 	states := make([]walkState, len(keys))
+	// Every key's order is a window of one backing slice, sized so no
+	// append moves it.
+	orders := make([]string, 0, len(keys)*width)
 	for i, key := range keys {
-		if placement := placementOn(ring, key, width); placement != nil {
-			states[i].order = c.healthOrder(placement)
-		} else {
+		start := len(orders)
+		if orders = ring.AppendN(orders, key, width); len(orders) == start {
 			out[i].err, states[i].done = ErrUnavailable, true
+			continue
 		}
+		states[i].order = orders[start:]
+		c.healthOrder(states[i].order)
 	}
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys))

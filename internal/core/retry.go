@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
-	"slices"
 	"time"
 
 	"ecstore/internal/rpc"
@@ -147,29 +146,19 @@ func retryJitter(d time.Duration) time.Duration {
 	return d/2 + rand.N(d)
 }
 
-// healthOrder returns a placement's distinct servers (a placement
-// wraps on a small cluster) in failover order: healthy first, servers
-// the rpc health tracker currently suspects moved to the back — each
-// group in placement order — so failover loops try known-good
-// candidates first while still reaching suspects as a last resort
-// (whose probes are how recovery gets noticed).
-func (c *Client) healthOrder(placement []string) []string {
-	out := make([]string, len(placement))
-	// Healthy servers fill from the front, suspects from the back.
-	h, s := 0, len(out)
-	for _, a := range placement {
-		switch {
-		case slices.Contains(out[:h], a) || slices.Contains(out[s:], a):
-		case c.pool.Suspect(a):
-			s--
-			out[s] = a
-		default:
-			out[h] = a
+// healthOrder puts distinct servers in failover order, in place:
+// healthy first, servers the rpc health tracker currently suspects moved
+// to the back — each group in its original order — so failover loops try
+// known-good candidates first while still reaching suspects as a last
+// resort (whose probes are how recovery gets noticed).
+func (c *Client) healthOrder(servers []string) {
+	h := 0
+	for i, a := range servers {
+		if !c.pool.Suspect(a) {
+			// The suspects in [h, i) move up one to make room.
+			copy(servers[h+1:i+1], servers[h:i])
+			servers[h] = a
 			h++
 		}
 	}
-	// The suspects were written backwards; close the gap duplicates left.
-	slices.Reverse(out[s:])
-	h += copy(out[h:], out[s:])
-	return out[:h]
 }

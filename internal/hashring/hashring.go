@@ -9,6 +9,7 @@ package hashring
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -167,24 +168,33 @@ func (r *Ring) successor(h uint64) int {
 // paper uses to house the K data and M parity chunks. If the ring has
 // fewer than n members, every member is returned (primary first).
 func (r *Ring) GetN(key string, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	if out := r.AppendN(make([]string, 0, n), key, n); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// AppendN is GetN appending to dst: it appends key's n distinct members
+// (every member, primary first, on a ring of fewer) and returns the
+// extended slice. A caller resolving many keys passes one backing slice
+// for all of them instead of a slice per key.
+func (r *Ring) AppendN(dst []string, key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
+	base := len(dst)
+	n = base + min(n, len(r.members))
 	start := r.successor(hashKey(key))
-	for i := 0; len(out) < n && i < len(r.points); i++ {
+	for i := 0; len(dst) < n && i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if seen[p.member] {
-			continue
+		if !slices.Contains(dst[base:], p.member) {
+			dst = append(dst, p.member)
 		}
-		seen[p.member] = true
-		out = append(out, p.member)
 	}
-	return out
+	return dst
 }

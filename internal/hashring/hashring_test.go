@@ -199,3 +199,21 @@ func TestMembersSorted(t *testing.T) {
 		t.Fatalf("Members() = %v", got)
 	}
 }
+
+// AppendN extends dst with exactly what GetN returns: members already in
+// dst (another key's placement sharing the slice) are appended again,
+// and an empty ring or n <= 0 leaves dst as it was.
+func TestAppendNExtendsDst(t *testing.T) {
+	r := newTestRing(5)
+	a, b := r.GetN("key-a", 3), r.GetN("key-b", 4)
+	got := r.AppendN(r.AppendN(nil, "key-a", 3), "key-b", 4)
+	if want := fmt.Sprint(append(append([]string(nil), a...), b...)); fmt.Sprint(got) != want {
+		t.Fatalf("AppendN chain = %v, want %v", got, want)
+	}
+	if got := r.AppendN(a, "key-b", 0); len(got) != len(a) {
+		t.Fatalf("AppendN(n=0) changed dst: %v", got)
+	}
+	if got := New(0).AppendN(a, "key-b", 3); len(got) != len(a) {
+		t.Fatalf("AppendN on an empty ring changed dst: %v", got)
+	}
+}

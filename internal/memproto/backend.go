@@ -55,21 +55,24 @@ func (b *ClusterBackend) Get(key string) (Item, error) {
 }
 
 // GetMulti fans the whole batch into one pipelined cluster read and
-// classifies each key as found, absent, or failed.
+// classifies each key as found, absent, or failed, building its maps
+// straight from the read's per-key results.
 func (b *ClusterBackend) GetMulti(keys []string) (map[string]Item, map[string]error) {
-	found, failed := b.Client.MGetItems(keys)
-	out := make(map[string]Item, len(found))
-	for k, item := range found {
-		out[k] = Item{Value: item.Value, CAS: item.Version, TTL: item.TTL}
-	}
+	found := make(map[string]Item, len(keys))
 	var errs map[string]error
-	if len(failed) > 0 {
-		errs = make(map[string]error, len(failed))
-		for k, err := range failed {
-			errs[k] = translate(err)
+	b.Client.MGetEach(keys, func(key string, item core.Item, err error) {
+		switch {
+		case err == nil:
+			found[key] = Item{Value: item.Value, CAS: item.Version, TTL: item.TTL}
+		case errors.Is(err, core.ErrNotFound):
+		default:
+			if errs == nil {
+				errs = make(map[string]error)
+			}
+			errs[key] = translate(err)
 		}
-	}
-	return out, errs
+	})
+	return found, errs
 }
 
 // Cas performs a conditional write against the stored stripe version;

@@ -34,8 +34,8 @@ type op struct {
 	mode    byte // store: S set, E add, R replace, A append, P prepend; arith: + or -
 	flags   uint32
 	ttl     time.Duration
-	hasTTL  bool // arith: the op's TTL replaces the counter's own
-	data    []byte
+	hasTTL  bool   // arith: the op's TTL replaces the counter's own
+	value   []byte // store: flagsPrefixLen bytes of room, then the data block (readData)
 	cas     uint64
 	hasCas  bool // the op is conditional on cas
 	delta   uint64
@@ -70,7 +70,7 @@ type outcome struct {
 // mode but add conditional: a stale one answers resExists and writes
 // nothing.
 func (h *Handler) store(o *op) (outcome, error) {
-	value := encodeFlags(o.flags, o.data)
+	value, data := putFlags(o.flags, o.value), o.value[flagsPrefixLen:]
 	if o.mode == 'S' && !o.hasCas {
 		cas, err := h.backend.Set(o.key, value, o.ttl)
 		return outcome{cas: cas}, err
@@ -96,11 +96,11 @@ func (h *Handler) store(o *op) (outcome, error) {
 		// append/prepend keep the original item's flags and TTL; the
 		// command's own flags/exptime are ignored, as memcached does.
 		flags, payload := decodeFlags(cur.Value)
-		joined := make([]byte, 0, len(payload)+len(o.data))
+		joined := make([]byte, 0, len(payload)+len(data))
 		if o.mode == 'A' {
-			joined = append(append(joined, payload...), o.data...)
+			joined = append(append(joined, payload...), data...)
 		} else {
-			joined = append(append(joined, o.data...), payload...)
+			joined = append(append(joined, data...), payload...)
 		}
 		return encodeFlags(flags, joined), secondsTTL(cur.TTL), nil
 	})

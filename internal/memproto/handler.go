@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,7 +174,9 @@ func (h *Handler) run(br *bufio.Reader, bw *bufio.Writer, cmd string, args []str
 // handleGet answers get/gets. All keys are fetched through ONE batched
 // backend GetMulti — the proxy's whole reason to exist is that the
 // fan-out below it is pipelined — and per-key infrastructure errors
-// turn the reply into SERVER_ERROR rather than a silent miss.
+// turn the reply into SERVER_ERROR rather than a silent miss. A key
+// listed twice is answered once. Each VALUE line is formatted straight
+// into the connection's write buffer.
 func (h *Handler) handleGet(bw *bufio.Writer, keys []string, withCas bool) bool {
 	if len(keys) == 0 {
 		writeString(bw, "ERROR\r\n")
@@ -193,24 +196,25 @@ func (h *Handler) handleGet(bw *bufio.Writer, keys []string, withCas bool) bool 
 		}
 	}
 	var hits, misses int64
-	emitted := make(map[string]bool, len(found))
-	for _, k := range keys {
+	for i, k := range keys {
 		item, ok := found[k]
 		if !ok {
 			misses++
 			continue
 		}
-		if emitted[k] {
-			continue
+		if slices.Contains(keys[:i], k) {
+			continue // answered at its first occurrence
 		}
-		emitted[k] = true
 		hits++
 		flags, payload := decodeFlags(item.Value)
-		writeString(bw, "VALUE "+k+" "+strconv.FormatUint(uint64(flags), 10)+" "+strconv.Itoa(len(payload)))
+		line := append(bw.AvailableBuffer(), "VALUE "...)
+		line = append(append(line, k...), ' ')
+		line = append(strconv.AppendUint(line, uint64(flags), 10), ' ')
+		line = strconv.AppendInt(line, int64(len(payload)), 10)
 		if withCas {
-			writeString(bw, " "+strconv.FormatUint(item.CAS, 10))
+			line = strconv.AppendUint(append(line, ' '), item.CAS, 10)
 		}
-		bw.Write(crlf)
+		bw.Write(append(line, crlf...))
 		bw.Write(payload)
 		bw.Write(crlf)
 	}
@@ -262,15 +266,15 @@ func (h *Handler) textStore(br *bufio.Reader, bw *bufio.Writer, cmd string, args
 		h.clientError(bw, o.quiet, "bad command line format")
 		return true, nil
 	}
-	data, err := h.readData(br, bw, nbytes, o.quiet)
-	if data == nil {
+	value, err := h.readData(br, bw, nbytes, o.quiet)
+	if value == nil {
 		return true, err
 	}
 	if errFlags != nil || errExp != nil || errCas != nil || !validKey(args[0]) {
 		h.clientError(bw, o.quiet, "bad command line format")
 		return true, nil
 	}
-	o.key, o.flags, o.ttl, o.data = args[0], uint32(flags), expTimeToTTL(exptime), data
+	o.key, o.flags, o.ttl, o.value = args[0], uint32(flags), expTimeToTTL(exptime), value
 	out, err := h.store(&o)
 	return h.textReply(bw, &o, "STORED\r\n", out, err), nil
 }
@@ -386,10 +390,12 @@ func (h *Handler) handleStats(bw *bufio.Writer, args []string) {
 
 // ---- shared helpers ----
 
-// readData reads a command's n-byte data block and its CRLF. A block
-// over the item limit is skipped and answered SERVER_ERROR, one not
-// ending in CRLF answered CLIENT_ERROR; either way data is nil, as it
-// is when err (always fatal) is set.
+// readData reads a command's n-byte data block and its CRLF into the
+// value it will be stored as: the block behind flagsPrefixLen bytes of
+// room for the client flags (putFlags), so a stored value is read once
+// and never copied. A block over the item limit is skipped and answered
+// SERVER_ERROR, one not ending in CRLF answered CLIENT_ERROR; either way
+// the value is nil, as it is when err (always fatal) is set.
 func (h *Handler) readData(br *bufio.Reader, bw *bufio.Writer, n int, quiet bool) ([]byte, error) {
 	if n > h.maxItem {
 		if _, err := io.CopyN(io.Discard, br, int64(n)+2); err != nil {
@@ -400,15 +406,15 @@ func (h *Handler) readData(br *bufio.Reader, bw *bufio.Writer, n int, quiet bool
 		}
 		return nil, nil
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf := make([]byte, flagsPrefixLen+n+2)
+	if _, err := io.ReadFull(br, buf[flagsPrefixLen:]); err != nil {
 		return nil, err
 	}
 	if !bytes.HasSuffix(buf, crlf) {
 		h.clientError(bw, quiet, "bad data chunk")
 		return nil, nil
 	}
-	return buf[:n], nil
+	return buf[:flagsPrefixLen+n], nil
 }
 
 func (h *Handler) clientError(bw *bufio.Writer, quiet bool, msg string) {

@@ -114,12 +114,16 @@ type Backend interface {
 // stores in front of every value.
 const flagsPrefixLen = 4
 
-// encodeFlags prepends the memcached client flags to value.
+// encodeFlags prepends the memcached client flags to value, in a copy.
 func encodeFlags(flags uint32, value []byte) []byte {
-	out := make([]byte, flagsPrefixLen+len(value))
-	binary.BigEndian.PutUint32(out, flags)
-	copy(out[flagsPrefixLen:], value)
-	return out
+	return putFlags(flags, append(make([]byte, flagsPrefixLen, flagsPrefixLen+len(value)), value...))
+}
+
+// putFlags writes the memcached client flags in place, into the
+// flagsPrefixLen bytes of room at the front of value, and returns it.
+func putFlags(flags uint32, value []byte) []byte {
+	binary.BigEndian.PutUint32(value, flags)
+	return value
 }
 
 // decodeFlags splits a stored value into client flags and payload. A

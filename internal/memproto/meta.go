@@ -72,8 +72,8 @@ func (h *Handler) metaStore(br *bufio.Reader, bw *bufio.Writer, args []string) (
 		writeString(bw, "CLIENT_ERROR bad command line format\r\n")
 		return true, nil
 	}
-	data, err := h.readData(br, bw, nbytes, false)
-	if data == nil {
+	value, err := h.readData(br, bw, nbytes, false)
+	if value == nil {
 		return true, err
 	}
 	if !validKey(args[0]) {
@@ -92,7 +92,7 @@ func (h *Handler) metaStore(br *bufio.Reader, bw *bufio.Writer, args []string) (
 		writeString(bw, "CLIENT_ERROR invalid mode\r\n")
 		return true, nil
 	}
-	o.data = data
+	o.value = value
 	out, err := h.store(&o)
 	return h.metaReply(bw, &o, "kOc", out, err), nil
 }

@@ -127,3 +127,25 @@ func TestEdgeCases(t *testing.T) {
 }
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
+
+// TestGetRepeatedKeys: a key listed twice in one get is answered once
+// and counted as one hit; every listed position of an absent key is a
+// miss.
+func TestGetRepeatedKeys(t *testing.T) {
+	reg := metrics.NewRegistry()
+	b := newFakeBackend()
+	out := runScript(t, b, "set a 5 0 2\r\nhi\r\nget a b a b\r\ngets a a\r\n", memproto.WithMetrics(reg))
+	want := "STORED\r\n" +
+		"VALUE a 5 2\r\nhi\r\nEND\r\n" +
+		"VALUE a 5 2 1\r\nhi\r\nEND\r\n"
+	if out != want {
+		t.Fatalf("reply = %q, want %q", out, want)
+	}
+	snap := reg.Snapshot()
+	if hits, misses := snap.Counter("ecstore_proxy_get_hits_total"), snap.Counter("ecstore_proxy_get_misses_total"); hits != 2 || misses != 2 {
+		t.Fatalf("hits, misses = %d, %d; want 2, 2", hits, misses)
+	}
+	if b.getMultiCalls != 2 {
+		t.Fatalf("%d GetMulti calls, want one per get", b.getMultiCalls)
+	}
+}

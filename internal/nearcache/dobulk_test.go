@@ -106,7 +106,7 @@ func TestDoBulkDedupesKeys(t *testing.T) {
 
 // TestDoBulkJoinsInFlightDo: keys already being fetched by a
 // single-key leader are joined, not re-fetched — and the joined result
-// is this caller's own copy of the bytes.
+// is the leader's own bytes, shared read-only.
 func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	var g Group
 	release := make(chan struct{})
@@ -147,16 +147,14 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 	if !bytes.Equal(values["hot"].Data, []byte("shared")) || values["hot"].Version != 7 {
 		t.Fatalf(`values["hot"] = %v`, values["hot"])
 	}
-	// The joined bytes must be a private copy, not the leader's buffer.
-	leaderV := <-leaderDone
-	leaderV.Data[0] = 'X'
-	if values["hot"].Data[0] == 'X' {
-		t.Fatal("joined waiter shares the leader's buffer")
+	// The joined bytes are the leader's buffer, not a copy of it.
+	if leaderV := <-leaderDone; &values["hot"].Data[0] != &leaderV.Data[0] {
+		t.Fatal("joined waiter received a copy of the leader's bytes")
 	}
 }
 
 // TestDoBulkServesDoWaiters: a single-key read that parks on a key a
-// bulk read is leading receives the bulk fetch's result (its own copy),
+// bulk read is leading receives the bulk fetch's result,
 // and the bulk caller counts no join for it.
 func TestDoBulkServesDoWaiters(t *testing.T) {
 	var g Group
@@ -401,10 +399,10 @@ func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
 	check("r2", r2, 1, map[string]string{"b": "r2:b", "a": "r1:a"})
 }
 
-// TestFlightWaitersOwnTheirBytes: a single-key waiter and a bulk waiter
-// coalesced onto one fetch, and the leader itself, each hold bytes of
-// their own — scribbling on one result changes neither of the others.
-func TestFlightWaitersOwnTheirBytes(t *testing.T) {
+// TestFlightWaitersShareTheLeadersBytes: a single-key waiter and a bulk
+// waiter coalesced onto one fetch both receive the leader's result
+// itself — one buffer, read-only, for all three.
+func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
 	var g Group
 	in, release := make(chan struct{}), make(chan struct{})
 	leader := make(chan Value, 1)
@@ -439,12 +437,12 @@ func TestFlightWaitersOwnTheirBytes(t *testing.T) {
 	close(release)
 
 	got := []Value{<-leader, <-single, <-bulk}
-	for i := range got {
-		got[i].Data[0] = byte('0' + i)
-	}
-	for i, want := range []string{"0ayload", "1ayload", "2ayload"} {
-		if string(got[i].Data) != want {
-			t.Errorf("result %d = %q after scribbling on all three, want %q", i, got[i].Data, want)
+	for i, v := range got {
+		if string(v.Data) != "payload" {
+			t.Fatalf("result %d = %q, want \"payload\"", i, v.Data)
+		}
+		if &v.Data[0] != &got[0].Data[0] {
+			t.Errorf("result %d is a copy, not the leader's bytes", i)
 		}
 	}
 }

@@ -25,17 +25,20 @@
 // MaxAge/TTL and corrected by the version stamp on the first
 // conditional write.
 //
-// Lease discipline: values handed out and taken in are always copies.
-// Put copies the caller's bytes (which may alias a pooled frame about
-// to be released), Get returns a fresh copy per caller (callers may
-// mutate their result), and the singleflight group copies the leader's
-// result for every coalesced waiter before the leader's own return
-// value escapes — no released or shared buffer is ever visible to two
-// owners.
+// Lease discipline: values are immutable and lent, never copied. Put
+// adopts the caller's bytes — the caller hands over memory nothing else
+// will write (the read path's fill is a copy out of a pooled frame or a
+// fresh join; a Set's base is copied where it enters, in core) — Get
+// returns the entry's own slice, and the singleflight group hands every
+// coalesced waiter the leader's result itself. So a value the cache or
+// the group returns is read-only and may be shared with other callers:
+// the rule the store already follows for the values it lends (DESIGN
+// §9). Put clips what it adopts to its length, so a holder's append
+// reallocates instead of writing past the lent bytes.
 package nearcache
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,19 +62,23 @@ const entryOverhead = 64
 // persist this field back to the cluster (the proxy's
 // read-modify-write commands keep an item's TTL across append/incr),
 // so reporting the cap here would silently truncate real lifetimes.
+// Data is read-only once it is handed to the cache or returned by it.
 type Value struct {
 	Data    []byte
 	Version uint64
 	TTL     uint32
 }
 
+// entry is one cached value and its place in the LRU list (intrusive, so
+// a new key costs one allocation).
 type entry struct {
-	key     string
-	data    []byte
-	version uint64
-	expires time.Time // the item's own TTL deadline; zero = no expiry
-	staleAt time.Time // the MaxAge residency deadline; zero = no cap
-	charge  int64
+	key        string
+	data       []byte // read-only: lent to every Get
+	version    uint64
+	expires    time.Time // the item's own TTL deadline; zero = no expiry
+	staleAt    time.Time // the MaxAge residency deadline; zero = no cap
+	charge     int64
+	prev, next *entry
 }
 
 // Config configures a Cache.
@@ -101,8 +108,8 @@ type Cache struct {
 	max     int64
 	maxAge  time.Duration
 	used    int64
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
+	lru     entry // list sentinel: lru.next is the most recently used
+	entries map[string]*entry
 	gens    [genSlots]uint64
 	now     func() time.Time
 
@@ -125,11 +132,10 @@ func New(cfg Config) *Cache {
 		now = time.Now
 	}
 	reg := cfg.Metrics
-	return &Cache{
+	c := &Cache{
 		max:           cfg.MaxBytes,
 		maxAge:        cfg.MaxAge,
-		ll:            list.New(),
-		entries:       make(map[string]*list.Element),
+		entries:       make(map[string]*entry),
 		now:           now,
 		hits:          reg.Counter("ecstore_client_nearcache_hits_total"),
 		misses:        reg.Counter("ecstore_client_nearcache_misses_total"),
@@ -139,6 +145,8 @@ func New(cfg Config) *Cache {
 		bytesGauge:    reg.Gauge("ecstore_client_nearcache_bytes"),
 		itemsGauge:    reg.Gauge("ecstore_client_nearcache_items"),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 func genSlot(key string) int {
@@ -166,27 +174,27 @@ func (c *Cache) Begin(key string) uint64 {
 	return g
 }
 
-// Get returns a copy of the cached value for key. A miss, an entry
-// past its item TTL, or an entry past MaxAge returns ok = false
-// (expired entries are dropped). The returned Value's TTL is the
-// item's own remaining lifetime in whole seconds, rounded up — the
-// residency cap only decides serve/expire and is never reported.
+// Get returns the cached value for key, lent: its Data is the entry's
+// own read-only slice. A miss, an entry past its item TTL, or an entry
+// past MaxAge returns ok = false (expired entries are dropped). The
+// returned Value's TTL is the item's own remaining lifetime in whole
+// seconds, rounded up — the residency cap only decides serve/expire and
+// is never reported.
 func (c *Cache) Get(key string) (Value, bool) {
 	if c == nil {
 		return Value{}, false
 	}
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	e, ok := c.entries[key]
 	if !ok {
 		c.misses.Inc()
 		c.mu.Unlock()
 		return Value{}, false
 	}
-	e := el.Value.(*entry)
 	now := c.now()
 	if (!e.expires.IsZero() && !e.expires.After(now)) ||
 		(!e.staleAt.IsZero() && !e.staleAt.After(now)) {
-		c.removeLocked(el)
+		c.removeLocked(e)
 		c.misses.Inc()
 		c.mu.Unlock()
 		return Value{}, false
@@ -195,22 +203,20 @@ func (c *Cache) Get(key string) (Value, bool) {
 	if !e.expires.IsZero() {
 		remaining = uint32((e.expires.Sub(now) + time.Second - 1) / time.Second)
 	}
-	c.ll.MoveToFront(el)
-	v := Value{
-		Data:    append([]byte(nil), e.data...),
-		Version: e.version,
-		TTL:     remaining,
-	}
+	c.unlink(e)
+	c.pushFront(e)
+	v := Value{Data: e.data, Version: e.version, TTL: remaining}
 	c.hits.Inc()
 	c.mu.Unlock()
 	return v, true
 }
 
-// Put installs a copy of v under key, unless an invalidation of key
-// happened since gen was read with Begin (the fill lost the race and
-// is dropped — installing it would resurrect a value a local write
-// just overtook). Values too large to ever fit are rejected. Evicts
-// least-recently-used entries until the cache fits MaxBytes again.
+// Put installs v under key, adopting v.Data: the caller hands over bytes
+// nothing will write again. It is dropped if an invalidation of key
+// happened since gen was read with Begin (the fill lost the race —
+// installing it would resurrect a value a local write just overtook).
+// Values too large to ever fit are rejected. Evicts least-recently-used
+// entries until the cache fits MaxBytes again.
 func (c *Cache) Put(key string, v Value, gen uint64) {
 	if c == nil {
 		return
@@ -233,28 +239,22 @@ func (c *Cache) Put(key string, v Value, gen uint64) {
 	if c.maxAge > 0 {
 		staleAt = c.now().Add(c.maxAge)
 	}
-	e := &entry{
-		key:     key,
-		data:    append([]byte(nil), v.Data...),
-		version: v.Version,
-		expires: expires,
-		staleAt: staleAt,
-		charge:  charge,
-	}
-	if el, ok := c.entries[key]; ok {
-		c.used -= el.Value.(*entry).charge
-		el.Value = e
-		c.ll.MoveToFront(el)
+	e, ok := c.entries[key]
+	if ok {
+		// A replaced entry is rewritten in place: no reader holds the
+		// entry itself, only the data slices it lent.
+		c.used -= e.charge
+		c.unlink(e)
 	} else {
-		c.entries[key] = c.ll.PushFront(e)
+		e = &entry{key: key}
+		c.entries[key] = e
 	}
+	e.data = slices.Clip(v.Data)
+	e.version, e.expires, e.staleAt, e.charge = v.Version, expires, staleAt, charge
+	c.pushFront(e)
 	c.used += charge
-	for c.used > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
+	for c.used > c.max && c.lru.prev != &c.lru {
+		c.removeLocked(c.lru.prev)
 		c.evictions.Inc()
 	}
 	c.bytesGauge.Set(c.used)
@@ -269,8 +269,8 @@ func (c *Cache) Invalidate(key string) {
 	}
 	c.mu.Lock()
 	c.gens[genSlot(key)]++
-	if el, ok := c.entries[key]; ok {
-		c.removeLocked(el)
+	if e, ok := c.entries[key]; ok {
+		c.removeLocked(e)
 		c.invalidations.Inc()
 	}
 	c.mu.Unlock()
@@ -287,8 +287,8 @@ func (c *Cache) InvalidateAll() {
 		c.gens[i]++
 	}
 	n := int64(len(c.entries))
-	c.ll.Init()
-	c.entries = make(map[string]*list.Element)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.entries = make(map[string]*entry)
 	c.used = 0
 	c.invalidations.Add(n)
 	c.bytesGauge.Set(0)
@@ -313,9 +313,9 @@ func (c *Cache) Observe(key string, version uint64) {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok && el.Value.(*entry).version != version {
+	if e, ok := c.entries[key]; ok && e.version != version {
 		c.gens[genSlot(key)]++
-		c.removeLocked(el)
+		c.removeLocked(e)
 		c.invalidations.Inc()
 	}
 	c.mu.Unlock()
@@ -341,13 +341,23 @@ func (c *Cache) Bytes() int64 {
 	return c.used
 }
 
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
+func (c *Cache) removeLocked(e *entry) {
+	c.unlink(e)
 	delete(c.entries, e.key)
 	c.used -= e.charge
 	c.bytesGauge.Set(c.used)
 	c.itemsGauge.Set(int64(len(c.entries)))
+}
+
+// unlink takes e out of the LRU list.
+func (c *Cache) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront makes e the most recently used entry.
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // ---- singleflight ----
@@ -371,11 +381,10 @@ type flight struct {
 // receive the leader's result instead of dialing themselves. The zero
 // Group is ready to use.
 //
-// Ownership: each waiter receives its own copy of the result bytes,
-// made by the leader BEFORE its own results escape — so no two callers
-// ever share a buffer, and a fetched value may alias memory the
-// leader's caller will mutate. Errors are shared as-is (errors are
-// immutable).
+// Sharing: every waiter receives the leader's result itself — the same
+// read-only bytes the leader returns and the cache holds (see the
+// package's lease discipline), so fetch must fill it with bytes nothing
+// will write again. Errors are shared as-is.
 //
 // Write ordering: flights are generation-guarded. Invalidate (called
 // after every local write of the key) bumps the key's generation, and
@@ -462,7 +471,6 @@ func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (j
 			r := Result{Err: res[i].Err}
 			if r.Err == nil {
 				r.Value = res[i].Value
-				r.Data = append([]byte(nil), r.Data...)
 			}
 			ch <- r
 		}

@@ -89,29 +89,75 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
-// Every Get must hand out an independent copy: mutating one caller's
-// result must not leak into the cache or other callers.
-func TestGetReturnsCopies(t *testing.T) {
+// Get lends the entry: every hit returns the cached slice itself, no
+// copy. The slice is clipped to its length, so a holder's append
+// reallocates instead of writing into bytes the next holder shares.
+func TestGetLendsEntry(t *testing.T) {
 	c, _ := newCache(t, 1<<20, nil)
 	c.Put("k", Value{Data: []byte("aaaa"), Version: 1}, c.Begin("k"))
 	v1, _ := c.Get("k")
-	v1.Data[0] = 'Z'
 	v2, ok := c.Get("k")
-	if !ok || string(v2.Data) != "aaaa" {
-		t.Fatalf("cache entry corrupted by caller mutation: %q", v2.Data)
+	if !ok || &v1.Data[0] != &v2.Data[0] {
+		t.Fatal("two hits returned different buffers: the entry was copied")
+	}
+	if cap(v1.Data) != len(v1.Data) {
+		t.Fatalf("lent slice has cap %d beyond its %d bytes", cap(v1.Data), len(v1.Data))
+	}
+	grown := append(v1.Data, 'Z')
+	if &grown[0] == &v1.Data[0] {
+		t.Fatal("an append to a lent value wrote into the cached entry's array")
+	}
+	if v3, _ := c.Get("k"); string(v3.Data) != "aaaa" {
+		t.Fatalf("entry changed by a holder's append: %q", v3.Data)
 	}
 }
 
-// Put must copy the caller's bytes: the caller may hand in a buffer it
-// reuses (or returns to a frame pool) right after.
-func TestPutCopiesData(t *testing.T) {
+// Put adopts the caller's bytes: the cache takes them as they are, and
+// the caller hands over memory nothing will write again.
+func TestPutAdoptsData(t *testing.T) {
 	c, _ := newCache(t, 1<<20, nil)
-	buf := []byte("original")
+	buf := make([]byte, 8, 64)
+	copy(buf, "original")
 	c.Put("k", Value{Data: buf, Version: 1}, c.Begin("k"))
-	copy(buf, "clobber!")
 	v, ok := c.Get("k")
 	if !ok || string(v.Data) != "original" {
-		t.Fatalf("cache aliased caller buffer: %q", v.Data)
+		t.Fatalf("Get = %q, %v", v.Data, ok)
+	}
+	if &v.Data[0] != &buf[0] {
+		t.Fatal("Put copied the value instead of adopting it")
+	}
+}
+
+// A hit costs no allocation, and a new key one: the entry, which is its
+// own LRU list element.
+func TestCacheAllocations(t *testing.T) {
+	c, _ := newCache(t, 1<<30, nil)
+	data := []byte("value")
+	c.Put("hot", Value{Data: data, Version: 1}, c.Begin("hot"))
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.Get("hot"); !ok {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Errorf("Get hit: %v allocations, want 0", n)
+	}
+	// The map is grown to its final size first, so what is counted is
+	// the Put, not the map's growth.
+	const runs = 100
+	keys := make([]string, runs+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		c.Put(keys[i], Value{Data: data}, c.Begin(keys[i]))
+	}
+	for _, k := range keys {
+		c.Invalidate(k)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		c.Put(keys[next], Value{Data: data, Version: 1}, c.Begin(keys[next]))
+		next++
+	}); n != 1 {
+		t.Errorf("Put of a new key: %v allocations, want 1", n)
 	}
 }
 
@@ -358,14 +404,16 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if coalesced.Load() == 0 {
 		t.Fatal("no waiter reported coalesced")
 	}
-	// Lease discipline: every waiter owns its bytes — no two slices
-	// may alias.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if len(values[i]) > 0 && len(values[j]) > 0 && &values[i][0] == &values[j][0] {
-				t.Fatalf("waiters %d and %d share a buffer", i, j)
-			}
+	// Sharing: every caller holds the bytes of the fetch that served
+	// it, so there are exactly as many distinct buffers as fetches.
+	buffers := make(map[*byte]bool)
+	for _, v := range values {
+		if len(v) > 0 {
+			buffers[&v[0]] = true
 		}
+	}
+	if int64(len(buffers)) != calls.Load() {
+		t.Fatalf("%d distinct buffers for %d fetches: a waiter got a copy", len(buffers), calls.Load())
 	}
 }
 
