@@ -105,11 +105,15 @@ func (op *subOp) fail() error {
 // size/count budget; response bodies stay leased until release; a
 // whole-frame rejection is retried by bisection.
 //
-// The batcher also owns the memory its calls run in: the rpc round and
-// one call slot per frame. A slot serves one call only (rpc.Call says
-// why), so slots are handed out and never taken back, and the batcher
-// itself is an ordinary allocation per operation — never pooled, or a
-// response arriving late could land in another operation's call.
+// The batcher also owns the memory its calls run in: one call slot per
+// frame, and the rpc round for as long as the operation runs. A slot
+// serves one call only (rpc.Call says why), so slots are handed out and
+// never taken back, and the batcher itself is an ordinary allocation
+// per operation — never pooled, or a response arriving late could land
+// in another operation's call. The round is different: nothing late
+// touches it (DESIGN §5b), so begin draws it from the client's pool and
+// end gives it back, and the deadline timer it armed serves the next
+// operation too.
 type batcher struct {
 	c     *Client
 	om    *opMetrics // the calling op's metrics, set by begin
@@ -126,7 +130,7 @@ type batcher struct {
 	// its frames are calls of.
 	epoch   uint64
 	timeout time.Duration
-	round   rpc.Round
+	round   *rpc.Round
 
 	leases []*wire.Response
 	reqs   []wire.BatchReq // scratch for batch encoding
@@ -136,12 +140,19 @@ type batcher struct {
 	// take K+M of each at most, and should not pay an allocation apiece.
 	leaseBuf [8]*wire.Response
 	slotBuf  [8]rpc.Call
+
+	// Backing for a one-key client-decode read (gatherGet): its result,
+	// its chunk state and its placement. Every gatherGet of the operation
+	// reuses them, so a result it returned is valid until the next one.
+	getBuf    [1]result
+	gatherBuf [1]gather
+	holderBuf [8]string
 }
 
 // begin opens the batcher of one operation, labelled op: timed from
 // here, so the ARPE window wait is not charged to the op.
 func (c *Client) begin(op string) *batcher {
-	b := &batcher{c: c, om: c.ops[op], start: time.Now()}
+	b := &batcher{c: c, om: c.ops[op], start: time.Now(), round: c.rounds.Get().(*rpc.Round)}
 	b.leases, b.free = b.leaseBuf[:0], b.slotBuf[:]
 	return b
 }
@@ -183,7 +194,7 @@ func (b *batcher) sendWithin(ops []subOp, epoch uint64, timeout time.Duration) {
 	}
 	start := time.Now()
 	b.epoch, b.timeout = epoch, timeout
-	b.c.pool.BeginTimeout(&b.round, timeout)
+	b.c.pool.BeginTimeout(b.round, timeout)
 	for i := range ops {
 		if !ops[i].planned {
 			b.issueServer(ops, i)
@@ -356,7 +367,7 @@ func (b *batcher) collect(ops []subOp, first int) {
 		second := ops[mid].next
 		ops[mid].next = -1
 		for _, half := range [2][2]int{{first, n / 2}, {second, n - n/2}} {
-			b.c.pool.BeginTimeout(&b.round, b.timeout)
+			b.c.pool.BeginTimeout(b.round, b.timeout)
 			b.issueFrame(ops, half[0], half[1])
 			b.round.Wait()
 			if ops[half[0]].call != nil {
@@ -402,12 +413,15 @@ func (b *batcher) release() {
 }
 
 // end closes the operation's ledger with its outcome, which it passes
-// through: the accumulated phase times under the op's label (a phase
-// the op never entered records nothing), an M* call's frame and sub-op
-// counts to the bulk series, then the end-to-end latency and the total
-// and error counters.
+// through: the round back to the client's pool (every round of the
+// operation has been waited out), the accumulated phase times under the
+// op's label (a phase the op never entered records nothing), an M*
+// call's frame and sub-op counts to the bulk series, then the
+// end-to-end latency and the total and error counters.
 func (b *batcher) end(v Item, err error) (Item, error) {
 	c := b.c
+	c.rounds.Put(b.round)
+	b.round = nil
 	for _, ph := range [...]struct {
 		name string
 		d    time.Duration

@@ -54,6 +54,13 @@ type Client struct {
 	flight nearcache.Group
 	cache  *nearcache.Cache
 
+	// rounds recycles the rpc rounds operations run their calls in, and
+	// with each the deadline timer it armed: a batcher draws one in begin
+	// and gives it back in end (DESIGN §5b says why a round may pass from
+	// one operation to the next). Per client, not global, so that no
+	// timer is shared beyond the client that made it.
+	rounds sync.Pool
+
 	// Metric handles resolved once at construction; the strategies
 	// record through these on every operation.
 	ops            map[string]*opMetrics
@@ -239,6 +246,7 @@ func New(cfg Config) (*Client, error) {
 			Metrics:  reg,
 		}),
 	}
+	c.rounds.New = func() any { return new(rpc.Round) }
 	c.mDeltaReasons = make(map[string]*metrics.Counter, len(deltaFallbackReasons))
 	for _, r := range deltaFallbackReasons {
 		c.mDeltaReasons[r] = reg.Counter(fmt.Sprintf("ecstore_client_delta_fallbacks_total{reason=%q}", r))

@@ -86,13 +86,14 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	var splitBuf [4]*erasure.PooledShards
 	splits := splitBuf[:0]
 	var keyBuf [8]string // one key's chunk keys: substrings of one string
+	var placeBuf [8]string
 	start := time.Now()
 	for i, w := range writes {
 		if out[i].err != errDeltaFallback {
 			continue
 		}
-		placement := placementOn(ring, w.key, n)
-		if placement == nil {
+		placement := appendPlacement(placeBuf[:0], ring, w.key, n)
+		if len(placement) == 0 {
 			out[i] = result{err: ErrUnavailable}
 			continue
 		}
@@ -264,17 +265,23 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 // the keys still short of K chunks, then per-key reconstruction. The
 // chunks alias the pooled response bodies, which stay leased until Join
 // has copied every value out.
+//
+// A one-key read keeps its state in the batcher (getBuf, gatherBuf,
+// holderBuf), which the next gatherGet of the operation reuses: a
+// retryKeys round reads the results it retries before it asks for new
+// ones, and every other caller copies its result out first.
 func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	n := e.k + e.m
-	out := make([]result, len(keys))
-	var one [1]gather // a single-key read keeps its state on the stack
-	states := one[:]
-	if len(keys) > 1 {
-		states = make([]gather, len(keys))
+	var out []result
+	var states []gather
+	var holders []string // every key's placement is a window of it
+	if len(keys) == 1 && n <= len(b.holderBuf) {
+		b.getBuf, b.gatherBuf = [1]result{}, [1]gather{}
+		out, states, holders = b.getBuf[:], b.gatherBuf[:], b.holderBuf[:0]
+	} else {
+		out, states, holders = make([]result, len(keys)), make([]gather, len(keys)), make([]string, 0, len(keys)*n)
 	}
 	ring, epoch := e.c.placementSnapshot()
-	// Every key's placement is a window of one backing slice.
-	holders := make([]string, 0, len(keys)*n)
 	for i, key := range keys {
 		states[i].ChunkCollector = wire.NewChunkCollector(e.k, n)
 		start := len(holders)

@@ -10,6 +10,7 @@ import (
 
 	"ecstore/internal/core"
 	"ecstore/internal/membership"
+	"ecstore/internal/wire"
 )
 
 // TestECDeleteWaitsOutEveryFrame pins the fix for a drift between the
@@ -68,9 +69,14 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 // the era-ce-cd pair for ycsb-b-1k, the hybrid MGet (two of its sixteen
 // keys above the threshold, so both representations answer) for
 // proxy-mget below the proxy, and the fresh 256 KB Set for burst-1m —
-// one round of K+M chunk writes, no read before it.
+// one round of K+M chunk writes, no read before it. The Get with one data
+// holder cut stands in for degraded-64k: every read fetches the parity
+// round after the data round, two fetches through the batcher's one-key
+// read state, and must still return the value and leave the frame pool
+// balanced.
 func TestSingleKeyCostThroughExecutor(t *testing.T) {
-	cl := startCluster(t, 5)
+	baseline := poolDelta()
+	cl, netem := startNetemCluster(t, 5)
 	small := bytes.Repeat([]byte("v"), 1<<10)
 	large := bytes.Repeat([]byte("V"), 32<<10)
 	big := bytes.Repeat([]byte("B"), 256<<10)
@@ -83,13 +89,12 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = fmt.Sprintf("cost-fresh-%d", i)
 	}
-	// Ceilings are measured counts plus 2 of headroom: the single-key
-	// rows from when call slots moved into the batcher (the commit
-	// before measured 62 / 106 / 25 / 60), the MGet rows from when the
-	// read-through above the strategies became one by-position path
-	// (197 / 188 before it), the fresh Set from when the server began
-	// keeping the value it read. calls, where set, is the exact rpc
-	// calls per operation (10 for the fresh Set while it read first).
+	// Ceilings are measured counts plus 2 of headroom, from when the
+	// server began lending request keys, the rpc round began outliving
+	// its operation and a one-key read began keeping its state in the
+	// batcher (the commit before measured 13 / 28 / 19 / 10 / 14 / 106 /
+	// 130 / 25 down the table). calls, where set, is the exact rpc calls
+	// per operation (10 for the fresh Set while it read first).
 	rows := []struct {
 		name   string
 		mode   core.Config
@@ -98,13 +103,14 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 		allocs float64
 		calls  int64
 	}{
-		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 15, 0},
-		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 21, 0},
-		{"sync-rep Get", allModes()["sync-rep"], false, "get", 14, 0},
-		{"sync-rep Set", allModes()["sync-rep"], false, "set", 16, 0},
-		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 143, 0},
-		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 150, 0},
-		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 27, 5},
+		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 7, 0},
+		{"era-ce-cd Get, one data holder cut", allModes()["era-ce-cd"], false, "get-cut", 21, 0},
+		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 18, 0},
+		{"sync-rep Get", allModes()["sync-rep"], false, "get", 9, 0},
+		{"sync-rep Set", allModes()["sync-rep"], false, "set", 14, 0},
+		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 76, 0},
+		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 76, 0},
+		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 24, 5},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -118,10 +124,25 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if row.op == "get-cut" {
+				var holder string
+				for i, addr := range cl.Addrs() {
+					if _, ok := cl.Server(i).Store().Get(wire.ChunkKey(keys[1], 0)); ok {
+						holder = addr
+					}
+				}
+				netem.Cut(holder)
+				defer netem.Restore(holder)
+			}
 			ops := map[string]func(){
 				"get": func() {
 					if _, err := c.Get(keys[1]); err != nil {
 						t.Fatal(err)
+					}
+				},
+				"get-cut": func() {
+					if v, err := c.Get(keys[1]); err != nil || !bytes.Equal(v, small) {
+						t.Fatalf("Get with a data holder cut: %d bytes, %v", len(v), err)
 					}
 				},
 				"set": func() {
@@ -181,6 +202,9 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 			}
 			if sawMore {
 				t.Errorf("changed the goroutine count (was %d, now %d)", before, runtime.NumGoroutine())
+			}
+			if row.op == "get-cut" {
+				waitPoolBaseline(t, baseline)
 			}
 		})
 	}

@@ -144,6 +144,37 @@ func TestDialectsAgree(t *testing.T) {
 			}
 		})
 	}
+
+	// Every meta write that asks for c echoes the token it wrote: the one
+	// a following mg c reports, whatever the mode — a read-modify-write
+	// (replace, append, prepend, ma) as much as a plain set or add.
+	echoes := []struct {
+		name    string
+		present bool
+		meta    string
+	}{
+		{"set/c", true, "ms k 2 c\r\nhi\r\n"},
+		{"add/c", false, "ms k 2 ME c\r\nhi\r\n"},
+		{"replace/c", true, "ms k 2 MR c\r\nhi\r\n"},
+		{"append/c", true, "ms k 2 MA c\r\nhi\r\n"},
+		{"prepend/c", true, "ms k 2 MP c\r\nhi\r\n"},
+		{"append/fresh-token/c", true, "ms k 2 MA C1 c\r\nhi\r\n"},
+		{"incr/c", true, "ma k D5 c\r\n"},
+		{"incr/autoviv/c", false, "ma k N0 c\r\n"},
+	}
+	for _, tc := range echoes {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newFakeBackend()
+			if tc.present {
+				b.store("k", []byte("\x00\x00\x00\x0010"))
+			}
+			reply := runScript(t, b, tc.meta+"mg k c\r\n")
+			wrote, read, _ := strings.Cut(strings.TrimSuffix(reply, "\r\n"), "\r\n")
+			if !strings.HasPrefix(wrote, "HD c") || read != "HD c"+strings.TrimPrefix(wrote, "HD c") {
+				t.Errorf("%q echoed %q, then mg k c read %q", tc.meta, wrote, read)
+			}
+		})
+	}
 }
 
 // TestCommandErrorsCountErrorRepliesOnly: in both dialects a command

@@ -61,7 +61,7 @@ const (
 // outcome is what executing an op did, before either dialect words it.
 type outcome struct {
 	res   result
-	cas   uint64 // the token of the item a set or add wrote
+	cas   uint64 // the token of the item the op wrote
 	value string // arith: the counter after the op
 }
 
@@ -174,10 +174,10 @@ func (h *Handler) update(o *op, miss result, next func(cur Item, found bool) ([]
 		if err != nil {
 			return outcome{}, err
 		}
-		_, err = h.backend.Cas(o.key, value, ttl, cur.CAS)
+		cas, err := h.backend.Cas(o.key, value, ttl, cur.CAS)
 		switch {
 		case err == nil:
-			return outcome{}, nil
+			return outcome{cas: cas}, nil
 		case errors.Is(err, ErrCASConflict), errors.Is(err, ErrCacheMiss):
 			continue // lost the race; re-read and retry
 		default:

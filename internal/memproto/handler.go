@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 var crlf = []byte("\r\n")
@@ -56,6 +57,10 @@ func (h *Handler) ServeConn(r io.Reader, w io.Writer) error {
 	}
 	br := bufio.NewReaderSize(r, 16<<10)
 	bw := bufio.NewWriterSize(w, 32<<10)
+	// Every command line is split into this one slice. Its words are
+	// substrings of one string per line, so a key an op keeps is its own;
+	// the slice is not kept past the command that was split into it.
+	var fields []string
 	for {
 		line, err := readLine(br)
 		if err != nil {
@@ -69,7 +74,8 @@ func (h *Handler) ServeConn(r io.Reader, w io.Writer) error {
 			}
 			return err
 		}
-		if err := h.dispatch(br, bw, line); err != nil {
+		fields = appendFields(fields[:0], string(line))
+		if err := h.dispatch(br, bw, fields); err != nil {
 			flushErr := bw.Flush()
 			if err == errQuit {
 				return flushErr
@@ -108,11 +114,46 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-// dispatch parses and executes one command line. The returned error is
-// fatal for the connection; protocol-level failures are written to bw
-// and return nil.
-func (h *Handler) dispatch(br *bufio.Reader, bw *bufio.Writer, line []byte) error {
-	fields := strings.Fields(string(line))
+// asciiSpace marks the bytes strings.Fields splits an ASCII line at.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the words of s, as strings.Fields splits them, to
+// dst, growing it at most once: a slice the caller reuses stops
+// allocating once it has held its longest line. A line that is not all
+// ASCII, whose spaces may be Unicode ones, is left to strings.Fields.
+func appendFields(dst []string, s string) []string {
+	words, space := 0, true
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.Fields(s)...)
+		}
+		if !asciiSpace[s[i]] && space {
+			words++
+		}
+		space = asciiSpace[s[i]]
+	}
+	dst = slices.Grow(dst, words)
+	start := -1 // where the current word began; -1 between words
+	for i := 0; i < len(s); i++ {
+		switch {
+		case !asciiSpace[s[i]]:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst, start = append(dst, s[start:i]), -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// dispatch executes one command line, split into fields. The returned
+// error is fatal for the connection; protocol-level failures are
+// written to bw and return nil.
+func (h *Handler) dispatch(br *bufio.Reader, bw *bufio.Writer, fields []string) error {
 	if len(fields) == 0 {
 		writeString(bw, "ERROR\r\n")
 		return nil

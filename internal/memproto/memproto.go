@@ -90,7 +90,8 @@ type Backend interface {
 	// GetMulti fetches every key in one batched backend operation. It
 	// returns the items found plus a per-key error map for keys whose
 	// state could not be determined; a key in neither map is
-	// authoritatively absent.
+	// authoritatively absent. The keys are the backend's to keep, the
+	// slice is not: the handler reuses it for its next command.
 	GetMulti(keys []string) (map[string]Item, map[string]error)
 	// Cas stores value only if the current CAS token equals cas,
 	// returning the new token. cas == 0 requires the key to be absent

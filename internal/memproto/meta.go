@@ -100,7 +100,8 @@ func (h *Handler) metaStore(br *bufio.Reader, bw *bufio.Writer, args []string) (
 // metaKeyed parses md <key> <flags>* and ma <key> <flags>*. ma's modes
 // (M): I, i or + increment (default), D, d or - decrement. N<ttl>
 // autovivifies a missing counter with J<init> (default 0); D<delta>
-// defaults to 1; v returns the new value.
+// defaults to 1; v returns the new value and c the token it was written
+// under.
 func (h *Handler) metaKeyed(bw *bufio.Writer, cmd string, args []string) bool {
 	if len(args) == 0 || !validKey(args[0]) {
 		writeString(bw, "CLIENT_ERROR bad key\r\n")
@@ -125,7 +126,7 @@ func (h *Handler) metaKeyed(bw *bufio.Writer, cmd string, args []string) bool {
 		return true
 	}
 	out, err := h.arith(&o)
-	return h.metaReply(bw, &o, "kO", out, err)
+	return h.metaReply(bw, &o, "kOc", out, err)
 }
 
 // metaWords are the meta dialect's status codes.

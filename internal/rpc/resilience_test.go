@@ -180,10 +180,34 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 // deliveries in a row would take the test half a minute.)
 func raceDeadlines(t *testing.T, p *Pool, network transport.Network, addr string) {
 	t.Helper()
+	raceRounds(t, p, network, addr, nil)
+}
+
+// TestPooledRoundsIgnoreLeftoverFirings is raceDeadlines with rounds
+// that pass between goroutines through a sync.Pool, as core's
+// operations pass theirs: a round's timer, armed by one sender, is
+// re-armed by whichever sender draws the round next, under a deadline
+// of its own, while a firing of the first deadline may still be on its
+// way. Such a leftover must find a deadline still ahead and do nothing;
+// without that check in Round.fire (`time.Now().Before(r.deadline)`) it
+// expires the next sender's round early, which raceRounds reports.
+func TestPooledRoundsIgnoreLeftoverFirings(t *testing.T) {
+	n := transport.NewInproc(transport.Shape{})
+	p := NewPool(n, WithFailureThreshold(1<<30))
+	defer p.Close()
+	rounds := sync.Pool{New: func() any { return new(Round) }}
+	raceRounds(t, p, n, "pooled-edge", &rounds)
+}
+
+// raceRounds is raceDeadlines drawing each round from rounds and putting
+// it back once waited out, or — with rounds nil — beginning one round
+// per goroutine again and again.
+func raceRounds(t *testing.T, p *Pool, network transport.Network, addr string, rounds *sync.Pool) {
+	t.Helper()
 	const (
 		senders   = 8
 		perRound  = 4
-		rounds    = 20000 / senders / perRound
+		perSender = 20000 / senders / perRound // rounds per sender
 		delay     = 500 * time.Microsecond
 		minBudget = delay / 2
 	)
@@ -194,18 +218,25 @@ func raceDeadlines(t *testing.T, p *Pool, network transport.Network, addr string
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var round Round // one round, begun again and again with fresh slots
+			var own Round // begun again and again with fresh slots
 			budget := 2 * delay
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < perSender; r++ {
+				round := &own
+				if rounds != nil {
+					round = rounds.Get().(*Round)
+				}
 				calls := make([]Call, perRound)
 				start := time.Now()
-				p.BeginTimeout(&round, budget)
+				p.BeginTimeout(round, budget)
 				for i := range calls {
 					key := fmt.Sprintf("g%d-r%d-c%d", g, r, i)
 					round.Issue(&calls[i], addr, &wire.Request{Op: wire.OpSet, Key: key, Value: []byte(key)})
 				}
 				round.Wait()
 				elapsed := time.Since(start)
+				if rounds != nil {
+					rounds.Put(round)
+				}
 				late := false
 				for i := range calls {
 					want := fmt.Sprintf("g%d-r%d-c%d", g, r, i)

@@ -197,8 +197,9 @@ func (c *Call) expire(timeout time.Duration) {
 // wake-up: every completion counts the round down and the last one
 // releases Wait, so the waiter parks once however many calls it sent.
 // A blocking call is a round of one. After Wait a Round may begin again
-// (with fresh slots); the zero value is ready for its first Begin. A
-// Round must not be copied once used.
+// (with fresh slots) — on any goroutine, under any deadline, so callers
+// may pool rounds and the timer each keeps; the zero value is ready for
+// its first Begin. A Round must not be copied once used.
 type Round struct {
 	pool *Pool
 	wg   sync.WaitGroup // calls issued and not yet settled
@@ -249,10 +250,10 @@ func (r *Round) watch(c *Call) bool {
 }
 
 // fire is the deadline: every call of the round still pending expires.
-// The timer is re-armed round after round, and stopping it does not wait
-// for a firing already on its way, so a firing that finds no round open,
-// or one whose deadline is still ahead, is a leftover of an earlier
-// round and does nothing.
+// The timer is re-armed round after round — by whichever caller begins
+// the Round next — and stopping it does not wait for a firing already on
+// its way, so a firing that finds no round open, or one whose deadline
+// is still ahead, is a leftover of an earlier round and does nothing.
 func (r *Round) fire() {
 	r.mu.Lock()
 	if !r.open || r.timeout <= 0 || time.Now().Before(r.deadline) {

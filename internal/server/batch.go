@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"strings"
 
 	"ecstore/internal/wire"
 )
@@ -26,12 +27,12 @@ func runsOnWorker(op wire.Op) bool {
 // handleBatch executes a vector of sub-requests against the store and
 // returns the sub-responses in one frame. Each sub-request goes
 // through s.handle, so per-op counters and error accounting see batched
-// and unbatched traffic identically. Sub-request values alias the
-// pooled batch frame body, and the store keeps what a write hands it,
-// so each sub-value is cloned out first: the store then owns its own
-// bytes, and — since Get lends the store's own immutable slice —
-// nothing the batch leaves behind aliases the inbound frame, which is
-// why serve may release it before writing the response.
+// and unbatched traffic identically. Sub-request keys and values alias
+// the pooled batch frame body, and the store keeps what a write hands
+// it, so a write's key and value are cloned out first: the store then
+// owns its own bytes, and — since Get lends the store's own immutable
+// slice — nothing the batch leaves behind aliases the inbound frame,
+// which is why serve may release it before writing the response.
 //
 // Failure discipline: a sub-op that fails reports its status in its
 // own slot; the frame-level response is an error only when the batch
@@ -57,10 +58,16 @@ func (s *Server) handleBatch(req *wire.Request) wire.Response {
 		one = wire.Request{
 			Op:         sub.Op,
 			Key:        sub.Key,
-			Value:      bytes.Clone(sub.Value), // no allocation for an empty one
+			Value:      sub.Value,
 			TTLSeconds: sub.TTLSeconds,
 			Compare:    sub.Compare,
 			Meta:       sub.Meta,
+		}
+		switch sub.Op {
+		case wire.OpSet, wire.OpSetChunk, wire.OpCompareSet:
+			// The store keeps the key and the value: clone both out of the
+			// leased frame. A read or a delete only looks at them.
+			one.Key, one.Value = strings.Clone(sub.Key), bytes.Clone(sub.Value)
 		}
 		r := s.handle(&one)
 		resps[i] = wire.BatchResp{

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"strings"
 	"sync"
 	"time"
 
@@ -337,14 +338,15 @@ func (s *Server) serve(req *wire.Request, out *connWriter) {
 	resp := s.handle(req)
 	s.hHandleSeconds.Record(time.Since(start))
 	resp.ID = req.ID
-	// The handlers never let a leased request body escape: a kept value
-	// (OpSet, OpSetChunk, OpCompareSet) was read into an allocation of
-	// its own, which the store installs as it is; every other value the
-	// store keeps is a private copy (a batch's sub-values, a patched
-	// chunk). What a read returns is the store's own slice — lent,
-	// immutable once installed, so the response may alias it for as long
-	// as the write takes. The leased frame body, if any, can therefore go
-	// back to the pool before the write.
+	// The handlers never let a leased request body escape: a kept frame's
+	// key and value (OpSet, OpSetChunk, OpCompareSet) were read into
+	// allocations of their own, which the store installs as they are;
+	// every other key or value the store keeps is a private copy (a
+	// batch's writes, a patched chunk and its key), and the rest only
+	// look up what the leased key names. What a read returns is the
+	// store's own slice — lent, immutable once installed, so the response
+	// may alias it for as long as the write takes. The leased frame body,
+	// if any, can therefore go back to the pool before the write.
 	req.Release()
 	// A write error means the connection died; its read loop cleans up.
 	_ = out.write(&resp)
@@ -560,7 +562,11 @@ func (s *Server) handleApplyDelta(req *wire.Request) wire.Response {
 		return errorResponse(err)
 	}
 	ttl := time.Duration(req.TTLSeconds) * time.Second
-	out, prior, err := s.store.CompareSwap(req.Key, v, ttl, req.Compare, req.Meta.Stripe, false)
+	// The key is cloned out of the leased frame too: when the entry is
+	// gone by the time of the swap — expired or deleted since GetMeta —
+	// and the base was unversioned (Compare 0), CompareSwap inserts the
+	// key afresh.
+	out, prior, err := s.store.CompareSwap(strings.Clone(req.Key), v, ttl, req.Compare, req.Meta.Stripe, false)
 	if err != nil {
 		return errorResponse(err)
 	}

@@ -136,10 +136,10 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeBatchRequests parses a batch request payload. Keys are copied
-// (they become map keys and outlive the frame); values alias b, so the
-// caller must finish with them — or copy — before releasing the frame
-// lease.
+// DecodeBatchRequests parses a batch request payload. Keys and values
+// alias b, as the enclosing frame's own do: the caller must finish with
+// them — or clone what it keeps, a key the store installs included —
+// before releasing the frame lease.
 func DecodeBatchRequests(b []byte) ([]BatchReq, error) {
 	count, rest, err := batchCount(b)
 	if err != nil {
@@ -170,7 +170,7 @@ func DecodeBatchRequests(b []byte) ([]BatchReq, error) {
 		if len(rest) < keyLen+valueLen {
 			return nil, fmt.Errorf("%w: batch sub-request %d body truncated", ErrMalformed, i)
 		}
-		sub.Key = string(rest[:keyLen])
+		sub.Key = lentString(rest[:keyLen])
 		if valueLen > 0 {
 			sub.Value = rest[keyLen : keyLen+valueLen]
 		}

@@ -30,6 +30,12 @@ func FuzzReadRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	// A leased frame: its key and value alias the pooled body.
+	leased, err := AppendRequest(nil, &Request{ID: 2, Op: OpApplyDelta, Key: "key", Value: []byte("patch"), Compare: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(leased)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
 	// A kept value cut short; a key longer than MaxKeyLen; a frameLen
@@ -126,6 +132,12 @@ func checkReadPooled(t *testing.T, data []byte, want *Request, wantErr error) {
 	got.Release()
 	if st := pool.Stats(); pooledRange(frameLen) && st.Gets != st.Puts {
 		t.Fatalf("pool lease imbalance after ReadPooled (err %v): %d gets vs %d puts", err, st.Gets, st.Puts)
+	}
+	// A leased frame lends its key: Release clears it with the value
+	// (`r.lease, r.Key, r.Value = nil, "", nil`), so nothing reads a key
+	// whose bytes went back to the pool. A kept frame owns its key.
+	if err == nil && !keepsValue(got.Op) && got.Key != "" {
+		t.Fatalf("Release left the leased key %q", got.Key)
 	}
 	if !kept {
 		return

@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"ecstore/internal/bufpool"
 )
@@ -241,7 +242,11 @@ type Request struct {
 	ID uint64
 	// Op is the operation.
 	Op Op
-	// Key is the item key (for chunk ops, the derived chunk key).
+	// Key is the item key (for chunk ops, the derived chunk key). A
+	// request read into a leased frame (Request.ReadPooled) lends its key
+	// as it lends its value: both alias the frame until Release, so
+	// whatever outlives the request — a key the store keeps — must be
+	// cloned. A kept frame owns both.
 	Key string
 	// Value is the payload for writes; nil for reads.
 	Value []byte
@@ -279,16 +284,16 @@ type Request struct {
 }
 
 // Release returns the pooled frame body a ReadRequestPooled call leased
-// (Value aliases it) to its pool. It is a safe no-op for requests that
-// were not read in pooled mode or whose value is kept, and idempotent
-// for those that were. Key is a copy and survives Release; a leased
-// Value must not be used after.
+// (Key and Value alias it) to its pool, and clears both. It is a safe
+// no-op for requests that were not read in pooled mode or whose frame
+// is kept, and idempotent for those that were. A leased frame lends its
+// key and value until Release; a kept frame owns both.
 func (r *Request) Release() {
 	if r == nil || r.lease == nil {
 		return
 	}
 	lease := r.lease
-	r.lease, r.Value = nil, nil
+	r.lease, r.Key, r.Value = nil, "", nil
 	r.pool.Put(lease)
 }
 
@@ -519,22 +524,37 @@ func (r *Request) parseHeader(hdr []byte, frameLen int) (keyLen, valueLen int, e
 }
 
 // parse decodes a request frame body into r, overwriting every field.
-// With copyValue the value is copied out of body; otherwise it aliases
-// body (pooled mode).
-func (r *Request) parse(body []byte, copyValue bool) error {
+// With copyOut the key and value are copied out of body; otherwise
+// both alias body (pooled mode).
+func (r *Request) parse(body []byte, copyOut bool) error {
 	keyLen, valueLen, err := r.parseHeader(body, len(body))
 	if err != nil {
 		return err
 	}
-	r.Key = string(body[reqHeaderLen : reqHeaderLen+keyLen])
+	key := body[reqHeaderLen : reqHeaderLen+keyLen]
+	if copyOut {
+		r.Key = string(key)
+	} else {
+		r.Key = lentString(key)
+	}
 	if valueLen > 0 {
-		if copyValue {
+		if copyOut {
 			r.Value = append([]byte(nil), body[reqHeaderLen+keyLen:]...)
 		} else {
 			r.Value = body[reqHeaderLen+keyLen:]
 		}
 	}
 	return nil
+}
+
+// lentString returns b as a string without copying it. The string
+// aliases b, so it is valid only while b is: a key lent out of a leased
+// frame goes stale when the frame goes back to its pool.
+func lentString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // ReadRequest reads one request frame from r. The returned request
@@ -552,12 +572,13 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 }
 
 // ReadRequestPooled reads one request frame into a buffer leased from
-// pool; the returned request's Value aliases that buffer — except a
-// kept value (an OpSet, OpSetChunk or OpCompareSet frame's), which is
-// read into an exact-size allocation of its own that the caller may
-// keep. The caller must call Request.Release once it is done with a
-// leased value, to hand the buffer back for the next frame. A nil pool
-// falls back to ReadRequest. On error no lease is retained.
+// pool; the returned request's Key and Value alias that buffer — except
+// in a kept frame (an OpSet, OpSetChunk or OpCompareSet), whose key is a
+// string of its own and whose value is read into an exact-size
+// allocation of its own, both of which the caller may keep. The caller
+// must call Request.Release once it is done with a leased frame, to
+// hand the buffer back for the next one. A nil pool falls back to
+// ReadRequest. On error no lease is retained.
 func ReadRequestPooled(r *bufio.Reader, pool *bufpool.Pool) (*Request, error) {
 	if pool == nil {
 		return ReadRequest(r)
@@ -571,7 +592,8 @@ func ReadRequestPooled(r *bufio.Reader, pool *bufpool.Pool) (*Request, error) {
 
 // ReadPooled is ReadRequestPooled into a request the caller owns: a
 // connection's reader keeps one and reads every frame into it, so a
-// request costs no allocation beyond its key. Every field is
+// leased frame costs no allocation at all. A leased frame lends its key
+// and value until Release; a kept frame owns both. Every field is
 // overwritten; the previous frame's lease must have been released (or
 // handed on by copying the request) before the next read. A nil pool
 // reads into a plain allocation that Release leaves to the collector.
@@ -609,10 +631,10 @@ func (r *Request) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
 
 // readKept reads the rest of a frame whose value is kept. The fixed
 // header and the key are parsed where they lie in br's buffer, and
-// checked before anything is allocated; the value is read straight from
-// br into an exact-size allocation that nothing else references — the
-// store installs it as it is. No pool is involved, so Release has
-// nothing to return.
+// checked before anything is allocated; the key is copied into a string
+// of its own and the value read straight from br into an exact-size
+// allocation that nothing else references — the store installs both as
+// they are. No pool is involved, so Release has nothing to return.
 func (r *Request) readKept(br *bufio.Reader, frameLen int) error {
 	hdr, err := br.Peek(reqHeaderLen)
 	if err != nil {

@@ -336,6 +336,21 @@ func TestE2EMetaTokenEveryMode(t *testing.T) {
 	if got := c.read(1 + 2); got != "7\r\n" {
 		t.Fatalf("ma M- value %q, want 7", got)
 	}
+
+	// Every mode echoes the token it wrote: the one a following mg c reads.
+	for _, cmd := range []string{
+		"ms e2e-tok 1 MA c\r\nZ\r\n",
+		"ms e2e-tok 1 MP c\r\nZ\r\n",
+		"ms e2e-tok 3 MR c\r\nxyz\r\n",
+		"ma e2e-tok-ctr c\r\n",
+	} {
+		c.send("%s", cmd)
+		wrote := c.line()
+		c.send("mg %s c\r\n", strings.Fields(cmd)[1])
+		if read := c.line(); !strings.HasPrefix(wrote, "HD c") || read != wrote {
+			t.Fatalf("%q echoed %q, then mg c read %q", cmd, wrote, read)
+		}
+	}
 }
 
 // TestE2ELargeValue pushes a value big enough to stripe across all
