@@ -142,11 +142,13 @@ type batcher struct {
 	slotBuf  [8]rpc.Call
 
 	// Backing for a one-key client-decode read (gatherGet): its result,
-	// its chunk state and its placement. Every gatherGet of the operation
-	// reuses them, so a result it returned is valid until the next one.
-	getBuf    [1]result
-	gatherBuf [1]gather
-	holderBuf [8]string
+	// its chunk state, its placement and its chunk keys. Every gatherGet
+	// of the operation reuses them, so a result it returned is valid
+	// until the next one.
+	getBuf      [1]result
+	gatherBuf   [1]gather
+	holderBuf   [8]string
+	chunkKeyBuf [8]string
 }
 
 // begin opens the batcher of one operation, labelled op: timed from

@@ -261,62 +261,80 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 
 // gatherGet is the client-decode read (Equation 8): one round fetching
 // chunks [0,K) of every key — each server receives ONE frame carrying
-// its chunk of every key it holds — then a parity round [K,N) only for
-// the keys still short of K chunks, then per-key reconstruction. The
-// chunks alias the pooled response bodies, which stay leased until Join
-// has copied every value out.
+// its chunk of every key it holds — then, for the keys still short of K
+// chunks, a parity round asking for what each one's most complete
+// stripe lacks, then a last round asking for every position not asked
+// yet, then per-key reconstruction. A key that ends undecodable has
+// asked all K+M positions, so the absence rule sees every answer
+// (DESIGN §12). The chunks alias the pooled response bodies, which stay
+// leased until Join has copied every value out.
 //
 // A one-key read keeps its state in the batcher (getBuf, gatherBuf,
-// holderBuf), which the next gatherGet of the operation reuses: a
-// retryKeys round reads the results it retries before it asks for new
-// ones, and every other caller copies its result out first.
+// holderBuf, chunkKeyBuf), which the next gatherGet of the operation
+// reuses: a retryKeys round reads the results it retries before it asks
+// for new ones, and every other caller copies its result out first.
 func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	n := e.k + e.m
 	var out []result
 	var states []gather
-	var holders []string // every key's placement is a window of it
+	// Every key's placement is a window of holders, and its chunk keys,
+	// built once for all the rounds, a window of chunkKeys.
+	var holders, chunkKeys []string
 	if len(keys) == 1 && n <= len(b.holderBuf) {
 		b.getBuf, b.gatherBuf = [1]result{}, [1]gather{}
-		out, states, holders = b.getBuf[:], b.gatherBuf[:], b.holderBuf[:0]
+		out, states = b.getBuf[:], b.gatherBuf[:]
+		holders, chunkKeys = b.holderBuf[:0], b.chunkKeyBuf[:0]
 	} else {
-		out, states, holders = make([]result, len(keys)), make([]gather, len(keys)), make([]string, 0, len(keys)*n)
+		out, states = make([]result, len(keys)), make([]gather, len(keys))
+		names := make([]string, 2*len(keys)*n)
+		holders, chunkKeys = names[:0:len(keys)*n], names[len(keys)*n:][:0]
 	}
 	ring, epoch := e.c.placementSnapshot()
 	for i, key := range keys {
-		states[i].ChunkCollector = wire.NewChunkCollector(e.k, n)
+		st := &states[i]
+		st.ChunkCollector = wire.NewChunkCollector(e.k, n)
 		start := len(holders)
 		if holders = appendPlacement(holders, ring, key, n); len(holders) == start {
 			out[i].err = ErrUnavailable
 			continue
 		}
-		states[i].placement = holders[start:]
+		st.placement = holders[start:]
+		start = len(chunkKeys)
+		chunkKeys = wire.AppendChunkKeys(chunkKeys, key, 0, n)
+		st.chunkKeys = chunkKeys[start:]
 	}
 	defer b.release()
 
+	// Each round asks, for every key, what ChunkCollector.NextRound says:
+	// the data chunks, then the parity its most complete stripe lacks,
+	// then every position left. A round nobody needs ends the read.
 	var buf roundBuf
-	ops := roundOps(&buf, len(keys)*e.k) // the parity round, when needed, may grow it
-	var keyBuf [8]string
-	fetch := func(lo, hi int) {
+	ops := roundOps(&buf, len(keys)*e.k) // a later round, when needed, may grow it
+	for {
 		ops = ops[:0]
-		for i, key := range keys {
+		for i := range states {
 			st := &states[i]
-			if st.placement == nil || st.Best() != nil {
+			if st.placement == nil {
 				continue
 			}
-			chunkKeys := wire.AppendChunkKeys(keyBuf[:0], key, lo, hi)
-			for j := lo; j < hi; j++ {
-				ops = append(ops, subOp{addr: st.placement[j], key: i, req: wire.BatchReq{
-					Op: wire.OpGetChunk, Key: chunkKeys[j-lo],
-				}})
+			want := st.NextRound(st.asked, func(j int) bool { return e.c.pool.Suspect(st.placement[j]) })
+			for j := 0; j < n; j++ {
+				if want.Has(j) {
+					st.asked.Add(j)
+					ops = append(ops, subOp{addr: st.placement[j], key: i, req: wire.BatchReq{
+						Op: wire.OpGetChunk, Key: st.chunkKeys[j],
+					}})
+				}
 			}
+		}
+		if len(ops) == 0 {
+			break
 		}
 		b.send(ops, epoch)
 		for j := range ops {
 			states[ops[j].key].classify(&ops[j])
 		}
 	}
-	fetch(0, e.k)
-	fetch(e.k, n)
 
 	start := time.Now()
 	for i, key := range keys {
@@ -349,15 +367,17 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		// Degraded read: rebuild only the missing data chunks (parity is
 		// not needed once the value is joined).
 		chunks := win.Chunks()
-		var rebuilt []int
+		var rebuilt erasure.ShardSet
+		missing := 0
 		for j := 0; j < e.k; j++ {
 			if chunks[j] == nil {
-				rebuilt = append(rebuilt, j)
+				rebuilt.Add(j)
+				missing++
 			}
 		}
-		if len(rebuilt) > 0 {
+		if missing > 0 {
 			e.c.mDegraded.Inc()
-			e.c.mRebuilt.Add(int64(len(rebuilt)))
+			e.c.mRebuilt.Add(int64(missing))
 			if out[i].err = erasure.ReconstructData(e.code, chunks); out[i].err != nil {
 				continue
 			}
@@ -365,8 +385,10 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		value, err := erasure.Join(chunks, e.k, int(win.TotalLen))
 		// Join copied the data out; the chunks the codec pool-allocated can
 		// go back. Network-owned chunk buffers are never released here.
-		for _, j := range rebuilt {
-			erasure.DefaultPool.Put(chunks[j])
+		for j := 0; j < e.k; j++ {
+			if rebuilt.Has(j) {
+				erasure.DefaultPool.Put(chunks[j])
+			}
 		}
 		if err != nil {
 			out[i].err = err
@@ -379,9 +401,12 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 }
 
 // gather is one key's state across the rounds of a client-decode read:
-// the chunks fetched so far, grouped by stripe in the collector.
+// where its chunks live and under which keys, which positions it has
+// asked for, and the chunks fetched so far, grouped by stripe in the
+// collector.
 type gather struct {
-	placement []string
+	placement, chunkKeys []string
+	asked                erasure.ShardSet
 	wire.ChunkCollector
 	// reachable counts locations that answered at all (chunk, not-found
 	// or another status); notFound the authoritative misses among them.

@@ -69,11 +69,14 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 // the era-ce-cd pair for ycsb-b-1k, the hybrid MGet (two of its sixteen
 // keys above the threshold, so both representations answer) for
 // proxy-mget below the proxy, and the fresh 256 KB Set for burst-1m —
-// one round of K+M chunk writes, no read before it. The Get with one data
-// holder cut stands in for degraded-64k: every read fetches the parity
-// round after the data round, two fetches through the batcher's one-key
-// read state, and must still return the value and leave the frame pool
-// balanced.
+// one round of K+M chunk writes, no read before it. The Gets with chunks
+// out of reach stand in for degraded-64k, and must still return the value
+// and leave the frame pool balanced: with one data holder cut, every read
+// asks for one parity chunk after the data round and decodes from a cached
+// inverse; with a parity holder cut as well, that one parity chunk comes
+// from the holder the pool does not suspect; with a parity chunk lost
+// instead, the parity round asks its holder, which answers not-found, and
+// the last round asks for the other.
 func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	baseline := poolDelta()
 	cl, netem := startNetemCluster(t, 5)
@@ -93,24 +96,33 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	// server began lending request keys, the rpc round began outliving
 	// its operation and a one-key read began keeping its state in the
 	// batcher (the commit before measured 13 / 28 / 19 / 10 / 14 / 106 /
-	// 130 / 25 down the table). calls, where set, is the exact rpc calls
-	// per operation (10 for the fresh Set while it read first).
+	// 130 / 25 down the table), and — for the one-data-holder-cut row —
+	// from when a degraded read began asking only for the parity it
+	// lacks and decoding from a cached inverse (19 before; 3 of the 8
+	// left are the error of the call refused to the suspect holder).
+	// calls, where set, is the exact rpc calls per operation (10 for the
+	// fresh Set while it read first; a call refused to a suspect holder
+	// is not one). cut and lost name chunk positions of the key read:
+	// their holders are cut off, their chunks deleted.
 	rows := []struct {
-		name   string
-		mode   core.Config
-		mixed  bool // every eighth key holds the large value
-		op     string
-		allocs float64
-		calls  int64
+		name      string
+		mode      core.Config
+		mixed     bool // every eighth key holds the large value
+		op        string
+		allocs    float64
+		calls     int64
+		cut, lost []int
 	}{
-		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 7, 0},
-		{"era-ce-cd Get, one data holder cut", allModes()["era-ce-cd"], false, "get-cut", 21, 0},
-		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 18, 0},
-		{"sync-rep Get", allModes()["sync-rep"], false, "get", 9, 0},
-		{"sync-rep Set", allModes()["sync-rep"], false, "set", 14, 0},
-		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 76, 0},
-		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 76, 0},
-		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 24, 5},
+		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 7, 0, nil, nil},
+		{"era-ce-cd Get, one data holder cut", allModes()["era-ce-cd"], false, "get-degraded", 10, 3, []int{0}, nil},
+		{"era-ce-cd Get, one data holder and one parity holder cut", allModes()["era-ce-cd"], false, "get-degraded", 10, 3, []int{0, 3}, nil},
+		{"era-ce-cd Get, one data holder cut and one parity chunk lost", allModes()["era-ce-cd"], false, "get-degraded", 10, 4, []int{0}, []int{3}},
+		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 18, 0, nil, nil},
+		{"sync-rep Get", allModes()["sync-rep"], false, "get", 9, 0, nil, nil},
+		{"sync-rep Set", allModes()["sync-rep"], false, "set", 14, 0, nil, nil},
+		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 76, 0, nil, nil},
+		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 76, 0, nil, nil},
+		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 24, 5, nil, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -124,15 +136,24 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if row.op == "get-cut" {
-				var holder string
+			// holderOf is the server holding chunk pos of the key read.
+			holderOf := func(pos int) (i int, addr string) {
 				for i, addr := range cl.Addrs() {
-					if _, ok := cl.Server(i).Store().Get(wire.ChunkKey(keys[1], 0)); ok {
-						holder = addr
+					if _, ok := cl.Server(i).Store().Get(wire.ChunkKey(keys[1], pos)); ok {
+						return i, addr
 					}
 				}
-				netem.Cut(holder)
-				defer netem.Restore(holder)
+				t.Fatalf("no server holds chunk %d", pos)
+				return 0, ""
+			}
+			for _, pos := range row.lost {
+				i, _ := holderOf(pos)
+				cl.Server(i).Store().Delete(wire.ChunkKey(keys[1], pos))
+			}
+			for _, pos := range row.cut {
+				_, addr := holderOf(pos)
+				netem.Cut(addr)
+				defer netem.Restore(addr)
 			}
 			ops := map[string]func(){
 				"get": func() {
@@ -140,9 +161,9 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 						t.Fatal(err)
 					}
 				},
-				"get-cut": func() {
+				"get-degraded": func() {
 					if v, err := c.Get(keys[1]); err != nil || !bytes.Equal(v, small) {
-						t.Fatalf("Get with a data holder cut: %d bytes, %v", len(v), err)
+						t.Fatalf("Get with chunks out of reach: %d bytes, %v", len(v), err)
 					}
 				},
 				"set": func() {
@@ -203,7 +224,7 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 			if sawMore {
 				t.Errorf("changed the goroutine count (was %d, now %d)", before, runtime.NumGoroutine())
 			}
-			if row.op == "get-cut" {
+			if row.op == "get-degraded" {
 				waitPoolBaseline(t, baseline)
 			}
 		})

@@ -1,0 +1,207 @@
+package core_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ecstore/internal/cluster"
+	"ecstore/internal/core"
+	"ecstore/internal/wire"
+)
+
+// chunkState is what one chunk location of a key does when read.
+type chunkState int
+
+const (
+	holds   chunkState = iota // answers with its chunk
+	missing                   // answers not-found: the chunk was deleted
+	cut                       // unreachable: its holder is cut off
+)
+
+func (s chunkState) String() string { return [...]string{"holds", "missing", "cut"}[s] }
+
+// chunkHolders returns, for each of key's n chunk positions, the index of
+// the server holding it.
+func chunkHolders(cl *cluster.Cluster, key string, n int) []int {
+	holder := make([]int, n)
+	for i := range holder {
+		for s := range cl.Addrs() {
+			if _, ok := cl.Server(s).Store().Get(wire.ChunkKey(key, i)); ok {
+				holder[i] = s
+			}
+		}
+	}
+	return holder
+}
+
+// TestDegradedReadVerdicts pins that a degraded read answers exactly what
+// asking every chunk location would: for each of the 3^5 states of an
+// RS(3,2) key's five locations, Get in era-ce-cd (the client's rounds) and
+// era-se-sd (the coordinator's) returns the value when at least K
+// locations hold their chunk, ErrNotFound when none does and the cut ones
+// could not hold K between them, and ErrUnavailable otherwise. Three more
+// rows mix stripes. At RS(3,2), chunks 0 and 1 come from an older write,
+// so the most complete stripe of the data round is the older one. At
+// RS(2,2), chunks 1 and 2 do: each stripe reaches K only with a parity
+// chunk, and asking for one parity chunk would decode the older one, where
+// asking for both finds the newer at K too and its higher stripe wins.
+// Each state runs on a fresh cluster and fresh clients, so no holder is
+// suspect from an earlier state.
+func TestDegradedReadVerdicts(t *testing.T) {
+	v1, v2 := bytes.Repeat([]byte("1"), 3<<10), bytes.Repeat([]byte("2"), 3<<10)
+	type row struct {
+		k, m   int
+		states []chunkState // one per chunk position
+		older  []int        // positions holding v1's chunk; the rest hold v2's
+		want   []byte       // nil: the error below
+		err    error
+	}
+	var rows []row
+	for code := 0; code < 243; code++ {
+		r := row{k: 3, m: 2, states: make([]chunkState, 5)}
+		held, cuts := 0, 0
+		for i, c := 0, code; i < len(r.states); i, c = i+1, c/3 {
+			r.states[i] = chunkState(c % 3)
+			switch r.states[i] {
+			case holds:
+				held++
+			case cut:
+				cuts++
+			}
+		}
+		switch {
+		case held >= r.k:
+			r.want = v2
+		case held == 0 && cuts < r.k:
+			r.err = core.ErrNotFound
+		default:
+			r.err = core.ErrUnavailable
+		}
+		rows = append(rows, r)
+	}
+	rows = append(rows,
+		row{k: 3, m: 2, states: make([]chunkState, 5), older: []int{0, 1}, want: v2},
+		row{k: 3, m: 2, states: []chunkState{4: missing}, older: []int{0, 1}, err: core.ErrUnavailable},
+		row{k: 2, m: 2, states: make([]chunkState, 4), older: []int{1, 2}, want: v2},
+	)
+
+	for _, r := range rows {
+		name := []string{fmt.Sprintf("RS(%d,%d)", r.k, r.m)}
+		for _, s := range r.states {
+			name = append(name, s.String())
+		}
+		if r.older != nil {
+			name = append(name, fmt.Sprint("older", r.older))
+		}
+		t.Run(strings.Join(name, ","), func(t *testing.T) {
+			cl, netem := startNetemCluster(t, 5)
+			cfg := func(mode string) core.Config {
+				c := allModes()[mode]
+				c.K, c.M = r.k, r.m
+				c.OpTimeout, c.MaxRetries = 500*time.Millisecond, -1
+				return c
+			}
+			w := newClient(t, cl, cfg("era-ce-cd"))
+			const key = "verdict"
+			if err := w.Set(key, v1); err != nil {
+				t.Fatal(err)
+			}
+			holder := chunkHolders(cl, key, r.k+r.m)
+			old := make([][]byte, len(r.older))
+			oldStripe := make([]uint64, len(r.older))
+			for o, i := range r.older {
+				old[o], oldStripe[o], _, _ = cl.Server(holder[i]).Store().GetMeta(wire.ChunkKey(key, i))
+			}
+			if err := w.Set(key, v2); err != nil {
+				t.Fatal(err)
+			}
+			for o, i := range r.older {
+				if err := cl.Server(holder[i]).Store().SetVersioned(wire.ChunkKey(key, i), old[o], 0, oldStripe[o]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, s := range r.states {
+				switch s {
+				case missing:
+					cl.Server(holder[i]).Store().Delete(wire.ChunkKey(key, i))
+				case cut:
+					netem.Cut(cl.Addrs()[holder[i]])
+				}
+			}
+			for _, mode := range []string{"era-ce-cd", "era-se-sd"} {
+				got, err := newClient(t, cl, cfg(mode)).Get(key)
+				switch {
+				case r.want != nil && (err != nil || !bytes.Equal(got, r.want)):
+					t.Errorf("%s: %d bytes of %q, %v; want the value", mode, len(got), got[:min(len(got), 1)], err)
+				case r.want == nil && !errors.Is(err, r.err):
+					t.Errorf("%s: %v; want %v", mode, err, r.err)
+				case r.err == core.ErrUnavailable && errors.Is(err, core.ErrNotFound):
+					t.Errorf("%s: %v; want %v only", mode, err, r.err)
+				}
+			}
+		})
+	}
+}
+
+// TestDegradedReadRoundsUnderHang bounds what asking for parity one step
+// at a time costs in time when a holder hangs, in OpTimeouts (T), for an
+// era-ce-cd RS(3,2) Get with retries off. Asking for every parity chunk
+// at once waited out a hung parity holder whenever a data chunk was lost
+// (T), and an undecodable read two hung rounds (2T). Now:
+//   - the hung holder is not the one the parity round asks: no wait;
+//   - it is: the parity round waits it out, the last round asks the
+//     other, under 2T;
+//   - one hung holder in each of the three rounds, the read undecodable:
+//     three waits, 3T — one round more than before, and no more.
+func TestDegradedReadRoundsUnderHang(t *testing.T) {
+	const opTimeout = 300 * time.Millisecond
+	value := bytes.Repeat([]byte("v"), 3<<10)
+	cases := []struct {
+		name      string
+		cut, hung []int // chunk positions
+		ok        bool
+		budget    time.Duration
+	}{
+		{"hung parity not asked", []int{0}, []int{4}, true, opTimeout / 2},
+		{"hung parity asked", []int{0}, []int{3}, true, 2 * opTimeout},
+		{"hung holder in every round", nil, []int{0, 3, 4}, false, 3*opTimeout + opTimeout/2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, netem := startNetemCluster(t, 5)
+			cfg := core.Config{
+				Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2,
+				OpTimeout: opTimeout, MaxRetries: -1,
+			}
+			const key = "hang"
+			if err := newClient(t, cl, cfg).Set(key, value); err != nil {
+				t.Fatal(err)
+			}
+			holder := chunkHolders(cl, key, 5)
+			for _, i := range tc.cut {
+				netem.Cut(cl.Addrs()[holder[i]])
+			}
+			for _, i := range tc.hung {
+				addr := cl.Addrs()[holder[i]]
+				netem.Hang(addr)
+				t.Cleanup(func() { netem.Restore(addr) })
+			}
+			start := time.Now()
+			got, err := newClient(t, cl, cfg).Get(key)
+			elapsed := time.Since(start)
+			t.Logf("%v (%.2f T), err %v", elapsed, float64(elapsed)/float64(opTimeout), err)
+			switch {
+			case tc.ok && (err != nil || !bytes.Equal(got, value)):
+				t.Fatalf("Get: %v; want the value", err)
+			case !tc.ok && !errors.Is(err, core.ErrUnavailable):
+				t.Fatalf("Get: %v; want ErrUnavailable", err)
+			case elapsed > tc.budget:
+				t.Fatalf("Get took %v; budget %v", elapsed, tc.budget)
+			}
+		})
+	}
+}

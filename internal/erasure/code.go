@@ -80,6 +80,22 @@ func checkShards(shards [][]byte, k, m int, forEncode bool) (size, present int, 
 	return size, present, nil
 }
 
+// MaxShards is the most shards, k+m, a stripe of RSVan may have: the
+// field GF(2^8) has 256 elements.
+const MaxShards = 256
+
+// ShardSet is a set of shard positions of one stripe: which rows a
+// decode reads (RSVan's key for its inverses), which chunks a read has
+// asked for. It holds positions [0, MaxShards); Add and Has panic on any
+// other. The zero value is the empty set.
+type ShardSet [MaxShards / 64]uint64
+
+// Add puts position i in the set.
+func (s *ShardSet) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// Has reports whether position i is in the set.
+func (s *ShardSet) Has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
 // ShardSize returns the per-shard size used to encode a value of
 // dataLen bytes across k data shards. Shards are padded up so that the
 // size is a multiple of align (bit-matrix codes need word-aligned

@@ -16,32 +16,37 @@ import "ecstore/internal/gf256"
 // L2, large enough that the per-call cost of the kernels disappears.
 const parallelSegment = 32 << 10
 
-// codeJob is one output shard of a matrix product: out = Σ coeffs[i]·srcs[i].
-// len(coeffs) == len(srcs) >= 1; all slices share one length.
+// codeJob is one output shard of a matrix product over the batch's
+// sources: out = Σ coeffs[i]·srcs[i], len(coeffs) == len(srcs) >= 1.
+//
+// Every job of a batch reads the same sources, so they are an argument
+// of the batch rather than a field of the job: a job that pointed at a
+// caller's stack array of sources would move that array to the heap,
+// because escape analysis files whatever is appended to a slice as
+// escaping.
 type codeJob struct {
 	out    []byte
 	coeffs []byte
-	srcs   [][]byte
 }
 
 // runSegment computes every job restricted to the byte range [lo, hi).
 // The first source row overwrites (MulSlice), so out needs no
 // pre-zeroing — raw pool buffers are fine.
-func runSegment(jobs []codeJob, lo, hi int) {
+func runSegment(jobs []codeJob, srcs [][]byte, lo, hi int) {
 	for _, j := range jobs {
 		out := j.out[lo:hi]
-		gf256.MulSlice(j.coeffs[0], j.srcs[0][lo:hi], out)
+		gf256.MulSlice(j.coeffs[0], srcs[0][lo:hi], out)
 		for c := 1; c < len(j.coeffs); c++ {
-			gf256.MulAddSlice(j.coeffs[c], j.srcs[c][lo:hi], out)
+			gf256.MulAddSlice(j.coeffs[c], srcs[c][lo:hi], out)
 		}
 	}
 }
 
-// runBlocked executes the jobs over shards of the given size, one
-// segment at a time.
-func runBlocked(jobs []codeJob, size int) {
+// runBlocked executes the jobs over sources of the given size, one
+// segment at a time. All slices share one length.
+func runBlocked(jobs []codeJob, srcs [][]byte, size int) {
 	for lo := 0; lo < size; lo += parallelSegment {
-		runSegment(jobs, lo, min(lo+parallelSegment, size))
+		runSegment(jobs, srcs, lo, min(lo+parallelSegment, size))
 	}
 }
 

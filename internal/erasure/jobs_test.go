@@ -24,9 +24,9 @@ func wholeProduct(rows [][]byte, srcs [][]byte) [][]byte {
 	outs := make([][]byte, len(rows))
 	for r := range rows {
 		outs[r] = make([]byte, size)
-		jobs[r] = codeJob{out: outs[r], coeffs: rows[r], srcs: srcs}
+		jobs[r] = codeJob{out: outs[r], coeffs: rows[r]}
 	}
-	runSegment(jobs, 0, size)
+	runSegment(jobs, srcs, 0, size)
 	return outs
 }
 

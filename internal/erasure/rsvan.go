@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"fmt"
+	"sync"
 )
 
 // RSVan is classic Reed-Solomon coding with a systematic generator
@@ -14,12 +15,19 @@ import (
 // Coding runs on the calling goroutine, one cache-sized segment of the
 // shards at a time (runBlocked); parity and reconstruction buffers come
 // from a shard BufferPool (DefaultPool unless WithPool says otherwise).
+// Decoding inverts each loss pattern once (decoder).
 type RSVan struct {
 	k, m int
 	// gen is the (k+m)×k systematic generator matrix: the top k rows
 	// are the identity, the bottom m rows produce parity.
 	gen  *Matrix
 	opts codecOpts
+
+	// inverses holds the decode matrix of each set of k source rows
+	// met so far, at most maxInverses of them. A stored matrix is never
+	// written again, so readers share it without copying.
+	invMu    sync.RWMutex
+	inverses map[ShardSet]*Matrix
 }
 
 var _ Code = (*RSVan)(nil)
@@ -42,15 +50,15 @@ func NewRSVan(k, m int, opts ...Option) (*RSVan, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return &RSVan{k: k, m: m, gen: v.Mul(topInv), opts: o}, nil
+	return &RSVan{k: k, m: m, gen: v.Mul(topInv), opts: o, inverses: make(map[ShardSet]*Matrix)}, nil
 }
 
 func checkKM(k, m int) error {
 	if k <= 0 || m <= 0 {
 		return fmt.Errorf("erasure: k and m must be positive (k=%d, m=%d)", k, m)
 	}
-	if k+m > 256 {
-		return fmt.Errorf("erasure: k+m must be <= 256 (k=%d, m=%d)", k, m)
+	if k+m > MaxShards {
+		return fmt.Errorf("erasure: k+m must be <= %d (k=%d, m=%d)", MaxShards, k, m)
 	}
 	return nil
 }
@@ -93,10 +101,9 @@ func (r *RSVan) Encode(shards [][]byte) error {
 		jobs = append(jobs, codeJob{
 			out:    shards[idx],
 			coeffs: r.gen.Row(idx)[:r.k],
-			srcs:   shards[:r.k],
 		})
 	}
-	runBlocked(jobs, size)
+	runBlocked(jobs, shards[:r.k], size)
 	return nil
 }
 
@@ -148,42 +155,81 @@ func (r *RSVan) reconstruct(shards [][]byte, withParity bool) error {
 		jobs = append(jobs, codeJob{
 			out:    shards[idx],
 			coeffs: r.gen.Row(idx)[:r.k],
-			srcs:   shards[:r.k],
 		})
 	}
-	runBlocked(jobs, size)
+	runBlocked(jobs, shards[:r.k], size)
 	return nil
 }
 
+// inlineShards is how many sources and outputs a decode keeps on the
+// stack, more than K at the usual geometries. A degraded read decodes
+// on every call, so its slices must not cost an allocation each.
+const inlineShards = 8
+
 func (r *RSVan) reconstructData(shards [][]byte, size int) error {
-	// Pick the first k present shards and build the square decode
-	// matrix from their generator rows.
-	rows := make([]int, 0, r.k)
-	srcs := make([][]byte, 0, r.k)
-	for i := 0; i < len(shards) && len(rows) < r.k; i++ {
+	// The first k present shards are the sources; their rows of the
+	// generator name the decode matrix.
+	var srcBuf [inlineShards][]byte
+	srcs := srcBuf[:0]
+	var rows ShardSet
+	for i := 0; i < len(shards) && len(srcs) < r.k; i++ {
 		if shards[i] != nil {
-			rows = append(rows, i)
+			rows.Add(i)
 			srcs = append(srcs, shards[i])
 		}
 	}
-	dec, err := r.gen.SubMatrix(rows).Invert()
+	dec, err := r.decoder(rows)
 	if err != nil {
 		return fmt.Errorf("rs-van decode: %w", err)
 	}
-	jobs := make([]codeJob, 0, r.k)
+	var jobBuf [inlineShards]codeJob
+	jobs := jobBuf[:0]
 	for d := 0; d < r.k; d++ {
 		if shards[d] != nil {
 			continue
 		}
 		shards[d] = r.opts.alloc(size)
-		jobs = append(jobs, codeJob{
-			out:    shards[d],
-			coeffs: dec.Row(d)[:r.k],
-			srcs:   srcs,
-		})
+		jobs = append(jobs, codeJob{out: shards[d], coeffs: dec.Row(d)})
 	}
-	runBlocked(jobs, size)
+	runBlocked(jobs, srcs, size)
 	return nil
+}
+
+// maxInverses bounds the decode matrices one RSVan keeps. A code has at
+// most C(k+m, k) loss patterns — 10 at RS(3,2), 1001 at RS(10,4) — so
+// every geometry up to there keeps all of them, in at most
+// maxInverses·k² bytes; past the bound, a pattern not yet stored is
+// inverted on each call and not stored.
+const maxInverses = 1024
+
+// decoder returns the inverse of the generator rows in rows, k of them:
+// the matrix that maps those k shards back to the data. Each set of rows
+// is inverted once; a hit takes the shared lock only and allocates
+// nothing.
+func (r *RSVan) decoder(rows ShardSet) (*Matrix, error) {
+	r.invMu.RLock()
+	dec := r.inverses[rows]
+	r.invMu.RUnlock()
+	if dec != nil {
+		return dec, nil
+	}
+	sub := NewMatrix(r.k, r.k)
+	for i, row := 0, 0; i < r.k; row++ {
+		if rows.Has(row) {
+			copy(sub.Row(i), r.gen.Row(row))
+			i++
+		}
+	}
+	dec, err := sub.Invert()
+	if err != nil {
+		return nil, err
+	}
+	r.invMu.Lock()
+	if len(r.inverses) < maxInverses {
+		r.inverses[rows] = dec
+	}
+	r.invMu.Unlock()
+	return dec, nil
 }
 
 // Verify recomputes parity and compares it with the stored parity.
@@ -203,9 +249,8 @@ func (r *RSVan) Verify(shards [][]byte) (bool, error) {
 		jobs := []codeJob{{
 			out:    buf,
 			coeffs: r.gen.Row(r.k + row)[:r.k],
-			srcs:   shards[:r.k],
 		}}
-		runBlocked(jobs, size)
+		runBlocked(jobs, shards[:r.k], size)
 		if !bytes.Equal(buf, shards[r.k+row]) {
 			return false, nil
 		}

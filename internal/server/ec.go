@@ -153,6 +153,9 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 	if k == 0 {
 		return wire.Response{Status: wire.StatusError, Value: []byte("decode-get: missing K/M metadata")}
 	}
+	if k+m > erasure.MaxShards {
+		return errorResponse(fmt.Errorf("decode-get: k+m must be <= %d (k=%d, m=%d)", erasure.MaxShards, k, m))
+	}
 	placement, err := s.placement(req.Key, k+m)
 	if err != nil {
 		return errorResponse(err)
@@ -174,18 +177,23 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 	}()
 	keys := wire.AppendChunkKeys(make([]string, 0, k+m), req.Key, 0, k+m)
 
-	// fetch attempts to retrieve chunks [lo, hi) in one round; failures
-	// are tolerated (they are what parity is for), and chunks group by
-	// stripe so concurrent writes never tear. The TTL each chunk holder
-	// reports is kept on the collector's stripe group so the final
+	// fetch asks for the chunks at the positions in want, in one round;
+	// failures are tolerated (they are what parity is for), and chunks
+	// group by stripe so concurrent writes never tear. The TTL each chunk
+	// holder reports is kept on the collector's stripe group so the final
 	// response can carry the remaining lifetime of the winning stripe.
 	// reachable counts the locations that answered at all, notFound the
 	// authoritative misses among them.
 	reachable, notFound := 0, 0
-	fetch := func(lo, hi int) {
+	var asked erasure.ShardSet
+	fetch := func(want erasure.ShardSet) {
 		var round rpc.Round
 		s.peers.Begin(&round)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < k+m; i++ {
+			if !want.Has(i) {
+				continue
+			}
+			asked.Add(i)
 			if addr := placement[i]; addr != s.cfg.Addr {
 				round.Issue(&calls[i], addr, &wire.Request{Op: wire.OpGetChunk, Key: keys[i]})
 				continue
@@ -202,8 +210,8 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 			}
 		}
 		round.Wait()
-		for i := lo; i < hi; i++ {
-			if placement[i] == s.cfg.Addr {
+		for i := 0; i < k+m; i++ {
+			if !want.Has(i) || placement[i] == s.cfg.Addr {
 				continue
 			}
 			resp, err := calls[i].Result()
@@ -222,10 +230,16 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 		}
 	}
 
-	// Round 1: the K data chunks. Round 2: parity as needed.
-	fetch(0, k)
-	if collector.Best() == nil {
-		fetch(k, k+m)
+	// The client-decode read's rounds (ChunkCollector.NextRound): a key
+	// that ends undecodable has asked all K+M, so the absence rule below
+	// sees every answer.
+	suspect := func(i int) bool { return s.peers.Suspect(placement[i]) }
+	for {
+		want := collector.NextRound(asked, suspect)
+		if want == (erasure.ShardSet{}) {
+			break
+		}
+		fetch(want)
 	}
 	win := collector.Best()
 	if win == nil {

@@ -184,6 +184,21 @@ func TestEncodeSetNoMeta(t *testing.T) {
 	}
 }
 
+// TestDecodeGetRejectsOversizeGeometry: K and M come off the wire, and a
+// decode-get whose K+M no code can have is answered with an error before
+// any chunk is asked for — the server stays up.
+func TestDecodeGetRejectsOversizeGeometry(t *testing.T) {
+	servers, pool := startServers(t, 5, 0)
+	addr := servers[0].Addr()
+	_, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: wire.ECMeta{K: 2, M: 255}})
+	if err == nil || errors.Is(err, wire.ErrNotFound) {
+		t.Fatalf("decode-get at K=2, M=255: %v; want an error answer", err)
+	}
+	if _, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpPing, Key: "p"}); err != nil {
+		t.Fatalf("ping after the rejected decode-get: %v", err)
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	servers, _ := startServers(t, 1, 0)
 	servers[0].Close()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ecstore/internal/bufpool"
+	"ecstore/internal/erasure"
 )
 
 // stripeCounter disambiguates stripe IDs minted in the same clock
@@ -232,6 +233,63 @@ func (c *ChunkCollector) Best() *StripeGroup {
 		}
 	}
 	return best
+}
+
+// NextRound returns the chunk positions a read should ask for next,
+// given the ones it has asked for: none once a stripe has K chunks or
+// every position has been asked. The rounds are the data chunks [0, K);
+// then K less what the most complete stripe holds, from the parity
+// positions suspect reports false for first; then every position left.
+// A read that ends undecodable has therefore asked all n positions. The
+// parity round asks for every parity position instead when the rest
+// could not make up the lack, and when K <= n-K: two stripes could then
+// both reach K, and Best's tie rule must see both. suspect is called
+// with a parity position; n <= erasure.MaxShards.
+func (c *ChunkCollector) NextRound(asked erasure.ShardSet, suspect func(int) bool) erasure.ShardSet {
+	var want erasure.ShardSet
+	if c.Best() != nil {
+		return want
+	}
+	if asked == (erasure.ShardSet{}) {
+		for i := 0; i < c.k; i++ {
+			want.Add(i)
+		}
+		return want
+	}
+	need, left, parityAsked := c.k-c.fullest(), 0, false
+	for i := c.k; i < c.n; i++ {
+		if asked.Has(i) {
+			parityAsked = true
+		} else {
+			left++
+		}
+	}
+	if parityAsked || need >= left || c.k <= c.n-c.k {
+		for i := c.k; i < c.n; i++ {
+			if !asked.Has(i) {
+				want.Add(i)
+			}
+		}
+		return want
+	}
+	for _, s := range [2]bool{false, true} {
+		for i := c.k; i < c.n && need > 0; i++ {
+			if !asked.Has(i) && !want.Has(i) && suspect(i) == s {
+				want.Add(i)
+				need--
+			}
+		}
+	}
+	return want
+}
+
+// fullest returns how many chunks the most complete stripe holds.
+func (c *ChunkCollector) fullest() int {
+	most := 0
+	for i := 0; i < c.used; i++ {
+		most = max(most, c.group(i).count)
+	}
+	return most
 }
 
 // Seen returns the number of chunks accepted across all stripes.
