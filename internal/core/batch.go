@@ -71,10 +71,10 @@ func roundOps(buf *roundBuf, n int) []subOp {
 	return buf[:0]
 }
 
-// encodedSize is the bytes the sub-op adds to a batch payload.
+// encodedSize is the exact bytes the sub-op adds to a batch payload.
 func (op *subOp) encodedSize() int {
 	if op.rawChunk {
-		return op.req.EncodedSize() + wire.ChunkPayloadOverhead
+		return op.req.EncodedSizeWith(len(op.req.Value) + wire.ChunkPayloadOverhead)
 	}
 	return op.req.EncodedSize()
 }

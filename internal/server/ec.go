@@ -153,9 +153,6 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 	if k == 0 {
 		return wire.Response{Status: wire.StatusError, Value: []byte("decode-get: missing K/M metadata")}
 	}
-	if k+m > erasure.MaxShards {
-		return errorResponse(fmt.Errorf("decode-get: k+m must be <= %d (k=%d, m=%d)", erasure.MaxShards, k, m))
-	}
 	placement, err := s.placement(req.Key, k+m)
 	if err != nil {
 		return errorResponse(err)

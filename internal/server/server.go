@@ -301,6 +301,15 @@ func (s *Server) readLoop(conn transport.Conn, cw *connWriter) {
 	var req wire.Request
 	for {
 		if err := req.ReadPooled(br, s.framePool); err != nil {
+			var bad *wire.FrameError
+			if errors.As(err, &bad) {
+				// Read whole but unparsable (an unknown op, impossible
+				// geometry): the stream is still in step, so answer the
+				// request with an error and read on.
+				s.mOpErrors.Inc()
+				_ = cw.write(&wire.Response{ID: bad.ID, Status: wire.StatusError, Value: []byte(bad.Error())})
+				continue
+			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, transport.ErrClosed) {
 				s.logf("server %s: read: %v", s.cfg.Addr, err)
 			}

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/rpc"
 	"ecstore/internal/store"
 	"ecstore/internal/transport"
@@ -185,17 +188,53 @@ func TestEncodeSetNoMeta(t *testing.T) {
 }
 
 // TestDecodeGetRejectsOversizeGeometry: K and M come off the wire, and a
-// decode-get whose K+M no code can have is answered with an error before
-// any chunk is asked for — the server stays up.
+// decode-get whose K+M no code can have is refused where the frame is
+// parsed — as a plain frame and as a batch sub-op — and answered with an
+// error before any handler sees it. The server keeps serving, and every
+// frame-pool lease comes back.
 func TestDecodeGetRejectsOversizeGeometry(t *testing.T) {
-	servers, pool := startServers(t, 5, 0)
-	addr := servers[0].Addr()
-	_, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: wire.ECMeta{K: 2, M: 255}})
-	if err == nil || errors.Is(err, wire.ErrNotFound) {
-		t.Fatalf("decode-get at K=2, M=255: %v; want an error answer", err)
+	fp := bufpool.New()
+	network := transport.NewInproc(transport.Shape{})
+	srv, err := New(Config{
+		Addr: "geometry", Network: network, Peers: []string{"geometry"},
+		FramePool: fp,
+		Logf:      func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpPing, Key: "p"}); err != nil {
-		t.Fatalf("ping after the rejected decode-get: %v", err)
+	t.Cleanup(srv.Close)
+	pool := rpc.NewPool(network)
+	t.Cleanup(pool.Close)
+
+	crash := wire.ECMeta{K: 2, M: 255}
+	batch, err := wire.AppendBatchRequests(nil, []wire.BatchReq{
+		{Op: wire.OpGetChunk, Key: "k", Meta: crash},
+		{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []*wire.Request{
+		{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
+		{Op: wire.OpBatch, Key: "batch", Value: batch},
+	} {
+		_, err := pool.Roundtrip("geometry", req)
+		if err == nil || !strings.Contains(err.Error(), "geometry") {
+			t.Fatalf("%v at K=2, M=255: %v; want an error answer naming the geometry", req.Op, err)
+		}
+		if _, err := pool.Roundtrip("geometry", &wire.Request{Op: wire.OpPing, Key: "p"}); err != nil {
+			t.Fatalf("ping after the rejected %v: %v", req.Op, err)
+		}
+	}
+	// The last response frame goes back to the pool once it is written,
+	// which may be just after the client has read it.
+	deadline := time.Now().Add(5 * time.Second)
+	for st := fp.Stats(); st.Gets != st.Puts; st = fp.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("frame pool lease imbalance: %d gets vs %d puts", st.Gets, st.Puts)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,42 +6,28 @@ import (
 	"slices"
 )
 
-// OpBatch payload layout (all integers big-endian). The batch frame is
-// an ordinary request/response frame whose value carries a vector of
-// sub-operations, so one pooled frame — one length prefix, one write
-// vector, one syscall per direction — replaces per-key frames for the
-// bulk APIs. Correlation is positional: sub-response i answers
-// sub-request i, and the server always returns exactly one
-// sub-response per sub-request.
+// OpBatch payload layout. The batch frame is an ordinary request/response
+// frame whose value carries a vector of sub-operations, so one pooled
+// frame — one length prefix, one write vector, one syscall per
+// direction — replaces per-key frames for the bulk APIs. Correlation is
+// positional: sub-response i answers sub-request i, and the server
+// always returns exactly one sub-response per sub-request.
 //
 // Batch request value:
-//	u32  count
+//
+//	u32  count (big-endian)
 //	count × {
-//		u8   op
-//		u16  keyLen
-//		u8   chunkIndex
-//		u8   k
-//		u8   m
-//		u32  totalLen
-//		u64  stripe
-//		u32  ttlSeconds
-//		u64  compare
-//		u32  valueLen
+//		...  field block (reqSub, fields.go): no id, no epoch — the
+//		     enclosing OpBatch frame's epoch covers every sub-op
 //		...  key bytes
 //		...  value bytes
 //	}
 //
 // Batch response value:
-//	u32  count
+//
+//	u32  count (big-endian)
 //	count × {
-//		u8   status
-//		u8   chunkIndex
-//		u8   k
-//		u8   m
-//		u32  totalLen
-//		u64  stripe
-//		u32  ttlSeconds
-//		u32  valueLen
+//		...  field block (respSub)
 //		...  value bytes
 //	}
 
@@ -52,12 +38,6 @@ const (
 	MaxBatchOps = 4096
 	// BatchOverhead is the fixed payload prefix (the sub-op count).
 	BatchOverhead = 4
-	// Per-sub fixed headers. Sub-requests carry no correlation ID
-	// (correlation is positional within one frame) and no epoch (the
-	// enclosing OpBatch frame's epoch covers every sub-op), so these
-	// are independent of the top-level header sizes.
-	batchReqFixed  = 1 + 2 + 1 + 1 + 1 + 4 + 8 + 4 + 8 + 4
-	batchRespFixed = respHeaderLen - 8
 )
 
 // BatchReq is one sub-request of an OpBatch frame: a Request without
@@ -72,9 +52,26 @@ type BatchReq struct {
 	Meta       ECMeta
 }
 
-// EncodedSize returns the bytes this sub-request adds to a batch
+// header stores r's field block in f, which is zero.
+func (r *BatchReq) header(f *fields) {
+	f.code, f.keyLen, f.valueLen = byte(r.Op), len(r.Key), len(r.Value)
+	f.compare, f.ttl, f.meta = r.Compare, r.TTLSeconds, r.Meta
+}
+
+// EncodedSize returns the exact bytes this sub-request adds to a batch
 // payload, for callers planning frame splits against MaxValueLen.
-func (r *BatchReq) EncodedSize() int { return batchReqFixed + len(r.Key) + len(r.Value) }
+func (r *BatchReq) EncodedSize() int { return r.EncodedSizeWith(len(r.Value)) }
+
+// EncodedSizeWith is EncodedSize for the sub-request with a value of
+// valueLen bytes in place of its own: a planner whose value is wrapped
+// later (a raw chunk gains its chunk header) sizes the wrapped sub-op
+// with it.
+func (r *BatchReq) EncodedSizeWith(valueLen int) int {
+	var f fields
+	r.header(&f)
+	f.valueLen = valueLen
+	return f.size(reqSub) + len(r.Key) + valueLen
+}
 
 // BatchResp is one sub-response of an OpBatch frame.
 type BatchResp struct {
@@ -84,9 +81,18 @@ type BatchResp struct {
 	Meta       ECMeta
 }
 
-// EncodedSize returns the bytes this sub-response adds to a batch
+// header stores r's field block in f, which is zero.
+func (r *BatchResp) header(f *fields) {
+	f.code, f.valueLen, f.ttl, f.meta = byte(r.Status), len(r.Value), r.TTLSeconds, r.Meta
+}
+
+// EncodedSize returns the exact bytes this sub-response adds to a batch
 // payload.
-func (r *BatchResp) EncodedSize() int { return batchRespFixed + len(r.Value) }
+func (r *BatchResp) EncodedSize() int {
+	var f fields
+	r.header(&f)
+	return f.size(respSub) + len(r.Value)
+}
 
 // BatchRequestsSize returns the encoded payload size of subs, the
 // quantity frame planners compare against MaxValueLen.
@@ -107,10 +113,6 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 	if len(subs) > MaxBatchOps {
 		return nil, fmt.Errorf("%w: %d sub-requests (max %d)", ErrFrameTooLarge, len(subs), MaxBatchOps)
 	}
-	if size := BatchRequestsSize(subs); size > MaxValueLen {
-		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, size)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for i := range subs {
 		sub := &subs[i]
 		if !sub.Op.Valid() || sub.Op == OpBatch {
@@ -122,15 +124,18 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 		if len(sub.Value) > MaxValueLen {
 			return nil, fmt.Errorf("%w: sub-request %d value %d bytes", ErrFrameTooLarge, i, len(sub.Value))
 		}
-		buf = append(buf, byte(sub.Op))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(sub.Key)))
-		buf = append(buf, sub.Meta.ChunkIndex, sub.Meta.K, sub.Meta.M)
-		buf = binary.BigEndian.AppendUint32(buf, sub.Meta.TotalLen)
-		buf = binary.BigEndian.AppendUint64(buf, sub.Meta.Stripe)
-		buf = binary.BigEndian.AppendUint32(buf, sub.TTLSeconds)
-		buf = binary.BigEndian.AppendUint64(buf, sub.Compare)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.Value)))
-		buf = append(buf, sub.Key...)
+	}
+	size := BatchRequestsSize(subs)
+	if size > MaxValueLen {
+		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, size)
+	}
+	buf = slices.Grow(buf, size) // once, not by doubling through the appends
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
+	for i := range subs {
+		sub := &subs[i]
+		var f fields
+		sub.header(&f)
+		buf = append(appendFields(buf, reqSub, &f), sub.Key...)
 		buf = append(buf, sub.Value...)
 	}
 	return buf, nil
@@ -141,40 +146,29 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 // them — or clone what it keeps, a key the store installs included —
 // before releasing the frame lease.
 func DecodeBatchRequests(b []byte) ([]BatchReq, error) {
-	count, rest, err := batchCount(b)
+	count, rest, err := batchCount(b, minReqSubLen)
 	if err != nil {
 		return nil, err
 	}
 	subs := make([]BatchReq, count)
+	var f fields
 	for i := range subs {
-		if len(rest) < batchReqFixed {
-			return nil, fmt.Errorf("%w: batch sub-request %d truncated", ErrMalformed, i)
+		n, err := parseFields(rest, reqSub, &f)
+		if err != nil {
+			return nil, fmt.Errorf("batch sub-request %d: %w", i, err)
 		}
-		sub := &subs[i]
-		sub.Op = Op(rest[0])
-		keyLen := int(binary.BigEndian.Uint16(rest[1:3]))
-		sub.Meta = ECMeta{
-			ChunkIndex: rest[3],
-			K:          rest[4],
-			M:          rest[5],
-			TotalLen:   binary.BigEndian.Uint32(rest[6:10]),
-			Stripe:     binary.BigEndian.Uint64(rest[10:18]),
-		}
-		sub.TTLSeconds = binary.BigEndian.Uint32(rest[18:22])
-		sub.Compare = binary.BigEndian.Uint64(rest[22:30])
-		valueLen := int(binary.BigEndian.Uint32(rest[30:34]))
-		if !sub.Op.Valid() || sub.Op == OpBatch || keyLen > MaxKeyLen || valueLen > MaxValueLen {
-			return nil, fmt.Errorf("%w: batch sub-request %d header", ErrMalformed, i)
-		}
-		rest = rest[batchReqFixed:]
-		if len(rest) < keyLen+valueLen {
+		rest = rest[n:]
+		if len(rest) < f.keyLen+f.valueLen {
 			return nil, fmt.Errorf("%w: batch sub-request %d body truncated", ErrMalformed, i)
 		}
-		sub.Key = lentString(rest[:keyLen])
-		if valueLen > 0 {
-			sub.Value = rest[keyLen : keyLen+valueLen]
+		subs[i] = BatchReq{
+			Op: Op(f.code), Key: lentString(rest[:f.keyLen]),
+			TTLSeconds: f.ttl, Compare: f.compare, Meta: f.meta,
 		}
-		rest = rest[keyLen+valueLen:]
+		if f.valueLen > 0 {
+			subs[i].Value = rest[f.keyLen : f.keyLen+f.valueLen]
+		}
+		rest = rest[f.keyLen+f.valueLen:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch requests", ErrMalformed, len(rest))
@@ -193,6 +187,9 @@ func AppendBatchResponses(buf []byte, subs []BatchResp) ([]byte, error) {
 	}
 	size := BatchOverhead
 	for i := range subs {
+		if len(subs[i].Value) > MaxValueLen {
+			return nil, fmt.Errorf("%w: sub-response %d value %d bytes", ErrFrameTooLarge, i, len(subs[i].Value))
+		}
 		size += subs[i].EncodedSize()
 	}
 	if size > MaxValueLen {
@@ -201,17 +198,9 @@ func AppendBatchResponses(buf []byte, subs []BatchResp) ([]byte, error) {
 	buf = slices.Grow(buf, size) // once, not by doubling through the appends
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for i := range subs {
-		sub := &subs[i]
-		if len(sub.Value) > MaxValueLen {
-			return nil, fmt.Errorf("%w: sub-response %d value %d bytes", ErrFrameTooLarge, i, len(sub.Value))
-		}
-		buf = append(buf, byte(sub.Status))
-		buf = append(buf, sub.Meta.ChunkIndex, sub.Meta.K, sub.Meta.M)
-		buf = binary.BigEndian.AppendUint32(buf, sub.Meta.TotalLen)
-		buf = binary.BigEndian.AppendUint64(buf, sub.Meta.Stripe)
-		buf = binary.BigEndian.AppendUint32(buf, sub.TTLSeconds)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.Value)))
-		buf = append(buf, sub.Value...)
+		var f fields
+		subs[i].header(&f)
+		buf = append(appendFields(buf, respSub, &f), subs[i].Value...)
 	}
 	return buf, nil
 }
@@ -219,37 +208,26 @@ func AppendBatchResponses(buf []byte, subs []BatchResp) ([]byte, error) {
 // DecodeBatchResponses parses a batch response payload. Values alias
 // b: callers copy out whatever escapes before releasing the frame.
 func DecodeBatchResponses(b []byte) ([]BatchResp, error) {
-	count, rest, err := batchCount(b)
+	count, rest, err := batchCount(b, minRespSubLen)
 	if err != nil {
 		return nil, err
 	}
 	subs := make([]BatchResp, count)
+	var f fields
 	for i := range subs {
-		if len(rest) < batchRespFixed {
-			return nil, fmt.Errorf("%w: batch sub-response %d truncated", ErrMalformed, i)
+		n, err := parseFields(rest, respSub, &f)
+		if err != nil {
+			return nil, fmt.Errorf("batch sub-response %d: %w", i, err)
 		}
-		sub := &subs[i]
-		sub.Status = Status(rest[0])
-		sub.Meta = ECMeta{
-			ChunkIndex: rest[1],
-			K:          rest[2],
-			M:          rest[3],
-			TotalLen:   binary.BigEndian.Uint32(rest[4:8]),
-			Stripe:     binary.BigEndian.Uint64(rest[8:16]),
-		}
-		sub.TTLSeconds = binary.BigEndian.Uint32(rest[16:20])
-		valueLen := int(binary.BigEndian.Uint32(rest[20:24]))
-		if valueLen > MaxValueLen {
-			return nil, fmt.Errorf("%w: batch sub-response %d header", ErrMalformed, i)
-		}
-		rest = rest[batchRespFixed:]
-		if len(rest) < valueLen {
+		rest = rest[n:]
+		if len(rest) < f.valueLen {
 			return nil, fmt.Errorf("%w: batch sub-response %d body truncated", ErrMalformed, i)
 		}
-		if valueLen > 0 {
-			sub.Value = rest[:valueLen]
+		subs[i] = BatchResp{Status: Status(f.code), TTLSeconds: f.ttl, Meta: f.meta}
+		if f.valueLen > 0 {
+			subs[i].Value = rest[:f.valueLen]
 		}
-		rest = rest[valueLen:]
+		rest = rest[f.valueLen:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch responses", ErrMalformed, len(rest))
@@ -258,16 +236,18 @@ func DecodeBatchResponses(b []byte) ([]BatchResp, error) {
 }
 
 // batchCount reads and bounds the count prefix shared by both payload
-// shapes.
-func batchCount(b []byte) (int, []byte, error) {
+// shapes: no more than MaxBatchOps, nor than the payload could hold at
+// minSub bytes a sub-op.
+func batchCount(b []byte, minSub int) (int, []byte, error) {
 	if len(b) < BatchOverhead {
 		return 0, nil, fmt.Errorf("%w: batch payload %d bytes", ErrMalformed, len(b))
 	}
 	count := int(binary.BigEndian.Uint32(b[:BatchOverhead]))
-	if count > MaxBatchOps {
-		return 0, nil, fmt.Errorf("%w: batch count %d (max %d)", ErrMalformed, count, MaxBatchOps)
+	rest := b[BatchOverhead:]
+	if count > MaxBatchOps || count*minSub > len(rest) {
+		return 0, nil, fmt.Errorf("%w: batch count %d in %d bytes (max %d)", ErrMalformed, count, len(rest), MaxBatchOps)
 	}
-	return count, b[BatchOverhead:], nil
+	return count, rest, nil
 }
 
 // Err converts a sub-response status into a Go error, mirroring

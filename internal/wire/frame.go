@@ -11,11 +11,11 @@ import (
 // encoder copies the value into the (pooled) header buffer so the
 // whole frame is one contiguous vector. Larger values are carried as a
 // second scatter-gather vector and never copied: a 1 MB chunk write
-// costs a ~50-byte header encode, not a 1 MB memcpy.
+// costs a field block of a few dozen bytes, not a 1 MB memcpy.
 const FrameInlineThreshold = 4 << 10
 
 // Frame is one encoded wire frame ready for transmission: a pooled
-// header vector (length prefix, fixed header, key, and any inlined
+// header vector (length prefix, field block, key, and any inlined
 // value) plus an optional value vector aliasing the caller's payload.
 // Frames are produced by EncodeRequestFrame/EncodeResponseFrame,
 // written by a FrameQueue (or WriteTo), and returned to their pool
@@ -64,20 +64,24 @@ func (f *Frame) Release() {
 // vector. If req.ValuePool is set, ownership of the value lease
 // transfers to the frame: an inlined value is released immediately
 // (it has been copied), a vectored one is released by Frame.Release
-// after the frame is written or abandoned. A nil pool allocates
-// plainly (the frame still works; Release is then a partial no-op).
+// after the frame is written or abandoned. The header buffer is leased
+// by the longest field block, so nothing sizes the frame beforehand. A
+// nil pool allocates plainly (the frame still works; Release is then a
+// partial no-op).
 func EncodeRequestFrame(pool *bufpool.Pool, req *Request) (Frame, error) {
 	if err := checkRequestSize(req); err != nil {
 		req.ReleaseValue()
 		return Frame{}, err
 	}
 	inline := len(req.Value) <= FrameInlineThreshold
-	hdrLen := 4 + reqHeaderLen + len(req.Key)
+	hdrLen := 4 + maxReqHeaderLen + len(req.Key)
 	if inline {
 		hdrLen += len(req.Value)
 	}
 	f := Frame{hdr: getRawFrom(pool, hdrLen), hdrPool: pool}
-	f.hdr = appendRequestHeader(f.hdr[:0], req)
+	var h fields
+	req.header(&h)
+	f.hdr = append(appendFrameHeader(f.hdr[:0], reqFrame, &h, len(req.Key)+len(req.Value)), req.Key...)
 	if inline {
 		f.hdr = append(f.hdr, req.Value...)
 		req.ReleaseValue()
@@ -97,12 +101,14 @@ func EncodeResponseFrame(pool *bufpool.Pool, resp *Response) (Frame, error) {
 		return Frame{}, ErrFrameTooLarge
 	}
 	inline := len(resp.Value) <= FrameInlineThreshold
-	hdrLen := 4 + respHeaderLen
+	hdrLen := 4 + maxRespHeaderLen
 	if inline {
 		hdrLen += len(resp.Value)
 	}
 	f := Frame{hdr: getRawFrom(pool, hdrLen), hdrPool: pool}
-	f.hdr = appendResponseHeader(f.hdr[:0], resp)
+	var h fields
+	resp.header(&h)
+	f.hdr = appendFrameHeader(f.hdr[:0], respFrame, &h, len(resp.Value))
 	if inline {
 		f.hdr = append(f.hdr, resp.Value...)
 	} else {

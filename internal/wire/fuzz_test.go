@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"ecstore/internal/bufpool"
@@ -17,8 +18,9 @@ import (
 func pooledRange(n int) bool { return n <= 4<<20 }
 
 // FuzzReadRequest drives the request frame parser with arbitrary
-// bytes: it must never panic and any frame that decodes must re-encode
-// to a frame that decodes to the same request. The pooled reader
+// bytes: it must never panic, and any frame that decodes must re-encode
+// to exactly the bytes it was read from (the field encoding is
+// canonical) and decode again to the same request. The pooled reader
 // (Request.ReadPooled, the server's) runs on the same raw bytes and must
 // agree with ReadRequest frame for frame.
 func FuzzReadRequest(f *testing.F) {
@@ -36,16 +38,33 @@ func FuzzReadRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(leased)
+	// Every field present, at its widest.
+	widest, err := AppendRequest(nil, &Request{
+		ID: math.MaxUint64, Op: OpCompareSet, Key: "key", Value: []byte("v"), TTLSeconds: math.MaxUint32,
+		Compare: math.MaxUint64, Epoch: math.MaxUint64,
+		Meta: ECMeta{ChunkIndex: 255, K: 255, M: 1, TotalLen: math.MaxUint32, Stripe: math.MaxUint64},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(widest)
+	// The decode-get whose K+M no stripe can have: refused by the parser.
+	crash, err := AppendRequest(nil, &Request{ID: 3, Op: OpDecodeGet, Key: "key", Meta: ECMeta{K: 2, M: 255}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(crash)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
 	// A kept value cut short; a key longer than MaxKeyLen; a frameLen
-	// that is not header + key + value.
+	// that ends inside the key.
 	f.Add(seed[:len(seed)-2])
-	long := bytes.Clone(seed)
-	binary.BigEndian.PutUint16(long[4+9:], MaxKeyLen+1)
+	long := binary.BigEndian.AppendUint32(nil, 6)
+	long = append(long, byte(OpSet), 0, 1)
+	long = binary.AppendUvarint(long, MaxKeyLen+1)
 	f.Add(long)
 	short := bytes.Clone(seed)
-	binary.BigEndian.PutUint32(short, binary.BigEndian.Uint32(short)-1)
+	binary.BigEndian.PutUint32(short, uint32(len(seed)-4-len("value")-2))
 	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
@@ -57,6 +76,9 @@ func FuzzReadRequest(f *testing.F) {
 		out, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("re-encode of accepted request failed: %v", err)
+		}
+		if !bytes.Equal(out, data[:len(out)]) {
+			t.Fatalf("re-encoding differs from the frame read:\n got %x\nread %x", out, data[:len(out)])
 		}
 		again, err := ReadRequest(bufio.NewReader(bytes.NewReader(out)))
 		if err != nil {
@@ -102,8 +124,8 @@ func FuzzReadRequest(f *testing.F) {
 // frames accepted with the same fields; every lease back in the pool
 // after Release, errors included; a kept value in memory of its own,
 // which scribbling over every buffer the pool hands out cannot change;
-// and a frameLen below the fixed header refused with nothing past the
-// length prefix read.
+// and a frameLen below the shortest field block refused with nothing past
+// the length prefix read.
 func checkReadPooled(t *testing.T, data []byte, want *Request, wantErr error) {
 	t.Helper()
 	pool := bufpool.New()
@@ -116,7 +138,7 @@ func checkReadPooled(t *testing.T, data []byte, want *Request, wantErr error) {
 	frameLen := 0
 	if len(data) >= 4 {
 		frameLen = int(binary.BigEndian.Uint32(data))
-		if frameLen < reqHeaderLen {
+		if frameLen < minReqHeaderLen {
 			if rest, _ := io.ReadAll(br); !bytes.Equal(rest, data[4:]) {
 				t.Fatalf("frameLen %d: read %d bytes past the length prefix", frameLen, len(data)-4-len(rest))
 			}
@@ -171,6 +193,14 @@ func FuzzReadResponse(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	widest, err := AppendResponse(nil, &Response{
+		ID: math.MaxUint64, Status: StatusExists, TTLSeconds: math.MaxUint32,
+		Meta: ECMeta{ChunkIndex: 255, K: 255, M: 1, TotalLen: math.MaxUint32, Stripe: math.MaxUint64},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(widest)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -179,6 +209,9 @@ func FuzzReadResponse(f *testing.F) {
 		out, err := AppendResponse(nil, resp)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
+		}
+		if !bytes.Equal(out, data[:len(out)]) {
+			t.Fatalf("re-encoding differs from the frame read:\n got %x\nread %x", out, data[:len(out)])
 		}
 		again, err := ReadResponse(bufio.NewReader(bytes.NewReader(out)))
 		if err != nil {

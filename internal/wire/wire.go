@@ -1,9 +1,9 @@
 // Package wire defines the binary request/response protocol spoken
 // between the key-value store client and servers (and between servers
 // for the server-side encode/decode schemes). It is a compact
-// memcached-binary-protocol-style framing with an extensions block
-// carrying the erasure-coding metadata each chunk needs to be
-// independently locatable and decodable.
+// length-prefixed framing whose header is op-shaped (fields.go): a frame
+// carries only the fields its op uses, the erasure-coding metadata a
+// chunk needs to be independently locatable and decodable among them.
 package wire
 
 import (
@@ -125,10 +125,7 @@ func (o Op) String() string {
 }
 
 // Valid reports whether o is a known opcode.
-func (o Op) Valid() bool {
-	_, ok := opNames[o]
-	return ok
-}
+func (o Op) Valid() bool { return o >= OpSet && o <= OpApplyDelta }
 
 // Batchable reports whether o may ride inside an OpBatch frame: the
 // admission list servers enforce and clients batch by. Only store-local
@@ -385,45 +382,16 @@ var (
 )
 
 /*
-Frame layouts (all integers big-endian):
+Plain frames (field blocks in fields.go):
 
-Request:
-	u32  frameLen (bytes after this field)
-	u64  id
-	u8   op
-	u16  keyLen
-	u8   chunkIndex
-	u8   k
-	u8   m
-	u32  totalLen
-	u64  stripe
-	u32  ttlSeconds
-	u64  compare
-	u64  epoch
-	u32  valueLen
-	...  key bytes
-	...  value bytes
+	u32  frameLen (big-endian, the bytes after it)
+	...  field block: request (reqFrame) or response (respFrame)
+	...  key bytes (requests)
+	...  value bytes, to the end of the frame
 
-Response:
-	u32  frameLen
-	u64  id
-	u8   status
-	u8   chunkIndex
-	u8   k
-	u8   m
-	u32  totalLen
-	u64  stripe
-	u32  ttlSeconds
-	u32  valueLen
-	...  value bytes
+The op or status is the first byte after frameLen, so a reader can
+decide where a frame's value goes before it parses anything else.
 */
-
-const (
-	reqHeaderLen  = 8 + 1 + 2 + 1 + 1 + 1 + 4 + 8 + 4 + 8 + 8 + 4
-	respHeaderLen = 8 + 1 + 1 + 1 + 1 + 4 + 8 + 4 + 4
-	// reqOpOffset is where the op lies in a request body.
-	reqOpOffset = 8
-)
 
 // keepsValue reports whether the value of a plain request frame of op
 // is kept: the writes whose value the server's store installs as it is.
@@ -450,37 +418,42 @@ func checkRequestSize(req *Request) error {
 	return nil
 }
 
-// appendRequestHeader appends the length prefix, fixed header, and key
-// — everything up to (but not including) the value bytes. The encoded
-// valueLen field covers len(req.Value) whether or not the caller
-// appends the value to the same buffer or transmits it as a separate
-// scatter-gather vector.
-func appendRequestHeader(buf []byte, req *Request) []byte {
-	frameLen := reqHeaderLen + len(req.Key) + len(req.Value)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(frameLen))
-	buf = binary.BigEndian.AppendUint64(buf, req.ID)
-	buf = append(buf, byte(req.Op))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(req.Key)))
-	buf = append(buf, req.Meta.ChunkIndex, req.Meta.K, req.Meta.M)
-	buf = binary.BigEndian.AppendUint32(buf, req.Meta.TotalLen)
-	buf = binary.BigEndian.AppendUint64(buf, req.Meta.Stripe)
-	buf = binary.BigEndian.AppendUint32(buf, req.TTLSeconds)
-	buf = binary.BigEndian.AppendUint64(buf, req.Compare)
-	buf = binary.BigEndian.AppendUint64(buf, req.Epoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Value)))
-	return append(buf, req.Key...)
+// header stores req's field block in f, which is zero. The header
+// methods store field by field: a composite literal is built in a
+// temporary and copied with wide loads of its narrow stores, which
+// stalls store-to-load forwarding on every frame.
+func (r *Request) header(f *fields) {
+	f.code, f.id, f.keyLen = byte(r.Op), r.ID, len(r.Key)
+	f.epoch, f.compare, f.ttl, f.meta = r.Epoch, r.Compare, r.TTLSeconds, r.Meta
+}
+
+// header stores resp's field block in f, which is zero.
+func (r *Response) header(f *fields) {
+	f.code, f.id, f.ttl, f.meta = byte(r.Status), r.ID, r.TTLSeconds, r.Meta
+}
+
+// appendFrameHeader appends a plain frame's length prefix and its field
+// block f of shape s, for a frame whose key and value add rest bytes
+// after the block.
+func appendFrameHeader(buf []byte, s shape, f *fields, rest int) []byte {
+	start := len(buf)
+	buf = appendFields(append(buf, 0, 0, 0, 0), s, f)
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4+rest))
+	return buf
 }
 
 // AppendRequest serializes req onto buf and returns the extended
-// slice. The exact frame size is known up front, so buf is grown once
-// to its final capacity instead of reallocating through repeated
-// append growth.
+// slice. buf is grown once, to a bound on the frame size, instead of
+// reallocating through repeated append growth.
 func AppendRequest(buf []byte, req *Request) ([]byte, error) {
 	if err := checkRequestSize(req); err != nil {
 		return nil, err
 	}
-	buf = slices.Grow(buf, 4+reqHeaderLen+len(req.Key)+len(req.Value))
-	buf = appendRequestHeader(buf, req)
+	buf = slices.Grow(buf, 4+maxReqHeaderLen+len(req.Key)+len(req.Value))
+	var f fields
+	req.header(&f)
+	buf = appendFrameHeader(buf, reqFrame, &f, len(req.Key)+len(req.Value))
+	buf = append(buf, req.Key...)
 	return append(buf, req.Value...), nil
 }
 
@@ -494,54 +467,44 @@ func WriteRequest(w io.Writer, req *Request) error {
 	return err
 }
 
-// parseHeader decodes the fixed request header hdr into r, overwriting
-// every field, and returns the key and value lengths it announces once
-// they are within the limits and add up to frameLen.
-func (r *Request) parseHeader(hdr []byte, frameLen int) (keyLen, valueLen int, err error) {
+// parseHeader decodes the field block at the start of b, which belongs
+// to a request frame of frameLen bytes, into r, overwriting every field.
+// It returns the lengths of the block and the key once the key fits the
+// frame and what is left over — the value — is within the limits.
+func (r *Request) parseHeader(b []byte, frameLen int) (hdrLen, keyLen int, err error) {
+	var f fields
+	n, err := parseFields(b, reqFrame, &f)
+	if err != nil {
+		return 0, 0, err
+	}
+	if valueLen := frameLen - n - f.keyLen; valueLen < 0 || valueLen > MaxValueLen {
+		return 0, 0, &FrameError{ID: f.id, Err: fmt.Errorf("%w: frame length mismatch", ErrMalformed)}
+	}
 	*r = Request{
-		ID: binary.BigEndian.Uint64(hdr[0:8]),
-		Op: Op(hdr[reqOpOffset]),
-		Meta: ECMeta{
-			ChunkIndex: hdr[11],
-			K:          hdr[12],
-			M:          hdr[13],
-			TotalLen:   binary.BigEndian.Uint32(hdr[14:18]),
-			Stripe:     binary.BigEndian.Uint64(hdr[18:26]),
-		},
-		TTLSeconds: binary.BigEndian.Uint32(hdr[26:30]),
-		Compare:    binary.BigEndian.Uint64(hdr[30:38]),
-		Epoch:      binary.BigEndian.Uint64(hdr[38:46]),
+		ID: f.id, Op: Op(f.code), TTLSeconds: f.ttl, Compare: f.compare, Epoch: f.epoch, Meta: f.meta,
 	}
-	keyLen = int(binary.BigEndian.Uint16(hdr[9:11]))
-	valueLen = int(binary.BigEndian.Uint32(hdr[46:50]))
-	if !r.Op.Valid() || keyLen > MaxKeyLen || valueLen > MaxValueLen {
-		return 0, 0, ErrMalformed
-	}
-	if frameLen != reqHeaderLen+keyLen+valueLen {
-		return 0, 0, fmt.Errorf("%w: frame length mismatch", ErrMalformed)
-	}
-	return keyLen, valueLen, nil
+	return n, f.keyLen, nil
 }
 
 // parse decodes a request frame body into r, overwriting every field.
 // With copyOut the key and value are copied out of body; otherwise
 // both alias body (pooled mode).
 func (r *Request) parse(body []byte, copyOut bool) error {
-	keyLen, valueLen, err := r.parseHeader(body, len(body))
+	n, keyLen, err := r.parseHeader(body, len(body))
 	if err != nil {
 		return err
 	}
-	key := body[reqHeaderLen : reqHeaderLen+keyLen]
+	key, value := body[n:n+keyLen], body[n+keyLen:]
 	if copyOut {
 		r.Key = string(key)
 	} else {
 		r.Key = lentString(key)
 	}
-	if valueLen > 0 {
+	if len(value) > 0 {
 		if copyOut {
-			r.Value = append([]byte(nil), body[reqHeaderLen+keyLen:]...)
+			r.Value = append([]byte(nil), value...)
 		} else {
-			r.Value = body[reqHeaderLen+keyLen:]
+			r.Value = value
 		}
 	}
 	return nil
@@ -558,9 +521,10 @@ func lentString(b []byte) string {
 }
 
 // ReadRequest reads one request frame from r. The returned request
-// owns its memory (the value is copied out of the frame buffer).
+// owns its memory (the value is copied out of the frame buffer). A
+// *FrameError means the frame was read whole but does not parse.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
-	body, err := readFrame(r, reqHeaderLen)
+	body, err := readFrame(r, minReqHeaderLen)
 	if err != nil {
 		return nil, err
 	}
@@ -597,20 +561,22 @@ func ReadRequestPooled(r *bufio.Reader, pool *bufpool.Pool) (*Request, error) {
 // overwritten; the previous frame's lease must have been released (or
 // handed on by copying the request) before the next read. A nil pool
 // reads into a plain allocation that Release leaves to the collector.
-// br must be able to buffer a fixed header and the longest key
-// (reqHeaderLen+MaxKeyLen bytes; bufio's default size can).
+// A *FrameError means the frame was consumed whole but does not parse:
+// the reader may answer its ID and read on. br must be able to buffer
+// the longest field block and the longest key (maxReqHeaderLen+MaxKeyLen
+// bytes; bufio's default size can).
 func (r *Request) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
-	frameLen, err := readFrameLen(br, reqHeaderLen)
+	frameLen, err := readFrameLen(br, minReqHeaderLen)
 	if err != nil {
 		return err
 	}
-	// The op decides where the value goes. It lies within the first 16
-	// bytes, which any bufio.Reader can buffer.
-	head, err := br.Peek(reqOpOffset + 1)
+	// The op decides where the value goes. It is the first byte of the
+	// body, which any bufio.Reader can buffer.
+	head, err := br.Peek(1)
 	if err != nil {
 		return unexpectedEOF(err)
 	}
-	if keepsValue(Op(head[reqOpOffset])) {
+	if keepsValue(Op(head[0])) {
 		return r.readKept(br, frameLen)
 	}
 	body, err := readBody(br, frameLen, pool)
@@ -629,29 +595,47 @@ func (r *Request) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
 	return nil
 }
 
-// readKept reads the rest of a frame whose value is kept. The fixed
-// header and the key are parsed where they lie in br's buffer, and
+// readKept reads the rest of a frame whose value is kept. The field
+// block and the key are parsed where they lie in br's buffer, and
 // checked before anything is allocated; the key is copied into a string
 // of its own and the value read straight from br into an exact-size
 // allocation that nothing else references — the store installs both as
-// they are. No pool is involved, so Release has nothing to return.
+// they are. No pool is involved, so Release has nothing to return. A
+// frame that does not parse is discarded whole.
+//
+// The peeks ask for no more than the block and the key take — what is
+// buffered already, then the longest block if that was cut short, then
+// exactly block and key: a peek past them would wait for value bytes and
+// pull them into br's buffer, and a value of the buffer's size or more
+// would no longer be read straight into its allocation.
 func (r *Request) readKept(br *bufio.Reader, frameLen int) error {
-	hdr, err := br.Peek(reqHeaderLen)
-	if err != nil {
-		return unexpectedEOF(err)
+	peek, block := min(frameLen, max(br.Buffered(), minReqHeaderLen)), min(frameLen, maxReqHeaderLen)
+	var hdr []byte
+	var n, keyLen int
+	for {
+		var err error
+		if hdr, err = br.Peek(peek); err != nil {
+			return unexpectedEOF(err)
+		}
+		n, keyLen, err = r.parseHeader(hdr, frameLen)
+		if err != nil && peek < block {
+			peek = block // the block may run past what was buffered
+			continue
+		}
+		if err != nil {
+			if _, derr := br.Discard(frameLen); derr != nil {
+				return unexpectedEOF(derr)
+			}
+			return err
+		}
+		if n+keyLen <= len(hdr) {
+			break
+		}
+		peek = n + keyLen
 	}
-	keyLen, valueLen, err := r.parseHeader(hdr, frameLen)
-	if err != nil {
-		return err
-	}
-	_, _ = br.Discard(reqHeaderLen) // cannot fail: the header is buffered
-	key, err := br.Peek(keyLen)
-	if err != nil {
-		return unexpectedEOF(err)
-	}
-	r.Key = string(key)
-	_, _ = br.Discard(keyLen)
-	if valueLen > 0 {
+	r.Key = string(hdr[n : n+keyLen])
+	_, _ = br.Discard(n + keyLen) // cannot fail: block and key are buffered
+	if valueLen := frameLen - n - keyLen; valueLen > 0 {
 		r.Value = make([]byte, valueLen)
 		if _, err := io.ReadFull(br, r.Value); err != nil {
 			return unexpectedEOF(err)
@@ -660,28 +644,16 @@ func (r *Request) readKept(br *bufio.Reader, frameLen int) error {
 	return nil
 }
 
-// appendResponseHeader appends the length prefix and fixed header —
-// everything up to (but not including) the value bytes.
-func appendResponseHeader(buf []byte, resp *Response) []byte {
-	frameLen := respHeaderLen + len(resp.Value)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(frameLen))
-	buf = binary.BigEndian.AppendUint64(buf, resp.ID)
-	buf = append(buf, byte(resp.Status))
-	buf = append(buf, resp.Meta.ChunkIndex, resp.Meta.K, resp.Meta.M)
-	buf = binary.BigEndian.AppendUint32(buf, resp.Meta.TotalLen)
-	buf = binary.BigEndian.AppendUint64(buf, resp.Meta.Stripe)
-	buf = binary.BigEndian.AppendUint32(buf, resp.TTLSeconds)
-	return binary.BigEndian.AppendUint32(buf, uint32(len(resp.Value)))
-}
-
 // AppendResponse serializes resp onto buf and returns the extended
-// slice, growing buf once to the exact frame size.
+// slice, growing buf once to a bound on the frame size.
 func AppendResponse(buf []byte, resp *Response) ([]byte, error) {
 	if len(resp.Value) > MaxValueLen {
 		return nil, fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(resp.Value))
 	}
-	buf = slices.Grow(buf, 4+respHeaderLen+len(resp.Value))
-	buf = appendResponseHeader(buf, resp)
+	buf = slices.Grow(buf, 4+maxRespHeaderLen+len(resp.Value))
+	var f fields
+	resp.header(&f)
+	buf = appendFrameHeader(buf, respFrame, &f, len(resp.Value))
 	return append(buf, resp.Value...), nil
 }
 
@@ -699,30 +671,23 @@ func WriteResponse(w io.Writer, resp *Response) error {
 // With copyValue the value is copied out of body; otherwise it aliases
 // body (pooled mode).
 func (r *Response) parse(body []byte, copyValue bool) error {
-	*r = Response{
-		ID:     binary.BigEndian.Uint64(body[0:8]),
-		Status: Status(body[8]),
-		Meta: ECMeta{
-			ChunkIndex: body[9],
-			K:          body[10],
-			M:          body[11],
-			TotalLen:   binary.BigEndian.Uint32(body[12:16]),
-			Stripe:     binary.BigEndian.Uint64(body[16:24]),
-		},
-		TTLSeconds: binary.BigEndian.Uint32(body[24:28]),
+	var f fields
+	n, err := parseFields(body, respFrame, &f)
+	if err != nil {
+		return err
 	}
-	valueLen := int(binary.BigEndian.Uint32(body[28:32]))
-	if valueLen > MaxValueLen {
-		return ErrMalformed
+	value := body[n:]
+	if len(value) > MaxValueLen {
+		return &FrameError{ID: f.id, Err: fmt.Errorf("%w: value %d bytes", ErrMalformed, len(value))}
 	}
-	if len(body) != respHeaderLen+valueLen {
-		return fmt.Errorf("%w: frame length mismatch", ErrMalformed)
-	}
-	if valueLen > 0 {
+	// Field by field: a composite literal would be built aside and copied.
+	r.ID, r.Status, r.TTLSeconds, r.Meta = f.id, Status(f.code), f.ttl, f.meta
+	r.Value, r.lease, r.pool = nil, nil, nil
+	if len(value) > 0 {
 		if copyValue {
-			r.Value = append([]byte(nil), body[respHeaderLen:]...)
+			r.Value = append([]byte(nil), value...)
 		} else {
-			r.Value = body[respHeaderLen:]
+			r.Value = value
 		}
 	}
 	return nil
@@ -731,7 +696,7 @@ func (r *Response) parse(body []byte, copyValue bool) error {
 // ReadResponse reads one response frame from r. The returned response
 // owns its memory (the value is copied out of the frame buffer).
 func ReadResponse(r *bufio.Reader) (*Response, error) {
-	body, err := readFrame(r, respHeaderLen)
+	body, err := readFrame(r, minRespHeaderLen)
 	if err != nil {
 		return nil, err
 	}
@@ -764,7 +729,7 @@ func ReadResponsePooled(r *bufio.Reader, pool *bufpool.Pool) (*Response, error) 
 // waiting call's slot). Every field is overwritten. A nil pool reads
 // into a plain allocation that Release leaves to the collector.
 func (r *Response) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
-	body, err := readFramePooled(br, respHeaderLen, pool)
+	body, err := readFramePooled(br, minRespHeaderLen, pool)
 	if err != nil {
 		return err
 	}
@@ -813,7 +778,7 @@ func readFrameLen(r *bufio.Reader, minLen int) (int, error) {
 	if frameLen < minLen {
 		return 0, fmt.Errorf("%w: frame too short (%d)", ErrMalformed, frameLen)
 	}
-	if frameLen > MaxValueLen+MaxKeyLen+reqHeaderLen {
+	if frameLen > MaxValueLen+MaxKeyLen+maxReqHeaderLen {
 		return 0, ErrFrameTooLarge
 	}
 	return frameLen, nil

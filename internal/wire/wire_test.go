@@ -148,18 +148,21 @@ func TestMalformedFrames(t *testing.T) {
 	if _, err := ReadRequest(bufio.NewReader(&buf)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("bad opcode: %v", err)
 	}
-	// Internal length mismatch: valueLen says more than the frame has.
-	raw, err := AppendRequest(nil, &Request{ID: 1, Op: OpSet, Key: "k", Value: []byte("vv")})
+	// Internal length mismatch: keyLen says more than the frame has.
+	raw, err := AppendRequest(nil, &Request{ID: 1, Op: OpGet, Key: "kk"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = raw[:len(raw)-1]                              // drop a value byte
+	raw = raw[:len(raw)-1]                              // drop a key byte
 	binary.BigEndian.PutUint32(raw, uint32(len(raw)-4)) // fix outer length
 	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(raw))); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("length mismatch: %v", err)
 	}
 }
 
+// TestRequestQuick round-trips random chunk writes. Their geometry is
+// random too: a frame whose geometry no stripe can have (K = 0,
+// K+M > erasure.MaxShards, index >= K+M) must be refused as malformed.
 func TestRequestQuick(t *testing.T) {
 	f := func(id uint64, key string, value []byte, ci, k, m uint8, total uint32) bool {
 		if len(key) > MaxKeyLen {
@@ -177,6 +180,10 @@ func TestRequestQuick(t *testing.T) {
 			return false
 		}
 		got, err := ReadRequest(bufio.NewReader(&buf))
+		shards := int(k) + int(m)
+		if ci|k|m != 0 && (k == 0 || shards > 256 || int(ci) >= shards) {
+			return errors.Is(err, ErrMalformed)
+		}
 		if err != nil {
 			return false
 		}
