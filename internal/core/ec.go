@@ -443,6 +443,7 @@ func (st *gather) classify(op *subOp) uint64 {
 	if err != nil {
 		return 0
 	}
+	meta.Stripe = op.resp.Meta.Stripe // the item version the holder read the chunk with
 	st.Add(meta, chunk, op.resp.TTLSeconds)
 	return meta.Stripe
 }

@@ -51,9 +51,6 @@ func (s *Server) placement(key string, n int) ([]string, error) {
 // the rest to peers with non-blocking chunk writes.
 func (s *Server) handleEncodeSet(req *wire.Request) wire.Response {
 	k, m := int(req.Meta.K), int(req.Meta.M)
-	if k == 0 {
-		return wire.Response{Status: wire.StatusError, Value: []byte("encode-set: missing K/M metadata")}
-	}
 	code, err := s.code(k, m)
 	if err != nil {
 		return errorResponse(err)
@@ -150,9 +147,6 @@ func (s *Server) handleEncodeSet(req *wire.Request) wire.Response {
 // unavailability.
 func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 	k, m := int(req.Meta.K), int(req.Meta.M)
-	if k == 0 {
-		return wire.Response{Status: wire.StatusError, Value: []byte("decode-get: missing K/M metadata")}
-	}
 	placement, err := s.placement(req.Key, k+m)
 	if err != nil {
 		return errorResponse(err)
@@ -196,13 +190,15 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 				continue
 			}
 			reachable++
-			// Read-only: the payload is the store's own slice, lent.
-			payload, _, ttl, ok := s.store.GetMeta(keys[i])
+			// Read-only: the payload is the store's own slice, lent. Its
+			// version is the chunk's stripe.
+			payload, version, ttl, ok := s.store.GetMeta(keys[i])
 			if !ok {
 				notFound++
 				continue
 			}
 			if meta, chunk, err := wire.DecodeChunkPayload(payload); err == nil {
+				meta.Stripe = version
 				collector.Add(meta, chunk, wire.TTLSeconds(ttl))
 			}
 		}
@@ -219,6 +215,7 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 			switch resp.Status {
 			case wire.StatusOK:
 				if meta, chunk, err := wire.DecodeChunkPayload(resp.Value); err == nil {
+					meta.Stripe = resp.Meta.Stripe
 					collector.Add(meta, chunk, resp.TTLSeconds)
 				}
 			case wire.StatusNotFound:

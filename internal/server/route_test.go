@@ -138,13 +138,13 @@ func TestMetricsIdenticalOnBothRoutes(t *testing.T) {
 		{"reader not-found", &wire.Request{Op: wire.OpGet, Key: "absent"}, map[wire.Op]int64{wire.OpGet: 1}, 0},
 		{"reader error", &wire.Request{Op: wire.OpSet, Key: "big", Value: tooBig}, map[wire.Op]int64{wire.OpSet: 1}, 1},
 		{"worker ok", &wire.Request{Op: wire.OpStats, Key: "s"}, map[wire.Op]int64{wire.OpStats: 1}, 0},
-		{"worker error", &wire.Request{Op: wire.OpEncodeSet, Key: "k", Value: []byte("v")}, map[wire.Op]int64{wire.OpEncodeSet: 1}, 1},
+		{"worker error", &wire.Request{Op: wire.OpScan, Key: "s", Value: []byte("bad cursor")}, map[wire.Op]int64{wire.OpScan: 1}, 1},
 		{"batch", batch(
 			wire.BatchReq{Op: wire.OpSet, Key: "b1", Value: []byte("v")},
 			wire.BatchReq{Op: wire.OpGet, Key: "b1"},
 			wire.BatchReq{Op: wire.OpGet, Key: "absent"},
 			wire.BatchReq{Op: wire.OpSet, Key: "big", Value: tooBig},
-			wire.BatchReq{Op: wire.OpDecodeGet, Key: "k"}, // refused: not batchable
+			wire.BatchReq{Op: wire.OpDecodeGet, Key: "k", Meta: wire.ECMeta{K: 3, M: 2}}, // refused: not batchable
 		), map[wire.Op]int64{wire.OpBatch: 1, wire.OpSet: 2, wire.OpGet: 2}, 2},
 	}
 	for _, tc := range cases {

@@ -473,20 +473,16 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 			return resp
 		}
 		// A delete carrying a stripe ID is conditional: it removes the
-		// chunk only if the stored chunk still belongs to that stripe.
-		// The client's failed-write unwind uses this so it never deletes
-		// a chunk a concurrent newer Set has already overwritten.
+		// chunk only while the item's version — the chunk's stripe — is
+		// still that stripe, under one shard lock. The client's
+		// failed-write unwind uses this so it never deletes a chunk a
+		// concurrent newer Set has already overwritten; another version
+		// is answered OK, as there is nothing to unwind.
 		if req.Meta.Stripe != 0 {
-			v, ok := s.store.Get(req.Key)
-			if !ok {
+			if out, _ := s.store.CompareDelete(req.Key, req.Meta.Stripe); out == store.CASNotFound {
 				return wire.Response{Status: wire.StatusNotFound}
 			}
-			if m, _, err := wire.DecodeChunkPayload(v); err == nil && m.Stripe != req.Meta.Stripe {
-				// Superseded by a newer write: nothing to unwind.
-				return wire.Response{Status: wire.StatusOK}
-			}
-			// Matching stripe (or an undecodable chunk, which can only
-			// shadow good data): fall through and delete it.
+			return wire.Response{Status: wire.StatusOK}
 		}
 		if !s.store.Delete(req.Key) {
 			return wire.Response{Status: wire.StatusNotFound}

@@ -175,24 +175,40 @@ func TestDecodeGetMissingKey(t *testing.T) {
 	}
 }
 
+// TestEncodeSetNoMeta: an encode-set or decode-get without geometry is
+// refused where the frame is parsed, not by its handler.
 func TestEncodeSetNoMeta(t *testing.T) {
-	servers, pool := startServers(t, 5, 0)
-	_, err := pool.Roundtrip(servers[0].Addr(), &wire.Request{Op: wire.OpEncodeSet, Key: "k", Value: []byte("v")})
-	if err == nil {
-		t.Fatal("encode-set without K/M accepted")
-	}
-	_, err = pool.Roundtrip(servers[0].Addr(), &wire.Request{Op: wire.OpDecodeGet, Key: "k"})
-	if err == nil {
-		t.Fatal("decode-get without K/M accepted")
-	}
+	expectGeometryRefused(t,
+		&wire.Request{Op: wire.OpEncodeSet, Key: "k", Value: []byte("v")},
+		&wire.Request{Op: wire.OpDecodeGet, Key: "k"},
+	)
 }
 
 // TestDecodeGetRejectsOversizeGeometry: K and M come off the wire, and a
 // decode-get whose K+M no code can have is refused where the frame is
 // parsed — as a plain frame and as a batch sub-op — and answered with an
-// error before any handler sees it. The server keeps serving, and every
-// frame-pool lease comes back.
+// error before any handler sees it.
 func TestDecodeGetRejectsOversizeGeometry(t *testing.T) {
+	crash := wire.ECMeta{K: 2, M: 255}
+	batch, err := wire.AppendBatchRequests(nil, []wire.BatchReq{
+		{Op: wire.OpGetChunk, Key: "k", Meta: crash},
+		{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectGeometryRefused(t,
+		&wire.Request{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
+		&wire.Request{Op: wire.OpBatch, Key: "batch", Value: batch},
+	)
+}
+
+// expectGeometryRefused sends each request to a server with its own
+// frame pool and expects an error answer naming the geometry, then a
+// ping on the same pool: the server keeps serving. Every frame-pool
+// lease comes back.
+func expectGeometryRefused(t *testing.T, reqs ...*wire.Request) {
+	t.Helper()
 	fp := bufpool.New()
 	network := transport.NewInproc(transport.Shape{})
 	srv, err := New(Config{
@@ -207,21 +223,10 @@ func TestDecodeGetRejectsOversizeGeometry(t *testing.T) {
 	pool := rpc.NewPool(network)
 	t.Cleanup(pool.Close)
 
-	crash := wire.ECMeta{K: 2, M: 255}
-	batch, err := wire.AppendBatchRequests(nil, []wire.BatchReq{
-		{Op: wire.OpGetChunk, Key: "k", Meta: crash},
-		{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []*wire.Request{
-		{Op: wire.OpDecodeGet, Key: "k", Meta: crash},
-		{Op: wire.OpBatch, Key: "batch", Value: batch},
-	} {
+	for _, req := range reqs {
 		_, err := pool.Roundtrip("geometry", req)
 		if err == nil || !strings.Contains(err.Error(), "geometry") {
-			t.Fatalf("%v at K=2, M=255: %v; want an error answer naming the geometry", req.Op, err)
+			t.Fatalf("%v with geometry %+v: %v; want an error answer naming the geometry", req.Op, req.Meta, err)
 		}
 		if _, err := pool.Roundtrip("geometry", &wire.Request{Op: wire.OpPing, Key: "p"}); err != nil {
 			t.Fatalf("ping after the rejected %v: %v", req.Op, err)
@@ -235,6 +240,48 @@ func TestDecodeGetRejectsOversizeGeometry(t *testing.T) {
 			t.Fatalf("frame pool lease imbalance: %d gets vs %d puts", st.Gets, st.Puts)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStripeConditionalDelete: a delete carrying a stripe removes the
+// item only while its version is that stripe, decided by the version
+// alone in one store call — so a newer write landing meanwhile is never
+// removed, and a corrupt record of the right stripe goes.
+func TestStripeConditionalDelete(t *testing.T) {
+	servers, pool := startServers(t, 1, 0)
+	srv := servers[0]
+	record, _ := chunkPayload('a', 10)
+	corrupt := bytes.Clone(record)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	for _, c := range []struct {
+		name    string
+		stored  []byte // nil: absent
+		version uint64
+		want    error
+		kept    bool
+	}{
+		{"matching stripe", record, 10, nil, false},
+		{"newer stripe", record, 11, nil, true},
+		{"absent", nil, 0, wire.ErrNotFound, false},
+		{"corrupt record, matching version", corrupt, 10, nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const key = "chunk"
+			srv.Store().Delete(key)
+			if c.stored != nil {
+				if err := srv.Store().SetVersioned(key, bytes.Clone(c.stored), 0, c.version); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp, err := pool.Roundtrip(srv.Addr(), &wire.Request{Op: wire.OpDelete, Key: key, Meta: wire.ECMeta{Stripe: 10}})
+			if !errors.Is(err, c.want) {
+				t.Fatalf("delete at stripe 10: %v, want %v", err, c.want)
+			}
+			resp.Release()
+			if _, ok := srv.Store().Get(key); ok != c.kept {
+				t.Fatalf("item kept %v, want %v", ok, c.kept)
+			}
+		})
 	}
 }
 

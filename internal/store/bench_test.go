@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -52,6 +53,38 @@ func BenchmarkSetWithEviction(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkItemHeap reports the heap a stored item really takes beyond
+// its key and value bytes (B/item: entry, map slot, their share of the
+// table), to set beside the ItemOverhead the budget charges per item.
+// Keys and the value are allocated before the first measurement and the
+// value is shared, so only the store's own allocations count. The items
+// are one RS(3,2) chunk record of a 1 KB value each, under chunk keys.
+func BenchmarkItemHeap(b *testing.B) {
+	const items = 1 << 16
+	value := make([]byte, 354)
+	keys := make([]string, items)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%015d\x00c%d", i, i%5)
+	}
+	var perItem float64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := New(Config{})
+		for _, key := range keys {
+			if err := s.Set(key, value, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perItem = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / items
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(perItem, "B/item")
 }
 
 func BenchmarkConcurrentMixed(b *testing.B) {

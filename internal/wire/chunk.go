@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -25,23 +26,41 @@ func NewStripeID() uint64 {
 	return (uint64(time.Now().UnixNano()) << 10) | (stripeCounter.Add(1) & 0x3FF)
 }
 
-// chunkMagic marks a self-describing chunk payload.
+// chunkMagic marks a chunk record.
 const chunkMagic = 0xEC
 
-// chunkHeaderLen is the length of the chunk payload header:
-// magic, index, K, M, totalLen(4), stripe(8), crc32(4).
-const chunkHeaderLen = 20
+// A chunk record — what a chunk holder stores under a chunk key — is a
+// fixed header, then the shard:
+//
+//	u8   magic 0xEC
+//	u8   chunk index
+//	u8   K
+//	u8   M
+//	u16  pad: K·len(shard) − the value's length
+//	u32  CRC32 (IEEE) of the shard
+//	...  the shard
+//
+// It keeps only what its item does not already say. The item's key
+// names the logical key and the chunk index, and its version is the
+// stripe ID of the write, so the record carries no stripe. The value's
+// length travels as the padding the K shards hold beyond it: shards are
+// erasure.packetAlign aligned, so the pad is at most 8·K ≤ 2 040 and
+// fits 16 bits. Fixed-width integers are big-endian.
+const chunkHeaderLen = 10
 
 // ErrChunkCorrupt is returned by DecodeChunkPayload when the stored
 // CRC does not match the chunk bytes — silent corruption that the
 // erasure code can then repair from parity.
 var ErrChunkCorrupt = fmt.Errorf("%w: chunk CRC mismatch", ErrMalformed)
 
-// EncodeChunkPayload prefixes chunk with a self-describing header so
-// any server or recovering client can interpret a stored chunk in
-// isolation: magic, chunk index, K, M, the original value length, the
-// stripe ID of the write that produced it, and a CRC32 of the chunk
-// bytes for end-to-end corruption detection.
+// EncodeChunkPayload makes the chunk record of chunk, so any server or
+// recovering client can interpret a stored chunk with its item's key
+// and version: chunk index, K, M, the pad that gives back the value's
+// length, and a CRC32 of the chunk bytes for end-to-end corruption
+// detection. meta.Stripe is not recorded: it is the version the record
+// is stored under. A meta whose value length the chunk cannot hold
+// (pad < 0 or > 65 535) is a caller's bug, and panics; no split
+// produces one.
 func EncodeChunkPayload(meta ECMeta, chunk []byte) []byte {
 	return encodeChunkPayload(make([]byte, chunkHeaderLen+len(chunk)), meta, chunk)
 }
@@ -58,36 +77,51 @@ func EncodeChunkPayloadPooled(pool *bufpool.Pool, meta ECMeta, chunk []byte) []b
 }
 
 func encodeChunkPayload(out []byte, meta ECMeta, chunk []byte) []byte {
+	pad, ok := chunkPad(meta, len(chunk))
+	if !ok {
+		panic(fmt.Sprintf("wire: a %d-byte value does not fit %d shards of %d bytes", meta.TotalLen, meta.K, len(chunk)))
+	}
 	out[0] = chunkMagic
 	out[1] = meta.ChunkIndex
 	out[2] = meta.K
 	out[3] = meta.M
-	binary.BigEndian.PutUint32(out[4:8], meta.TotalLen)
-	binary.BigEndian.PutUint64(out[8:16], meta.Stripe)
-	binary.BigEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(chunk))
+	binary.BigEndian.PutUint16(out[4:6], pad)
+	binary.BigEndian.PutUint32(out[6:10], crc32.ChecksumIEEE(chunk))
 	copy(out[chunkHeaderLen:], chunk)
 	return out
 }
 
-// DecodeChunkPayload splits a stored chunk payload into its metadata
-// and chunk bytes, verifying the CRC. The returned chunk aliases
+// chunkPad returns the pad of a record whose shard of n bytes belongs to
+// a value of meta.TotalLen bytes split meta.K ways, and whether it fits
+// the record's 16 bits.
+func chunkPad(meta ECMeta, n int) (uint16, bool) {
+	pad := int64(meta.K)*int64(n) - int64(meta.TotalLen)
+	if pad < 0 || pad > math.MaxUint16 {
+		return 0, false
+	}
+	return uint16(pad), true
+}
+
+// DecodeChunkPayload splits a chunk record into its metadata and chunk
+// bytes, checking the geometry, the pad and the CRC. The record does not
+// carry the stripe: the returned meta's Stripe is zero, and the caller
+// sets it from the version the record was read with (a read answer's
+// Meta.Stripe, the store's item version). The returned chunk aliases
 // payload.
 func DecodeChunkPayload(payload []byte) (ECMeta, []byte, error) {
 	if len(payload) < chunkHeaderLen || payload[0] != chunkMagic {
 		return ECMeta{}, nil, fmt.Errorf("%w: not a chunk payload", ErrMalformed)
 	}
-	meta := ECMeta{
-		ChunkIndex: payload[1],
-		K:          payload[2],
-		M:          payload[3],
-		TotalLen:   binary.BigEndian.Uint32(payload[4:8]),
-		Stripe:     binary.BigEndian.Uint64(payload[8:16]),
-	}
-	if meta.K == 0 || int(meta.ChunkIndex) >= int(meta.K)+int(meta.M) {
-		return ECMeta{}, nil, fmt.Errorf("%w: inconsistent chunk metadata %+v", ErrMalformed, meta)
-	}
+	meta := ECMeta{ChunkIndex: payload[1], K: payload[2], M: payload[3]}
 	chunk := payload[chunkHeaderLen:]
-	if crc32.ChecksumIEEE(chunk) != binary.BigEndian.Uint32(payload[16:20]) {
+	pad := uint64(binary.BigEndian.Uint16(payload[4:6]))
+	whole := uint64(meta.K) * uint64(len(chunk))
+	if meta.K == 0 || int(meta.ChunkIndex) >= int(meta.K)+int(meta.M) || pad > whole || whole-pad > math.MaxUint32 {
+		return ECMeta{}, nil, fmt.Errorf("%w: inconsistent chunk record: index %d, K %d, M %d, pad %d of %d shard bytes",
+			ErrMalformed, meta.ChunkIndex, meta.K, meta.M, pad, whole)
+	}
+	meta.TotalLen = uint32(whole - pad)
+	if crc32.ChecksumIEEE(chunk) != binary.BigEndian.Uint32(payload[6:10]) {
 		return ECMeta{}, nil, ErrChunkCorrupt
 	}
 	return meta, chunk, nil
@@ -192,10 +226,13 @@ func (c *ChunkCollector) group(i int) *StripeGroup {
 }
 
 // Add records a fetched chunk and the remaining TTL its holder
-// reported. Chunks with an index outside [0, n) are ignored.
+// reported. Chunks of another geometry than the collector's K and K+M,
+// or with an index outside [0, n), are ignored: the record's CRC covers
+// only its shard, so a flipped K would otherwise give the stripe a
+// length its shards cannot hold.
 func (c *ChunkCollector) Add(meta ECMeta, chunk []byte, ttl uint32) {
 	idx := int(meta.ChunkIndex)
-	if idx >= c.n {
+	if idx >= c.n || int(meta.K) != c.k || int(meta.K)+int(meta.M) != c.n {
 		return
 	}
 	var g *StripeGroup

@@ -2,13 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
 
 func TestChunkPayloadRoundTrip(t *testing.T) {
-	meta := ECMeta{ChunkIndex: 3, K: 3, M: 2, TotalLen: 1_000_000}
+	meta := ECMeta{ChunkIndex: 3, K: 3, M: 2, TotalLen: 30}
 	chunk := []byte("chunk-bytes")
 	payload := EncodeChunkPayload(meta, chunk)
 	gotMeta, gotChunk, err := DecodeChunkPayload(payload)
@@ -35,12 +37,17 @@ func TestChunkPayloadEmptyChunk(t *testing.T) {
 }
 
 func TestChunkPayloadRejectsGarbage(t *testing.T) {
+	// A record whose pad is more than its K shards hold: the CRC covers
+	// only the shard, so it is the pad check that refuses it.
+	overPadded := EncodeChunkPayload(ECMeta{ChunkIndex: 1, K: 3, M: 2, TotalLen: 3}, []byte("x"))
+	binary.BigEndian.PutUint16(overPadded[4:6], 4)
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
 		[]byte("not a chunk payload at all"),
-		EncodeChunkPayload(ECMeta{ChunkIndex: 9, K: 3, M: 2, TotalLen: 10}, []byte("x")), // idx >= k+m
-		EncodeChunkPayload(ECMeta{ChunkIndex: 0, K: 0, M: 2, TotalLen: 10}, []byte("x")), // k == 0
+		EncodeChunkPayload(ECMeta{ChunkIndex: 9, K: 3, M: 2, TotalLen: 3}, []byte("x")), // idx >= k+m
+		EncodeChunkPayload(ECMeta{ChunkIndex: 0, K: 0, M: 2, TotalLen: 0}, []byte("x")), // k == 0
+		overPadded,
 	}
 	for i, payload := range cases {
 		if _, _, err := DecodeChunkPayload(payload); !errors.Is(err, ErrMalformed) {
@@ -50,7 +57,7 @@ func TestChunkPayloadRejectsGarbage(t *testing.T) {
 }
 
 func TestChunkPayloadDetectsBitRot(t *testing.T) {
-	payload := EncodeChunkPayload(ECMeta{ChunkIndex: 1, K: 3, M: 2, TotalLen: 100}, []byte("chunk-data-here"))
+	payload := EncodeChunkPayload(ECMeta{ChunkIndex: 1, K: 3, M: 2, TotalLen: 40}, []byte("chunk-data-here"))
 	// Flip one bit in the chunk body.
 	payload[len(payload)-3] ^= 0x01
 	if _, _, err := DecodeChunkPayload(payload); !errors.Is(err, ErrChunkCorrupt) {
@@ -59,7 +66,7 @@ func TestChunkPayloadDetectsBitRot(t *testing.T) {
 }
 
 func TestChunkPayloadQuick(t *testing.T) {
-	f := func(chunk []byte, idx, k, m uint8, total uint32) bool {
+	f := func(chunk []byte, idx, k, m uint8, pad uint16) bool {
 		if k == 0 {
 			k = 1
 		}
@@ -67,11 +74,66 @@ func TestChunkPayloadQuick(t *testing.T) {
 			m = 0
 		}
 		idx = idx % (k + m) // keep metadata consistent
-		meta := ECMeta{ChunkIndex: idx, K: k, M: m, TotalLen: total}
+		whole := int(k) * len(chunk)
+		total := whole - int(pad)%(min(whole, 65535)+1) // a value the shards can hold
+		meta := ECMeta{ChunkIndex: idx, K: k, M: m, TotalLen: uint32(total)}
 		gotMeta, gotChunk, err := DecodeChunkPayload(EncodeChunkPayload(meta, chunk))
 		return err == nil && gotMeta == meta && bytes.Equal(gotChunk, chunk)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestChunkRecordBytes pins the stored chunk record: a 10-byte header
+// (magic, index, K, M, a 2-byte pad, the shard's CRC32) and the shard.
+// The stripe is not in it; it is the item's version.
+func TestChunkRecordBytes(t *testing.T) {
+	shard := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	// A 20-byte value over K=3 shards of 8 bytes leaves a pad of 4.
+	rec := EncodeChunkPayload(ECMeta{ChunkIndex: 4, K: 3, M: 2, TotalLen: 20, Stripe: 99}, shard)
+	want := []byte{0xEC, 4, 3, 2, 0, 4}
+	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(shard))
+	want = append(want, shard...)
+	if !bytes.Equal(rec, want) {
+		t.Fatalf("record %x, want %x", rec, want)
+	}
+	if n := len(rec) - len(shard); n != 10 || ChunkPayloadOverhead != 10 {
+		t.Fatalf("the record adds %d bytes to its shard, ChunkPayloadOverhead says %d; want 10", n, ChunkPayloadOverhead)
+	}
+}
+
+// FuzzChunkRecord drives the record decoder with arbitrary bytes and the
+// delta applier with arbitrary records, patches and metadata: nothing
+// panics, an accepted record re-encodes byte for byte from what it
+// decodes to, a refused patch leaves the record untouched, and a patched
+// record decodes with the patch's total length.
+func FuzzChunkRecord(f *testing.F) {
+	golden := EncodeChunkPayload(ECMeta{ChunkIndex: 4, K: 3, M: 2, TotalLen: 20}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(golden, EncodeDeltaPatch(8, []DeltaRun{{Offset: 2, Data: []byte{9, 9}}}), uint8(4), uint8(3), uint8(2), uint32(21))
+	// An empty value: one aligned shard of 8 bytes each, all pad.
+	empty := EncodeChunkPayload(ECMeta{ChunkIndex: 0, K: 3, M: 2}, make([]byte, 8))
+	f.Add(empty, EncodeDeltaPatch(8, nil), uint8(0), uint8(3), uint8(2), uint32(0))
+	// The widest stripe there is.
+	wide := EncodeChunkPayload(ECMeta{ChunkIndex: 255, K: 255, M: 1, TotalLen: 255*8 - 7}, make([]byte, 8))
+	f.Add(wide, EncodeDeltaPatch(8, []DeltaRun{{Offset: 7, Data: []byte{1}}}), uint8(255), uint8(255), uint8(1), uint32(255*8))
+	f.Fuzz(func(t *testing.T, stored, patch []byte, idx, k, m uint8, total uint32) {
+		if meta, shard, err := DecodeChunkPayload(stored); err == nil {
+			if again := EncodeChunkPayload(meta, shard); !bytes.Equal(again, stored) {
+				t.Fatalf("record %x decodes to %+v, which encodes to %x", stored, meta, again)
+			}
+		}
+		meta := ECMeta{ChunkIndex: idx, K: k, M: m, TotalLen: total}
+		before := bytes.Clone(stored)
+		if err := ApplyDeltaPatch(stored, patch, meta); err != nil {
+			if !bytes.Equal(stored, before) {
+				t.Fatalf("a refused patch (%v) changed the record", err)
+			}
+			return
+		}
+		got, _, err := DecodeChunkPayload(stored)
+		if err != nil || got.TotalLen != total {
+			t.Fatalf("patched record decodes to %+v, %v; want total length %d", got, err, total)
+		}
+	})
 }

@@ -84,6 +84,8 @@ func TestCollectorIgnoresDuplicatesAndBadIndexes(t *testing.T) {
 	// holder reported.
 	c.Add(ECMeta{ChunkIndex: 0, K: 3, M: 2, TotalLen: 10, Stripe: 1}, []byte{'X'}, 99)
 	c.Add(ECMeta{ChunkIndex: 9, K: 3, M: 2, Stripe: 1}, []byte{'z'}, 99) // out of range
+	c.Add(ECMeta{ChunkIndex: 3, K: 7, M: 2, Stripe: 1}, []byte{'k'}, 99) // another K
+	c.Add(ECMeta{ChunkIndex: 3, K: 3, M: 1, Stripe: 1}, []byte{'m'}, 99) // another M
 	if c.Seen() != 1 {
 		t.Fatalf("Seen = %d", c.Seen())
 	}

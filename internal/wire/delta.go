@@ -20,10 +20,11 @@ import (
 // whose chunk has a different shard size rejects the patch (the
 // overwrite crossed a shard-size boundary and the client should not
 // have taken the delta path). The trailing CRC covers the patch itself
-// — transport/storage integrity for the runs. The patched chunk's own
-// CRC is recomputed by the applier, so a chunk produced by ApplyDeltaPatch
-// is byte-identical (header included) to one produced by re-encoding
-// the new value.
+// — transport/storage integrity for the runs. The patched chunk record's
+// pad and CRC are restamped by the applier, so a record produced by
+// ApplyDeltaPatch is byte-identical (header included) to one produced by
+// re-encoding the new value; the new stripe is the version the caller
+// stores it under.
 const (
 	deltaMagic      = 0xED
 	deltaHeaderLen  = 1 + 4 + 4
@@ -123,13 +124,17 @@ func DecodeDeltaPatch(payload []byte) (shardLen uint32, runs []DeltaRun, err err
 //   - its geometry (index, K, M) must match the request's, and its
 //     shard length the patch's — a patch built for a different layout
 //     never touches the chunk;
-//   - every run must fall inside the chunk.
+//   - every run must fall inside the chunk;
+//   - meta's total length must fit the chunk (a pad of 0 to 65 535): it
+//     comes from a peer.
 //
 // On success the chunk bytes are XOR-patched and the header restamped
-// with meta's stripe ID and total length plus a freshly computed CRC —
-// byte-identical to the chunk a full re-encode of the new value would
-// store. The version-conditional swap (did any concurrent write move
-// the chunk since it was read?) is the caller's job.
+// with the pad of meta's total length and a freshly computed CRC —
+// byte-identical to the record a full re-encode of the new value would
+// store. A refused patch leaves stored untouched. Installing the record
+// under meta's stripe, and the version-conditional swap (did any
+// concurrent write move the chunk since it was read?), are the caller's
+// job.
 func ApplyDeltaPatch(stored []byte, patch []byte, meta ECMeta) error {
 	m, chunk, err := DecodeChunkPayload(stored)
 	if err != nil {
@@ -146,17 +151,21 @@ func ApplyDeltaPatch(stored []byte, patch []byte, meta ECMeta) error {
 	if int(shardLen) != len(chunk) {
 		return fmt.Errorf("%w: delta for %d-byte shard, chunk has %d", ErrMalformed, shardLen, len(chunk))
 	}
+	pad, ok := chunkPad(meta, len(chunk))
+	if !ok {
+		return fmt.Errorf("%w: delta to a %d-byte value, which %d shards of %d bytes cannot hold",
+			ErrMalformed, meta.TotalLen, meta.K, len(chunk))
+	}
 	for _, r := range runs {
 		dst := chunk[r.Offset : int(r.Offset)+len(r.Data)] // bounds proven by DecodeDeltaPatch
 		gf256.AddSlice(r.Data, dst)
 	}
-	binary.BigEndian.PutUint32(stored[4:8], meta.TotalLen)
-	binary.BigEndian.PutUint64(stored[8:16], meta.Stripe)
-	binary.BigEndian.PutUint32(stored[16:20], crc32.ChecksumIEEE(chunk))
+	binary.BigEndian.PutUint16(stored[4:6], pad)
+	binary.BigEndian.PutUint32(stored[6:10], crc32.ChecksumIEEE(chunk))
 	return nil
 }
 
-// ChunkPayloadOverhead is the per-chunk header size a stored chunk
-// payload adds on top of the shard bytes — exported so clients can
+// ChunkPayloadOverhead is the header size a chunk record adds on top of
+// the shard bytes (10: see chunkHeaderLen) — exported so clients can
 // account wire bytes without re-deriving the layout.
 const ChunkPayloadOverhead = chunkHeaderLen

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -128,6 +129,28 @@ func TestApplyDeltaPatchRefusals(t *testing.T) {
 	stored = EncodeChunkPayload(meta, chunk)
 	if err := ApplyDeltaPatch(stored, EncodeDeltaPatch(128, nil), meta); err == nil {
 		t.Fatal("shard-length mismatch accepted")
+	}
+
+	// A total length the shards cannot hold: longer than K shards, or so
+	// much shorter that the pad overflows its 16 bits.
+	big := make([]byte, 32<<10)
+	for _, c := range []struct {
+		chunk []byte
+		total uint32
+	}{{chunk, 3*64 + 1}, {big, 3*(32<<10) - 65536}} {
+		base := meta
+		base.TotalLen = 3 * uint32(len(c.chunk))
+		stored := EncodeChunkPayload(base, c.chunk)
+		before := append([]byte(nil), stored...)
+		wrong := base
+		wrong.TotalLen = c.total
+		err := ApplyDeltaPatch(stored, EncodeDeltaPatch(uint32(len(c.chunk)), nil), wrong)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("total length %d over %d-byte shards: %v, want ErrMalformed", c.total, len(c.chunk), err)
+		}
+		if !bytes.Equal(stored, before) {
+			t.Fatalf("total length %d modified the chunk", c.total)
+		}
 	}
 
 	// Not a chunk payload at all.

@@ -37,9 +37,10 @@ The encoding is canonical — one byte string per value — because the
 decoder refuses a present field that is zero, a uvarint longer than its
 value needs, and a mask bit the block's shape does not carry. It also
 refuses, as ErrMalformed, a request op it does not know (or an OpBatch
-inside a batch), a key or value longer than the limits, and geometry no
-stripe can have: K ≥ 1, K+M ≤ erasure.MaxShards, index < K+M. So no
-handler sees an impossible stripe. OpScan's page limit travels as the
+inside a batch), a key or value longer than the limits, geometry no
+stripe can have (K ≥ 1, K+M ≤ erasure.MaxShards, index < K+M), and an
+OpEncodeSet or OpDecodeGet without geometry. So no handler sees an
+impossible or missing stripe shape. OpScan's page limit travels as the
 total length, not as geometry, and is not constrained.
 */
 
@@ -269,6 +270,8 @@ func parseFields(b []byte, s shape, f *fields) (int, error) {
 		why = "unknown op"
 	case m&hasGeometry != 0 && (f.meta.K == 0 || shards > erasure.MaxShards || int(f.meta.ChunkIndex) >= shards):
 		why = "impossible geometry"
+	case m&hasGeometry == 0 && s&inRequest != 0 && (op == OpEncodeSet || op == OpDecodeGet):
+		why = "missing geometry"
 	}
 	if why != "" {
 		return 0, fieldsError(f, m, why, s&inFrame != 0)

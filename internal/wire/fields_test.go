@@ -47,6 +47,16 @@ func (g fieldGen) meta() ECMeta {
 	return m
 }
 
+// requestMeta is meta for a request of op: the coordinated ops always
+// carry geometry.
+func (g fieldGen) requestMeta(op Op) ECMeta {
+	m := g.meta()
+	if (op == OpEncodeSet || op == OpDecodeGet) && m.K == 0 {
+		m.K = 1
+	}
+	return m
+}
+
 func (g fieldGen) key() string {
 	switch g.rng.Intn(3) {
 	case 0:
@@ -87,8 +97,9 @@ func TestFieldBlocksRoundTrip(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		req := Request{
 			ID: g.u64(), Op: g.op(false), Key: g.key(), Value: g.value(),
-			TTLSeconds: g.u32(), Compare: g.u64(), Epoch: g.u64(), Meta: g.meta(),
+			TTLSeconds: g.u32(), Compare: g.u64(), Epoch: g.u64(),
 		}
+		req.Meta = g.requestMeta(req.Op)
 		frame, err := AppendRequest(nil, &req)
 		if err != nil {
 			t.Fatal(err)
@@ -128,8 +139,9 @@ func TestFieldBlocksRoundTrip(t *testing.T) {
 		for j := range subs {
 			subs[j] = BatchReq{
 				Op: g.op(true), Key: g.key(), Value: g.value(),
-				TTLSeconds: g.u32(), Compare: g.u64(), Meta: g.meta(),
+				TTLSeconds: g.u32(), Compare: g.u64(),
 			}
+			subs[j].Meta = g.requestMeta(subs[j].Op)
 		}
 		payload, err := AppendBatchRequests(nil, subs)
 		if err != nil {
@@ -224,6 +236,8 @@ func TestFieldBlockRefusals(t *testing.T) {
 		"zero k":                   frame(OpGetChunk, hasGeometry, 0, 0, 2),
 		"k+m past MaxShards":       frame(OpDecodeGet, hasGeometry, 0, 2, 255),
 		"index past k+m":           frame(OpSetChunk, hasGeometry, 5, 3, 2),
+		"encode-set, no geometry":  frame(OpEncodeSet, 0),
+		"decode-get, no geometry":  frame(OpDecodeGet, hasStripe, stripe...),
 		"present zero stripe":      frame(OpGet, hasStripe, make([]byte, 8)...),
 		"present zero ttl":         frame(OpSet, hasTTL, 0),
 		"non-canonical ttl":        frame(OpSet, hasTTL, 0x81, 0x00),
@@ -245,6 +259,10 @@ func TestFieldBlockRefusals(t *testing.T) {
 	sub := []byte{0, 0, 0, 1, byte(OpGetChunk), hasGeometry, 1, 0, 0, 2, 255, 'k'}
 	if _, err := DecodeBatchRequests(sub); !errors.Is(err, ErrMalformed) {
 		t.Errorf("batch sub-op with K+M past MaxShards: %v", err)
+	}
+	bare := []byte{0, 0, 0, 1, byte(OpDecodeGet), 0, 1, 0, 'k'}
+	if _, err := DecodeBatchRequests(bare); !errors.Is(err, ErrMalformed) {
+		t.Errorf("decode-get sub-op without geometry: %v", err)
 	}
 	resp := []byte{0, 0, 0, 6, byte(StatusOK), hasGeometry, 9, 0, 2, 255}
 	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(resp))); !errors.Is(err, ErrMalformed) {
