@@ -10,13 +10,13 @@
 //     hybrid).
 //   - internal/server, internal/store — the Memcached-style server.
 //   - internal/gf256, internal/erasure — the coding substrate.
-//   - internal/simnet, internal/simkv — the virtual-time cluster
-//     simulator used to regenerate the paper's figures.
-//   - internal/boldio, internal/lustre — the burst-buffer case study.
+//
+// The paper's reproduction is the nested module repro/: the
+// virtual-time cluster simulator, the Figure 4 codec study and the
+// burst-buffer case study, with one benchmark per table and figure:
+//
+//	go -C repro test -bench=. -benchmem .
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benchmark
-// harness in bench_test.go regenerates every table and figure:
-//
-//	go test -bench=. -benchmem .
+// EXPERIMENTS.md for the paper-vs-measured record.
 package ecstore

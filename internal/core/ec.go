@@ -14,7 +14,7 @@ import (
 // four client/server encode/decode placements of Section IV-B.
 type ecStrategy struct {
 	c      *Client
-	code   erasure.Code
+	code   *erasure.RSVan
 	k, m   int
 	scheme Scheme
 }
@@ -378,7 +378,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		if missing > 0 {
 			e.c.mDegraded.Inc()
 			e.c.mRebuilt.Add(int64(missing))
-			if out[i].err = erasure.ReconstructData(e.code, chunks); out[i].err != nil {
+			if out[i].err = e.code.ReconstructData(chunks); out[i].err != nil {
 				continue
 			}
 		}

@@ -1,13 +1,13 @@
-// Package erasure implements the maximum-distance-separable (MDS)
-// erasure codes studied in the paper's Jerasure comparison (Figure 4):
-// Reed-Solomon with a Vandermonde-derived generator (RSVan), Cauchy
-// Reed-Solomon executed as a GF(2) bit matrix (CauchyRS), and a RAID-6
-// bit-matrix code in the style of the Liberation/Liber8tion minimum
-// density codes (Liberation).
+// Package erasure is the store's erasure code: Reed-Solomon over
+// GF(2^8) with a systematic generator derived from a Vandermonde matrix
+// (RSVan, Jerasure's reed_sol_van), the code the paper's Figure 4
+// selects as RS(K,M). A value is split into K equally sized data shards
+// (Split, SplitPooled), M parity shards are computed, and the value can
+// be recovered from any K of the K+M shards.
 //
-// All codes share the Code interface: a value is split into K equally
-// sized data chunks, M parity chunks are computed, and the original value
-// can be recovered from any K of the K+M chunks.
+// Around the code sit what the store's write and read paths need: the
+// shard buffer pool, the delta encoding of an overwrite (EncodeDelta),
+// and the cached decode matrices a degraded read inverts once.
 package erasure
 
 import (
@@ -16,7 +16,7 @@ import (
 	"fmt"
 )
 
-// Errors shared across codes.
+// Errors of the shard-level calls.
 var (
 	// ErrShardCount is returned when the slice passed to Encode,
 	// Reconstruct or Verify does not contain exactly K+M shards.
@@ -29,32 +29,9 @@ var (
 	ErrTooFewShards = errors.New("erasure: too few shards to reconstruct")
 )
 
-// Code is an MDS erasure code with K data shards and M parity shards.
-//
-// Implementations are safe for concurrent use by multiple goroutines:
-// all mutable state is confined to the arguments.
-type Code interface {
-	// K returns the number of data shards.
-	K() int
-	// M returns the number of parity shards.
-	M() int
-	// Name returns a short identifier such as "rs-van".
-	Name() string
-	// Encode fills shards[K..K+M-1] (parity) from shards[0..K-1]
-	// (data). All K data shards must be non-nil and the same length;
-	// parity shards must be nil or already of the same length.
-	Encode(shards [][]byte) error
-	// Reconstruct fills every nil shard (data or parity) from the
-	// non-nil ones. At least K shards must be non-nil.
-	Reconstruct(shards [][]byte) error
-	// Verify reports whether the parity shards are consistent with the
-	// data shards.
-	Verify(shards [][]byte) (bool, error)
-}
-
-// checkShards validates the shard slice shape shared by every code.
-// It returns the shard size (from the first non-nil shard) and the count
-// of non-nil shards.
+// checkShards validates the shape of a shard slice. It returns the
+// shard size (from the first non-nil shard) and the count of non-nil
+// shards.
 func checkShards(shards [][]byte, k, m int, forEncode bool) (size, present int, err error) {
 	if len(shards) != k+m {
 		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), k+m)
@@ -98,8 +75,7 @@ func (s *ShardSet) Has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 
 // ShardSize returns the per-shard size used to encode a value of
 // dataLen bytes across k data shards. Shards are padded up so that the
-// size is a multiple of align (bit-matrix codes need word-aligned
-// packets; pass 1 for none).
+// size is a multiple of align (pass 1 for none).
 func ShardSize(dataLen, k, align int) int {
 	per := (dataLen + k - 1) / k
 	if per == 0 {
@@ -112,8 +88,7 @@ func ShardSize(dataLen, k, align int) int {
 }
 
 // Split copies value into k data shards of equal size (padded with
-// zeros) followed by m nil parity slots, sized so that every code in
-// this package can operate on the result. The returned shards do not
+// zeros) followed by m nil parity slots. The returned shards do not
 // alias value.
 func Split(value []byte, k, m int) [][]byte {
 	per := ShardSize(len(value), k, packetAlign)
@@ -154,6 +129,11 @@ func Join(shards [][]byte, k, dataLen int) ([]byte, error) {
 	return bytes.Join(shards[:k], nil)[:dataLen:dataLen], nil
 }
 
-// packetAlign is the shard-size alignment required by the bit-matrix
-// codes (w = 8 packets per shard, each a whole number of bytes).
+// packetAlign is the shard-size alignment of every stripe the store
+// writes. Three things rest on it: the chunk record stores the value's
+// length as the padding its K shards hold beyond it, at most 8·K, which
+// fits the record's 16-bit pad (wire/chunk.go); a small append keeps
+// the shard size, so its overwrite can still take the delta path
+// (EncodeDelta); and bench/ sizes its chunks with ShardSize(…, 8).
+// Changing it changes the stored format.
 const packetAlign = 8

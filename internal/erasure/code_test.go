@@ -9,27 +9,14 @@ import (
 	"testing/quick"
 )
 
-// codesUnderTest returns one instance of every code for RS-style (k, m)
-// parameters. Liberation is included only when m == 2.
-func codesUnderTest(t *testing.T, k, m int) []Code {
+// mustRSVan returns an RS(k, m) code or fails the test.
+func mustRSVan(t testing.TB, k, m int) *RSVan {
 	t.Helper()
-	rs, err := NewRSVan(k, m)
+	code, err := NewRSVan(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crs, err := NewCauchyRS(k, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codes := []Code{rs, crs}
-	if m == 2 {
-		lib, err := NewLiberation(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		codes = append(codes, lib)
-	}
-	return codes
+	return code
 }
 
 func randValue(rng *rand.Rand, n int) []byte {
@@ -41,45 +28,44 @@ func randValue(rng *rand.Rand, n int) []byte {
 func TestEncodeDecodeAllErasurePatterns(t *testing.T) {
 	for _, km := range [][2]int{{3, 2}, {4, 2}, {6, 3}, {2, 1}, {1, 2}} {
 		k, m := km[0], km[1]
-		for _, code := range codesUnderTest(t, k, m) {
-			t.Run(fmt.Sprintf("%s_%d_%d", code.Name(), k, m), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(42))
-				value := randValue(rng, 1000)
-				shards := Split(value, k, m)
-				if err := code.Encode(shards); err != nil {
-					t.Fatal(err)
+		code := mustRSVan(t, k, m)
+		t.Run(fmt.Sprintf("%s_%d_%d", code.Name(), k, m), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			value := randValue(rng, 1000)
+			shards := Split(value, k, m)
+			if err := code.Encode(shards); err != nil {
+				t.Fatal(err)
+			}
+			ok, err := code.Verify(shards)
+			if err != nil || !ok {
+				t.Fatalf("Verify after Encode: ok=%v err=%v", ok, err)
+			}
+			// Erase every subset of up to m shards and reconstruct.
+			forEachErasure(k+m, m, func(erased []int) {
+				work := make([][]byte, len(shards))
+				for i, s := range shards {
+					work[i] = append([]byte(nil), s...)
 				}
-				ok, err := code.Verify(shards)
-				if err != nil || !ok {
-					t.Fatalf("Verify after Encode: ok=%v err=%v", ok, err)
+				for _, e := range erased {
+					work[e] = nil
 				}
-				// Erase every subset of up to m shards and reconstruct.
-				forEachErasure(k+m, m, func(erased []int) {
-					work := make([][]byte, len(shards))
-					for i, s := range shards {
-						work[i] = append([]byte(nil), s...)
+				if err := code.Reconstruct(work); err != nil {
+					t.Fatalf("erased %v: %v", erased, err)
+				}
+				for i := range shards {
+					if !bytes.Equal(work[i], shards[i]) {
+						t.Fatalf("erased %v: shard %d differs after reconstruct", erased, i)
 					}
-					for _, e := range erased {
-						work[e] = nil
-					}
-					if err := code.Reconstruct(work); err != nil {
-						t.Fatalf("erased %v: %v", erased, err)
-					}
-					for i := range shards {
-						if !bytes.Equal(work[i], shards[i]) {
-							t.Fatalf("erased %v: shard %d differs after reconstruct", erased, i)
-						}
-					}
-					got, err := Join(work, k, len(value))
-					if err != nil {
-						t.Fatalf("erased %v: join: %v", erased, err)
-					}
-					if !bytes.Equal(got, value) {
-						t.Fatalf("erased %v: value differs after join", erased)
-					}
-				})
+				}
+				got, err := Join(work, k, len(value))
+				if err != nil {
+					t.Fatalf("erased %v: join: %v", erased, err)
+				}
+				if !bytes.Equal(got, value) {
+					t.Fatalf("erased %v: value differs after join", erased)
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -101,55 +87,52 @@ func forEachErasure(n, maxErased int, fn func([]int)) {
 }
 
 func TestTooManyErasures(t *testing.T) {
-	for _, code := range codesUnderTest(t, 3, 2) {
-		value := make([]byte, 100)
-		shards := Split(value, 3, 2)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		shards[0], shards[1], shards[2] = nil, nil, nil
-		if err := code.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
-			t.Errorf("%s: got err %v, want ErrTooFewShards", code.Name(), err)
-		}
+	code := mustRSVan(t, 3, 2)
+	value := make([]byte, 100)
+	shards := Split(value, 3, 2)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	shards[0], shards[1], shards[2] = nil, nil, nil
+	if err := code.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
+		t.Errorf("%s: got err %v, want ErrTooFewShards", code.Name(), err)
 	}
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	for _, code := range codesUnderTest(t, 3, 2) {
-		rng := rand.New(rand.NewSource(9))
-		shards := Split(randValue(rng, 500), 3, 2)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		shards[1][7] ^= 0xFF
-		ok, err := code.Verify(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Errorf("%s: Verify did not detect corruption", code.Name())
-		}
+	code := mustRSVan(t, 3, 2)
+	rng := rand.New(rand.NewSource(9))
+	shards := Split(randValue(rng, 500), 3, 2)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	shards[1][7] ^= 0xFF
+	ok, err := code.Verify(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Errorf("%s: Verify did not detect corruption", code.Name())
 	}
 }
 
 func TestEncodeRejectsBadShards(t *testing.T) {
-	for _, code := range codesUnderTest(t, 3, 2) {
-		// Wrong count.
-		if err := code.Encode(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
-			t.Errorf("%s count: got %v", code.Name(), err)
-		}
-		// Nil data shard.
-		shards := Split(make([]byte, 64), 3, 2)
-		shards[1] = nil
-		if err := code.Encode(shards); !errors.Is(err, ErrShardSize) {
-			t.Errorf("%s nil data: got %v", code.Name(), err)
-		}
-		// Unequal sizes.
-		shards = Split(make([]byte, 64), 3, 2)
-		shards[2] = shards[2][:8]
-		if err := code.Encode(shards); !errors.Is(err, ErrShardSize) {
-			t.Errorf("%s unequal: got %v", code.Name(), err)
-		}
+	code := mustRSVan(t, 3, 2)
+	// Wrong count.
+	if err := code.Encode(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
+		t.Errorf("%s count: got %v", code.Name(), err)
+	}
+	// Nil data shard.
+	shards := Split(make([]byte, 64), 3, 2)
+	shards[1] = nil
+	if err := code.Encode(shards); !errors.Is(err, ErrShardSize) {
+		t.Errorf("%s nil data: got %v", code.Name(), err)
+	}
+	// Unequal sizes.
+	shards = Split(make([]byte, 64), 3, 2)
+	shards[2] = shards[2][:8]
+	if err := code.Encode(shards); !errors.Is(err, ErrShardSize) {
+		t.Errorf("%s unequal: got %v", code.Name(), err)
 	}
 }
 
@@ -162,12 +145,6 @@ func TestBadParameters(t *testing.T) {
 	}
 	if _, err := NewRSVan(200, 100); err == nil {
 		t.Error("NewRSVan(200,100) succeeded")
-	}
-	if _, err := NewCauchyRS(0, 1); err == nil {
-		t.Error("NewCauchyRS(0,1) succeeded")
-	}
-	if _, err := NewLiberation(0); err == nil {
-		t.Error("NewLiberation(0) succeeded")
 	}
 }
 
@@ -287,20 +264,19 @@ func TestRSVanSystematic(t *testing.T) {
 }
 
 func TestReconstructParityOnly(t *testing.T) {
-	for _, code := range codesUnderTest(t, 3, 2) {
-		rng := rand.New(rand.NewSource(3))
-		shards := Split(randValue(rng, 200), 3, 2)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		want4 := append([]byte(nil), shards[4]...)
-		shards[4] = nil
-		if err := code.Reconstruct(shards); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(shards[4], want4) {
-			t.Errorf("%s: reconstructed parity differs", code.Name())
-		}
+	code := mustRSVan(t, 3, 2)
+	rng := rand.New(rand.NewSource(3))
+	shards := Split(randValue(rng, 200), 3, 2)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	want4 := append([]byte(nil), shards[4]...)
+	shards[4] = nil
+	if err := code.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shards[4], want4) {
+		t.Errorf("%s: reconstructed parity differs", code.Name())
 	}
 }
 

@@ -30,7 +30,7 @@ var ErrDeltaShape = errors.New("erasure: old and new values have different shard
 // Shard buffers are drawn from pool (DefaultPool when nil); the caller
 // must Release the returned set once the delta runs have been
 // serialized.
-func EncodeDelta(code Code, oldValue, newValue []byte, pool *BufferPool) (*PooledShards, error) {
+func EncodeDelta(code *RSVan, oldValue, newValue []byte, pool *BufferPool) (*PooledShards, error) {
 	k, m := code.K(), code.M()
 	per := ShardSize(len(newValue), k, packetAlign)
 	if ShardSize(len(oldValue), k, packetAlign) != per {

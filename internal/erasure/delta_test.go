@@ -19,7 +19,7 @@ func applyDeltaToEncoded(t testing.TB, oldShards [][]byte, delta *PooledShards, 
 	}
 }
 
-func encodeValue(t testing.TB, code Code, value []byte) [][]byte {
+func encodeValue(t testing.TB, code *RSVan, value []byte) [][]byte {
 	t.Helper()
 	shards := Split(value, code.K(), code.M())
 	if err := code.Encode(shards); err != nil {

@@ -38,7 +38,7 @@ func ExampleRSVan() {
 }
 
 // Verify detects silent chunk corruption.
-func ExampleCode_verify() {
+func ExampleRSVan_Verify() {
 	code, _ := erasure.NewRSVan(3, 2)
 	shards := erasure.Split([]byte("important data"), 3, 2)
 	_ = code.Encode(shards)

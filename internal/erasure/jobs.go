@@ -50,8 +50,7 @@ func runBlocked(jobs []codeJob, srcs [][]byte, size int) {
 	}
 }
 
-// Option configures a code's buffer pooling, for codes that support it
-// (currently RSVan).
+// Option configures an RSVan's buffer pooling.
 type Option func(*codecOpts)
 
 type codecOpts struct {

@@ -243,26 +243,3 @@ func TestReconstructDataLeavesParityNil(t *testing.T) {
 		t.Fatal("round trip differs after ReconstructData")
 	}
 }
-
-func TestReconstructDataHelperFallsBack(t *testing.T) {
-	// Codes without a native data-only path must still recover data
-	// through the package helper.
-	code, err := NewCauchyRS(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	value := randValue(rand.New(rand.NewSource(21)), 64<<10)
-	shards := Split(value, 3, 2)
-	if err := code.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
-	work := make([][]byte, len(shards))
-	copy(work, shards)
-	work[0] = nil
-	if err := ReconstructData(code, work); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(work[0], shards[0]) {
-		t.Fatal("data shard not recovered via helper")
-	}
-}

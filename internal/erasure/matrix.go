@@ -49,23 +49,6 @@ func Vandermonde(rows, cols int) *Matrix {
 	return m
 }
 
-// Cauchy returns the rows×cols Cauchy matrix with entry
-// (r, c) = 1 / (x_r + y_c) where x_r = r + cols and y_c = c. Every square
-// submatrix of a Cauchy matrix is invertible, so the stacked
-// [identity; cauchy] generator is MDS by construction.
-func Cauchy(rows, cols int) *Matrix {
-	if rows+cols > 256 {
-		panic("erasure: cauchy matrix requires rows+cols <= 256")
-	}
-	m := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.Set(r, c, gf256.Inv(byte(r+cols)^byte(c)))
-		}
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -86,15 +69,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for r := 0; r < m.rows; r++ {
-		s += fmt.Sprintf("%v\n", m.Row(r))
-	}
-	return s
 }
 
 // Mul returns m × other.

@@ -68,24 +68,6 @@ func TestVandermondeInvertible(t *testing.T) {
 	}
 }
 
-func TestCauchyAllSubmatricesInvertible(t *testing.T) {
-	// Every square submatrix of a Cauchy matrix is invertible; spot
-	// check 2x2 submatrices of a 4x4.
-	c := Cauchy(4, 4)
-	for r1 := 0; r1 < 4; r1++ {
-		for r2 := r1 + 1; r2 < 4; r2++ {
-			sub := NewMatrix(2, 2)
-			sub.Set(0, 0, c.At(r1, 0))
-			sub.Set(0, 1, c.At(r1, 1))
-			sub.Set(1, 0, c.At(r2, 0))
-			sub.Set(1, 1, c.At(r2, 1))
-			if _, err := sub.Invert(); err != nil {
-				t.Fatalf("rows (%d,%d): %v", r1, r2, err)
-			}
-		}
-	}
-}
-
 func TestInvertRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -127,80 +109,4 @@ func TestInvertNonSquare(t *testing.T) {
 	if _, err := NewMatrix(2, 3).Invert(); err == nil {
 		t.Fatal("inverting non-square matrix did not error")
 	}
-}
-
-func TestBitMatrixInvertRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(24)
-		m := NewBitMatrix(n, n)
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				m.Set(r, c, byte(rng.Intn(2)))
-			}
-		}
-		inv, err := m.Invert()
-		if errors.Is(err, ErrSingular) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Check M * M^-1 = I over GF(2).
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				var sum byte
-				for k := 0; k < n; k++ {
-					sum ^= m.At(r, k) & inv.At(k, c)
-				}
-				want := byte(0)
-				if r == c {
-					want = 1
-				}
-				if sum != want {
-					t.Fatalf("trial %d: product differs at (%d,%d)", trial, r, c)
-				}
-			}
-		}
-	}
-}
-
-func TestSetBlockIsMultiplyMap(t *testing.T) {
-	// The 8x8 block for element e must map the bit vector of x to the
-	// bit vector of e*x for every x.
-	m := NewBitMatrix(8, 8)
-	for _, e := range []byte{0, 1, 2, 0x53, 0xFF} {
-		m.SetBlock(0, 0, e)
-		for x := 0; x < 256; x++ {
-			var out byte
-			for r := 0; r < 8; r++ {
-				var bit byte
-				for c := 0; c < 8; c++ {
-					bit ^= m.At(r, c) & byte(x>>c)
-				}
-				out |= (bit & 1) << r
-			}
-			if want := mulRef(e, byte(x)); out != want {
-				t.Fatalf("e=%#x x=%#x: block gives %#x, want %#x", e, x, out, want)
-			}
-		}
-	}
-}
-
-// mulRef recomputes GF(2^8) multiplication independently of gf256 to
-// cross-check the block construction.
-func mulRef(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		carry := a & 0x80
-		a <<= 1
-		if carry != 0 {
-			a ^= 0x1D
-		}
-		b >>= 1
-	}
-	return p
 }

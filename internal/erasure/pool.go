@@ -13,9 +13,6 @@ import (
 // the codec API (WithPool, SplitPooled) predates the move.
 type BufferPool = bufpool.Pool
 
-// PoolStats is a snapshot of pool activity.
-type PoolStats = bufpool.Stats
-
 // NewBufferPool returns an empty pool.
 func NewBufferPool() *BufferPool { return bufpool.New() }
 
@@ -32,10 +29,10 @@ var DefaultPool = bufpool.Default
 // garbage collector reclaims the buffers as usual).
 type PooledShards struct {
 	// Shards holds k data buffers followed by m parity slots. Parity
-	// slots start nil; Code.Encode fills them (pool-allocating when the
-	// code itself is pooled). The slice may be passed directly to
-	// Encode/Reconstruct/Verify. The data shards SplitPooled lends are
-	// windows of the caller's value: read them, never write them.
+	// slots start nil; RSVan.Encode fills them from its pool. The
+	// slice may be passed directly to Encode/Reconstruct/Verify. The
+	// data shards SplitPooled lends are windows of the caller's value:
+	// read them, never write them.
 	Shards [][]byte
 
 	// arr backs Shards for the common k+m <= 16 configurations, saving

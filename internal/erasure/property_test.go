@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestRandomGeometriesAndErasures drives every code through randomized
+// TestRandomGeometriesAndErasures drives the code through randomized
 // (k, m) geometries, value sizes, and erasure patterns — the
 // exhaustive-pattern test's big sibling.
 func TestRandomGeometriesAndErasures(t *testing.T) {
@@ -14,76 +14,57 @@ func TestRandomGeometriesAndErasures(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(9)
 		m := 1 + rng.Intn(4)
-		codes := make([]Code, 0, 3)
-		rs, err := NewRSVan(k, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crs, err := NewCauchyRS(k, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		codes = append(codes, rs, crs)
-		if m == 2 {
-			lib, err := NewLiberation(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			codes = append(codes, lib)
-		}
+		code := mustRSVan(t, k, m)
 		size := 1 + rng.Intn(8000)
 		value := make([]byte, size)
 		rng.Read(value)
 
-		for _, code := range codes {
-			shards := Split(value, k, m)
-			if err := code.Encode(shards); err != nil {
-				t.Fatalf("trial %d %s k=%d m=%d: encode: %v", trial, code.Name(), k, m, err)
-			}
-			// Erase a random subset of at most m shards.
-			erase := rng.Intn(m + 1)
-			perm := rng.Perm(k + m)
-			work := make([][]byte, len(shards))
-			for i, s := range shards {
-				work[i] = append([]byte(nil), s...)
-			}
-			for _, idx := range perm[:erase] {
-				work[idx] = nil
-			}
-			if err := code.Reconstruct(work); err != nil {
-				t.Fatalf("trial %d %s k=%d m=%d erase=%v: %v", trial, code.Name(), k, m, perm[:erase], err)
-			}
-			got, err := Join(work, k, size)
-			if err != nil {
-				t.Fatalf("trial %d %s: join: %v", trial, code.Name(), err)
-			}
-			if !bytes.Equal(got, value) {
-				t.Fatalf("trial %d %s k=%d m=%d erase=%v: data differs", trial, code.Name(), k, m, perm[:erase])
-			}
-			// Verify must hold on the repaired stripe.
-			if ok, err := code.Verify(work); err != nil || !ok {
-				t.Fatalf("trial %d %s: verify after reconstruct: %v %v", trial, code.Name(), ok, err)
-			}
+		shards := Split(value, k, m)
+		if err := code.Encode(shards); err != nil {
+			t.Fatalf("trial %d k=%d m=%d: encode: %v", trial, k, m, err)
+		}
+		// Erase a random subset of at most m shards.
+		erase := rng.Intn(m + 1)
+		perm := rng.Perm(k + m)
+		work := make([][]byte, len(shards))
+		for i, s := range shards {
+			work[i] = append([]byte(nil), s...)
+		}
+		for _, idx := range perm[:erase] {
+			work[idx] = nil
+		}
+		if err := code.Reconstruct(work); err != nil {
+			t.Fatalf("trial %d k=%d m=%d erase=%v: %v", trial, k, m, perm[:erase], err)
+		}
+		got, err := Join(work, k, size)
+		if err != nil {
+			t.Fatalf("trial %d: join: %v", trial, err)
+		}
+		if !bytes.Equal(got, value) {
+			t.Fatalf("trial %d k=%d m=%d erase=%v: data differs", trial, k, m, perm[:erase])
+		}
+		// Verify must hold on the repaired stripe.
+		if ok, err := code.Verify(work); err != nil || !ok {
+			t.Fatalf("trial %d: verify after reconstruct: %v %v", trial, ok, err)
 		}
 	}
 }
 
-// TestCodesAgreeOnDataChunks checks a cross-code invariant: all
-// systematic codes leave the data chunks identical to the split input.
+// TestCodesAgreeOnDataChunks checks the invariant all systematic codes
+// share: encoding leaves the data chunks identical to the split input.
 func TestCodesAgreeOnDataChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	value := make([]byte, 5000)
 	rng.Read(value)
 	ref := Split(value, 3, 2)
-	for _, code := range codesUnderTest(t, 3, 2) {
-		shards := Split(value, 3, 2)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if !bytes.Equal(shards[i], ref[i]) {
-				t.Fatalf("%s modified data chunk %d (not systematic)", code.Name(), i)
-			}
+	code := mustRSVan(t, 3, 2)
+	shards := Split(value, 3, 2)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(shards[i], ref[i]) {
+			t.Fatalf("%s modified data chunk %d (not systematic)", code.Name(), i)
 		}
 	}
 }
@@ -95,18 +76,17 @@ func TestParityDiffersBetweenChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	value := make([]byte, 4096)
 	rng.Read(value)
-	for _, code := range codesUnderTest(t, 3, 2) {
-		shards := Split(value, 3, 2)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(shards[3], shards[4]) {
-			t.Fatalf("%s produced identical parity chunks", code.Name())
-		}
-		for i := 0; i < 3; i++ {
-			if bytes.Equal(shards[3], shards[i]) || bytes.Equal(shards[4], shards[i]) {
-				t.Fatalf("%s parity equals data chunk %d", code.Name(), i)
-			}
+	code := mustRSVan(t, 3, 2)
+	shards := Split(value, 3, 2)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(shards[3], shards[4]) {
+		t.Fatalf("%s produced identical parity chunks", code.Name())
+	}
+	for i := 0; i < 3; i++ {
+		if bytes.Equal(shards[3], shards[i]) || bytes.Equal(shards[4], shards[i]) {
+			t.Fatalf("%s parity equals data chunk %d", code.Name(), i)
 		}
 	}
 }
@@ -117,19 +97,18 @@ func TestDeterministicEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	value := make([]byte, 2048)
 	rng.Read(value)
-	for _, code := range codesUnderTest(t, 4, 2) {
-		a := Split(value, 4, 2)
-		b := Split(value, 4, 2)
-		if err := code.Encode(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := code.Encode(b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if !bytes.Equal(a[i], b[i]) {
-				t.Fatalf("%s: shard %d differs between encodes", code.Name(), i)
-			}
+	code := mustRSVan(t, 4, 2)
+	a := Split(value, 4, 2)
+	b := Split(value, 4, 2)
+	if err := code.Encode(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := code.Encode(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("%s: shard %d differs between encodes", code.Name(), i)
 		}
 	}
 }

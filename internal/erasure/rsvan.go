@@ -30,8 +30,6 @@ type RSVan struct {
 	inverses map[ShardSet]*Matrix
 }
 
-var _ Code = (*RSVan)(nil)
-
 // NewRSVan constructs an RS(k, m) Vandermonde code. k and m must be
 // positive with k+m <= 256. With no options the code draws scratch
 // buffers from DefaultPool. It starts no goroutine.
@@ -81,7 +79,7 @@ func (r *RSVan) M() int { return r.m }
 func (r *RSVan) Name() string { return "rs-van" }
 
 // Generator returns a copy of the systematic generator matrix, exposed
-// for tests and for the analytical model.
+// for tests.
 func (r *RSVan) Generator() *Matrix { return r.gen.Clone() }
 
 // Encode computes the m parity shards from the k data shards.
@@ -258,13 +256,8 @@ func (r *RSVan) Verify(shards [][]byte) (bool, error) {
 	return true, nil
 }
 
-// ReconstructData recovers only the missing data shards of c, using the
-// code's native data-only path when it has one (RSVan) and falling back
-// to a full Reconstruct otherwise. Degraded reads want this: the caller
-// is about to Join the data shards and discard parity.
-func ReconstructData(c Code, shards [][]byte) error {
-	if rd, ok := c.(interface{ ReconstructData([][]byte) error }); ok {
-		return rd.ReconstructData(shards)
-	}
-	return c.Reconstruct(shards)
+// ReconstructData is code.ReconstructData as a function, the form
+// bench/ calls.
+func ReconstructData(code *RSVan, shards [][]byte) error {
+	return code.ReconstructData(shards)
 }

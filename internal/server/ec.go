@@ -16,17 +16,17 @@ import (
 // workers encode and decode in parallel. Two workers racing the first
 // miss may both construct a code; LoadOrStore keeps one and the other
 // is garbage — cheap, and only ever on first use of a (k, m) pair.
-func (s *Server) code(k, m int) (erasure.Code, error) {
+func (s *Server) code(k, m int) (*erasure.RSVan, error) {
 	key := [2]int{k, m}
 	if c, ok := s.codes.Load(key); ok {
-		return c.(erasure.Code), nil
+		return c.(*erasure.RSVan), nil
 	}
 	c, err := erasure.NewRSVan(k, m)
 	if err != nil {
 		return nil, err
 	}
 	actual, _ := s.codes.LoadOrStore(key, c)
-	return actual.(erasure.Code), nil
+	return actual.(*erasure.RSVan), nil
 }
 
 // placement returns the n chunk-holder addresses for key: the ring
@@ -258,7 +258,7 @@ func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
 		if err != nil {
 			return errorResponse(err)
 		}
-		if err := erasure.ReconstructData(code, chunks); err != nil {
+		if err := code.ReconstructData(chunks); err != nil {
 			return errorResponse(err)
 		}
 	}

@@ -97,7 +97,7 @@ type Server struct {
 	// codeMu serialized every server-side encode/decode across all
 	// workers, flattening Era-SE-* throughput at exactly the point the
 	// worker pool was supposed to scale it.
-	codes sync.Map // map[[2]int]erasure.Code
+	codes sync.Map // map[[2]int]*erasure.RSVan
 
 	framePool *bufpool.Pool
 }

@@ -8,7 +8,7 @@
 //   - TCP: the loopback/NIC network for real deployments.
 //
 // The deterministic performance experiments do not use this package;
-// they run on the virtual-time simulator in internal/simnet.
+// they run on the virtual-time simulator in repro/internal/simnet.
 package transport
 
 import (
