@@ -25,6 +25,9 @@
 //	                      online migration that rebalances data onto it
 //	ring remove <addr>    publish a view with addr removed, migrating
 //	                      its data to the surviving placement first
+//	                      (scrub and ring add/remove run the one
+//	                      background pass, internal/scrub, paced by
+//	                      -scrub-rate and -scrub-concurrency)
 //	bench <n> <size>      time n Set+Get round trips of `size` bytes
 //
 // Modes: none, sync-rep, async-rep, era-ce-cd, era-se-sd, era-se-cd,
@@ -42,7 +45,6 @@ import (
 
 	"ecstore/internal/core"
 	"ecstore/internal/metrics"
-	"ecstore/internal/migrate"
 	"ecstore/internal/scrub"
 	"ecstore/internal/stats"
 	"ecstore/internal/transport"
@@ -66,10 +68,8 @@ func run() error {
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial retry backoff, doubling with jitter (0 = default 10ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve client-side Prometheus metrics at http://<addr>/metrics (empty = disabled)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "for the scrub command: keep running cycles at this period (0 = one cycle and exit)")
-	scrubRate := flag.Float64("scrub-rate", 0, "scrub keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent scrub repairs (0 = default 4)")
-	migrateRate := flag.Float64("migrate-rate", 0, "ring add/remove migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
-	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
+	scrubRate := flag.Float64("scrub-rate", 0, "scrub and ring add/remove keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
+	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -237,7 +237,7 @@ func run() error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: ring status | ring add <addr> | ring remove <addr>")
 		}
-		return ringCmd(client, args[1:], *migrateRate, *migrateConcurrency)
+		return ringCmd(client, args[1:], *scrubRate, *scrubConcurrency)
 	case "bench":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: bench <n> <size>")
@@ -291,7 +291,7 @@ func ringCmd(client *core.Client, args []string, rate float64, concurrency int) 
 			return err
 		}
 		fmt.Printf("installed epoch %d: %s\n", installed.Epoch, strings.Join(installed.Servers, ","))
-		daemon, err := migrate.New(migrate.Config{
+		daemon, err := scrub.New(scrub.Config{
 			Client:        client,
 			Rate:          rate,
 			MaxConcurrent: concurrency,

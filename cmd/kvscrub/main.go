@@ -1,16 +1,14 @@
-// Command kvscrub runs the anti-entropy scrub daemon against a
-// kvserver cluster as a standalone sidecar: it periodically scans the
+// Command kvscrub runs the background daemon (internal/scrub) against
+// a kvserver cluster as a standalone sidecar: it periodically scans the
 // whole keyspace, verifies each key's redundancy and repairs what is
 // degraded, at a bounded rate so recovery traffic never starves
 // foreground I/O. A server that crashes and rejoins empty is re-filled
 // automatically — promptly, because the rpc health tracker's
-// suspect-to-recovered transition kicks a cycle outside the interval.
-//
-// kvscrub also runs the online migration daemon: whenever the cluster
-// membership epoch changes (kvcli ring add/remove), it rebalances the
-// keys whose placement moved between the old and new rings, at its own
-// -migrate-rate budget, so ring changes converge without operator
-// intervention.
+// suspect-to-recovered transition kicks a pass outside the interval.
+// Whenever the cluster membership epoch changes (kvcli ring
+// add/remove), the next passes first rebalance the keys whose placement
+// moved between the old and new rings, within the same -scrub-rate
+// budget, so ring changes converge without operator intervention.
 //
 //	kvscrub -servers host1:7001,host2:7001,... -mode era-ce-cd \
 //	        -scrub-interval 5m -scrub-rate 1000
@@ -30,7 +28,6 @@ import (
 
 	"ecstore/internal/core"
 	"ecstore/internal/metrics"
-	"ecstore/internal/migrate"
 	"ecstore/internal/scrub"
 	"ecstore/internal/transport"
 )
@@ -51,9 +48,7 @@ func run() error {
 	opTimeout := flag.Duration("op-timeout", 0, "per-RPC deadline (0 = default 15s, negative disables)")
 	scrubInterval := flag.Duration("scrub-interval", scrub.DefaultInterval, "period between scrub cycles")
 	scrubRate := flag.Float64("scrub-rate", 0, "keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent repairs (0 = default 4)")
-	migrateRate := flag.Float64("migrate-rate", 0, "epoch-change migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
-	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
+	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	metricsAddr := flag.String("metrics-addr", "", "serve scrub + client Prometheus metrics at http://<addr>/metrics (empty = disabled)")
 	once := flag.Bool("once", false, "run one cycle, print the report, exit (non-zero if keys failed)")
 	flag.Parse()
@@ -97,19 +92,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mig, err := migrate.New(migrate.Config{
-		Client:        client,
-		Rate:          *migrateRate,
-		MaxConcurrent: *migrateConcurrency,
-		Metrics:       client.Metrics(),
-		OnCycle:       func(r migrate.Report) { log.Printf("kvscrub migrate: %s", r) },
-		Logf:          log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	mig.Attach(client)
-
 	if *once {
 		report := daemon.RunCycle(nil)
 		fmt.Println(report)
@@ -124,8 +106,6 @@ func run() error {
 
 	daemon.Start()
 	defer daemon.Stop()
-	mig.Start()
-	defer mig.Stop()
 	log.Printf("kvscrub: scrubbing %d servers every %v (%s)", len(strings.Split(*servers, ",")), *scrubInterval, *mode)
 
 	sig := make(chan os.Signal, 1)

@@ -21,7 +21,6 @@ import (
 	"ecstore/internal/core"
 	"ecstore/internal/memproto"
 	"ecstore/internal/metrics"
-	"ecstore/internal/migrate"
 	"ecstore/internal/scrub"
 	"ecstore/internal/transport"
 )
@@ -48,12 +47,9 @@ func run() error {
 	cacheMaxAge := flag.Duration("cache-max-age", 0, "near-cache max entry residency, bounding cross-client staleness (0 = default 5s, negative disables the cap)")
 	metricsAddr := flag.String("metrics-addr", "", "serve proxy-side Prometheus metrics at http://<addr>/metrics (empty = disabled)")
 	pprofOn := flag.Bool("pprof", false, "also serve net/http/pprof profiles under http://<metrics-addr>/debug/pprof/")
-	scrubInterval := flag.Duration("scrub-interval", 0, "run the anti-entropy scrubber at this period (0 = disabled)")
-	scrubRate := flag.Float64("scrub-rate", 0, "scrub keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent scrub repairs (0 = default 4)")
-	migrateOn := flag.Bool("migrate", false, "run the online migration daemon: rebalance data automatically on membership epoch changes")
-	migrateRate := flag.Float64("migrate-rate", 0, "migration walk rate in keys/sec (0 = default 500, negative disables throttling)")
-	migrateConcurrency := flag.Int("migrate-concurrency", 0, "max concurrent key migrations (0 = default 4)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "run the background daemon (anti-entropy scrub, rebalancing on membership epoch changes) with timed passes at this period (0 = disabled, negative such as -1s = passes on ring changes and recoveries only)")
+	scrubRate := flag.Float64("scrub-rate", 0, "daemon keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
+	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	flag.Parse()
 
 	resilience, scheme, err := core.ParseMode(*mode)
@@ -97,7 +93,7 @@ func run() error {
 		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
 
-	if *scrubInterval > 0 {
+	if *scrubInterval != 0 {
 		daemon, err := scrub.New(scrub.Config{
 			Client:        client,
 			Interval:      *scrubInterval,
@@ -111,24 +107,7 @@ func run() error {
 		}
 		daemon.Start()
 		defer daemon.Stop()
-		log.Printf("memproxy: anti-entropy scrubber every %v (rate %v keys/s)", *scrubInterval, *scrubRate)
-	}
-
-	if *migrateOn {
-		mig, err := migrate.New(migrate.Config{
-			Client:        client,
-			Rate:          *migrateRate,
-			MaxConcurrent: *migrateConcurrency,
-			Metrics:       client.Metrics(),
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		mig.Attach(client)
-		mig.Start()
-		defer mig.Stop()
-		log.Printf("memproxy: online migration daemon armed (rate %v keys/s)", *migrateRate)
+		log.Printf("memproxy: background daemon armed, interval %v (rate %v keys/s)", *scrubInterval, *scrubRate)
 	}
 
 	ln, err := transport.TCP{}.Listen(*listen)

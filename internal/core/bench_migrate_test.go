@@ -10,13 +10,13 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
-	"ecstore/internal/migrate"
+	"ecstore/internal/scrub"
 )
 
 // BenchmarkMigrationImpact quantifies what online rebalancing costs
 // foreground traffic: client Gets are timed against an idle cluster
-// (steady) and against one where the migration daemon continuously
-// sweeps the keyspace after a ring change (migrating). Reported
+// (steady) and against one where the background daemon continuously
+// drains a ring change's source, sweeping the keyspace (migrating). Reported
 // metrics: qps and p99_us per variant — EXPERIMENTS.md records the
 // spread, CI tracks the trajectory as BENCH_9.json.
 func BenchmarkMigrationImpact(b *testing.B) {
@@ -59,7 +59,7 @@ func BenchmarkMigrationImpact(b *testing.B) {
 				if _, err := c.RingAdd("kv-joiner"); err != nil {
 					b.Fatal(err)
 				}
-				daemon, err := migrate.New(migrate.Config{Client: c, Rate: 5000})
+				daemon, err := scrub.New(scrub.Config{Client: c, Rate: 5000})
 				if err != nil {
 					b.Fatal(err)
 				}

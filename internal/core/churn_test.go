@@ -14,7 +14,7 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
-	"ecstore/internal/migrate"
+	"ecstore/internal/scrub"
 	"ecstore/internal/transport"
 )
 
@@ -22,7 +22,8 @@ import (
 // dynamic-membership layer (ISSUE 9 tentpole): a 5-server cluster
 // joins one node and decommissions another — plus a crash/restart —
 // while live read/write/CAS traffic runs over a latency-shaped
-// transport, with the migration daemon rebalancing at a bounded rate.
+// transport, with the background daemon (internal/scrub) rebalancing at
+// a bounded rate.
 //
 // Invariants proven per mode:
 //   - no acked write is lost: every key's final value is the last
@@ -125,14 +126,14 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 	admin := mk()
 	traffic := mk() // separate client: crosses epochs via WrongEpoch retry
 
-	// Migration daemon on the admin client: every ring change the admin
-	// publishes queues the outgoing view and kicks a budgeted cycle.
+	// The background daemon on the admin client: every ring change the
+	// admin publishes queues the outgoing view and kicks a budgeted pass.
 	var cycleMu sync.Mutex
-	var cycles []migrate.Report
-	daemon, err := migrate.New(migrate.Config{
+	var cycles []scrub.Report
+	daemon, err := scrub.New(scrub.Config{
 		Client: admin,
 		Rate:   churnMigrateRate,
-		OnCycle: func(r migrate.Report) {
+		OnCycle: func(r scrub.Report) {
 			cycleMu.Lock()
 			cycles = append(cycles, r)
 			cycleMu.Unlock()
@@ -143,7 +144,6 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon.Attach(admin)
 	daemon.Start()
 	defer daemon.Stop()
 
@@ -365,17 +365,23 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 		}
 	}
 
-	// Migration happened, and within budget: no cycle's keyspace walk
+	// Migration happened, and within budget: no pass's keyspace walk
 	// exceeded the configured rate.
 	snap := admin.Metrics().Snapshot()
-	if snap.Counters["ecstore_migration_keys_scanned_total"] == 0 {
-		t.Error("migration scanned nothing")
-	}
-	if snap.Counters["ecstore_migration_cycles_total"] < 2 {
-		t.Errorf("cycles = %d, want >= 2 (join + leave)", snap.Counters["ecstore_migration_cycles_total"])
+	if snap.Counters["ecstore_migration_keys_moved_total"] == 0 {
+		t.Error("migration moved nothing")
 	}
 	cycleMu.Lock()
 	defer cycleMu.Unlock()
+	drains := 0
+	for _, r := range cycles {
+		if r.Sources > 0 {
+			drains++
+		}
+	}
+	if drains < 2 {
+		t.Errorf("drain passes = %d, want >= 2 (join + leave)", drains)
+	}
 	for i, r := range cycles {
 		if r.Scanned < 20 || r.Duration <= 0 {
 			continue // too small for a meaningful rate sample
@@ -386,9 +392,9 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 		}
 	}
 	if strings.Contains(t.Name(), "/") && !t.Failed() {
-		t.Logf("%s: %d cycles, %d keys scanned, %d bytes moved",
-			name, snap.Counters["ecstore_migration_cycles_total"],
-			snap.Counters["ecstore_migration_keys_scanned_total"],
+		t.Logf("%s: %d passes (%d draining), %d keys scanned, %d bytes moved",
+			name, snap.Counters["ecstore_scrub_cycles_total"], drains,
+			snap.Counters["ecstore_scrub_keys_scanned_total"],
 			snap.Counters["ecstore_migration_bytes_moved_total"])
 	}
 }

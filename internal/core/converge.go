@@ -30,7 +30,7 @@ type RepairReport struct {
 	// Rewritten is how many were restored.
 	Rewritten int
 	// BytesMoved is the payload volume of the rewrites that landed —
-	// the migration scheduler sums it into its traffic accounting.
+	// the background daemon (internal/scrub) sums it into its reports.
 	BytesMoved int64
 }
 

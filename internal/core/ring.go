@@ -42,8 +42,8 @@ func (c *Client) AdoptView(v membership.View) bool { return c.view.Adopt(v) }
 
 // OnViewChange registers fn to run whenever the client adopts a newer
 // membership view — whether via RefreshView, an admin push, or an
-// out-of-band AdoptView. The migration daemon hooks here so placement
-// changes start draining automatically. fn must not block.
+// out-of-band AdoptView. scrub.New hooks here so placement changes
+// start draining automatically. fn must not block.
 func (c *Client) OnViewChange(fn func(old, new membership.View)) {
 	c.view.OnChange(fn)
 }

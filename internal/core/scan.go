@@ -25,8 +25,9 @@ func (c *Client) ScanKeys() ([]string, error) {
 	return c.ScanKeysOn(c.view.Current().Servers)
 }
 
-// ScanKeysOn is ScanKeys over an explicit server list. The migration
-// scheduler passes the union of the outgoing and incoming views'
+// ScanKeysOn is ScanKeys over an explicit server list. The background
+// daemon (internal/scrub) passes the current view's servers for a
+// scrub, and for a drain the union of the outgoing and incoming views'
 // servers: data being drained still lives on members only the old ring
 // names, and a current-view-only scan would miss it.
 func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
@@ -90,9 +91,9 @@ func (c *Client) scanServer(addr string, pageSize int, emit func(string)) error 
 // OnServerRecovered registers fn to be called whenever the rpc health
 // tracker sees a previously suspect server answer again — the signal
 // that a crashed server has rejoined (empty) and its share of every
-// stripe needs re-filling. The scrub daemon registers its Kick here so
-// recovery repair starts promptly instead of waiting for the next
-// periodic cycle. fn must not block (it runs on the rpc completion
+// stripe needs re-filling. scrub.New registers the daemon's Kick here
+// so recovery repair starts promptly instead of waiting for the next
+// periodic pass. fn must not block (it runs on the rpc completion
 // path); scrub.Daemon.Kick is non-blocking by design.
 func (c *Client) OnServerRecovered(fn func(addr string)) {
 	c.pool.SetRecoveryHook(fn)

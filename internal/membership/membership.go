@@ -10,7 +10,7 @@
 // (wire.Request.Epoch); a server whose epoch differs answers
 // wire.StatusWrongEpoch carrying its encoded view, and the client
 // refreshes, re-resolves placement against the new per-epoch hashring,
-// and retries. The migration scheduler (internal/migrate) then moves
+// and retries. The background daemon (internal/scrub) then moves
 // chunks whose placement changed between two views at a rate budget.
 package membership
 

@@ -521,9 +521,9 @@ func (p *Pool) RoundtripTimeout(addr string, req *wire.Request, timeout time.Dur
 
 // SetRecoveryHook registers fn to be called whenever a server leaves
 // the suspect state (a probe of a previously failing server succeeded).
-// The anti-entropy scrubber uses it to kick a repair cycle the moment a
-// crashed-and-restarted server rejoins, instead of waiting out the
-// periodic interval. fn runs on the call-completion path and must not
+// The background daemon (internal/scrub) uses it to kick a repair pass
+// the moment a crashed-and-restarted server rejoins, instead of waiting
+// out the periodic interval. fn runs on the call-completion path and must not
 // block; hand off to a channel or goroutine for real work. A nil fn
 // clears the hook.
 func (p *Pool) SetRecoveryHook(fn func(addr string)) {

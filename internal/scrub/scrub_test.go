@@ -1,4 +1,4 @@
-package scrub_test
+package scrub
 
 import (
 	"bytes"
@@ -11,57 +11,119 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
+	"ecstore/internal/hashring"
+	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
-	"ecstore/internal/scrub"
 )
 
-// stubClient scripts the daemon's three dependencies so control-flow
-// paths (fallbacks, error accounting) are testable without a cluster.
-type stubClient struct {
+// fakeClient scripts the daemon's dependencies so control-flow paths
+// (fallbacks, error accounting, pass choice, concurrency) are testable
+// without a cluster.
+type fakeClient struct {
 	mu      sync.Mutex
 	keys    []string
 	scanErr error
+	view    membership.View
 	verify  func(key string) (bool, error)
 	repair  func(key string) (core.RepairReport, error)
+	// failKeys maps keys to the error MigrateKey returns for them.
+	failKeys map[string]error
+	// reports maps keys to the per-key report MigrateKey returns.
+	reports map[string]core.MigrateReport
+	// delay is how long every per-key call takes.
+	delay time.Duration
 
-	verified []string
-	repaired []string
+	verified, repaired, migrated []string
+	inFlight, maxInFlight        int
 
 	recoveredFn func(addr string)
+	onChange    func(old, new membership.View)
 }
 
-func (s *stubClient) ScanKeys() ([]string, error) {
-	if s.scanErr != nil {
-		return nil, s.scanErr
+func newFake(nkeys int) *fakeClient {
+	f := &fakeClient{
+		view:     membership.View{Epoch: 2, Servers: []string{"a:1", "b:1", "c:1"}},
+		failKeys: map[string]error{},
+		reports:  map[string]core.MigrateReport{},
 	}
-	return append([]string(nil), s.keys...), nil
+	for i := 0; i < nkeys; i++ {
+		f.keys = append(f.keys, fmt.Sprintf("k%03d", i))
+	}
+	return f
 }
 
-func (s *stubClient) Verify(key string) (bool, error) {
-	s.mu.Lock()
-	s.verified = append(s.verified, key)
-	s.mu.Unlock()
-	if s.verify == nil {
+func oldView() membership.View {
+	return membership.View{Epoch: 1, Servers: []string{"a:1", "b:1"}}
+}
+
+func (f *fakeClient) ScanKeysOn(addrs []string) ([]string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.scanErr != nil {
+		return nil, f.scanErr
+	}
+	return append([]string(nil), f.keys...), nil
+}
+
+// begin logs a per-key call and counts it in flight until the returned
+// func runs.
+func (f *fakeClient) begin(log *[]string, key string) func() {
+	f.mu.Lock()
+	*log = append(*log, key)
+	f.inFlight++
+	f.maxInFlight = max(f.maxInFlight, f.inFlight)
+	delay := f.delay
+	f.mu.Unlock()
+	time.Sleep(delay)
+	return func() {
+		f.mu.Lock()
+		f.inFlight--
+		f.mu.Unlock()
+	}
+}
+
+func (f *fakeClient) Verify(key string) (bool, error) {
+	defer f.begin(&f.verified, key)()
+	if f.verify == nil {
 		return true, nil
 	}
-	return s.verify(key)
+	return f.verify(key)
 }
 
-func (s *stubClient) Repair(key string) (core.RepairReport, error) {
-	s.mu.Lock()
-	s.repaired = append(s.repaired, key)
-	s.mu.Unlock()
-	if s.repair == nil {
+func (f *fakeClient) Repair(key string) (core.RepairReport, error) {
+	defer f.begin(&f.repaired, key)()
+	if f.repair == nil {
 		return core.RepairReport{}, nil
 	}
-	return s.repair(key)
+	return f.repair(key)
 }
 
-func (s *stubClient) OnServerRecovered(fn func(addr string)) { s.recoveredFn = fn }
+func (f *fakeClient) MigrateKey(key string, oldRing *hashring.Ring) (core.MigrateReport, error) {
+	defer f.begin(&f.migrated, key)()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.failKeys[key]; err != nil {
+		return core.MigrateReport{}, err
+	}
+	return f.reports[key], nil
+}
 
-func newDaemon(t *testing.T, cfg scrub.Config) *scrub.Daemon {
+func (f *fakeClient) View() membership.View { return f.view }
+
+func (f *fakeClient) OnServerRecovered(fn func(addr string)) { f.recoveredFn = fn }
+
+func (f *fakeClient) OnViewChange(fn func(old, new membership.View)) { f.onChange = fn }
+
+// calls returns how many Verify, Repair and MigrateKey calls were made.
+func (f *fakeClient) calls() (verified, repaired, migrated int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.verified), len(f.repaired), len(f.migrated)
+}
+
+func newDaemon(t *testing.T, cfg Config) *Daemon {
 	t.Helper()
-	d, err := scrub.New(cfg)
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +131,7 @@ func newDaemon(t *testing.T, cfg scrub.Config) *scrub.Daemon {
 }
 
 func TestNewRequiresClient(t *testing.T) {
-	if _, err := scrub.New(scrub.Config{}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil client")
 	}
 }
@@ -77,7 +139,9 @@ func TestNewRequiresClient(t *testing.T) {
 func TestRunCycleScanError(t *testing.T) {
 	boom := errors.New("cluster unreachable")
 	reg := metrics.NewRegistry()
-	d := newDaemon(t, scrub.Config{Client: &stubClient{scanErr: boom}, Rate: -1, Metrics: reg})
+	f := newFake(0)
+	f.scanErr = boom
+	d := newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
 	report := d.RunCycle(nil)
 	if !errors.Is(report.Err, boom) || report.Scanned != 0 {
 		t.Fatalf("report %+v", report)
@@ -92,8 +156,8 @@ func TestRunCycleScanError(t *testing.T) {
 
 func TestRunCycleAllHealthy(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := &stubClient{keys: []string{"a", "b", "c"}}
-	d := newDaemon(t, scrub.Config{Client: c, Rate: -1, Metrics: reg})
+	c := newFake(3)
+	d := newDaemon(t, Config{Client: c, Rate: -1, Metrics: reg})
 	report := d.RunCycle(nil)
 	if report.Scanned != 3 || report.Healthy != 3 || report.Repaired != 0 || report.Failed != 0 {
 		t.Fatalf("report %+v", report)
@@ -113,31 +177,31 @@ func TestScrubKeyOutcomes(t *testing.T) {
 	for name, tc := range map[string]struct {
 		verify  func(string) (bool, error)
 		repair  func(string) (core.RepairReport, error)
-		want    scrub.Report
+		want    Report
 		repairs int
 	}{
 		"verify-healthy": {
 			verify: func(string) (bool, error) { return true, nil },
-			want:   scrub.Report{Scanned: 1, Healthy: 1},
+			want:   Report{Scanned: 1, Healthy: 1},
 		},
 		"deleted-between-scan-and-verify": {
 			verify: func(string) (bool, error) { return false, notFound },
-			want:   scrub.Report{Scanned: 1, Healthy: 1},
+			want:   Report{Scanned: 1, Healthy: 1},
 		},
 		"degraded-then-repaired": {
 			verify: func(string) (bool, error) { return false, nil },
 			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{Checked: 5, Missing: 2, Rewritten: 2}, nil
+				return core.RepairReport{Checked: 5, Missing: 2, Rewritten: 2, BytesMoved: 200}, nil
 			},
-			want:    scrub.Report{Scanned: 1, Repaired: 1, Rewritten: 2},
+			want:    Report{Scanned: 1, Repaired: 1, Refilled: 2, BytesMoved: 200},
 			repairs: 1,
 		},
 		"verify-error-falls-back-to-repair": {
 			verify: func(string) (bool, error) { return false, core.ErrUnavailable },
 			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{Checked: 3, Missing: 1, Rewritten: 1}, nil
+				return core.RepairReport{Checked: 3, Missing: 1, Rewritten: 1, BytesMoved: 10}, nil
 			},
-			want:    scrub.Report{Scanned: 1, Repaired: 1, Rewritten: 1},
+			want:    Report{Scanned: 1, Repaired: 1, Refilled: 1, BytesMoved: 10},
 			repairs: 1,
 		},
 		"verify-pessimistic-but-probe-healthy": {
@@ -145,7 +209,7 @@ func TestScrubKeyOutcomes(t *testing.T) {
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{Checked: 5}, nil
 			},
-			want:    scrub.Report{Scanned: 1, Healthy: 1},
+			want:    Report{Scanned: 1, Healthy: 1},
 			repairs: 1,
 		},
 		"deleted-between-verify-and-repair": {
@@ -153,7 +217,7 @@ func TestScrubKeyOutcomes(t *testing.T) {
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{}, notFound
 			},
-			want:    scrub.Report{Scanned: 1, Healthy: 1},
+			want:    Report{Scanned: 1, Healthy: 1},
 			repairs: 1,
 		},
 		"repair-error": {
@@ -161,21 +225,22 @@ func TestScrubKeyOutcomes(t *testing.T) {
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{}, core.ErrUnavailable
 			},
-			want:    scrub.Report{Scanned: 1, Failed: 1},
+			want:    Report{Scanned: 1, Failed: 1},
 			repairs: 1,
 		},
 		"partial-repair-counts-work-and-fails": {
 			verify: func(string) (bool, error) { return false, nil },
 			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{Checked: 5, Missing: 3, Rewritten: 1}, nil
+				return core.RepairReport{Checked: 5, Missing: 3, Rewritten: 1, BytesMoved: 7}, nil
 			},
-			want:    scrub.Report{Scanned: 1, Repaired: 1, Rewritten: 1, Failed: 1},
+			want:    Report{Scanned: 1, Repaired: 1, Refilled: 1, BytesMoved: 7, Failed: 1},
 			repairs: 1,
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			c := &stubClient{keys: []string{"k"}, verify: tc.verify, repair: tc.repair}
-			d := newDaemon(t, scrub.Config{Client: c, Rate: -1})
+			c := newFake(1)
+			c.verify, c.repair = tc.verify, tc.repair
+			d := newDaemon(t, Config{Client: c, Rate: -1})
 			got := d.RunCycle(nil)
 			got.Duration = 0
 			if got != tc.want {
@@ -189,67 +254,90 @@ func TestScrubKeyOutcomes(t *testing.T) {
 }
 
 func TestRatePacing(t *testing.T) {
-	c := &stubClient{keys: []string{"a", "b", "c", "d", "e", "f"}}
+	c := newFake(6)
 	// 100 keys/sec: the 5 inter-key gaps after the first key are due at
-	// 10ms spacing, so the cycle cannot complete in under ~50ms.
-	d := newDaemon(t, scrub.Config{Client: c, Rate: 100})
+	// 10ms spacing, so the scrub cannot complete in under ~50ms.
+	d := newDaemon(t, Config{Client: c, Rate: 100})
 	report := d.RunCycle(nil)
-	if report.Scanned != 6 {
-		t.Fatalf("report %+v", report)
+	if report.Scanned != 6 || report.Healthy != 6 {
+		t.Fatalf("scrub report %+v", report)
 	}
 	if report.Duration < 40*time.Millisecond {
-		t.Fatalf("rate-limited cycle finished in %v, want >= ~50ms", report.Duration)
+		t.Fatalf("rate-limited scrub finished in %v, want >= ~50ms", report.Duration)
 	}
 
 	// Unthrottled, the same keyspace is effectively instant.
-	d = newDaemon(t, scrub.Config{Client: c, Rate: -1})
+	d = newDaemon(t, Config{Client: c, Rate: -1})
 	if r := d.RunCycle(nil); r.Duration > 5*time.Second {
 		t.Fatalf("unthrottled cycle took %v", r.Duration)
 	}
 }
 
 func TestRunCycleCancel(t *testing.T) {
-	keys := make([]string, 1000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%04d", i)
-	}
-	c := &stubClient{keys: keys}
-	d := newDaemon(t, scrub.Config{Client: c, Rate: 50}) // 20ms per key
+	c := newFake(1000)
+	d := newDaemon(t, Config{Client: c, Rate: 50}) // 20ms per key
 	cancel := make(chan struct{})
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		close(cancel)
 	}()
 	report := d.RunCycle(cancel)
-	if report.Scanned >= len(keys) {
+	if report.Scanned >= len(c.keys) {
 		t.Fatalf("cancelled cycle scanned all %d keys", report.Scanned)
 	}
 	// Everything it did scan was fully processed (no leaked goroutines
 	// past the barrier): scanned keys were all verified.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.verified) != report.Scanned {
-		t.Fatalf("scanned %d but verified %d", report.Scanned, len(c.verified))
+	if verified, _, _ := c.calls(); verified != report.Scanned {
+		t.Fatalf("scanned %d but verified %d", report.Scanned, verified)
+	}
+}
+
+// TestLastCompletedGauge: the gauge marks a finished scrub only — not
+// a pass whose scan failed, nor one cut short between keys.
+func TestLastCompletedGauge(t *testing.T) {
+	reg := metrics.NewRegistry()
+	gauge := reg.Gauge("ecstore_scrub_last_completed_unix")
+	c := newFake(100)
+	d := newDaemon(t, Config{Client: c, Rate: -1, MaxConcurrent: 1, Metrics: reg})
+
+	c.scanErr = errors.New("cluster unreachable")
+	if r := d.RunCycle(nil); r.Err == nil || gauge.Value() != 0 {
+		t.Fatalf("scan error: report %s, gauge %d", r, gauge.Value())
+	}
+	c.scanErr = nil
+
+	cancel := make(chan struct{})
+	var once sync.Once
+	c.verify = func(string) (bool, error) {
+		once.Do(func() { close(cancel) }) // cut the walk after its first keys
+		return true, nil
+	}
+	if r := d.RunCycle(cancel); r.Scanned == 0 || r.Scanned == 100 || gauge.Value() != 0 {
+		t.Fatalf("cancelled walk: report %s, gauge %d", r, gauge.Value())
+	}
+
+	before := time.Now().Unix()
+	if r := d.RunCycle(nil); r.Scanned != 100 || gauge.Value() < before {
+		t.Fatalf("clean pass: report %s, gauge %d, want >= %d", r, gauge.Value(), before)
 	}
 }
 
 func TestDaemonKickAndRestart(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reports := make(chan scrub.Report, 16)
-	c := &stubClient{keys: []string{"a", "b"}}
-	d := newDaemon(t, scrub.Config{
+	reports := make(chan Report, 16)
+	c := newFake(2)
+	d := newDaemon(t, Config{
 		Client:   c,
 		Interval: -1, // no periodic timer: only kicks run cycles
 		Rate:     -1,
 		Metrics:  reg,
-		OnCycle:  func(r scrub.Report) { reports <- r },
+		OnCycle:  func(r Report) { reports <- r },
 		Logf:     t.Logf,
 	})
 
-	// The stub implements OnServerRecovered, so New must have wired the
-	// recovery hook to Kick.
+	// New must have wired the recovery hook to Kick.
 	if c.recoveredFn == nil {
-		t.Fatal("recovery hook not registered on a recoverable client")
+		t.Fatal("recovery hook not registered")
 	}
 
 	d.Start()
@@ -290,13 +378,13 @@ func TestDaemonKickAndRestart(t *testing.T) {
 }
 
 func TestDaemonPeriodicInterval(t *testing.T) {
-	reports := make(chan scrub.Report, 16)
-	c := &stubClient{keys: []string{"a"}}
-	d := newDaemon(t, scrub.Config{
+	reports := make(chan Report, 16)
+	c := newFake(1)
+	d := newDaemon(t, Config{
 		Client:   c,
 		Interval: 20 * time.Millisecond,
 		Rate:     -1,
-		OnCycle:  func(r scrub.Report) { reports <- r },
+		OnCycle:  func(r Report) { reports <- r },
 	})
 	d.Start()
 	defer d.Stop()
@@ -310,12 +398,17 @@ func TestDaemonPeriodicInterval(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := scrub.Report{Scanned: 10, Healthy: 8, Repaired: 1, Rewritten: 3, Failed: 1, Duration: 1500 * time.Millisecond}
+	r := Report{Sources: 2, Scanned: 10, Healthy: 8, Repaired: 1, Moved: 4, Refilled: 3, Dropped: 5, BytesMoved: 640,
+		Failed: 1, Duration: 1500 * time.Millisecond, Err: errors.New("boom")}
 	s := r.String()
-	for _, want := range []string{"scanned=10", "healthy=8", "repaired=1", "rewritten=3", "failed=1"} {
+	for _, want := range []string{"sources=2", "scanned=10", "healthy=8", "repaired=1", "moved=4", "refilled=3",
+		"dropped=5", "bytes=640", "failed=1", "in 1.5s", "(error: boom)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}
+	}
+	if strings.Contains(Report{}.String(), "error") {
+		t.Fatalf("error-free report %q mentions an error", Report{})
 	}
 }
 
@@ -359,12 +452,12 @@ func TestScrubConvergesCluster(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	d := newDaemon(t, scrub.Config{Client: c, Rate: -1, Metrics: reg, Logf: t.Logf})
+	d := newDaemon(t, Config{Client: c, Rate: -1, Metrics: reg, Logf: t.Logf})
 	report := d.RunCycle(nil)
 	if report.Err != nil || report.Scanned != len(values) || report.Failed != 0 {
 		t.Fatalf("scrub cycle: %s", report)
 	}
-	if report.Repaired == 0 || report.Rewritten == 0 {
+	if report.Repaired == 0 || report.Refilled == 0 || report.BytesMoved == 0 {
 		t.Fatalf("scrub repaired nothing after a server lost its data: %s", report)
 	}
 
@@ -421,11 +514,11 @@ func BenchmarkScrubRecoveryCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	d, err := scrub.New(scrub.Config{Client: c, Rate: -1})
+	d, err := New(Config{Client: c, Rate: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var repaired, rewritten int
+	var repaired, refilled int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -440,8 +533,8 @@ func BenchmarkScrubRecoveryCycle(b *testing.B) {
 			b.Fatalf("cycle: %s", report)
 		}
 		repaired += report.Repaired
-		rewritten += report.Rewritten
+		refilled += report.Refilled
 	}
 	b.ReportMetric(float64(repaired)/float64(b.N), "keys-repaired/cycle")
-	b.ReportMetric(float64(rewritten)/float64(b.N), "rewrites/cycle")
+	b.ReportMetric(float64(refilled)/float64(b.N), "rewrites/cycle")
 }
