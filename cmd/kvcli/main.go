@@ -19,15 +19,18 @@
 //	scrub                 run one anti-entropy cycle (scan, verify,
 //	                      repair) and print the report; with
 //	                      -scrub-interval > 0 keep cycling forever
-//	ring status           print each server's membership view (epoch
-//	                      disagreement = propagation lag)
-//	ring add <addr>       publish a view with addr joined, then run the
-//	                      online migration that rebalances data onto it
-//	ring remove <addr>    publish a view with addr removed, migrating
-//	                      its data to the surviving placement first
-//	                      (scrub and ring add/remove run the one
-//	                      background pass, internal/scrub, paced by
-//	                      -scrub-rate and -scrub-concurrency)
+//	ring status           print each server's membership view and the
+//	                      rings it still drains (epoch disagreement =
+//	                      propagation lag)
+//	ring add <addr>       publish a view with addr joined, then run one
+//	                      pass that rebalances data onto it
+//	ring remove <addr>    publish a view with addr removed, then run one
+//	                      pass that moves its data to the surviving
+//	                      placement (scrub and ring add/remove run the
+//	                      one background pass, internal/scrub, paced by
+//	                      -scrub-rate and -scrub-concurrency; a clean
+//	                      pass clears the view's draining rings, and
+//	                      `scrub` finishes a drain a pass left open)
 //	bench <n> <size>      time n Set+Get round trips of `size` bytes
 //
 // Modes: none, sync-rep, async-rep, era-ce-cd, era-se-sd, era-se-cd,
@@ -44,6 +47,7 @@ import (
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
 	"ecstore/internal/scrub"
 	"ecstore/internal/stats"
@@ -257,36 +261,32 @@ func run() error {
 }
 
 // ringCmd is the membership admin surface: status prints each server's
-// view; add/remove publish a new epoch and then run the online
-// migration synchronously, printing its report.
+// view; add/remove publish a new epoch and then run one background pass
+// synchronously, printing its report.
 func ringCmd(client *core.Client, args []string, rate float64, concurrency int) error {
 	switch args[0] {
 	case "status":
 		if _, err := client.RefreshView(); err != nil {
 			fmt.Fprintf(os.Stderr, "refresh: %v\n", err)
 		}
-		cur := client.View()
-		fmt.Printf("%-24s epoch=%d servers=%s (client view)\n", "-", cur.Epoch, strings.Join(cur.Servers, ","))
+		fmt.Printf("%-24s %s (client view)\n", "-", viewLine(client.View()))
 		for _, st := range client.RingStatus() {
 			if st.Err != nil {
 				fmt.Printf("%-24s DOWN (%v)\n", st.Addr, st.Err)
 				continue
 			}
-			fmt.Printf("%-24s epoch=%d servers=%s\n", st.Addr, st.View.Epoch, strings.Join(st.View.Servers, ","))
+			fmt.Printf("%-24s %s\n", st.Addr, viewLine(st.View))
 		}
 		return nil
 	case "add", "remove":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: ring %s <addr>", args[0])
 		}
-		old := client.View()
-		var err error
-		var installed = old
-		if args[0] == "add" {
-			installed, err = client.RingAdd(args[1])
-		} else {
-			installed, err = client.RingRemove(args[1])
+		change := client.RingAdd
+		if args[0] == "remove" {
+			change = client.RingRemove
 		}
+		installed, err := change(args[1])
 		if err != nil {
 			return err
 		}
@@ -301,19 +301,32 @@ func ringCmd(client *core.Client, args []string, rate float64, concurrency int) 
 		if err != nil {
 			return err
 		}
-		daemon.Enqueue(old)
 		report := daemon.RunCycle(nil)
 		fmt.Println(report)
-		if report.Err != nil {
-			return report.Err
+		switch view := client.View(); {
+		case report.Err != nil:
+		case report.Failed > 0:
+			report.Err = fmt.Errorf("%d keys failed to converge", report.Failed)
+		case len(view.Draining) > 0:
+			report.Err = fmt.Errorf("epoch %d still drains", view.Epoch)
 		}
-		if report.Failed > 0 {
-			return fmt.Errorf("%d keys failed to migrate (re-run `ring status` and retry)", report.Failed)
+		if report.Err != nil {
+			return fmt.Errorf("%w; the view keeps draining, and `kvcli scrub` finishes the drain", report.Err)
 		}
 		return nil
 	default:
 		return fmt.Errorf("usage: ring status | ring add <addr> | ring remove <addr>")
 	}
+}
+
+// viewLine renders a view for ring status: its epoch, its servers and,
+// while it drains, the server list of each draining ring.
+func viewLine(v membership.View) string {
+	line := fmt.Sprintf("epoch=%d servers=%s", v.Epoch, strings.Join(v.Servers, ","))
+	for _, ring := range v.Draining {
+		line += " draining=" + strings.Join(ring, ",")
+	}
+	return line
 }
 
 func bench(client *core.Client, n, size int) error {

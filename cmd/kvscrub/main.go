@@ -5,10 +5,11 @@
 // foreground I/O. A server that crashes and rejoins empty is re-filled
 // automatically — promptly, because the rpc health tracker's
 // suspect-to-recovered transition kicks a pass outside the interval.
-// Whenever the cluster membership epoch changes (kvcli ring
-// add/remove), the next passes first rebalance the keys whose placement
-// moved between the old and new rings, within the same -scrub-rate
-// budget, so ring changes converge without operator intervention.
+// Whenever the cluster membership changes (kvcli ring add/remove), the
+// view drains the old ring until a pass has moved every key whose
+// placement moved, within the same -scrub-rate budget, so ring changes
+// converge without operator intervention — including one a kvcli run
+// left unfinished.
 //
 //	kvscrub -servers host1:7001,host2:7001,... -mode era-ce-cd \
 //	        -scrub-interval 5m -scrub-rate 1000

@@ -15,8 +15,9 @@ import (
 
 // BenchmarkMigrationImpact quantifies what online rebalancing costs
 // foreground traffic: client Gets are timed against an idle cluster
-// (steady) and against one where the background daemon continuously
-// drains a ring change's source, sweeping the keyspace (migrating). Reported
+// (steady) and against one whose view keeps draining a ring change's
+// outgoing ring while the background daemon sweeps the keyspace
+// (migrating). Reported
 // metrics: qps and p99_us per variant — EXPERIMENTS.md records the
 // spread, CI tracks the trajectory as BENCH_9.json.
 func BenchmarkMigrationImpact(b *testing.B) {
@@ -63,13 +64,14 @@ func BenchmarkMigrationImpact(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// First cycle moves the data; the measured window then runs
-				// against the steady probe/scan load a long budgeted
-				// rebalance exerts (chunks mid-move are unreadable at the
-				// new placement, so timing reads against a half-moved
-				// keyspace would measure failures, not interference).
-				daemon.Enqueue(old)
-				if rep := daemon.RunCycle(nil); rep.Err != nil || rep.Failed > 0 {
+				// First cycle moves the data and clears the draining ring;
+				// the measured window then runs against the steady
+				// probe/scan load a long budgeted rebalance exerts: every
+				// cycle pushes a view draining the old ring again (chunks
+				// mid-move are unreadable at the new placement, so timing
+				// reads against a half-moved keyspace would measure
+				// failures, not interference).
+				if rep := daemon.RunCycle(nil); rep.Err != nil || rep.Failed > 0 || len(c.View().Draining) > 0 {
 					b.Fatalf("priming migration cycle: %+v", rep)
 				}
 				wg.Add(1)
@@ -81,7 +83,13 @@ func BenchmarkMigrationImpact(b *testing.B) {
 							return
 						default:
 						}
-						daemon.Enqueue(old)
+						draining := c.View()
+						draining.Epoch++
+						draining.Draining = [][]string{old.Servers}
+						if _, err := c.PushView(draining); err != nil {
+							b.Error(err)
+							return
+						}
 						daemon.RunCycle(stop)
 					}
 				}()

@@ -30,8 +30,8 @@ import (
 //     write its writer saw acknowledged (or a later attempted one);
 //   - no torn stripes: every read, during and after churn, returns one
 //     writer's complete value;
-//   - migration converges: the daemon drains every queued epoch and a
-//     fresh pass moves zero chunks;
+//   - migration converges: the daemon clears every draining ring from
+//     the view and a fresh pass moves zero chunks;
 //   - the rate budget holds: no migration cycle walked keys faster
 //     than the configured keys/sec.
 //
@@ -127,7 +127,7 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 	traffic := mk() // separate client: crosses epochs via WrongEpoch retry
 
 	// The background daemon on the admin client: every ring change the
-	// admin publishes queues the outgoing view and kicks a budgeted pass.
+	// admin publishes drains the outgoing ring and kicks a budgeted pass.
 	var cycleMu sync.Mutex
 	var cycles []scrub.Report
 	daemon, err := scrub.New(scrub.Config{
@@ -262,9 +262,9 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 	waitConverged := func(stage string) {
 		t.Helper()
 		deadline := time.Now().Add(60 * time.Second)
-		for daemon.Pending() > 0 {
+		for v := admin.View(); len(v.Draining) > 0; v = admin.View() {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: migration did not converge (pending %d)", stage, daemon.Pending())
+				t.Fatalf("%s: migration did not converge (view %s)", stage, v)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -368,14 +368,14 @@ func churnSoak(t *testing.T, name string, cfg core.Config) {
 	// Migration happened, and within budget: no pass's keyspace walk
 	// exceeded the configured rate.
 	snap := admin.Metrics().Snapshot()
-	if snap.Counters["ecstore_migration_keys_moved_total"] == 0 {
+	if snap.Counters["ecstore_migration_refills_total"] == 0 {
 		t.Error("migration moved nothing")
 	}
 	cycleMu.Lock()
 	defer cycleMu.Unlock()
 	drains := 0
 	for _, r := range cycles {
-		if r.Sources > 0 {
+		if r.Draining > 0 {
 			drains++
 		}
 	}

@@ -178,16 +178,15 @@ type write struct {
 // are single-key by nature (one decider per key) and return the version
 // installed, the CAS token later reads report. converge and verify are
 // the background half (converge.go): converge brings one key to full
-// redundancy at the current placement — from that placement alone
-// (repair, old nil) or also from the one an older ring gave it
-// (migration) — and verify attests that redundancy without writing.
+// redundancy at the current placement, from that placement and every
+// draining ring's, and verify attests that redundancy without writing.
 type strategy interface {
 	get(b *batcher, keys []string) []result
 	set(b *batcher, writes []write) []result
 	del(b *batcher, keys []string) []result
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
 	compareDelete(b *batcher, key string, expect uint64) error
-	converge(b *batcher, key string, old *hashring.Ring) (convergence, error)
+	converge(b *batcher, key string) (convergence, error)
 	verify(b *batcher, key string) (bool, error)
 }
 
@@ -219,7 +218,6 @@ func New(cfg Config) (*Client, error) {
 			"mdelete": newOpMetrics(reg, "mdelete"),
 			"repair":  newOpMetrics(reg, "repair"),
 			"verify":  newOpMetrics(reg, "verify"),
-			"migrate": newOpMetrics(reg, "migrate"),
 		},
 		mRetries:       reg.Counter("ecstore_client_retries_total"),
 		mDegraded:      reg.Counter("ecstore_client_degraded_reads_total"),
@@ -617,8 +615,8 @@ func (c *Client) placement(key string, n int) ([]string, uint64) {
 // consistent pair. The strategies take one snapshot per round and
 // resolve every key against it, so all sub-ops of a round agree.
 func (c *Client) placementSnapshot() (*hashring.Ring, uint64) {
-	view, ring := c.view.Snapshot()
-	return ring, view.Epoch
+	r := c.view.Rings()
+	return r.Current, r.View.Epoch
 }
 
 // placementOn resolves key's n holders against a specific ring; nil on

@@ -8,30 +8,38 @@ import (
 	"time"
 
 	"ecstore/internal/erasure"
-	"ecstore/internal/hashring"
+	"ecstore/internal/membership"
 	"ecstore/internal/wire"
 )
 
 // Convergence is the background half of every resilience mode: bring
 // one key's copies or chunks to where the current ring wants them, in
-// full. Each mode writes it once — one probe round over a list of
+// full. Each mode writes it once — one probe round over the key's
 // source placements, pick the authoritative copy, reconstruct, one
 // round of refills, one round of drains — through the same batcher the
-// foreground uses. Repair is converge with the current placement as
-// the only source (no drains), MigrateKey adds an older ring's
-// placement, Verify is the probe plus an attestation and no writes.
+// foreground uses. The sources come from one view snapshot: the current
+// placement, plus every draining ring's placement that differs from it
+// (membership.View.Draining). Repair is converge; Verify is the probe
+// plus an attestation and no writes.
 
 // RepairReport describes what Repair did for one key.
 type RepairReport struct {
 	// Checked is the number of chunk/replica locations probed.
 	Checked int
-	// Missing is how many were absent or unreachable before repair.
+	// Missing is how many current locations lacked the authoritative
+	// copy (absent, unreachable or stale) before repair.
 	Missing int
 	// Rewritten is how many were restored.
 	Rewritten int
+	// Dropped is how many copies were drained from locations only a
+	// draining ring still names.
+	Dropped int
 	// BytesMoved is the payload volume of the rewrites that landed —
 	// the background daemon (internal/scrub) sums it into its reports.
 	BytesMoved int64
+	// Moved reports that a draining ring places the key elsewhere: the
+	// rewrites and drains moved it onto the current placement.
+	Moved bool
 }
 
 // Healthy reports whether the key had full redundancy already.
@@ -39,50 +47,55 @@ func (r RepairReport) Healthy() bool { return r.Missing == 0 }
 
 // String renders the report on one line.
 func (r RepairReport) String() string {
-	return fmt.Sprintf("checked=%d missing=%d rewritten=%d bytes=%d", r.Checked, r.Missing, r.Rewritten, r.BytesMoved)
+	return fmt.Sprintf("checked=%d missing=%d rewritten=%d dropped=%d bytes=%d moved=%v",
+		r.Checked, r.Missing, r.Rewritten, r.Dropped, r.BytesMoved, r.Moved)
 }
 
-// MigrateReport describes what MigrateKey did for one key.
-type MigrateReport struct {
-	// Moved reports whether any data actually changed location.
-	Moved bool
-	// Refilled is how many replica/chunk locations gained a copy.
-	Refilled int
-	// Dropped is how many stale locations were drained.
-	Dropped int
-	// BytesMoved is the payload volume of the refills that landed.
-	BytesMoved int64
-}
-
-// String renders the report on one line.
-func (r MigrateReport) String() string {
-	return fmt.Sprintf("refilled=%d dropped=%d bytes=%d", r.Refilled, r.Dropped, r.BytesMoved)
-}
-
-// convergence is what one converge call found and did; the two public
-// reports are views of it.
+// convergence is what one converge call found and did; RepairReport is
+// its public view.
 type convergence struct {
 	checked  int   // locations probed
 	missing  int   // current holders found without the authoritative copy
 	refilled int   // of those, the writes that landed
-	dropped  int   // old-placement copies drained
+	dropped  int   // draining-placement copies drained
 	bytes    int64 // payload volume of the refills that landed
+	moved    bool  // a draining ring places the key elsewhere
 }
 
-// Repair restores full redundancy for key: it probes every chunk or
-// replica location, reconstructs lost chunks from the survivors (or
-// re-reads the value from a live replica), and rewrites whatever is
-// missing. It addresses the paper's future-work item of recovering
-// redundancy after node failures — a crashed-and-restarted server
-// comes back empty, leaving stripes degraded until repaired. A holder
-// still down stays unrewritten: the report then shows Rewritten below
-// Missing (partial repair), not an error.
+// Repair brings key to full redundancy at its current placement: it
+// probes every chunk or replica location of the current placement and
+// of every draining placement that differs, reconstructs lost chunks
+// from the survivors (or re-reads the value from a live replica),
+// rewrites whatever the current holders miss and — for a key a draining
+// ring places elsewhere, once every rewrite landed — drains the copies
+// only a draining ring names. It addresses the paper's future-work item
+// of recovering redundancy after node failures (a crashed-and-restarted
+// server comes back empty) and moves data after a membership change. A
+// holder still down stays unrewritten: the report then shows Rewritten
+// below Missing (partial repair), not an error.
+//
+// A key that did not move is rewritten unconditionally: only a rewrite
+// reconverges holders with diverged or corrupt copies. A moved key's
+// writes are conditional (add-if-absent or stripe-gated) and every drain
+// is version/stripe-conditional, so a key being overwritten concurrently
+// is never clobbered and a racing write is never deleted. The rounds
+// address the servers of every source, departing members included, and
+// carry the epoch of the view the placements came from: every server a
+// view names has been pushed that view (Client.PushView).
 //
 // Repair returns ErrUnavailable when too few chunks survive to
 // reconstruct, and ErrNotFound when no trace of the key exists.
 func (c *Client) Repair(key string) (RepairReport, error) {
-	v, err := c.converge("repair", key, nil)
-	return RepairReport{Checked: v.checked, Missing: v.missing, Rewritten: v.refilled, BytesMoved: v.bytes}, err
+	b := c.begin("repair")
+	// The strategies bail out with wire.ErrWrongEpoch before any write
+	// lands on a stale ring; adopt the newer view and re-resolve, the
+	// same transparent retry every data-path operation gets.
+	v, err := epochRetry(c, func() (convergence, error) { return c.strat.converge(b, key) })
+	_, err = b.end(Item{}, err)
+	return RepairReport{
+		Checked: v.checked, Missing: v.missing, Rewritten: v.refilled, Dropped: v.dropped,
+		BytesMoved: v.bytes, Moved: v.moved,
+	}, err
 }
 
 // IRepair is the non-blocking form of Repair; the Future's value is
@@ -94,42 +107,6 @@ func (c *Client) IRepair(key string) *Future {
 	})
 }
 
-// MigrateKey moves one key's data from the placement oldRing assigned
-// it to the placement the client's CURRENT ring assigns it: it locates
-// the value (old holders first — that is where the data lives), refills
-// the new holders that lack it, and drains the old holders that left
-// the placement. Every write is conditional (add-if-absent or
-// version-gated), every drain is version/stripe-conditional and none is
-// sent until every refill has landed, so a key being overwritten
-// concurrently is never clobbered and a racing write is never deleted —
-// the migration loses the race cleanly and the new write, already
-// routed by the current ring, needs no migration.
-//
-// The rounds address servers of both rings explicitly, departing
-// members included, and carry the epoch of the view the current
-// placement came from: every member of either ring has been pushed
-// that view, and a caller that is itself behind is told so
-// (WrongEpoch), adopts the newer view and re-resolves like any other
-// operation.
-//
-// ErrNotFound means the key vanished (deleted or expired) between scan
-// and migration — nothing to move.
-func (c *Client) MigrateKey(key string, oldRing *hashring.Ring) (MigrateReport, error) {
-	v, err := c.converge("migrate", key, oldRing)
-	return MigrateReport{Moved: v.refilled+v.dropped > 0, Refilled: v.refilled, Dropped: v.dropped, BytesMoved: v.bytes}, err
-}
-
-// converge runs the strategy's convergence of key under op's ledger.
-// The strategies bail out with wire.ErrWrongEpoch before any write
-// lands on a stale ring; adopt the newer view and re-resolve, the same
-// transparent retry every data-path operation gets.
-func (c *Client) converge(op, key string, old *hashring.Ring) (convergence, error) {
-	b := c.begin(op)
-	v, err := epochRetry(c, func() (convergence, error) { return c.strat.converge(b, key, old) })
-	_, err = b.end(Item{}, err)
-	return v, err
-}
-
 // Verify scrubs one key's redundancy. For erasure-coded values it
 // fetches every chunk and checks that the stored parity is consistent
 // with the data chunks, detecting silent corruption (not just loss);
@@ -139,7 +116,9 @@ func (c *Client) converge(op, key string, old *hashring.Ring) (convergence, erro
 // replica is exactly what the anti-entropy scrubber must catch before
 // the next failure makes it data loss. An unreachable holder means
 // full redundancy cannot be attested (false, nil — the repair decision
-// is the caller's); every holder answering not-found is ErrNotFound.
+// is the caller's); every holder answering not-found is ErrNotFound. A
+// key a draining ring places elsewhere is false without a probe: it has
+// a move to finish, which is Repair's.
 func (c *Client) Verify(key string) (bool, error) {
 	b := c.begin("verify")
 	ok, err := epochRetry(c, func() (bool, error) { return c.strat.verify(b, key) })
@@ -147,27 +126,67 @@ func (c *Client) Verify(key string) (bool, error) {
 	return ok, err
 }
 
+// sourcePlacements resolves key's n chunk holders on the current ring,
+// then on every draining ring: [0] is the current placement (nil: the
+// ring is empty), and every other entry a distinct placement the key
+// is moving away from.
+func sourcePlacements(rings *membership.Rings, key string, n int) [][]string {
+	cur := placementOn(rings.Current, key, n)
+	if cur == nil {
+		return nil
+	}
+	places := [][]string{cur}
+	for _, ring := range rings.Draining {
+		if p := placementOn(ring, key, n); !slices.ContainsFunc(places, func(q []string) bool { return slices.Equal(p, q) }) {
+			places = append(places, p)
+		}
+	}
+	return places
+}
+
+// holders resolves key's replica set on the current ring (cur) and the
+// servers only a draining ring's replica set names (others); moved
+// reports a draining replica set other than the current one.
+func (r *repStrategy) holders(rings *membership.Rings, key string) (cur, others []string, moved bool) {
+	cur = distinct(placementOn(rings.Current, key, r.replicas))
+	for _, ring := range rings.Draining {
+		p := distinct(placementOn(ring, key, r.replicas))
+		moved = moved || !sameMembers(p, cur)
+		for _, addr := range p {
+			if !slices.Contains(cur, addr) && !slices.Contains(others, addr) {
+				others = append(others, addr)
+			}
+		}
+	}
+	return cur, others, moved
+}
+
 // settle sends a convergence's planned writes: the refills as one
-// round, then — for a migration, and only when every refill landed or
-// lost to something newer — the drains as another, so an old copy is
-// never removed while the holder meant to replace it is still empty. A
-// repair plans no drains and reports a refill that failed as partial
-// repair (refilled below missing), not as an error: the holder is
-// still down, and the next scrub cycle retries it.
-func (b *batcher) settle(epoch uint64, v convergence, refills, drains []subOp, migrating bool) (convergence, error) {
+// round, then — for a moved key, and only when every refill landed or
+// lost to something newer — the drains as another, so a copy is never
+// removed while the holder meant to replace it is still empty. An
+// unmoved key plans no drains, and a refill that failed is partial
+// repair (refilled below missing), not an error: the holder is still
+// down, and the next scrub cycle retries it. A drain that cannot reach
+// a server view no longer names is not a failure either: the refills
+// landed, and a removed server that crashed would otherwise hold the
+// key unconverged, and the view draining, forever.
+func (b *batcher) settle(view membership.View, v convergence, refills, drains []subOp) (convergence, error) {
 	v.missing = len(refills)
-	b.send(refills, epoch)
+	b.send(refills, view.Epoch)
 	var err error
 	v.refilled, v.bytes, err = landed(refills)
 	b.release() // the probe's leases fed the refills; nothing aliases them now
-	if !migrating {
+	if !v.moved {
 		return v, nil
 	}
 	if err != nil {
 		return v, err
 	}
-	b.send(drains, epoch)
-	v.dropped, _, err = landed(drains)
+	b.send(drains, view.Epoch)
+	v.dropped, _, err = landed(slices.DeleteFunc(drains, func(op subOp) bool {
+		return op.err != nil && !view.Contains(op.addr)
+	}))
 	return v, err
 }
 
@@ -242,13 +261,16 @@ func (p *copies) same(i int) bool {
 // holds the value is a lost replica, one that differs a diverged one —
 // real under async replication torn by a crash.
 func (r *repStrategy) verify(b *batcher, key string) (bool, error) {
-	placement, epoch := r.c.placement(key, r.replicas)
-	cur := distinct(placement)
-	if len(cur) == 0 {
+	rings := r.c.view.Rings()
+	cur, _, moved := r.holders(rings, key)
+	switch {
+	case len(cur) == 0:
 		return false, ErrUnavailable
+	case moved:
+		return false, nil
 	}
 	defer b.release()
-	p := r.probe(b, key, epoch, cur)
+	p := r.probe(b, key, rings.View.Epoch, cur)
 	switch {
 	case p.wrongEpoch:
 		return false, wire.ErrWrongEpoch
@@ -262,37 +284,31 @@ func (r *repStrategy) verify(b *batcher, key string) (bool, error) {
 	return healthy, nil
 }
 
-// converge for replication. The sources are the current placement for
-// a repair, the old ring's for a migration: that is where the data
-// lives, and the first copy in source order is authoritative, carrying
-// its version and remaining TTL into every refill so the reconverged
-// replicas agree on the CAS token too.
+// converge for replication. The sources are the current holders, then
+// the servers only a draining placement names; the first copy in that
+// order is authoritative — the read path's order, so convergence makes
+// durable what reads observe — and carries its version and remaining
+// TTL into every refill so the reconverged replicas agree on the CAS
+// token too.
 //
-// A repair rewrites, unconditionally, every holder whose copy is
-// absent, unreachable or diverged — only a rewrite reconverges two
-// holders answering with different bytes. A migration adds the value
-// (CompareAbsent) to the current holders that showed none, and to those
-// the old ring did not name, unprobed: the add is its own probe, and a
-// holder that has the key — from an earlier pass or a concurrent
-// overwrite — answers Exists and keeps what it has. It then drains the
-// holders only the old ring named, conditional on the version that was
-// copied, so a write that raced past the refill keeps its differently-
-// versioned copy.
-func (r *repStrategy) converge(b *batcher, key string, old *hashring.Ring) (convergence, error) {
-	ring, epoch := r.c.placementSnapshot()
-	cur := distinct(placementOn(ring, key, r.replicas))
+// An unmoved key's repair rewrites, unconditionally, every holder whose
+// copy is absent, unreachable or diverged — only a rewrite reconverges
+// two holders answering with different bytes. A moved key adds the
+// value (CompareAbsent) to the current holders that showed none: a
+// holder that has the key by then — from a concurrent overwrite — keeps
+// what it has. It then drains the servers only a draining placement
+// names, each conditional on the version it showed, so a write that
+// raced past the probe keeps its copy.
+func (r *repStrategy) converge(b *batcher, key string) (convergence, error) {
+	rings := r.c.view.Rings()
+	cur, others, moved := r.holders(rings, key)
 	if len(cur) == 0 {
 		return convergence{}, ErrUnavailable
 	}
-	sources := cur
-	if old != nil {
-		if sources = distinct(placementOn(old, key, r.replicas)); sameMembers(sources, cur) {
-			return convergence{}, nil
-		}
-	}
+	sources := append(slices.Clip(cur), others...)
 	defer b.release()
-	p := r.probe(b, key, epoch, sources)
-	v := convergence{checked: len(sources)}
+	p := r.probe(b, key, rings.View.Epoch, sources)
+	v := convergence{checked: len(sources), moved: moved}
 	switch {
 	case p.wrongEpoch:
 		// Stale placement snapshot: let the epoch retry refresh the view
@@ -310,64 +326,74 @@ func (r *repStrategy) converge(b *batcher, key string, old *hashring.Ring) (conv
 		Op: wire.OpSet, Key: key, Value: auth.Value, TTLSeconds: auth.TTLSeconds,
 		Meta: wire.ECMeta{Stripe: auth.Meta.Stripe},
 	}
-	if old != nil {
+	if v.moved {
 		refill.Op, refill.Compare = wire.OpCompareSet, wire.CompareAbsent
 	}
 	var refills, drains []subOp
 	for i, addr := range sources {
 		switch {
-		case old != nil && !slices.Contains(cur, addr):
-			// A holder that left the placement and answered not-found has
-			// nothing to drain; an unreachable one is still asked, so its
-			// failure keeps the key on the migration's list.
+		case i >= len(cur):
+			// A server only a draining placement names that answered
+			// not-found has nothing to drain; an unreachable one is still
+			// asked, so its failure keeps the key unconverged.
+			version := auth.Meta.Stripe
+			if p.holds(i) {
+				version = p.ops[i].resp.Meta.Stripe
+			}
 			if p.ops[i].err != nil || p.holds(i) {
 				drains = append(drains, subOp{addr: addr, req: wire.BatchReq{
-					Op: wire.OpDelete, Key: key, Compare: auth.Meta.Stripe,
+					Op: wire.OpDelete, Key: key, Compare: version,
 				}})
 			}
-		case old == nil && !p.same(i), old != nil && !p.holds(i):
+		case !v.moved && !p.same(i), v.moved && !p.holds(i):
 			refills = append(refills, subOp{addr: addr, req: refill})
 		}
 	}
-	for _, addr := range cur {
-		if !slices.Contains(sources, addr) {
-			refills = append(refills, subOp{addr: addr, req: refill})
-		}
-	}
-	return b.settle(epoch, v, refills, drains, old != nil)
+	return b.settle(rings.View, v, refills, drains)
 }
 
-// probe fetches chunk i of key from position i's holder in the current
-// placement and — where an old placement names a different holder for
-// it — from that one too, all in one round; a server holding two chunk
-// indices gets them in one frame. It returns the chunks grouped by
-// stripe (aliasing response bodies the batcher holds until release),
-// the stripe observed at each location (at[0] current, at[1] old; 0 =
+// probe fetches chunk i of key from position i's holder in every source
+// placement (places[0] the current one) in one round, asking a holder
+// an earlier placement names for the same position only once; a server
+// holding two chunk indices gets them in one frame. It returns the
+// chunks grouped by stripe (aliasing response bodies the batcher holds
+// until release), the stripe observed at each location (at[s][i]; 0 =
 // absent, unreadable or not probed) and the number of locations probed.
-func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, cur, prev []string) (st gather, at [2][]uint64, probed int) {
+func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, places [][]string) (st gather, at [][]uint64, probed int) {
 	n := e.k + e.m
 	st.ChunkCollector = wire.NewChunkCollector(e.k, n)
-	stripes := make([]uint64, 2*n)
-	at = [2][]uint64{stripes[:n], stripes[n:]}
-	ops := make([]subOp, 0, 2*n)
+	stripes := make([]uint64, len(places)*n)
+	at = make([][]uint64, len(places))
+	for s := range at {
+		at[s] = stripes[s*n : (s+1)*n]
+	}
+	ops := make([]subOp, 0, len(stripes))
 	var keyBuf [8]string
 	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
-	for s, placement := range [2][]string{cur, prev} {
-		for i, addr := range placement {
-			if s == 1 && addr == cur[i] {
-				continue // chunk i did not move: one holder, one probe
-			}
-			// key is the location's slot in stripes.
-			ops = append(ops, subOp{addr: addr, key: s*n + i, req: wire.BatchReq{
-				Op: wire.OpGetChunk, Key: keys[i],
-			}})
-		}
-	}
+	eachSource(places, 0, func(s, i int) {
+		// key is the location's slot in stripes.
+		ops = append(ops, subOp{addr: places[s][i], key: s*n + i, req: wire.BatchReq{
+			Op: wire.OpGetChunk, Key: keys[i],
+		}})
+	})
 	b.send(ops, epoch)
 	for j := range ops {
 		stripes[ops[j].key] = st.classify(&ops[j])
 	}
 	return st, at, len(ops)
+}
+
+// eachSource calls fn for every position i of every placement s >= from
+// whose holder no earlier placement names for the same position: a
+// chunk that did not move has one holder, asked once.
+func eachSource(places [][]string, from int, fn func(s, i int)) {
+	for s := from; s < len(places); s++ {
+		for i, addr := range places[s] {
+			if !slices.ContainsFunc(places[:s], func(p []string) bool { return p[i] == addr }) {
+				fn(s, i)
+			}
+		}
+	}
 }
 
 // verify for erasure coding: one stripe on all K+M locations, and its
@@ -376,12 +402,16 @@ func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, cur, prev []str
 // attestation without an error — it needs repair.
 func (e *ecStrategy) verify(b *batcher, key string) (bool, error) {
 	n := e.k + e.m
-	cur, epoch := e.c.placement(key, n)
-	if cur == nil {
+	rings := e.c.view.Rings()
+	places := sourcePlacements(rings, key, n)
+	switch {
+	case places == nil:
 		return false, ErrUnavailable
+	case len(places) > 1:
+		return false, nil
 	}
 	defer b.release()
-	st, at, _ := e.probe(b, key, epoch, cur, nil)
+	st, at, _ := e.probe(b, key, rings.View.Epoch, places)
 	win := st.Best()
 	switch {
 	case st.wrongEpoch:
@@ -402,30 +432,26 @@ func (e *ecStrategy) verify(b *batcher, key string) (bool, error) {
 	return ok, err
 }
 
-// converge for erasure coding: collect the key's chunks from the
-// current placement — and the old ring's, when migrating — take the
-// winning stripe, reconstruct what no source holds, write each chunk
-// its current holder lacks, then drain the old holders whose chunk
-// index moved.
-func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (convergence, error) {
+// converge for erasure coding: collect the key's chunks from every
+// source placement, take the winning stripe, reconstruct what no source
+// holds, write each chunk its current holder lacks, then — for a moved
+// key — drain the draining-placement holders whose chunk index moved.
+func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
 	n := e.k + e.m
-	ring, epoch := e.c.placementSnapshot()
-	cur := placementOn(ring, key, n)
-	if cur == nil {
+	rings := e.c.view.Rings()
+	places := sourcePlacements(rings, key, n)
+	if places == nil {
 		return convergence{}, ErrUnavailable
 	}
-	var prev []string
-	if old != nil {
-		// Chunk placement is positional: chunk i lives at placement[i].
-		if prev = placementOn(old, key, n); slices.Equal(prev, cur) {
-			return convergence{}, nil
-		}
-	}
+	cur := places[0]
 	defer b.release()
-	st, at, probed := e.probe(b, key, epoch, cur, prev)
-	v := convergence{checked: probed}
+	st, at, probed := e.probe(b, key, rings.View.Epoch, places)
+	v := convergence{checked: probed, moved: len(places) > 1}
 	win := st.Best()
-	newest := slices.Max(at[0])
+	newest, elsewhere := slices.Max(at[0]), uint64(0)
+	for _, held := range at[1:] {
+		elsewhere = max(elsewhere, slices.Max(held))
+	}
 	switch {
 	case st.wrongEpoch:
 		// Stale placement snapshot: bail out so the epoch retry
@@ -434,13 +460,30 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 	case win != nil:
 	case st.Seen() == 0 && st.notFound == probed:
 		return v, ErrNotFound
-	case st.reachable < probed, old != nil && newest <= slices.Max(at[1]):
+	case st.reachable < probed:
 		return v, fmt.Errorf("%w: no stripe of %q has %d chunks", ErrUnavailable, key, e.k)
-	case old == nil:
-		// Every chunk holder is alive and answered, yet no stripe
-		// retains K chunks: the value is irrecoverably lost (more than M
-		// holders crashed empty before a repair could run). Leaving the
-		// orphan chunks behind would make every future read and every
+	case v.moved && newest > elsewhere:
+		// A live overwrite smears the (non-atomic) probe across several
+		// stripes, so no single stripe may show K chunks even though the
+		// key is perfectly healthy. Every probe answered and the newest
+		// chunk observed sits at the current placement, strictly newer
+		// than anything only a draining placement holds: the key is owned
+		// by an epoch-current writer, its stripes are already routed by
+		// the current ring and there is nothing to refill. The leftovers
+		// can go right now — all are strictly older than the supersession
+		// winner, so the stripe-conditional drain only removes copies no
+		// reader can ever need. A leftover it misses (gone already,
+		// unreachable) waits for a later pass and is never worth failing
+		// the convergence over.
+		drains := e.drains(key, places, at, newest)
+		b.send(drains, rings.View.Epoch)
+		v.dropped, _, _ = landed(drains)
+		return v, nil
+	default:
+		// Every chunk holder of every source is alive and answered, yet no
+		// stripe retains K chunks: the value is irrecoverably lost (more
+		// than M holders crashed empty before a repair could run). Leaving
+		// the orphan chunks behind would make every future read and every
 		// scrub cycle fail on a value that cannot come back, so treat
 		// this as authoritative loss: purge the remnants and report a
 		// clean miss.
@@ -448,34 +491,17 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 			return v, err
 		}
 		return v, ErrNotFound
-	default:
-		// A live overwrite smears the (non-atomic) probe across several
-		// stripes, so no single stripe may show K chunks even though the
-		// key is perfectly healthy. Every probe answered and the newest
-		// chunk observed sits at the NEW placement, strictly newer than
-		// anything only the old ring holds: the key is owned by an
-		// epoch-current writer, its stripes are already routed by the
-		// current ring and there is nothing to refill. The old-placement
-		// leftovers can go right now — all are strictly older than the
-		// supersession winner, so the stripe-conditional drain only
-		// removes copies no reader can ever need. A leftover it misses
-		// (gone already, unreachable) waits for a later pass and is never
-		// worth failing the migration over.
-		drains := e.drains(key, prev, at[1], newest)
-		b.send(drains, epoch)
-		v.dropped, _, _ = landed(drains)
-		return v, nil
 	}
 
-	// A repair rewrites whatever does not hold the winning stripe's
-	// chunk — lost, corrupt, or from a superseded or torn write. A
-	// migration keeps what is at least as new: stripe IDs are
+	// An unmoved key's repair rewrites whatever does not hold the winning
+	// stripe's chunk — lost, corrupt, or from a superseded or torn write.
+	// A moved key keeps what is at least as new: stripe IDs are
 	// time-ordered, and a newer one is a concurrent overwrite the current
 	// ring already routed correctly.
 	var need, lost []int
 	chunks := win.Chunks()
 	for i, held := range at[0] {
-		if held != win.Stripe && (old == nil || held < win.Stripe) {
+		if held != win.Stripe && (!v.moved || held < win.Stripe) {
 			need = append(need, i)
 		}
 		if chunks[i] == nil {
@@ -510,7 +536,7 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 			Op: wire.OpSetChunk, Key: wire.ChunkKey(key, i), Value: chunks[i],
 			TTLSeconds: win.TTL, Meta: cm,
 		}}
-		if old != nil {
+		if v.moved {
 			// Compare = the stripe observed at the holder: an absent chunk
 			// is an add (Meta.K>0 permits the insert), a stale one is
 			// swapped out atomically, and anything that changed since the
@@ -518,22 +544,25 @@ func (e *ecStrategy) converge(b *batcher, key string, old *hashring.Ring) (conve
 			refills[j].req.Op, refills[j].req.Compare = wire.OpCompareSet, at[0][i]
 		}
 	}
-	return b.settle(epoch, v, refills, e.drains(key, prev, at[1], win.Stripe), old != nil)
+	return b.settle(rings.View, v, refills, e.drains(key, places, at, win.Stripe))
 }
 
-// drains plans the stripe-conditional deletes of the chunks the old
-// placement still holds at positions that moved (held[i] != 0), none
-// newer than limit — a newer one is not the migration's to remove.
-// Each is conditional on the stripe observed there, so only the copy
-// the probe accounted for goes: a write that lands after the probe
-// changes the stripe and the delete misses, harmlessly.
-func (e *ecStrategy) drains(key string, prev []string, held []uint64, limit uint64) []subOp {
+// drains plans the stripe-conditional deletes of the chunks the
+// draining placements still hold at positions that moved (at[s][i] !=
+// 0 for s > 0), none newer than limit — a newer one is not the
+// convergence's to remove. Each is conditional on the stripe observed
+// there, so only the copy the probe accounted for goes: a write that
+// lands after the probe changes the stripe and the delete misses,
+// harmlessly.
+func (e *ecStrategy) drains(key string, places [][]string, at [][]uint64, limit uint64) []subOp {
 	var ops []subOp
-	for i, stripe := range held {
-		if stripe != 0 && stripe <= limit {
-			ops = append(ops, subOp{addr: prev[i], req: wire.BatchReq{
-				Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Meta: wire.ECMeta{Stripe: stripe},
-			}})
+	for s := 1; s < len(places); s++ {
+		for i, stripe := range at[s] {
+			if stripe != 0 && stripe <= limit {
+				ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{
+					Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Meta: wire.ECMeta{Stripe: stripe},
+				}})
+			}
 		}
 	}
 	return ops
@@ -575,30 +604,23 @@ func (h *hybridStrategy) verify(b *batcher, key string) (bool, error) {
 // resolves it first: converging on it makes what reads already observe
 // durable, while any other choice would flip the value reads return.
 // The stale stripe is purged only after the replicated form converged.
-// A migration moves the one form the key lives in (modulo those
-// interrupted overwrites, which scrub resolves) — and a replica set the
-// ring change left in place, which the replicated side reports without
-// probing, says nothing of a stripe's K+M holders: the erasure-coded
-// side still gets its turn.
-func (h *hybridStrategy) converge(b *batcher, key string, old *hashring.Ring) (convergence, error) {
-	v, err := h.rep.converge(b, key, old)
-	inPlace := old != nil && err == nil && v.checked == 0
-	switch {
-	case err == nil && old == nil:
+// A stripe's absence says nothing of replicas out of reach, so it does
+// not hide the replicated side's failure (the read path's rule too).
+func (h *hybridStrategy) converge(b *batcher, key string) (convergence, error) {
+	v, err := h.rep.converge(b, key)
+	if err == nil {
 		// A stale stripe surviving on an unreachable holder is an error,
 		// so the scrubber retries next cycle.
 		if err := h.ec.del(b, []string{key})[0].err; err != nil && !errors.Is(err, ErrNotFound) {
 			return v, err
 		}
 		return v, nil
-	case err == nil && !inPlace, old != nil && err != nil && !errors.Is(err, ErrNotFound):
+	}
+	ev, eerr := h.ec.converge(b, key)
+	if errors.Is(eerr, ErrNotFound) && !errors.Is(err, ErrNotFound) {
 		return v, err
 	}
-	v, err = h.ec.converge(b, key, old)
-	if inPlace && errors.Is(err, ErrNotFound) {
-		return v, nil // no stripe: the key is replicated, where it belongs, or gone
-	}
-	return v, err
+	return ev, eerr
 }
 
 // sameMembers reports whether a and b, each duplicate-free, name the

@@ -17,7 +17,7 @@ import (
 // locations. Every server answers after a fixed netem delay, and the
 // unit is what that makes one blocking era-ce-cd Get of a healthy key
 // cost (one round of K chunk fetches). A Verify is one round — its K+M
-// probes used to be K+M serial round trips — and a MigrateKey of a key
+// probes used to be K+M serial round trips — and a Repair of a key
 // whose placement moved is three (probe, refill, drain), where the
 // probes alone used to be ten or so trips.
 func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
@@ -40,14 +40,21 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	if err := c.Set(key, value); err != nil {
 		t.Fatal(err)
 	}
-	oldRing := hashring.Build(0, c.View().Servers)
+	// A healthy key the join does not move: Verify probes it.
+	before := hashring.Build(0, c.View().Servers)
+	healthy := ""
+	for i := 0; healthy == ""; i++ {
+		if k := fmt.Sprintf("healthy-%d", i); slices.Equal(joined.GetN(k, 5), before.GetN(k, 5)) {
+			healthy = k
+		}
+	}
 	if _, err := cl.AddServer("kv-joiner"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RingAdd("kv-joiner"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("healthy", value); err != nil {
+	if err := c.Set(healthy, value); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range cl.Addrs() {
@@ -67,31 +74,31 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 		return time.Since(start)
 	}
 
-	unit := timed(func() error { _, err := c.Get("healthy"); return err })
+	unit := timed(func() error { _, err := c.Get(healthy); return err })
 	if unit < delay {
 		t.Fatalf("a Get took %v under a %v delay: the delay is not in effect", unit, delay)
 	}
 	verify := timed(func() error {
-		ok, err := c.Verify("healthy")
+		ok, err := c.Verify(healthy)
 		if err == nil && !ok {
 			err = fmt.Errorf("healthy key did not verify")
 		}
 		return err
 	})
 	migrate := timed(func() error {
-		report, err := c.MigrateKey(key, oldRing)
-		if err == nil && (report.Refilled == 0 || report.Dropped == 0) {
+		report, err := c.Repair(key)
+		if err == nil && (report.Rewritten == 0 || report.Dropped == 0) {
 			err = fmt.Errorf("migration moved nothing: %+v", report)
 		}
 		return err
 	})
-	t.Logf("unit (one Get) %v; Verify %.2f units; MigrateKey %.2f units",
+	t.Logf("unit (one Get) %v; Verify %.2f units; moving Repair %.2f units",
 		unit, float64(verify)/float64(unit), float64(migrate)/float64(unit))
 	if verify > 2*unit {
 		t.Errorf("Verify took %v, more than 2 rounds of %v", verify, unit)
 	}
 	if migrate > 5*unit {
-		t.Errorf("MigrateKey took %v, more than 5 rounds of %v", migrate, unit)
+		t.Errorf("a moving Repair took %v, more than 5 rounds of %v", migrate, unit)
 	}
 	for _, addr := range cl.Addrs() {
 		netem.Restore(addr)
@@ -127,15 +134,14 @@ func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldRing := hashring.Build(0, c.View().Servers)
 	if _, err := cl.AddServer("kv-joiner"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RingAdd("kv-joiner"); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.MigrateKey(key, oldRing)
-	if err != nil || report.Refilled == 0 || report.Dropped == 0 {
+	report, err := c.Repair(key)
+	if err != nil || report.Rewritten == 0 || report.Dropped == 0 {
 		t.Fatalf("migrate large key: %+v, %v", report, err)
 	}
 	if repair, err := c.Repair(key); err != nil || !repair.Healthy() {
@@ -143,7 +149,7 @@ func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 	}
 	// A replicated key in the same position is in place: nothing moves,
 	// and finding no stripe of it is not an error.
-	if report, err := c.MigrateKey(small, oldRing); err != nil || report.Moved {
+	if report, err := c.Repair(small); err != nil || report.Moved || report.Rewritten != 0 || report.Dropped != 0 {
 		t.Fatalf("migrate small key whose replica set stayed: %+v, %v", report, err)
 	}
 }

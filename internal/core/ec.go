@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ecstore/internal/erasure"
+	"ecstore/internal/membership"
 	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
@@ -181,7 +183,25 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 	// the documented 2x OpTimeout bound even when the same hung holder
 	// eats both phases.
 	b.sendWithin(ops, epoch, e.c.cfg.OpTimeout/2)
+	// A holder that adopted a newer view since the write rejects its
+	// unwind too, and would keep the dead chunk for good: a leftover
+	// chunk fails every later CAS add at that holder. The deletes are
+	// stripe-conditional, so they hold at any epoch: resend the rejected
+	// ones at the cluster's current epoch.
+	var stale []subOp
+	for i := range ops {
+		if ops[i].err == nil && ops[i].resp.Status == wire.StatusWrongEpoch {
+			stale = append(stale, subOp{addr: ops[i].addr, req: ops[i].req})
+		}
+	}
 	b.release()
+	if len(stale) == 0 {
+		return
+	}
+	if view, err := e.c.RefreshView(); err == nil && view.Epoch != epoch {
+		b.sendWithin(stale, view.Epoch, e.c.cfg.OpTimeout/2)
+		b.release()
+	}
 }
 
 // coordinatorSet is the server-encode full write (Era-SE-*): the whole
@@ -289,7 +309,8 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		names := make([]string, 2*len(keys)*n)
 		holders, chunkKeys = names[:0:len(keys)*n], names[len(keys)*n:][:0]
 	}
-	ring, epoch := e.c.placementSnapshot()
+	rings := e.c.view.Rings()
+	ring, epoch := rings.Current, rings.View.Epoch
 	for i, key := range keys {
 		st := &states[i]
 		st.ChunkCollector = wire.NewChunkCollector(e.k, n)
@@ -335,6 +356,9 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			states[ops[j].key].classify(&ops[j])
 		}
 	}
+	if len(rings.Draining) > 0 {
+		e.gatherDraining(b, rings, keys, states)
+	}
 
 	start := time.Now()
 	for i, key := range keys {
@@ -350,13 +374,14 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			// computed against the wrong ring: let the retry loop refresh
 			// and re-resolve instead of misreporting availability.
 			out[i].err = wire.ErrWrongEpoch
-		case st.reachable > 0 && st.notFound == st.reachable && n-st.reachable < e.k:
+		case st.reachable > 0 && st.notFound == st.reachable && n-st.reachable < e.k && !st.elsewhere:
 			// Not-found only on conclusive evidence: every reachable chunk
-			// location answered an authoritative miss, and the unreachable
-			// ones could not hold K chunks between them — so the key
-			// cannot exist in decodable form. Anything weaker (a hung
-			// majority, partial stripes, corrupt chunks) is unavailability,
-			// not absence.
+			// location answered an authoritative miss, the unreachable
+			// ones could not hold K chunks between them, and no draining
+			// placement answered anything but a miss — so the key cannot
+			// exist in decodable form. Anything weaker (a hung majority,
+			// partial stripes, corrupt chunks) is unavailability, not
+			// absence.
 			out[i].err = ErrNotFound
 		default:
 			out[i].err = fmt.Errorf("%w: no stripe of %q has %d chunks available", ErrUnavailable, key, e.k)
@@ -415,6 +440,43 @@ type gather struct {
 	// then the retriable epoch error, never NotFound/Unavailable.
 	reachable, notFound int
 	wrongEpoch          bool
+	// elsewhere marks a draining-placement location that answered
+	// anything but an authoritative miss (gatherDraining).
+	elsewhere bool
+}
+
+// gatherDraining is gatherGet's round on the draining placements: every
+// key still without a stripe of K chunks asks, in one round for all
+// keys, each position's holder under every draining ring that places
+// it elsewhere — data a membership change has not moved yet lives
+// there. What comes back joins the key's collector; the counts the
+// absence rule reads stay the current placement's, and any answer but a
+// miss sets elsewhere, which rules the miss out.
+func (e *ecStrategy) gatherDraining(b *batcher, rings *membership.Rings, keys []string, states []gather) {
+	var ops []subOp
+	for i := range states {
+		st := &states[i]
+		if st.placement == nil || st.wrongEpoch || st.Best() != nil {
+			continue
+		}
+		places := sourcePlacements(rings, keys[i], e.k+e.m)
+		eachSource(places, 1, func(s, j int) {
+			ops = append(ops, subOp{addr: places[s][j], key: i, req: wire.BatchReq{
+				Op: wire.OpGetChunk, Key: st.chunkKeys[j],
+			}})
+		})
+	}
+	if len(ops) == 0 {
+		return
+	}
+	b.send(ops, rings.View.Epoch)
+	for j := range ops {
+		st := &states[ops[j].key]
+		reachable, notFound := st.reachable, st.notFound
+		st.classify(&ops[j])
+		st.elsewhere = st.elsewhere || st.notFound == notFound
+		st.reachable, st.notFound = reachable, notFound
+	}
 }
 
 // classify files the outcome of one chunk fetch — the one
@@ -453,12 +515,12 @@ func (st *gather) classify(op *subOp) uint64 {
 func (e *ecStrategy) del(b *batcher, keys []string) []result {
 	n := e.k + e.m
 	out := make([]result, len(keys))
-	ring, epoch := e.c.placementSnapshot()
+	rings := e.c.view.Rings()
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys)*n)
 	var keyBuf [8]string
 	for i, key := range keys {
-		placement := placementOn(ring, key, n)
+		placement := placementOn(rings.Current, key, n)
 		if placement == nil {
 			out[i].err = ErrUnavailable
 			continue
@@ -470,7 +532,23 @@ func (e *ecStrategy) del(b *batcher, keys []string) []result {
 			}})
 		}
 	}
-	b.send(ops, epoch)
+	// While the view drains, the same round deletes the chunks at the
+	// positions a draining placement moved, so neither a read nor a
+	// convergence brings the value back from there; their answers do not
+	// change the verdict.
+	current := len(ops)
+	for i := 0; len(rings.Draining) > 0 && i < len(keys); i++ {
+		if out[i].err == nil {
+			places := sourcePlacements(rings, keys[i], n)
+			eachSource(places, 1, func(s, j int) {
+				ops = append(ops, subOp{addr: places[s][j], key: i, req: wire.BatchReq{
+					Op: wire.OpDelete, Key: wire.ChunkKey(keys[i], j),
+				}})
+			})
+		}
+	}
+	b.send(ops, rings.View.Epoch)
+	ops = ops[:current]
 	// A key's sub-ops are contiguous: classify one key's run at a time.
 	for lo := 0; lo < len(ops); {
 		i := ops[lo].key
@@ -606,15 +684,38 @@ func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.D
 	case conflicts > 0:
 		firstErr = ErrCASConflict
 	case firstErr != nil:
-	case expect != wire.CompareAbsent && priors == 0:
-		// Every holder accepted, but none of them held the old stripe:
-		// the key did not exist, so a strict CAS must not create it.
+	case expect != wire.CompareAbsent && priors == 0 && !e.heldElsewhere(b, key, expect):
+		// Every holder accepted, but none of them held the old stripe,
+		// nor does any holder a draining placement names: the key did not
+		// exist, so a strict CAS must not create it.
 		firstErr = ErrNotFound
 	default:
 		return meta.Stripe, nil
 	}
 	e.unwindStripes(b, epoch, []deadStripe{{key, placement, meta.Stripe}})
 	return 0, firstErr
+}
+
+// heldElsewhere reports whether, while the view drains, a position a
+// draining placement moved still holds key's chunk of stripe: a CAS
+// whose first attempt an epoch change split — landed at the holders
+// still on the old epoch, rejected at the rest, unwound — finds the old
+// stripe only where the old ring placed it.
+func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
+	rings := e.c.view.Rings()
+	if len(rings.Draining) == 0 {
+		return false
+	}
+	places := sourcePlacements(rings, key, e.k+e.m)
+	var ops []subOp
+	eachSource(places, 1, func(s, i int) {
+		ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{Op: wire.OpGetChunk, Key: wire.ChunkKey(key, i)}})
+	})
+	b.send(ops, rings.View.Epoch)
+	defer b.release()
+	return slices.ContainsFunc(ops, func(op subOp) bool {
+		return op.err == nil && op.resp.Status == wire.StatusOK && op.resp.Meta.Stripe == stripe
+	})
 }
 
 // compareDelete for erasure coding: the stripe ID doubles as the

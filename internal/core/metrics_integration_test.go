@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ecstore/internal/core"
-	"ecstore/internal/hashring"
 )
 
 // TestMetricsMoveAcrossOps exercises the whole observability layer end
@@ -104,21 +103,18 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 	// The background operations keep the same ledger as the foreground:
 	// each call counts under its own op label and records its rounds'
 	// phases there. The repair finds the stripe healthy now the holder is
-	// back; the migration is from the ring the key already sits on.
+	// back.
 	if ok, err := c.Verify("metrics-1"); err != nil || !ok {
 		t.Fatalf("Verify: %v, %v", ok, err)
 	}
 	if _, err := c.Repair("metrics-1"); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	if _, err := c.MigrateKey("metrics-1", hashring.Build(0, cl.Addrs()[:4])); err != nil {
-		t.Fatalf("MigrateKey: %v", err)
-	}
 	if _, err := c.Verify("metrics-absent"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("Verify of an absent key: %v", err)
 	}
 	snap = c.Metrics().Snapshot()
-	for op, want := range map[string][2]int64{"verify": {2, 1}, "repair": {1, 0}, "migrate": {1, 0}} {
+	for op, want := range map[string][2]int64{"verify": {2, 1}, "repair": {1, 0}} {
 		if got := snap.Counter(fmt.Sprintf("ecstore_client_ops_total{op=%q}", op)); got != want[0] {
 			t.Errorf("ops_total{op=%q} = %d, want %d", op, got, want[0])
 		}

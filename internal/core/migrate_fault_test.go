@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ecstore/internal/core"
-	"ecstore/internal/hashring"
 )
 
 // TestMigrationLeakUnderServerKill is the netem leak sweep for the
@@ -38,8 +37,6 @@ func TestMigrationLeakUnderServerKill(t *testing.T) {
 				keys = append(keys, key)
 			}
 
-			old := c.View()
-			oldRing := hashring.Build(0, old.Servers)
 			if _, err := cl.AddServer("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +44,9 @@ func TestMigrationLeakUnderServerKill(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Sweep the keyspace; halfway through, a founding server dies.
+			// Sweep the keyspace with repairs — the view drains the old
+			// ring, so each one moves its key; halfway through, a founding
+			// server dies.
 			// Per-key errors are expected (holders unreachable, stripes
 			// unreconstructable) — the invariant under test is that no
 			// error path strands a pooled buffer.
@@ -56,7 +55,7 @@ func TestMigrationLeakUnderServerKill(t *testing.T) {
 				if i == len(keys)/2 {
 					cl.Kill(2)
 				}
-				if _, err := c.MigrateKey(key, oldRing); err != nil {
+				if _, err := c.Repair(key); err != nil {
 					failed[key] = true
 				}
 			}
@@ -93,7 +92,7 @@ func TestMigrationLeakUnderServerKill(t *testing.T) {
 			for _, key := range keys {
 				deadline := time.Now().Add(5 * time.Second)
 				for {
-					if _, err := c.MigrateKey(key, oldRing); err == nil {
+					if _, err := c.Repair(key); err == nil {
 						break
 					} else if time.Now().After(deadline) {
 						t.Errorf("retry migrate %q: %v", key, err)
@@ -154,12 +153,13 @@ func awaitGoroutines(t *testing.T, want int) {
 // leases live from the probe round to the end of the refill round. On
 // the harness above, every server answers one round in no less than
 // step, and one holder is Cut and another Hung part-way through a
-// Verify, a Repair and a MigrateKey — before the probe, while its
-// answers are in flight (so the refills meet the faults) and while the
-// refill acks are (so the drains do). Whatever each call returns, the
-// frame pool must balance, the values must read back intact once the
-// faults clear — a lease recycled under a refill would corrupt one —
-// and closing client and cluster must give every goroutine back.
+// Verify, a Repair and a Repair that moves its key (the view drains the
+// ring a join replaced) — before the probe, while its answers are in
+// flight (so the refills meet the faults) and while the refill acks are
+// (so the drains do). Whatever each call returns, the frame pool must
+// balance, the values must read back intact once the faults clear — a
+// lease recycled under a refill would corrupt one — and closing client
+// and cluster must give every goroutine back.
 func TestConvergenceHoldsNoLeaseAcrossFaults(t *testing.T) {
 	const step = 30 * time.Millisecond
 	for name, cfg := range migrationModes() {
@@ -181,68 +181,71 @@ func TestConvergenceHoldsNoLeaseAcrossFaults(t *testing.T) {
 				}
 				keys = append(keys, key)
 			}
-			oldRing := hashring.Build(0, admin.View().Servers)
 			if _, err := cl.AddServer("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := admin.RingAdd("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
-			// The first half of the keys is migrated now, for Verify and
-			// Repair; the second half stays where the old ring put it, for
-			// MigrateKey. (A Repair of an unmigrated stripe sees only the
-			// chunks whose position did not move and may purge them as
-			// authoritative loss — a Repair/MigrateKey ordering hazard this
-			// sweep is not about.) Then one founder restarts empty, so
-			// repairs have rewrites to send.
-			for _, key := range keys[:6] {
-				if _, err := admin.MigrateKey(key, oldRing); err != nil {
+			// One founder restarts empty, so every call has rewrites to
+			// send: a repair under the draining view reads the moved
+			// chunks where the old ring left them.
+			restartFounder := func() {
+				cl.Kill(0)
+				if err := cl.RestartWithView(0, admin.View()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			cl.Kill(0)
-			if err := cl.RestartWithView(0, admin.View()); err != nil {
-				t.Fatal(err)
-			}
+			restartFounder()
 
-			calls := []func(c *core.Client, i int){
-				func(c *core.Client, i int) { _, _ = c.Verify(keys[i%6]) },
-				func(c *core.Client, i int) { _, _ = c.Repair(keys[i%6]) },
-				func(c *core.Client, i int) { _, _ = c.MigrateKey(keys[6+i%6], oldRing) },
-			}
 			addrs := cl.Addrs()
 			next := 0
-			for _, call := range calls {
-				for _, after := range []time.Duration{0, step / 2, 3 * step / 2} {
-					for _, addr := range addrs {
-						netem.Delay(addr, step)
+			sweep := func(calls ...func(c *core.Client, i int)) {
+				for _, call := range calls {
+					for _, after := range []time.Duration{0, step / 2, 3 * step / 2} {
+						for _, addr := range addrs {
+							netem.Delay(addr, step)
+						}
+						// A client of its own, so one case's suspects do not
+						// fast-fail the next.
+						c := newClient(t, cl, cfg)
+						c.AdoptView(admin.View())
+						cut, hung := addrs[1+next%3], addrs[4+next%3]
+						faults := time.AfterFunc(after, func() {
+							netem.Cut(cut)
+							netem.Hang(hung)
+						})
+						for i := 0; i < 2; i++ { // one small key, one large
+							call(c, next+i)
+						}
+						faults.Stop()
+						c.Close()
+						for _, addr := range addrs {
+							netem.Restore(addr)
+						}
+						next++
 					}
-					// A client of its own, so one case's suspects do not
-					// fast-fail the next.
-					c := newClient(t, cl, cfg)
-					c.AdoptView(admin.View())
-					cut, hung := addrs[1+next%3], addrs[4+next%3]
-					faults := time.AfterFunc(after, func() {
-						netem.Cut(cut)
-						netem.Hang(hung)
-					})
-					for i := 0; i < 2; i++ { // one small key, one large
-						call(c, next+i)
-					}
-					faults.Stop()
-					c.Close()
-					for _, addr := range addrs {
-						netem.Restore(addr)
-					}
-					next++
 				}
 			}
+			// The second half of the keys moves under faults while the view
+			// drains; then every key moves, the drain finishes, the founder
+			// restarts empty again, and the first half is verified and
+			// repaired under faults at the steady view.
+			sweep(func(c *core.Client, i int) { _, _ = c.Repair(keys[6+i%6]) })
+			for _, key := range keys {
+				if _, err := admin.Repair(key); err != nil {
+					t.Fatalf("migrate %q: %v", key, err)
+				}
+			}
+			finishDrain(t, admin)
+			restartFounder()
+			sweep(
+				func(c *core.Client, i int) { _, _ = c.Verify(keys[i%6]) },
+				func(c *core.Client, i int) { _, _ = c.Repair(keys[i%6]) },
+			)
 			waitPoolBaseline(t, baseline)
 
 			for key, want := range values {
-				if _, err := admin.MigrateKey(key, oldRing); err != nil {
-					t.Errorf("migrate %q after the faults cleared: %v", key, err)
-				}
 				if _, err := admin.Repair(key); err != nil {
 					t.Errorf("repair %q after the faults cleared: %v", key, err)
 				}

@@ -22,24 +22,32 @@ func migrationModes() map[string]core.Config {
 	}
 }
 
-// migrateAll runs MigrateKey for every key against oldRing and returns
-// the aggregate report.
-func migrateAll(t *testing.T, c *core.Client, keys []string, oldRing *hashring.Ring) core.MigrateReport {
+// migrateAll repairs every key under the client's view — which still
+// drains the ring a membership change replaced, so each repair moves
+// its key — and returns the aggregate report.
+func migrateAll(t *testing.T, c *core.Client, keys []string) core.RepairReport {
 	t.Helper()
-	var agg core.MigrateReport
+	var agg core.RepairReport
 	for _, key := range keys {
-		rep, err := c.MigrateKey(key, oldRing)
+		rep, err := c.Repair(key)
 		if err != nil {
 			t.Fatalf("migrate %q: %v", key, err)
 		}
-		if rep.Moved {
-			agg.Moved = true
-		}
-		agg.Refilled += rep.Refilled
+		agg.Moved = agg.Moved || rep.Moved
+		agg.Rewritten += rep.Rewritten
 		agg.Dropped += rep.Dropped
 		agg.BytesMoved += rep.BytesMoved
 	}
 	return agg
+}
+
+// finishDrain publishes the client's view without its draining rings,
+// as the background daemon does after a clean pass.
+func finishDrain(t *testing.T, c *core.Client) {
+	t.Helper()
+	if _, err := c.PushView(c.View().Drained()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMigrateKeyAfterRingAdd(t *testing.T) {
@@ -61,7 +69,6 @@ func TestMigrateKeyAfterRingAdd(t *testing.T) {
 			}
 
 			old := c.View()
-			oldRing := hashring.Build(0, old.Servers)
 			if _, err := cl.AddServer("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +76,14 @@ func TestMigrateKeyAfterRingAdd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if installed.Epoch != old.Epoch+1 || !installed.Contains("kv-joiner") {
+			if installed.Epoch != old.Epoch+1 || !installed.Contains("kv-joiner") ||
+				len(installed.Draining) != 1 || !slices.Equal(installed.Draining[0], old.Servers) {
 				t.Fatalf("installed view = %v", installed)
 			}
 
-			agg := migrateAll(t, c, keys, oldRing)
-			if agg.Refilled == 0 {
-				t.Fatal("no chunk was refilled onto the joined server")
+			agg := migrateAll(t, c, keys)
+			if !agg.Moved || agg.Rewritten == 0 {
+				t.Fatalf("no chunk was refilled onto the joined server: %+v", agg)
 			}
 
 			// Everything must read back intact through the new ring.
@@ -90,13 +98,14 @@ func TestMigrateKeyAfterRingAdd(t *testing.T) {
 			}
 
 			// A second pass is a no-op: migration converged.
-			again := migrateAll(t, c, keys, oldRing)
-			if again.Moved || again.Refilled != 0 || again.Dropped != 0 {
+			again := migrateAll(t, c, keys)
+			if again.Rewritten != 0 || again.Dropped != 0 {
 				t.Fatalf("second migration pass still moved data: %+v", again)
 			}
 
 			// Every stripe is fully present at its NEW placement: no key
 			// depends on chunks the old ring left behind.
+			finishDrain(t, c)
 			for _, key := range keys {
 				report, err := c.Repair(key)
 				if err != nil {
@@ -131,13 +140,11 @@ func TestMigrateKeyAfterRingRemove(t *testing.T) {
 			// Decommission flow: publish the shrunken ring FIRST, migrate
 			// the departing server's data to the survivors, and only then
 			// stop the process.
-			old := c.View()
-			oldRing := hashring.Build(0, old.Servers)
 			victim := cl.Addrs()[2]
 			if _, err := c.RingRemove(victim); err != nil {
 				t.Fatal(err)
 			}
-			migrateAll(t, c, keys, oldRing)
+			migrateAll(t, c, keys)
 			cl.RemoveServer(2)
 
 			for key, want := range values {
@@ -156,6 +163,15 @@ func TestMigrateKeyAfterRingRemove(t *testing.T) {
 				}
 				if !report.Healthy() {
 					t.Fatalf("stripe %q degraded after decommission: %+v", key, report)
+				}
+			}
+			// The view still drains the ring that named the stopped server:
+			// the repairs above ran against it. Cleared, the current
+			// placement alone holds every key.
+			finishDrain(t, c)
+			for _, key := range keys {
+				if report, err := c.Repair(key); err != nil || !report.Healthy() {
+					t.Fatalf("stripe %q at the current placement alone: %+v, %v", key, report, err)
 				}
 			}
 		})
@@ -185,8 +201,6 @@ func TestMigrateSupersededKeyDrainsLeftovers(t *testing.T) {
 		s1[key] = ver
 	}
 
-	old := c.View()
-	oldRing := hashring.Build(0, old.Servers)
 	if _, err := cl.AddServer("kv-joiner"); err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +268,15 @@ func TestMigrateSupersededKeyDrainsLeftovers(t *testing.T) {
 	restamp(key, fresh[1], s2+1)
 	restamp(key, fresh[2], s2+2)
 
-	report, err := c.MigrateKey(key, oldRing)
+	report, err := c.Repair(key)
 	if err != nil {
 		t.Fatalf("migrate superseded key: %v", err)
 	}
 	if report.Dropped != len(leftovers) {
 		t.Fatalf("dropped %d leftovers, want %d", report.Dropped, len(leftovers))
 	}
-	if report.Refilled != 0 {
-		t.Fatalf("superseded key was refilled (%d): migration must not touch a live writer's stripes", report.Refilled)
+	if report.Rewritten != 0 {
+		t.Fatalf("superseded key was refilled (%d): migration must not touch a live writer's stripes", report.Rewritten)
 	}
 	if remaining := chunkAt(key, s1[key]); len(remaining) != 0 {
 		t.Fatalf("%d old-placement leftovers survived the drain", len(remaining))
@@ -277,11 +291,11 @@ func TestMigrateSupersededKeyDrainsLeftovers(t *testing.T) {
 	if got, err := c.Get(key); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read after heal: %v", err)
 	}
-	again, err := c.MigrateKey(key, oldRing)
+	again, err := c.Repair(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Moved || again.Dropped != 0 || again.Refilled != 0 {
+	if again.Dropped != 0 || again.Rewritten != 0 {
 		t.Fatalf("post-heal migration pass still moved data: %+v", again)
 	}
 }
@@ -349,7 +363,6 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			}
 
 			old := admin.View()
-			oldRing := hashring.Build(0, old.Servers)
 			// A second key, one the joiner takes a copy or chunk of, stays
 			// unmigrated for the stale-migrate leg below.
 			joined := hashring.Build(0, append(cl.Addrs(), "kv-joiner"))
@@ -368,9 +381,39 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			if _, err := admin.RingAdd("kv-joiner"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := admin.MigrateKey(key, oldRing); err != nil {
+
+			// A repair of a moved key from one epoch behind: the client
+			// first adopts the joined view, which drains the old ring, and
+			// then a second join moves the ring on behind its back. Its
+			// rounds carry its stale epoch like everyone else's; a
+			// migration used to count the rejections as unreachable holders
+			// and fail with ErrUnavailable forever.
+			staleMigrate := newClient(t, cl, cfg)
+			staleMigrate.AdoptView(admin.View())
+			if _, err := cl.AddServer("kv-joiner-2"); err != nil {
 				t.Fatal(err)
 			}
+			bumped, err := admin.RingAdd("kv-joiner-2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if staleMigrate.View().Epoch != old.Epoch+1 {
+				t.Fatalf("migrate client already at epoch %d", staleMigrate.View().Epoch)
+			}
+			moved, err := staleMigrate.Repair(movedKey)
+			if err != nil || !moved.Moved || moved.Rewritten == 0 {
+				t.Fatalf("migrate from stale epoch: %+v, %v", moved, err)
+			}
+			if staleMigrate.View().Epoch != bumped.Epoch {
+				t.Fatalf("migrate client did not adopt the new epoch: %d", staleMigrate.View().Epoch)
+			}
+
+			// Move the first key too and finish the drain: epoch old+3.
+			if _, err := admin.Repair(key); err != nil {
+				t.Fatal(err)
+			}
+			finishDrain(t, admin)
+			current := admin.View().Epoch
 
 			if staleVerify.View().Epoch != old.Epoch {
 				t.Fatalf("verify client already at epoch %d", staleVerify.View().Epoch)
@@ -379,7 +422,7 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("verify from stale epoch: ok=%v err=%v", ok, err)
 			}
-			if staleVerify.View().Epoch != old.Epoch+1 {
+			if staleVerify.View().Epoch != current {
 				t.Fatalf("verify client did not adopt the new epoch: %d", staleVerify.View().Epoch)
 			}
 
@@ -393,32 +436,8 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			if !report.Healthy() {
 				t.Fatalf("repair from stale epoch found degraded stripe: %+v", report)
 			}
-			if staleRepair.View().Epoch != old.Epoch+1 {
+			if staleRepair.View().Epoch != current {
 				t.Fatalf("repair client did not adopt the new epoch: %d", staleRepair.View().Epoch)
-			}
-
-			// MigrateKey from one epoch behind: the client's ring must
-			// differ from the source ring for there to be anything to
-			// probe, so it first adopts the joined view, and then the ring
-			// moves on once more behind its back. Its rounds carry its stale
-			// epoch like everyone else's; it used to count the rejections as
-			// unreachable holders and fail with ErrUnavailable forever.
-			staleMigrate := newClient(t, cl, cfg)
-			staleMigrate.AdoptView(admin.View())
-			bumped := admin.View()
-			bumped.Epoch++
-			if _, err := admin.PushView(bumped); err != nil {
-				t.Fatal(err)
-			}
-			if staleMigrate.View().Epoch != old.Epoch+1 {
-				t.Fatalf("migrate client already at epoch %d", staleMigrate.View().Epoch)
-			}
-			moved, err := staleMigrate.MigrateKey(movedKey, oldRing)
-			if err != nil || !moved.Moved {
-				t.Fatalf("migrate from stale epoch: %+v, %v", moved, err)
-			}
-			if staleMigrate.View().Epoch != bumped.Epoch {
-				t.Fatalf("migrate client did not adopt the new epoch: %d", staleMigrate.View().Epoch)
 			}
 			if got, err := admin.Get(movedKey); err != nil || string(got) != "moved payload" {
 				t.Fatalf("read after stale-epoch migration: %q, %v", got, err)

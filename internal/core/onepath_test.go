@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/hashring"
 	"ecstore/internal/membership"
 	"ecstore/internal/wire"
 )
@@ -26,17 +28,27 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 	baseline := poolDelta()
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, allModes()["era-ce-cd"])
-	if err := c.Set("stale-delete", bytes.Repeat([]byte("d"), 4<<10)); err != nil {
+	// The next epoch places by other servers — an epoch that only clears
+	// draining rings is accepted at the previous one — but not this key:
+	// the retry deletes the chunks the Set wrote.
+	next := membership.View{Epoch: c.View().Epoch + 1, Servers: append(slices.Clone(c.View().Servers), "kv-ghost")}
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("stale-delete-%d", i)
+		if slices.Equal(hashring.Build(0, next.Servers).GetN(k, 5), hashring.Build(0, c.View().Servers).GetN(k, 5)) {
+			key = k
+		}
+	}
+	if err := c.Set(key, bytes.Repeat([]byte("d"), 4<<10)); err != nil {
 		t.Fatal(err)
 	}
-	next := membership.View{Epoch: c.View().Epoch + 1, Servers: c.View().Servers}
 	for i := range cl.Addrs() {
 		if !cl.Server(i).AdoptView(next) {
 			t.Fatalf("server %d refused epoch %d", i, next.Epoch)
 		}
 	}
 
-	if err := c.Delete("stale-delete"); err != nil {
+	if err := c.Delete(key); err != nil {
 		t.Fatalf("Delete across an epoch bump: %v", err)
 	}
 	if c.View().Epoch != next.Epoch {
@@ -53,7 +65,7 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 	if later := deletes(); later != landed {
 		t.Errorf("%d deletes reached the servers after Delete returned", later-landed)
 	}
-	if _, err := c.Get("stale-delete"); !errors.Is(err, core.ErrNotFound) {
+	if _, err := c.Get(key); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("Get after Delete: %v, want ErrNotFound", err)
 	}
 	waitPoolBaseline(t, baseline)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ecstore/internal/membership"
 	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
@@ -104,15 +105,53 @@ func (c *Client) walk(b *batcher, keys []string, width int,
 }
 
 // get is the replicated read: the failover walk with one OpGet per
-// outstanding key per round. Reads are idempotent, so the whole walk is
-// retried on transient failure, and re-resolved on an epoch rejection.
+// outstanding key per round, then — while the view drains — one round
+// on the draining placements for the keys it found no copy of. Reads
+// are idempotent, so the whole read is retried on transient failure,
+// and re-resolved on an epoch rejection.
 func (r *repStrategy) get(b *batcher, keys []string) []result {
 	return r.c.retryKeys(true, func(idx []int) []result {
 		keys := subset(keys, idx)
-		return r.c.walk(b, keys, r.replicas,
+		out := r.c.walk(b, keys, r.replicas,
 			func(i int) wire.BatchReq { return wire.BatchReq{Op: wire.OpGet, Key: keys[i]} },
 			rpc.IsUnavailable)
+		if rings := r.c.view.Rings(); len(rings.Draining) > 0 {
+			r.getDraining(b, rings, keys, out)
+		}
+		return out
 	})
+}
+
+// getDraining asks, in one round, the servers only a draining placement
+// names for every key the walk found no copy of (not found or
+// unavailable): data a membership change has not moved yet lives
+// there. The first copy in placement order answers the key; a key no
+// such server has a copy of keeps the walk's verdict.
+func (r *repStrategy) getDraining(b *batcher, rings *membership.Rings, keys []string, out []result) {
+	var ops []subOp
+	for i, key := range keys {
+		if !errors.Is(out[i].err, ErrNotFound) && !errors.Is(out[i].err, ErrUnavailable) {
+			continue
+		}
+		_, others, _ := r.holders(rings, key)
+		for _, addr := range others {
+			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{Op: wire.OpGet, Key: key}})
+		}
+	}
+	if len(ops) == 0 {
+		return
+	}
+	b.send(ops, rings.View.Epoch)
+	for j := range ops {
+		if op := &ops[j]; op.err == nil && op.resp.Status == wire.StatusOK && out[op.key].err != nil {
+			out[op.key] = result{item: Item{
+				Value:   append([]byte(nil), op.resp.Value...),
+				Version: op.resp.Meta.Stripe,
+				TTL:     op.resp.TTLSeconds,
+			}}
+		}
+	}
+	b.release()
 }
 
 // set is the replicated write. Async-Rep issues every replica write of
@@ -175,14 +214,17 @@ func (r *repStrategy) set(b *batcher, writes []write) []result {
 // del is the replicated delete: every (key, replica) delete in one
 // round, classified per key — no replica reachable is unavailability,
 // every reachable replica answering not-found an authoritative miss
-// (memcached delete semantics).
+// (memcached delete semantics). While the view drains, the same round
+// deletes the copies on the servers only a draining placement names, so
+// neither a read nor a convergence brings the value back from there;
+// their answers do not change the verdict.
 func (r *repStrategy) del(b *batcher, keys []string) []result {
 	out := make([]result, len(keys))
-	ring, epoch := r.c.placementSnapshot()
+	rings := r.c.view.Rings()
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys)*r.replicas)
 	for i, key := range keys {
-		placement := placementOn(ring, key, r.replicas)
+		placement := placementOn(rings.Current, key, r.replicas)
 		if placement == nil {
 			out[i].err = ErrUnavailable
 			continue
@@ -191,7 +233,15 @@ func (r *repStrategy) del(b *batcher, keys []string) []result {
 			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{Op: wire.OpDelete, Key: key}})
 		}
 	}
-	b.send(ops, epoch)
+	current := len(ops)
+	for i := 0; len(rings.Draining) > 0 && i < len(keys); i++ {
+		_, others, _ := r.holders(rings, keys[i])
+		for _, addr := range others {
+			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{Op: wire.OpDelete, Key: keys[i]}})
+		}
+	}
+	b.send(ops, rings.View.Epoch)
+	ops = ops[:current]
 	// A key's sub-ops are contiguous: classify one key's run at a time.
 	for lo := 0; lo < len(ops); {
 		i := ops[lo].key

@@ -18,8 +18,8 @@ const epochRetryLimit = 3
 // epochRetry runs fn and, on a membership-epoch rejection
 // (wire.ErrWrongEpoch), refreshes the client's view from the cluster
 // and re-runs it — retryKeys' epoch rule for the single-key entry
-// points that have no key-slice form (Cas and DeleteCas; Repair,
-// MigrateKey and Verify). fn re-resolves placement from a fresh view
+// points that have no key-slice form (Cas and DeleteCas; Repair and
+// Verify). fn re-resolves placement from a fresh view
 // snapshot on every attempt, so the retry really does route against
 // the new ring.
 func epochRetry[T any](c *Client, fn func() (T, error)) (T, error) {
@@ -48,8 +48,8 @@ func (c *Client) OnViewChange(fn func(old, new membership.View)) {
 	c.view.OnChange(fn)
 }
 
-// RefreshView polls every server the client knows of — the current
-// view's members plus the configured seeds — for its membership view,
+// RefreshView polls every server the client knows of (RingStatus) for
+// its membership view,
 // adopts the newest epoch, and best-effort pushes the winner to the
 // servers that answered with an older one (the read-repair half of the
 // epoch protocol: a stale server rejects every data request until it
@@ -57,49 +57,27 @@ func (c *Client) OnViewChange(fn func(old, new membership.View)) {
 // It fails only when NO server answered.
 func (c *Client) RefreshView() (membership.View, error) {
 	cur := c.view.Current()
-	addrs := distinct(append(append([]string{}, cur.Servers...), c.cfg.Servers...))
-	type probe struct {
-		view membership.View
-		err  error
-	}
-	probes := make([]probe, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpRingGet, Key: "ring"})
-			if err != nil {
-				resp.Release()
-				probes[i] = probe{err: err}
-				return
-			}
-			v, derr := membership.Decode(resp.Value)
-			resp.Release()
-			probes[i] = probe{view: v, err: derr}
-		}(i, addr)
-	}
-	wg.Wait()
+	statuses := c.RingStatus()
 	best := cur
 	reached := 0
 	var lastErr error
-	for _, p := range probes {
-		if p.err != nil {
-			lastErr = p.err
+	for _, st := range statuses {
+		if st.Err != nil {
+			lastErr = st.Err
 			continue
 		}
 		reached++
-		if p.view.Epoch > best.Epoch {
-			best = p.view
+		if st.View.Epoch > best.Epoch {
+			best = st.View
 		}
 	}
 	if reached == 0 {
 		return cur, fmt.Errorf("%w: ring refresh reached no server: %v", ErrUnavailable, lastErr)
 	}
 	c.view.Adopt(best)
-	for i, p := range probes {
-		if p.err == nil && p.view.Epoch < best.Epoch {
-			_, _ = c.pushViewTo(addrs[i], best)
+	for _, st := range statuses {
+		if st.Err == nil && st.View.Epoch < best.Epoch {
+			_, _ = c.pushViewTo(st.Addr, best)
 		}
 	}
 	return c.view.Current(), nil
@@ -121,9 +99,11 @@ func (c *Client) pushViewTo(addr string, v membership.View) (membership.View, er
 }
 
 // PushView installs v locally and propagates it to every server of
-// both the outgoing and incoming views — a departing server must learn
-// the view that excludes it, or it would keep accepting same-epoch
-// traffic forever. Unreachable servers are skipped (they adopt on
+// both the outgoing and incoming views, draining rings included — a
+// departing server must learn the view that excludes it, or it would
+// keep accepting same-epoch traffic forever, and a server a draining
+// ring still names is sent the convergence's rounds stamped with v's
+// epoch. Unreachable servers are skipped (they adopt on
 // restart or via client read-repair); PushView fails only when no
 // server adopted. It returns the cluster's view afterwards, which may
 // be newer than v if a concurrent change won.
@@ -133,7 +113,7 @@ func (c *Client) PushView(v membership.View) (membership.View, error) {
 	}
 	old := c.view.Current()
 	c.view.Adopt(v)
-	targets := distinct(append(append([]string{}, v.Servers...), old.Servers...))
+	targets := distinct(append(v.AllServers(), old.AllServers()...))
 	acked := 0
 	var lastErr error
 	for _, addr := range targets {
@@ -156,34 +136,38 @@ func (c *Client) PushView(v membership.View) (membership.View, error) {
 // RingAdd proposes a membership view with addr joined, pushes it to
 // the cluster, and returns the installed view. The proposal is built
 // on a freshly refreshed view so a concurrent change is not silently
-// overwritten by a stale epoch+1.
+// overwritten by a stale epoch+1, and it drains the outgoing ring (and
+// whatever that view still drained) until a background pass has moved
+// every key (internal/scrub).
 func (c *Client) RingAdd(addr string) (membership.View, error) {
-	cur, err := c.RefreshView()
-	if err != nil {
-		return cur, err
-	}
-	if cur.Contains(addr) {
-		return cur, fmt.Errorf("core: %s is already a member of epoch %d", addr, cur.Epoch)
-	}
-	return c.PushView(cur.WithAdded(addr))
+	return c.changeRing(addr, true)
 }
 
 // RingRemove proposes a membership view with addr removed and pushes
 // it to the cluster (including addr itself, so a still-live departing
-// server stops accepting placement traffic immediately).
+// server stops accepting placement traffic immediately). Like RingAdd,
+// the view drains the outgoing ring.
 func (c *Client) RingRemove(addr string) (membership.View, error) {
+	return c.changeRing(addr, false)
+}
+
+// changeRing publishes the view after the cluster's current one with
+// addr joined (add) or departed.
+func (c *Client) changeRing(addr string, add bool) (membership.View, error) {
 	cur, err := c.RefreshView()
-	if err != nil {
+	switch {
+	case err != nil:
 		return cur, err
-	}
-	if !cur.Contains(addr) {
+	case add && cur.Contains(addr):
+		return cur, fmt.Errorf("core: %s is already a member of epoch %d", addr, cur.Epoch)
+	case add:
+		return c.PushView(cur.WithAdded(addr))
+	case !cur.Contains(addr):
 		return cur, fmt.Errorf("core: %s is not a member of epoch %d", addr, cur.Epoch)
-	}
-	next := cur.WithRemoved(addr)
-	if len(next.Servers) == 0 {
+	case len(cur.Servers) == 1:
 		return cur, fmt.Errorf("core: refusing to remove the last server %s", addr)
 	}
-	return c.PushView(next)
+	return c.PushView(cur.WithRemoved(addr))
 }
 
 // RingServerStatus is one server's answer in a RingStatus sweep.
@@ -193,12 +177,14 @@ type RingServerStatus struct {
 	Err  error
 }
 
-// RingStatus reports the membership view each known server currently
-// holds, for the admin `ring status` surface: disagreement between the
-// rows is the propagation lag the epoch protocol closes.
+// RingStatus reports the membership view each known server — every
+// server the current view names, draining rings included, and the
+// configured seeds — currently holds, for the admin `ring status`
+// surface and RefreshView: disagreement between the rows is the
+// propagation lag the epoch protocol closes.
 func (c *Client) RingStatus() []RingServerStatus {
 	cur := c.view.Current()
-	addrs := distinct(append(append([]string{}, cur.Servers...), c.cfg.Servers...))
+	addrs := distinct(append(cur.AllServers(), c.cfg.Servers...))
 	out := make([]RingServerStatus, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {

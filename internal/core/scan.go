@@ -26,10 +26,9 @@ func (c *Client) ScanKeys() ([]string, error) {
 }
 
 // ScanKeysOn is ScanKeys over an explicit server list. The background
-// daemon (internal/scrub) passes the current view's servers for a
-// scrub, and for a drain the union of the outgoing and incoming views'
-// servers: data being drained still lives on members only the old ring
-// names, and a current-view-only scan would miss it.
+// daemon (internal/scrub) passes every server the view names, draining
+// rings included: data being drained still lives on servers only an
+// older ring names, and a current-view-only scan would miss it.
 func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
 	set := make(map[string]struct{})
 	reached := 0

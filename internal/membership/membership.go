@@ -10,8 +10,11 @@
 // (wire.Request.Epoch); a server whose epoch differs answers
 // wire.StatusWrongEpoch carrying its encoded view, and the client
 // refreshes, re-resolves placement against the new per-epoch hashring,
-// and retries. The background daemon (internal/scrub) then moves
-// chunks whose placement changed between two views at a rate budget.
+// and retries. A view also lists the server sets of the rings it is
+// still draining: every membership change appends the outgoing set, the
+// read and convergence paths use those placements as further sources,
+// and the background daemon (internal/scrub) clears the list with the
+// next epoch once a pass has converged every key.
 package membership
 
 import (
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"ecstore/internal/hashring"
 )
@@ -28,14 +32,20 @@ import (
 var ErrBadView = errors.New("membership: invalid view")
 
 // View is one epoch of cluster membership: the sorted server set that
-// was current while Epoch was the cluster's epoch. Views are immutable
-// once built; derive changed views with WithAdded/WithRemoved.
+// was current while Epoch was the cluster's epoch, and the server sets
+// of the earlier rings whose placements may still hold data. Views are
+// immutable once built; derive changed views with WithAdded,
+// WithRemoved and Drained.
 type View struct {
 	// Epoch numbers this view. Higher epochs supersede lower ones;
 	// epoch 0 is reserved for "epoch-unaware" and never names a view.
 	Epoch uint64 `json:"epoch"`
 	// Servers is the sorted, de-duplicated server address list.
 	Servers []string `json:"servers"`
+	// Draining holds the server lists (each sorted, de-duplicated) of
+	// the rings this view is still draining from, oldest first. Empty in
+	// a steady state, when the encoding omits it.
+	Draining [][]string `json:"draining,omitempty"`
 }
 
 // NewView builds the epoch-1 view from a seed server list (sorted,
@@ -68,7 +78,7 @@ func (v View) Contains(addr string) bool {
 // transition; an idempotent no-op epoch would desynchronize admin
 // retries from migrations).
 func (v View) WithAdded(addr string) View {
-	return View{Epoch: v.Epoch + 1, Servers: normalize(append(slices.Clone(v.Servers), addr))}
+	return v.next(normalize(append(slices.Clone(v.Servers), addr)))
 }
 
 // WithRemoved derives the next epoch's view with addr departed.
@@ -79,28 +89,75 @@ func (v View) WithRemoved(addr string) View {
 			kept = append(kept, s)
 		}
 	}
-	return View{Epoch: v.Epoch + 1, Servers: kept}
+	return v.next(kept)
 }
 
-// Equal reports whether two views are identical (epoch and servers).
+// next derives the next epoch's view placing by servers. It drains
+// everything v drains plus v's own servers, except a set equal to
+// servers (its placement is the current one) or listed already.
+func (v View) next(servers []string) View {
+	n := View{Epoch: v.Epoch + 1, Servers: servers}
+	for _, ring := range append(slices.Clone(v.Draining), v.Servers) {
+		if !slices.Equal(ring, servers) && !slices.ContainsFunc(n.Draining, func(d []string) bool { return slices.Equal(d, ring) }) {
+			n.Draining = append(n.Draining, ring)
+		}
+	}
+	return n
+}
+
+// Drained derives the next epoch's view with v's servers and no
+// draining ring: what the background daemon publishes once a pass has
+// converged every key of v.
+func (v View) Drained() View {
+	return View{Epoch: v.Epoch + 1, Servers: v.Servers}
+}
+
+// AllServers returns every server v names, current or draining, sorted
+// and de-duplicated: the servers that may hold data under v.
+func (v View) AllServers() []string {
+	all := slices.Clone(v.Servers)
+	for _, ring := range v.Draining {
+		all = append(all, ring...)
+	}
+	return normalize(all)
+}
+
+// Equal reports whether two views are identical (epoch, servers and
+// draining rings).
 func (v View) Equal(o View) bool {
-	return v.Epoch == o.Epoch && slices.Equal(v.Servers, o.Servers)
+	return v.Epoch == o.Epoch && slices.Equal(v.Servers, o.Servers) &&
+		slices.EqualFunc(v.Draining, o.Draining, slices.Equal[[]string])
 }
 
-// Validate checks structural invariants: a non-zero epoch and a
-// non-empty, sorted, duplicate-free server list.
+// Validate checks structural invariants: a non-zero epoch, and a
+// non-empty, sorted, duplicate-free server list for the current ring
+// and for every draining one.
 func (v View) Validate() error {
 	if v.Epoch == 0 {
 		return fmt.Errorf("%w: epoch 0", ErrBadView)
 	}
-	if len(v.Servers) == 0 {
+	if err := validServers(v.Servers); err != nil {
+		return err
+	}
+	for _, ring := range v.Draining {
+		if err := validServers(ring); err != nil {
+			return fmt.Errorf("draining ring: %w", err)
+		}
+	}
+	return nil
+}
+
+// validServers checks one ring's server list: non-empty, sorted,
+// duplicate-free, no empty address.
+func validServers(servers []string) error {
+	if len(servers) == 0 {
 		return fmt.Errorf("%w: empty server set", ErrBadView)
 	}
-	for i, s := range v.Servers {
+	for i, s := range servers {
 		if s == "" {
 			return fmt.Errorf("%w: empty server address", ErrBadView)
 		}
-		if i > 0 && v.Servers[i-1] >= s {
+		if i > 0 && servers[i-1] >= s {
 			return fmt.Errorf("%w: servers not sorted/unique", ErrBadView)
 		}
 	}
@@ -133,27 +190,69 @@ func Decode(b []byte) (View, error) {
 	return v, nil
 }
 
-// String renders "epoch N: [servers]" for logs and kvcli ring status.
+// String renders "epoch N: [servers]", followed by " draining
+// [[servers] ...]" while the view drains, for logs and kvcli ring
+// status.
 func (v View) String() string {
+	if len(v.Draining) > 0 {
+		return fmt.Sprintf("epoch %d: %v draining %v", v.Epoch, v.Servers, v.Draining)
+	}
 	return fmt.Sprintf("epoch %d: %v", v.Epoch, v.Servers)
 }
 
-// state pairs a view with its materialized hashring so placement
-// lookups never rebuild the ring.
-type state struct {
-	view View
-	ring *hashring.Ring
+// Rings pairs a view with its materialized hashrings — Current for its
+// servers, Draining one per draining ring in the view's order — so
+// placement lookups never rebuild a ring.
+type Rings struct {
+	View     View
+	Current  *hashring.Ring
+	Draining []*hashring.Ring
+	// Since is the first epoch of the run of views, ending in View, that
+	// all place by View.Servers: a view that only clears its draining
+	// rings (Drained) changes no placement.
+	Since uint64
+	// adopted is when the tracker installed View.
+	adopted time.Time
 }
 
-// Tracker holds a party's current view and its per-epoch hashring
+// placementGrace is how long after adopting a view the epoch gate still
+// accepts an earlier epoch of the same placement (Tracker.Places): long
+// enough for every round in flight across the change to land, short
+// enough that a client still on the earlier view learns the new one at
+// its next request.
+const placementGrace = time.Second
+
+// buildRings materializes view's hashrings, reusing prev's (nil: none)
+// for every server list prev already built one for: a membership change
+// drains the previous view's rings, so an adoption builds one new ring.
+func buildRings(view View, vnodes int, prev *Rings) *Rings {
+	ring := func(servers []string) *hashring.Ring {
+		if prev != nil {
+			if slices.Equal(servers, prev.View.Servers) {
+				return prev.Current
+			}
+			if i := slices.IndexFunc(prev.View.Draining, func(d []string) bool { return slices.Equal(d, servers) }); i >= 0 {
+				return prev.Draining[i]
+			}
+		}
+		return hashring.Build(vnodes, servers)
+	}
+	r := &Rings{View: view, Current: ring(view.Servers), Since: view.Epoch, adopted: time.Now()}
+	for _, servers := range view.Draining {
+		r.Draining = append(r.Draining, ring(servers))
+	}
+	return r
+}
+
+// Tracker holds a party's current view and its per-epoch hashrings
 // behind one atomic pointer: placement reads are wait-free, and Adopt
 // installs a strictly-newer view (with its pre-built ring) in one
 // swap. The zero Tracker is unusable; construct with NewTracker.
 type Tracker struct {
 	vnodes int
-	cur    atomic.Pointer[state]
+	cur    atomic.Pointer[Rings]
 	// onChange, when set, observes every successful adoption with the
-	// previous and the new view. Used by auto-migration hooks.
+	// previous and the new view. The background daemon hooks it.
 	onChange atomic.Pointer[func(old, new View)]
 }
 
@@ -161,26 +260,40 @@ type Tracker struct {
 // hashring default.
 func NewTracker(view View, vnodes int) *Tracker {
 	t := &Tracker{vnodes: vnodes}
-	t.cur.Store(&state{view: view, ring: hashring.Build(vnodes, view.Servers)})
+	t.cur.Store(buildRings(view, vnodes, nil))
 	return t
 }
 
 // Current returns the tracker's view.
-func (t *Tracker) Current() View { return t.cur.Load().view }
+func (t *Tracker) Current() View { return t.cur.Load().View }
 
 // Epoch returns the tracker's current epoch.
-func (t *Tracker) Epoch() uint64 { return t.cur.Load().view.Epoch }
+func (t *Tracker) Epoch() uint64 { return t.cur.Load().View.Epoch }
 
 // Ring returns the hashring materialized for the current view.
-func (t *Tracker) Ring() *hashring.Ring { return t.cur.Load().ring }
+func (t *Tracker) Ring() *hashring.Ring { return t.cur.Load().Current }
 
-// Snapshot returns the current view and its ring as one consistent
-// pair — callers that resolve placement and stamp the epoch must take
-// both from the same load or a concurrent Adopt could split them.
-func (t *Tracker) Snapshot() (View, *hashring.Ring) {
+// Places reports whether a request stamped with epoch was placed by
+// the current view's servers: epoch is current, or — within
+// placementGrace of the adoption — an earlier epoch of the same
+// placement (Rings.Since). The epoch gate accepts it: only draining
+// rings changed in between, and the clear that ends a drain must not
+// split the rounds in flight across it (a CAS landed at the servers the
+// push has not reached yet and rejected at the rest unwinds, and the
+// unwind loses the old stripe where the new one landed).
+func (t *Tracker) Places(epoch uint64) bool { return t.placesAt(epoch, time.Now) }
+
+func (t *Tracker) placesAt(epoch uint64, now func() time.Time) bool {
 	s := t.cur.Load()
-	return s.view, s.ring
+	return epoch == s.View.Epoch ||
+		epoch >= s.Since && epoch < s.View.Epoch && now().Sub(s.adopted) < placementGrace
 }
+
+// Rings returns the current view with all its hashrings, draining ones
+// included, as one consistent load — callers that resolve placement
+// and stamp the epoch must take both from the same load or a concurrent
+// Adopt could split them. The result is shared: read only.
+func (t *Tracker) Rings() *Rings { return t.cur.Load() }
 
 // Adopt installs view iff it is strictly newer than the current one
 // and reports whether it was installed. Concurrent adopters race
@@ -190,15 +303,22 @@ func (t *Tracker) Adopt(view View) bool {
 	if err := view.Validate(); err != nil {
 		return false
 	}
-	next := &state{view: view, ring: hashring.Build(t.vnodes, view.Servers)}
+	var next *Rings
 	for {
 		cur := t.cur.Load()
-		if view.Epoch <= cur.view.Epoch {
+		if view.Epoch <= cur.View.Epoch {
 			return false
+		}
+		if next == nil {
+			next = buildRings(view, t.vnodes, cur)
+		}
+		next.Since = view.Epoch
+		if slices.Equal(view.Servers, cur.View.Servers) {
+			next.Since = cur.Since
 		}
 		if t.cur.CompareAndSwap(cur, next) {
 			if fn := t.onChange.Load(); fn != nil {
-				(*fn)(cur.view, view)
+				(*fn)(cur.View, view)
 			}
 			return true
 		}

@@ -2,9 +2,11 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewViewNormalizes(t *testing.T) {
@@ -100,6 +102,12 @@ func TestValidate(t *testing.T) {
 		{"empty addr", View{Epoch: 1, Servers: []string{""}}, false},
 		{"unsorted", View{Epoch: 1, Servers: []string{"b:1", "a:1"}}, false},
 		{"duplicate", View{Epoch: 1, Servers: []string{"a:1", "a:1"}}, false},
+		{"draining", View{Epoch: 2, Servers: []string{"a:1", "b:1"}, Draining: [][]string{{"a:1"}, {"b:1", "c:1"}}}, true},
+		{"draining empty ring", View{Epoch: 2, Servers: []string{"a:1"}, Draining: [][]string{{}}}, false},
+		{"draining nil ring", View{Epoch: 2, Servers: []string{"a:1"}, Draining: [][]string{nil}}, false},
+		{"draining empty addr", View{Epoch: 2, Servers: []string{"a:1"}, Draining: [][]string{{""}}}, false},
+		{"draining unsorted", View{Epoch: 2, Servers: []string{"a:1"}, Draining: [][]string{{"b:1", "a:1"}}}, false},
+		{"draining duplicate", View{Epoch: 2, Servers: []string{"a:1"}, Draining: [][]string{{"a:1"}, {"b:1", "b:1"}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.v.Validate()
@@ -130,11 +138,88 @@ func TestDecodeRejectsBadPayloads(t *testing.T) {
 		[]byte(`{"epoch":0,"servers":["a:1"]}`),
 		[]byte(`{"epoch":1,"servers":[]}`),
 		[]byte(`{"epoch":1,"servers":["b:1","a:1"]}`),
+		// The draining rings arrive from outside too (OpRingUpdate).
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":[[]]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":[null]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":[[""]]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":[["b:1","a:1"]]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":[["a:1","a:1"]]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":["a:1"]}`),
+		[]byte(`{"epoch":2,"servers":["a:1"],"draining":"a:1"}`),
 	}
 	for _, b := range cases {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("Decode(%q) accepted a bad payload", b)
 		}
+	}
+}
+
+// TestDrainingRings: every membership change drains the outgoing
+// server list (and whatever the view it replaces still drained, each
+// list once, none equal to the new current one), Drained clears the
+// list with the next epoch, a steady view encodes exactly as it did
+// before views could drain, and a draining one round-trips.
+func TestDrainingRings(t *testing.T) {
+	v1 := NewView([]string{"a:1", "b:1"})
+	v2 := v1.WithAdded("c:1")
+	if want := [][]string{{"a:1", "b:1"}}; !slices.EqualFunc(v2.Draining, want, slices.Equal[[]string]) {
+		t.Fatalf("join drains %v, want %v", v2.Draining, want)
+	}
+	v3 := v2.WithRemoved("a:1")
+	if want := [][]string{{"a:1", "b:1"}, {"a:1", "b:1", "c:1"}}; !slices.EqualFunc(v3.Draining, want, slices.Equal[[]string]) {
+		t.Fatalf("second change drains %v, want %v", v3.Draining, want)
+	}
+	if v4 := v3.WithAdded("a:1"); len(v4.Draining) != 2 || !slices.Equal(v4.Draining[1], []string{"b:1", "c:1"}) {
+		t.Fatalf("re-adding a server drains %v: the ring now current must leave the list", v4.Draining)
+	}
+	if got, want := v3.AllServers(), []string{"a:1", "b:1", "c:1"}; !slices.Equal(got, want) {
+		t.Fatalf("AllServers = %v, want %v", got, want)
+	}
+	drained := v3.Drained()
+	if drained.Epoch != v3.Epoch+1 || !slices.Equal(drained.Servers, v3.Servers) || len(drained.Draining) != 0 {
+		t.Fatalf("Drained = %v", drained)
+	}
+	if v3.Equal(View{Epoch: v3.Epoch, Servers: v3.Servers}) {
+		t.Fatal("views differing only in draining rings are Equal")
+	}
+	if !strings.Contains(v3.String(), "draining") || strings.Contains(drained.String(), "draining") {
+		t.Fatalf("String: %q / %q", v3, drained)
+	}
+
+	if got, want := string(drained.Encode()), `{"epoch":4,"servers":["b:1","c:1"]}`; got != want {
+		t.Fatalf("steady view encodes as %s, want %s", got, want)
+	}
+	got, err := Decode(v3.Encode())
+	if err != nil || !got.Equal(v3) {
+		t.Fatalf("draining round trip: %v, %v", got, err)
+	}
+}
+
+// TestTrackerDrainingRings: the tracker builds a ring per draining
+// list, and for placementGrace after a clear — which changes no
+// placement — accepts the earlier epochs of the same placement, but
+// never an epoch before the last server change or after its own.
+func TestTrackerDrainingRings(t *testing.T) {
+	v1 := NewView([]string{"a:1", "b:1"})
+	tr := NewTracker(v1, 8)
+	v2 := v1.WithAdded("c:1")
+	tr.Adopt(v2)
+	r := tr.Rings()
+	if len(r.Draining) != 1 || r.Draining[0].GetN("k", 3)[0] == "c:1" || r.Since != 2 {
+		t.Fatalf("rings of %v: %d draining, since %d", v2, len(r.Draining), r.Since)
+	}
+	tr.Adopt(v2.Drained())
+	for epoch, want := range map[uint64]bool{1: false, 2: true, 3: true, 4: false} {
+		if got := tr.Places(epoch); got != want {
+			t.Errorf("Places(%d) = %v at %v, want %v", epoch, got, tr.Current(), want)
+		}
+	}
+	later := func() time.Time { return time.Now().Add(placementGrace) }
+	if !tr.placesAt(3, later) || tr.placesAt(2, later) {
+		t.Errorf("after the grace: Places(3) = %v, Places(2) = %v", tr.placesAt(3, later), tr.placesAt(2, later))
+	}
+	if len(tr.Rings().Draining) != 0 {
+		t.Fatalf("drained view kept %d rings", len(tr.Rings().Draining))
 	}
 }
 
@@ -199,7 +284,8 @@ func TestTrackerSnapshotConsistency(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		view, ring := tr.Snapshot()
+		r := tr.Rings()
+		view, ring := r.View, r.Current
 		// The ring must be the one materialized for exactly this view:
 		// every member the ring places must be in the view.
 		for _, addr := range ring.GetN("probe", 3) {

@@ -2,6 +2,8 @@ package scrub
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,12 +67,13 @@ func TestLoopTicksWithoutKicks(t *testing.T) {
 	}
 }
 
-// A pass that leaves a source pending runs again after retryAfter
+// A pass that leaves the view draining runs again after retryAfter
 // without anyone kicking it — the retry is not counted as a kick — and
 // Stop does not wait that interval out.
 func TestLoopRetriesAFailedPass(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newFake(3)
+	f.drain()
 	f.failKeys["k001"] = errors.New("holder down")
 	var passes atomic.Int32
 	reports := make(chan Report, 8)
@@ -82,15 +85,14 @@ func TestLoopRetriesAFailedPass(t *testing.T) {
 		}
 		reports <- r
 	}})
-	d.Enqueue(oldView())
 	d.Start()
 	d.Kick()
-	if r := await(t, reports, "the kicked pass"); r.Failed != 1 || d.Pending() != 1 {
-		t.Fatalf("first pass %s, pending %d", r, d.Pending())
+	if r := await(t, reports, "the kicked pass"); r.Failed != 1 || len(f.View().Draining) != 1 {
+		t.Fatalf("first pass %s, view %s", r, f.View())
 	}
 	start := time.Now()
-	if r := await(t, reports, "the retry of the failed pass"); r.Failed != 0 || r.Sources != 1 || d.Pending() != 0 {
-		t.Fatalf("retry %s, pending %d", r, d.Pending())
+	if r := await(t, reports, "the retry of the failed pass"); r.Failed != 0 || r.Draining != 1 || len(f.View().Draining) != 0 {
+		t.Fatalf("retry %s, view %s", r, f.View())
 	}
 	if waited := time.Since(start); waited < retryAfter/2 {
 		t.Fatalf("retry came after %v, want about %v", waited, retryAfter)
@@ -103,9 +105,9 @@ func TestLoopRetriesAFailedPass(t *testing.T) {
 		t.Fatalf("kicks counter = %d, want the 1 external kick", got)
 	}
 
+	f.drain()
 	f.failKeys["k001"] = errors.New("holder down for good")
 	d = newDaemon(t, Config{Client: f, Interval: -1, Rate: -1, OnCycle: reportsTo(reports)})
-	d.Enqueue(oldView())
 	d.Start()
 	d.Kick()
 	await(t, reports, "the failing pass")
@@ -143,7 +145,7 @@ func TestWalkPacesBoundsAndVisitsEveryKey(t *testing.T) {
 		inFlight, max int
 	)
 	start := time.Now()
-	sum := d.walk(newFake(9).keys, nil, nil, func(key string) Report {
+	sum := d.walk(newFake(9).keys, nil, func(key string) Report {
 		mu.Lock()
 		seen[key]++
 		inFlight++
@@ -176,7 +178,7 @@ func TestWalkPacesBoundsAndVisitsEveryKey(t *testing.T) {
 
 	// Unthrottled, with the default bound: every key, no pacing.
 	d = newDaemon(t, Config{Client: newFake(0), Rate: -1})
-	if sum := d.walk(newFake(50).keys, nil, nil, func(string) Report { return Report{} }); sum.Scanned != 50 {
+	if sum := d.walk(newFake(50).keys, nil, func(string) Report { return Report{} }); sum.Scanned != 50 {
 		t.Fatalf("unthrottled walk started %d of 50", sum.Scanned)
 	}
 }
@@ -185,7 +187,7 @@ func TestWalkStopsOnCancel(t *testing.T) {
 	d := newDaemon(t, Config{Client: newFake(0), Rate: -1})
 	closed := make(chan struct{})
 	close(closed)
-	if sum := d.walk(newFake(10).keys, closed, nil, func(string) Report {
+	if sum := d.walk(newFake(10).keys, closed, func(string) Report {
 		t.Error("call started after cancel")
 		return Report{}
 	}); sum.Scanned != 0 {
@@ -200,7 +202,7 @@ func TestWalkStopsOnCancel(t *testing.T) {
 	var done atomic.Int32
 	time.AfterFunc(30*time.Millisecond, func() { close(cancel) })
 	start := time.Now()
-	sum := d.walk(newFake(10).keys, cancel, nil, func(string) Report {
+	sum := d.walk(newFake(10).keys, cancel, func(string) Report {
 		time.Sleep(50 * time.Millisecond)
 		done.Add(1)
 		return Report{}
@@ -237,145 +239,195 @@ func TestCycleBookkeeping(t *testing.T) {
 	d.logf("discarded: %d", 1) // nil Config.Logf must not panic
 }
 
+// TestRunCycleDrainsSource: a pass over a draining view repairs every
+// key, sums the moved keys' reports, and — all converged — publishes
+// the next epoch without the draining ring.
 func TestRunCycleDrainsSource(t *testing.T) {
 	f := newFake(5)
-	f.reports["k001"] = core.MigrateReport{Moved: true, Refilled: 2, Dropped: 1, BytesMoved: 100}
+	f.drain()
+	f.reports["k001"] = core.RepairReport{Missing: 2, Rewritten: 2, Dropped: 1, BytesMoved: 100, Moved: true}
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(oldView())
 	rep := d.RunCycle(nil)
-	if rep.Sources != 1 || rep.Scanned != 5 || rep.Err != nil {
+	if rep.Draining != 1 || rep.Scanned != 5 || rep.Err != nil {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Moved != 1 || rep.Refilled != 2 || rep.Dropped != 1 || rep.BytesMoved != 100 {
+	if rep.Repaired != 1 || rep.Healthy != 4 || rep.Refilled != 2 || rep.Dropped != 1 || rep.BytesMoved != 100 {
 		t.Fatalf("per-key aggregation: %+v", rep)
 	}
-	if d.Pending() != 0 {
-		t.Fatalf("pending = %d after clean cycle", d.Pending())
+	want := drainingView().Drained()
+	if got := f.View(); !got.Equal(want) || len(got.Draining) != 0 {
+		t.Fatalf("view after a clean pass = %s, want %s", got, want)
 	}
-	if _, _, migrated := f.calls(); migrated != 5 {
-		t.Fatalf("migrated %d keys, want 5", migrated)
+	if _, repaired := f.calls(); repaired != 5 {
+		t.Fatalf("repaired %d keys, want 5", repaired)
 	}
 }
 
-func TestEnqueueDedupAndBound(t *testing.T) {
-	d := newDaemon(t, Config{Client: newFake(0), Rate: -1})
-	v := oldView()
-	d.Enqueue(v)
-	d.Enqueue(v) // same epoch: deduplicated
-	if d.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", d.Pending())
+// TestDrainingListClearsAfterCleanPass: the list is cleared only by a
+// pass that scanned, started and converged every key — not by one
+// whose scan failed, one cut short, or one with a failed key — and a
+// failed push leaves it for the next pass. A steady view is never
+// pushed.
+func TestDrainingListClearsAfterCleanPass(t *testing.T) {
+	f := newFake(4)
+	d := newDaemon(t, Config{Client: f, Rate: -1})
+	if r := d.RunCycle(nil); r.Draining != 0 || len(f.pushed) != 0 {
+		t.Fatalf("steady pass %s pushed %v", r, f.pushed)
 	}
-	for e := uint64(2); e < 20; e++ {
-		d.Enqueue(membership.View{Epoch: e, Servers: v.Servers})
+
+	f.drain()
+	f.scanErr = errors.New("cluster unreachable")
+	if r := d.RunCycle(nil); r.Err == nil || len(f.pushed) != 0 {
+		t.Fatalf("scan error: %s, pushed %v", r, f.pushed)
 	}
-	if d.Pending() != maxPendingSources {
-		t.Fatalf("pending = %d, want bound %d", d.Pending(), maxPendingSources)
+	f.scanErr = nil
+
+	cancel := make(chan struct{})
+	close(cancel)
+	if r := d.RunCycle(cancel); r.Scanned != 0 || len(f.pushed) != 0 {
+		t.Fatalf("cancelled pass: %s, pushed %v", r, f.pushed)
+	}
+
+	f.failKeys["k002"] = errors.New("holder down")
+	if r := d.RunCycle(nil); r.Failed != 1 || len(f.pushed) != 0 {
+		t.Fatalf("failed key: %s, pushed %v", r, f.pushed)
+	}
+	delete(f.failKeys, "k002")
+
+	f.pushErr = errors.New("no server adopted")
+	if r := d.RunCycle(nil); r.Failed != 0 || len(f.View().Draining) != 1 {
+		t.Fatalf("failed push: %s, view %s", r, f.View())
+	}
+	f.pushErr = nil
+
+	if r := d.RunCycle(nil); r.Failed != 0 || r.Draining != 1 || len(f.pushed) != 1 {
+		t.Fatalf("clean pass: %s, pushed %v", r, f.pushed)
+	}
+	if got, want := f.pushed[0], drainingView().Drained(); !got.Equal(want) {
+		t.Fatalf("pushed %s, want %s", got, want)
+	}
+	if r := d.RunCycle(nil); r.Draining != 0 || len(f.pushed) != 1 {
+		t.Fatalf("pass after the clear: %s, pushed %v", r, f.pushed)
 	}
 }
 
 func TestFailedSourceStaysQueued(t *testing.T) {
 	f := newFake(3)
+	f.drain()
 	f.failKeys["k001"] = errors.New("holder down")
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(oldView())
 	rep := d.RunCycle(nil)
 	if rep.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", rep.Failed)
 	}
-	if d.Pending() != 1 {
-		t.Fatal("failed source was dequeued")
+	if len(f.View().Draining) != 1 {
+		t.Fatal("a pass with a failed key cleared the draining list")
 	}
-	// The holder recovers; the retry cycle drains the source.
+	// The holder recovers; the retry pass clears the list.
 	f.mu.Lock()
 	delete(f.failKeys, "k001")
 	f.mu.Unlock()
 	rep = d.RunCycle(nil)
-	if rep.Failed != 0 || d.Pending() != 0 {
-		t.Fatalf("retry: failed=%d pending=%d", rep.Failed, d.Pending())
+	if rep.Failed != 0 || len(f.View().Draining) != 0 {
+		t.Fatalf("retry: failed=%d view %s", rep.Failed, f.View())
 	}
 }
 
 func TestAbsentKeyIsNotFailure(t *testing.T) {
 	f := newFake(2)
-	// A key deleted between scan and migrate is convergence, not error.
+	f.drain()
+	// A key deleted between scan and repair is convergence, not error.
 	f.failKeys["k000"] = core.ErrNotFound
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(oldView())
 	rep := d.RunCycle(nil)
-	if rep.Failed != 0 || rep.Err != nil || d.Pending() != 0 {
-		t.Fatalf("report = %+v pending = %d", rep, d.Pending())
+	if rep.Failed != 0 || rep.Err != nil || len(f.View().Draining) != 0 {
+		t.Fatalf("report = %+v view %s", rep, f.View())
 	}
 }
 
 func TestScanErrorStaysQueued(t *testing.T) {
 	f := newFake(3)
+	f.drain()
 	f.scanErr = errors.New("cluster unreachable")
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(oldView())
 	rep := d.RunCycle(nil)
-	if rep.Err == nil || rep.Sources != 1 || d.Pending() != 1 {
-		t.Fatalf("report %s, pending=%d", rep, d.Pending())
+	if rep.Err == nil || rep.Draining != 1 || len(f.View().Draining) != 1 {
+		t.Fatalf("report %s, view %s", rep, f.View())
 	}
 }
 
 func TestCancelKeepsSource(t *testing.T) {
 	f := newFake(100)
+	f.drain()
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(oldView())
 	cancel := make(chan struct{})
 	close(cancel)
 	rep := d.RunCycle(cancel)
 	if rep.Scanned != 0 {
 		t.Fatalf("scanned = %d with pre-closed cancel", rep.Scanned)
 	}
-	if d.Pending() != 1 {
-		t.Fatal("canceled source was dequeued")
+	if len(f.View().Draining) != 1 {
+		t.Fatal("a cancelled pass cleared the draining list")
 	}
 }
 
+// TestViewChangeQueuesSource: an adopted view that drains kicks a pass
+// and sets the pending-sources gauge to its list's length; a steady one
+// (the clear itself) only resets the gauge.
 func TestViewChangeQueuesSource(t *testing.T) {
+	reg := metrics.NewRegistry()
 	f := newFake(1)
-	d := newDaemon(t, Config{Client: f, Rate: -1})
+	newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
 	if f.onChange == nil {
 		t.Fatal("view-change hook not registered")
 	}
-	f.onChange(oldView(), f.view)
-	if d.Pending() != 1 {
-		t.Fatalf("pending = %d after view change", d.Pending())
+	gauge, kicks := reg.Gauge("ecstore_migration_pending_sources"), reg.Counter("ecstore_scrub_kicks_total")
+	f.onChange(oldView(), drainingView())
+	if gauge.Value() != 1 || kicks.Value() != 1 {
+		t.Fatalf("after a draining view: pending %d, kicks %d", gauge.Value(), kicks.Value())
+	}
+	f.onChange(drainingView(), drainingView().Drained())
+	if gauge.Value() != 0 || kicks.Value() != 1 {
+		t.Fatalf("after the clear: pending %d, kicks %d", gauge.Value(), kicks.Value())
 	}
 }
 
 // TestNewRegistersHooks: New needs a client, and on one it registers
-// both hooks — a recovery kicks, a view change queues the old view and
-// kicks.
+// both hooks — a recovery kicks, a draining view change kicks — and
+// seeds the pending-sources gauge from the client's view.
 func TestNewRegistersHooks(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil client")
 	}
 	reg := metrics.NewRegistry()
 	f := newFake(1)
-	d := newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
+	f.drain()
+	newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
 	if f.recoveredFn == nil || f.onChange == nil {
 		t.Fatal("New left a hook unregistered")
 	}
-	f.recoveredFn("a:1")
-	if got := reg.Counter("ecstore_scrub_kicks_total").Value(); got != 1 || d.Pending() != 0 {
-		t.Fatalf("after a recovery: kicks = %d, pending = %d", got, d.Pending())
+	if got := reg.Gauge("ecstore_migration_pending_sources").Value(); got != 1 {
+		t.Fatalf("pending gauge = %d for a draining view", got)
 	}
-	f.onChange(oldView(), f.view)
-	if got := reg.Counter("ecstore_scrub_kicks_total").Value(); got != 2 || d.Pending() != 1 {
-		t.Fatalf("after a view change: kicks = %d, pending = %d", got, d.Pending())
+	f.recoveredFn("a:1")
+	if got := reg.Counter("ecstore_scrub_kicks_total").Value(); got != 1 {
+		t.Fatalf("after a recovery: kicks = %d", got)
+	}
+	f.onChange(oldView(), f.View())
+	if got := reg.Counter("ecstore_scrub_kicks_total").Value(); got != 2 {
+		t.Fatalf("after a view change: kicks = %d", got)
 	}
 }
 
-// TestRateBudget: a drain pass spends the same keys/sec budget as a
-// scrub — 5 keys at 100 keys/s leave 4 gaps due at 10ms spacing.
+// TestRateBudget: a pass over a draining view spends the same keys/sec
+// budget as any other — 5 keys at 100 keys/s leave 4 gaps due at 10ms
+// spacing.
 func TestRateBudget(t *testing.T) {
 	f := newFake(5)
+	f.drain()
 	d := newDaemon(t, Config{Client: f, Rate: 100})
-	d.Enqueue(oldView())
 	rep := d.RunCycle(nil)
-	if rep.Sources != 1 || rep.Scanned != 5 {
+	if rep.Draining != 1 || rep.Scanned != 5 {
 		t.Fatalf("drain report %+v", rep)
 	}
 	if rep.Duration < 35*time.Millisecond {
@@ -391,12 +443,13 @@ func TestStartStopAndKick(t *testing.T) {
 	d.Start() // idempotent
 	defer d.Stop()
 
-	f.onChange(oldView(), f.view)
-	if rep := await(t, cycles, "a pass after the view-change kick"); rep.Sources != 1 || rep.Scanned != 4 || rep.Err != nil {
+	f.drain()
+	f.onChange(oldView(), f.View())
+	if rep := await(t, cycles, "a pass after the view-change kick"); rep.Draining != 1 || rep.Scanned != 4 || rep.Err != nil {
 		t.Fatalf("cycle report = %+v", rep)
 	}
-	if d.Pending() != 0 {
-		t.Fatalf("pending = %d", d.Pending())
+	if v := f.View(); len(v.Draining) != 0 {
+		t.Fatalf("view after the pass: %s", v)
 	}
 	d.Stop()
 	d.Stop() // idempotent
@@ -405,10 +458,10 @@ func TestStartStopAndKick(t *testing.T) {
 func TestMetricsCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newFake(3)
-	f.reports["k000"] = core.MigrateReport{Moved: true, Refilled: 1, Dropped: 2, BytesMoved: 64}
+	f.drain()
+	f.reports["k000"] = core.RepairReport{Missing: 1, Rewritten: 1, Dropped: 2, BytesMoved: 64, Moved: true}
 	f.failKeys["k002"] = errors.New("holder down")
 	d := newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
-	d.Enqueue(oldView())
 	d.Kick()
 	_ = d.RunCycle(nil)
 	snap := reg.Snapshot()
@@ -416,8 +469,9 @@ func TestMetricsCounters(t *testing.T) {
 		"ecstore_scrub_keys_scanned_total":       3,
 		"ecstore_scrub_cycles_total":             1,
 		"ecstore_scrub_kicks_total":              1,
-		"ecstore_migration_keys_moved_total":     1,
-		"ecstore_migration_keys_failed_total":    1,
+		"ecstore_scrub_keys_repaired_total":      1,
+		"ecstore_scrub_keys_failed_total":        1,
+		"ecstore_scrub_rewrites_total":           0,
 		"ecstore_migration_refills_total":        1,
 		"ecstore_migration_chunks_dropped_total": 2,
 		"ecstore_migration_bytes_moved_total":    64,
@@ -432,126 +486,75 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestPassDrainsBeforeScrubbing: while a source is pending, RunCycle
-// and kicked passes only drain. A timed pass drains, then scrubs every
-// key but the one that cannot move (its departed holder never answers),
-// so one stuck source does not stop anti-entropy for the rest; that
-// scrub skipped a key, so it does not count as completed. Once the
-// source drains, the next pass scrubs every key.
-func TestPassDrainsBeforeScrubbing(t *testing.T) {
-	reg := metrics.NewRegistry()
-	gauge := reg.Gauge("ecstore_scrub_last_completed_unix")
+// TestPassWalksCurrentAndDrainingServers: every pass is one walk over
+// the keys stored on every server the view names, current or draining
+// — a removed server's keys included — with Verify first and Repair for
+// each key Verify rejects.
+func TestPassWalksCurrentAndDrainingServers(t *testing.T) {
 	f := newFake(3)
-	f.failKeys["k001"] = errors.New("departed holder unreachable")
-	f.verify = func(string) (bool, error) { return false, nil } // every scrubbed key is repaired too
-	f.repair = func(string) (core.RepairReport, error) { return core.RepairReport{Missing: 1, Rewritten: 1}, nil }
-	reports := make(chan Report, 64)
-	d := newDaemon(t, Config{Client: f, Interval: -1, Rate: -1, Metrics: reg, OnCycle: reportsTo(reports)})
-	d.Enqueue(oldView())
-	for i := 0; i < 3; i++ {
-		if r := d.RunCycle(nil); r.Sources != 1 || r.Failed != 1 || r.Scanned != 3 || r.Repaired != 0 {
-			t.Fatalf("RunCycle %d: %s", i, r)
-		}
+	f.setView(membership.View{Epoch: 1, Servers: []string{"a:1", "b:1", "c:1"}}.WithRemoved("b:1"))
+	f.verify = func(key string) (bool, error) { return key != "k001", nil }
+	d := newDaemon(t, Config{Client: f, Rate: -1})
+	if r := d.RunCycle(nil); r.Draining != 1 || r.Scanned != 3 || r.Failed != 0 {
+		t.Fatalf("draining pass: %s", r)
 	}
-	d.Start()
-	d.Kick()
-	for i := 0; i < 2; i++ { // the kicked pass, then the loop's retry
-		if r := await(t, reports, "a background pass"); r.Sources != 1 || r.Failed != 1 || r.Repaired != 0 {
-			t.Fatalf("untimed pass %d: %s", i, r)
-		}
+	if want := []string{"a:1", "b:1", "c:1"}; len(f.scanned) != 1 || !slices.Equal(f.scanned[0], want) {
+		t.Fatalf("scanned %v, want %v", f.scanned, want)
 	}
-	d.Stop()
-	if verified, repaired, _ := f.calls(); verified != 0 || repaired != 0 {
-		t.Fatalf("%d Verify and %d Repair calls from untimed passes with a source pending", verified, repaired)
+	if verified, repaired := f.calls(); verified != 3 || repaired != 3 {
+		t.Fatalf("draining pass: %d Verify, %d Repair calls; want 3 and 3", verified, repaired)
 	}
 
-	d = newDaemon(t, Config{Client: f, Interval: 5 * time.Millisecond, Rate: -1, Metrics: reg, OnCycle: reportsTo(reports)})
-	d.Enqueue(oldView())
-	d.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for timed := 0; timed < 2; {
-		r := await(t, reports, "a timed pass")
-		if r.Repaired == 0 && time.Now().Before(deadline) {
-			continue // a retry: drains only
-		}
-		if r.Sources != 1 || r.Failed != 1 || r.Repaired != 2 || r.Scanned != 5 {
-			t.Fatalf("timed pass: %s", r)
-		}
-		timed++
+	// The list is gone: the same walk over the current servers, and only
+	// the key Verify rejects is repaired.
+	f.verified, f.repaired = nil, nil
+	if r := d.RunCycle(nil); r.Draining != 0 || r.Scanned != 3 || r.Healthy != 3 {
+		t.Fatalf("steady pass: %s", r)
 	}
-	d.Stop()
-	f.mu.Lock()
-	for _, k := range append(f.verified, f.repaired...) {
-		if k == "k001" {
-			t.Errorf("%s scrubbed while its migration was pending", k)
-		}
+	if want := []string{"a:1", "c:1"}; !slices.Equal(f.scanned[1], want) {
+		t.Fatalf("scanned %v, want %v", f.scanned[1], want)
 	}
-	f.mu.Unlock()
-	if gauge.Value() != 0 || d.Pending() != 1 {
-		t.Fatalf("last-completed gauge %d, pending %d after scrubs that skipped a key", gauge.Value(), d.Pending())
-	}
-
-	f.mu.Lock()
-	delete(f.failKeys, "k001")
-	f.mu.Unlock()
-	if r := d.RunCycle(nil); r.Sources != 1 || r.Failed != 0 || d.Pending() != 0 {
-		t.Fatalf("draining pass: %s, pending %d", r, d.Pending())
-	}
-	if r := d.RunCycle(nil); r.Sources != 0 || r.Repaired != 3 || gauge.Value() == 0 {
-		t.Fatalf("pass after the drain: %s, gauge %d", r, gauge.Value())
+	if !slices.Equal(f.repaired, []string{"k001"}) {
+		t.Fatalf("steady pass repaired %q, want [k001]", f.repaired)
 	}
 }
 
-// TestFailedKeyHoldsLaterSources: a key that fails to move from the
-// oldest source is not migrated from a newer one, so both stay queued;
-// every other key moves from both in the same pass.
-func TestFailedKeyHoldsLaterSources(t *testing.T) {
+// TestFailedKeyKeepsDrainingList: one key that fails keeps every
+// draining ring in the view — the list is cleared whole or not at all —
+// and the pass after it recovers clears them in one push.
+func TestFailedKeyKeepsDrainingList(t *testing.T) {
 	f := newFake(3)
+	twice := membership.NewView([]string{"a:1"}).WithAdded("b:1").WithAdded("c:1")
+	f.setView(twice)
 	f.failKeys["k001"] = errors.New("holder down")
 	d := newDaemon(t, Config{Client: f, Rate: -1})
-	d.Enqueue(membership.View{Epoch: 0, Servers: []string{"a:1"}})
-	d.Enqueue(oldView())
-	if r := d.RunCycle(nil); r.Sources != 2 || r.Scanned != 5 || r.Failed != 1 || d.Pending() != 2 {
-		t.Fatalf("pass %s, pending %d", r, d.Pending())
+	if r := d.RunCycle(nil); r.Draining != 2 || r.Scanned != 3 || r.Failed != 1 || !f.View().Equal(twice) {
+		t.Fatalf("pass %s, view %s", r, f.View())
 	}
 	f.mu.Lock()
 	delete(f.failKeys, "k001")
 	f.mu.Unlock()
-	if r := d.RunCycle(nil); r.Sources != 2 || r.Scanned != 6 || r.Failed != 0 || d.Pending() != 0 {
-		t.Fatalf("retry %s, pending %d", r, d.Pending())
+	if r := d.RunCycle(nil); r.Draining != 2 || r.Failed != 0 || len(f.pushed) != 1 || !f.View().Equal(twice.Drained()) {
+		t.Fatalf("retry %s, view %s", r, f.View())
 	}
 }
 
-// TestQueuedSourceCutsScrubShort: a view change mid-scrub stops the
-// scrub walk between keys — the cut scrub does not count as completed —
-// and the loop starts draining long before the walk would have ended.
-func TestQueuedSourceCutsScrubShort(t *testing.T) {
-	reg := metrics.NewRegistry()
-	f := newFake(50)
-	started := make(chan struct{}, 50)
-	f.verify = func(string) (bool, error) {
-		started <- struct{}{}
-		return true, nil
+// TestViewChangeMidPassKeepsNewerList: a view installed while a pass
+// walks — another change, with a draining list of its own — is never
+// cleared by that pass, however cleanly it ends; the pass after it
+// walks the new view and clears it.
+func TestViewChangeMidPassKeepsNewerList(t *testing.T) {
+	f := newFake(5)
+	f.drain()
+	newer := drainingView().WithRemoved("a:1")
+	var once sync.Once
+	f.onRepair = func(string) { once.Do(func() { f.setView(newer) }) }
+	d := newDaemon(t, Config{Client: f, Rate: -1})
+	if r := d.RunCycle(nil); r.Failed != 0 || r.Draining != 1 || len(f.pushed) != 0 || !f.View().Equal(newer) {
+		t.Fatalf("pass %s pushed %v, view %s", r, f.pushed, f.View())
 	}
-	reports := make(chan Report, 8)
-	d := newDaemon(t, Config{Client: f, Interval: -1, Rate: 25, Metrics: reg, OnCycle: reportsTo(reports)}) // a 2 s walk
-	d.Start()
-	defer d.Stop()
-	d.Kick()
-	await(t, started, "the scrub's first key")
-	queuedAt := time.Now()
-	f.onChange(oldView(), f.view)
-	if r := await(t, reports, "the cut scrub"); r.Sources != 0 || r.Scanned == 0 || r.Scanned >= 50 {
-		t.Fatalf("scrub with a source queued mid-walk: %s", r)
-	}
-	if got := reg.Gauge("ecstore_scrub_last_completed_unix").Value(); got != 0 {
-		t.Fatalf("last-completed gauge %d after a cut scrub", got)
-	}
-	for _, _, migrated := f.calls(); migrated == 0 && time.Since(queuedAt) < 5*time.Second; _, _, migrated = f.calls() {
-		time.Sleep(time.Millisecond)
-	}
-	if waited := time.Since(queuedAt); waited > time.Second {
-		t.Fatalf("drain began %v after the view change", waited)
+	if r := d.RunCycle(nil); r.Draining != 2 || r.Failed != 0 || !f.View().Equal(newer.Drained()) {
+		t.Fatalf("next pass %s, view %s", r, f.View())
 	}
 }
 
@@ -563,32 +566,35 @@ func TestOneBudget(t *testing.T) {
 	f.delay = time.Millisecond
 	f.verify = func(string) (bool, error) { return false, nil } // every scrubbed key is repaired too
 	f.repair = func(string) (core.RepairReport, error) { return core.RepairReport{Missing: 1, Rewritten: 1}, nil }
-	var sources, scrubs atomic.Int32
+	var draining, steady atomic.Int32
 	d := newDaemon(t, Config{Client: f, Interval: 2 * time.Millisecond, Rate: -1, MaxConcurrent: bound, OnCycle: func(r Report) {
-		if r.Sources > 0 {
-			sources.Add(1)
+		if r.Draining > 0 {
+			draining.Add(1)
 		} else {
-			scrubs.Add(1)
+			steady.Add(1)
 		}
 	}})
 	d.Start()
 	for e := uint64(3); e < 13; e++ {
 		f.recoveredFn("srv")
-		f.onChange(membership.View{Epoch: e - 1, Servers: f.view.Servers}, membership.View{Epoch: e, Servers: f.view.Servers})
+		prev := f.View()
+		next := prev.WithAdded(fmt.Sprintf("s%d:1", e))
+		f.setView(next)
+		f.onChange(prev, next)
 		time.Sleep(5 * time.Millisecond)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for sources.Load() == 0 || scrubs.Load() < 2 || d.Pending() > 0 {
+	for draining.Load() == 0 || steady.Load() < 2 || len(f.View().Draining) > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("drains %d, scrubs %d, pending %d", sources.Load(), scrubs.Load(), d.Pending())
+			t.Fatalf("draining passes %d, steady %d, view %s", draining.Load(), steady.Load(), f.View())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	d.Stop()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.migrated) == 0 || len(f.repaired) == 0 {
-		t.Fatalf("%d MigrateKey and %d Repair calls: both walks must run", len(f.migrated), len(f.repaired))
+	if len(f.repaired) == 0 {
+		t.Fatal("no Repair calls")
 	}
 	if f.maxInFlight > bound {
 		t.Fatalf("%d per-key calls in flight at once, bound %d", f.maxInFlight, bound)

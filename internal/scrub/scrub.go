@@ -1,35 +1,34 @@
 // Package scrub implements the store's one background daemon, which
 // brings the cluster back to full redundancy at the current placement
 // — the paper's open future-work item of recovery after node failure (a
-// restarted server comes back empty). Each pass walks the keyspace one
-// way: if a membership view change left a migration source pending, it
-// drains the sources (Client.MigrateKey refills what the new ring names
-// and drops what only the old ring named); otherwise it scrubs
-// (Client.Verify, then Client.Repair where degraded). No scrub repairs
-// a key against the current ring while its data may sit where only an
-// older ring places it: a source queued mid-scrub cuts the scrub short,
-// and a timed pass whose drain leaves a source pending scrubs only the
-// keys already moved, so a source that cannot drain (a departed holder
-// that never answers) does not stop anti-entropy for the rest.
+// restarted server comes back empty) — and finishes every membership
+// change. Each pass is one walk over the keys stored on the servers of
+// the current view and of every ring it still drains
+// (membership.View.Draining): Client.Verify, then Client.Repair where
+// the key is degraded or a draining ring places it elsewhere. Repair
+// reads every source placement, so no key is repaired against the
+// current ring alone while its data may sit where only an older ring
+// places it. A pass that scanned, started and converged every key
+// clears the draining list by publishing the next epoch without it,
+// unless the view moved on during the pass.
 //
 // Recovery traffic, not foreground traffic, saturates erasure-coded
 // clusters (Rashmi et al.), so every pass spends one keys/sec rate and
-// one concurrency bound. Passes run on a periodic interval and on kicks: Kick, a suspect
-// server answering again (Client.OnServerRecovered), and every adopted
-// view (Client.OnViewChange), which also queues the outgoing view as a
-// source, so `ring add` / `ring remove` start draining by themselves.
+// one concurrency bound. Passes run on a periodic interval and on kicks:
+// Kick, a suspect server answering again (Client.OnServerRecovered), and
+// every adopted view that drains (Client.OnViewChange), so `ring add` /
+// `ring remove` start draining by themselves. A pass that leaves the
+// list in place runs again after a second.
 package scrub
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"ecstore/internal/core"
-	"ecstore/internal/hashring"
 	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
 	"ecstore/internal/stats"
@@ -42,27 +41,26 @@ const (
 	DefaultRate = 1000.0
 	// DefaultMaxConcurrent bounds the in-flight per-key calls of a walk.
 	DefaultMaxConcurrent = 4
-	// maxPendingSources bounds the queued old views; beyond it the
-	// OLDEST sources fold together (migrating from an older ring
-	// subsumes the intermediate placements for any key both moved).
-	maxPendingSources = 8
 	// retryAfter is how long the loop waits to re-run a pass that left
-	// a source pending: its failed holders may be mid-restart.
+	// the view draining: its failed holders may be mid-restart.
 	retryAfter = time.Second
 )
 
 // Client is the slice of core.Client the daemon needs: ScanKeysOn
-// lists the logical keys stored on addrs, Verify/Repair/MigrateKey
-// converge one key, View is the current membership view, and New
-// registers its hooks with OnServerRecovered and OnViewChange. It is an
-// interface so tests can exercise the daemon's control flow (fallback
-// paths, error accounting, pass choice) without a live cluster.
+// lists the logical keys stored on addrs, Verify/Repair converge one
+// key, View is the current membership view, RefreshView learns the
+// cluster's, PushView publishes the one that clears its draining
+// rings, and New registers its hooks with OnServerRecovered and
+// OnViewChange. It is an interface so tests can
+// exercise the daemon's control flow (fallback paths, error accounting,
+// the clear rule) without a live cluster.
 type Client interface {
 	ScanKeysOn(addrs []string) ([]string, error)
 	Verify(key string) (bool, error)
 	Repair(key string) (core.RepairReport, error)
-	MigrateKey(key string, oldRing *hashring.Ring) (core.MigrateReport, error)
 	View() membership.View
+	RefreshView() (membership.View, error)
+	PushView(v membership.View) (membership.View, error)
 	OnServerRecovered(fn func(addr string))
 	OnViewChange(fn func(old, new membership.View))
 }
@@ -74,9 +72,9 @@ type Config struct {
 	// Interval is the period between timed passes (DefaultInterval if
 	// zero; negative: no timer, only kicks and RunCycle).
 	Interval time.Duration
-	// Rate caps a walk at this many keys per second, healthy and
-	// unmoved keys included, so a pass costs bounded cluster I/O
-	// (DefaultRate if zero; negative: unthrottled).
+	// Rate caps a walk at this many keys per second, healthy keys
+	// included, so a pass costs bounded cluster I/O (DefaultRate if zero;
+	// negative: unthrottled).
 	Rate float64
 	// MaxConcurrent bounds in-flight per-key calls
 	// (DefaultMaxConcurrent if zero or less).
@@ -89,27 +87,26 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Report summarizes one pass. Sources is how many queued old views it
-// drained from and Scanned how many logical keys it visited: Healthy
-// ones needed nothing, Repaired ones had redundancy restored, Moved
-// ones had data relocated to the current ring, and Failed ones did not
-// converge (a drain leaves their source queued for retry). Refilled and
-// Dropped count the chunks/replicas written (by repair or migration)
-// and drained, BytesMoved the refills' payload. Err is the pass-level
-// error (a scan failed).
+// Report summarizes one pass. Draining is how many rings the view the
+// pass started with still drained, Scanned how many logical keys it
+// visited: Healthy ones needed nothing, Repaired ones had copies
+// written, and Failed ones did not converge (they keep the view
+// draining). Refilled and Dropped count the chunks/replicas written and
+// drained, BytesMoved the refills' payload. Err is the pass-level error
+// (a scan failed).
 type Report struct {
-	Sources, Scanned, Healthy, Repaired, Moved int
-	Refilled, Dropped                          int
-	BytesMoved                                 int64
-	Failed                                     int
-	Duration                                   time.Duration // wall-clock length of the pass
-	Err                                        error
+	Draining, Scanned, Healthy, Repaired int
+	Refilled, Dropped                    int
+	BytesMoved                           int64
+	Failed                               int
+	Duration                             time.Duration // wall-clock length of the pass
+	Err                                  error
 }
 
 // String renders the report on one line.
 func (r Report) String() string {
-	s := fmt.Sprintf("sources=%d scanned=%d healthy=%d repaired=%d moved=%d refilled=%d dropped=%d bytes=%d failed=%d in %v",
-		r.Sources, r.Scanned, r.Healthy, r.Repaired, r.Moved, r.Refilled, r.Dropped, r.BytesMoved, r.Failed,
+	s := fmt.Sprintf("draining=%d scanned=%d healthy=%d repaired=%d refilled=%d dropped=%d bytes=%d failed=%d in %v",
+		r.Draining, r.Scanned, r.Healthy, r.Repaired, r.Refilled, r.Dropped, r.BytesMoved, r.Failed,
 		r.Duration.Round(time.Millisecond))
 	if r.Err != nil {
 		s += fmt.Sprintf(" (error: %v)", r.Err)
@@ -122,7 +119,6 @@ func (r *Report) add(o Report) {
 	r.Scanned += o.Scanned
 	r.Healthy += o.Healthy
 	r.Repaired += o.Repaired
-	r.Moved += o.Moved
 	r.Refilled += o.Refilled
 	r.Dropped += o.Dropped
 	r.BytesMoved += o.BytesMoved
@@ -143,23 +139,20 @@ type Daemon struct {
 	mCycles, mKicks, mKeysScanned *metrics.Counter
 	gInProgress                   *metrics.Gauge
 	hCycleSeconds                 *stats.Histogram
-	// The scrub walk's series.
+	// The per-key series: an unmoved key's rewrites are scrub rewrites,
+	// a moved key's refills, drains and bytes are migration.
 	mKeysHealthy, mKeysRepaired, mKeysFailed, mRewritten *metrics.Counter
-	gLastDone                                            *metrics.Gauge
-	// The drain walk's series.
-	mKeysMoved, mMoveFailed, mRefilled, mChunksDrop, mBytesMoved *metrics.Counter
-	gPending                                                     *metrics.Gauge
+	mRefilled, mChunksDrop, mBytesMoved                  *metrics.Counter
+	gLastDone, gPending                                  *metrics.Gauge
 
-	mu      sync.Mutex
-	pending []membership.View // queued old views, oldest first
-	queued  chan struct{}     // closed and replaced by Enqueue
-	stop    chan struct{}     // closed by Stop; nil while stopped
-	wg      sync.WaitGroup
+	mu   sync.Mutex
+	stop chan struct{} // closed by Stop; nil while stopped
+	wg   sync.WaitGroup
 }
 
 // New returns a Daemon for cfg and registers its hooks on the client: a
-// recovered server kicks a pass; an adopted view queues the old one and
-// kicks.
+// recovered server kicks a pass, and so does an adopted view that
+// drains.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Client == nil {
 		return nil, errors.New("scrub: Config.Client is required")
@@ -172,7 +165,6 @@ func New(cfg Config) (*Daemon, error) {
 		interval: cmp.Or(cfg.Interval, DefaultInterval), // negative: no periodic timer
 		workers:  cfg.MaxConcurrent,
 		kick:     make(chan struct{}, 1),
-		queued:   make(chan struct{}),
 
 		mCycles:       reg.Counter("ecstore_scrub_cycles_total"),
 		mKicks:        reg.Counter("ecstore_scrub_kicks_total"),
@@ -183,12 +175,10 @@ func New(cfg Config) (*Daemon, error) {
 		mKeysRepaired: reg.Counter("ecstore_scrub_keys_repaired_total"),
 		mKeysFailed:   reg.Counter("ecstore_scrub_keys_failed_total"),
 		mRewritten:    reg.Counter("ecstore_scrub_rewrites_total"),
-		gLastDone:     reg.Gauge("ecstore_scrub_last_completed_unix"),
-		mKeysMoved:    reg.Counter("ecstore_migration_keys_moved_total"),
-		mMoveFailed:   reg.Counter("ecstore_migration_keys_failed_total"),
 		mRefilled:     reg.Counter("ecstore_migration_refills_total"),
 		mChunksDrop:   reg.Counter("ecstore_migration_chunks_dropped_total"),
 		mBytesMoved:   reg.Counter("ecstore_migration_bytes_moved_total"),
+		gLastDone:     reg.Gauge("ecstore_scrub_last_completed_unix"),
 		gPending:      reg.Gauge("ecstore_migration_pending_sources"),
 	}
 	if d.logf == nil {
@@ -200,13 +190,18 @@ func New(cfg Config) (*Daemon, error) {
 	if d.workers <= 0 {
 		d.workers = DefaultMaxConcurrent
 	}
+	// The pending-sources gauge follows the client's view: its length of
+	// draining rings now, and at every adoption (the clear's included).
+	d.gPending.Set(int64(len(cfg.Client.View().Draining)))
 	cfg.Client.OnServerRecovered(func(addr string) {
 		d.logf("scrub: server %s recovered, kicking a pass", addr)
 		d.Kick()
 	})
-	cfg.Client.OnViewChange(func(old, _ membership.View) {
-		d.Enqueue(old)
-		d.Kick()
+	cfg.Client.OnViewChange(func(_, next membership.View) {
+		d.gPending.Set(int64(len(next.Draining)))
+		if len(next.Draining) > 0 {
+			d.Kick()
+		}
 	})
 	return d, nil
 }
@@ -248,34 +243,6 @@ func (d *Daemon) Kick() {
 	}
 }
 
-// Enqueue queues old as a migration source, so the next pass drains
-// instead of scrubbing (deduplicated by epoch; bounded — see
-// maxPendingSources).
-func (d *Daemon) Enqueue(old membership.View) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slices.ContainsFunc(d.pending, func(v membership.View) bool { return v.Epoch == old.Epoch }) {
-		return
-	}
-	d.pending = append(d.pending, old)
-	if len(d.pending) > maxPendingSources {
-		// Fold the two oldest: any key the older ring placed differently
-		// is mis-placed relative to the next source too, and MigrateKey
-		// probes both rings' holders, so it moves from wherever it is.
-		d.pending = d.pending[1:]
-	}
-	close(d.queued)
-	d.queued = make(chan struct{})
-	d.gPending.Set(int64(len(d.pending)))
-}
-
-// Pending reports how many migration sources are queued.
-func (d *Daemon) Pending() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending)
-}
-
 func (d *Daemon) loop(stop chan struct{}) {
 	defer d.wg.Done()
 	var tick, retry <-chan time.Time
@@ -285,49 +252,58 @@ func (d *Daemon) loop(stop chan struct{}) {
 		tick = t.C
 	}
 	for {
-		timed := false
 		select {
 		case <-stop:
 			return
 		case <-tick:
-			timed = true
 		case <-d.kick:
 		case <-retry:
 		}
-		report := d.pass(stop, timed)
+		report := d.pass(stop)
 		d.logf("scrub: pass complete: %s", report)
 		if d.onCycle != nil {
 			d.onCycle(report)
 		}
-		// A pass that leaves a source pending failed part-way, and
+		// A pass that leaves the view draining failed part-way, and
 		// nothing else will kick it: run it again after retryAfter.
 		retry = nil
-		if d.Pending() > 0 {
+		if len(d.client.View().Draining) > 0 {
 			retry = time.After(retryAfter)
 		}
 	}
 }
 
-// RunCycle runs one pass synchronously and returns its report: it
-// drains the pending migration sources if there are any and scrubs the
-// keyspace otherwise. A closed cancel interrupts it between keys.
-func (d *Daemon) RunCycle(cancel <-chan struct{}) Report { return d.pass(cancel, false) }
+// RunCycle runs one pass synchronously and returns its report. A
+// closed cancel interrupts it between keys.
+func (d *Daemon) RunCycle(cancel <-chan struct{}) Report { return d.pass(cancel) }
 
-// pass runs one pass. A timed one scrubs after draining, too, skipping
-// the keys the drain could not move.
-func (d *Daemon) pass(cancel <-chan struct{}, timed bool) Report {
+// pass runs one pass over the cluster's current view — not just this
+// process's, so any daemon finishes a drain another one started: it
+// scans the keys stored on every server the view names, current or
+// draining, verifies each and repairs it where needed. The
+// last-completed gauge moves only when the scan succeeded and the walk
+// started every key; the draining list is cleared only when, besides,
+// no key failed.
+func (d *Daemon) pass(cancel <-chan struct{}) Report {
 	start := time.Now()
 	d.gInProgress.Set(1)
-	d.mu.Lock()
-	draining, queued := len(d.pending) > 0, d.queued
-	d.mu.Unlock()
-	var report Report
-	var unmoved map[string]bool
-	if draining {
-		unmoved = d.drain(cancel, &report)
+	view, err := d.client.RefreshView()
+	report := Report{Draining: len(view.Draining)}
+	var keys []string
+	if err == nil {
+		keys, err = d.client.ScanKeysOn(view.AllServers())
 	}
-	if !draining || timed && unmoved != nil {
-		d.scrub(cancel, queued, unmoved, &report)
+	if err != nil {
+		d.logf("scrub: scan failed: %v", err)
+		report.Err = err
+	} else {
+		report.add(d.walk(keys, cancel, d.scrubKey))
+	}
+	if err == nil && report.Scanned == len(keys) {
+		d.gLastDone.Set(time.Now().Unix())
+		if report.Failed == 0 && len(view.Draining) > 0 {
+			d.clear(view)
+		}
 	}
 	d.gInProgress.Set(0)
 	report.Duration = time.Since(start)
@@ -336,27 +312,23 @@ func (d *Daemon) pass(cancel <-chan struct{}, timed bool) Report {
 	return report
 }
 
-// scrub verifies, and repairs where degraded, every key of the current
-// view but those in skip; a closed queued (a source queued since the
-// pass began) cuts the walk short. The last-completed gauge moves only
-// when the scan succeeded and the walk started every key.
-func (d *Daemon) scrub(cancel, queued <-chan struct{}, skip map[string]bool, report *Report) {
-	keys, err := d.client.ScanKeysOn(d.client.View().Servers)
-	if err != nil {
-		d.logf("scrub: scan failed: %v", err)
-		report.Err = err
+// clear publishes view's successor without draining rings, once a pass
+// over view has converged every key — unless the view has moved on
+// since the pass began: a newer view's list is not this pass's to
+// clear.
+func (d *Daemon) clear(view membership.View) {
+	if d.client.View().Epoch != view.Epoch {
 		return
 	}
-	n := len(keys)
-	keys = slices.DeleteFunc(keys, func(k string) bool { return skip[k] })
-	walked := d.walk(keys, cancel, queued, d.scrubKey)
-	report.add(walked)
-	if walked.Scanned == n {
-		d.gLastDone.Set(time.Now().Unix())
+	installed, err := d.client.PushView(view.Drained())
+	if err != nil {
+		d.logf("scrub: clearing the draining rings of epoch %d: %v", view.Epoch, err)
+		return
 	}
+	d.logf("scrub: epoch %d drained; installed %s", view.Epoch, installed)
 }
 
-// scrubKey verifies one key and repairs it when degraded.
+// scrubKey verifies one key and repairs it when degraded or moved.
 func (d *Daemon) scrubKey(key string) Report {
 	ok, err := d.client.Verify(key)
 	switch {
@@ -371,99 +343,34 @@ func (d *Daemon) scrubKey(key string) Report {
 	}
 
 	rep, err := d.client.Repair(key)
+	out := Report{Refilled: rep.Rewritten, Dropped: rep.Dropped, BytesMoved: rep.BytesMoved}
+	if rep.Moved {
+		d.mRefilled.Add(int64(rep.Rewritten))
+		d.mChunksDrop.Add(int64(rep.Dropped))
+		d.mBytesMoved.Add(rep.BytesMoved)
+	} else {
+		d.mRewritten.Add(int64(rep.Rewritten))
+	}
 	switch {
 	case errors.Is(err, core.ErrNotFound), err == nil && rep.Missing == 0:
-		// Deleted since, or Verify was pessimistic (or raced a
-		// concurrent write): the probe found full redundancy.
+		// Deleted since, Verify was pessimistic (or raced a concurrent
+		// write), or a moved key had only drains left: the probe found
+		// full redundancy.
 		d.mKeysHealthy.Inc()
-		return Report{Healthy: 1}
+		out.Healthy = 1
 	case err != nil:
 		d.mKeysFailed.Inc()
 		d.logf("scrub: repair %q: %v", key, err)
-		return Report{Failed: 1}
-	}
-	d.mRewritten.Add(int64(rep.Rewritten))
-	out := Report{Repaired: min(rep.Rewritten, 1), Refilled: rep.Rewritten, BytesMoved: rep.BytesMoved}
-	if rep.Rewritten < rep.Missing {
+		out.Failed = 1
+	case rep.Rewritten < rep.Missing:
 		// Partial repair (a holder is still down): count the work done
 		// but flag the key as not converged yet.
 		d.mKeysFailed.Inc()
-		out.Failed = 1
-	} else {
+		out.Repaired, out.Failed = min(rep.Rewritten, 1), 1
+	default:
 		d.mKeysRepaired.Inc()
+		out.Repaired = 1
 	}
-	return out
-}
-
-// drain migrates from every pending source, oldest first; sources
-// arriving mid-pass are drained in the same pass. A key that fails to
-// migrate from one source is skipped by every later one, and a source
-// that failed or skipped a key stays queued. It returns the keys not yet
-// moved, or nil if a scan failed or the walk was cut short. A source's
-// scan covers both views' servers: the old ring's may hold the data.
-func (d *Daemon) drain(cancel <-chan struct{}, report *Report) map[string]bool {
-	unmoved, tried := map[string]bool{}, map[uint64]bool{}
-	for {
-		d.mu.Lock()
-		i := slices.IndexFunc(d.pending, func(v membership.View) bool { return !tried[v.Epoch] })
-		if i < 0 {
-			d.mu.Unlock()
-			return unmoved
-		}
-		src := d.pending[i]
-		d.mu.Unlock()
-		tried[src.Epoch] = true
-
-		report.Sources++
-		keys, err := d.client.ScanKeysOn(append(slices.Clone(src.Servers), d.client.View().Servers...))
-		if err != nil {
-			d.logf("scrub: migration scan failed: %v", err)
-			report.Err = err
-			return nil
-		}
-		n := len(keys)
-		keys = slices.DeleteFunc(keys, func(k string) bool { return unmoved[k] })
-		oldRing := hashring.Build(0, src.Servers)
-		var mu sync.Mutex
-		walked := d.walk(keys, cancel, nil, func(key string) Report {
-			r := d.migrateKey(key, oldRing)
-			if r.Failed > 0 {
-				mu.Lock()
-				unmoved[key] = true
-				mu.Unlock()
-			}
-			return r
-		})
-		report.add(walked)
-		if walked.Scanned < len(keys) {
-			return nil
-		}
-		if walked.Scanned == n && walked.Failed == 0 {
-			d.mu.Lock()
-			d.pending = slices.DeleteFunc(d.pending, func(v membership.View) bool { return v.Epoch == src.Epoch })
-			d.gPending.Set(int64(len(d.pending)))
-			d.mu.Unlock()
-		}
-	}
-}
-
-// migrateKey moves one key from oldRing's placement to the current one.
-func (d *Daemon) migrateKey(key string, oldRing *hashring.Ring) Report {
-	rep, err := d.client.MigrateKey(key, oldRing)
-	out := Report{Refilled: rep.Refilled, Dropped: rep.Dropped, BytesMoved: rep.BytesMoved}
-	if err != nil && !errors.Is(err, core.ErrNotFound) {
-		// An absent key (deleted since the scan) has converged.
-		d.mMoveFailed.Inc()
-		d.logf("scrub: migrate %q: %v", key, err)
-		out.Failed = 1
-	}
-	if rep.Moved {
-		d.mKeysMoved.Inc()
-		out.Moved = 1
-	}
-	d.mRefilled.Add(int64(rep.Refilled))
-	d.mChunksDrop.Add(int64(rep.Dropped))
-	d.mBytesMoved.Add(rep.BytesMoved)
 	return out
 }
 
@@ -473,9 +380,8 @@ func (d *Daemon) migrateKey(key string, oldRing *hashring.Ring) Report {
 // started. Keys are paced on a fixed-rate schedule, not a fixed sleep:
 // key i is due at start + i/Rate, however long the calls before it
 // took. A closed cancel stops the walk between keys (and its wait for
-// the next one), a closed queued between keys; Scanned below len(keys)
-// means it was cut short.
-func (d *Daemon) walk(keys []string, cancel, queued <-chan struct{}, do func(key string) Report) Report {
+// the next one); Scanned below len(keys) means it was cut short.
+func (d *Daemon) walk(keys []string, cancel <-chan struct{}, do func(key string) Report) Report {
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -488,8 +394,6 @@ walk:
 	for _, key := range keys {
 		select {
 		case <-cancel:
-			break walk
-		case <-queued:
 			break walk
 		default:
 		}

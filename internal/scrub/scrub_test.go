@@ -11,14 +11,13 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
-	"ecstore/internal/hashring"
 	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
 )
 
 // fakeClient scripts the daemon's dependencies so control-flow paths
-// (fallbacks, error accounting, pass choice, concurrency) are testable
-// without a cluster.
+// (fallbacks, error accounting, the clear rule, concurrency) are
+// testable without a cluster.
 type fakeClient struct {
 	mu      sync.Mutex
 	keys    []string
@@ -26,15 +25,23 @@ type fakeClient struct {
 	view    membership.View
 	verify  func(key string) (bool, error)
 	repair  func(key string) (core.RepairReport, error)
-	// failKeys maps keys to the error MigrateKey returns for them.
+	// failKeys maps keys to the error Repair returns for them while the
+	// view drains.
 	failKeys map[string]error
-	// reports maps keys to the per-key report MigrateKey returns.
-	reports map[string]core.MigrateReport
+	// reports maps keys to the report Repair returns for them while the
+	// view drains (a moved key).
+	reports map[string]core.RepairReport
+	// pushErr fails every PushView.
+	pushErr error
+	// onRepair, if set, runs at the start of every Repair call.
+	onRepair func(key string)
 	// delay is how long every per-key call takes.
 	delay time.Duration
 
-	verified, repaired, migrated []string
-	inFlight, maxInFlight        int
+	verified, repaired    []string
+	scanned               [][]string
+	pushed                []membership.View
+	inFlight, maxInFlight int
 
 	recoveredFn func(addr string)
 	onChange    func(old, new membership.View)
@@ -44,7 +51,7 @@ func newFake(nkeys int) *fakeClient {
 	f := &fakeClient{
 		view:     membership.View{Epoch: 2, Servers: []string{"a:1", "b:1", "c:1"}},
 		failKeys: map[string]error{},
-		reports:  map[string]core.MigrateReport{},
+		reports:  map[string]core.RepairReport{},
 	}
 	for i := 0; i < nkeys; i++ {
 		f.keys = append(f.keys, fmt.Sprintf("k%03d", i))
@@ -52,13 +59,27 @@ func newFake(nkeys int) *fakeClient {
 	return f
 }
 
+// drainingView is the fake's view after a join: it drains the ring of
+// oldView.
+func drainingView() membership.View {
+	return oldView().WithAdded("c:1")
+}
+
 func oldView() membership.View {
 	return membership.View{Epoch: 1, Servers: []string{"a:1", "b:1"}}
+}
+
+// drain puts the fake's view in a draining state, as a join leaves it.
+func (f *fakeClient) drain() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.view = drainingView()
 }
 
 func (f *fakeClient) ScanKeysOn(addrs []string) ([]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.scanned = append(f.scanned, addrs)
 	if f.scanErr != nil {
 		return nil, f.scanErr
 	}
@@ -82,43 +103,91 @@ func (f *fakeClient) begin(log *[]string, key string) func() {
 	}
 }
 
+// Verify rejects every key while the view drains — a draining ring
+// places it elsewhere — and answers any other through the verify
+// script.
 func (f *fakeClient) Verify(key string) (bool, error) {
 	defer f.begin(&f.verified, key)()
-	if f.verify == nil {
+	f.mu.Lock()
+	verify, draining := f.verify, len(f.view.Draining) > 0
+	f.mu.Unlock()
+	switch {
+	case draining:
+		return false, nil
+	case verify == nil:
 		return true, nil
 	}
-	return f.verify(key)
+	return verify(key)
 }
 
+// Repair answers a key of a draining view from failKeys and reports
+// (a moved key), any other through the repair script.
 func (f *fakeClient) Repair(key string) (core.RepairReport, error) {
 	defer f.begin(&f.repaired, key)()
-	if f.repair == nil {
+	if f.onRepair != nil {
+		f.onRepair(key)
+	}
+	f.mu.Lock()
+	if len(f.view.Draining) > 0 {
+		defer f.mu.Unlock()
+		if err := f.failKeys[key]; err != nil {
+			return core.RepairReport{Moved: true}, err
+		}
+		return f.reports[key], nil
+	}
+	repair := f.repair
+	f.mu.Unlock()
+	if repair == nil {
 		return core.RepairReport{}, nil
 	}
-	return f.repair(key)
+	return repair(key)
 }
 
-func (f *fakeClient) MigrateKey(key string, oldRing *hashring.Ring) (core.MigrateReport, error) {
-	defer f.begin(&f.migrated, key)()
+func (f *fakeClient) View() membership.View {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.failKeys[key]; err != nil {
-		return core.MigrateReport{}, err
-	}
-	return f.reports[key], nil
+	return f.view
 }
 
-func (f *fakeClient) View() membership.View { return f.view }
+// RefreshView answers the fake's view, or its scan error: a cluster no
+// server of which answers the scan answers no ring query either.
+func (f *fakeClient) RefreshView() (membership.View, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.view, f.scanErr
+}
+
+// PushView installs v if it is newer, like a cluster whose servers all
+// adopt it.
+func (f *fakeClient) PushView(v membership.View) (membership.View, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.pushErr != nil {
+		return f.view, f.pushErr
+	}
+	f.pushed = append(f.pushed, v)
+	if v.Epoch > f.view.Epoch {
+		f.view = v
+	}
+	return f.view, nil
+}
+
+// setView installs v as if another party had pushed it.
+func (f *fakeClient) setView(v membership.View) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.view = v
+}
 
 func (f *fakeClient) OnServerRecovered(fn func(addr string)) { f.recoveredFn = fn }
 
 func (f *fakeClient) OnViewChange(fn func(old, new membership.View)) { f.onChange = fn }
 
-// calls returns how many Verify, Repair and MigrateKey calls were made.
-func (f *fakeClient) calls() (verified, repaired, migrated int) {
+// calls returns how many Verify and Repair calls were made.
+func (f *fakeClient) calls() (verified, repaired int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.verified), len(f.repaired), len(f.migrated)
+	return len(f.verified), len(f.repaired)
 }
 
 func newDaemon(t *testing.T, cfg Config) *Daemon {
@@ -287,7 +356,7 @@ func TestRunCycleCancel(t *testing.T) {
 	}
 	// Everything it did scan was fully processed (no leaked goroutines
 	// past the barrier): scanned keys were all verified.
-	if verified, _, _ := c.calls(); verified != report.Scanned {
+	if verified, _ := c.calls(); verified != report.Scanned {
 		t.Fatalf("scanned %d but verified %d", report.Scanned, verified)
 	}
 }
@@ -398,10 +467,10 @@ func TestDaemonPeriodicInterval(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Report{Sources: 2, Scanned: 10, Healthy: 8, Repaired: 1, Moved: 4, Refilled: 3, Dropped: 5, BytesMoved: 640,
+	r := Report{Draining: 2, Scanned: 10, Healthy: 8, Repaired: 1, Refilled: 3, Dropped: 5, BytesMoved: 640,
 		Failed: 1, Duration: 1500 * time.Millisecond, Err: errors.New("boom")}
 	s := r.String()
-	for _, want := range []string{"sources=2", "scanned=10", "healthy=8", "repaired=1", "moved=4", "refilled=3",
+	for _, want := range []string{"draining=2", "scanned=10", "healthy=8", "repaired=1", "refilled=3",
 		"dropped=5", "bytes=640", "failed=1", "in 1.5s", "(error: boom)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
@@ -478,6 +547,63 @@ func TestScrubConvergesCluster(t *testing.T) {
 	}
 	if got := reg.Counter("ecstore_scrub_cycles_total").Value(); got != 2 {
 		t.Fatalf("cycles counter = %d", got)
+	}
+}
+
+// TestRemovedCrashedServerDrains: `ring remove` of a server that has
+// crashed for good leaves a draining ring one of whose servers never
+// answers. Its keys converge anyway — the refills land on the current
+// placement, and a drain that cannot reach a server the view no longer
+// names is not a failure — so a pass clears the list, and every key
+// reads back and verifies at the current placement alone.
+func TestRemovedCrashedServerDrains(t *testing.T) {
+	for name, cfg := range map[string]core.Config{
+		"sync-rep":  {Resilience: core.ResilienceSyncRep, Replicas: 3},
+		"era-ce-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2},
+		"hybrid":    {Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cl, err := cluster.Start(cluster.Config{N: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			cfg.Network, cfg.Servers = cl.Network(), cl.Addrs()
+			c, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			values := map[string][]byte{}
+			for i := 0; i < 16; i++ {
+				key := fmt.Sprintf("%s-%02d", name, i)
+				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 100+(i%2)*6000)
+				if err := c.Set(key, values[key]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Kill(2)
+			if _, err := c.RingRemove(cl.Addrs()[2]); err != nil {
+				t.Fatal(err)
+			}
+			d := newDaemon(t, Config{Client: c, Rate: -1, Logf: t.Logf})
+			for pass := 1; len(c.View().Draining) > 0; pass++ {
+				if pass > 3 {
+					t.Fatalf("view %s still drains after %d passes", c.View(), pass-1)
+				}
+				if r := d.RunCycle(nil); r.Err != nil {
+					t.Fatalf("pass %d: %s", pass, r)
+				}
+			}
+			for key, want := range values {
+				if got, err := c.Get(key); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Get(%s) after the drain: %d bytes, %v", key, len(got), err)
+				}
+				if ok, err := c.Verify(key); err != nil || !ok {
+					t.Fatalf("Verify(%s) after the drain = %v, %v", key, ok, err)
+				}
+			}
+		})
 	}
 }
 

@@ -405,16 +405,16 @@ func epochExempt(op wire.Op) bool {
 
 func (s *Server) dispatch(req *wire.Request) wire.Response {
 	// Membership epoch gate (DESIGN §13): a data request stamped with
-	// an epoch other than ours was placed against a different ring.
+	// an epoch other than ours was placed against a different ring —
+	// unless only draining rings changed between the two, shortly
+	// after the change (Places).
 	// Reject it with our encoded view — a stale sender adopts it and
 	// retries; a newer sender pushes its view (OpRingUpdate) first.
 	// Epoch 0 marks an epoch-unaware sender (peer chunk traffic,
 	// legacy tools) and is always accepted: those requests are
 	// address-directed, not placement-derived.
-	if req.Epoch != 0 && !epochExempt(req.Op) {
-		if cur := s.view.Current(); req.Epoch != cur.Epoch {
-			return wire.Response{Status: wire.StatusWrongEpoch, Value: cur.Encode()}
-		}
+	if req.Epoch != 0 && !epochExempt(req.Op) && !s.view.Places(req.Epoch) {
+		return wire.Response{Status: wire.StatusWrongEpoch, Value: s.view.Current().Encode()}
 	}
 	switch req.Op {
 	case wire.OpPing:
