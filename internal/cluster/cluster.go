@@ -30,9 +30,9 @@ type Config struct {
 	DisableEviction bool
 	// Workers is the per-server worker pool size.
 	Workers int
-	// PeerTimeout bounds each server-to-peer RPC during server-side
-	// encode/decode (server.DefaultPeerTimeout if zero; negative
-	// disables deadlines).
+	// PeerTimeout is each server's coordinator OpTimeout: it bounds
+	// each round of server-to-peer RPCs during server-side encode/decode
+	// (server.DefaultPeerTimeout if zero; negative disables deadlines).
 	PeerTimeout time.Duration
 	// Logf receives server diagnostics (discarded if nil).
 	Logf func(format string, args ...any)

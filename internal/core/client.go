@@ -192,21 +192,38 @@ type strategy interface {
 
 // New returns a Client for the given configuration.
 func New(cfg Config) (*Client, error) {
+	if cfg.Network == nil {
+		return nil, errors.New("core: Config.Network is required")
+	}
+	if len(cfg.Servers) == 0 {
+		return nil, errors.New("core: Config.Servers is empty")
+	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Replicas > len(cfg.Servers) {
+		return nil, fmt.Errorf("core: %d replicas need at least that many servers (have %d)",
+			cfg.Replicas, len(cfg.Servers))
+	}
+	// The pool is the failure detector: per-call deadlines bound every
+	// round trip, and the per-server health tracker turns repeated
+	// failures into a fast-failing suspect state — see Config.OpTimeout
+	// and Config.MaxRetries. It shares the client's metrics registry, so
+	// rpc call/timeout/health counters land next to the per-op series.
+	pool := rpc.NewPool(cfg.Network, rpc.WithCallTimeout(cfg.OpTimeout), rpc.WithMetrics(cfg.Metrics))
+	return newClient(cfg, pool, membership.NewTracker(membership.NewView(cfg.Servers), 0))
+}
+
+// newClient builds a client, and the strategy cfg selects, over pool
+// and view. It is the one constructor: New passes a pool and view of
+// the client's own, NewCoordinator a server's.
+func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, error) {
 	reg := cfg.Metrics
 	c := &Client{
-		cfg: cfg,
-		// The pool is the failure detector: per-call deadlines bound
-		// every round trip, and the per-server health tracker turns
-		// repeated failures into a fast-failing suspect state — see
-		// Config.OpTimeout and Config.MaxRetries. It shares the
-		// client's metrics registry, so rpc call/timeout/health
-		// counters land next to the per-op series.
-		pool:   rpc.NewPool(cfg.Network, rpc.WithCallTimeout(cfg.OpTimeout), rpc.WithMetrics(reg)),
-		view:   membership.NewTracker(membership.NewView(cfg.Servers), 0),
+		cfg:    cfg,
+		pool:   pool,
+		view:   view,
 		window: make(chan struct{}, cfg.Window),
 		ops: map[string]*opMetrics{
 			"set":     newOpMetrics(reg, "set"),
@@ -256,8 +273,8 @@ func New(cfg Config) (*Client, error) {
 	// which this send-time fallback cannot guarantee.
 	c.pool.SetEpochSource(c.view.Epoch)
 	reg.RegisterFunc("ecstore_client_membership_epoch", func() int64 { return int64(c.view.Epoch()) })
-	c.strat, err = c.newStrategy(cfg.Resilience)
-	if err != nil {
+	var err error
+	if c.strat, err = c.newStrategy(cfg.Resilience); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -17,7 +17,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -210,14 +209,9 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// withDefaults validates cfg and fills defaults.
+// withDefaults validates cfg and fills defaults. Network and Servers
+// are New's to check: a coordinator runs over a server's pool and view.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.Network == nil {
-		return cfg, errors.New("core: Config.Network is required")
-	}
-	if len(cfg.Servers) == 0 {
-		return cfg, errors.New("core: Config.Servers is empty")
-	}
 	if cfg.Resilience == 0 {
 		cfg.Resilience = ResilienceNone
 	}
@@ -268,10 +262,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.K+cfg.M > 256 {
 		return cfg, fmt.Errorf("core: K+M too large (%d)", cfg.K+cfg.M)
-	}
-	if cfg.Replicas > len(cfg.Servers) {
-		return cfg, fmt.Errorf("core: %d replicas need at least that many servers (have %d)",
-			cfg.Replicas, len(cfg.Servers))
 	}
 	return cfg, nil
 }

@@ -20,13 +20,15 @@ import (
 // restore it, because the view's draining ring names where the rest
 // lives. Read against the current ring alone, the Get fails and the
 // erasure-coded Repair purges the surviving chunks as authoritative
-// loss.
+// loss. In era-se-sd the Get is the primary's decode, and the founder
+// that restarted empty is that primary.
 func TestDrainingRingIsASource(t *testing.T) {
 	modes := map[string]struct {
 		cfg   core.Config
 		width int
 	}{
 		"era-ce-cd": {migrationModes()["era-ce-cd"], 5},
+		"era-se-sd": {allModes()["era-se-sd"], 5},
 		"sync-rep":  {migrationModes()["sync-rep"], 3},
 	}
 	for name, mode := range modes {

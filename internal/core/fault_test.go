@@ -9,7 +9,9 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
+	"ecstore/internal/hashring"
 	"ecstore/internal/transport"
+	"ecstore/internal/wire"
 )
 
 // startNetemCluster launches an n-server cluster on a fault-injecting
@@ -240,6 +242,37 @@ func TestFailedSetDoesNotShadowPreviousValue(t *testing.T) {
 			}
 			if gerr != nil && !errors.Is(gerr, core.ErrNotFound) && !errors.Is(gerr, core.ErrUnavailable) {
 				t.Fatalf("unexpected Get error class: %v", gerr)
+			}
+		})
+	}
+}
+
+// TestFailedSetOfFreshKeyLeavesNoChunk: a Set of a fresh key with one
+// chunk holder cut fails, and every chunk it landed is unwound, whether
+// the client or the key's primary server encoded the stripe. The cut
+// holder is never the primary, so the era-se-cd client does not fail
+// over to another coordinator.
+func TestFailedSetOfFreshKeyLeavesNoChunk(t *testing.T) {
+	for _, mode := range []string{"era-ce-cd", "era-se-cd"} {
+		t.Run(mode, func(t *testing.T) {
+			cl, netem := startNetemCluster(t, 5)
+			cfg := allModes()[mode]
+			cfg.OpTimeout, cfg.MaxRetries = 200*time.Millisecond, -1
+			c := newClient(t, cl, cfg)
+			const key = "fresh"
+			n := cfg.K + cfg.M
+			cutAddr := hashring.Build(0, cl.Addrs()).GetN(key, n)[2]
+			netem.Cut(cutAddr)
+			defer netem.Restore(cutAddr)
+			if err := c.Set(key, bytes.Repeat([]byte("unwound"), 1000)); err == nil {
+				t.Fatal("Set with a cut chunk holder succeeded")
+			}
+			for s, addr := range cl.Addrs() {
+				for i := 0; i < n; i++ {
+					if _, ok := cl.Server(s).Store().Get(wire.ChunkKey(key, i)); ok {
+						t.Errorf("%s holds chunk %d of the failed write", addr, i)
+					}
+				}
 			}
 		})
 	}

@@ -40,9 +40,10 @@ func chunkHolders(cl *cluster.Cluster, key string, n int) []int {
 
 // TestDegradedReadVerdicts pins that a degraded read answers exactly what
 // asking every chunk location would: for each of the 3^5 states of an
-// RS(3,2) key's five locations, Get in era-ce-cd (the client's rounds) and
-// era-se-sd (the coordinator's) returns the value when at least K
-// locations hold their chunk, ErrNotFound when none does and the cut ones
+// RS(3,2) key's five locations, Get in era-ce-cd and era-se-sd — one
+// decoder, gatherGet, reached by the client's own read and through the
+// primary's decode-get — returns the value when at least K locations
+// hold their chunk, ErrNotFound when none does and the cut ones
 // could not hold K between them, and ErrUnavailable otherwise. Three more
 // rows mix stripes. At RS(3,2), chunks 0 and 1 come from an older write,
 // so the most complete stripe of the data round is the older one. At

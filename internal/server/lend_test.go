@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/rpc"
 	"ecstore/internal/store"
 	"ecstore/internal/transport"
@@ -120,5 +123,60 @@ func TestPipelinedReadsAroundWriteSeeWholeVersions(t *testing.T) {
 			resp.Release()
 		}
 		older, newer = newer, older
+	}
+}
+
+// TestCoordinatorLeasesBalance: a server's coordinator leases the chunk
+// payloads it sends, and reads its peers' answers, from the server's one
+// frame pool — its own chunks too, which come back in through its reader
+// like a peer's. On a three-server cluster, where RS(3,2) wraps and a
+// holder's chunks travel as one batch, every lease of every server comes
+// back after encode-sets, decode-gets and a degraded decode-get.
+func TestCoordinatorLeasesBalance(t *testing.T) {
+	network := transport.NewInproc(transport.Shape{})
+	addrs := []string{"c0", "c1", "c2"}
+	servers := make([]*Server, len(addrs))
+	pools := make([]*bufpool.Pool, len(addrs))
+	for i, addr := range addrs {
+		pools[i] = bufpool.New()
+		srv, err := New(Config{Addr: addr, Network: network, Peers: addrs, FramePool: pools[i], Logf: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = srv
+		t.Cleanup(srv.Close)
+	}
+	pool := rpc.NewPool(network)
+	t.Cleanup(pool.Close)
+	meta := wire.ECMeta{K: 3, M: 2}
+	for i, size := range []int{700, 64 << 10} {
+		key := fmt.Sprintf("k%d", i)
+		value := bytes.Repeat([]byte{byte('a' + i)}, size)
+		if _, err := pool.Roundtrip("c0", &wire.Request{Op: wire.OpEncodeSet, Key: key, Value: value, Meta: meta}); err != nil {
+			t.Fatal(err)
+		}
+		for _, lose := range []bool{false, true} {
+			if lose {
+				for _, srv := range servers {
+					srv.Store().Delete(wire.ChunkKey(key, 0))
+				}
+			}
+			resp, err := pool.Roundtrip("c1", &wire.Request{Op: wire.OpDecodeGet, Key: key, Meta: meta})
+			if err != nil || !bytes.Equal(resp.Value, value) {
+				t.Fatalf("decode-get %s (chunk 0 lost %v): %v", key, lose, err)
+			}
+			resp.Release()
+		}
+	}
+	// A response frame goes back to its pool once written, which may be
+	// just after its reader has it.
+	deadline := time.Now().Add(5 * time.Second)
+	for i, fp := range pools {
+		for st := fp.Stats(); st.Gets != st.Puts; st = fp.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: frame pool lease imbalance: %d gets vs %d puts", addrs[i], st.Gets, st.Puts)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -2,8 +2,11 @@
 // readers that run store-local requests to completion (memcached's
 // worker-owns-connection model), the item store, and behind them a
 // worker pool (the paper's 8 workers) as the server-side Asynchronous
-// Request Processing Engine that talks to peer servers to execute the
-// server-side encode (Era-SE-*) and decode (Era-*-SD) schemes.
+// Request Processing Engine. A worker runs the server-side encode
+// (Era-SE-*) and decode (Era-*-SD) ops through a core.Coordinator — the
+// client's own erasure strategy, over the server's peer pool and view —
+// whose chunks for this server come back in through a reader like any
+// peer's.
 package server
 
 import (
@@ -30,9 +33,9 @@ import (
 // DefaultWorkers matches the paper's per-server worker thread count.
 const DefaultWorkers = 8
 
-// DefaultPeerTimeout bounds each peer RPC round trip issued by the
-// server-side encode/decode coordinator, so one hung peer cannot wedge
-// a worker forever.
+// DefaultPeerTimeout is the coordinator's per-round OpTimeout: it bounds
+// each round of peer RPCs an encode-set or decode-get issues, so one hung
+// peer cannot wedge a worker forever.
 const DefaultPeerTimeout = 15 * time.Second
 
 // Config configures a Server.
@@ -52,9 +55,9 @@ type Config struct {
 	// Workers sets the size of the worker pool for the operations a
 	// reader hands off (runsOnWorker); DefaultWorkers if zero.
 	Workers int
-	// PeerTimeout bounds each RPC to a peer server during server-side
-	// encode/decode (DefaultPeerTimeout if zero; negative disables
-	// deadlines).
+	// PeerTimeout is the coordinator's per-round OpTimeout: it bounds each
+	// round of peer RPCs during server-side encode/decode
+	// (DefaultPeerTimeout if zero; negative disables deadlines).
 	PeerTimeout time.Duration
 	// Logf receives diagnostics; log.Printf if nil.
 	Logf func(format string, args ...any)
@@ -91,13 +94,11 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// codes caches constructed erasure codecs by {K, M}. A sync.Map —
-	// not a mutex-guarded map — because the codecs themselves (matrix,
-	// inversion cache, worker pool) are concurrency-safe: the old global
-	// codeMu serialized every server-side encode/decode across all
-	// workers, flattening Era-SE-* throughput at exactly the point the
-	// worker pool was supposed to scale it.
-	codes sync.Map // map[[2]int]*erasure.RSVan
+	// coordinators holds one core.Coordinator per {K, M}, built over
+	// peers and view (ec.go). A sync.Map, lock-free on the hit path:
+	// a coordinator is safe for concurrent use, so every worker runs
+	// its encode-sets and decode-gets in parallel.
+	coordinators sync.Map // map[[2]uint8]*core.Coordinator
 
 	framePool *bufpool.Pool
 }
@@ -179,7 +180,10 @@ func New(cfg Config) (*Server, error) {
 		listener: ln,
 		store:    store.New(cfg.Store),
 		view:     membership.NewTracker(membership.NewView(cfg.Peers), 0),
-		peers:    rpc.NewPool(cfg.Network, rpc.WithCallTimeout(peerTimeout), rpc.WithMetrics(reg)),
+		// The coordinators' pool leases from the server's frame pool too,
+		// so every buffer the server lends or borrows recycles in one.
+		peers: rpc.NewPool(cfg.Network, rpc.WithCallTimeout(peerTimeout), rpc.WithMetrics(reg),
+			rpc.WithFramePool(framePool)),
 		// The job queue is sized to keep every worker busy while the
 		// readers stay responsive; beyond that, backpressure blocks
 		// the connection reader, which is the desired flow control.
@@ -365,7 +369,8 @@ func errorResponse(err error) wire.Response {
 	switch {
 	case errors.Is(err, wire.ErrNotFound):
 		return wire.Response{Status: wire.StatusNotFound}
-	case errors.Is(err, store.ErrOutOfMemory), errors.Is(err, store.ErrValueTooLarge):
+	case errors.Is(err, store.ErrOutOfMemory), errors.Is(err, store.ErrValueTooLarge),
+		errors.Is(err, wire.ErrOutOfMemory):
 		return wire.Response{Status: wire.StatusOutOfMemory}
 	default:
 		return wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
@@ -410,9 +415,10 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 	// after the change (Places).
 	// Reject it with our encoded view — a stale sender adopts it and
 	// retries; a newer sender pushes its view (OpRingUpdate) first.
-	// Epoch 0 marks an epoch-unaware sender (peer chunk traffic,
-	// legacy tools) and is always accepted: those requests are
-	// address-directed, not placement-derived.
+	// Epoch 0 marks an epoch-unaware sender (bare rpc pools, legacy
+	// tools) and is always accepted: those requests are
+	// address-directed, not placement-derived. A coordinator's chunk
+	// traffic is placement-derived and carries its view's epoch.
 	if req.Epoch != 0 && !epochExempt(req.Op) && !s.view.Places(req.Epoch) {
 		return wire.Response{Status: wire.StatusWrongEpoch, Value: s.view.Current().Encode()}
 	}
