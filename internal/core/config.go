@@ -185,10 +185,11 @@ type Config struct {
 	// jitter per attempt (DefaultRetryBackoff if zero).
 	RetryBackoff time.Duration
 	// CacheBytes enables the client-side near cache: a size-bounded
-	// LRU over logical values, stamped with the stripe version each
-	// value was read at, invalidated on local Set/Cas/Delete (every
-	// Cas outcome — a conditional write that loses with EXISTS drops
-	// the entry), on authoritative absence, and on TTL or CacheMaxAge
+	// two-queue FIFO over logical values (a new key waits in a small
+	// queue and moves to the main one only if hit there; see package
+	// nearcache), stamped with the stripe version each value was read
+	// at, invalidated on local Set/Cas/Delete (every Cas outcome — a
+	// conditional write that loses with EXISTS drops the entry), on authoritative absence, and on TTL or CacheMaxAge
 	// expiry (DESIGN §11). Hot zipfian reads are served from local
 	// memory instead of dialing the key's home server. 0 disables
 	// caching (reads still coalesce through the singleflight group).

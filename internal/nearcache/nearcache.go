@@ -1,10 +1,13 @@
 // Package nearcache is the client-side hot-key read-scaling layer: a
 // singleflight group that coalesces concurrent reads of one key into a
-// single backend fetch, and a size-bounded, version-stamped LRU over
+// single backend fetch, and a size-bounded, version-stamped cache of
 // logical values that lets a proxy tier absorb zipfian hot reads
 // instead of collapsing the key's home server (ROADMAP item 2; the
 // design follows the lease/invalidate discipline of Nishtala et al.,
-// "Scaling Memcache at Facebook").
+// "Scaling Memcache at Facebook"). Eviction is S3-FIFO without its ghost
+// queue (Yang et al., SOSP 2023): a new entry waits in a small FIFO and
+// moves on to the main FIFO only if hit there; main reinserts its tail
+// while the tail's hit count lasts.
 //
 // Consistency contract: every cached value carries the stripe version
 // it was read at — the same token the CAS machinery checks — so a
@@ -55,6 +58,9 @@ const genSlots = 1024
 // against MaxBytes on top of key and value bytes.
 const entryOverhead = 64
 
+// S3-FIFO's constants: small's share of MaxBytes is 1/smallShare; a hit count stops at maxFreq.
+const smallShare, maxFreq = 10, 3
+
 // Value is a cached logical value: the payload bytes, the stripe
 // version they were read at (the CAS token), and the item's own
 // remaining TTL in whole seconds at the time of the read (0 = no
@@ -69,7 +75,7 @@ type Value struct {
 	TTL     uint32
 }
 
-// entry is one cached value and its place in the LRU list (intrusive, so
+// entry is one cached value and its place in its queue (intrusive, so
 // a new key costs one allocation).
 type entry struct {
 	key        string
@@ -79,13 +85,20 @@ type entry struct {
 	staleAt    time.Time // the MaxAge residency deadline; zero = no cap
 	charge     int64
 	prev, next *entry
+	freq       uint8 // hits since it entered or last rotated, up to maxFreq
+	inMain     bool  // in the main queue, not the small one
+}
+
+// expired reports whether e is past its item TTL or its MaxAge.
+func (e *entry) expired(now time.Time) bool {
+	return (!e.expires.IsZero() && !e.expires.After(now)) || (!e.staleAt.IsZero() && !e.staleAt.After(now))
 }
 
 // Config configures a Cache.
 type Config struct {
 	// MaxBytes bounds the total charge (key + value + overhead) of
-	// cached entries; the least recently used entries are evicted to
-	// stay under it. Required (> 0).
+	// cached entries, both queues together; the two-queue rule (see
+	// the package doc) evicts to stay under it. Required (> 0).
 	MaxBytes int64
 	// MaxAge caps how long any entry may be served regardless of its
 	// item TTL — a safety valve on cross-client staleness
@@ -99,19 +112,21 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Cache is the size-bounded version-stamped LRU. A nil *Cache is valid
-// and behaves as an always-miss cache, so callers can thread an
-// optional cache without nil checks. Caches are safe for concurrent
-// use.
+// Cache is the size-bounded version-stamped two-queue FIFO. A nil
+// *Cache is valid and behaves as an always-miss cache, so callers can
+// thread an optional cache without nil checks. Caches are safe for
+// concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	max     int64
-	maxAge  time.Duration
-	used    int64
-	lru     entry // list sentinel: lru.next is the most recently used
-	entries map[string]*entry
-	gens    [genSlots]uint64
-	now     func() time.Time
+	mu        sync.Mutex
+	max       int64
+	maxAge    time.Duration
+	used      int64
+	smallUsed int64 // the small queue's share of used
+	small     entry // queue sentinels: x.next is the newest entry,
+	main      entry // x.prev the next one evict examines
+	entries   map[string]*entry
+	gens      [genSlots]uint64
+	now       func() time.Time
 
 	hits          *metrics.Counter
 	misses        *metrics.Counter
@@ -135,7 +150,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		max:           cfg.MaxBytes,
 		maxAge:        cfg.MaxAge,
-		entries:       make(map[string]*entry),
 		now:           now,
 		hits:          reg.Counter("ecstore_client_nearcache_hits_total"),
 		misses:        reg.Counter("ecstore_client_nearcache_misses_total"),
@@ -145,7 +159,7 @@ func New(cfg Config) *Cache {
 		bytesGauge:    reg.Gauge("ecstore_client_nearcache_bytes"),
 		itemsGauge:    reg.Gauge("ecstore_client_nearcache_items"),
 	}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.clear()
 	return c
 }
 
@@ -192,8 +206,7 @@ func (c *Cache) Get(key string) (Value, bool) {
 		return Value{}, false
 	}
 	now := c.now()
-	if (!e.expires.IsZero() && !e.expires.After(now)) ||
-		(!e.staleAt.IsZero() && !e.staleAt.After(now)) {
+	if e.expired(now) {
 		c.removeLocked(e)
 		c.misses.Inc()
 		c.mu.Unlock()
@@ -203,8 +216,9 @@ func (c *Cache) Get(key string) (Value, bool) {
 	if !e.expires.IsZero() {
 		remaining = uint32((e.expires.Sub(now) + time.Second - 1) / time.Second)
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	if e.freq < maxFreq {
+		e.freq++
+	}
 	v := Value{Data: e.data, Version: e.version, TTL: remaining}
 	c.hits.Inc()
 	c.mu.Unlock()
@@ -215,8 +229,9 @@ func (c *Cache) Get(key string) (Value, bool) {
 // nothing will write again. It is dropped if an invalidation of key
 // happened since gen was read with Begin (the fill lost the race —
 // installing it would resurrect a value a local write just overtook).
-// Values too large to ever fit are rejected. Evicts least-recently-used
-// entries until the cache fits MaxBytes again.
+// Values too large to ever fit are rejected. A new key enters the small
+// queue once evict has made room; a live key is rewritten in place (no
+// reader holds the entry, only the bytes it lent) and keeps its place.
 func (c *Cache) Put(key string, v Value, gen uint64) {
 	if c == nil {
 		return
@@ -231,32 +246,27 @@ func (c *Cache) Put(key string, v Value, gen uint64) {
 		c.fillsDropped.Inc()
 		return
 	}
-	var expires time.Time
+	var expires, staleAt time.Time
 	if v.TTL > 0 {
 		expires = c.now().Add(time.Duration(v.TTL) * time.Second)
 	}
-	var staleAt time.Time
 	if c.maxAge > 0 {
 		staleAt = c.now().Add(c.maxAge)
 	}
 	e, ok := c.entries[key]
-	if ok {
-		// A replaced entry is rewritten in place: no reader holds the
-		// entry itself, only the data slices it lent.
-		c.used -= e.charge
-		c.unlink(e)
-	} else {
+	if !ok {
+		c.evict(charge)
 		e = &entry{key: key}
 		c.entries[key] = e
+		pushFront(&c.small, e)
+	}
+	c.used += charge - e.charge
+	if !e.inMain {
+		c.smallUsed += charge - e.charge
 	}
 	e.data = slices.Clip(v.Data)
 	e.version, e.expires, e.staleAt, e.charge = v.Version, expires, staleAt, charge
-	c.pushFront(e)
-	c.used += charge
-	for c.used > c.max && c.lru.prev != &c.lru {
-		c.removeLocked(c.lru.prev)
-		c.evictions.Inc()
-	}
+	c.evict(0) // a live key that grew
 	c.bytesGauge.Set(c.used)
 	c.itemsGauge.Set(int64(len(c.entries)))
 }
@@ -287,9 +297,7 @@ func (c *Cache) InvalidateAll() {
 		c.gens[i]++
 	}
 	n := int64(len(c.entries))
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	c.entries = make(map[string]*entry)
-	c.used = 0
+	c.clear()
 	c.invalidations.Add(n)
 	c.bytesGauge.Set(0)
 	c.itemsGauge.Set(0)
@@ -341,22 +349,54 @@ func (c *Cache) Bytes() int64 {
 	return c.used
 }
 
+// evict makes room for extra bytes, taking small's tail while small is
+// over its share or main is empty, else main's. A tail is evicted if its
+// count is 0 or, reading the clock only then, it has expired; else it
+// moves to main's head, from small with count 0, from main with one less.
+func (c *Cache) evict(extra int64) {
+	for c.used+extra > c.max {
+		e := c.main.prev
+		if c.smallUsed > c.max/smallShare || e == &c.main {
+			e = c.small.prev
+		}
+		if e.freq == 0 || e.expired(c.now()) {
+			c.removeLocked(e)
+			c.evictions.Inc()
+			continue
+		}
+		e.prev.next, e.next.prev = e.next, e.prev
+		if e.inMain {
+			e.freq--
+		} else {
+			c.smallUsed -= e.charge
+			e.freq, e.inMain = 0, true
+		}
+		pushFront(&c.main, e)
+	}
+}
+
 func (c *Cache) removeLocked(e *entry) {
-	c.unlink(e)
+	e.prev.next, e.next.prev = e.next, e.prev
 	delete(c.entries, e.key)
 	c.used -= e.charge
+	if !e.inMain {
+		c.smallUsed -= e.charge
+	}
 	c.bytesGauge.Set(c.used)
 	c.itemsGauge.Set(int64(len(c.entries)))
 }
 
-// unlink takes e out of the LRU list.
-func (c *Cache) unlink(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
+// clear empties both queues.
+func (c *Cache) clear() {
+	c.small.prev, c.small.next = &c.small, &c.small
+	c.main.prev, c.main.next = &c.main, &c.main
+	c.entries = make(map[string]*entry)
+	c.used, c.smallUsed = 0, 0
 }
 
-// pushFront makes e the most recently used entry.
-func (c *Cache) pushFront(e *entry) {
-	e.prev, e.next = &c.lru, c.lru.next
+// pushFront makes e the newest entry of the queue q heads.
+func pushFront(q, e *entry) {
+	e.prev, e.next = q, q.next
 	e.prev.next, e.next.prev = e, e
 }
 

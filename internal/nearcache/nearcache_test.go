@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ecstore/internal/metrics"
+	"ecstore/internal/ycsb"
 )
 
 // fakeClock is an adjustable clock for deadline tests.
@@ -128,8 +130,9 @@ func TestPutAdoptsData(t *testing.T) {
 	}
 }
 
-// A hit costs no allocation, and a new key one: the entry, which is its
-// own LRU list element.
+// A hit costs no allocation, a re-Put of a live key none (it is
+// rewritten in place), and a new key one: the entry, which is its own
+// queue element.
 func TestCacheAllocations(t *testing.T) {
 	c, _ := newCache(t, 1<<30, nil)
 	data := []byte("value")
@@ -140,6 +143,11 @@ func TestCacheAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Get hit: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Put("hot", Value{Data: data, Version: 2}, c.Begin("hot"))
+	}); n != 0 {
+		t.Errorf("Put of a live key: %v allocations, want 0", n)
 	}
 	// The map is grown to its final size first, so what is counted is
 	// the Put, not the map's growth.
@@ -241,7 +249,8 @@ func TestLRUEviction(t *testing.T) {
 	c, reg := newCache(t, 150, nil)
 	c.Put("a", Value{Data: []byte("1")}, c.Begin("a"))
 	c.Put("b", Value{Data: []byte("2")}, c.Begin("b"))
-	c.Get("a") // a is now more recently used than b
+	c.Get("a") // a was hit in the small queue, b was not
+	// Making room for c promotes a to the main queue and evicts b.
 	c.Put("c", Value{Data: []byte("3")}, c.Begin("c"))
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry b should have been evicted")
@@ -257,6 +266,143 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if c.Bytes() > 150 {
 		t.Fatalf("over budget: %d", c.Bytes())
+	}
+}
+
+// A working set hit once after it entered survives a pass of single-use
+// keys whose total charge exceeds MaxBytes: the pass churns through the
+// small queue while the working set sits in main. An LRU loses all of it.
+func TestScanResistance(t *testing.T) {
+	val := make([]byte, 1000)
+	const budget = 100 * (4 + 1000 + entryOverhead) // a hundred entries with 4-byte keys
+	c, _ := newCache(t, budget, nil)
+	work := make([]string, 50)
+	for i := range work {
+		work[i] = fmt.Sprintf("w%02d", i)
+		c.Put(work[i], Value{Data: val}, c.Begin(work[i]))
+	}
+	for _, k := range work {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s missing before the scan", k)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("s%03d", i)
+		c.Put(k, Value{Data: val}, c.Begin(k))
+	}
+	for _, k := range work {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%s evicted by a pass of single-use keys", k)
+		}
+	}
+	if c.Bytes() > budget {
+		t.Fatalf("over budget: %d", c.Bytes())
+	}
+}
+
+// An entry past its item TTL or MaxAge that reaches a queue tail is
+// evicted whatever its count: dead bytes never move to, or stay in, the
+// main queue at a live entry's expense.
+func TestExpiredEntryNeverPromoted(t *testing.T) {
+	one := []byte("1")
+	t.Run("small tail", func(t *testing.T) {
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		// Budget fits three entries of charge 66.
+		c := New(Config{MaxBytes: 200, MaxAge: 5 * time.Second, Now: clk.now})
+		c.Put("a", Value{Data: one}, c.Begin("a"))
+		c.Get("a")
+		clk.advance(4 * time.Second)
+		c.Put("b", Value{Data: one}, c.Begin("b"))
+		c.Get("b")
+		c.Put("x", Value{Data: one}, c.Begin("x"))
+		clk.advance(2 * time.Second) // a is past MaxAge, b and x are not
+		// Promoting the dead a would have pushed b to main and x out.
+		c.Put("c", Value{Data: one}, c.Begin("c"))
+		for _, k := range []string{"b", "x", "c"} {
+			if _, ok := c.Get(k); !ok {
+				t.Errorf("%s evicted; the expired a should have gone", k)
+			}
+		}
+		if c.Len() != 3 {
+			t.Fatalf("len = %d, want 3", c.Len())
+		}
+	})
+	t.Run("main tail", func(t *testing.T) {
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		// Budget fits two entries of charge 66.
+		c := New(Config{MaxBytes: 150, Now: clk.now})
+		c.Put("a", Value{Data: one, TTL: 1}, c.Begin("a"))
+		c.Get("a")
+		c.Put("b", Value{Data: one}, c.Begin("b"))
+		c.Put("c", Value{Data: one}, c.Begin("c")) // a moves to main, b goes
+		for i := 0; i < maxFreq; i++ {
+			c.Get("a")
+		}
+		c.Get("c")
+		clk.advance(2 * time.Second) // a is past its TTL with a full count
+		// Reinserting the dead a would have evicted c instead.
+		c.Put("d", Value{Data: one}, c.Begin("d"))
+		for _, k := range []string{"c", "d"} {
+			if _, ok := c.Get(k); !ok {
+				t.Errorf("%s evicted; the expired a should have gone", k)
+			}
+		}
+		if c.Len() != 2 {
+			t.Fatalf("len = %d, want 2", c.Len())
+		}
+	})
+}
+
+// proxy-mget's traffic shape at a tenth of its size, replayed
+// deterministically on one goroutine: a seeded scrambled zipfian over
+// 2000 keys, every tenth value 32 KB and the rest 1 KB (8.2 MB of data),
+// a 1.6 MB cache, 20 % write-through Sets (invalidate, then put) and
+// 16-key reads that fill what they miss. An LRU hits about 0.69 here.
+func TestZipfianHitRatio(t *testing.T) {
+	const records, readKeys = 2000, 16
+	reg := metrics.NewRegistry()
+	c := New(Config{MaxBytes: 1600 << 10, Metrics: reg})
+	keys := make([]string, records)
+	vals := make([][]byte, records)
+	small, big := make([]byte, 1<<10), make([]byte, 32<<10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("p%d", i)
+		vals[i] = small
+		if i%10 == 0 {
+			vals[i] = big
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := ycsb.NewScrambledZipfian(records)
+	for op := 0; op < 10000; op++ {
+		if rng.Float64() < 0.20 {
+			k := zipf.Next(rng)
+			c.Invalidate(keys[k])
+			c.Put(keys[k], Value{Data: vals[k], Version: 1}, c.Begin(keys[k]))
+			continue
+		}
+		var seen [readKeys]uint64
+	draw:
+		for n := 0; n < readKeys; {
+			k := zipf.Next(rng)
+			for _, have := range seen[:n] {
+				if have == k {
+					continue draw
+				}
+			}
+			seen[n] = k
+			n++
+			if _, ok := c.Get(keys[k]); !ok {
+				c.Put(keys[k], Value{Data: vals[k], Version: 1}, c.Begin(keys[k]))
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	hits := snap.Counter("ecstore_client_nearcache_hits_total")
+	ratio := float64(hits) / float64(hits+snap.Counter("ecstore_client_nearcache_misses_total"))
+	t.Logf("hit ratio %.3f", ratio)
+	if ratio < 0.72 {
+		t.Fatalf("hit ratio %.3f, want >= 0.72", ratio)
 	}
 }
 
