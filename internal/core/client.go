@@ -66,6 +66,7 @@ type Client struct {
 	ops            map[string]*opMetrics
 	mRetries       *metrics.Counter
 	mDegraded      *metrics.Counter
+	mSkipped       *metrics.Counter
 	mRebuilt       *metrics.Counter
 	mUnwinds       *metrics.Counter
 	mFailovers     *metrics.Counter
@@ -102,9 +103,14 @@ type Client struct {
 	mECWriteBytes  *metrics.Counter
 	hDeltaPatch    *stats.Histogram
 
-	// sleep overrides the retry-backoff sleep (tests only; time.Sleep
-	// when nil).
+	// ledger remembers the chunk holders that keep missing on reads, so
+	// a read's first round asks around them (DESIGN §12).
+	ledger holderLedger
+
+	// sleep and now stand in for time.Sleep in the retry backoff and
+	// time.Now in the ledger (tests only; the real ones when nil).
 	sleep func(time.Duration)
+	now   func() time.Time
 
 	mu     sync.Mutex
 	closed bool
@@ -238,6 +244,7 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		},
 		mRetries:       reg.Counter("ecstore_client_retries_total"),
 		mDegraded:      reg.Counter("ecstore_client_degraded_reads_total"),
+		mSkipped:       reg.Counter("ecstore_client_skipped_holder_reads_total"),
 		mRebuilt:       reg.Counter("ecstore_client_chunks_rebuilt_total"),
 		mUnwinds:       reg.Counter("ecstore_client_stripe_unwinds_total"),
 		mFailovers:     reg.Counter("ecstore_client_failovers_total"),

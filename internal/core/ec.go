@@ -280,14 +280,15 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 }
 
 // gatherGet is the client-decode read (Equation 8): one round fetching
-// chunks [0,K) of every key — each server receives ONE frame carrying
-// its chunk of every key it holds — then, for the keys still short of K
-// chunks, a parity round asking for what each one's most complete
-// stripe lacks, then a last round asking for every position not asked
-// yet, then per-key reconstruction. A key that ends undecodable has
-// asked all K+M positions, so the absence rule sees every answer
-// (DESIGN §12). The chunks alias the pooled response bodies, which stay
-// leased until Join has copied every value out.
+// K chunks of every key — the data chunks, or parity in place of those
+// whose holders the client's ledger skips — each server receiving ONE
+// frame carrying its chunk of every key it holds; then, for the keys
+// still short of K chunks, a round asking for what each one's most
+// complete stripe lacks, then a last round asking for every position
+// not asked yet, then per-key reconstruction. A key that ends
+// undecodable has asked all K+M positions, so the absence rule sees
+// every answer (DESIGN §12). The chunks alias the pooled response
+// bodies, which stay leased until Join has copied every value out.
 //
 // A one-key read keeps its state in the batcher (getBuf, gatherBuf,
 // holderBuf, chunkKeyBuf), which the next gatherGet of the operation
@@ -311,6 +312,8 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	}
 	rings := e.c.view.Rings()
 	ring, epoch := rings.Current, rings.View.Epoch
+	var skipBuf [8]string
+	skipped := e.c.ledger.skipped(skipBuf[:0], e.c.clock)
 	for i, key := range keys {
 		st := &states[i]
 		st.ChunkCollector = wire.NewChunkCollector(e.k, n)
@@ -320,6 +323,9 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			continue
 		}
 		st.placement = holders[start:]
+		if len(skipped) > 0 {
+			st.skip = skipSet(st.placement, skipped)
+		}
 		start = len(chunkKeys)
 		chunkKeys = wire.AppendChunkKeys(chunkKeys, key, 0, n)
 		st.chunkKeys = chunkKeys[start:]
@@ -327,8 +333,9 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	defer b.release()
 
 	// Each round asks, for every key, what ChunkCollector.NextRound says:
-	// the data chunks, then the parity its most complete stripe lacks,
-	// then every position left. A round nobody needs ends the read.
+	// K chunks, around the skipped holders; then what its most complete
+	// stripe lacks; then every position left. A round nobody needs ends
+	// the read.
 	var buf roundBuf
 	ops := roundOps(&buf, len(keys)*e.k) // a later round, when needed, may grow it
 	for {
@@ -338,7 +345,14 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 			if st.placement == nil {
 				continue
 			}
-			want := st.NextRound(st.asked, func(j int) bool { return e.c.pool.Suspect(st.placement[j]) })
+			want := st.NextRound(st.asked, st.skip)
+			if st.asked == (erasure.ShardSet{}) && st.skip != (erasure.ShardSet{}) {
+				for j := 0; j < e.k; j++ {
+					if st.skip.Has(j) && !want.Has(j) {
+						e.c.mSkipped.Inc()
+					}
+				}
+			}
 			for j := 0; j < n; j++ {
 				if want.Has(j) {
 					st.asked.Add(j)
@@ -355,6 +369,9 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		for j := range ops {
 			states[ops[j].key].classify(&ops[j])
 		}
+	}
+	for i := range states {
+		e.observe(&states[i])
 	}
 	if len(rings.Draining) > 0 {
 		e.gatherDraining(b, rings, keys, states)
@@ -425,13 +442,35 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	return out
 }
 
+// observe tells the ledger what the current placement's rounds showed
+// of a key that decoded from them: which holders returned a chunk of
+// the winning stripe, and which none at all.
+func (e *ecStrategy) observe(st *gather) {
+	win := st.Best()
+	if win == nil {
+		return
+	}
+	chunks := win.Chunks()
+	var hits, misses erasure.ShardSet
+	for j := range st.placement {
+		switch {
+		case !st.asked.Has(j):
+		case chunks[j] != nil:
+			hits.Add(j)
+		case !st.Holds(j):
+			misses.Add(j)
+		}
+	}
+	e.c.ledger.record(st.placement, hits, misses, e.c.clock)
+}
+
 // gather is one key's state across the rounds of a client-decode read:
 // where its chunks live and under which keys, which positions it has
-// asked for, and the chunks fetched so far, grouped by stripe in the
-// collector.
+// asked for and which its first round should ask around, and the chunks
+// fetched so far, grouped by stripe in the collector.
 type gather struct {
 	placement, chunkKeys []string
-	asked                erasure.ShardSet
+	asked, skip          erasure.ShardSet
 	wire.ChunkCollector
 	// reachable counts locations that answered at all (chunk, not-found
 	// or another status); notFound the authoritative misses among them.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/wire"
 )
 
 // TestMetricsMoveAcrossOps exercises the whole observability layer end
@@ -62,6 +63,9 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 	if snap.Counter("ecstore_client_degraded_reads_total") != 0 {
 		t.Error("degraded reads counted on a healthy cluster")
 	}
+	if snap.Counter("ecstore_client_skipped_holder_reads_total") != 0 {
+		t.Error("skipped holders counted on a healthy cluster")
+	}
 
 	// Single-key and bulk calls share one executor, but the bulk series
 	// count M* calls only: the Sets/Gets/Delete above moved neither
@@ -98,6 +102,20 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 	}
 	if got := snap.Counter("ecstore_client_chunks_rebuilt_total"); got < 1 {
 		t.Errorf("chunks_rebuilt_total = %d after a degraded read, want >= 1", got)
+	}
+
+	// Lose a data chunk of another key: its holder misses on every read,
+	// the client skips it after three, and the fourth read's first round
+	// asks a parity chunk in its place.
+	lost := chunkHolders(cl, "metrics-2", 5)[0]
+	cl.Server(lost).Store().Delete(wire.ChunkKey("metrics-2", 0))
+	for read := 1; read <= 4; read++ {
+		if got, err := c.Get("metrics-2"); err != nil || !bytes.Equal(got, value) {
+			t.Fatalf("Get %d with a data chunk lost: %v", read, err)
+		}
+	}
+	if got := c.Metrics().Snapshot().Counter("ecstore_client_skipped_holder_reads_total"); got < 1 {
+		t.Errorf("skipped_holder_reads_total = %d after the fourth read with a data chunk lost, want >= 1", got)
 	}
 
 	// The background operations keep the same ledger as the foreground:

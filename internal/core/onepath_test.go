@@ -83,12 +83,13 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 // proxy-mget below the proxy, and the fresh 256 KB Set for burst-1m —
 // one round of K+M chunk writes, no read before it. The Gets with chunks
 // out of reach stand in for degraded-64k, and must still return the value
-// and leave the frame pool balanced: with one data holder cut, every read
-// asks for one parity chunk after the data round and decodes from a cached
-// inverse; with a parity holder cut as well, that one parity chunk comes
-// from the holder the pool does not suspect; with a parity chunk lost
-// instead, the parity round asks its holder, which answers not-found, and
-// the last round asks for the other.
+// and leave the frame pool balanced. After the warm-up reads the client's
+// ledger skips every holder that kept missing, so each of them is ONE
+// round of K calls that decodes from a cached inverse: with one data
+// chunk lost (degraded-64k's shape: the holder is up, the chunk gone) or
+// one data holder cut, the first round asks the other data chunks and one
+// parity chunk; with a parity holder cut, or a parity chunk lost, as
+// well, that parity chunk is the other one.
 func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	baseline := poolDelta()
 	cl, netem := startNetemCluster(t, 5)
@@ -108,12 +109,14 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	// server began lending request keys, the rpc round began outliving
 	// its operation and a one-key read began keeping its state in the
 	// batcher (the commit before measured 13 / 28 / 19 / 10 / 14 / 106 /
-	// 130 / 25 down the table), and — for the one-data-holder-cut row —
-	// from when a degraded read began asking only for the parity it
-	// lacks and decoding from a cached inverse (19 before; 3 of the 8
-	// left are the error of the call refused to the suspect holder).
+	// 130 / 25 down the table), and — for the degraded rows — from when
+	// a read's first round began asking around the holders that keep
+	// missing (8 objects each before, 3 of them the error of the call
+	// refused to the suspect holder; 19 before a degraded read asked only
+	// for the parity it lacks and decoded from a cached inverse).
 	// calls, where set, is the exact rpc calls per operation (10 for the
-	// fresh Set while it read first; a call refused to a suspect holder
+	// fresh Set while it read first; 4 for the lost-parity row while the
+	// first round was the data chunks; a call refused to a suspect holder
 	// is not one). cut and lost name chunk positions of the key read:
 	// their holders are cut off, their chunks deleted.
 	rows := []struct {
@@ -126,9 +129,10 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 		cut, lost []int
 	}{
 		{"era-ce-cd Get", allModes()["era-ce-cd"], false, "get", 7, 0, nil, nil},
-		{"era-ce-cd Get, one data holder cut", allModes()["era-ce-cd"], false, "get-degraded", 10, 3, []int{0}, nil},
-		{"era-ce-cd Get, one data holder and one parity holder cut", allModes()["era-ce-cd"], false, "get-degraded", 10, 3, []int{0, 3}, nil},
-		{"era-ce-cd Get, one data holder cut and one parity chunk lost", allModes()["era-ce-cd"], false, "get-degraded", 10, 4, []int{0}, []int{3}},
+		{"era-ce-cd Get, one data chunk lost", allModes()["era-ce-cd"], false, "get-degraded", 7, 3, nil, []int{0}},
+		{"era-ce-cd Get, one data holder cut", allModes()["era-ce-cd"], false, "get-degraded", 7, 3, []int{0}, nil},
+		{"era-ce-cd Get, one data holder and one parity holder cut", allModes()["era-ce-cd"], false, "get-degraded", 7, 3, []int{0, 3}, nil},
+		{"era-ce-cd Get, one data holder cut and one parity chunk lost", allModes()["era-ce-cd"], false, "get-degraded", 7, 3, []int{0}, []int{3}},
 		{"era-ce-cd Set", allModes()["era-ce-cd"], false, "set", 18, 0, nil, nil},
 		{"sync-rep Get", allModes()["sync-rep"], false, "get", 9, 0, nil, nil},
 		{"sync-rep Set", allModes()["sync-rep"], false, "set", 14, 0, nil, nil},

@@ -136,6 +136,14 @@ func (c *Client) retrySleep(d time.Duration) {
 	time.Sleep(d)
 }
 
+// clock returns the time, through the test hook when one is installed.
+func (c *Client) clock() time.Time {
+	if c.now != nil {
+		return c.now()
+	}
+	return time.Now()
+}
+
 // retryJitter spreads d over [d/2, 3d/2) so concurrent operations that
 // failed together do not retry in lockstep against a recovering
 // server.

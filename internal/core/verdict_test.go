@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
+	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
 
@@ -44,22 +46,31 @@ func chunkHolders(cl *cluster.Cluster, key string, n int) []int {
 // decoder, gatherGet, reached by the client's own read and through the
 // primary's decode-get — returns the value when at least K locations
 // hold their chunk, ErrNotFound when none does and the cut ones
-// could not hold K between them, and ErrUnavailable otherwise. Three more
+// could not hold K between them, and ErrUnavailable otherwise. Four more
 // rows mix stripes. At RS(3,2), chunks 0 and 1 come from an older write,
 // so the most complete stripe of the data round is the older one. At
 // RS(2,2), chunks 1 and 2 do: each stripe reaches K only with a parity
 // chunk, and asking for one parity chunk would decode the older one, where
 // asking for both finds the newer at K too and its higher stripe wins.
+// The last row reads that key with position 0's holder skipped: a first
+// round asking around it would be chunks 1 and 2, the older stripe at K,
+// so at K <= M the first round must stay the data chunks.
+//
 // Each state runs on a fresh cluster and fresh clients, so no holder is
-// suspect from an earlier state.
+// suspect or skipped from an earlier state. Each client reads the key
+// four times, and every read must give the verdict: the fourth runs with
+// the holders that missed in the three before skipped by the ledger.
 func TestDegradedReadVerdicts(t *testing.T) {
 	v1, v2 := bytes.Repeat([]byte("1"), 3<<10), bytes.Repeat([]byte("2"), 3<<10)
 	type row struct {
 		k, m   int
 		states []chunkState // one per chunk position
 		older  []int        // positions holding v1's chunk; the rest hold v2's
-		want   []byte       // nil: the error below
-		err    error
+		// skipped are positions whose holders the readers' ledgers skip:
+		// their chunks are gone for three reads, then put back.
+		skipped []int
+		want    []byte // nil: the error below
+		err     error
 	}
 	var rows []row
 	for code := 0; code < 243; code++ {
@@ -88,6 +99,7 @@ func TestDegradedReadVerdicts(t *testing.T) {
 		row{k: 3, m: 2, states: make([]chunkState, 5), older: []int{0, 1}, want: v2},
 		row{k: 3, m: 2, states: []chunkState{4: missing}, older: []int{0, 1}, err: core.ErrUnavailable},
 		row{k: 2, m: 2, states: make([]chunkState, 4), older: []int{1, 2}, want: v2},
+		row{k: 2, m: 2, states: make([]chunkState, 4), older: []int{1, 2}, skipped: []int{0}, want: v2},
 	)
 
 	for _, r := range rows {
@@ -97,6 +109,9 @@ func TestDegradedReadVerdicts(t *testing.T) {
 		}
 		if r.older != nil {
 			name = append(name, fmt.Sprint("older", r.older))
+		}
+		if r.skipped != nil {
+			name = append(name, fmt.Sprint("skipped", r.skipped))
 		}
 		t.Run(strings.Join(name, ","), func(t *testing.T) {
 			cl, netem := startNetemCluster(t, 5)
@@ -120,6 +135,32 @@ func TestDegradedReadVerdicts(t *testing.T) {
 			if err := w.Set(key, v2); err != nil {
 				t.Fatal(err)
 			}
+			modes := []string{"era-ce-cd", "era-se-sd"}
+			readers := make([]*core.Client, len(modes))
+			for m, mode := range modes {
+				readers[m] = newClient(t, cl, cfg(mode))
+			}
+			if r.skipped != nil {
+				lost := make([][]byte, len(r.skipped))
+				lostStripe := make([]uint64, len(r.skipped))
+				for s, i := range r.skipped {
+					store := cl.Server(holder[i]).Store()
+					lost[s], lostStripe[s], _, _ = store.GetMeta(wire.ChunkKey(key, i))
+					store.Delete(wire.ChunkKey(key, i))
+				}
+				for _, c := range readers {
+					for range 3 {
+						if got, err := c.Get(key); err != nil || !bytes.Equal(got, v2) {
+							t.Fatalf("Get with chunks %v lost: %v", r.skipped, err)
+						}
+					}
+				}
+				for s, i := range r.skipped {
+					if err := cl.Server(holder[i]).Store().SetVersioned(wire.ChunkKey(key, i), lost[s], 0, lostStripe[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			for o, i := range r.older {
 				if err := cl.Server(holder[i]).Store().SetVersioned(wire.ChunkKey(key, i), old[o], 0, oldStripe[o]); err != nil {
 					t.Fatal(err)
@@ -133,15 +174,17 @@ func TestDegradedReadVerdicts(t *testing.T) {
 					netem.Cut(cl.Addrs()[holder[i]])
 				}
 			}
-			for _, mode := range []string{"era-ce-cd", "era-se-sd"} {
-				got, err := newClient(t, cl, cfg(mode)).Get(key)
-				switch {
-				case r.want != nil && (err != nil || !bytes.Equal(got, r.want)):
-					t.Errorf("%s: %d bytes of %q, %v; want the value", mode, len(got), got[:min(len(got), 1)], err)
-				case r.want == nil && !errors.Is(err, r.err):
-					t.Errorf("%s: %v; want %v", mode, err, r.err)
-				case r.err == core.ErrUnavailable && errors.Is(err, core.ErrNotFound):
-					t.Errorf("%s: %v; want %v only", mode, err, r.err)
+			for m, mode := range modes {
+				for read := 1; read <= 4; read++ {
+					got, err := readers[m].Get(key)
+					switch {
+					case r.want != nil && (err != nil || !bytes.Equal(got, r.want)):
+						t.Errorf("%s read %d: %d bytes of %q, %v; want the value", mode, read, len(got), got[:min(len(got), 1)], err)
+					case r.want == nil && !errors.Is(err, r.err):
+						t.Errorf("%s read %d: %v; want %v", mode, read, err, r.err)
+					case r.err == core.ErrUnavailable && errors.Is(err, core.ErrNotFound):
+						t.Errorf("%s read %d: %v; want %v only", mode, read, err, r.err)
+					}
 				}
 			}
 		})
@@ -157,7 +200,10 @@ func TestDegradedReadVerdicts(t *testing.T) {
 //   - it is: the parity round waits it out, the last round asks the
 //     other, under 2T;
 //   - one hung holder in each of the three rounds, the read undecodable:
-//     three waits, 3T — one round more than before, and no more.
+//     three waits, 3T — one round more than before, and no more;
+//   - a hung data holder: each of a client's first three reads waits it
+//     out (T), and the fourth, its ledger now skipping the holder, asks
+//     the other data chunks and a parity chunk in one round: no wait.
 func TestDegradedReadRoundsUnderHang(t *testing.T) {
 	const opTimeout = 300 * time.Millisecond
 	value := bytes.Repeat([]byte("v"), 3<<10)
@@ -166,10 +212,12 @@ func TestDegradedReadRoundsUnderHang(t *testing.T) {
 		cut, hung []int // chunk positions
 		ok        bool
 		budget    time.Duration
+		waits     int // reads before the timed one, each waiting T
 	}{
-		{"hung parity not asked", []int{0}, []int{4}, true, opTimeout / 2},
-		{"hung parity asked", []int{0}, []int{3}, true, 2 * opTimeout},
-		{"hung holder in every round", nil, []int{0, 3, 4}, false, 3*opTimeout + opTimeout/2},
+		{"hung parity not asked", []int{0}, []int{4}, true, opTimeout / 2, 0},
+		{"hung parity asked", []int{0}, []int{3}, true, 2 * opTimeout, 0},
+		{"hung holder in every round", nil, []int{0, 3, 4}, false, 3*opTimeout + opTimeout/2, 0},
+		{"hung data holder, fourth read", nil, []int{0}, true, opTimeout / 2, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,8 +239,18 @@ func TestDegradedReadRoundsUnderHang(t *testing.T) {
 				netem.Hang(addr)
 				t.Cleanup(func() { netem.Restore(addr) })
 			}
+			c := newClient(t, cl, cfg)
+			for read := 1; read <= tc.waits; read++ {
+				start := time.Now()
+				if got, err := c.Get(key); err != nil || !bytes.Equal(got, value) {
+					t.Fatalf("read %d: %v; want the value", read, err)
+				}
+				if elapsed := time.Since(start); elapsed < opTimeout {
+					t.Fatalf("read %d took %v; want it to wait out the hung holder (%v)", read, elapsed, opTimeout)
+				}
+			}
 			start := time.Now()
-			got, err := newClient(t, cl, cfg).Get(key)
+			got, err := c.Get(key)
 			elapsed := time.Since(start)
 			t.Logf("%v (%.2f T), err %v", elapsed, float64(elapsed)/float64(opTimeout), err)
 			switch {
@@ -204,5 +262,70 @@ func TestDegradedReadRoundsUnderHang(t *testing.T) {
 				t.Fatalf("Get took %v; budget %v", elapsed, tc.budget)
 			}
 		})
+	}
+}
+
+// TestSkippedHolderRejoins pins the ledger's way back. A data holder
+// restarted empty answers not-found on every read; after three the
+// client skips it, and its reads are one round around it, still
+// degraded. Once the chunks are rewritten the holder stays skipped for
+// the rest of its window, so reads stay degraded; the first read after
+// the window asks it again, and from then on no read is degraded.
+func TestSkippedHolderRejoins(t *testing.T) {
+	cl := startCluster(t, 5)
+	cfg := core.Config{Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2, MaxRetries: -1}
+	value := bytes.Repeat([]byte("r"), 3<<10)
+	const key = "rejoin"
+	if err := newClient(t, cl, cfg).Set(key, value); err != nil {
+		t.Fatal(err)
+	}
+	restarted := chunkHolders(cl, key, 5)[0]
+	cl.Kill(restarted)
+	if err := cl.Restart(restarted); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newClient(t, cl, cfg)
+	var mu sync.Mutex
+	now := time.Now()
+	core.SetClock(c, func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	})
+	counter := func(name string) int64 { return c.Metrics().Snapshot().Counter(name) }
+	// read reads the key and returns what the read cost: its rpc calls,
+	// whether it was degraded (1) or not (0), and the first-round
+	// positions it moved off a skipped holder.
+	read := func() (calls, degraded, moved int64) {
+		t.Helper()
+		c0, d0, m0 := counter("ecstore_rpc_calls_total"), counter("ecstore_client_degraded_reads_total"), counter("ecstore_client_skipped_holder_reads_total")
+		if got, err := c.Get(key); err != nil || !bytes.Equal(got, value) {
+			t.Fatalf("Get: %v", err)
+		}
+		return counter("ecstore_rpc_calls_total") - c0, counter("ecstore_client_degraded_reads_total") - d0, counter("ecstore_client_skipped_holder_reads_total") - m0
+	}
+	for i := 1; i <= 3; i++ {
+		if calls, degraded, moved := read(); calls != 4 || degraded != 1 || moved != 0 {
+			t.Fatalf("read %d: %d calls, %d degraded, %d moved; want two rounds (4 calls), degraded, none moved", i, calls, degraded, moved)
+		}
+	}
+	if calls, degraded, moved := read(); calls != 3 || degraded != 1 || moved != 1 {
+		t.Fatalf("fourth read: %d calls, %d degraded, %d moved; want one round (3 calls) around the skipped holder, degraded", calls, degraded, moved)
+	}
+
+	if err := c.Set(key, value); err != nil {
+		t.Fatal(err)
+	}
+	if calls, degraded, moved := read(); calls != 3 || degraded != 1 || moved != 1 {
+		t.Fatalf("read inside the window: %d calls, %d degraded, %d moved; want the holder still skipped", calls, degraded, moved)
+	}
+	mu.Lock()
+	now = now.Add(rpc.DefaultProbeMax)
+	mu.Unlock()
+	for i := 1; i <= 3; i++ {
+		if calls, degraded, moved := read(); calls != 3 || degraded != 0 || moved != 0 {
+			t.Fatalf("read %d after the window: %d calls, %d degraded, %d moved; want the data chunks, whole", i, calls, degraded, moved)
+		}
 	}
 }

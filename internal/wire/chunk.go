@@ -272,46 +272,51 @@ func (c *ChunkCollector) Best() *StripeGroup {
 	return best
 }
 
+// Holds reports whether any stripe group holds chunk i: whether the
+// location of position i yielded a chunk at all, of whichever write.
+func (c *ChunkCollector) Holds(i int) bool {
+	for g := 0; g < c.used; g++ {
+		if c.group(g).Chunks()[i] != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // NextRound returns the chunk positions a read should ask for next,
-// given the ones it has asked for: none once a stripe has K chunks or
-// every position has been asked. The rounds are the data chunks [0, K);
-// then K less what the most complete stripe holds, from the parity
-// positions suspect reports false for first; then every position left.
-// A read that ends undecodable has therefore asked all n positions. The
-// parity round asks for every parity position instead when the rest
-// could not make up the lack, and when K <= n-K: two stripes could then
-// both reach K, and Best's tie rule must see both. suspect is called
-// with a parity position; n <= erasure.MaxShards.
-func (c *ChunkCollector) NextRound(asked erasure.ShardSet, suspect func(int) bool) erasure.ShardSet {
+// given the ones it has asked for and the ones whose holders it would
+// rather not ask (skip): none once a stripe has K chunks or every
+// position has been asked. The first round asks K positions: the data
+// positions skip leaves out, then such parity positions, then skipped
+// ones. The second asks K less what the most complete stripe holds,
+// positions skip leaves out first; the third every position left. A
+// read that ends undecodable has therefore asked all n positions.
+//
+// At K <= n-K two stripes could both reach K, and Best's tie rule must
+// see both: there the first round is the data positions whatever skip
+// says, and the second asks every parity position. n <= erasure.MaxShards.
+func (c *ChunkCollector) NextRound(asked, skip erasure.ShardSet) erasure.ShardSet {
 	var want erasure.ShardSet
 	if c.Best() != nil {
 		return want
 	}
-	if asked == (erasure.ShardSet{}) {
-		for i := 0; i < c.k; i++ {
-			want.Add(i)
-		}
-		return want
-	}
-	need, left, parityAsked := c.k-c.fullest(), 0, false
-	for i := c.k; i < c.n; i++ {
+	askedN := 0
+	for i := 0; i < c.n; i++ {
 		if asked.Has(i) {
-			parityAsked = true
-		} else {
-			left++
+			askedN++
 		}
 	}
-	if parityAsked || need >= left || c.k <= c.n-c.k {
-		for i := c.k; i < c.n; i++ {
-			if !asked.Has(i) {
-				want.Add(i)
-			}
-		}
-		return want
+	need := c.k - c.fullest() // K in the first round: nothing collected yet
+	atMostM := c.k <= c.n-c.k
+	switch {
+	case askedN == 0 && atMostM:
+		skip = erasure.ShardSet{}
+	case askedN > c.k, askedN > 0 && atMostM:
+		need = c.n
 	}
-	for _, s := range [2]bool{false, true} {
-		for i := c.k; i < c.n && need > 0; i++ {
-			if !asked.Has(i) && !want.Has(i) && suspect(i) == s {
+	for _, skipped := range [2]bool{false, true} {
+		for i := 0; i < c.n && need > 0; i++ {
+			if !asked.Has(i) && !want.Has(i) && skip.Has(i) == skipped {
 				want.Add(i)
 				need--
 			}

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"testing"
+
+	"ecstore/internal/erasure"
 )
 
 // addChunk adds chunk idx of stripe with a one-byte body, reporting the
@@ -75,6 +77,9 @@ func TestCollectorNoDecodableStripe(t *testing.T) {
 	if c.Seen() != 4 {
 		t.Fatalf("Seen = %d", c.Seen())
 	}
+	if !c.Holds(1) || !c.Holds(3) || c.Holds(4) {
+		t.Fatalf("Holds = %v %v %v, want chunks 1 and 3 of either stripe, not 4", c.Holds(1), c.Holds(3), c.Holds(4))
+	}
 }
 
 func TestCollectorIgnoresDuplicatesAndBadIndexes(t *testing.T) {
@@ -142,6 +147,49 @@ func TestCollectorIsACopyableValue(t *testing.T) {
 	}
 	if win := wide.Best(); win == nil || len(win.Chunks()) != 14 || win.Chunks()[0] != nil || win.Chunks()[11] == nil {
 		t.Fatalf("wide stripe: %+v", win)
+	}
+}
+
+// TestNextRound pins the one rule for which chunk positions a read asks:
+// K in the first round, around skipped holders unless K <= M; then what
+// the fullest stripe lacks, skipped holders last; then every position
+// left.
+func TestNextRound(t *testing.T) {
+	set := func(positions ...int) (s erasure.ShardSet) {
+		for _, i := range positions {
+			s.Add(i)
+		}
+		return s
+	}
+	cases := []struct {
+		name        string
+		k, m        int
+		asked, skip erasure.ShardSet
+		held        []int // positions that returned a chunk of one stripe
+		want        erasure.ShardSet
+	}{
+		{"first round", 3, 2, set(), set(), nil, set(0, 1, 2)},
+		{"first round around a data holder", 3, 2, set(), set(0), nil, set(1, 2, 3)},
+		{"first round around a data and a parity holder", 3, 2, set(), set(0, 3), nil, set(1, 2, 4)},
+		{"first round around a parity holder", 3, 2, set(), set(4), nil, set(0, 1, 2)},
+		{"first round with every holder skipped", 3, 2, set(), set(0, 1, 2, 3, 4), nil, set(0, 1, 2)},
+		{"first round at K <= M", 2, 2, set(), set(0), nil, set(0, 1)},
+		{"second round", 3, 2, set(0, 1, 2), set(), []int{1, 2}, set(3)},
+		{"second round around a parity holder", 3, 2, set(0, 1, 2), set(3), []int{1, 2}, set(4)},
+		{"second round after a substituted first", 3, 2, set(1, 2, 3), set(0), []int{1, 2}, set(4)},
+		{"second round short of more than is left", 3, 2, set(0, 1, 2), set(), nil, set(3, 4)},
+		{"second round at K <= M", 2, 2, set(0, 1), set(3), []int{0}, set(2, 3)},
+		{"last round", 3, 2, set(1, 2, 3, 4), set(0), []int{1, 2}, set(0)},
+		{"decodable", 3, 2, set(0, 1, 2), set(), []int{0, 1, 2}, set()},
+	}
+	for _, tc := range cases {
+		c := NewChunkCollector(tc.k, tc.k+tc.m)
+		for _, i := range tc.held {
+			c.Add(ECMeta{ChunkIndex: uint8(i), K: uint8(tc.k), M: uint8(tc.m), Stripe: 1}, []byte{'x'}, 0)
+		}
+		if got := c.NextRound(tc.asked, tc.skip); got != tc.want {
+			t.Errorf("%s: NextRound = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
