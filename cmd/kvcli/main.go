@@ -16,9 +16,6 @@
 //	repair <key>          restore full chunk/replica redundancy
 //	verify <key>          scrub a stripe's parity consistency
 //	scan                  list every logical key in the cluster
-//	scrub                 run one anti-entropy cycle (scan, verify,
-//	                      repair) and print the report; with
-//	                      -scrub-interval > 0 keep cycling forever
 //	ring status           print each server's membership view and the
 //	                      rings it still drains (epoch disagreement =
 //	                      propagation lag)
@@ -26,15 +23,18 @@
 //	                      pass that rebalances data onto it
 //	ring remove <addr>    publish a view with addr removed, then run one
 //	                      pass that moves its data to the surviving
-//	                      placement (scrub and ring add/remove run the
-//	                      one background pass, internal/scrub, paced by
+//	                      placement (ring add/remove run the one
+//	                      background pass, internal/scrub, paced by
 //	                      -scrub-rate and -scrub-concurrency; a clean
 //	                      pass clears the view's draining rings, and
-//	                      `scrub` finishes a drain a pass left open)
+//	                      `kvscrub -once` finishes a drain a pass left
+//	                      open)
 //	bench <n> <size>      time n Set+Get round trips of `size` bytes
 //
 // Modes: none, sync-rep, async-rep, era-ce-cd, era-se-sd, era-se-cd,
 // era-ce-sd, hybrid.
+//
+// One anti-entropy cycle (scan, verify, repair) is `kvscrub -once`.
 package main
 
 import (
@@ -71,8 +71,7 @@ func run() error {
 	retries := flag.Int("retries", 0, "max retries of idempotent reads (0 = default 2, negative disables)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial retry backoff, doubling with jitter (0 = default 10ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve client-side Prometheus metrics at http://<addr>/metrics (empty = disabled)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "for the scrub command: keep running cycles at this period (0 = one cycle and exit)")
-	scrubRate := flag.Float64("scrub-rate", 0, "scrub and ring add/remove keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
+	scrubRate := flag.Float64("scrub-rate", 0, "ring add/remove keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
 	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	flag.Parse()
 	args := flag.Args()
@@ -214,29 +213,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "%d keys\n", len(keys))
 		return nil
-	case "scrub":
-		daemon, err := scrub.New(scrub.Config{
-			Client:        client,
-			Interval:      -1, // cycles are driven below, not by the timer
-			Rate:          *scrubRate,
-			MaxConcurrent: *scrubConcurrency,
-			Metrics:       client.Metrics(),
-			Logf:          func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
-		})
-		if err != nil {
-			return err
-		}
-		for {
-			report := daemon.RunCycle(nil)
-			fmt.Println(report)
-			if report.Err != nil {
-				return report.Err
-			}
-			if *scrubInterval <= 0 {
-				return nil
-			}
-			time.Sleep(*scrubInterval)
-		}
 	case "ring":
 		if len(args) < 2 {
 			return fmt.Errorf("usage: ring status | ring add <addr> | ring remove <addr>")
@@ -311,7 +287,7 @@ func ringCmd(client *core.Client, args []string, rate float64, concurrency int) 
 			report.Err = fmt.Errorf("epoch %d still drains", view.Epoch)
 		}
 		if report.Err != nil {
-			return fmt.Errorf("%w; the view keeps draining, and `kvcli scrub` finishes the drain", report.Err)
+			return fmt.Errorf("%w; the view keeps draining, and `kvscrub -once` finishes the drain", report.Err)
 		}
 		return nil
 	default:

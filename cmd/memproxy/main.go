@@ -117,10 +117,9 @@ func run() error {
 	if *cacheBytes > 0 {
 		log.Printf("memproxy: near cache enabled, %d bytes, max age %v", *cacheBytes, *cacheMaxAge)
 	}
-	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client, StatsAddrs: addrs},
+	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client},
 		memproto.WithMaxItemSize(*maxItemSize),
-		memproto.WithMetrics(client.Metrics()),
-		memproto.WithVersion("ecstore-memproxy"))
+		memproto.WithMetrics(client.Metrics()))
 	log.Printf("memproxy: memcached protocol on %s -> %d kv servers (%s)", srv.Addr(), len(addrs), *mode)
 
 	sig := make(chan os.Signal, 1)

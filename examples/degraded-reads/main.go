@@ -115,8 +115,8 @@ func run() error {
 	}
 	fmt.Println("  re-write restored the full 5-chunk stripe; read succeeds again")
 
-	// The hybrid future-work policy: small values replicate (cheap
-	// single-round-trip reads), large values erasure-code (memory
+	// The hybrid future-work policy: values below 16 KiB replicate
+	// (cheap single-round-trip reads), larger ones erasure-code (memory
 	// efficiency).
 	hybrid, err := core.New(core.Config{
 		Network:    cl.Network(),
@@ -124,7 +124,6 @@ func run() error {
 		Resilience: core.ResilienceHybrid,
 		Replicas:   3,
 		K:          3, M: 2,
-		HybridThreshold: 16 << 10,
 	})
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"ecstore/internal/membership"
 	"ecstore/internal/server"
@@ -16,26 +15,12 @@ import (
 
 // Config configures a Cluster.
 type Config struct {
-	// N is the number of servers (required unless Addrs is given).
+	// N is the number of servers, kv-0..kv-N-1 (required).
 	N int
 	// Network is the shared transport (an unshaped Inproc if nil).
 	Network transport.Network
-	// Addrs optionally names each server's address; len(Addrs)
-	// overrides N. The default is kv-0..kv-N-1.
-	Addrs []string
 	// StoreBytesPerServer caps each server's memory (0 = unlimited).
 	StoreBytesPerServer int64
-	// DisableEviction makes full servers fail writes instead of
-	// evicting LRU items.
-	DisableEviction bool
-	// Workers is the per-server worker pool size.
-	Workers int
-	// PeerTimeout is each server's coordinator OpTimeout: it bounds
-	// each round of server-to-peer RPCs during server-side encode/decode
-	// (server.DefaultPeerTimeout if zero; negative disables deadlines).
-	PeerTimeout time.Duration
-	// Logf receives server diagnostics (discarded if nil).
-	Logf func(format string, args ...any)
 }
 
 // Cluster is a running group of servers.
@@ -49,23 +34,16 @@ type Cluster struct {
 
 // Start launches the cluster.
 func Start(cfg Config) (*Cluster, error) {
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		if cfg.N <= 0 {
-			return nil, fmt.Errorf("cluster: need N > 0 or explicit Addrs")
-		}
-		addrs = make([]string, cfg.N)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("kv-%d", i)
-		}
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("cluster: need N > 0")
+	}
+	addrs := make([]string, cfg.N)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("kv-%d", i)
 	}
 	network := cfg.Network
 	if network == nil {
 		network = transport.NewInproc(transport.Shape{})
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	c := &Cluster{
 		cfg:     cfg,
@@ -84,21 +62,12 @@ func Start(cfg Config) (*Cluster, error) {
 }
 
 func (c *Cluster) start(i int) error {
-	logf := c.cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	srv, err := server.New(server.Config{
 		Addr:    c.addrs[i],
 		Network: c.network,
 		Peers:   c.addrs,
-		Store: store.Config{
-			MaxBytes:        c.cfg.StoreBytesPerServer,
-			DisableEviction: c.cfg.DisableEviction,
-		},
-		Workers:     c.cfg.Workers,
-		PeerTimeout: c.cfg.PeerTimeout,
-		Logf:        logf,
+		Store:   store.Config{MaxBytes: c.cfg.StoreBytesPerServer},
+		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: start server %d: %w", i, err)

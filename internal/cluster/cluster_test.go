@@ -66,18 +66,6 @@ func TestKillAndRestart(t *testing.T) {
 	}
 }
 
-func TestExplicitAddrs(t *testing.T) {
-	cl, err := Start(Config{Addrs: []string{"alpha", "beta"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	got := cl.Addrs()
-	if got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("addrs = %v", got)
-	}
-}
-
 func TestBadConfig(t *testing.T) {
 	if _, err := Start(Config{}); err == nil {
 		t.Fatal("empty config accepted")

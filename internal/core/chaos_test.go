@@ -228,7 +228,7 @@ func TestChaosScrubConvergence(t *testing.T) {
 		Network:    netem,
 		Servers:    cl.Addrs(),
 		Resilience: core.ResilienceHybrid,
-		Replicas:   3, K: 3, M: 2, HybridThreshold: 1024,
+		Replicas:   3, K: 3, M: 2,
 		OpTimeout: 750 * time.Millisecond,
 	})
 	if err != nil {
@@ -249,7 +249,7 @@ func TestChaosScrubConvergence(t *testing.T) {
 		prefix := []byte(fmt.Sprintf("%s-seal%d-", key, seal))
 		size := 64
 		if seal%2 == 1 {
-			size = 4096
+			size = 16 << 10
 		}
 		return append(prefix, bytes.Repeat([]byte{byte(seal)}, size)...)
 	}

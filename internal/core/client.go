@@ -218,7 +218,7 @@ func New(cfg Config) (*Client, error) {
 	// and Config.MaxRetries. It shares the client's metrics registry, so
 	// rpc call/timeout/health counters land next to the per-op series.
 	pool := rpc.NewPool(cfg.Network, rpc.WithCallTimeout(cfg.OpTimeout), rpc.WithMetrics(cfg.Metrics))
-	return newClient(cfg, pool, membership.NewTracker(membership.NewView(cfg.Servers), 0))
+	return newClient(cfg, pool, membership.NewTracker(membership.NewView(cfg.Servers)))
 }
 
 // newClient builds a client, and the strategy cfg selects, over pool
@@ -303,7 +303,7 @@ func (c *Client) newStrategy(r Resilience) (strategy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hybridStrategy{rep: rep, ec: ec, threshold: c.cfg.HybridThreshold}, nil
+		return &hybridStrategy{rep: rep, ec: ec}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown resilience mode %v", r)
 	}

@@ -129,7 +129,8 @@ const (
 	// number of in-flight non-blocking operations.
 	DefaultWindow = 64
 	// DefaultHybridThreshold is the value size at which the hybrid
-	// policy switches from replication to erasure coding.
+	// policy switches from replication to erasure coding: a value
+	// shorter than it is replicated.
 	DefaultHybridThreshold = 16 << 10
 	// DefaultOpTimeout bounds each RPC round trip. It is generous —
 	// failure detection for a hung server, not a latency target — so
@@ -167,9 +168,6 @@ type Config struct {
 	// Window bounds in-flight non-blocking operations
 	// (DefaultWindow if zero).
 	Window int
-	// HybridThreshold is the hybrid policy's size cutover
-	// (DefaultHybridThreshold if zero).
-	HybridThreshold int
 	// OpTimeout bounds each RPC round trip: a call that has not been
 	// answered within the deadline completes with rpc.ErrTimeout, so a
 	// hung server never blocks Get/Set/Delete indefinitely
@@ -230,9 +228,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.HybridThreshold <= 0 {
-		cfg.HybridThreshold = DefaultHybridThreshold
 	}
 	switch {
 	case cfg.OpTimeout == 0:

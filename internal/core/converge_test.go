@@ -118,7 +118,7 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024,
+		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2,
 	})
 	joined := hashring.Build(0, append(cl.Addrs(), "kv-joiner"))
 	var keys []string // two keys the joiner takes chunk 3 or 4 of, and no replica
@@ -129,7 +129,7 @@ func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 		}
 	}
 	key, small := keys[0], keys[1]
-	for k, v := range map[string][]byte{key: bytes.Repeat([]byte("L"), 8000), small: []byte("tiny")} {
+	for k, v := range map[string][]byte{key: bytes.Repeat([]byte("L"), 16<<10), small: []byte("tiny")} {
 		if err := c.Set(k, v); err != nil {
 			t.Fatal(err)
 		}

@@ -828,9 +828,8 @@ func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error 
 // values (replication reads are one cheap round trip), erasure-code
 // large ones (where EC's bandwidth and memory savings dominate).
 type hybridStrategy struct {
-	rep       *repStrategy
-	ec        *ecStrategy
-	threshold int
+	rep *repStrategy
+	ec  *ecStrategy
 }
 
 var _ strategy = (*hybridStrategy)(nil)
@@ -846,7 +845,7 @@ var _ strategy = (*hybridStrategy)(nil)
 // succeeds, never before: purging first and then failing the write
 // would lose the old value without installing the new one.
 func (h *hybridStrategy) set(b *batcher, writes []write) []result {
-	isSmall := func(w write) bool { return len(w.value) < h.threshold }
+	isSmall := func(w write) bool { return len(w.value) < DefaultHybridThreshold }
 	nSmall := 0
 	for _, w := range writes {
 		if isSmall(w) {
@@ -902,7 +901,7 @@ func (h *hybridStrategy) setVia(b *batcher, target, other strategy, writes []wri
 // as hybrid get/del).
 func (h *hybridStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	var target, other strategy = h.ec, h.rep
-	if len(value) < h.threshold {
+	if len(value) < DefaultHybridThreshold {
 		target, other = h.rep, h.ec
 	}
 	cur := other.get(b, []string{key})[0]

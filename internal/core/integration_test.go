@@ -10,6 +10,7 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
+	"ecstore/internal/wire"
 )
 
 // startCluster launches an n-server cluster and registers cleanup.
@@ -335,14 +336,13 @@ func TestRestartServer(t *testing.T) {
 func TestHybridPolicyRouting(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
-		Resilience:      core.ResilienceHybrid,
-		Replicas:        3,
-		K:               3,
-		M:               2,
-		HybridThreshold: 1024,
+		Resilience: core.ResilienceHybrid,
+		Replicas:   3,
+		K:          3,
+		M:          2,
 	})
 	small := bytes.Repeat([]byte("s"), 100)
-	large := bytes.Repeat([]byte("L"), 10_000)
+	large := bytes.Repeat([]byte("L"), 20_000)
 	if err := c.Set("small", small); err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +368,37 @@ func TestHybridPolicyRouting(t *testing.T) {
 	if total > upper {
 		t.Fatalf("stored %d bytes, want <= %d (replication of the large value would be %d)",
 			total, upper, repBytes+int64(3*len(large)))
+	}
+	// The cut-over is a strict `<`: a value one byte short of
+	// DefaultHybridThreshold sits whole on 3 servers, and one of exactly
+	// that size as K+M = 5 chunks on 5.
+	for key, size := range map[string]int{
+		"below": core.DefaultHybridThreshold - 1,
+		"at":    core.DefaultHybridThreshold,
+	} {
+		if err := c.Set(key, bytes.Repeat([]byte(key[:1]), size)); err != nil {
+			t.Fatal(err)
+		}
+		replicas, chunks := 0, 0
+		for i := 0; i < 5; i++ {
+			st := cl.Server(i).Store()
+			if v, ok := st.Get(key); ok && len(v) == size {
+				replicas++
+			}
+			for j := 0; j < 5; j++ {
+				if _, ok := st.Get(wire.ChunkKey(key, j)); ok {
+					chunks++
+				}
+			}
+		}
+		want := [2]int{3, 0}
+		if size == core.DefaultHybridThreshold {
+			want = [2]int{0, 5}
+		}
+		if got := [2]int{replicas, chunks}; got != want {
+			t.Errorf("%d-byte value: %d whole replicas, %d chunks; want %d, %d",
+				size, replicas, chunks, want[0], want[1])
+		}
 	}
 	if err := c.Delete("small"); err != nil {
 		t.Fatal(err)

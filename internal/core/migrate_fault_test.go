@@ -168,14 +168,14 @@ func TestConvergenceHoldsNoLeaseAcrossFaults(t *testing.T) {
 			baseline := poolDelta()
 			cl, netem := startNetemCluster(t, 6)
 			cfg.OpTimeout = 4 * step
-			cfg.HybridThreshold = 4096 // hybrid: half the keys replicated, half striped
 			admin := newClient(t, cl, cfg)
 
 			values := map[string][]byte{}
 			var keys []string
 			for i := 0; i < 12; i++ {
+				// hybrid: half the keys replicated, half striped
 				key := fmt.Sprintf("%s-lease-%02d", name, i)
-				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 1024+(i%2)*8192)
+				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 1024+(i%2)*(16<<10))
 				if err := admin.Set(key, values[key]); err != nil {
 					t.Fatal(err)
 				}

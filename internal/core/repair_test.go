@@ -131,12 +131,12 @@ func TestRepairReplication(t *testing.T) {
 func TestRepairHybrid(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024,
+		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2,
 	})
 	if err := c.Set("small", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("large", bytes.Repeat([]byte("L"), 8000)); err != nil {
+	if err := c.Set("large", bytes.Repeat([]byte("L"), 16<<10)); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"small", "large"} {
@@ -156,7 +156,7 @@ func TestRepairHybrid(t *testing.T) {
 func TestRepairHybridSmallAfterReplicaLoss(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024,
+		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2,
 	})
 	value := []byte("small-and-precious")
 	if err := c.Set("small", value); err != nil {

@@ -140,12 +140,12 @@ func TestGetRecoversFromSilentCorruption(t *testing.T) {
 func TestVerifyHybrid(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024,
+		Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2,
 	})
 	if err := c.Set("small", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("large", bytes.Repeat([]byte("L"), 8000)); err != nil {
+	if err := c.Set("large", bytes.Repeat([]byte("L"), 16<<10)); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"small", "large"} {

@@ -225,7 +225,7 @@ const placementGrace = time.Second
 // buildRings materializes view's hashrings, reusing prev's (nil: none)
 // for every server list prev already built one for: a membership change
 // drains the previous view's rings, so an adoption builds one new ring.
-func buildRings(view View, vnodes int, prev *Rings) *Rings {
+func buildRings(view View, prev *Rings) *Rings {
 	ring := func(servers []string) *hashring.Ring {
 		if prev != nil {
 			if slices.Equal(servers, prev.View.Servers) {
@@ -235,7 +235,7 @@ func buildRings(view View, vnodes int, prev *Rings) *Rings {
 				return prev.Draining[i]
 			}
 		}
-		return hashring.Build(vnodes, servers)
+		return hashring.Build(hashring.DefaultVirtualNodes, servers)
 	}
 	r := &Rings{View: view, Current: ring(view.Servers), Since: view.Epoch, adopted: time.Now()}
 	for _, servers := range view.Draining {
@@ -249,18 +249,16 @@ func buildRings(view View, vnodes int, prev *Rings) *Rings {
 // installs a strictly-newer view (with its pre-built ring) in one
 // swap. The zero Tracker is unusable; construct with NewTracker.
 type Tracker struct {
-	vnodes int
-	cur    atomic.Pointer[Rings]
+	cur atomic.Pointer[Rings]
 	// onChange, when set, observes every successful adoption with the
 	// previous and the new view. The background daemon hooks it.
 	onChange atomic.Pointer[func(old, new View)]
 }
 
-// NewTracker returns a tracker seeded with view. vnodes <= 0 uses the
-// hashring default.
-func NewTracker(view View, vnodes int) *Tracker {
-	t := &Tracker{vnodes: vnodes}
-	t.cur.Store(buildRings(view, vnodes, nil))
+// NewTracker returns a tracker seeded with view.
+func NewTracker(view View) *Tracker {
+	t := &Tracker{}
+	t.cur.Store(buildRings(view, nil))
 	return t
 }
 
@@ -310,7 +308,7 @@ func (t *Tracker) Adopt(view View) bool {
 			return false
 		}
 		if next == nil {
-			next = buildRings(view, t.vnodes, cur)
+			next = buildRings(view, cur)
 		}
 		next.Since = view.Epoch
 		if slices.Equal(view.Servers, cur.View.Servers) {

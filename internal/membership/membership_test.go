@@ -201,7 +201,7 @@ func TestDrainingRings(t *testing.T) {
 // never an epoch before the last server change or after its own.
 func TestTrackerDrainingRings(t *testing.T) {
 	v1 := NewView([]string{"a:1", "b:1"})
-	tr := NewTracker(v1, 8)
+	tr := NewTracker(v1)
 	v2 := v1.WithAdded("c:1")
 	tr.Adopt(v2)
 	r := tr.Rings()
@@ -232,7 +232,7 @@ func TestString(t *testing.T) {
 
 func TestTrackerAdoptOrdering(t *testing.T) {
 	v1 := NewView([]string{"a:1", "b:1"})
-	tr := NewTracker(v1, 0)
+	tr := NewTracker(v1)
 	if tr.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", tr.Epoch())
 	}
@@ -262,7 +262,7 @@ func TestTrackerAdoptOrdering(t *testing.T) {
 
 func TestTrackerRingFollowsView(t *testing.T) {
 	v1 := NewView([]string{"a:1"})
-	tr := NewTracker(v1, 8)
+	tr := NewTracker(v1)
 	if got := tr.Ring().GetN("anything", 1); len(got) != 1 || got[0] != "a:1" {
 		t.Fatalf("lookup = %v", got)
 	}
@@ -273,7 +273,7 @@ func TestTrackerRingFollowsView(t *testing.T) {
 }
 
 func TestTrackerSnapshotConsistency(t *testing.T) {
-	tr := NewTracker(NewView([]string{"a:1"}), 8)
+	tr := NewTracker(NewView([]string{"a:1"}))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -299,7 +299,7 @@ func TestTrackerSnapshotConsistency(t *testing.T) {
 
 func TestTrackerConcurrentAdopt(t *testing.T) {
 	base := NewView([]string{"a:1"})
-	tr := NewTracker(base, 0)
+	tr := NewTracker(base)
 	const adopters = 8
 	var wg sync.WaitGroup
 	for g := 0; g < adopters; g++ {
@@ -327,7 +327,7 @@ func TestTrackerConcurrentAdopt(t *testing.T) {
 
 func TestTrackerOnChange(t *testing.T) {
 	v1 := NewView([]string{"a:1"})
-	tr := NewTracker(v1, 0)
+	tr := NewTracker(v1)
 	var mu sync.Mutex
 	var olds, news []uint64
 	tr.OnChange(func(old, new View) {

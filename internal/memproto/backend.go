@@ -16,9 +16,6 @@ import (
 type ClusterBackend struct {
 	// Client is the resilient cluster client.
 	Client *core.Client
-	// StatsAddrs lists servers whose store stats are aggregated for
-	// the `stats` command (optional).
-	StatsAddrs []string
 }
 
 var _ Backend = (*ClusterBackend)(nil)
@@ -107,12 +104,13 @@ func (b *ClusterBackend) Flush() error {
 	return b.Client.FlushAll()
 }
 
-// Stats aggregates store statistics across the configured servers.
+// Stats aggregates store statistics across the servers of the client's
+// current view.
 func (b *ClusterBackend) Stats() map[string]string {
 	out := map[string]string{"proxy": "ecstore"}
 	var items, used, hits, misses, evictions int64
 	live := 0
-	for _, addr := range b.StatsAddrs {
+	for _, addr := range b.Client.View().Servers {
 		st, err := b.Client.ServerStats(addr)
 		if err != nil {
 			continue

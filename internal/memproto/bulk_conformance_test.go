@@ -53,7 +53,7 @@ func startProxyMode(t *testing.T, cfg core.Config) (*cluster.Cluster, *transport
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client, StatsAddrs: cl.Addrs()})
+	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client})
 	t.Cleanup(srv.Close)
 	dial := func() *textClient {
 		conn, err := cl.Network().Dial("memproxy")

@@ -27,7 +27,6 @@ var (
 type Handler struct {
 	backend Backend
 	maxItem int
-	version string
 	pm      *proxyMetrics
 }
 
@@ -36,7 +35,6 @@ func NewHandler(backend Backend, opts ...Option) *Handler {
 	h := &Handler{
 		backend: backend,
 		maxItem: DefaultMaxItemSize,
-		version: "ecstore-memproxy",
 	}
 	for _, opt := range opts {
 		opt(h)
@@ -188,7 +186,7 @@ func (h *Handler) run(br *bufio.Reader, bw *bufio.Writer, cmd string, args []str
 	case "stats":
 		h.handleStats(bw, args)
 	case "version":
-		writeString(bw, "VERSION "+h.version+"\r\n")
+		writeString(bw, "VERSION "+proxyVersion+"\r\n")
 	case "verbosity":
 		if !hasNoreply(args) {
 			writeString(bw, "OK\r\n")

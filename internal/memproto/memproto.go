@@ -58,6 +58,9 @@ import (
 // defaults to 1 MB; -max-item-size widens it).
 const DefaultMaxItemSize = 8 << 20
 
+// proxyVersion is the string the `version` command reports.
+const proxyVersion = "ecstore-memproxy"
+
 // Backend errors. Backends translate their storage errors into these
 // so the protocol layer can answer with the right memcached response
 // (miss vs EXISTS vs SERVER_ERROR).
@@ -154,11 +157,6 @@ func WithMaxItemSize(n int) Option {
 // reg.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(h *Handler) { h.pm = newProxyMetrics(reg) }
-}
-
-// WithVersion sets the string the `version` command reports.
-func WithVersion(v string) Option {
-	return func(h *Handler) { h.version = v }
 }
 
 // Server speaks the memcached ASCII protocol on a listener.

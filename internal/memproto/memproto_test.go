@@ -18,6 +18,13 @@ import (
 // memcached-protocol proxy in front, and returns a dial function.
 func startProxy(t *testing.T) (*cluster.Cluster, func() *textClient) {
 	t.Helper()
+	cl, _, dial := startProxyClient(t)
+	return cl, dial
+}
+
+// startProxyClient is startProxy that also returns the proxy's client.
+func startProxyClient(t *testing.T) (*cluster.Cluster, *core.Client, func() *textClient) {
+	t.Helper()
 	cl, err := cluster.Start(cluster.Config{N: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +45,7 @@ func startProxy(t *testing.T) (*cluster.Cluster, func() *textClient) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client, StatsAddrs: cl.Addrs()})
+	srv := memproto.Serve(ln, &memproto.ClusterBackend{Client: client})
 	t.Cleanup(srv.Close)
 	dial := func() *textClient {
 		conn, err := cl.Network().Dial("memproxy")
@@ -48,7 +55,7 @@ func startProxy(t *testing.T) (*cluster.Cluster, func() *textClient) {
 		t.Cleanup(func() { _ = conn.Close() })
 		return &textClient{t: t, conn: conn, br: bufio.NewReader(conn)}
 	}
-	return cl, dial
+	return cl, client, dial
 }
 
 // textClient drives the ASCII protocol like a real memcached client.
@@ -297,6 +304,29 @@ func TestStatsAndQuit(t *testing.T) {
 	// Server closes the connection: the next read hits EOF.
 	if _, err := c.br.ReadString('\n'); err == nil {
 		t.Fatal("connection still open after quit")
+	}
+}
+
+// TestStatsFollowTheView: the proxy's `stats` counts the servers of its
+// client's current view, so a server the ring gained is counted too.
+func TestStatsFollowTheView(t *testing.T) {
+	cl, client, dial := startProxyClient(t)
+	if _, err := cl.AddServer("kv-5"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.RingAdd("kv-5"); err != nil {
+		t.Fatal(err)
+	}
+	c := dial()
+	c.send("stats\r\n")
+	var live string
+	for line := c.line(); line != "END"; line = c.line() {
+		if v, ok := strings.CutPrefix(line, "STAT live_servers "); ok {
+			live = v
+		}
+	}
+	if live != "6" {
+		t.Fatalf("STAT live_servers %q after a ring add, want 6", live)
 	}
 }
 

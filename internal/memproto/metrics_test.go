@@ -25,9 +25,7 @@ func TestProxyMetrics(t *testing.T) {
 		"bogus\r\n" +
 		"delete k\r\n" +
 		"quit\r\n"
-	out := runScript(t, b, script,
-		memproto.WithMetrics(reg),
-		memproto.WithVersion("test-proxy"))
+	out := runScript(t, b, script, memproto.WithMetrics(reg))
 	if !strings.HasPrefix(out, "STORED") {
 		t.Fatalf("conversation start %q", out)
 	}
@@ -61,11 +59,11 @@ func TestProxyMetrics(t *testing.T) {
 	}
 }
 
-// TestVersionOptionAndAddr covers the server-level plumbing.
-func TestVersionOptionAndAddr(t *testing.T) {
+// TestVersion pins the string the `version` command reports.
+func TestVersion(t *testing.T) {
 	b := newFakeBackend()
-	out := runScript(t, b, "version\r\n", memproto.WithVersion("custom-1.2"))
-	if out != "VERSION custom-1.2\r\n" {
+	out := runScript(t, b, "version\r\n")
+	if out != "VERSION ecstore-memproxy\r\n" {
 		t.Fatalf("version = %q", out)
 	}
 }

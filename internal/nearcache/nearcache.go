@@ -14,8 +14,7 @@
 // stale entry is self-correcting: a conditional write based on it
 // fails with EXISTS, and the client invalidates the entry on every
 // Cas outcome (cluster EXISTS responses carry no current version, so
-// invalidation is unconditional rather than version-compared; Observe
-// is the hook for transports that do surface authoritative versions).
+// invalidation is unconditional rather than version-compared).
 // Entries are invalidated eagerly on local Set/Cas/Delete and on TTL
 // or MaxAge expiry; a fill races a concurrent invalidation through
 // per-slot generation counters (Begin/Put), so an invalidation between
@@ -301,31 +300,6 @@ func (c *Cache) InvalidateAll() {
 	c.invalidations.Add(n)
 	c.bytesGauge.Set(0)
 	c.itemsGauge.Set(0)
-	c.mu.Unlock()
-}
-
-// Observe reports an authoritative (key, version) sighting from a
-// response that carries the current version next to a possibly-cached
-// entry. If the cached entry disagrees it is invalidated: the entry is
-// provably stale.
-//
-// This is an integration hook, not a path the core client uses: the
-// cluster's EXISTS responses carry no current version, so the client's
-// Cas path invalidates unconditionally on every outcome instead, and
-// a cluster read only happens after a cache miss (no live entry left
-// to compare). Transports whose responses do surface authoritative
-// versions (scans, richer EXISTS payloads) should call this on each
-// sighting.
-func (c *Cache) Observe(key string, version uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.version != version {
-		c.gens[genSlot(key)]++
-		c.removeLocked(e)
-		c.invalidations.Inc()
-	}
 	c.mu.Unlock()
 }
 

@@ -63,7 +63,6 @@ func TestNilCacheIsSafe(t *testing.T) {
 	c.Put("k", Value{Data: []byte("v")}, c.Begin("k"))
 	c.Invalidate("k")
 	c.InvalidateAll()
-	c.Observe("k", 1)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("nil cache must be empty")
 	}
@@ -482,25 +481,6 @@ func TestFillLosesRaceToInvalidation(t *testing.T) {
 	if v, ok := c.Get("k"); !ok || string(v.Data) != "fresh" {
 		t.Fatal("fresh fill after invalidation did not install")
 	}
-}
-
-func TestObserve(t *testing.T) {
-	c, _ := newCache(t, 1<<20, nil)
-	gen := c.Begin("k")
-	c.Put("k", Value{Data: []byte("v1"), Version: 1}, gen)
-	c.Observe("k", 1) // matching version: keep
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("matching Observe dropped the entry")
-	}
-	before := c.Begin("k")
-	c.Observe("k", 2) // version moved on: drop
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("stale entry survived Observe of newer version")
-	}
-	if c.Begin("k") == before {
-		t.Fatal("Observe mismatch must bump the generation")
-	}
-	c.Observe("absent", 3) // no entry: no-op
 }
 
 func TestSingleflightCoalesces(t *testing.T) {

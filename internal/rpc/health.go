@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Health-tracker defaults. The thresholds are deliberately small: the
+// The health tracker's policy. The thresholds are deliberately small: the
 // cost of a false suspect is one probe round trip, while the cost of a
 // missed failure is a full call deadline per request.
 const (

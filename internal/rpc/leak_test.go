@@ -152,7 +152,7 @@ func TestLeaseBalanceTimeoutThenLateResponse(t *testing.T) {
 	// And when thousands of responses race their deadlines, each body is
 	// released exactly once whichever side wins: by the caller that got
 	// it, or by the reader that found the call already timed out.
-	storm := NewPool(n, WithFramePool(pool), WithFailureThreshold(1<<30))
+	storm := NewPool(n, WithFramePool(pool), withHealthPolicy(1<<30, DefaultProbeBase, DefaultProbeMax))
 	defer storm.Close()
 	raceDeadlines(t, storm, n, "edge")
 	waitBalance(t, pool)

@@ -16,9 +16,7 @@ import (
 // signal the scrubber uses to kick an off-schedule anti-entropy cycle.
 func TestRecoveryHookFires(t *testing.T) {
 	netem := transport.NewNetem(transport.NewInproc(transport.Shape{}))
-	p := NewPool(netem,
-		WithFailureThreshold(3),
-		WithProbeBackoff(10*time.Millisecond, 50*time.Millisecond))
+	p := NewPool(netem, withHealthPolicy(3, 10*time.Millisecond, 50*time.Millisecond))
 	defer p.Close()
 
 	var mu sync.Mutex
@@ -77,9 +75,7 @@ func TestRecoveryHookFires(t *testing.T) {
 // panics on the call-completion path.
 func TestRecoveryHookNotCalledWhenUnset(t *testing.T) {
 	netem := transport.NewNetem(transport.NewInproc(transport.Shape{}))
-	p := NewPool(netem,
-		WithFailureThreshold(2),
-		WithProbeBackoff(5*time.Millisecond, 20*time.Millisecond))
+	p := NewPool(netem, withHealthPolicy(2, 5*time.Millisecond, 20*time.Millisecond))
 	defer p.Close()
 
 	for i := 0; i < 2; i++ {

@@ -13,6 +13,15 @@ import (
 	"ecstore/internal/wire"
 )
 
+// withHealthPolicy replaces the pool's health policy: threshold
+// consecutive failures make a server suspect, and its probes back off
+// from base to max. Outside this package the policy is fixed.
+func withHealthPolicy(threshold int, base, max time.Duration) Option {
+	return func(p *Pool) {
+		p.failThreshold, p.probeBase, p.probeMax = threshold, base, max
+	}
+}
+
 // startStall runs a server that accepts connections and reads requests
 // but never responds — the failure mode of a hung process.
 func startStall(t *testing.T, network transport.Network, addr string) {
@@ -114,7 +123,7 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 	// High failure threshold: the timeout must not suspect the server
 	// or drop the connection, so the late response really does arrive
 	// on the same conn the second call uses.
-	p := NewPool(n, WithFailureThreshold(100))
+	p := NewPool(n, withHealthPolicy(100, DefaultProbeBase, DefaultProbeMax))
 	defer p.Close()
 
 	first := sendTimeout(p, "slow-once", &wire.Request{
@@ -141,7 +150,7 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 	// The same, at scale and on the knife's edge: thousands of calls
 	// whose responses land around their round's deadline, so the reader
 	// and the deadline race for the same slots all the time.
-	storm := NewPool(n, WithFailureThreshold(1<<30))
+	storm := NewPool(n, withHealthPolicy(1<<30, DefaultProbeBase, DefaultProbeMax))
 	defer storm.Close()
 	raceDeadlines(t, storm, n, "edge")
 	// A call leaves the pending table when it is answered or when its
@@ -193,7 +202,7 @@ func raceDeadlines(t *testing.T, p *Pool, network transport.Network, addr string
 // expires the next sender's round early, which raceRounds reports.
 func TestPooledRoundsIgnoreLeftoverFirings(t *testing.T) {
 	n := transport.NewInproc(transport.Shape{})
-	p := NewPool(n, WithFailureThreshold(1<<30))
+	p := NewPool(n, withHealthPolicy(1<<30, DefaultProbeBase, DefaultProbeMax))
 	defer p.Close()
 	rounds := sync.Pool{New: func() any { return new(Round) }}
 	raceRounds(t, p, n, "pooled-edge", &rounds)
@@ -281,9 +290,7 @@ func raceRounds(t *testing.T, p *Pool, network transport.Network, addr string, r
 
 func TestSuspectFailsFastAndProbesRecover(t *testing.T) {
 	netem := transport.NewNetem(transport.NewInproc(transport.Shape{}))
-	p := NewPool(netem,
-		WithFailureThreshold(3),
-		WithProbeBackoff(10*time.Millisecond, 50*time.Millisecond))
+	p := NewPool(netem, withHealthPolicy(3, 10*time.Millisecond, 50*time.Millisecond))
 	defer p.Close()
 
 	// Nothing is listening on "flap": every dial fails.

@@ -293,30 +293,6 @@ func WithCallTimeout(d time.Duration) Option {
 	return func(p *Pool) { p.timeout = d }
 }
 
-// WithFailureThreshold sets how many consecutive failures move a
-// server to the suspect state (DefaultFailureThreshold if unset).
-func WithFailureThreshold(n int) Option {
-	return func(p *Pool) {
-		if n > 0 {
-			p.failThreshold = n
-		}
-	}
-}
-
-// WithProbeBackoff sets the bounds of the suspect-probe schedule: the
-// first probe is due ~base after the suspect transition, and the
-// interval doubles (with jitter) up to max.
-func WithProbeBackoff(base, max time.Duration) Option {
-	return func(p *Pool) {
-		if base > 0 {
-			p.probeBase = base
-		}
-		if max >= base && max > 0 {
-			p.probeMax = max
-		}
-	}
-}
-
 // WithFramePool sets the buffer pool frames and read bodies are leased
 // from. The default is bufpool.Default (shared with the erasure codec);
 // a nil pool disables pooling — every frame allocates and releases are
@@ -338,8 +314,11 @@ func WithMetrics(reg *metrics.Registry) Option {
 // Pool manages one multiplexed connection per remote address. It is
 // safe for concurrent use.
 type Pool struct {
-	network       transport.Network
-	timeout       time.Duration
+	network transport.Network
+	timeout time.Duration
+	// The health policy: DefaultFailureThreshold and the probe backoff
+	// DefaultProbeBase..DefaultProbeMax. core's holder ledger reads the
+	// same constants, so only this package's tests set other values.
 	failThreshold int
 	probeBase     time.Duration
 	probeMax      time.Duration

@@ -495,7 +495,7 @@ func TestScrubConvergesCluster(t *testing.T) {
 		Network:    cl.Network(),
 		Servers:    cl.Addrs(),
 		Resilience: core.ResilienceHybrid,
-		Replicas:   3, K: 3, M: 2, HybridThreshold: 1024,
+		Replicas:   3, K: 3, M: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +507,7 @@ func TestScrubConvergesCluster(t *testing.T) {
 		small := fmt.Sprintf("small-%d", i)
 		large := fmt.Sprintf("large-%d", i)
 		values[small] = []byte(fmt.Sprintf("tiny-%d", i))
-		values[large] = bytes.Repeat([]byte{byte('A' + i)}, 6000)
+		values[large] = bytes.Repeat([]byte{byte('A' + i)}, 16<<10)
 	}
 	for k, v := range values {
 		if err := c.Set(k, v); err != nil {
@@ -560,7 +560,7 @@ func TestRemovedCrashedServerDrains(t *testing.T) {
 	for name, cfg := range map[string]core.Config{
 		"sync-rep":  {Resilience: core.ResilienceSyncRep, Replicas: 3},
 		"era-ce-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2},
-		"hybrid":    {Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2, HybridThreshold: 1024},
+		"hybrid":    {Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cl, err := cluster.Start(cluster.Config{N: 6})
@@ -577,7 +577,7 @@ func TestRemovedCrashedServerDrains(t *testing.T) {
 			values := map[string][]byte{}
 			for i := 0; i < 16; i++ {
 				key := fmt.Sprintf("%s-%02d", name, i)
-				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 100+(i%2)*6000)
+				values[key] = bytes.Repeat([]byte{byte('a' + i)}, 100+(i%2)*(16<<10))
 				if err := c.Set(key, values[key]); err != nil {
 					t.Fatal(err)
 				}
@@ -622,7 +622,7 @@ func BenchmarkScrubRecoveryCycle(b *testing.B) {
 		Network:    cl.Network(),
 		Servers:    cl.Addrs(),
 		Resilience: core.ResilienceHybrid,
-		Replicas:   3, K: 3, M: 2, HybridThreshold: 1024,
+		Replicas:   3, K: 3, M: 2,
 	})
 	if err != nil {
 		b.Fatal(err)

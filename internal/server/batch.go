@@ -12,9 +12,9 @@ import (
 // it itself. Everything that touches only this server (the store ops,
 // a batch of them, a delta patch, the ring protocol, ping, an unknown
 // op) runs to completion on the reader, with no goroutine handoff. The
-// coordinated ops wait on peers for up to PeerTimeout a round and the admin ops
-// walk or serialize the whole store; on the reader either would hold
-// every request pipelined behind it on that connection.
+// coordinated ops wait on peers for up to core.DefaultOpTimeout a round
+// and the admin ops walk or serialize the whole store; on the reader
+// either would hold every request pipelined behind it on that connection.
 func runsOnWorker(op wire.Op) bool {
 	switch op {
 	case wire.OpEncodeSet, wire.OpDecodeGet, wire.OpScan, wire.OpStats, wire.OpFlush:

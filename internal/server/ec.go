@@ -18,7 +18,7 @@ func (s *Server) coordinator(k, m uint8) (*core.Coordinator, error) {
 		return co.(*core.Coordinator), nil
 	}
 	co, err := core.NewCoordinator(core.Config{
-		K: int(k), M: int(m), OpTimeout: s.cfg.PeerTimeout, Metrics: s.reg,
+		K: int(k), M: int(m), Metrics: s.reg,
 	}, s.peers, s.view)
 	if err != nil {
 		return nil, err

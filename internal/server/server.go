@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"ecstore/internal/bufpool"
+	"ecstore/internal/core"
 	"ecstore/internal/membership"
 	"ecstore/internal/metrics"
 	"ecstore/internal/rpc"
@@ -32,11 +33,6 @@ import (
 
 // DefaultWorkers matches the paper's per-server worker thread count.
 const DefaultWorkers = 8
-
-// DefaultPeerTimeout is the coordinator's per-round OpTimeout: it bounds
-// each round of peer RPCs an encode-set or decode-get issues, so one hung
-// peer cannot wedge a worker forever.
-const DefaultPeerTimeout = 15 * time.Second
 
 // Config configures a Server.
 type Config struct {
@@ -55,10 +51,6 @@ type Config struct {
 	// Workers sets the size of the worker pool for the operations a
 	// reader hands off (runsOnWorker); DefaultWorkers if zero.
 	Workers int
-	// PeerTimeout is the coordinator's per-round OpTimeout: it bounds each
-	// round of peer RPCs during server-side encode/decode
-	// (DefaultPeerTimeout if zero; negative disables deadlines).
-	PeerTimeout time.Duration
 	// Logf receives diagnostics; log.Printf if nil.
 	Logf func(format string, args ...any)
 	// Metrics receives the server's counters, gauges, and latency
@@ -160,13 +152,6 @@ func New(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	peerTimeout := cfg.PeerTimeout
-	switch {
-	case peerTimeout == 0:
-		peerTimeout = DefaultPeerTimeout
-	case peerTimeout < 0:
-		peerTimeout = 0 // deadlines disabled
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -179,10 +164,10 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		listener: ln,
 		store:    store.New(cfg.Store),
-		view:     membership.NewTracker(membership.NewView(cfg.Peers), 0),
+		view:     membership.NewTracker(membership.NewView(cfg.Peers)),
 		// The coordinators' pool leases from the server's frame pool too,
 		// so every buffer the server lends or borrows recycles in one.
-		peers: rpc.NewPool(cfg.Network, rpc.WithCallTimeout(peerTimeout), rpc.WithMetrics(reg),
+		peers: rpc.NewPool(cfg.Network, rpc.WithCallTimeout(core.DefaultOpTimeout), rpc.WithMetrics(reg),
 			rpc.WithFramePool(framePool)),
 		// The job queue is sized to keep every worker busy while the
 		// readers stay responsive; beyond that, backpressure blocks
