@@ -35,9 +35,8 @@ type subOp struct {
 
 	// leased marks req.Value as a payload the strategy encoded into a
 	// frame-pool lease (a delta patch): the executor hands the lease over
-	// with the frame, which releases it once written or abandoned — or
-	// returns it itself after copying the value into a batch payload.
-	// Either way the value is gone once the round is issued.
+	// with the frame, which releases it once written or abandoned, so the
+	// value is gone once the round is issued.
 	leased bool
 
 	// resp is the sub-response when err is nil; err is the
@@ -289,7 +288,7 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		payload, err := wire.AppendBatchRequests(buf, b.reqs)
 		if fp != nil {
 			for i, j := first, 0; i >= 0; i, j = ops[i].next, j+1 {
-				if ops[i].rawChunk || ops[i].leased {
+				if ops[i].rawChunk {
 					fp.Put(b.reqs[j].Value) // copied into the batch payload
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/wire"
 )
 
 // TestCasAllModes exercises the memcached CAS contract under every
@@ -33,6 +34,7 @@ func TestCasAllModes(t *testing.T) {
 			if !bytes.Equal(item.Value, []byte("v1")) {
 				t.Fatalf("Gets value = %q", item.Value)
 			}
+			v1 := item.Version
 
 			// Fresh token wins.
 			v2, err := c.Cas(key, []byte("v2"), 0, item.Version)
@@ -64,6 +66,28 @@ func TestCasAllModes(t *testing.T) {
 			}
 			if _, err := c.Get(name + "-cas-absent"); !errors.Is(err, core.ErrNotFound) {
 				t.Fatal("Cas on absent key inserted it")
+			}
+
+			// DeleteCas: a stale token removes nothing, the fresh one
+			// removes the key for good — an Add may take it again — and an
+			// absent key is not found.
+			if err := c.DeleteCas(key, v1); !errors.Is(err, core.ErrCASConflict) {
+				t.Fatalf("DeleteCas with stale token: %v, want ErrCASConflict", err)
+			}
+			if got, err := c.Get(key); err != nil || !bytes.Equal(got, []byte("v2")) {
+				t.Fatalf("value after stale DeleteCas = %q, %v", got, err)
+			}
+			if err := c.DeleteCas(key, v2); err != nil {
+				t.Fatalf("DeleteCas with fresh token: %v", err)
+			}
+			if _, err := c.Get(key); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("Get after DeleteCas: %v, want ErrNotFound", err)
+			}
+			if _, err := c.Add(key, []byte("v4"), 0); err != nil {
+				t.Fatalf("Add after DeleteCas: %v", err)
+			}
+			if err := c.DeleteCas(name+"-cas-absent", v2); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("DeleteCas on absent key: %v, want ErrNotFound", err)
 			}
 		})
 	}
@@ -178,6 +202,44 @@ func TestCasSurvivesPartialChunkLoss(t *testing.T) {
 	// the flushed server lost.
 	if ok, err := c.Verify(key); err != nil || !ok {
 		t.Fatalf("Verify after Cas = %v, %v", ok, err)
+	}
+}
+
+// TestDeleteCasCleanupCrossesEpoch pins that a conditional delete
+// removes every chunk, not just the one that decided: a holder already
+// on a newer view rejects the cleanup delete at the old epoch, and must
+// get it again at the refreshed one. A chunk left behind would fail
+// every later Add at that holder.
+func TestDeleteCasCleanupCrossesEpoch(t *testing.T) {
+	cl := startCluster(t, 5)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	key := "delete-cas-epoch"
+	version, err := c.SetVersion(key, bytes.Repeat([]byte("d"), 3<<10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := -1
+	for i := range cl.Addrs() {
+		if _, ok := cl.Server(i).Store().Get(wire.ChunkKey(key, 2)); ok {
+			holder = i
+		}
+	}
+	if holder < 0 {
+		t.Fatal("no server holds chunk 2")
+	}
+	if !cl.Server(holder).AdoptView(c.View().WithAdded("kv-ghost")) {
+		t.Fatalf("server %d refused the next view", holder)
+	}
+
+	if err := c.DeleteCas(key, version); err != nil {
+		t.Fatalf("DeleteCas: %v", err)
+	}
+	for i := range cl.Addrs() {
+		for j := 0; j < 5; j++ {
+			if _, ok := cl.Server(i).Store().Get(wire.ChunkKey(key, j)); ok {
+				t.Errorf("server %d still holds chunk %d", i, j)
+			}
+		}
 	}
 }
 

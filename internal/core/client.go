@@ -168,6 +168,10 @@ type write struct {
 	// not — it never refreshes the near-cached base a chain of deltas
 	// lives on.
 	patch bool
+	// cas makes the write conditional on the stored version being
+	// expect, wire.CompareAbsent (0) for an add: Cas and Add set it.
+	cas    bool
+	expect uint64
 }
 
 // strategy executes whole operations under a resilience scheme, and
@@ -472,31 +476,13 @@ func (c *Client) IGet(key string) *Future {
 	return c.submit(c.getOp(key))
 }
 
-// IDelete removes key without blocking.
-func (c *Client) IDelete(key string) *Future {
-	return c.submit(c.deleteOp(key))
-}
-
-// IDeleteCas removes key without blocking, but only while the stored
-// version still equals cas — the atomic conditional delete behind the
-// proxy's `md <key> C<cas>`. A changed version yields ErrCASConflict,
-// an absent key ErrNotFound. cas must be non-zero.
-func (c *Client) IDeleteCas(key string, cas uint64) *Future {
-	return c.submit(c.deleteCasOp(key, cas))
-}
-
-// DeleteCas is the blocking form of IDeleteCas.
+// DeleteCas removes key, but only while the stored version still
+// equals cas — the atomic conditional delete behind the proxy's
+// `md <key> C<cas>`. A changed version yields ErrCASConflict, an absent
+// key ErrNotFound. cas must be non-zero.
 func (c *Client) DeleteCas(key string, cas uint64) error {
 	_, err := c.run(c.deleteCasOp(key, cas))
 	return err
-}
-
-// ICas conditionally stores value under key without blocking: the
-// write lands only if the stored version still equals cas (a token
-// from Gets). cas == 0 demands the key be absent — the memcached
-// `add`. On success the Future's item carries the new version.
-func (c *Client) ICas(key string, value []byte, ttl time.Duration, cas uint64) *Future {
-	return c.submit(c.casOp(key, value, ttl, cas))
 }
 
 // Set stores value under key, blocking until the configured resilience

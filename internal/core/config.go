@@ -2,7 +2,7 @@
 // high-performance resilient key-value store client with online
 // erasure coding. It provides:
 //
-//   - Non-blocking Set/Get/Delete APIs (ISet/IGet/IDelete) with
+//   - Non-blocking Set/Get APIs (ISet/IGet) with
 //     memcached_wait/test-style completion, backed by an Asynchronous
 //     Request Processing Engine (ARPE) that overlaps encode/decode
 //     computation with the request/response phases.

@@ -98,15 +98,6 @@ func (c *Client) Repair(key string) (RepairReport, error) {
 	}, err
 }
 
-// IRepair is the non-blocking form of Repair; the Future's value is
-// nil and its error is the repair error.
-func (c *Client) IRepair(key string) *Future {
-	return c.submit(func() (Item, error) {
-		_, err := c.Repair(key)
-		return Item{}, err
-	})
-}
-
 // Verify scrubs one key's redundancy. For erasure-coded values it
 // fetches every chunk and checks that the stored parity is consistent
 // with the data chunks, detecting silent corruption (not just loss);

@@ -50,8 +50,8 @@ func (e *ecStrategy) deltaFallback(reason string) (uint64, error) {
 	return 0, errDeltaFallback
 }
 
-// trySetDelta attempts the delta overwrite for a Set (expect == 0,
-// isCas == false) or a Cas (expect == the caller's token). It returns
+// trySetDelta attempts the delta overwrite for a Set or a Cas (w.cas,
+// w.expect the caller's token). It returns
 // errDeltaFallback when the full re-stripe path should run instead;
 // any other return is the operation's final outcome.
 //
@@ -84,8 +84,8 @@ func (e *ecStrategy) deltaFallback(reason string) (uint64, error) {
 // path's stripe-conditional delete unwind: a holder that stays down
 // keeps a sub-K orphan that can never decode and that the scrubber
 // heals from parity.
-func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.Duration, expect uint64, isCas bool) (uint64, error) {
-	c := e.c
+func (e *ecStrategy) trySetDelta(b *batcher, w write) (uint64, error) {
+	c, key, value := e.c, w.key, w.value
 	if !c.deltaCapable() {
 		return 0, errDeltaFallback
 	}
@@ -93,7 +93,7 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 	if !ok || base.Version == 0 {
 		return e.deltaFallback("no-base")
 	}
-	if isCas && base.Version != expect {
+	if w.cas && base.Version != w.expect {
 		return e.deltaFallback("stale-base")
 	}
 
@@ -133,7 +133,7 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 	// stripe. OpApplyDelta is not batchable, so every patch rides in its
 	// own frame, which takes over the patch's lease.
 	var buf roundBuf
-	ops := e.deltaRound(roundOps(&buf, n), key, placement, runs, per, wire.TTLSeconds(ttl), base.Version, meta)
+	ops := e.deltaRound(roundOps(&buf, n), key, placement, runs, per, wire.TTLSeconds(w.ttl), base.Version, meta)
 	b.code += time.Since(start)
 	b.send(ops, epoch)
 	conflicts, missing := 0, 0
@@ -162,13 +162,13 @@ func (e *ecStrategy) trySetDelta(b *batcher, key string, value []byte, ttl time.
 
 	e.unwindDelta(b, key, placement, runs, per, base, meta, epoch)
 	switch {
-	case conflicts > 0 && isCas:
+	case conflicts > 0 && w.cas:
 		return 0, ErrCASConflict
 	case conflicts > 0:
 		return e.deltaFallback("conflict")
 	case missing > 0:
 		return e.deltaFallback("missing")
-	case isCas:
+	case w.cas:
 		return 0, firstErr
 	default:
 		return e.deltaFallback("error")

@@ -59,7 +59,7 @@ func (e *ecStrategy) set(b *batcher, writes []write) []result {
 		// errDeltaFallback marks the writes still to be done in full.
 		out[i].err = errDeltaFallback
 		if w.patch {
-			out[i].item.Version, out[i].err = e.trySetDelta(b, w.key, w.value, w.ttl, 0, false)
+			out[i].item.Version, out[i].err = e.trySetDelta(b, w)
 		}
 	}
 	if e.clientEncodes() {
@@ -74,8 +74,10 @@ func (e *ecStrategy) set(b *batcher, writes []write) []result {
 // errDeltaFallback in out: split, compute parity, then distribute ALL
 // keys' K+M chunks in one round of non-blocking writes — each chunk
 // holder receives one frame carrying its chunk of every key (Equation
-// 7: T_encode + max over chunks of (L + D/(B·K))). The round is waited
-// out in full even after a failure: returning early would let the
+// 7: T_encode + max over chunks of (L + D/(B·K))). A conditional write
+// (Cas, Add) is the same round of OpCompareSet chunk writes, each a
+// per-holder CompareSwap against the expected stripe. The round is
+// waited out in full even after a failure: returning early would let the
 // remaining in-flight chunk writes keep landing after the error is
 // reported, leaving a torn stripe of this write that can shadow the
 // previous complete one. Failed keys' stripes are then unwound.
@@ -116,15 +118,20 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			TotalLen: uint32(len(w.value)),
 			Stripe:   wire.NewStripeID(),
 		}
+		op := wire.OpSetChunk
+		if w.cas {
+			op = wire.OpCompareSet
+		}
 		keys := wire.AppendChunkKeys(keyBuf[:0], w.key, 0, n)
 		for j, addr := range placement {
 			cm := meta
 			cm.ChunkIndex = uint8(j)
 			ops = append(ops, subOp{addr: addr, key: i, rawChunk: true, req: wire.BatchReq{
-				Op:         wire.OpSetChunk,
+				Op:         op,
 				Key:        keys[j],
 				Value:      ps.Shards[j],
 				TTLSeconds: wire.TTLSeconds(w.ttl),
+				Compare:    w.expect,
 				Meta:       cm,
 			}})
 		}
@@ -135,42 +142,72 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	for _, ps := range splits {
 		ps.Release()
 	}
+	// One verdict per key, from its contiguous run of chunk writes.
 	var dead []deadStripe
-	for j := range ops {
-		op := &ops[j]
-		if err := op.fail(); err != nil && out[op.key].err == nil {
-			key := writes[op.key].key
-			dead = append(dead, deadStripe{key, placementOn(ring, key, n), out[op.key].item.Version})
-			out[op.key] = result{err: fmt.Errorf("chunk %d write: %w", op.req.Meta.ChunkIndex, err)}
+	for lo := 0; lo < len(ops); {
+		i, w := ops[lo].key, &writes[ops[lo].key]
+		conflict, priors := false, 0
+		var err error
+		for ; lo < len(ops) && ops[lo].key == i; lo++ {
+			op := &ops[lo]
+			switch opErr := op.fail(); {
+			case opErr == nil:
+				if op.resp.Meta.Stripe != 0 {
+					priors++ // this holder really held the old stripe
+				}
+			case w.cas && errors.Is(opErr, wire.ErrExists):
+				conflict = true
+			case err == nil:
+				err = fmt.Errorf("chunk %d write: %w", op.req.Meta.ChunkIndex, opErr)
+			}
+		}
+		switch {
+		case conflict:
+			// A holder's version differed from the token: a lost race,
+			// whatever else failed.
+			err = ErrCASConflict
+		case err == nil && w.cas && w.expect != wire.CompareAbsent && priors == 0 && !e.heldElsewhere(b, w.key, w.expect):
+			// Every holder accepted, but none held the old stripe, nor does
+			// a draining placement: the key did not exist, so a strict CAS
+			// must not create it.
+			err = ErrNotFound
+		}
+		if err != nil {
+			dead = append(dead, deadStripe{key: w.key, placement: placementOn(ring, w.key, n), stripe: out[i].item.Version})
+			out[i] = result{err: err}
 		}
 	}
 	b.release()
-	e.unwindStripes(b, epoch, dead)
+	if len(dead) > 0 {
+		e.c.mUnwinds.Add(int64(len(dead)))
+		e.unwindStripes(b, epoch, dead)
+	}
 }
 
-// deadStripe names the chunks a failed write may have left behind.
+// deadStripe names the chunks a failed write may have left behind, or a
+// conditional delete that decided at position done still has to remove.
 type deadStripe struct {
 	key       string
 	placement []string
 	stripe    uint64
+	done      erasure.ShardSet
 }
 
-// unwindStripes best-effort deletes the chunks failed writes may have
-// landed, in one round of stripe-conditional deletes — so a concurrent
-// newer overwrite is never deleted by mistake. Errors are ignored: a
-// chunk holder that is down keeps its stale chunk, but with fewer than
-// K chunks the dead stripe can never be decoded or shadow an older one.
+// unwindStripes best-effort deletes dead stripes' chunks in one round of
+// stripe-conditional deletes — so a concurrent newer overwrite is never
+// deleted by mistake. Errors are ignored: a chunk holder that is down
+// keeps its stale chunk, but with fewer than K chunks the dead stripe
+// can never be decoded or shadow an older one.
 func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) {
-	if len(dead) == 0 {
-		return
-	}
-	e.c.mUnwinds.Add(int64(len(dead)))
 	var buf roundBuf
 	ops := roundOps(&buf, len(dead)*(e.k+e.m))
 	var keyBuf [8]string
 	for _, d := range dead {
 		keys := wire.AppendChunkKeys(keyBuf[:0], d.key, 0, len(d.placement))
 		for j, addr := range d.placement {
+			if d.done.Has(j) {
+				continue
+			}
 			ops = append(ops, subOp{addr: addr, req: wire.BatchReq{
 				Op:   wire.OpDelete,
 				Key:  keys[j],
@@ -639,8 +676,8 @@ func (e *ecStrategy) del(b *batcher, keys []string) []result {
 // compareSet implements the conditional write for erasure coding: the
 // stripe ID doubles as the version, and every chunk write is a
 // per-holder CompareSwap against the expected old stripe. The write is
-// always client-encoded, whatever the read/write scheme — the
-// conditional decision must happen at each chunk holder, which the
+// always client-encoded (stripeSet), whatever the read/write scheme —
+// the conditional decision must happen at each chunk holder, which the
 // server-encode path cannot express.
 //
 // A holder whose chunk is missing (evicted, or crashed and restarted
@@ -655,91 +692,27 @@ func (e *ecStrategy) del(b *batcher, keys []string) []result {
 // unwound (stripe-conditional deletes, so a newer write is never
 // collateral damage) and ErrCASConflict returned.
 func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
+	w := [1]write{{key: key, value: value, ttl: ttl, cas: true, expect: expect}}
+	out := [1]result{{err: errDeltaFallback}}
 	// A CAS against a near-cached base at exactly the expected version
 	// can be expressed as K+M version-conditional patches — the delta
 	// round's per-holder Compare IS the CAS check (DESIGN §14). An add
 	// (expect == absent) has nothing to patch.
 	if expect != wire.CompareAbsent {
-		if version, err := e.trySetDelta(b, key, value, ttl, expect, true); !errors.Is(err, errDeltaFallback) {
-			return version, err
-		}
+		out[0].item.Version, out[0].err = e.trySetDelta(b, w[0])
 	}
-	n := e.k + e.m
-	placement, epoch := e.c.placement(key, n)
-	if placement == nil {
-		return 0, ErrUnavailable
+	if out[0].err == errDeltaFallback {
+		e.stripeSet(b, w[:], out[:])
 	}
-	start := time.Now()
-	ps := erasure.SplitPooled(value, e.k, e.m, nil)
-	defer ps.Release()
-	shards := ps.Shards
-	if err := e.code.Encode(shards); err != nil {
-		return 0, err
-	}
-	b.code += time.Since(start)
-	e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(shards[0])))
-
-	meta := wire.ECMeta{
-		K:        uint8(e.k),
-		M:        uint8(e.m),
-		TotalLen: uint32(len(value)),
-		Stripe:   wire.NewStripeID(),
-	}
-	// One round of per-holder conditional writes; the executor wraps each
-	// chunk as it issues its frame.
-	var buf roundBuf
-	ops := roundOps(&buf, n)
-	var keyBuf [8]string
-	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
-	for i, addr := range placement {
-		cm := meta
-		cm.ChunkIndex = uint8(i)
-		ops = append(ops, subOp{addr: addr, rawChunk: true, req: wire.BatchReq{
-			Op:         wire.OpCompareSet,
-			Key:        keys[i],
-			Value:      shards[i],
-			TTLSeconds: wire.TTLSeconds(ttl),
-			Compare:    expect,
-			Meta:       cm,
-		}})
-	}
-	b.send(ops, epoch)
-	conflicts, priors := 0, 0
-	var firstErr error
-	for i := range ops {
-		switch err := ops[i].fail(); {
-		case err == nil:
-			if ops[i].resp.Meta.Stripe != 0 {
-				priors++ // this holder really held the old stripe
-			}
-		case errors.Is(err, wire.ErrExists):
-			conflicts++
-		case firstErr == nil:
-			firstErr = fmt.Errorf("chunk %d conditional write: %w", i, err)
-		}
-	}
-	b.release()
-	switch {
-	case conflicts > 0:
-		firstErr = ErrCASConflict
-	case firstErr != nil:
-	case expect != wire.CompareAbsent && priors == 0 && !e.heldElsewhere(b, key, expect):
-		// Every holder accepted, but none of them held the old stripe,
-		// nor does any holder a draining placement names: the key did not
-		// exist, so a strict CAS must not create it.
-		firstErr = ErrNotFound
-	default:
-		return meta.Stripe, nil
-	}
-	e.unwindStripes(b, epoch, []deadStripe{{key, placement, meta.Stripe}})
-	return 0, firstErr
+	return out[0].item.Version, out[0].err
 }
 
 // heldElsewhere reports whether, while the view drains, a position a
 // draining placement moved still holds key's chunk of stripe: a CAS
 // whose first attempt an epoch change split — landed at the holders
 // still on the old epoch, rejected at the rest, unwound — finds the old
-// stripe only where the old ring placed it.
+// stripe only where the old ring placed it. The round's responses stay
+// leased until the caller's release.
 func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
 	rings := e.c.view.Rings()
 	if len(rings.Draining) == 0 {
@@ -751,7 +724,6 @@ func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
 		ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{Op: wire.OpGetChunk, Key: wire.ChunkKey(key, i)}})
 	})
 	b.send(ops, rings.View.Epoch)
-	defer b.release()
 	return slices.ContainsFunc(ops, func(op subOp) bool {
 		return op.err == nil && op.resp.Status == wire.StatusOK && op.resp.Meta.Stripe == stripe
 	})
@@ -766,9 +738,11 @@ func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
 // continues to the next holder, succeeding exactly when a plain Get
 // would still have decoded the old value. A holder answering Exists is
 // a lost race; nothing was removed, so ErrCASConflict is safe to
-// report. Once one holder decides, the remaining chunks are removed in
-// ONE round of STRIPE-conditional deletes (Meta.Stripe = expect) so a
-// concurrent newer write's chunks are never collateral damage.
+// report. Once one holder decides, the remaining chunks go the way of a
+// failed write's: unwindStripes removes them with STRIPE-conditional
+// deletes (Meta.Stripe = expect), so a concurrent newer write's chunks
+// are never collateral damage, and a holder on a newer view gets its
+// delete again at that view.
 func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error {
 	n := e.k + e.m
 	placement, epoch := e.c.placement(key, n)
@@ -807,20 +781,9 @@ func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error 
 		}
 		return ErrNotFound
 	}
-	// Decided: converge the remaining holders. The round is waited out
-	// and its errors ignored — a down holder keeps an orphan chunk, but a
-	// sub-K remnant can never decode, and the scrubber purges it.
-	var buf roundBuf
-	rest := roundOps(&buf, n-1)
-	for i, addr := range placement {
-		if i != decided {
-			rest = append(rest, subOp{addr: addr, req: wire.BatchReq{
-				Op: wire.OpDelete, Key: chunkKeys[i], Meta: wire.ECMeta{Stripe: expect},
-			}})
-		}
-	}
-	b.send(rest, epoch)
-	b.release()
+	rest := [1]deadStripe{{key: key, placement: placement, stripe: expect}}
+	rest[0].done.Add(decided)
+	e.unwindStripes(b, epoch, rest[:])
 	return nil
 }
 

@@ -117,8 +117,13 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	// calls, where set, is the exact rpc calls per operation (10 for the
 	// fresh Set while it read first; 4 for the lost-parity row while the
 	// first round was the data chunks; a call refused to a suspect holder
-	// is not one). cut and lost name chunk positions of the key read:
-	// their holders are cut off, their chunks deleted.
+	// is not one). The Cas rows, added last, rewrite the key with the
+	// token the last Cas returned: one round of K+M conditional chunk
+	// writes from the client in era-se-sd too, whose Set goes through the
+	// server coordinator (14 objects each; 15 while Cas had a stripe
+	// writer of its own). cut and lost
+	// name chunk positions of the key read: their holders are cut off,
+	// their chunks deleted.
 	rows := []struct {
 		name      string
 		mode      core.Config
@@ -139,6 +144,8 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 		{"hybrid MGet x16", allModes()["hybrid"], true, "mget", 76, 0, nil, nil},
 		{"era-ce-cd MGet x16", allModes()["era-ce-cd"], false, "mget", 76, 0, nil, nil},
 		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 24, 5, nil, nil},
+		{"era-ce-cd Cas", allModes()["era-ce-cd"], false, "cas", 16, 5, nil, nil},
+		{"era-se-sd Cas", allModes()["era-se-sd"], false, "cas", 16, 5, nil, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -151,6 +158,15 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 				if err := c.Set(key, value); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// token is the version the next Cas of the key expects.
+			var token uint64
+			if row.op == "cas" {
+				item, err := c.Gets(keys[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				token = item.Version
 			}
 			// holderOf is the server holding chunk pos of the key read.
 			holderOf := func(pos int) (i int, addr string) {
@@ -186,6 +202,13 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 					if err := c.Set(keys[1], small); err != nil {
 						t.Fatal(err)
 					}
+				},
+				"cas": func() {
+					v, err := c.Cas(keys[1], small, 0, token)
+					if err != nil {
+						t.Fatal(err)
+					}
+					token = v
 				},
 				"mget": func() {
 					if found, err := c.MGet(keys); err != nil || len(found) != len(keys) {

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"ecstore/internal/core"
@@ -192,24 +191,6 @@ func TestRepairHybridSmallAfterReplicaLoss(t *testing.T) {
 	}
 	if got, err := c.Get("small"); err != nil || !bytes.Equal(got, value) {
 		t.Fatalf("read after repair: %q, %v", got, err)
-	}
-}
-
-func TestIRepair(t *testing.T) {
-	cl := startCluster(t, 5)
-	c := newClient(t, cl, core.Config{
-		Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2,
-	})
-	futures := make([]*core.Future, 0, 10)
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := c.Set(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		futures = append(futures, c.IRepair(key))
-	}
-	if err := core.WaitAll(futures...); err != nil {
-		t.Fatal(err)
 	}
 }
 
