@@ -32,7 +32,7 @@
 //	bench <n> <size>      time n Set+Get round trips of `size` bytes
 //
 // Modes: none, sync-rep, async-rep, era-ce-cd, era-se-sd, era-se-cd,
-// era-ce-sd, hybrid.
+// hybrid.
 //
 // One anti-entropy cycle (scan, verify, repair) is `kvscrub -once`.
 package main

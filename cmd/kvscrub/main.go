@@ -42,7 +42,7 @@ func main() {
 
 func run() error {
 	servers := flag.String("servers", "127.0.0.1:7001", "comma-separated server addresses")
-	mode := flag.String("mode", "era-ce-cd", "resilience mode: none|sync-rep|async-rep|era-ce-cd|era-se-sd|era-se-cd|era-ce-sd|hybrid")
+	mode := flag.String("mode", "era-ce-cd", "resilience mode: none|sync-rep|async-rep|era-ce-cd|era-se-sd|era-se-cd|hybrid")
 	k := flag.Int("k", 3, "erasure data chunks K")
 	m := flag.Int("m", 2, "erasure parity chunks M")
 	replicas := flag.Int("replicas", 3, "replication factor F")

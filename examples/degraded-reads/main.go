@@ -33,7 +33,7 @@ func run() error {
 
 	// Every erasure scheme placement survives M=2 failures.
 	for _, scheme := range []core.Scheme{
-		core.SchemeCECD, core.SchemeSESD, core.SchemeSECD, core.SchemeCESD,
+		core.SchemeCECD, core.SchemeSESD, core.SchemeSECD,
 	} {
 		client, err := core.New(core.Config{
 			Network:    cl.Network(),
@@ -70,7 +70,7 @@ func run() error {
 	cl.Kill(4)
 	fmt.Println("killed servers 2 and 4")
 	futures := map[string]*core.Future{}
-	for _, scheme := range []string{"era-ce-cd", "era-se-sd", "era-se-cd", "era-ce-sd"} {
+	for _, scheme := range []string{"era-ce-cd", "era-se-sd", "era-se-cd"} {
 		futures["demo-"+scheme] = client.IGet("demo-" + scheme)
 	}
 	for key, f := range futures {

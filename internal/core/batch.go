@@ -307,9 +307,8 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		return // never framed; collect reads why from the slot
 	}
 	b.frames++
-	if b.bulk && (n > 1 || op.req.Op.Batchable()) {
-		// Sub-ops per batch frame; a batchable group of one counts as a
-		// batch of 1, a coordinated op's plain frame is not a batch.
+	if b.bulk {
+		// Sub-ops per batch frame; a group of one counts as a batch of 1.
 		b.c.hBulkBatchSize.Record(time.Duration(n))
 	}
 }

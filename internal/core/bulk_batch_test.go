@@ -58,28 +58,39 @@ func TestBulkFramesPinned(t *testing.T) {
 }
 
 // TestBulkFramesPinnedAllModes checks the per-server-frame bound for
-// every resilience mode whose bulk read is fully batchable (the
-// server-decode schemes pipeline plain frames instead — one frame per
-// key is their wire contract, so they are excluded from the bound).
+// every resilience mode, for a 64-key MSet and MGetItems alike. The
+// Era-SE-* schemes hold it too: each coordinator receives one frame
+// with every key it coordinates.
 func TestBulkFramesPinnedAllModes(t *testing.T) {
 	cl := startCluster(t, 5)
-	for _, mode := range []string{"none", "sync-rep", "async-rep", "era-ce-cd", "hybrid"} {
+	for _, mode := range []string{"none", "sync-rep", "async-rep", "era-ce-cd", "era-se-sd", "era-se-cd", "hybrid"} {
 		t.Run(mode, func(t *testing.T) {
 			c := newClient(t, cl, allModes()[mode])
 			pairs := bulkPairs("pin-"+mode, 64, 64)
+			frames := func() int64 { return c.Metrics().Snapshot().Counter("ecstore_client_bulk_frames_total") }
+			before := frames()
 			if err := c.MSet(pairs); err != nil {
 				t.Fatal(err)
 			}
-			before := c.Metrics().Snapshot().Counter("ecstore_client_bulk_frames_total")
+			// A write is one frame per server a round. Sync-rep writes its
+			// three replicas a round each; hybrid writes the replicated form,
+			// then purges the erasure-coded one.
+			rounds := map[string]int64{"sync-rep": 3, "hybrid": 2}[mode]
+			limit := max(rounds, 1) * int64(len(cl.Addrs()))
+			n := frames() - before
+			if n < 1 || n > limit {
+				t.Fatalf("64-key MSet sent %d frames; want 1..%d", n, limit)
+			}
+			t.Logf("64-key MSet: %d frames", n)
+			before = frames()
 			found, failed := c.MGetItems(pairKeys(pairs))
 			if len(failed) != 0 || len(found) != len(pairs) {
 				t.Fatalf("MGetItems: %d found, failed=%v", len(found), failed)
 			}
-			frames := c.Metrics().Snapshot().Counter("ecstore_client_bulk_frames_total") - before
 			// Hybrid probes the replicated form only (all hits), so even it
 			// stays within one frame per server.
-			if frames < 1 || frames > int64(len(cl.Addrs())) {
-				t.Fatalf("64-key MGetItems sent %d frames; want 1..%d", frames, len(cl.Addrs()))
+			if n := frames() - before; n < 1 || n > int64(len(cl.Addrs())) {
+				t.Fatalf("64-key MGetItems sent %d frames; want 1..%d", n, len(cl.Addrs()))
 			}
 		})
 	}

@@ -9,9 +9,10 @@
 //   - Resilience strategies: none, synchronous replication (blocking,
 //     one replica at a time), asynchronous replication (overlapped
 //     replica writes), and online Reed-Solomon erasure coding with the
-//     four placement schemes from Section IV-B — Era-CE-CD, Era-SE-SD,
-//     Era-SE-CD and Era-CE-SD — plus the hybrid replication/EC policy
-//     sketched in the paper's future work.
+//     three placement schemes Section IV-B evaluates — Era-CE-CD,
+//     Era-SE-SD and Era-SE-CD (the paper argues its fourth, Era-CE-SD,
+//     unsuitable) — plus the hybrid replication/EC policy sketched in
+//     the paper's future work.
 //   - Degraded reads: any K of the K+M chunks reconstruct a value, so
 //     up to M server failures are tolerated.
 package core
@@ -76,10 +77,6 @@ const (
 	// SchemeSECD encodes at the server, decodes at the client
 	// (Era-SE-CD).
 	SchemeSECD
-	// SchemeCESD encodes at the client, decodes at the server
-	// (Era-CE-SD). The paper argues this hybrid is the least
-	// favourable; it is implemented for completeness.
-	SchemeCESD
 )
 
 // String returns the scheme mnemonic.
@@ -91,8 +88,6 @@ func (s Scheme) String() string {
 		return "era-se-sd"
 	case SchemeSECD:
 		return "era-se-cd"
-	case SchemeCESD:
-		return "era-ce-sd"
 	default:
 		return fmt.Sprintf("scheme(%d)", int(s))
 	}
@@ -100,7 +95,7 @@ func (s Scheme) String() string {
 
 // ParseMode parses a mode name as the commands' -mode flag takes it:
 // a Resilience mnemonic (none, sync-rep, async-rep, hybrid) or an
-// erasure Scheme mnemonic (era-ce-cd, era-se-sd, era-se-cd, era-ce-sd),
+// erasure Scheme mnemonic (era-ce-cd, era-se-sd, era-se-cd),
 // which implies ResilienceErasure.
 func ParseMode(name string) (Resilience, Scheme, error) {
 	for r := ResilienceNone; r <= ResilienceHybrid; r++ {
@@ -108,7 +103,7 @@ func ParseMode(name string) (Resilience, Scheme, error) {
 			return r, 0, nil
 		}
 	}
-	for s := SchemeCECD; s <= SchemeCESD; s++ {
+	for s := SchemeCECD; s <= SchemeSECD; s++ {
 		if s.String() == name {
 			return ResilienceErasure, s, nil
 		}

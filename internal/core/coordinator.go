@@ -1,15 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"ecstore/internal/membership"
 	"ecstore/internal/rpc"
+	"ecstore/internal/wire"
 )
 
-// Coordinator is the server half of the Era-SE-* and Era-*-SD schemes:
-// the erasure strategy a server runs for the OpEncodeSet and OpDecodeGet
-// it receives — the same stripeSet and gatherGet a client-encoding,
+// Coordinator is the server half of the Era-SE-* schemes: the erasure
+// strategy a server runs for the OpEncodeSet and OpDecodeGet it
+// receives — the same stripeSet and gatherGet a client-encoding,
 // client-decoding Client runs, so one coordinator is reached by two
 // routes. It works over the server's peer pool and membership view: its
 // own chunks go through the pool to the server's own address like any
@@ -18,10 +20,11 @@ import (
 // A Coordinator calls the strategy directly. It has no near cache, no
 // delta attempt and no transient retries — the client that sent the op
 // keeps that budget — and retries an epoch rejection only, after
-// refreshing the view from the cluster. Nor does it coalesce reads: an
-// era-ce-sd client's own Sets never pass through it, so a decode-get
-// joined to one already in flight could answer the value from before
-// that client's acknowledged write.
+// refreshing the view from the cluster. Nor does it coalesce reads: a
+// Cas, an Add and a Delete write their chunks from the client, never
+// through a coordinator, so a decode-get joined to one already in
+// flight could answer the value from before that client's acknowledged
+// write.
 type Coordinator struct {
 	c *Client
 	e *ecStrategy
@@ -45,23 +48,43 @@ func NewCoordinator(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Coor
 	return &Coordinator{c: c, e: c.strat.(*ecStrategy)}, nil
 }
 
-// Set stripes value over key's placement — stripeSet over one write,
-// which unwinds the stripe if any chunk write fails — and returns the
-// stripe, the version the write installed.
-func (co *Coordinator) Set(key string, value []byte, ttl time.Duration) (uint64, error) {
-	b := co.c.begin("set")
-	writes := [1]write{{key: key, value: value, ttl: ttl}}
-	r := co.c.retryKeys(false, func([]int) []result { return co.e.set(b, writes[:]) })[0]
-	item, err := b.end(r.item, r.err)
-	return item.Version, err
-}
-
-// Get gathers and decodes key — gatherGet over one key, with its rounds,
-// its draining round and its absence rule: ErrNotFound only on
-// conclusive evidence, ErrUnavailable for anything weaker.
-func (co *Coordinator) Get(key string) (Item, error) {
-	b := co.c.begin("get")
-	keys := [1]string{key}
-	r := co.c.retryKeys(false, func([]int) []result { return co.e.gatherGet(b, keys[:]) })[0]
-	return b.end(r.item, r.err)
+// Serve runs subs, one coordinated op at the coordinator's geometry, as
+// ONE strategy call — a stripeSet over every encode-set, or a gatherGet
+// over every decode-get with its absence rule — so each holder gets one
+// frame a round, and gives answer every sub-op's outcome by position:
+// the item read, or the stripe a write installed as its Version.
+func (co *Coordinator) Serve(subs []wire.BatchReq, answer func(i int, item Item, err error)) {
+	set, op := subs[0].Op == wire.OpEncodeSet, "get"
+	if set {
+		op = "set"
+	}
+	b := co.c.begin(op)
+	var res []result
+	if set {
+		var one [1]write // a batch of one stays on the stack
+		writes := one[:]
+		if len(subs) > 1 {
+			writes = make([]write, len(subs))
+		}
+		for i, sub := range subs {
+			writes[i] = write{key: sub.Key, value: sub.Value, ttl: time.Duration(sub.TTLSeconds) * time.Second}
+		}
+		res = co.c.retryKeys(false, func(idx []int) []result { return co.e.set(b, subset(writes, idx)) })
+	} else {
+		var one [1]string
+		keys := one[:]
+		if len(subs) > 1 {
+			keys = make([]string, len(subs))
+		}
+		for i, sub := range subs {
+			keys[i] = sub.Key
+		}
+		res = co.c.retryKeys(false, func(idx []int) []result { return co.e.gatherGet(b, subset(keys, idx)) })
+	}
+	var first error
+	for i, r := range res {
+		answer(i, r.item, r.err)
+		first = cmp.Or(first, r.err)
+	}
+	b.end(Item{}, first)
 }

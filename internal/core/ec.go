@@ -13,7 +13,7 @@ import (
 )
 
 // ecStrategy implements online Reed-Solomon erasure coding with the
-// four client/server encode/decode placements of Section IV-B.
+// client/server encode/decode placements of Section IV-B.
 type ecStrategy struct {
 	c      *Client
 	code   *erasure.RSVan
@@ -41,7 +41,7 @@ func newECStrategy(c *Client) (*ecStrategy, error) {
 }
 
 func (e *ecStrategy) clientEncodes() bool {
-	return e.scheme == SchemeCECD || e.scheme == SchemeCESD
+	return e.scheme == SchemeCECD
 }
 
 func (e *ecStrategy) clientDecodes() bool {
@@ -247,8 +247,9 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 // primary is down the next placement server takes over as coordinator —
 // but ONLY when it was unreachable. A timeout is NOT failed over: the
 // write may be mid-flight on the first coordinator, and re-running it
-// elsewhere would be a silent retry past the stripe-write stage.
-// OpEncodeSet is not batchable; the executor pipelines plain frames.
+// elsewhere would be a silent retry past the stripe-write stage. Each
+// coordinator receives one frame with every write it coordinates, and
+// stripes them all in one round of its own.
 func (e *ecStrategy) coordinatorSet(b *batcher, writes []write, out []result) {
 	var idx []int
 	for i := range writes {
@@ -288,8 +289,8 @@ func keysOf(writes []write) []string {
 // get is the erasure-coded read. Reads are idempotent, so transient
 // failures (timeouts, down servers) are retried with backoff and epoch
 // rejections re-resolved; authoritative answers are not retried.
-// Server-decode schemes (Era-*-SD) ask the primary to aggregate and
-// decode, walking to the next placement server when it is down — a
+// Era-SE-SD asks each key's primary to aggregate and decode, one frame
+// per primary, walking to the next placement server when it is down — a
 // decode coordinator that times out IS failed over, unlike an encode
 // coordinator, because asking another server to read is always safe.
 // The coordinator applies gatherGet's absence rule: it answers NotFound

@@ -32,14 +32,6 @@ func (f *Future) Wait() ([]byte, error) {
 	return f.item.Value, f.err
 }
 
-// WaitItem is Wait returning the full item: the value plus its version
-// (CAS token) and remaining TTL. For mutating operations the item
-// carries only the version the write installed.
-func (f *Future) WaitItem() (Item, error) {
-	<-f.done
-	return f.item, f.err
-}
-
 // Test reports without blocking whether the operation has completed —
 // the memcached_test analogue.
 func (f *Future) Test() bool {

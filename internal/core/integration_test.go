@@ -45,7 +45,6 @@ func allModes() map[string]core.Config {
 		"era-ce-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2},
 		"era-se-sd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeSESD, K: 3, M: 2},
 		"era-se-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeSECD, K: 3, M: 2},
-		"era-ce-sd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCESD, K: 3, M: 2},
 		"hybrid":    {Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2},
 	}
 }
@@ -167,7 +166,7 @@ func TestFutureTest(t *testing.T) {
 func TestDegradedReadsErasure(t *testing.T) {
 	// RS(3,2) tolerates two failures; every scheme must serve reads
 	// with two servers down (Figure 8(c)'s scenario).
-	for _, scheme := range []core.Scheme{core.SchemeCECD, core.SchemeSESD, core.SchemeSECD, core.SchemeCESD} {
+	for _, scheme := range []core.Scheme{core.SchemeCECD, core.SchemeSESD, core.SchemeSECD} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			cl := startCluster(t, 5)
 			c := newClient(t, cl, core.Config{
@@ -278,11 +277,11 @@ func TestWritesWithFailedServersErasure(t *testing.T) {
 // TestDecodeUnavailableIsNotAbsence: with three of five servers down,
 // an existing key's read reaches two of its five chunks — too few to
 // decode, too few to prove absence. Every scheme must report that as
-// ErrUnavailable: the server-side decoders apply the client decoder's
+// ErrUnavailable: the server-side decoder applies the client decoder's
 // absence rule (era-ce-cd is the reference), never ErrNotFound. A key
 // that never existed still reads as ErrNotFound while all are up.
 func TestDecodeUnavailableIsNotAbsence(t *testing.T) {
-	for _, mode := range []string{"era-ce-cd", "era-ce-sd", "era-se-sd"} {
+	for _, mode := range []string{"era-ce-cd", "era-se-sd"} {
 		t.Run(mode, func(t *testing.T) {
 			cl := startCluster(t, 5)
 			cfg := allModes()[mode]
@@ -516,8 +515,7 @@ func TestStringers(t *testing.T) {
 			t.Errorf("empty string for %d", r)
 		}
 	}
-	for _, s := range []core.Scheme{core.SchemeCECD, core.SchemeSESD, core.SchemeSECD,
-		core.SchemeCESD, core.Scheme(42)} {
+	for _, s := range []core.Scheme{core.SchemeCECD, core.SchemeSESD, core.SchemeSECD, core.Scheme(42)} {
 		if s.String() == "" {
 			t.Errorf("empty string for %d", s)
 		}

@@ -121,9 +121,14 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 	// token the last Cas returned: one round of K+M conditional chunk
 	// writes from the client in era-se-sd too, whose Set goes through the
 	// server coordinator (14 objects each; 15 while Cas had a stripe
-	// writer of its own). cut and lost
-	// name chunk positions of the key read: their holders are cut off,
-	// their chunks deleted.
+	// writer of its own). The era-se-sd Get, Set and MGet rows, added
+	// after them, count the coordinating servers too: a Get or Set is one
+	// plain frame to its coordinator (10 and 24 objects, as before the
+	// coordinated ops were batchable), a 16-key MGet one frame per
+	// coordinator (16 plain frames and 83 objects before; 173 now, as
+	// every holder decodes and encodes a batch frame where a plain
+	// get-chunk allocated nothing). cut and lost name chunk positions of
+	// the key read: their holders are cut off, their chunks deleted.
 	rows := []struct {
 		name      string
 		mode      core.Config
@@ -146,6 +151,9 @@ func TestSingleKeyCostThroughExecutor(t *testing.T) {
 		{"era-ce-cd Set fresh 256KB", allModes()["era-ce-cd"], false, "set-fresh", 24, 5, nil, nil},
 		{"era-ce-cd Cas", allModes()["era-ce-cd"], false, "cas", 16, 5, nil, nil},
 		{"era-se-sd Cas", allModes()["era-se-sd"], false, "cas", 16, 5, nil, nil},
+		{"era-se-sd Get", allModes()["era-se-sd"], false, "get", 12, 1, nil, nil},
+		{"era-se-sd Set", allModes()["era-se-sd"], false, "set", 26, 1, nil, nil},
+		{"era-se-sd MGet x16", allModes()["era-se-sd"], false, "mget", 175, 5, nil, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

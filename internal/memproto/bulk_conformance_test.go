@@ -25,7 +25,6 @@ func proxyModes() map[string]core.Config {
 		"era-ce-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2},
 		"era-se-sd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeSESD, K: 3, M: 2},
 		"era-se-cd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeSECD, K: 3, M: 2},
-		"era-ce-sd": {Resilience: core.ResilienceErasure, Scheme: core.SchemeCESD, K: 3, M: 2},
 		"hybrid":    {Resilience: core.ResilienceHybrid, Replicas: 3, K: 3, M: 2},
 	}
 }

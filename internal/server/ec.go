@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"ecstore/internal/core"
 	"ecstore/internal/wire"
 )
@@ -27,32 +25,28 @@ func (s *Server) coordinator(k, m uint8) (*core.Coordinator, error) {
 	return actual.(*core.Coordinator), nil
 }
 
-// handleEncodeSet is the server-side encode of Era-SE-SD and Era-SE-CD:
-// the coordinator stripes the value over its placement, its own chunks
-// included, and a failed write is unwound as a client's is.
-func (s *Server) handleEncodeSet(req *wire.Request) wire.Response {
-	co, err := s.coordinator(req.Meta.K, req.Meta.M)
-	if err != nil {
-		return errorResponse(err)
+// coordinate is the one server path of the coordinated ops: it serves
+// subs — one op at one geometry, a plain encode-set or decode-get or a
+// batch led by one — as ONE Coordinator call, on a worker, and answers
+// subs[j] in resps[at[j]]. Nothing answers for the frame as a whole once
+// a sub-op ran: an encode-set's answer carries no value, so its batch
+// always fits the response frame.
+func (s *Server) coordinate(subs []wire.BatchReq, at []int, resps []wire.BatchResp) {
+	co, err := s.coordinator(subs[0].Meta.K, subs[0].Meta.M)
+	answer := func(j int, item core.Item, err error) {
+		r := &resps[at[j]]
+		if err != nil {
+			e := errorResponse(err)
+			*r = wire.BatchResp{Status: e.Status, Value: e.Value}
+			return
+		}
+		*r = wire.BatchResp{Status: wire.StatusOK, Value: item.Value, TTLSeconds: item.TTL, Meta: wire.ECMeta{Stripe: item.Version}}
 	}
-	stripe, err := co.Set(req.Key, req.Value, time.Duration(req.TTLSeconds)*time.Second)
 	if err != nil {
-		return errorResponse(err)
+		for j := range subs {
+			answer(j, core.Item{}, err)
+		}
+		return
 	}
-	return wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: stripe}}
-}
-
-// handleDecodeGet is the server-side decode of Era-SE-SD and Era-CE-SD:
-// the coordinator gathers any K chunks, from a draining placement too,
-// and answers the joined value — NotFound only on conclusive evidence.
-func (s *Server) handleDecodeGet(req *wire.Request) wire.Response {
-	co, err := s.coordinator(req.Meta.K, req.Meta.M)
-	if err != nil {
-		return errorResponse(err)
-	}
-	item, err := co.Get(req.Key)
-	if err != nil {
-		return errorResponse(err)
-	}
-	return wire.Response{Status: wire.StatusOK, Value: item.Value, TTLSeconds: item.TTL, Meta: wire.ECMeta{Stripe: item.Version}}
+	co.Serve(subs, answer)
 }

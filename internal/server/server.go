@@ -2,11 +2,11 @@
 // readers that run store-local requests to completion (memcached's
 // worker-owns-connection model), the item store, and behind them a
 // worker pool (the paper's 8 workers) as the server-side Asynchronous
-// Request Processing Engine. A worker runs the server-side encode
-// (Era-SE-*) and decode (Era-*-SD) ops through a core.Coordinator — the
-// client's own erasure strategy, over the server's peer pool and view —
-// whose chunks for this server come back in through a reader like any
-// peer's.
+// Request Processing Engine. A worker runs the server-side encode and
+// decode ops of Era-SE-*, a plain frame's or a whole batch's, as one
+// call of a core.Coordinator — the client's own erasure strategy, over
+// the server's peer pool and view — whose chunks for this server come
+// back in through a reader like any peer's.
 package server
 
 import (
@@ -304,7 +304,7 @@ func (s *Server) readLoop(conn transport.Conn, cw *connWriter) {
 			}
 			return
 		}
-		if !runsOnWorker(req.Op) {
+		if !runsOnWorker(&req) {
 			s.serve(&req, cw)
 			continue
 		}
@@ -369,13 +369,16 @@ func (s *Server) handle(req *wire.Request) wire.Response {
 		s.mOpsUnknown.Inc()
 	}
 	resp := s.dispatch(req)
-	// Not-found and a lost CAS race are normal cache outcomes, not
-	// server errors.
-	if resp.Status != wire.StatusOK && resp.Status != wire.StatusNotFound &&
-		resp.Status != wire.StatusExists {
+	s.countError(resp.Status)
+	return resp
+}
+
+// countError counts an answer with status as an op error. Not-found and
+// a lost CAS race are normal cache outcomes, not server errors.
+func (s *Server) countError(status wire.Status) {
+	if status != wire.StatusOK && status != wire.StatusNotFound && status != wire.StatusExists {
 		s.mOpErrors.Inc()
 	}
-	return resp
 }
 
 // epochExempt lists the operations served regardless of the request's
@@ -481,10 +484,13 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 		return wire.Response{Status: wire.StatusOK}
 	case wire.OpScan:
 		return s.handleScan(req)
-	case wire.OpEncodeSet:
-		return s.handleEncodeSet(req)
-	case wire.OpDecodeGet:
-		return s.handleDecodeGet(req)
+	case wire.OpEncodeSet, wire.OpDecodeGet:
+		// A batch of one, answered as the plain frame it came in.
+		sub := [1]wire.BatchReq{{Op: req.Op, Key: req.Key, Value: req.Value, TTLSeconds: req.TTLSeconds, Meta: req.Meta}}
+		var at [1]int
+		var r [1]wire.BatchResp
+		s.coordinate(sub[:], at[:], r[:])
+		return wire.Response{Status: r[0].Status, Value: r[0].Value, TTLSeconds: r[0].TTLSeconds, Meta: r[0].Meta}
 	case wire.OpBatch:
 		return s.handleBatch(req)
 	case wire.OpStats:

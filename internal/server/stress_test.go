@@ -112,3 +112,63 @@ func TestConcurrentEncodeSetSameKey(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentCoordinatedBatches runs batches of encode-sets and of
+// decode-gets on several coordinators at once, each batch one
+// coordinator call on a worker: every write must read back whole.
+func TestConcurrentCoordinatedBatches(t *testing.T) {
+	servers, pool := startServers(t, 5, 0)
+	meta := wire.ECMeta{K: 3, M: 2}
+	// roundtrip sends one batch and returns its sub-responses, which
+	// alias the response until the caller is done with them.
+	roundtrip := func(addr string, subs []wire.BatchReq) ([]wire.BatchResp, error) {
+		payload, err := wire.AppendBatchRequests(nil, subs)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpBatch, Key: "b", Value: payload})
+		if err != nil {
+			return nil, err
+		}
+		return wire.DecodeBatchResponses(resp.Value)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < cap(errs); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				sets, gets := make([]wire.BatchReq, 8), make([]wire.BatchReq, 8)
+				for j := range sets {
+					key := fmt.Sprintf("cb-%d-%d-%d", g, i, j)
+					sets[j] = wire.BatchReq{Op: wire.OpEncodeSet, Key: key, Value: bytes.Repeat([]byte{byte(g), byte(j)}, 700), Meta: meta}
+					gets[j] = wire.BatchReq{Op: wire.OpDecodeGet, Key: key, Meta: meta}
+				}
+				rs, err := roundtrip(servers[g%5].Addr(), sets)
+				for j := 0; err == nil && j < len(rs); j++ {
+					err = rs[j].Err()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("encode-set batch: %w", err)
+					return
+				}
+				rs, err = roundtrip(servers[(g+1)%5].Addr(), gets)
+				for j := 0; err == nil && j < len(rs); j++ {
+					if err = rs[j].Err(); err == nil && !bytes.Equal(rs[j].Value, sets[j].Value) {
+						err = fmt.Errorf("%s: value differs", sets[j].Key)
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("decode-get batch: %w", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -176,6 +176,15 @@ func DecodeBatchRequests(b []byte) ([]BatchReq, error) {
 	return subs, nil
 }
 
+// BatchLead returns the op of a batch request payload's first sub-request,
+// 0 if it has none, without decoding the payload: a server routes by it.
+func BatchLead(b []byte) Op {
+	if len(b) <= BatchOverhead {
+		return 0
+	}
+	return Op(b[BatchOverhead])
+}
+
 // AppendBatchResponses serializes subs onto buf and returns the
 // extended slice. The total payload must fit a single frame value —
 // callers whose aggregate response outgrows the frame report a

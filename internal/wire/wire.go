@@ -128,15 +128,16 @@ func (o Op) String() string {
 func (o Op) Valid() bool { return o >= OpSet && o <= OpApplyDelta }
 
 // Batchable reports whether o may ride inside an OpBatch frame: the
-// admission list servers enforce and clients batch by. Only store-local
-// operations qualify. The coordinated ops (OpEncodeSet / OpDecodeGet)
-// each fan out to peers, so batching N of them would serialize N peer
-// round-trip groups on one server goroutine — clients keep those
-// per-key and pipelined instead. Admin ops (stats/scan/flush) have no
-// bulk caller and carry frame-sized payloads of their own.
+// admission list servers enforce and clients batch by — every data op.
+// A batch holds store-local ops, or coordinated ops (OpEncodeSet /
+// OpDecodeGet) of one kind, which the server runs as one coordinator
+// call: one fan-out to the peers for the whole batch (BatchLead). Admin
+// ops (stats/scan/flush) have no bulk caller and carry frame-sized
+// payloads of their own.
 func (o Op) Batchable() bool {
 	switch o {
-	case OpSet, OpSetChunk, OpGet, OpGetChunk, OpDelete, OpCompareSet, OpPing:
+	case OpSet, OpSetChunk, OpGet, OpGetChunk, OpDelete, OpCompareSet, OpPing,
+		OpEncodeSet, OpDecodeGet:
 		return true
 	default:
 		return false
