@@ -33,12 +33,6 @@ type subOp struct {
 	// bisected batch wraps it again).
 	rawChunk bool
 
-	// leased marks req.Value as a payload the strategy encoded into a
-	// frame-pool lease (a delta patch): the executor hands the lease over
-	// with the frame, which releases it once written or abandoned, so the
-	// value is gone once the round is issued.
-	leased bool
-
 	// resp is the sub-response when err is nil; err is the
 	// transport-level failure (server down, timeout, malformed frame)
 	// that prevented any authoritative answer. Status-level outcomes
@@ -265,8 +259,6 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		req.TTLSeconds, req.Compare, req.Meta = op.req.TTLSeconds, op.req.Compare, op.req.Meta
 		if op.rawChunk {
 			req.Value, req.ValuePool = wire.EncodeChunkPayloadPooled(fp, op.req.Meta, op.req.Value), fp
-		} else if op.leased {
-			req.ValuePool = fp
 		}
 	} else {
 		b.reqs = b.reqs[:0]

@@ -12,8 +12,8 @@ import (
 // TestChunkStripeIsItemVersion: a chunk record does not carry its
 // stripe — the item's version does — so every path that writes a chunk
 // must install the write's stripe as that version. On each (set-chunk,
-// chunk-mode compare-set for a Cas and an Add, a delta patch, a
-// coordinator's encode-set and a repair's refill) every holder's
+// chunk-mode compare-set for a Cas and an Add, a coordinator's
+// encode-set and a repair's refill) every holder's
 // get-chunk answer names the stripe the write returned, and its record
 // decodes as the right chunk.
 func TestChunkStripeIsItemVersion(t *testing.T) {
@@ -59,21 +59,6 @@ func TestChunkStripeIsItemVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, "add", v)
-	})
-	t.Run("apply-delta", func(t *testing.T) {
-		c := newClient(t, cl, deltaCfg("era-ce-cd"))
-		if _, err := c.SetVersion("delta", value, 0); err != nil {
-			t.Fatal(err)
-		}
-		before := deltaWrites(c)
-		v, err := c.SetVersion("delta", editValue(value, 100, 8), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if deltaWrites(c) != before+1 {
-			t.Fatal("the overwrite did not take the delta path")
-		}
-		check(t, "delta", v)
 	})
 	t.Run("encode-set", func(t *testing.T) {
 		// The coordinator stores its own chunk and sends the others.

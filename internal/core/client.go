@@ -89,20 +89,6 @@ type Client struct {
 	hFramesPerBulk *stats.Histogram
 	hBulkBatchSize *stats.Histogram
 
-	// Delta-write metric handles (DESIGN §14). mDeltaSaved is the wire
-	// bytes a delta write avoided versus the full re-stripe it
-	// replaced; hDeltaPatch is a count-valued histogram of total patch
-	// bytes per delta write (samples recorded as time.Duration(n)).
-	// mECWriteBytes counts the chunk/patch payload bytes every EC write
-	// actually put on the wire, whichever path it took — the
-	// denominator BENCH_10 reports wire bytes per overwrite from.
-	mDeltaWrites   *metrics.Counter
-	mDeltaFallback *metrics.Counter
-	mDeltaReasons  map[string]*metrics.Counter
-	mDeltaSaved    *metrics.Counter
-	mECWriteBytes  *metrics.Counter
-	hDeltaPatch    *stats.Histogram
-
 	// ledger remembers the chunk holders that keep missing on reads, so
 	// a read's first round asks around them (DESIGN §12).
 	ledger holderLedger
@@ -163,11 +149,6 @@ type write struct {
 	key   string
 	value []byte
 	ttl   time.Duration
-	// patch asks an erasure-coded write to try the delta overwrite
-	// (DESIGN §14) before the full re-stripe. Set passes it; MSet does
-	// not — it never refreshes the near-cached base a chain of deltas
-	// lives on.
-	patch bool
 	// cas makes the write conditional on the stored version being
 	// expect, wire.CompareAbsent (0) for an add: Cas and Add set it.
 	cas    bool
@@ -261,11 +242,6 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		mBulkSubops:    reg.Counter("ecstore_client_bulk_subops_total"),
 		hFramesPerBulk: reg.Histogram("ecstore_client_frames_per_bulk_op"),
 		hBulkBatchSize: reg.Histogram("ecstore_client_bulk_batch_subops"),
-		mDeltaWrites:   reg.Counter("ecstore_client_delta_writes_total"),
-		mDeltaFallback: reg.Counter("ecstore_client_delta_fallbacks_total"),
-		mDeltaSaved:    reg.Counter("ecstore_client_delta_bytes_saved_total"),
-		mECWriteBytes:  reg.Counter("ecstore_client_ec_write_payload_bytes_total"),
-		hDeltaPatch:    reg.Histogram("ecstore_client_delta_patch_bytes"),
 		cache: nearcache.New(nearcache.Config{
 			MaxBytes: cfg.CacheBytes,
 			MaxAge:   cfg.CacheMaxAge,
@@ -273,10 +249,6 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		}),
 	}
 	c.rounds.New = func() any { return new(rpc.Round) }
-	c.mDeltaReasons = make(map[string]*metrics.Counter, len(deltaFallbackReasons))
-	for _, r := range deltaFallbackReasons {
-		c.mDeltaReasons[r] = reg.Counter(fmt.Sprintf("ecstore_client_delta_fallbacks_total{reason=%q}", r))
-	}
 	// Safety net for requests that reach the wire without an explicit
 	// epoch (best-effort paths): stamp them with the current view's
 	// epoch at send time. Placement-derived requests are stamped by the
@@ -383,11 +355,11 @@ func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item
 	return func() (Item, error) {
 		b := c.begin("set")
 		r := c.retryKeys(false, func([]int) []result {
-			return c.strat.set(b, []write{{key: key, value: value, ttl: ttl, patch: true}})
+			return c.strat.set(b, []write{{key: key, value: value, ttl: ttl}})
 		})[0]
 		c.invalidate(key)
 		if r.err == nil {
-			c.recordDeltaBase(key, value, r.item.Version, ttl)
+			c.fillAfterWrite(key, value, r.item.Version, ttl)
 		}
 		return b.end(r.item, r.err)
 	}
@@ -441,7 +413,7 @@ func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) 
 			// cached version stale, and on failure the state is unknown.
 			c.invalidate(key)
 			if err == nil {
-				c.recordDeltaBase(key, value, version, ttl)
+				c.fillAfterWrite(key, value, version, ttl)
 			}
 			return Item{Version: version}, err
 		}))

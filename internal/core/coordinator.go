@@ -17,10 +17,10 @@ import (
 // own chunks go through the pool to the server's own address like any
 // peer's, and its rounds carry the view's epoch.
 //
-// A Coordinator calls the strategy directly. It has no near cache, no
-// delta attempt and no transient retries — the client that sent the op
-// keeps that budget — and retries an epoch rejection only, after
-// refreshing the view from the cluster. Nor does it coalesce reads: a
+// A Coordinator calls the strategy directly. It has no near cache and
+// no transient retries — the client that sent the op keeps that budget
+// — and retries an epoch rejection only, after refreshing the view from
+// the cluster. Nor does it coalesce reads: a
 // Cas, an Add and a Delete write their chunks from the client, never
 // through a coordinator, so a decode-get joined to one already in
 // flight could answer the value from before that client's acknowledged

@@ -48,33 +48,23 @@ func (e *ecStrategy) clientDecodes() bool {
 	return e.scheme == SchemeCECD || e.scheme == SchemeSECD
 }
 
-// set is the erasure-coded write. A write that asks for it first tries
-// the delta overwrite of a known base: K+M sparse patches instead of a
-// re-stripe (DESIGN §14); any disagreement — no base, resized value,
-// oversized patch, version conflict, lost chunk — falls through to the
-// full write with the rest.
+// set is the erasure-coded write: one stripe write of every write,
+// encoded by the client (stripeSet) or by a coordinator server
+// (coordinatorSet).
 func (e *ecStrategy) set(b *batcher, writes []write) []result {
+	if !e.clientEncodes() {
+		return e.coordinatorSet(b, writes)
+	}
 	out := make([]result, len(writes))
-	for i, w := range writes {
-		// errDeltaFallback marks the writes still to be done in full.
-		out[i].err = errDeltaFallback
-		if w.patch {
-			out[i].item.Version, out[i].err = e.trySetDelta(b, w)
-		}
-	}
-	if e.clientEncodes() {
-		e.stripeSet(b, writes, out)
-	} else {
-		e.coordinatorSet(b, writes, out)
-	}
+	e.stripeSet(b, writes, out)
 	return out
 }
 
-// stripeSet is the client-encode full write of every write still marked
-// errDeltaFallback in out: split, compute parity, then distribute ALL
-// keys' K+M chunks in one round of non-blocking writes — each chunk
-// holder receives one frame carrying its chunk of every key (Equation
-// 7: T_encode + max over chunks of (L + D/(B·K))). A conditional write
+// stripeSet is the client-encode write of every write, answered into
+// out by position: split, compute parity, then distribute ALL keys' K+M
+// chunks in one round of non-blocking writes — each chunk holder
+// receives one frame carrying its chunk of every key (Equation 7:
+// T_encode + max over chunks of (L + D/(B·K))). A conditional write
 // (Cas, Add) is the same round of OpCompareSet chunk writes, each a
 // per-holder CompareSwap against the expected stripe. The round is
 // waited out in full even after a failure: returning early would let the
@@ -93,9 +83,6 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	var placeBuf [8]string
 	start := time.Now()
 	for i, w := range writes {
-		if out[i].err != errDeltaFallback {
-			continue
-		}
 		placement := appendPlacement(placeBuf[:0], ring, w.key, n)
 		if len(placement) == 0 {
 			out[i] = result{err: ErrUnavailable}
@@ -111,7 +98,6 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			out[i] = result{err: err}
 			continue
 		}
-		e.c.mECWriteBytes.Add(int64(n) * int64(wire.ChunkPayloadOverhead+len(ps.Shards[0])))
 		meta := wire.ECMeta{
 			K:        uint8(e.k),
 			M:        uint8(e.m),
@@ -241,7 +227,7 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 	}
 }
 
-// coordinatorSet is the server-encode full write (Era-SE-*): the whole
+// coordinatorSet is the server-encode write (Era-SE-*): the whole
 // value goes to the primary, which encodes and distributes the chunks
 // itself and mints the stripe ID that is the write's version. If the
 // primary is down the next placement server takes over as coordinator —
@@ -250,21 +236,10 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 // elsewhere would be a silent retry past the stripe-write stage. Each
 // coordinator receives one frame with every write it coordinates, and
 // stripes them all in one round of its own.
-func (e *ecStrategy) coordinatorSet(b *batcher, writes []write, out []result) {
-	var idx []int
-	for i := range writes {
-		if out[i].err == errDeltaFallback {
-			idx = append(idx, i)
-			e.c.mECWriteBytes.Add(int64(len(writes[i].value)))
-		}
-	}
-	if len(idx) == 0 {
-		return
-	}
-	todo := pick(writes, idx)
-	res := e.c.walk(b, keysOf(todo), e.k+e.m,
+func (e *ecStrategy) coordinatorSet(b *batcher, writes []write) []result {
+	return e.c.walk(b, keysOf(writes), e.k+e.m,
 		func(i int) wire.BatchReq {
-			w := todo[i]
+			w := writes[i]
 			return wire.BatchReq{
 				Op: wire.OpEncodeSet, Key: w.key, Value: w.value,
 				TTLSeconds: wire.TTLSeconds(w.ttl),
@@ -272,9 +247,6 @@ func (e *ecStrategy) coordinatorSet(b *batcher, writes []write, out []result) {
 			}
 		},
 		func(err error) bool { return errors.Is(err, rpc.ErrServerDown) })
-	for j, i := range idx {
-		out[i] = res[j]
-	}
 }
 
 // keysOf returns the keys of writes, by position.
@@ -694,17 +666,8 @@ func (e *ecStrategy) del(b *batcher, keys []string) []result {
 // collateral damage) and ErrCASConflict returned.
 func (e *ecStrategy) compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error) {
 	w := [1]write{{key: key, value: value, ttl: ttl, cas: true, expect: expect}}
-	out := [1]result{{err: errDeltaFallback}}
-	// A CAS against a near-cached base at exactly the expected version
-	// can be expressed as K+M version-conditional patches — the delta
-	// round's per-holder Compare IS the CAS check (DESIGN §14). An add
-	// (expect == absent) has nothing to patch.
-	if expect != wire.CompareAbsent {
-		out[0].item.Version, out[0].err = e.trySetDelta(b, w[0])
-	}
-	if out[0].err == errDeltaFallback {
-		e.stripeSet(b, w[:], out[:])
-	}
+	var out [1]result
+	e.stripeSet(b, w[:], out[:])
 	return out[0].item.Version, out[0].err
 }
 
@@ -878,7 +841,7 @@ func (h *hybridStrategy) compareSet(b *batcher, key string, value []byte, ttl ti
 		}
 		// Cross-threshold CAS: checked, then written (hybrid set purges
 		// the old form after the new one lands).
-		r := h.set(b, []write{{key: key, value: value, ttl: ttl, patch: true}})[0]
+		r := h.set(b, []write{{key: key, value: value, ttl: ttl}})[0]
 		return r.item.Version, r.err
 	case errors.Is(otherErr, ErrNotFound):
 		// Normal case: the key is absent from the other form, so the

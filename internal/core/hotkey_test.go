@@ -337,41 +337,71 @@ func TestNearCacheMGet(t *testing.T) {
 
 // A writer may reuse its buffer once Set returns: the near cache, which
 // lends what it holds to every reader, keeps a copy of a written value
-// (the delta base), never the caller's bytes.
+// (the write-through fill), never the caller's bytes. The fill is the
+// near-cache rule for every mode: the writer's own Gets right after a
+// Set or a Cas reaches no server and answers the version the write
+// returned.
 func TestSetCallerMayReuseBuffer(t *testing.T) {
 	cl := startCluster(t, 5)
-	for _, mode := range []string{"era-ce-cd", "hybrid"} {
+	reads := func() (n int64) {
+		for i := range cl.Addrs() {
+			snap := cl.Server(i).Metrics().Snapshot()
+			for _, op := range []string{"get", "get-chunk", "batch"} {
+				n += snap.Counter(`ecstore_server_ops_total{op="` + op + `"}`)
+			}
+		}
+		return n
+	}
+	for _, mode := range []string{"era-ce-cd", "hybrid", "sync-rep"} {
 		t.Run(mode, func(t *testing.T) {
 			cfg := allModes()[mode]
 			cfg.CacheBytes = 1 << 20
 			c := newClient(t, cl, cfg)
+			// written checks the reads after a write of want from buf that
+			// returned version, once the writer has scribbled over buf.
+			written := func(step, key string, buf, want []byte, version uint64) {
+				t.Helper()
+				for i := range buf {
+					buf[i] = 'X'
+				}
+				before := reads()
+				item, err := c.Gets(key)
+				if err != nil || !bytes.Equal(item.Value, want) {
+					t.Fatalf("%s: Gets after the writer reused its buffer: %q…, %v", step, item.Value[:min(len(item.Value), 8)], err)
+				}
+				if n := reads() - before; n != 0 {
+					t.Fatalf("%s: the Gets after the write sent %d reads", step, n)
+				}
+				if item.Version != version {
+					t.Fatalf("%s: Gets answered version %d, the write returned %d", step, item.Version, version)
+				}
+				got, err := c.Get(key)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: Get after the writer reused its buffer: %q…, %v", step, got[:min(len(got), 8)], err)
+				}
+				found, failed := c.MGetItems([]string{key})
+				if v := found[key].Value; failed != nil || !bytes.Equal(v, want) {
+					t.Fatalf("%s: MGetItems after the writer reused its buffer: %q…, %v", step, v[:min(len(v), 8)], failed)
+				}
+			}
 			// A small value and a large one: hybrid replicates the first
 			// and erasure-codes the second.
 			for _, size := range []int{100, 64 << 10} {
 				key := fmt.Sprintf("%s-reuse-%d", mode, size)
 				want := bytes.Repeat([]byte("w"), size)
 				buf := bytes.Clone(want)
-				if err := c.Set(key, buf); err != nil {
+				version, err := c.SetVersion(key, buf, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range buf {
-					buf[i] = 'X'
+				written(fmt.Sprintf("%d B Set", size), key, buf, want, version)
+
+				want = bytes.Repeat([]byte("c"), size)
+				buf = bytes.Clone(want)
+				if version, err = c.Cas(key, buf, 0, version); err != nil {
+					t.Fatal(err)
 				}
-				got, err := c.Get(key)
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%d B: Get after the writer reused its buffer: %q…, %v", size, got[:min(len(got), 8)], err)
-				}
-				item, err := c.Gets(key)
-				if err != nil || !bytes.Equal(item.Value, want) {
-					t.Fatalf("%d B: Gets after the writer reused its buffer: %q…, %v", size, item.Value[:min(len(item.Value), 8)], err)
-				}
-				found, failed := c.MGetItems([]string{key})
-				if v := found[key].Value; failed != nil || !bytes.Equal(v, want) {
-					t.Fatalf("%d B: MGetItems after the writer reused its buffer: %q…, %v", size, v[:min(len(v), 8)], failed)
-				}
-			}
-			if hits := c.Metrics().Snapshot().Counter("ecstore_client_nearcache_hits_total"); hits == 0 {
-				t.Fatal("no read was served from the near cache: the test checked nothing")
+				written(fmt.Sprintf("%d B Cas", size), key, buf, want, version)
 			}
 		})
 	}

@@ -117,6 +117,49 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
+// TestOverwriteIsOneRound pins that an erasure-coded overwrite reads
+// nothing first: overwriting a 256 KB era-ce-cd key is one round of K+M
+// chunk writes — exactly 5 set-chunk and no get-chunk ops at the
+// servers — for a client without a near cache and for one with a near
+// cache that holds the key.
+func TestOverwriteIsOneRound(t *testing.T) {
+	cl := startCluster(t, 5)
+	rng := rand.New(rand.NewSource(8))
+	serverOps := func(op string) (n int64) {
+		for i := range cl.Addrs() {
+			n += cl.Server(i).Metrics().Snapshot().Counter(`ecstore_server_ops_total{op="` + op + `"}`)
+		}
+		return n
+	}
+	for name, cacheBytes := range map[string]int64{"no-cache": 0, "near-cache": 64 << 20} {
+		t.Run(name, func(t *testing.T) {
+			cfg := allModes()["era-ce-cd"]
+			cfg.CacheBytes = cacheBytes
+			c := newClient(t, cl, cfg)
+			key := "ow-round-" + name
+			v1, v2 := make([]byte, 256<<10), make([]byte, 256<<10)
+			rng.Read(v1)
+			rng.Read(v2)
+			if err := c.Set(key, v1); err != nil {
+				t.Fatal(err)
+			}
+			sets, gets := serverOps("set-chunk"), serverOps("get-chunk")
+			if err := c.Set(key, v2); err != nil {
+				t.Fatal(err)
+			}
+			if n := serverOps("set-chunk") - sets; n != 5 {
+				t.Errorf("overwrite: %d set-chunk ops at the servers, want K+M = 5", n)
+			}
+			if n := serverOps("get-chunk") - gets; n != 0 {
+				t.Errorf("overwrite: %d get-chunk ops at the servers, want 0", n)
+			}
+			if got, _ := newClient(t, cl, allModes()["era-ce-cd"]).Get(key); !bytes.Equal(got, v2) {
+				t.Fatal("overwrite did not land")
+			}
+		})
+	}
+}
+
 func TestNonBlockingPipeline(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ecstore/internal/nearcache"
+	"ecstore/internal/wire"
 )
 
 // read is the hot-key read-scaling path every logical read goes through
@@ -115,4 +116,24 @@ func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
 func (c *Client) invalidate(key string) {
 	c.cache.Invalidate(key)
 	c.flight.Invalidate(key)
+}
+
+// fillAfterWrite is the write-through fill: it installs the value a
+// successful Set/Cas just wrote as the key's near-cache entry, stamped
+// with the version the write returned, so the writer's next read of the
+// key is a hit (proxy-mget's hit ratio rests on it). The write-side
+// invalidate has already run — a failed or conflicted write leaves the
+// key's state unknown and installs nothing — so this is a fresh fill
+// under a fresh generation. value is the writer's, who may reuse it
+// once the write returns, so the cache adopts a copy: the one copy on
+// the way into the cache.
+func (c *Client) fillAfterWrite(key string, value []byte, version uint64, ttl time.Duration) {
+	if c.cache == nil || version == 0 {
+		return
+	}
+	c.cache.Put(key, nearcache.Value{
+		Data:    append([]byte(nil), value...),
+		Version: version,
+		TTL:     wire.TTLSeconds(ttl),
+	}, c.cache.Begin(key))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,59 @@ func TestDegradedReadVerdicts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// restampChunk rewrites key's chunk i in place with a different stripe
+// ID (same chunk bytes), simulating a holder whose chunk belongs to
+// another write.
+func restampChunk(t *testing.T, cl *cluster.Cluster, key string, i int, stripe uint64) {
+	t.Helper()
+	st := cl.Server(chunkHolders(cl, key, i+1)[i]).Store()
+	ck := wire.ChunkKey(key, i)
+	payload, _ := st.Get(ck)
+	meta, chunk, err := wire.DecodeChunkPayload(payload)
+	if err != nil {
+		t.Fatalf("decode chunk %d: %v", i, err)
+	}
+	meta.Stripe = stripe
+	if err := st.SetVersioned(ck, wire.EncodeChunkPayload(meta, chunk), 0, stripe); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMixedVersionStripeRefused pins a read-path invariant: chunks of
+// DIFFERENT stripe versions are never blended into one decode. With the
+// five chunks split 2/2/1 across three stripes, no stripe reaches K=3
+// and the read must refuse — returning unavailability, never a
+// franken-value.
+func TestMixedVersionStripeRefused(t *testing.T) {
+	cl := startCluster(t, 5)
+	cfg := allModes()["era-ce-cd"]
+	cfg.MaxRetries = -1
+	cfg.OpTimeout = 2 * time.Second
+	c := newClient(t, cl, cfg)
+
+	key := "mixed"
+	v1 := make([]byte, 30<<10)
+	rand.New(rand.NewSource(7)).Read(v1)
+	ver1, err := c.SetVersion(key, v1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunks 0,1 stay at ver1; 2,3 move to a second stripe; 4 to a
+	// third. Every chunk is individually valid (right CRC, right
+	// geometry) — only the stripe IDs disagree.
+	restampChunk(t, cl, key, 2, ver1+1)
+	restampChunk(t, cl, key, 3, ver1+1)
+	restampChunk(t, cl, key, 4, ver1+2)
+
+	_, err = c.Get(key)
+	if err == nil {
+		t.Fatal("Get decoded a mixed-version stripe")
+	}
+	if !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("mixed-version read: %v, want ErrUnavailable", err)
 	}
 }
 

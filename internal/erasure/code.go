@@ -6,8 +6,8 @@
 // be recovered from any K of the K+M shards.
 //
 // Around the code sit what the store's write and read paths need: the
-// shard buffer pool, the delta encoding of an overwrite (EncodeDelta),
-// and the cached decode matrices a degraded read inverts once.
+// shard buffer pool and the cached decode matrices a degraded read
+// inverts once.
 package erasure
 
 import (
@@ -130,10 +130,8 @@ func Join(shards [][]byte, k, dataLen int) ([]byte, error) {
 }
 
 // packetAlign is the shard-size alignment of every stripe the store
-// writes. Three things rest on it: the chunk record stores the value's
+// writes. Two things rest on it: the chunk record stores the value's
 // length as the padding its K shards hold beyond it, at most 8·K, which
-// fits the record's 16-bit pad (wire/chunk.go); a small append keeps
-// the shard size, so its overwrite can still take the delta path
-// (EncodeDelta); and bench/ sizes its chunks with ShardSize(…, 8).
-// Changing it changes the stored format.
+// fits the record's 16-bit pad (wire/chunk.go); and bench/ sizes its
+// chunks with ShardSize(…, 8). Changing it changes the stored format.
 const packetAlign = 8

@@ -214,9 +214,9 @@ func MulAddSlice(c byte, in, out []byte) {
 	}
 }
 
-// AddSlice computes out[i] ^= in[i] for every element (the c = 1 case of
-// MulAddSlice, exported because XOR-only codes and delta writes use it
-// heavily). Whole 32-byte blocks go through the vector kernel where there
+// AddSlice computes out[i] ^= in[i] for every element: the c = 1 case
+// of MulAddSlice, which every parity row with a unit coefficient takes.
+// Whole 32-byte blocks go through the vector kernel where there
 // is one; the portable loop XORs eight bytes per iteration as uint64
 // words, with a byte loop for the last few.
 func AddSlice(in, out []byte) {

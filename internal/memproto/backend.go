@@ -139,11 +139,5 @@ func (b *ClusterBackend) Stats() map[string]string {
 	// frame is the average batch size.
 	out["bulk_frames"] = strconv.FormatInt(snap.Counter("ecstore_client_bulk_frames_total"), 10)
 	out["bulk_subops"] = strconv.FormatInt(snap.Counter("ecstore_client_bulk_subops_total"), 10)
-	// Delta-encoded EC overwrites (DESIGN §14): how many overwrites
-	// went out as sparse patches instead of full re-stripes, and the
-	// wire bytes that saved.
-	out["delta_writes"] = strconv.FormatInt(snap.Counter("ecstore_client_delta_writes_total"), 10)
-	out["delta_fallbacks"] = strconv.FormatInt(snap.Counter("ecstore_client_delta_fallbacks_total"), 10)
-	out["delta_bytes_saved"] = strconv.FormatInt(snap.Counter("ecstore_client_delta_bytes_saved_total"), 10)
 	return out
 }

@@ -10,12 +10,12 @@ import (
 // runsOnWorker is the routing rule of the threading model: whether a
 // connection's reader hands req to the worker pool instead of executing
 // it itself. Everything that touches only this server (the store ops,
-// a batch of them, a delta patch, the ring protocol, ping, an unknown
-// op) runs to completion on the reader, with no goroutine handoff. The
-// coordinated ops — plain, or a batch they lead — wait on peers for up
-// to core.DefaultOpTimeout a round and the admin ops walk or serialize
-// the whole store; on the reader either would hold every request
-// pipelined behind it on that connection.
+// a batch of them, the ring protocol, ping, an unknown op) runs to
+// completion on the reader, with no goroutine handoff. The coordinated
+// ops — plain, or a batch they lead — wait on peers for up to
+// core.DefaultOpTimeout a round and the admin ops walk or serialize the
+// whole store; on the reader either would hold every request pipelined
+// behind it on that connection.
 func runsOnWorker(req *wire.Request) bool {
 	switch req.Op {
 	case wire.OpEncodeSet, wire.OpDecodeGet, wire.OpScan, wire.OpStats, wire.OpFlush:

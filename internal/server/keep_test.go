@@ -5,13 +5,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ecstore/internal/bufpool"
 	"ecstore/internal/rpc"
-	"ecstore/internal/store"
 	"ecstore/internal/transport"
 	"ecstore/internal/wire"
 )
@@ -36,31 +33,20 @@ func scribblePool(pool *bufpool.Pool) {
 
 // TestLeasedKeyIsNeverKept pins the key half of the ownership rule: a
 // leased frame lends its key as it lends its value, so a key the store
-// keeps out of one must be a clone. Two paths store such a key, and both
-// run here before every buffer the frame pool hands out is scribbled
-// over:
-//
-//   - a batch of writes to fresh keys, whose sub-keys alias the batch
-//     payload — the `strings.Clone(sub.Key)` in handleBatch;
-//   - a delta patch whose base expires between the handler's read and
-//     its swap (the store's clock moves 6 s at every reading, the base
-//     lives 10 s), so that CompareSwap inserts the key afresh — the
-//     `strings.Clone(req.Key)` in handleApplyDelta. A patch leaves the
-//     chunk's size as it was, so its own write never evicts the entry:
-//     expiry, or a delete from another connection, is how the entry goes.
-//
-// The store must then still list every key (ScanShard) and find it with
-// its value (GetMeta). It fails without either clone.
+// keeps out of one must be a clone. One path stores such a key — a
+// batch of writes to fresh keys, whose sub-keys alias the batch payload:
+// the `strings.Clone(sub.Key)` in handleBatch — and it runs here before
+// every buffer the frame pool hands out is scribbled over. The store
+// must then still list every key (ScanShard) and find it with its value
+// (GetMeta). It fails without the clone.
 func TestLeasedKeyIsNeverKept(t *testing.T) {
 	// sync.Pool keeps a buffer per P out of other Ps' reach: on one P the
 	// scribbling reaches every buffer the pool holds.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fp := bufpool.New()
-	var clock atomic.Int64
 	network := transport.NewInproc(transport.Shape{})
 	srv, err := New(Config{
 		Addr: "lease-key", Network: network, Peers: []string{"lease-key"},
-		Store:     store.Config{Now: func() time.Time { return time.Unix(clock.Add(6), 0) }},
 		FramePool: fp,
 		Logf:      func(string, ...any) {},
 	})
@@ -103,22 +89,6 @@ func TestLeasedKeyIsNeverKept(t *testing.T) {
 	}
 	resp.Release()
 
-	// An unversioned base (stripe 0) living 10 s, read at 12 s of the
-	// store's clock and swapped at 18 s.
-	meta := wire.ECMeta{ChunkIndex: 1, K: 3, M: 2, TotalLen: 300, Stripe: 0}
-	chunk := wire.EncodeChunkPayload(meta, bytes.Repeat([]byte{'c'}, 100))
-	do(&wire.Request{Op: wire.OpSetChunk, Key: "patched", Value: bytes.Clone(chunk), TTLSeconds: 10, Meta: meta}).Release()
-	patch := wire.EncodeDeltaPatch(100, []wire.DeltaRun{{Offset: 10, Data: bytes.Repeat([]byte{0x3C}, 8)}})
-	meta.Stripe = 11
-	if err := wire.ApplyDeltaPatch(chunk, patch, meta); err != nil {
-		t.Fatal(err)
-	}
-	do(&wire.Request{Op: wire.OpApplyDelta, Key: "patched", Value: patch, Compare: 0, Meta: meta}).Release()
-	if _, version, _, ok := srv.Store().GetMeta("patched"); !ok || version != 11 {
-		t.Fatalf("the patch did not re-insert its key: ok=%v version=%d", ok, version)
-	}
-	want["patched"] = chunk
-
 	scribblePool(fp)
 	var keys []string
 	for si := 0; si < srv.Store().Shards(); si++ {
@@ -144,9 +114,8 @@ func TestLeasedKeyIsNeverKept(t *testing.T) {
 // contract. A plain OpSet, OpSetChunk or OpCompareSet value is read into
 // an allocation of its own and installed as it is: no frame-pool buffer
 // of the value's size class is leased for it. And whatever the store
-// keeps — a kept value, a value cloned out of an OpBatch, a chunk
-// patched by OpApplyDelta — survives scribbling over every buffer the
-// frame pool hands out afterwards.
+// keeps — a kept value, a value cloned out of an OpBatch — survives
+// scribbling over every buffer the frame pool hands out afterwards.
 func TestKeptValueTakesNoLease(t *testing.T) {
 	// A 64 KB value makes a frame of the 128 KB class; nothing else a
 	// server here leases (headers, empty answers) comes near it.
@@ -227,17 +196,4 @@ func TestKeptValueTakesNoLease(t *testing.T) {
 	}
 	resp.Release()
 	survives("a batch", map[string][]byte{"batch-a": subs[0].Value, "batch-b": subs[1].Value})
-
-	// A delta patch (leased) applied to a stored chunk: the patched copy
-	// the store installs is the handler's own.
-	meta := wire.ECMeta{ChunkIndex: 1, K: 3, M: 2, TotalLen: 3 * size, Stripe: 10}
-	chunk := wire.EncodeChunkPayload(meta, value())
-	do(&wire.Request{Op: wire.OpSetChunk, Key: "delta", Value: bytes.Clone(chunk), Meta: meta}).Release()
-	patch := wire.EncodeDeltaPatch(size, []wire.DeltaRun{{Offset: 100, Data: bytes.Repeat([]byte{0x3C}, 64)}})
-	meta.Stripe = 11
-	if err := wire.ApplyDeltaPatch(chunk, patch, meta); err != nil {
-		t.Fatal(err)
-	}
-	do(&wire.Request{Op: wire.OpApplyDelta, Key: "delta", Value: patch, Compare: 10, Meta: meta}).Release()
-	survives("a delta patch", map[string][]byte{"delta": chunk})
 }

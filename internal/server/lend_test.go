@@ -22,9 +22,7 @@ func chunkPayload(fill byte, version uint64) ([]byte, wire.ECMeta) {
 
 // TestLentValueSurvivesEveryWrite pins the server's side of the store's
 // lend contract: a slice GetMeta handed out stays byte-identical while
-// the key is overwritten, delta-patched (the one read-modify-write —
-// handleApplyDelta must patch a copy of its own), deleted, and evicted
-// under a one-item budget.
+// the key is overwritten, deleted, and evicted under a one-item budget.
 func TestLentValueSurvivesEveryWrite(t *testing.T) {
 	payload, meta := chunkPayload('a', 10)
 	// One shard, room for one chunk (and its key) exactly.
@@ -62,15 +60,6 @@ func TestLentValueSurvivesEveryWrite(t *testing.T) {
 			t.Fatalf("the lent value changed after %s", after)
 		}
 	}
-
-	// Delta patch 10 -> 11: flips 16 bytes of the chunk in the store.
-	patch := wire.EncodeDeltaPatch(256, []wire.DeltaRun{{Offset: 32, Data: bytes.Repeat([]byte{0xFF}, 16)}})
-	meta.Stripe = 11
-	do(&wire.Request{Op: wire.OpApplyDelta, Key: "k", Value: patch, Compare: 10, Meta: meta}).Release()
-	if cur, v, _, _ := srv.Store().GetMeta("k"); v != 11 || bytes.Equal(cur, want) {
-		t.Fatalf("the patch did not land: version %d", v)
-	}
-	check("a delta patch")
 
 	next, nextMeta := chunkPayload('b', 12)
 	do(&wire.Request{Op: wire.OpSetChunk, Key: "k", Value: next, Meta: nextMeta}).Release()

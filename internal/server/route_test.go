@@ -22,7 +22,6 @@ func TestRoutingRuleCoversEveryOp(t *testing.T) {
 		wire.OpSetChunk:   false,
 		wire.OpGetChunk:   false,
 		wire.OpCompareSet: false,
-		wire.OpApplyDelta: false,
 		wire.OpBatch:      false,
 		wire.OpPing:       false,
 		wire.OpRingGet:    false,

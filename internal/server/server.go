@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"strings"
 	"sync"
 	"time"
 
@@ -188,7 +187,6 @@ func New(cfg Config) (*Server, error) {
 		wire.OpSet, wire.OpGet, wire.OpDelete, wire.OpSetChunk, wire.OpGetChunk,
 		wire.OpEncodeSet, wire.OpDecodeGet, wire.OpStats, wire.OpPing, wire.OpScan,
 		wire.OpCompareSet, wire.OpFlush, wire.OpBatch, wire.OpRingGet, wire.OpRingUpdate,
-		wire.OpApplyDelta,
 	} {
 		s.mOps[op] = reg.Counter(fmt.Sprintf("ecstore_server_ops_total{op=%q}", op))
 	}
@@ -340,7 +338,7 @@ func (s *Server) serve(req *wire.Request, out *connWriter) {
 	// key and value (OpSet, OpSetChunk, OpCompareSet) were read into
 	// allocations of their own, which the store installs as they are;
 	// every other key or value the store keeps is a private copy (a
-	// batch's writes, a patched chunk and its key), and the rest only
+	// batch's writes and their keys), and the rest only
 	// look up what the leased key names. What a read returns is the
 	// store's own slice — lent, immutable once installed, so the response
 	// may alias it for as long as the write takes. The leased frame body,
@@ -443,8 +441,6 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 		}
 	case wire.OpCompareSet:
 		return s.handleCompareSet(req)
-	case wire.OpApplyDelta:
-		return s.handleApplyDelta(req)
 	case wire.OpFlush:
 		s.store.Flush()
 		return wire.Response{Status: wire.StatusOK}
@@ -535,51 +531,6 @@ func (s *Server) handleCompareSet(req *wire.Request) wire.Response {
 		resp.Status = wire.StatusExists
 	}
 	return resp
-}
-
-// handleApplyDelta patches one stored erasure chunk in place — the
-// server side of the delta overwrite path. req.Compare is the stripe
-// the patch was computed against, req.Meta.Stripe the new stripe to
-// install, and req.Value the sparse XOR patch. The flow is
-// read-patch-swap: the chunk is read with its version, patched in a
-// private copy (made here: the store lends its slice read-only, and a
-// reader may be holding it), and that copy is installed as it is only
-// while the stored version STILL equals the base stripe — so a
-// concurrent write between read and swap loses nothing, and a chunk can
-// never end up a blend of two stripes. A version mismatch answers
-// StatusExists with the holder's current stripe, exactly like a lost
-// CAS; an absent chunk answers StatusNotFound (a delta cannot
-// re-materialise what it has nothing to patch). Malformed or mismatched
-// patches are errors and leave the chunk untouched.
-func (s *Server) handleApplyDelta(req *wire.Request) wire.Response {
-	stored, version, _, ok := s.store.GetMeta(req.Key)
-	if !ok {
-		return wire.Response{Status: wire.StatusNotFound}
-	}
-	if version != req.Compare {
-		return wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: version}}
-	}
-	v := append([]byte(nil), stored...)
-	if err := wire.ApplyDeltaPatch(v, req.Value, req.Meta); err != nil {
-		return errorResponse(err)
-	}
-	ttl := time.Duration(req.TTLSeconds) * time.Second
-	// The key is cloned out of the leased frame too: when the entry is
-	// gone by the time of the swap — expired or deleted since GetMeta —
-	// and the base was unversioned (Compare 0), CompareSwap inserts the
-	// key afresh.
-	out, prior, err := s.store.CompareSwap(strings.Clone(req.Key), v, ttl, req.Compare, req.Meta.Stripe, false)
-	if err != nil {
-		return errorResponse(err)
-	}
-	switch out {
-	case store.CASStored:
-		return wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
-	case store.CASNotFound:
-		return wire.Response{Status: wire.StatusNotFound}
-	default:
-		return wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: prior}}
-	}
 }
 
 // handleScan serves one page of the keyspace: it resumes at the

@@ -257,10 +257,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // The value is LENT, not copied: it is the stored slice itself, and the
 // caller must treat it as read-only. It stays whole and unchanged for as
 // long as the caller holds it, whatever happens to the key meanwhile —
-// the store never writes to an installed slice (an overwrite, a delta
-// patch, a delete or an eviction installs or drops a slice, it does not
-// modify one) and never recycles one (it is the collector's). A caller
-// that needs to modify the bytes makes its own copy.
+// the store never writes to an installed slice (an overwrite, a delete
+// or an eviction installs or drops a slice, it does not modify one) and
+// never recycles one (it is the collector's). A caller that needs to
+// modify the bytes makes its own copy.
 func (s *Store) GetMeta(key string) (value []byte, version uint64, ttl time.Duration, ok bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()

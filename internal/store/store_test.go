@@ -86,8 +86,6 @@ func TestValueCopied(t *testing.T) {
 // hand out the stored slice itself, and nothing the store does to the
 // key afterwards may change those bytes — an overwrite installs a new
 // slice, a delete or an eviction drops the old one, none writes to it.
-// (The server's delta patch, the one read-modify-write, is pinned in
-// internal/server: it patches a copy of its own.)
 func TestGetLendsImmutableValue(t *testing.T) {
 	// One shard with room for exactly one item of this size.
 	budget := itemSize("k", bytes.Repeat([]byte{0}, 64))

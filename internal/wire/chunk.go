@@ -48,6 +48,11 @@ const chunkMagic = 0xEC
 // fits 16 bits. Fixed-width integers are big-endian.
 const chunkHeaderLen = 10
 
+// ChunkPayloadOverhead is the header size a chunk record adds on top of
+// the shard bytes — exported so clients can account wire bytes without
+// re-deriving the layout.
+const ChunkPayloadOverhead = chunkHeaderLen
+
 // ErrChunkCorrupt is returned by DecodeChunkPayload when the stored
 // CRC does not match the chunk bytes — silent corruption that the
 // erasure code can then repair from parity.

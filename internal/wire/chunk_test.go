@@ -103,37 +103,20 @@ func TestChunkRecordBytes(t *testing.T) {
 	}
 }
 
-// FuzzChunkRecord drives the record decoder with arbitrary bytes and the
-// delta applier with arbitrary records, patches and metadata: nothing
-// panics, an accepted record re-encodes byte for byte from what it
-// decodes to, a refused patch leaves the record untouched, and a patched
-// record decodes with the patch's total length.
+// FuzzChunkRecord drives the record decoder with arbitrary bytes:
+// nothing panics, and an accepted record re-encodes byte for byte from
+// what it decodes to.
 func FuzzChunkRecord(f *testing.F) {
-	golden := EncodeChunkPayload(ECMeta{ChunkIndex: 4, K: 3, M: 2, TotalLen: 20}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(golden, EncodeDeltaPatch(8, []DeltaRun{{Offset: 2, Data: []byte{9, 9}}}), uint8(4), uint8(3), uint8(2), uint32(21))
+	f.Add(EncodeChunkPayload(ECMeta{ChunkIndex: 4, K: 3, M: 2, TotalLen: 20}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	// An empty value: one aligned shard of 8 bytes each, all pad.
-	empty := EncodeChunkPayload(ECMeta{ChunkIndex: 0, K: 3, M: 2}, make([]byte, 8))
-	f.Add(empty, EncodeDeltaPatch(8, nil), uint8(0), uint8(3), uint8(2), uint32(0))
+	f.Add(EncodeChunkPayload(ECMeta{ChunkIndex: 0, K: 3, M: 2}, make([]byte, 8)))
 	// The widest stripe there is.
-	wide := EncodeChunkPayload(ECMeta{ChunkIndex: 255, K: 255, M: 1, TotalLen: 255*8 - 7}, make([]byte, 8))
-	f.Add(wide, EncodeDeltaPatch(8, []DeltaRun{{Offset: 7, Data: []byte{1}}}), uint8(255), uint8(255), uint8(1), uint32(255*8))
-	f.Fuzz(func(t *testing.T, stored, patch []byte, idx, k, m uint8, total uint32) {
+	f.Add(EncodeChunkPayload(ECMeta{ChunkIndex: 255, K: 255, M: 1, TotalLen: 255*8 - 7}, make([]byte, 8)))
+	f.Fuzz(func(t *testing.T, stored []byte) {
 		if meta, shard, err := DecodeChunkPayload(stored); err == nil {
 			if again := EncodeChunkPayload(meta, shard); !bytes.Equal(again, stored) {
 				t.Fatalf("record %x decodes to %+v, which encodes to %x", stored, meta, again)
 			}
-		}
-		meta := ECMeta{ChunkIndex: idx, K: k, M: m, TotalLen: total}
-		before := bytes.Clone(stored)
-		if err := ApplyDeltaPatch(stored, patch, meta); err != nil {
-			if !bytes.Equal(stored, before) {
-				t.Fatalf("a refused patch (%v) changed the record", err)
-			}
-			return
-		}
-		got, _, err := DecodeChunkPayload(stored)
-		if err != nil || got.TotalLen != total {
-			t.Fatalf("patched record decodes to %+v, %v; want total length %d", got, err, total)
 		}
 	})
 }

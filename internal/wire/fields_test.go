@@ -80,7 +80,7 @@ func (g fieldGen) value() []byte {
 
 func (g fieldGen) op(batchable bool) Op {
 	for {
-		op := Op(1 + g.rng.Intn(int(OpApplyDelta)))
+		op := Op(1 + g.rng.Intn(int(OpRingUpdate)))
 		if !batchable || op != OpBatch {
 			return op
 		}

@@ -33,7 +33,9 @@ func FuzzReadRequest(f *testing.F) {
 	}
 	f.Add(seed)
 	// A leased frame: its key and value alias the pooled body.
-	leased, err := AppendRequest(nil, &Request{ID: 2, Op: OpApplyDelta, Key: "key", Value: []byte("patch"), Compare: 7})
+	leased, err := AppendRequest(nil, &Request{
+		ID: 2, Op: OpEncodeSet, Key: "key", Value: []byte("value"), Meta: ECMeta{K: 3, M: 2, TotalLen: 5},
+	})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -80,16 +80,6 @@ const (
 	// updated) current view — adopt-if-newer makes pushes idempotent
 	// and safe to fan out. Always served regardless of request epoch.
 	OpRingUpdate
-	// OpApplyDelta patches one stored erasure chunk in place: the value
-	// carries a sparse XOR delta patch (delta.go), Compare the stripe
-	// version the patch was computed against, and Meta.Stripe the new
-	// stripe ID to install. The server applies the patch only while the
-	// stored chunk still belongs to the base stripe — the same
-	// version-conditional discipline as OpCompareSet — and answers
-	// StatusExists (with the holder's current stripe in Meta.Stripe) on
-	// a version mismatch, so a delta can never blend two writes into
-	// one chunk.
-	OpApplyDelta
 )
 
 // CompareAbsent, as OpCompareSet's Compare value, demands that the key
@@ -113,7 +103,6 @@ var opNames = map[Op]string{
 	OpBatch:      "batch",
 	OpRingGet:    "ring-get",
 	OpRingUpdate: "ring-update",
-	OpApplyDelta: "apply-delta",
 }
 
 // String returns the opcode mnemonic.
@@ -125,7 +114,7 @@ func (o Op) String() string {
 }
 
 // Valid reports whether o is a known opcode.
-func (o Op) Valid() bool { return o >= OpSet && o <= OpApplyDelta }
+func (o Op) Valid() bool { return o >= OpSet && o <= OpRingUpdate }
 
 // Batchable reports whether o may ride inside an OpBatch frame: the
 // admission list servers enforce and clients batch by — every data op.
