@@ -83,7 +83,7 @@ func TestCasAllModes(t *testing.T) {
 			if _, err := c.Get(key); !errors.Is(err, core.ErrNotFound) {
 				t.Fatalf("Get after DeleteCas: %v, want ErrNotFound", err)
 			}
-			if _, err := c.Add(key, []byte("v4"), 0); err != nil {
+			if _, err := c.Cas(key, []byte("v4"), 0, wire.CompareAbsent); err != nil {
 				t.Fatalf("Add after DeleteCas: %v", err)
 			}
 			if err := c.DeleteCas(name+"-cas-absent", v2); !errors.Is(err, core.ErrNotFound) {
@@ -101,14 +101,14 @@ func TestAddAllModes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := newClient(t, cl, cfg)
 			key := name + "-add"
-			version, err := c.Add(key, []byte("first"), 0)
+			version, err := c.Cas(key, []byte("first"), 0, wire.CompareAbsent)
 			if err != nil {
 				t.Fatalf("Add on absent key: %v", err)
 			}
 			if version == 0 {
 				t.Fatal("Add returned version 0")
 			}
-			if _, err := c.Add(key, []byte("second"), 0); !errors.Is(err, core.ErrCASConflict) {
+			if _, err := c.Cas(key, []byte("second"), 0, wire.CompareAbsent); !errors.Is(err, core.ErrCASConflict) {
 				t.Fatalf("Add on existing key: %v, want ErrCASConflict", err)
 			}
 			got, err := c.Get(key)
@@ -118,7 +118,7 @@ func TestAddAllModes(t *testing.T) {
 			if err := c.Delete(key); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
-			if _, err := c.Add(key, []byte("third"), 0); err != nil {
+			if _, err := c.Cas(key, []byte("third"), 0, wire.CompareAbsent); err != nil {
 				t.Fatalf("Add after Delete: %v", err)
 			}
 		})

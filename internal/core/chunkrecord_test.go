@@ -55,7 +55,7 @@ func TestChunkStripeIsItemVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, "cas", v)
-		if v, err = plain.Add("add", value, 0); err != nil {
+		if v, err = plain.Cas("add", value, 0, wire.CompareAbsent); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "add", v)

@@ -177,7 +177,7 @@ type strategy interface {
 	del(b *batcher, keys []string) []result
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
 	compareDelete(b *batcher, key string, expect uint64) error
-	converge(b *batcher, key string) (convergence, error)
+	converge(b *batcher, key string) (RepairReport, error)
 	verify(b *batcher, key string) (bool, error)
 }
 
@@ -495,12 +495,6 @@ func (c *Client) Gets(key string) (Item, error) {
 func (c *Client) Cas(key string, value []byte, ttl time.Duration, cas uint64) (uint64, error) {
 	item, err := c.run(c.casOp(key, value, ttl, cas))
 	return item.Version, err
-}
-
-// Add stores value only if key does not exist (memcached `add`). An
-// existing key yields ErrCASConflict.
-func (c *Client) Add(key string, value []byte, ttl time.Duration) (uint64, error) {
-	return c.Cas(key, value, ttl, wire.CompareAbsent)
 }
 
 // SetVersion is SetTTL returning the version the write installed, the

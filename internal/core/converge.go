@@ -42,24 +42,10 @@ type RepairReport struct {
 	Moved bool
 }
 
-// Healthy reports whether the key had full redundancy already.
-func (r RepairReport) Healthy() bool { return r.Missing == 0 }
-
 // String renders the report on one line.
 func (r RepairReport) String() string {
 	return fmt.Sprintf("checked=%d missing=%d rewritten=%d dropped=%d bytes=%d moved=%v",
 		r.Checked, r.Missing, r.Rewritten, r.Dropped, r.BytesMoved, r.Moved)
-}
-
-// convergence is what one converge call found and did; RepairReport is
-// its public view.
-type convergence struct {
-	checked  int   // locations probed
-	missing  int   // current holders found without the authoritative copy
-	refilled int   // of those, the writes that landed
-	dropped  int   // draining-placement copies drained
-	bytes    int64 // payload volume of the refills that landed
-	moved    bool  // a draining ring places the key elsewhere
 }
 
 // Repair brings key to full redundancy at its current placement: it
@@ -90,12 +76,9 @@ func (c *Client) Repair(key string) (RepairReport, error) {
 	// The strategies bail out with wire.ErrWrongEpoch before any write
 	// lands on a stale ring; adopt the newer view and re-resolve, the
 	// same transparent retry every data-path operation gets.
-	v, err := epochRetry(c, func() (convergence, error) { return c.strat.converge(b, key) })
+	report, err := epochRetry(c, func() (RepairReport, error) { return c.strat.converge(b, key) })
 	_, err = b.end(Item{}, err)
-	return RepairReport{
-		Checked: v.checked, Missing: v.missing, Rewritten: v.refilled, Dropped: v.dropped,
-		BytesMoved: v.bytes, Moved: v.moved,
-	}, err
+	return report, err
 }
 
 // Verify scrubs one key's redundancy. For erasure-coded values it
@@ -162,20 +145,20 @@ func (r *repStrategy) holders(rings *membership.Rings, key string) (cur, others 
 // a server view no longer names is not a failure either: the refills
 // landed, and a removed server that crashed would otherwise hold the
 // key unconverged, and the view draining, forever.
-func (b *batcher) settle(view membership.View, v convergence, refills, drains []subOp) (convergence, error) {
-	v.missing = len(refills)
+func (b *batcher) settle(view membership.View, v RepairReport, refills, drains []subOp) (RepairReport, error) {
+	v.Missing = len(refills)
 	b.send(refills, view.Epoch)
 	var err error
-	v.refilled, v.bytes, err = landed(refills)
+	v.Rewritten, v.BytesMoved, err = landed(refills)
 	b.release() // the probe's leases fed the refills; nothing aliases them now
-	if !v.moved {
+	if !v.Moved {
 		return v, nil
 	}
 	if err != nil {
 		return v, err
 	}
 	b.send(drains, view.Epoch)
-	v.dropped, _, err = landed(slices.DeleteFunc(drains, func(op subOp) bool {
+	v.Dropped, _, err = landed(slices.DeleteFunc(drains, func(op subOp) bool {
 		return op.err != nil && !view.Contains(op.addr)
 	}))
 	return v, err
@@ -290,16 +273,16 @@ func (r *repStrategy) verify(b *batcher, key string) (bool, error) {
 // what it has. It then drains the servers only a draining placement
 // names, each conditional on the version it showed, so a write that
 // raced past the probe keeps its copy.
-func (r *repStrategy) converge(b *batcher, key string) (convergence, error) {
+func (r *repStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	rings := r.c.view.Rings()
 	cur, others, moved := r.holders(rings, key)
 	if len(cur) == 0 {
-		return convergence{}, ErrUnavailable
+		return RepairReport{}, ErrUnavailable
 	}
 	sources := append(slices.Clip(cur), others...)
 	defer b.release()
 	p := r.probe(b, key, rings.View.Epoch, sources)
-	v := convergence{checked: len(sources), moved: moved}
+	v := RepairReport{Checked: len(sources), Moved: moved}
 	switch {
 	case p.wrongEpoch:
 		// Stale placement snapshot: let the epoch retry refresh the view
@@ -317,7 +300,7 @@ func (r *repStrategy) converge(b *batcher, key string) (convergence, error) {
 		Op: wire.OpSet, Key: key, Value: auth.Value, TTLSeconds: auth.TTLSeconds,
 		Meta: wire.ECMeta{Stripe: auth.Meta.Stripe},
 	}
-	if v.moved {
+	if v.Moved {
 		refill.Op, refill.Compare = wire.OpCompareSet, wire.CompareAbsent
 	}
 	var refills, drains []subOp
@@ -336,7 +319,7 @@ func (r *repStrategy) converge(b *batcher, key string) (convergence, error) {
 					Op: wire.OpDelete, Key: key, Compare: version,
 				}})
 			}
-		case !v.moved && !p.same(i), v.moved && !p.holds(i):
+		case !v.Moved && !p.same(i), v.Moved && !p.holds(i):
 			refills = append(refills, subOp{addr: addr, req: refill})
 		}
 	}
@@ -427,17 +410,17 @@ func (e *ecStrategy) verify(b *batcher, key string) (bool, error) {
 // source placement, take the winning stripe, reconstruct what no source
 // holds, write each chunk its current holder lacks, then — for a moved
 // key — drain the draining-placement holders whose chunk index moved.
-func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
+func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	n := e.k + e.m
 	rings := e.c.view.Rings()
 	places := sourcePlacements(rings, key, n)
 	if places == nil {
-		return convergence{}, ErrUnavailable
+		return RepairReport{}, ErrUnavailable
 	}
 	cur := places[0]
 	defer b.release()
 	st, at, probed := e.probe(b, key, rings.View.Epoch, places)
-	v := convergence{checked: probed, moved: len(places) > 1}
+	v := RepairReport{Checked: probed, Moved: len(places) > 1}
 	win := st.Best()
 	newest, elsewhere := slices.Max(at[0]), uint64(0)
 	for _, held := range at[1:] {
@@ -453,7 +436,7 @@ func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
 		return v, ErrNotFound
 	case st.reachable < probed:
 		return v, fmt.Errorf("%w: no stripe of %q has %d chunks", ErrUnavailable, key, e.k)
-	case v.moved && newest > elsewhere:
+	case v.Moved && newest > elsewhere:
 		// A live overwrite smears the (non-atomic) probe across several
 		// stripes, so no single stripe may show K chunks even though the
 		// key is perfectly healthy. Every probe answered and the newest
@@ -468,7 +451,7 @@ func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
 		// the convergence over.
 		drains := e.drains(key, places, at, newest)
 		b.send(drains, rings.View.Epoch)
-		v.dropped, _, _ = landed(drains)
+		v.Dropped, _, _ = landed(drains)
 		return v, nil
 	default:
 		// Every chunk holder of every source is alive and answered, yet no
@@ -492,7 +475,7 @@ func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
 	var need, lost []int
 	chunks := win.Chunks()
 	for i, held := range at[0] {
-		if held != win.Stripe && (!v.moved || held < win.Stripe) {
+		if held != win.Stripe && (!v.Moved || held < win.Stripe) {
 			need = append(need, i)
 		}
 		if chunks[i] == nil {
@@ -527,7 +510,7 @@ func (e *ecStrategy) converge(b *batcher, key string) (convergence, error) {
 			Op: wire.OpSetChunk, Key: wire.ChunkKey(key, i), Value: chunks[i],
 			TTLSeconds: win.TTL, Meta: cm,
 		}}
-		if v.moved {
+		if v.Moved {
 			// Compare = the stripe observed at the holder: an absent chunk
 			// is an add (Meta.K>0 permits the insert), a stale one is
 			// swapped out atomically, and anything that changed since the
@@ -551,7 +534,7 @@ func (e *ecStrategy) drains(key string, places [][]string, at [][]uint64, limit 
 		for i, stripe := range at[s] {
 			if stripe != 0 && stripe <= limit {
 				ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{
-					Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Meta: wire.ECMeta{Stripe: stripe},
+					Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Compare: stripe,
 				}})
 			}
 		}
@@ -597,7 +580,7 @@ func (h *hybridStrategy) verify(b *batcher, key string) (bool, error) {
 // The stale stripe is purged only after the replicated form converged.
 // A stripe's absence says nothing of replicas out of reach, so it does
 // not hide the replicated side's failure (the read path's rule too).
-func (h *hybridStrategy) converge(b *batcher, key string) (convergence, error) {
+func (h *hybridStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	v, err := h.rep.converge(b, key)
 	if err == nil {
 		// A stale stripe surviving on an unreachable holder is an error,

@@ -144,7 +144,7 @@ func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 	if err != nil || report.Rewritten == 0 || report.Dropped == 0 {
 		t.Fatalf("migrate large key: %+v, %v", report, err)
 	}
-	if repair, err := c.Repair(key); err != nil || !repair.Healthy() {
+	if repair, err := c.Repair(key); err != nil || repair.Missing != 0 {
 		t.Fatalf("stripe degraded at the new placement after migration: %+v, %v", repair, err)
 	}
 	// A replicated key in the same position is in place: nothing moves,

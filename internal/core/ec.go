@@ -195,9 +195,7 @@ func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) 
 				continue
 			}
 			ops = append(ops, subOp{addr: addr, req: wire.BatchReq{
-				Op:   wire.OpDelete,
-				Key:  keys[j],
-				Meta: wire.ECMeta{Stripe: d.stripe},
+				Op: wire.OpDelete, Key: keys[j], Compare: d.stripe,
 			}})
 		}
 	}
@@ -704,7 +702,7 @@ func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
 // a lost race; nothing was removed, so ErrCASConflict is safe to
 // report. Once one holder decides, the remaining chunks go the way of a
 // failed write's: unwindStripes removes them with STRIPE-conditional
-// deletes (Meta.Stripe = expect), so a concurrent newer write's chunks
+// deletes (Compare = expect), so a concurrent newer write's chunks
 // are never collateral damage, and a holder on a newer view gets its
 // delete again at that view.
 func (e *ecStrategy) compareDelete(b *batcher, key string, expect uint64) error {

@@ -111,7 +111,7 @@ func TestMigrateKeyAfterRingAdd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("repair %q: %v", key, err)
 				}
-				if !report.Healthy() {
+				if report.Missing != 0 {
 					t.Fatalf("stripe %q degraded at new placement: %+v", key, report)
 				}
 			}
@@ -161,7 +161,7 @@ func TestMigrateKeyAfterRingRemove(t *testing.T) {
 				if err != nil {
 					t.Fatalf("repair %q: %v", key, err)
 				}
-				if !report.Healthy() {
+				if report.Missing != 0 {
 					t.Fatalf("stripe %q degraded after decommission: %+v", key, report)
 				}
 			}
@@ -170,7 +170,7 @@ func TestMigrateKeyAfterRingRemove(t *testing.T) {
 			// placement alone holds every key.
 			finishDrain(t, c)
 			for _, key := range keys {
-				if report, err := c.Repair(key); err != nil || !report.Healthy() {
+				if report, err := c.Repair(key); err != nil || report.Missing != 0 {
 					t.Fatalf("stripe %q at the current placement alone: %+v, %v", key, report, err)
 				}
 			}
@@ -433,7 +433,7 @@ func TestWrongEpochRetryCoversRepairVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("repair from stale epoch: %v", err)
 			}
-			if !report.Healthy() {
+			if report.Missing != 0 {
 				t.Fatalf("repair from stale epoch found degraded stripe: %+v", report)
 			}
 			if staleRepair.View().Epoch != current {

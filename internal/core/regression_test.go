@@ -12,14 +12,10 @@ import (
 )
 
 // replicaPlacement mirrors the client's placement computation: the ring
-// is seeded with the cluster addresses in order, so a test can predict
-// which servers hold a key's replicas.
+// of the cluster addresses, so a test can predict which servers hold a
+// key's replicas.
 func replicaPlacement(addrs []string, key string, n int) []string {
-	ring := hashring.New(0)
-	for _, a := range addrs {
-		ring.Add(a)
-	}
-	return ring.GetN(key, n)
+	return hashring.Build(0, addrs).GetN(key, n)
 }
 
 // TestAsyncRepSetWaitsOutIssuedWrites is the torn-async-write

@@ -20,7 +20,7 @@ func TestRepairHealthyStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() || report.Checked != 5 || report.Rewritten != 0 {
+	if report.Missing != 0 || report.Checked != 5 || report.Rewritten != 0 {
 		t.Fatalf("report %+v for healthy stripe", report)
 	}
 	if report.String() == "" {

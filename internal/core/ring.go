@@ -36,14 +36,10 @@ func epochRetry[T any](c *Client, fn func() (T, error)) (T, error) {
 // View returns the client's current membership view.
 func (c *Client) View() membership.View { return c.view.Current() }
 
-// AdoptView offers the client a view out of band (the cluster harness
-// and tests use it); only a strictly newer epoch is installed.
-func (c *Client) AdoptView(v membership.View) bool { return c.view.Adopt(v) }
-
 // OnViewChange registers fn to run whenever the client adopts a newer
-// membership view — whether via RefreshView, an admin push, or an
-// out-of-band AdoptView. scrub.New hooks here so placement changes
-// start draining automatically. fn must not block.
+// membership view — whether via RefreshView or an admin push. scrub.New
+// hooks here so placement changes start draining automatically. fn must
+// not block.
 func (c *Client) OnViewChange(fn func(old, new membership.View)) {
 	c.view.OnChange(fn)
 }

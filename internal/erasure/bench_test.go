@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"ecstore/internal/bufpool"
 )
 
 // Codec benchmarks in benchstat-readable form: sub-benchmarks are
@@ -94,7 +96,7 @@ func BenchmarkEncodeAlloc(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("pool=on/size=%d", size), func(b *testing.B) {
-			pool := NewBufferPool()
+			pool := bufpool.New()
 			code := benchCode(b, WithPool(pool))
 			value := benchValue(size)
 			b.SetBytes(int64(size))

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"ecstore/internal/bufpool"
 )
 
 // lossPatterns returns every set of at most m of the n shard positions.
@@ -171,7 +173,7 @@ func TestReconstructDataAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	pool := NewBufferPool()
+	pool := bufpool.New()
 	code, err := NewRSVan(3, 2, WithPool(pool))
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,6 @@ import (
 // the codec API (WithPool, SplitPooled) predates the move.
 type BufferPool = bufpool.Pool
 
-// NewBufferPool returns an empty pool.
-func NewBufferPool() *BufferPool { return bufpool.New() }
-
 // DefaultPool is the process-wide shard-buffer pool — bufpool.Default,
 // shared with the rpc and server frame paths. NewRSVan uses it unless
 // overridden with WithPool.

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"ecstore/internal/bufpool"
 )
 
 func TestBufferPoolGetZeroed(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	b := p.Get(1000)
 	if len(b) != 1000 {
 		t.Fatalf("Get(1000) len = %d", len(b))
@@ -29,7 +31,7 @@ func TestBufferPoolReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	p := NewBufferPool()
+	p := bufpool.New()
 	b := p.Get(64 << 10)
 	p.Put(b)
 	b2 := p.Get(64 << 10)
@@ -43,7 +45,7 @@ func TestBufferPoolReuse(t *testing.T) {
 }
 
 func TestBufferPoolOutOfRangeSizes(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	// Oversized buffers bypass the pool entirely.
 	for _, n := range []int{(4 << 20) + 1, 16 << 20} {
 		b := p.Get(n)
@@ -60,7 +62,7 @@ func TestBufferPoolOutOfRangeSizes(t *testing.T) {
 func TestBufferPoolTinySizesShareMinClass(t *testing.T) {
 	// Sub-512 B requests are clamped into the smallest class, so they
 	// recycle each other's buffers.
-	p := NewBufferPool()
+	p := bufpool.New()
 	b := p.Get(1)
 	p.Put(b)
 	b2 := p.Get(100)
@@ -73,7 +75,7 @@ func TestBufferPoolTinySizesShareMinClass(t *testing.T) {
 }
 
 func TestBufferPoolRejectsForeignBuffers(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	p.Put(make([]byte, 1000))           // cap not a power of two: dropped
 	p.Put(nil)                          // nil: dropped
 	p.Put(make([]byte, 100, 1024)[:50]) // power-of-two cap: retained
@@ -91,7 +93,7 @@ func TestSplitPooledMatchesSplit(t *testing.T) {
 	for _, n := range []int{1, 100, 1 << 10, 4<<10 + 3, 1 << 20} {
 		value := randValue(rng, n)
 		want := Split(value, 3, 2)
-		ps := SplitPooled(value, 3, 2, NewBufferPool())
+		ps := SplitPooled(value, 3, 2, bufpool.New())
 		if len(ps.Shards) != len(want) {
 			t.Fatalf("n=%d: shard count %d, want %d", n, len(ps.Shards), len(want))
 		}
@@ -105,7 +107,7 @@ func TestSplitPooledMatchesSplit(t *testing.T) {
 }
 
 func TestSplitPooledZeroPadsRecycledBuffers(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	// Dirty the pool with a buffer full of 0xFF.
 	dirty := p.Get(1 << 10)
 	for i := range dirty {
@@ -148,7 +150,7 @@ func TestSplitPooledLendsWholeShards(t *testing.T) {
 		{"empty", 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := NewBufferPool()
+			pool := bufpool.New()
 			code, err := NewRSVan(k, m, WithPool(pool))
 			if err != nil {
 				t.Fatal(err)
@@ -201,7 +203,7 @@ func TestSplitPooledLendsWholeShards(t *testing.T) {
 }
 
 func TestPooledShardsDoubleRelease(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	// Five bytes over three shards: nothing to lend, all three leased.
 	ps := SplitPooled(bytes.Repeat([]byte{1}, 5), 3, 2, p)
 	ps.Release()
@@ -228,7 +230,7 @@ func TestSplitPooledConcurrentStress(t *testing.T) {
 	// pool and code: lent shards are only ever read, leased ones never
 	// shared (the race detector fires on either), and every stripe
 	// verifies.
-	pool := NewBufferPool()
+	pool := bufpool.New()
 	code, err := NewRSVan(3, 2, WithPool(pool))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +265,7 @@ func TestSplitPooledConcurrentStress(t *testing.T) {
 }
 
 func TestBufferPoolConcurrentStress(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	const goroutines = 8
 	const iters = 300
 	var wg sync.WaitGroup
@@ -300,7 +302,7 @@ func TestConcurrentPooledEncodeRelease(t *testing.T) {
 	// End-to-end pool pressure: concurrent SplitPooled → Encode →
 	// Reconstruct → Release cycles against one shared pool and one
 	// shared code, verifying every round trip bit-for-bit.
-	pool := NewBufferPool()
+	pool := bufpool.New()
 	code, err := NewRSVan(3, 2, WithPool(pool))
 	if err != nil {
 		t.Fatal(err)

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkGet(b *testing.B) {
-	r := newTestRing(5)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("empty ring")
-		}
-	}
-}
-
 func BenchmarkGetN(b *testing.B) {
 	for _, members := range []int{5, 20} {
 		b.Run(fmt.Sprintf("members%d", members), func(b *testing.B) {

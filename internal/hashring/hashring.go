@@ -4,6 +4,10 @@
 // the ring successor of the key's hash, and the K+M erasure-coded
 // chunks (or the F replicas) go to the primary plus the next N-1
 // distinct servers in the server list (Section IV-A).
+//
+// A Ring is immutable: Build fixes its member set, and a membership
+// change builds a new ring (membership.Rings holds one per server list
+// a view names). Lookups therefore take no lock.
 package hashring
 
 import (
@@ -11,20 +15,17 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // DefaultVirtualNodes is the number of points each server contributes
 // to the ring, chosen to keep the load spread within a few percent.
 const DefaultVirtualNodes = 160
 
-// Ring is a consistent hashing ring. It is safe for concurrent use.
+// Ring is a consistent hashing ring over one member set. It has no
+// mutable state, so any number of goroutines may read it.
 type Ring struct {
-	mu       sync.RWMutex
-	vnodes   int
-	points   []point  // sorted by hash
-	members  []string // sorted member names
-	memberAt map[string]bool
+	points  []point // sorted by hash
+	members int     // distinct members
 }
 
 type point struct {
@@ -32,35 +33,29 @@ type point struct {
 	member string
 }
 
-// New returns an empty ring with the given number of virtual nodes per
-// member (DefaultVirtualNodes if vnodes <= 0).
-func New(vnodes int) *Ring {
+// Build returns the ring of members — a member listed twice counts once
+// — with vnodes points per member (DefaultVirtualNodes if vnodes <= 0).
+// The placement depends on the member set alone, not on its order.
+func Build(vnodes int, members []string) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{vnodes: vnodes, memberAt: make(map[string]bool)}
-}
-
-// Build returns a ring populated with members in one shot, sorting the
-// point set once instead of once per member. The membership layer uses
-// it to materialize a per-epoch ring from a view's server list.
-func Build(vnodes int, members []string) *Ring {
-	r := New(vnodes)
+	r := &Ring{}
+	seen := make(map[string]bool, len(members))
 	for _, m := range members {
-		if r.memberAt[m] {
+		if seen[m] {
 			continue
 		}
-		r.memberAt[m] = true
-		for i := 0; i < r.vnodes; i++ {
+		seen[m] = true
+		r.members++
+		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, point{
 				hash:   hashKey(fmt.Sprintf("%s#%d", m, i)),
 				member: m,
 			})
 		}
-		r.members = append(r.members, m)
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	sort.Strings(r.members)
 	return r
 }
 
@@ -84,75 +79,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Add inserts a member. Adding an existing member is a no-op.
-func (r *Ring) Add(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.memberAt[member] {
-		return
-	}
-	r.memberAt[member] = true
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, point{
-			hash:   hashKey(fmt.Sprintf("%s#%d", member, i)),
-			member: member,
-		})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	r.members = append(r.members, member)
-	sort.Strings(r.members)
-}
-
-// Remove deletes a member. Removing an unknown member is a no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.memberAt[member] {
-		return
-	}
-	delete(r.memberAt, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for i, m := range r.members {
-		if m == member {
-			r.members = append(r.members[:i], r.members[i+1:]...)
-			break
-		}
-	}
-}
-
-// Members returns the sorted member list.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
-// Len returns the number of members.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Get returns the member owning key (the ring successor of the key's
-// hash) and false if the ring is empty.
-func (r *Ring) Get(key string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
-	}
-	return r.points[r.successor(hashKey(key))].member, true
-}
-
 // successor returns the index of the first point with hash >= h,
 // wrapping to 0.
 func (r *Ring) successor(h uint64) int {
@@ -163,10 +89,11 @@ func (r *Ring) successor(h uint64) int {
 	return i
 }
 
-// GetN returns n distinct members for key: the primary owner followed
-// by the next n-1 distinct servers walking the ring, the placement the
-// paper uses to house the K data and M parity chunks. If the ring has
-// fewer than n members, every member is returned (primary first).
+// GetN returns n distinct members for key: the primary owner (the ring
+// successor of the key's hash) followed by the next n-1 distinct
+// servers walking the ring, the placement the paper uses to house the K
+// data and M parity chunks. If the ring has fewer than n members, every
+// member is returned (primary first); nil on an empty ring or n <= 0.
 func (r *Ring) GetN(key string, n int) []string {
 	if n <= 0 {
 		return nil
@@ -182,13 +109,11 @@ func (r *Ring) GetN(key string, n int) []string {
 // extended slice. A caller resolving many keys passes one backing slice
 // for all of them instead of a slice per key.
 func (r *Ring) AppendN(dst []string, key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
 		return dst
 	}
 	base := len(dst)
-	n = base + min(n, len(r.members))
+	n = base + min(n, r.members)
 	start := r.successor(hashKey(key))
 	for i := 0; len(dst) < n && i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]

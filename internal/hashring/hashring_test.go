@@ -2,69 +2,79 @@ package hashring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func newTestRing(n int) *Ring {
-	r := New(0)
-	for i := 0; i < n; i++ {
-		r.Add(fmt.Sprintf("server-%d", i))
+func testMembers(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("server-%d", i)
 	}
-	return r
+	return out
 }
 
+func newTestRing(n int) *Ring { return Build(0, testMembers(n)) }
+
+// primary is key's ring successor: the first member GetN names.
+func primary(r *Ring, key string) string { return r.GetN(key, 1)[0] }
+
 func TestEmptyRing(t *testing.T) {
-	r := New(0)
-	if _, ok := r.Get("k"); ok {
-		t.Fatal("Get on empty ring returned ok")
-	}
+	r := Build(0, nil)
 	if got := r.GetN("k", 3); got != nil {
 		t.Fatalf("GetN on empty ring = %v", got)
 	}
-	if r.Len() != 0 {
-		t.Fatal("empty ring has members")
+	if got := r.AppendN(nil, "k", 1); got != nil {
+		t.Fatalf("AppendN on empty ring = %v", got)
 	}
 }
 
 func TestGetDeterministic(t *testing.T) {
 	r := newTestRing(5)
-	a, _ := r.Get("mykey")
+	a := r.GetN("mykey", 3)
 	for i := 0; i < 100; i++ {
-		b, ok := r.Get("mykey")
-		if !ok || b != a {
-			t.Fatalf("Get not deterministic: %q vs %q", a, b)
+		if b := newTestRing(5).GetN("mykey", 3); !slices.Equal(a, b) {
+			t.Fatalf("placement not deterministic: %v vs %v", a, b)
 		}
 	}
 }
 
-func TestAddIdempotent(t *testing.T) {
-	r := New(0)
-	r.Add("s1")
-	r.Add("s1")
-	if r.Len() != 1 {
-		t.Fatalf("len = %d after duplicate Add", r.Len())
+// TestBuildDeduplicates: a member listed twice counts once.
+func TestBuildDeduplicates(t *testing.T) {
+	r := Build(0, []string{"s1", "s1"})
+	if got := r.GetN("k", 3); !slices.Equal(got, []string{"s1"}) {
+		t.Fatalf("GetN on a ring built from a duplicated member = %v", got)
+	}
+	twice, once := Build(0, []string{"a", "b", "a", "c", "b"}), Build(0, []string{"a", "b", "c"})
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if a, b := twice.GetN(key, 3), once.GetN(key, 3); !slices.Equal(a, b) {
+			t.Fatalf("key %s: duplicates changed the placement: %v vs %v", key, a, b)
+		}
 	}
 }
 
+// TestBuildIgnoresMemberOrder: the placement is the member set's, so
+// every party that lists the same servers places every key alike.
+func TestBuildIgnoresMemberOrder(t *testing.T) {
+	a, b := Build(0, []string{"c", "a", "b"}), Build(0, []string{"a", "b", "c"})
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if pa, pb := a.GetN(key, 3), b.GetN(key, 3); !slices.Equal(pa, pb) {
+			t.Fatalf("key %s: member order changed the placement: %v vs %v", key, pa, pb)
+		}
+	}
+}
+
+// TestRemove: a ring built without a member never places a key on it.
 func TestRemove(t *testing.T) {
-	r := newTestRing(3)
-	r.Remove("server-1")
-	if r.Len() != 2 {
-		t.Fatalf("len = %d after Remove", r.Len())
-	}
+	r := Build(0, []string{"server-0", "server-2"})
 	for i := 0; i < 1000; i++ {
-		m, ok := r.Get(fmt.Sprintf("key-%d", i))
-		if !ok {
-			t.Fatal("Get failed")
+		got := r.GetN(fmt.Sprintf("key-%d", i), 3)
+		if len(got) != 2 || slices.Contains(got, "server-1") {
+			t.Fatalf("placement %v on a ring without server-1", got)
 		}
-		if m == "server-1" {
-			t.Fatal("removed member still returned")
-		}
-	}
-	r.Remove("no-such-member") // no-op
-	if r.Len() != 2 {
-		t.Fatal("removing unknown member changed ring")
 	}
 }
 
@@ -72,13 +82,12 @@ func TestGetNDistinctAndPrimaryFirst(t *testing.T) {
 	r := newTestRing(5)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		primary, _ := r.Get(key)
 		got := r.GetN(key, 5)
 		if len(got) != 5 {
 			t.Fatalf("GetN returned %d members", len(got))
 		}
-		if got[0] != primary {
-			t.Fatalf("GetN[0] = %q, primary = %q", got[0], primary)
+		if p := primary(r, key); got[0] != p {
+			t.Fatalf("GetN[0] = %q, primary = %q", got[0], p)
 		}
 		seen := map[string]bool{}
 		for _, m := range got {
@@ -108,20 +117,17 @@ func TestGetNZero(t *testing.T) {
 func TestRemapFractionOnMemberRemoval(t *testing.T) {
 	// Consistent hashing must move only ~1/N of the keys when a
 	// member leaves.
-	r := newTestRing(10)
+	members := testMembers(10)
+	r, without := Build(0, members), Build(0, slices.Delete(slices.Clone(members), 3, 4))
 	const keys = 5000
-	before := make([]string, keys)
-	for i := range before {
-		before[i], _ = r.Get(fmt.Sprintf("key-%d", i))
-	}
-	r.Remove("server-3")
 	moved := 0
-	for i := range before {
-		after, _ := r.Get(fmt.Sprintf("key-%d", i))
-		if after != before[i] {
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		before, after := primary(r, key), primary(without, key)
+		if after != before {
 			moved++
-			if before[i] != "server-3" {
-				t.Fatalf("key %d moved from %q (not the removed member)", i, before[i])
+			if before != "server-3" {
+				t.Fatalf("key %d moved from %q (not the removed member)", i, before)
 			}
 		}
 	}
@@ -136,8 +142,7 @@ func TestLoadBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 20000
 	for i := 0; i < keys; i++ {
-		m, _ := r.Get(fmt.Sprintf("key-%d", i))
-		counts[m]++
+		counts[primary(r, fmt.Sprintf("key-%d", i))]++
 	}
 	want := keys / 5
 	for m, c := range counts {
@@ -154,8 +159,7 @@ func TestSequentialKeysSpread(t *testing.T) {
 	r := newTestRing(5)
 	counts := map[string]int{}
 	for i := 0; i < 500; i++ {
-		m, _ := r.Get(fmt.Sprintf("key-%d", i))
-		counts[m]++
+		counts[primary(r, fmt.Sprintf("key-%d", i))]++
 	}
 	if len(counts) < 4 {
 		t.Fatalf("500 sequential keys landed on only %d of 5 members: %v", len(counts), counts)
@@ -189,17 +193,6 @@ func TestGetNPropertyQuick(t *testing.T) {
 	}
 }
 
-func TestMembersSorted(t *testing.T) {
-	r := New(0)
-	r.Add("c")
-	r.Add("a")
-	r.Add("b")
-	got := r.Members()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Members() = %v", got)
-	}
-}
-
 // AppendN extends dst with exactly what GetN returns: members already in
 // dst (another key's placement sharing the slice) are appended again,
 // and an empty ring or n <= 0 leaves dst as it was.
@@ -213,7 +206,7 @@ func TestAppendNExtendsDst(t *testing.T) {
 	if got := r.AppendN(a, "key-b", 0); len(got) != len(a) {
 		t.Fatalf("AppendN(n=0) changed dst: %v", got)
 	}
-	if got := New(0).AppendN(a, "key-b", 3); len(got) != len(a) {
+	if got := Build(0, nil).AppendN(a, "key-b", 3); len(got) != len(a) {
 		t.Fatalf("AppendN on an empty ring changed dst: %v", got)
 	}
 }

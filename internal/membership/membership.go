@@ -245,9 +245,10 @@ func buildRings(view View, prev *Rings) *Rings {
 }
 
 // Tracker holds a party's current view and its per-epoch hashrings
-// behind one atomic pointer: placement reads are wait-free, and Adopt
-// installs a strictly-newer view (with its pre-built ring) in one
-// swap. The zero Tracker is unusable; construct with NewTracker.
+// behind one atomic pointer. The rings are immutable values, built once
+// per server list, so placement reads are wait-free and take no lock,
+// and Adopt installs a strictly-newer view (with its pre-built rings)
+// in one swap. The zero Tracker is unusable; construct with NewTracker.
 type Tracker struct {
 	cur atomic.Pointer[Rings]
 	// onChange, when set, observes every successful adoption with the
@@ -267,9 +268,6 @@ func (t *Tracker) Current() View { return t.cur.Load().View }
 
 // Epoch returns the tracker's current epoch.
 func (t *Tracker) Epoch() uint64 { return t.cur.Load().View.Epoch }
-
-// Ring returns the hashring materialized for the current view.
-func (t *Tracker) Ring() *hashring.Ring { return t.cur.Load().Current }
 
 // Places reports whether a request stamped with epoch was placed by
 // the current view's servers: epoch is current, or — within

@@ -263,11 +263,11 @@ func TestTrackerAdoptOrdering(t *testing.T) {
 func TestTrackerRingFollowsView(t *testing.T) {
 	v1 := NewView([]string{"a:1"})
 	tr := NewTracker(v1)
-	if got := tr.Ring().GetN("anything", 1); len(got) != 1 || got[0] != "a:1" {
+	if got := tr.Rings().Current.GetN("anything", 1); len(got) != 1 || got[0] != "a:1" {
 		t.Fatalf("lookup = %v", got)
 	}
 	tr.Adopt(v1.WithAdded("b:1").WithRemoved("a:1"))
-	if got := tr.Ring().GetN("anything", 1); len(got) != 1 || got[0] != "b:1" {
+	if got := tr.Rings().Current.GetN("anything", 1); len(got) != 1 || got[0] != "b:1" {
 		t.Fatalf("lookup after adopt = %v", got)
 	}
 }

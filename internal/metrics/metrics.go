@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ecstore/internal/stats"
 )
@@ -154,11 +153,6 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = fn
-}
-
-// Observe records one duration sample into the named histogram.
-func (r *Registry) Observe(name string, d time.Duration) {
-	r.Histogram(name).Record(d)
 }
 
 // Snapshot is a point-in-time copy of a registry's contents. Function

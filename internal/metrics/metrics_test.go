@@ -32,8 +32,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
 
-	reg.Observe("ecstore_test_seconds", 10*time.Millisecond)
-	reg.Observe("ecstore_test_seconds", 30*time.Millisecond)
+	reg.Histogram("ecstore_test_seconds").Record(10 * time.Millisecond)
+	reg.Histogram("ecstore_test_seconds").Record(30 * time.Millisecond)
 	if got := reg.Histogram("ecstore_test_seconds").Count(); got != 2 {
 		t.Fatalf("histogram count = %d, want 2", got)
 	}
@@ -43,7 +43,7 @@ func TestNilRegistryDiscards(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Inc()
 	reg.Gauge("y").Set(3)
-	reg.Observe("z", time.Second)
+	reg.Histogram("z").Record(time.Second)
 	reg.RegisterFunc("f", func() int64 { return 1 })
 	snap := reg.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
@@ -60,7 +60,7 @@ func TestSnapshot(t *testing.T) {
 	reg.Counter(`ecstore_ops_total{op="set"}`).Add(3)
 	reg.Gauge("ecstore_depth").Set(2)
 	reg.RegisterFunc("ecstore_items", func() int64 { return 42 })
-	reg.Observe("ecstore_lat_seconds", time.Millisecond)
+	reg.Histogram("ecstore_lat_seconds").Record(time.Millisecond)
 
 	snap := reg.Snapshot()
 	if got := snap.Counter(`ecstore_ops_total{op="set"}`); got != 3 {
@@ -119,8 +119,8 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter(`ecstore_ops_total{op="get"}`).Add(5)
 	reg.Gauge("ecstore_queue_depth").Set(1)
 	reg.RegisterFunc("ecstore_store_items", func() int64 { return 9 })
-	reg.Observe(`ecstore_phase_seconds{phase="encode"}`, 2*time.Millisecond)
-	reg.Observe(`ecstore_phase_seconds{phase="encode"}`, 4*time.Millisecond)
+	reg.Histogram(`ecstore_phase_seconds{phase="encode"}`).Record(2 * time.Millisecond)
+	reg.Histogram(`ecstore_phase_seconds{phase="encode"}`).Record(4 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -213,7 +213,7 @@ func TestConcurrentUse(t *testing.T) {
 				reg.Counter("ecstore_conc_total").Inc()
 				reg.Counter(fmt.Sprintf(`ecstore_conc_by{worker="%d"}`, i)).Inc()
 				reg.Gauge("ecstore_conc_depth").Add(1)
-				reg.Observe("ecstore_conc_seconds", time.Microsecond)
+				reg.Histogram("ecstore_conc_seconds").Record(time.Microsecond)
 				reg.Gauge("ecstore_conc_depth").Add(-1)
 			}
 		}(i)

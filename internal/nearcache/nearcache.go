@@ -303,26 +303,6 @@ func (c *Cache) InvalidateAll() {
 	c.mu.Unlock()
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the current charged size.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // evict makes room for extra bytes, taking small's tail while small is
 // over its share or main is empty, else main's. A tail is evicted if its
 // count is 0 or, reading the clock only then, it has expired; else it

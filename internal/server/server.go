@@ -445,34 +445,19 @@ func (s *Server) dispatch(req *wire.Request) wire.Response {
 		s.store.Flush()
 		return wire.Response{Status: wire.StatusOK}
 	case wire.OpDelete:
-		// A delete carrying Compare is the atomic conditional delete
-		// behind the proxy's `md C<cas>`: it removes the item only while
-		// the stored version still equals Compare, under one shard lock
-		// (no check-then-delete window).
-		if req.Compare != 0 {
-			out, prior := s.store.CompareDelete(req.Key, req.Compare)
-			resp := wire.Response{Meta: wire.ECMeta{Stripe: prior}}
-			switch out {
-			case store.CASStored:
-				resp.Status = wire.StatusOK
-			case store.CASNotFound:
-				resp.Status = wire.StatusNotFound
-			default:
-				resp.Status = wire.StatusExists
-			}
-			return resp
-		}
-		// A delete carrying a stripe ID is conditional: it removes the
-		// chunk only while the item's version — the chunk's stripe — is
-		// still that stripe, under one shard lock. The client's
-		// failed-write unwind uses this so it never deletes a chunk a
-		// concurrent newer Set has already overwritten; another version
-		// is answered OK, as there is nothing to unwind.
+		// A delete carrying Compare removes the item only while the
+		// stored version still equals it, under one shard lock (no
+		// check-then-delete window): the proxy's `md C<cas>`, and the
+		// stripe-conditional deletes of a failed write's unwind and a
+		// convergence's drains, which must never remove a chunk a newer
+		// write put in place. Compare is the only condition: a delete
+		// still carrying its stripe in Meta is refused, never run
+		// unconditionally.
 		if req.Meta.Stripe != 0 {
-			if out, _ := s.store.CompareDelete(req.Key, req.Meta.Stripe); out == store.CASNotFound {
-				return wire.Response{Status: wire.StatusNotFound}
-			}
-			return wire.Response{Status: wire.StatusOK}
+			return wire.Response{Status: wire.StatusError, Value: []byte("delete: a condition goes in Compare, not Meta.Stripe")}
+		}
+		if req.Compare != 0 {
+			return casResponse(s.store.CompareDelete(req.Key, req.Compare))
 		}
 		if !s.store.Delete(req.Key) {
 			return wire.Response{Status: wire.StatusNotFound}
@@ -521,6 +506,13 @@ func (s *Server) handleCompareSet(req *wire.Request) wire.Response {
 	if err != nil {
 		return errorResponse(err)
 	}
+	return casResponse(out, prior)
+}
+
+// casResponse answers a conditional write or delete: OK when it took
+// effect, NotFound when the key was absent, Exists when the stored
+// version differed. Meta.Stripe reports the prior version.
+func casResponse(out store.CASOutcome, prior uint64) wire.Response {
 	resp := wire.Response{Meta: wire.ECMeta{Stripe: prior}}
 	switch out {
 	case store.CASStored:

@@ -243,10 +243,11 @@ func expectGeometryRefused(t *testing.T, reqs ...*wire.Request) {
 	}
 }
 
-// TestStripeConditionalDelete: a delete carrying a stripe removes the
-// item only while its version is that stripe, decided by the version
-// alone in one store call — so a newer write landing meanwhile is never
-// removed, and a corrupt record of the right stripe goes.
+// TestStripeConditionalDelete: a delete carrying a stripe as its Compare
+// removes the item only while its version is that stripe, decided by the
+// version alone in one store call — so a newer write landing meanwhile
+// is never removed (Exists), and a corrupt record of the right stripe
+// goes.
 func TestStripeConditionalDelete(t *testing.T) {
 	servers, pool := startServers(t, 1, 0)
 	srv := servers[0]
@@ -261,7 +262,7 @@ func TestStripeConditionalDelete(t *testing.T) {
 		kept    bool
 	}{
 		{"matching stripe", record, 10, nil, false},
-		{"newer stripe", record, 11, nil, true},
+		{"newer stripe", record, 11, wire.ErrExists, true},
 		{"absent", nil, 0, wire.ErrNotFound, false},
 		{"corrupt record, matching version", corrupt, 10, nil, false},
 	} {
@@ -273,7 +274,7 @@ func TestStripeConditionalDelete(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			resp, err := pool.Roundtrip(srv.Addr(), &wire.Request{Op: wire.OpDelete, Key: key, Meta: wire.ECMeta{Stripe: 10}})
+			resp, err := pool.Roundtrip(srv.Addr(), &wire.Request{Op: wire.OpDelete, Key: key, Compare: 10})
 			if !errors.Is(err, c.want) {
 				t.Fatalf("delete at stripe 10: %v, want %v", err, c.want)
 			}
@@ -282,6 +283,41 @@ func TestStripeConditionalDelete(t *testing.T) {
 				t.Fatalf("item kept %v, want %v", ok, c.kept)
 			}
 		})
+	}
+}
+
+// TestDeleteCarryingStripeRefused: Compare is a delete's only condition.
+// A delete that still carries its condition in Meta.Stripe is refused,
+// alone or batched, and removes nothing: run unconditionally it would
+// delete a chunk a newer write put in place.
+func TestDeleteCarryingStripeRefused(t *testing.T) {
+	servers, pool := startServers(t, 1, 0)
+	srv := servers[0]
+	const key = "chunk"
+	if err := srv.Store().SetVersioned(key, []byte("v"), 0, 11); err != nil {
+		t.Fatal(err)
+	}
+	del := wire.BatchReq{Op: wire.OpDelete, Key: key, Meta: wire.ECMeta{Stripe: 10}}
+	resp, err := pool.Roundtrip(srv.Addr(), &wire.Request{Op: del.Op, Key: del.Key, Meta: del.Meta})
+	if err == nil || errors.Is(err, wire.ErrNotFound) || errors.Is(err, wire.ErrExists) {
+		t.Fatalf("delete carrying a stripe: %v, want refused", err)
+	}
+	resp.Release()
+	payload, err := wire.AppendBatchRequests(nil, []wire.BatchReq{del})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = pool.Roundtrip(srv.Addr(), &wire.Request{Op: wire.OpBatch, Key: "b", Value: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := wire.DecodeBatchResponses(resp.Value)
+	if err != nil || len(subs) != 1 || subs[0].Status != wire.StatusError {
+		t.Fatalf("batched delete carrying a stripe: %+v, %v; want refused", subs, err)
+	}
+	resp.Release()
+	if _, ok := srv.Store().Get(key); !ok {
+		t.Fatal("a refused delete removed the item")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives shared by the
-// benchmark harnesses: log-bucketed latency histograms, throughput
-// accumulators, and the Request / Wait-Response / Encode-Decode phase
+// benchmark harnesses: log-bucketed latency histograms, an op/error
+// meter, and the Request / Wait-Response / Encode-Decode phase
 // breakdown used by the paper's Figure 9.
 package stats
 

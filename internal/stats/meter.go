@@ -1,26 +1,16 @@
 package stats
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
-// Meter counts operations and bytes and converts them to rates over an
-// externally supplied elapsed time (wall time for the real stack,
-// virtual time for the simulator). The zero value is ready to use and
-// safe for concurrent use.
+// Meter counts successful and failed operations. The zero value is
+// ready to use and safe for concurrent use.
 type Meter struct {
-	ops   atomic.Uint64
-	bytes atomic.Uint64
-	errs  atomic.Uint64
+	ops  atomic.Uint64
+	errs atomic.Uint64
 }
 
-// Op records one successful operation moving n payload bytes.
-func (m *Meter) Op(n int) {
-	m.ops.Add(1)
-	m.bytes.Add(uint64(n))
-}
+// Op records one successful operation.
+func (m *Meter) Op() { m.ops.Add(1) }
 
 // Err records one failed operation.
 func (m *Meter) Err() { m.errs.Add(1) }
@@ -28,40 +18,5 @@ func (m *Meter) Err() { m.errs.Add(1) }
 // Ops returns the number of successful operations.
 func (m *Meter) Ops() uint64 { return m.ops.Load() }
 
-// Bytes returns the number of payload bytes moved.
-func (m *Meter) Bytes() uint64 { return m.bytes.Load() }
-
 // Errs returns the number of failed operations.
 func (m *Meter) Errs() uint64 { return m.errs.Load() }
-
-// Rate is a snapshot of a Meter normalized by an elapsed duration.
-type Rate struct {
-	Ops        uint64
-	Errs       uint64
-	Elapsed    time.Duration
-	OpsPerSec  float64
-	MBPerSec   float64
-	TotalBytes uint64
-}
-
-// Snapshot computes rates for the given elapsed duration.
-func (m *Meter) Snapshot(elapsed time.Duration) Rate {
-	r := Rate{
-		Ops:        m.Ops(),
-		Errs:       m.Errs(),
-		Elapsed:    elapsed,
-		TotalBytes: m.Bytes(),
-	}
-	if elapsed > 0 {
-		secs := elapsed.Seconds()
-		r.OpsPerSec = float64(r.Ops) / secs
-		r.MBPerSec = float64(r.TotalBytes) / secs / (1 << 20)
-	}
-	return r
-}
-
-// String renders the rate on one line.
-func (r Rate) String() string {
-	return fmt.Sprintf("ops=%d errs=%d elapsed=%v ops/s=%.0f MB/s=%.1f",
-		r.Ops, r.Errs, r.Elapsed, r.OpsPerSec, r.MBPerSec)
-}

@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"io"
-	"net"
-
-	"ecstore/internal/bufpool"
-)
+import "ecstore/internal/bufpool"
 
 // FrameInlineThreshold is the value size at or below which the frame
 // encoder copies the value into the (pooled) header buffer so the
@@ -18,7 +13,7 @@ const FrameInlineThreshold = 4 << 10
 // header vector (length prefix, field block, key, and any inlined
 // value) plus an optional value vector aliasing the caller's payload.
 // Frames are produced by EncodeRequestFrame/EncodeResponseFrame,
-// written by a FrameQueue (or WriteTo), and returned to their pool
+// written by a FrameQueue, and returned to their pool
 // with Release — exactly once, by whoever owns the frame when it is
 // written or abandoned.
 type Frame struct {
@@ -26,23 +21,9 @@ type Frame struct {
 	hdrPool, valPool *bufpool.Pool
 }
 
-// Len returns the total encoded size of the frame in bytes.
-func (f *Frame) Len() int { return len(f.hdr) + len(f.val) }
-
 // Vectors returns the frame's wire vectors: the header (never empty)
 // and the non-inlined value (nil when the value was inlined or absent).
 func (f *Frame) Vectors() ([]byte, []byte) { return f.hdr, f.val }
-
-// WriteTo writes the frame to w as one vectored write (writev on TCP
-// connections via net.Buffers).
-func (f *Frame) WriteTo(w io.Writer) (int64, error) {
-	if len(f.val) == 0 {
-		n, err := w.Write(f.hdr)
-		return int64(n), err
-	}
-	bufs := net.Buffers{f.hdr, f.val}
-	return bufs.WriteTo(w)
-}
 
 // Release returns the frame's pooled buffers. Idempotent; the frame
 // must not be written after Release.

@@ -3,10 +3,23 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"testing"
 
 	"ecstore/internal/bufpool"
 )
+
+// WriteTo writes the frame to w, its vectors in order: the bytes a
+// FrameQueue puts on the wire for it.
+func (f *Frame) WriteTo(w io.Writer) (int64, error) {
+	hdr, val := f.Vectors()
+	n, err := w.Write(hdr)
+	if err != nil || len(val) == 0 {
+		return int64(n), err
+	}
+	m, err := w.Write(val)
+	return int64(n + m), err
+}
 
 // mustBalance fails the test unless every buffer leased from p has
 // been returned — the core lease-lifecycle invariant of the pooled

@@ -29,7 +29,8 @@ const (
 	OpSet Op = iota + 1
 	// OpGet fetches a whole value.
 	OpGet
-	// OpDelete removes a key.
+	// OpDelete removes a key; a non-zero Compare makes the removal
+	// conditional on the stored version (see Request.Compare).
 	OpDelete
 	// OpSetChunk stores one erasure-coded chunk (or one replica copy)
 	// under a derived chunk key.
@@ -244,7 +245,11 @@ type Request struct {
 	// item (CompareAbsent = the key must not exist). On OpDelete a
 	// non-zero Compare makes the delete conditional: it succeeds only
 	// while the stored item's version equals Compare (the atomic
-	// memcached `md C<cas>`). Zero and ignored for every other op.
+	// memcached `md C<cas>`, and the stripe-conditional deletes of a
+	// failed write's unwind and a convergence's drains), answering
+	// Exists otherwise. It is OpDelete's only condition: a server
+	// refuses a delete that carries Meta.Stripe. Zero and ignored for
+	// every other op.
 	Compare uint64
 	// Epoch is the sender's membership epoch. Servers reject data
 	// operations whose epoch differs from their own with
@@ -323,10 +328,9 @@ type Response struct {
 	pool  *bufpool.Pool
 }
 
-// Release returns the pooled frame body a ReadResponsePooled call
-// leased (Value aliases it) to its pool. It is a safe no-op for
-// responses that were not read in pooled mode, and idempotent for
-// those that were. Value must not be used after Release; copy first if
+// Release returns the pooled frame body a ReadPooled call leased
+// (Value aliases it) to its pool. It is a safe no-op for responses that
+// were not read in pooled mode, and idempotent for those that were. Value must not be used after Release; copy first if
 // it escapes (e.g. is returned to an application caller).
 func (r *Response) Release() {
 	if r == nil || r.lease == nil {
@@ -445,16 +449,6 @@ func AppendRequest(buf []byte, req *Request) ([]byte, error) {
 	buf = appendFrameHeader(buf, reqFrame, &f, len(req.Key)+len(req.Value))
 	buf = append(buf, req.Key...)
 	return append(buf, req.Value...), nil
-}
-
-// WriteRequest writes one request frame to w.
-func WriteRequest(w io.Writer, req *Request) error {
-	buf, err := AppendRequest(nil, req)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // parseHeader decodes the field block at the start of b, which belongs
@@ -657,10 +651,9 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	return err
 }
 
-// parse decodes a response frame body into r, overwriting every field.
-// With copyValue the value is copied out of body; otherwise it aliases
-// body (pooled mode).
-func (r *Response) parse(body []byte, copyValue bool) error {
+// parse decodes a response frame body into r, overwriting every field;
+// the value aliases body.
+func (r *Response) parse(body []byte) error {
 	var f fields
 	n, err := parseFields(body, respFrame, &f)
 	if err != nil {
@@ -674,56 +667,22 @@ func (r *Response) parse(body []byte, copyValue bool) error {
 	r.ID, r.Status, r.TTLSeconds, r.Meta = f.id, Status(f.code), f.ttl, f.meta
 	r.Value, r.lease, r.pool = nil, nil, nil
 	if len(value) > 0 {
-		if copyValue {
-			r.Value = append([]byte(nil), value...)
-		} else {
-			r.Value = value
-		}
+		r.Value = value
 	}
 	return nil
 }
 
-// ReadResponse reads one response frame from r. The returned response
-// owns its memory (the value is copied out of the frame buffer).
-func ReadResponse(r *bufio.Reader) (*Response, error) {
-	body, err := readFrame(r, minRespHeaderLen)
-	if err != nil {
-		return nil, err
-	}
-	resp := new(Response)
-	if err := resp.parse(body, true); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// ReadResponsePooled reads one response frame into a buffer leased
-// from pool; the returned response's Value aliases that buffer. The
-// consumer must call Response.Release once the value has been decoded
-// or copied out — on every path, including errors — to hand the buffer
-// back. A nil pool falls back to ReadResponse. On error no lease is
-// retained.
-func ReadResponsePooled(r *bufio.Reader, pool *bufpool.Pool) (*Response, error) {
-	if pool == nil {
-		return ReadResponse(r)
-	}
-	resp := new(Response)
-	if err := resp.ReadPooled(r, pool); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// ReadPooled is ReadResponsePooled into a response the caller owns (a
+// ReadPooled reads one response frame into r, which the caller owns (a
 // connection's reader keeps one and copies it, lease and all, into the
-// waiting call's slot). Every field is overwritten. A nil pool reads
-// into a plain allocation that Release leaves to the collector.
+// waiting call's slot), with the frame body leased from pool: r.Value
+// aliases it until Release. Every field is overwritten. A nil pool
+// reads into a plain allocation that Release leaves to the collector.
 func (r *Response) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
 	body, err := readFramePooled(br, minRespHeaderLen, pool)
 	if err != nil {
 		return err
 	}
-	if err := r.parse(body, false); err != nil {
+	if err := r.parse(body); err != nil {
 		if pool != nil {
 			pool.Put(body)
 		}

@@ -9,7 +9,33 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ecstore/internal/bufpool"
 )
+
+// WriteRequest writes one request frame to w.
+func WriteRequest(w io.Writer, req *Request) error {
+	buf, err := AppendRequest(nil, req)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// ReadResponsePooled reads one response frame from r into a new
+// response whose Value aliases a buffer leased from pool until Release.
+func ReadResponsePooled(r *bufio.Reader, pool *bufpool.Pool) (*Response, error) {
+	resp := new(Response)
+	if err := resp.ReadPooled(r, pool); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// ReadResponse reads one response frame from r into a response that
+// owns its memory.
+func ReadResponse(r *bufio.Reader) (*Response, error) { return ReadResponsePooled(r, nil) }
 
 func roundTripRequest(t *testing.T, req *Request) *Request {
 	t.Helper()

@@ -16,34 +16,11 @@ import (
 // ZipfianConstant is YCSB's default skew parameter.
 const ZipfianConstant = 0.99
 
-// Generator produces item indexes in [0, Items).
+// Generator produces item indexes in a fixed item space [0, n).
 type Generator interface {
 	// Next draws the next item index using rng.
 	Next(rng *rand.Rand) uint64
-	// Items returns the generator's item-space size.
-	Items() uint64
 }
-
-// Uniform draws uniformly from [0, n).
-type Uniform struct {
-	n uint64
-}
-
-// NewUniform returns a uniform generator over n items.
-func NewUniform(n uint64) *Uniform {
-	if n == 0 {
-		panic("ycsb: uniform generator needs n > 0")
-	}
-	return &Uniform{n: n}
-}
-
-var _ Generator = (*Uniform)(nil)
-
-// Next draws the next index.
-func (u *Uniform) Next(rng *rand.Rand) uint64 { return uint64(rng.Int63n(int64(u.n))) }
-
-// Items returns the item-space size.
-func (u *Uniform) Items() uint64 { return u.n }
 
 // Zipfian draws from a Zipfian distribution over [0, n) using the
 // Gray et al. rejection-free method, as in YCSB's ZipfianGenerator.
@@ -99,9 +76,6 @@ func (z *Zipfian) Next(rng *rand.Rand) uint64 {
 	return idx
 }
 
-// Items returns the item-space size.
-func (z *Zipfian) Items() uint64 { return z.items }
-
 // ScrambledZipfian spreads the Zipfian popularity mass over the whole
 // item space by hashing, YCSB's default request distribution: the
 // hottest items are scattered rather than clustered at low indexes, so
@@ -122,42 +96,6 @@ var _ Generator = (*ScrambledZipfian)(nil)
 // Next draws the next index.
 func (s *ScrambledZipfian) Next(rng *rand.Rand) uint64 {
 	return fnvHash64(s.z.Next(rng)) % s.z.items
-}
-
-// Items returns the item-space size.
-func (s *ScrambledZipfian) Items() uint64 { return s.z.items }
-
-// Latest favours recently inserted items: item n-1 is the hottest,
-// as in YCSB's SkewedLatestGenerator (workload D's distribution). The
-// item space can grow via Extend.
-type Latest struct {
-	n uint64
-	z *Zipfian
-}
-
-// NewLatest returns a latest-skewed generator over n items.
-func NewLatest(n uint64) *Latest {
-	return &Latest{n: n, z: NewZipfian(n, ZipfianConstant)}
-}
-
-var _ Generator = (*Latest)(nil)
-
-// Next draws an index, skewed toward the most recent items.
-func (l *Latest) Next(rng *rand.Rand) uint64 {
-	return l.n - 1 - l.z.Next(rng)
-}
-
-// Items returns the current item-space size.
-func (l *Latest) Items() uint64 { return l.n }
-
-// Extend grows the item space after inserts (rebuilding the
-// underlying Zipfian tables).
-func (l *Latest) Extend(newN uint64) {
-	if newN <= l.n {
-		return
-	}
-	l.n = newN
-	l.z = NewZipfian(newN, ZipfianConstant)
 }
 
 func fnvHash64(v uint64) uint64 {

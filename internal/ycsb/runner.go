@@ -28,9 +28,6 @@ var (
 	WorkloadB = Workload{Name: "workloadb", ReadProportion: 0.95, UpdateProportion: 0.05}
 	// WorkloadC is read only.
 	WorkloadC = Workload{Name: "workloadc", ReadProportion: 1.0}
-	// WorkloadD is read latest: 95% reads skewed toward recent
-	// items, 5% updates (pair it with a Latest generator).
-	WorkloadD = Workload{Name: "workloadd", ReadProportion: 0.95, UpdateProportion: 0.05}
 )
 
 // DB is the key-value interface the runner drives; core.Client
@@ -139,7 +136,7 @@ func Run(db DB, cfg Config) Result {
 					if err != nil {
 						meter.Err()
 					} else {
-						meter.Op(cfg.ValueSize)
+						meter.Op()
 					}
 					continue
 				}
@@ -149,7 +146,7 @@ func Run(db DB, cfg Config) Result {
 				if err != nil {
 					meter.Err()
 				} else {
-					meter.Op(cfg.ValueSize)
+					meter.Op()
 				}
 			}
 		}(c)

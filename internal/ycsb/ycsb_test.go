@@ -8,36 +8,6 @@ import (
 	"testing"
 )
 
-func TestUniformRange(t *testing.T) {
-	g := NewUniform(100)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		if v := g.Next(rng); v >= 100 {
-			t.Fatalf("uniform out of range: %d", v)
-		}
-	}
-	if g.Items() != 100 {
-		t.Fatal("Items mismatch")
-	}
-}
-
-func TestUniformCoverage(t *testing.T) {
-	g := NewUniform(10)
-	rng := rand.New(rand.NewSource(2))
-	seen := make(map[uint64]int)
-	for i := 0; i < 10000; i++ {
-		seen[g.Next(rng)]++
-	}
-	if len(seen) != 10 {
-		t.Fatalf("covered %d of 10 items", len(seen))
-	}
-	for v, c := range seen {
-		if c < 500 || c > 2000 {
-			t.Errorf("item %d drawn %d times (uniform should be ~1000)", v, c)
-		}
-	}
-}
-
 func TestZipfianRangeAndSkew(t *testing.T) {
 	const n = 1000
 	g := NewZipfian(n, ZipfianConstant)
@@ -99,65 +69,6 @@ func TestScrambledZipfianSpreadsHotKeys(t *testing.T) {
 	}
 	if lowIndexed > 3 {
 		t.Fatalf("%d of the 10 hottest items have index < 10; scrambling broken", lowIndexed)
-	}
-}
-
-func TestLatestFavoursRecentItems(t *testing.T) {
-	const n = 1000
-	g := NewLatest(n)
-	rng := rand.New(rand.NewSource(8))
-	counts := make([]int, n)
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		v := g.Next(rng)
-		if v >= n {
-			t.Fatalf("latest out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[n-1] < draws*5/100 {
-		t.Fatalf("newest item drawn %d of %d; not latest-skewed", counts[n-1], draws)
-	}
-	if counts[n-1] <= counts[0] {
-		t.Fatal("newest item not hotter than oldest")
-	}
-	// Extend grows the space and shifts the hotspot.
-	g.Extend(2000)
-	if g.Items() != 2000 {
-		t.Fatalf("Items = %d after Extend", g.Items())
-	}
-	hot := 0
-	for i := 0; i < 10000; i++ {
-		if g.Next(rng) >= 1000 {
-			hot++
-		}
-	}
-	if hot < 8000 {
-		t.Fatalf("only %d/10000 draws in the new half after Extend", hot)
-	}
-	g.Extend(100) // shrink is a no-op
-	if g.Items() != 2000 {
-		t.Fatal("Extend shrank the space")
-	}
-}
-
-func TestWorkloadDReadHeavy(t *testing.T) {
-	db := newFakeDB()
-	cfg := Config{
-		Workload:     WorkloadD,
-		RecordCount:  100,
-		Clients:      2,
-		OpsPerClient: 300,
-		ValueSize:    32,
-		Seed:         4,
-		Distribution: NewLatest(100),
-	}
-	if err := Load(db, cfg); err != nil {
-		t.Fatal(err)
-	}
-	res := Run(db, cfg)
-	if frac := float64(res.ReadLatency.Count()) / float64(res.Ops); frac < 0.9 {
-		t.Fatalf("read fraction %.2f", frac)
 	}
 }
 
@@ -274,6 +185,13 @@ func TestWorkloadBReadHeavy(t *testing.T) {
 	}
 }
 
+// uniform draws uniformly from [0, n): a caller's own Generator.
+type uniform uint64
+
+func (u uniform) Next(rng *rand.Rand) uint64 { return uint64(rng.Int63n(int64(u))) }
+
+// TestRunUniformDistribution: Run draws its keys from the caller's
+// Generator when Config.Distribution names one.
 func TestRunUniformDistribution(t *testing.T) {
 	db := newFakeDB()
 	cfg := Config{
@@ -283,7 +201,7 @@ func TestRunUniformDistribution(t *testing.T) {
 		OpsPerClient: 200,
 		ValueSize:    16,
 		Seed:         3,
-		Distribution: NewUniform(50),
+		Distribution: uniform(50),
 	}
 	if err := Load(db, cfg); err != nil {
 		t.Fatal(err)

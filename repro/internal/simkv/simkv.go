@@ -192,7 +192,6 @@ func New(cfg Config) (*Sim, error) {
 		cfg:     cfg,
 		kernel:  k,
 		fabric:  simnet.NewFabric(k, cfg.Profile),
-		ring:    hashring.New(0),
 		servers: make(map[string]*simServer),
 		code:    code,
 	}
@@ -207,9 +206,9 @@ func New(cfg Config) (*Sim, error) {
 			arpe:  simnet.NewResource(k, 1),
 		}
 		s.servers[name] = srv
-		s.ring.Add(name)
 		k.Go(name+"-dispatch", srv.dispatch)
 	}
+	s.ring = hashring.Build(0, s.ServerNames())
 	return s, nil
 }
 
