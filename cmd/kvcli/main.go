@@ -13,8 +13,9 @@
 //	stats [full]          print per-server store statistics ("full"
 //	                      adds every server and client metric)
 //	ping                  check liveness of every server
-//	repair <key>          restore full chunk/replica redundancy
-//	verify <key>          scrub a stripe's parity consistency
+//	repair <key>          restore full chunk/replica redundancy (a
+//	                      report with missing=0 attests it: every
+//	                      copy present, a stripe's parity consistent)
 //	scan                  list every logical key in the cluster
 //	ring status           print each server's membership view and the
 //	                      rings it still drains (epoch disagreement =
@@ -34,7 +35,7 @@
 // Modes: none, sync-rep, async-rep, era-ce-cd, era-se-sd, era-se-cd,
 // hybrid.
 //
-// One anti-entropy cycle (scan, verify, repair) is `kvscrub -once`.
+// One anti-entropy cycle (scan, repair) is `kvscrub -once`.
 package main
 
 import (
@@ -188,20 +189,6 @@ func run() error {
 			return err
 		}
 		fmt.Println(report)
-		return nil
-	case "verify":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: verify <key>")
-		}
-		ok, err := client.Verify(args[1])
-		if err != nil {
-			return err
-		}
-		if ok {
-			fmt.Println("stripe consistent")
-		} else {
-			fmt.Println("stripe INCOMPLETE or parity mismatch (run repair)")
-		}
 		return nil
 	case "scan":
 		keys, err := client.ScanKeys()

@@ -1,8 +1,8 @@
 // Command kvscrub runs the background daemon (internal/scrub) against
 // a kvserver cluster as a standalone sidecar: it periodically scans the
-// whole keyspace, verifies each key's redundancy and repairs what is
-// degraded, at a bounded rate so recovery traffic never starves
-// foreground I/O. A server that crashes and rejoins empty is re-filled
+// whole keyspace and repairs each key — one probe, and writes only
+// where a copy is missing — at a bounded rate so recovery traffic never
+// starves foreground I/O. A server that crashes and rejoins empty is re-filled
 // automatically — promptly, because the rpc health tracker's
 // suspect-to-recovered transition kicks a pass outside the interval.
 // Whenever the cluster membership changes (kvcli ring add/remove), the

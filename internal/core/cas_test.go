@@ -200,9 +200,7 @@ func TestCasSurvivesPartialChunkLoss(t *testing.T) {
 	}
 	// Full redundancy again: the conditional write restored the chunk
 	// the flushed server lost.
-	if ok, err := c.Verify(key); err != nil || !ok {
-		t.Fatalf("Verify after Cas = %v, %v", ok, err)
-	}
+	requireConverged(t, c, key)
 }
 
 // TestDeleteCasCleanupCrossesEpoch pins that a conditional delete

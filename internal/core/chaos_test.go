@@ -393,9 +393,7 @@ func TestChaosScrubConvergence(t *testing.T) {
 				!st.attempted[gs] || !bytes.Equal(got, makeValue(key, gs)) {
 				t.Errorf("post-convergence read of %q is not an attempted value (%d bytes)", key, len(got))
 			}
-			if ok, err := c.Verify(key); err != nil || !ok {
-				t.Errorf("post-convergence Verify(%q) = %v, %v", key, ok, err)
-			}
+			requireConverged(t, c, key)
 		}
 	}
 	if corrupt.Load() != 0 {

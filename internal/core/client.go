@@ -167,10 +167,10 @@ type write struct {
 // ErrNotFound result is authoritative absence — the public APIs decide
 // whether that is an error for their call. compareSet and compareDelete
 // are single-key by nature (one decider per key) and return the version
-// installed, the CAS token later reads report. converge and verify are
-// the background half (converge.go): converge brings one key to full
-// redundancy at the current placement, from that placement and every
-// draining ring's, and verify attests that redundancy without writing.
+// installed, the CAS token later reads report. converge is the
+// background half (converge.go): it brings one key to full redundancy at
+// the current placement, from that placement and every draining ring's,
+// writing only against what its own probe saw.
 type strategy interface {
 	get(b *batcher, keys []string) []result
 	set(b *batcher, writes []write) []result
@@ -178,7 +178,6 @@ type strategy interface {
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
 	compareDelete(b *batcher, key string, expect uint64) error
 	converge(b *batcher, key string) (RepairReport, error)
-	verify(b *batcher, key string) (bool, error)
 }
 
 // New returns a Client for the given configuration.
@@ -225,7 +224,6 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 			"mset":    newOpMetrics(reg, "mset"),
 			"mdelete": newOpMetrics(reg, "mdelete"),
 			"repair":  newOpMetrics(reg, "repair"),
-			"verify":  newOpMetrics(reg, "verify"),
 		},
 		mRetries:       reg.Counter("ecstore_client_retries_total"),
 		mDegraded:      reg.Counter("ecstore_client_degraded_reads_total"),

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -19,15 +21,16 @@ import (
 // round of refills, one round of drains — through the same batcher the
 // foreground uses. The sources come from one view snapshot: the current
 // placement, plus every draining ring's placement that differs from it
-// (membership.View.Draining). Repair is converge; Verify is the probe
-// plus an attestation and no writes.
+// (membership.View.Draining). Repair is converge, the one call per key:
+// a healthy key costs its probe and no write.
 
 // RepairReport describes what Repair did for one key.
 type RepairReport struct {
 	// Checked is the number of chunk/replica locations probed.
 	Checked int
 	// Missing is how many current locations lacked the authoritative
-	// copy (absent, unreachable or stale) before repair.
+	// copy (absent, unreachable or stale) before repair — for a key that
+	// did not move, less those a newer write reached first.
 	Missing int
 	// Rewritten is how many were restored.
 	Rewritten int
@@ -58,13 +61,16 @@ func (r RepairReport) String() string {
 // of recovering redundancy after node failures (a crashed-and-restarted
 // server comes back empty) and moves data after a membership change. A
 // holder still down stays unrewritten: the report then shows Rewritten
-// below Missing (partial repair), not an error.
+// below Missing (partial repair), not an error. A report with Missing 0
+// and no error attests full redundancy: for an erasure-coded key, every
+// current holder on one stripe whose parity matches its data.
 //
-// A key that did not move is rewritten unconditionally: only a rewrite
-// reconverges holders with diverged or corrupt copies. A moved key's
-// writes are conditional (add-if-absent or stripe-gated) and every drain
-// is version/stripe-conditional, so a key being overwritten concurrently
-// is never clobbered and a racing write is never deleted. The rounds
+// Every write it sends is conditional on what its own probe saw at that
+// location: a refill replaces only the version the holder answered with
+// (or adds where it answered none), and a delete removes only the
+// version seen there. So a write that races past the probe — an
+// overwrite, a CAS — is never clobbered and never deleted: the refill
+// or delete answers Exists and the newer value stays. The rounds
 // address the servers of every source, departing members included, and
 // carry the epoch of the view the placements came from: every server a
 // view names has been pushed that view (Client.PushView).
@@ -79,25 +85,6 @@ func (c *Client) Repair(key string) (RepairReport, error) {
 	report, err := epochRetry(c, func() (RepairReport, error) { return c.strat.converge(b, key) })
 	_, err = b.end(Item{}, err)
 	return report, err
-}
-
-// Verify scrubs one key's redundancy. For erasure-coded values it
-// fetches every chunk and checks that the stored parity is consistent
-// with the data chunks, detecting silent corruption (not just loss);
-// it returns true when all K+M chunks are present and consistent. For
-// replicated values it checks that every replica location holds a
-// byte-identical copy — there is no parity, but a missing or diverged
-// replica is exactly what the anti-entropy scrubber must catch before
-// the next failure makes it data loss. An unreachable holder means
-// full redundancy cannot be attested (false, nil — the repair decision
-// is the caller's); every holder answering not-found is ErrNotFound. A
-// key a draining ring places elsewhere is false without a probe: it has
-// a move to finish, which is Repair's.
-func (c *Client) Verify(key string) (bool, error) {
-	b := c.begin("verify")
-	ok, err := epochRetry(c, func() (bool, error) { return c.strat.verify(b, key) })
-	_, err = b.end(Item{}, err)
-	return ok, err
 }
 
 // sourcePlacements resolves key's n chunk holders on the current ring,
@@ -139,7 +126,13 @@ func (r *repStrategy) holders(rings *membership.Rings, key string) (cur, others 
 // round, then — for a moved key, and only when every refill landed or
 // lost to something newer — the drains as another, so a copy is never
 // removed while the holder meant to replace it is still empty. An
-// unmoved key plans no drains, and a refill that failed is partial
+// unmoved key plans no drains, and a refill of it that lost to a newer
+// write is not missing: that holder needs nothing more, and a key under
+// live writes must not count unconverged on every pass whose probe
+// catches a write in flight. A moved key's lost refill stays missing:
+// reads stop consulting the draining rings once the list clears, so the
+// list waits for a pass in which every refill of a moved key landed. A
+// refill that failed is partial
 // repair (refilled below missing), not an error: the holder is still
 // down, and the next scrub cycle retries it. A drain that cannot reach
 // a server view no longer names is not a failure either: the refills
@@ -152,6 +145,11 @@ func (b *batcher) settle(view membership.View, v RepairReport, refills, drains [
 	v.Rewritten, v.BytesMoved, err = landed(refills)
 	b.release() // the probe's leases fed the refills; nothing aliases them now
 	if !v.Moved {
+		for i := range refills {
+			if superseded(refills[i].fail()) {
+				v.Missing--
+			}
+		}
 		return v, nil
 	}
 	if err != nil {
@@ -176,12 +174,18 @@ func landed(ops []subOp) (n int, size int64, err error) {
 		case e == nil:
 			n++
 			size += int64(len(ops[i].req.Value))
-		case errors.Is(e, wire.ErrExists), errors.Is(e, wire.ErrNotFound):
+		case superseded(e):
 		case err == nil:
 			err = e
 		}
 	}
 	return n, size, err
+}
+
+// superseded reports whether a conditional write or delete failed
+// because its location changed after the probe (Exists, NotFound).
+func superseded(err error) bool {
+	return errors.Is(err, wire.ErrExists) || errors.Is(err, wire.ErrNotFound)
 }
 
 // copies is one round of whole-value reads of a key from a list of
@@ -221,7 +225,9 @@ func (r *repStrategy) probe(b *batcher, key string, epoch uint64, sources []stri
 }
 
 // holds reports whether source i answered with a copy; same, whether
-// that copy is byte-identical to the authoritative one.
+// that copy is byte-identical to the authoritative one; version, the
+// version a refill of source i must find there: the one it answered
+// with, or none.
 func (p *copies) holds(i int) bool {
 	return p.ops[i].err == nil && p.ops[i].resp.Status == wire.StatusOK
 }
@@ -230,32 +236,11 @@ func (p *copies) same(i int) bool {
 	return p.holds(i) && bytes.Equal(p.ops[i].resp.Value, p.ops[p.first].resp.Value)
 }
 
-// verify for replication: all replica locations must answer with
-// byte-identical copies. A holder that answers not-found while another
-// holds the value is a lost replica, one that differs a diverged one —
-// real under async replication torn by a crash.
-func (r *repStrategy) verify(b *batcher, key string) (bool, error) {
-	rings := r.c.view.Rings()
-	cur, _, moved := r.holders(rings, key)
-	switch {
-	case len(cur) == 0:
-		return false, ErrUnavailable
-	case moved:
-		return false, nil
+func (p *copies) version(i int) uint64 {
+	if p.holds(i) {
+		return p.ops[i].resp.Meta.Stripe
 	}
-	defer b.release()
-	p := r.probe(b, key, rings.View.Epoch, cur)
-	switch {
-	case p.wrongEpoch:
-		return false, wire.ErrWrongEpoch
-	case p.notFound == len(cur):
-		return false, ErrNotFound
-	}
-	healthy := p.first >= 0
-	for i := 0; healthy && i < len(cur); i++ {
-		healthy = p.same(i)
-	}
-	return healthy, nil
+	return wire.CompareAbsent
 }
 
 // converge for replication. The sources are the current holders, then
@@ -265,14 +250,15 @@ func (r *repStrategy) verify(b *batcher, key string) (bool, error) {
 // TTL into every refill so the reconverged replicas agree on the CAS
 // token too.
 //
-// An unmoved key's repair rewrites, unconditionally, every holder whose
-// copy is absent, unreachable or diverged — only a rewrite reconverges
-// two holders answering with different bytes. A moved key adds the
-// value (CompareAbsent) to the current holders that showed none: a
-// holder that has the key by then — from a concurrent overwrite — keeps
-// what it has. It then drains the servers only a draining placement
-// names, each conditional on the version it showed, so a write that
-// raced past the probe keeps its copy.
+// An unmoved key refills every current holder whose copy is absent,
+// unreachable or diverged — only a rewrite reconverges two holders
+// answering with different bytes; a moved key only the current holders
+// that showed none, since a holder that has the key by then holds a
+// concurrent overwrite. Either way a refill replaces only the version
+// the holder answered with (CompareAbsent where it answered none), so a
+// write that raced past the probe keeps its copy. The servers only a
+// draining placement names are then drained, each conditional on the
+// version it showed.
 func (r *repStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	rings := r.c.view.Rings()
 	cur, others, moved := r.holders(rings, key)
@@ -296,13 +282,6 @@ func (r *repStrategy) converge(b *batcher, key string) (RepairReport, error) {
 		return v, fmt.Errorf("%w: no reachable copy of %q", ErrUnavailable, key)
 	}
 	auth := &p.ops[p.first].resp
-	refill := wire.BatchReq{
-		Op: wire.OpSet, Key: key, Value: auth.Value, TTLSeconds: auth.TTLSeconds,
-		Meta: wire.ECMeta{Stripe: auth.Meta.Stripe},
-	}
-	if v.Moved {
-		refill.Op, refill.Compare = wire.OpCompareSet, wire.CompareAbsent
-	}
 	var refills, drains []subOp
 	for i, addr := range sources {
 		switch {
@@ -310,51 +289,67 @@ func (r *repStrategy) converge(b *batcher, key string) (RepairReport, error) {
 			// A server only a draining placement names that answered
 			// not-found has nothing to drain; an unreachable one is still
 			// asked, so its failure keeps the key unconverged.
-			version := auth.Meta.Stripe
-			if p.holds(i) {
-				version = p.ops[i].resp.Meta.Stripe
-			}
 			if p.ops[i].err != nil || p.holds(i) {
 				drains = append(drains, subOp{addr: addr, req: wire.BatchReq{
-					Op: wire.OpDelete, Key: key, Compare: version,
+					Op: wire.OpDelete, Key: key, Compare: cmp.Or(p.version(i), auth.Meta.Stripe),
 				}})
 			}
 		case !v.Moved && !p.same(i), v.Moved && !p.holds(i):
-			refills = append(refills, subOp{addr: addr, req: refill})
+			refills = append(refills, subOp{addr: addr, req: wire.BatchReq{
+				Op: wire.OpCompareSet, Key: key, Value: auth.Value, TTLSeconds: auth.TTLSeconds,
+				Compare: p.version(i), Meta: wire.ECMeta{Stripe: auth.Meta.Stripe},
+			}})
 		}
 	}
 	return b.settle(rings.View, v, refills, drains)
 }
 
+// chunkProbe is what one convergence probe of an erasure-coded key saw:
+// the chunks grouped by stripe (aliasing response bodies the batcher
+// holds until release) and, per location, at[s][i] — the stripe of the
+// valid chunk position i's holder in placement s answered with — and
+// seen[s][i] — the item version it answered with, a chunk whose payload
+// failed its check included. Both are 0 for a location absent,
+// unreachable or not probed; probed counts the locations asked.
+type chunkProbe struct {
+	gather
+	at, seen [][]uint64
+	probed   int
+}
+
 // probe fetches chunk i of key from position i's holder in every source
 // placement (places[0] the current one) in one round, asking a holder
 // an earlier placement names for the same position only once; a server
-// holding two chunk indices gets them in one frame. It returns the
-// chunks grouped by stripe (aliasing response bodies the batcher holds
-// until release), the stripe observed at each location (at[s][i]; 0 =
-// absent, unreadable or not probed) and the number of locations probed.
-func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, places [][]string) (st gather, at [][]uint64, probed int) {
+// holding two chunk indices gets them in one frame.
+func (e *ecStrategy) probe(b *batcher, key string, epoch uint64, places [][]string) chunkProbe {
 	n := e.k + e.m
-	st.ChunkCollector = wire.NewChunkCollector(e.k, n)
-	stripes := make([]uint64, len(places)*n)
-	at = make([][]uint64, len(places))
-	for s := range at {
-		at[s] = stripes[s*n : (s+1)*n]
+	p := chunkProbe{at: make([][]uint64, len(places)), seen: make([][]uint64, len(places))}
+	p.ChunkCollector = wire.NewChunkCollector(e.k, n)
+	stripes := make([]uint64, 2*len(places)*n)
+	for s := range places {
+		p.at[s] = stripes[2*s*n : (2*s+1)*n]
+		p.seen[s] = stripes[(2*s+1)*n : (2*s+2)*n]
 	}
-	ops := make([]subOp, 0, len(stripes))
+	ops := make([]subOp, 0, len(places)*n)
 	var keyBuf [8]string
 	keys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
 	eachSource(places, 0, func(s, i int) {
-		// key is the location's slot in stripes.
+		// key is the location's placement and position.
 		ops = append(ops, subOp{addr: places[s][i], key: s*n + i, req: wire.BatchReq{
 			Op: wire.OpGetChunk, Key: keys[i],
 		}})
 	})
 	b.send(ops, epoch)
 	for j := range ops {
-		stripes[ops[j].key] = st.classify(&ops[j])
+		op := &ops[j]
+		s, i := op.key/n, op.key%n
+		p.at[s][i] = p.classify(op)
+		if op.err == nil && op.resp.Status == wire.StatusOK {
+			p.seen[s][i] = op.resp.Meta.Stripe
+		}
 	}
-	return st, at, len(ops)
+	p.probed = len(ops)
+	return p
 }
 
 // eachSource calls fn for every position i of every placement s >= from
@@ -370,46 +365,12 @@ func eachSource(places [][]string, from int, fn func(s, i int)) {
 	}
 }
 
-// verify for erasure coding: one stripe on all K+M locations, and its
-// parity consistent with its data. A location that is missing,
-// unreachable, corrupt or on another stripe (mixed writes) fails the
-// attestation without an error — it needs repair.
-func (e *ecStrategy) verify(b *batcher, key string) (bool, error) {
-	n := e.k + e.m
-	rings := e.c.view.Rings()
-	places := sourcePlacements(rings, key, n)
-	switch {
-	case places == nil:
-		return false, ErrUnavailable
-	case len(places) > 1:
-		return false, nil
-	}
-	defer b.release()
-	st, at, _ := e.probe(b, key, rings.View.Epoch, places)
-	win := st.Best()
-	switch {
-	case st.wrongEpoch:
-		return false, wire.ErrWrongEpoch
-	case st.notFound == n:
-		return false, ErrNotFound
-	case win == nil:
-		return false, nil
-	}
-	for _, stripe := range at[0] {
-		if stripe != win.Stripe {
-			return false, nil
-		}
-	}
-	start := time.Now()
-	ok, err := e.code.Verify(win.Chunks())
-	b.code += time.Since(start)
-	return ok, err
-}
-
 // converge for erasure coding: collect the key's chunks from every
-// source placement, take the winning stripe, reconstruct what no source
-// holds, write each chunk its current holder lacks, then — for a moved
-// key — drain the draining-placement holders whose chunk index moved.
+// source placement, take the winning stripe, check its parity when it
+// sits whole on the current placement, reconstruct what no source holds
+// or the check refused, write each chunk its current holder lacks, then
+// — for a moved key — drain the draining-placement holders whose chunk
+// index moved.
 func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	n := e.k + e.m
 	rings := e.c.view.Rings()
@@ -419,22 +380,22 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	}
 	cur := places[0]
 	defer b.release()
-	st, at, probed := e.probe(b, key, rings.View.Epoch, places)
-	v := RepairReport{Checked: probed, Moved: len(places) > 1}
-	win := st.Best()
-	newest, elsewhere := slices.Max(at[0]), uint64(0)
-	for _, held := range at[1:] {
+	p := e.probe(b, key, rings.View.Epoch, places)
+	v := RepairReport{Checked: p.probed, Moved: len(places) > 1}
+	win := p.Best()
+	newest, elsewhere := slices.Max(p.at[0]), uint64(0)
+	for _, held := range p.at[1:] {
 		elsewhere = max(elsewhere, slices.Max(held))
 	}
 	switch {
-	case st.wrongEpoch:
+	case p.wrongEpoch:
 		// Stale placement snapshot: bail out so the epoch retry
 		// re-resolves before any write lands on the wrong ring.
 		return v, wire.ErrWrongEpoch
 	case win != nil:
-	case st.Seen() == 0 && st.notFound == probed:
+	case p.Seen() == 0 && p.notFound == p.probed:
 		return v, ErrNotFound
-	case st.reachable < probed:
+	case p.reachable < p.probed:
 		return v, fmt.Errorf("%w: no stripe of %q has %d chunks", ErrUnavailable, key, e.k)
 	case v.Moved && newest > elsewhere:
 		// A live overwrite smears the (non-atomic) probe across several
@@ -449,7 +410,7 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 		// reader can ever need. A leftover it misses (gone already,
 		// unreachable) waits for a later pass and is never worth failing
 		// the convergence over.
-		drains := e.drains(key, places, at, newest)
+		drains := e.drains(key, places, p.seen, 1, newest)
 		b.send(drains, rings.View.Epoch)
 		v.Dropped, _, _ = landed(drains)
 		return v, nil
@@ -459,9 +420,9 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 		// than M holders crashed empty before a repair could run). Leaving
 		// the orphan chunks behind would make every future read and every
 		// scrub cycle fail on a value that cannot come back, so treat
-		// this as authoritative loss: purge the remnants and report a
-		// clean miss.
-		if err := e.del(b, []string{key})[0].err; err != nil && !errors.Is(err, ErrNotFound) {
+		// this as authoritative loss: purge the remnants the probe saw and
+		// report a clean miss.
+		if err := e.purge(b, key, places, p.seen, rings.View.Epoch); err != nil {
 			return v, err
 		}
 		return v, ErrNotFound
@@ -474,12 +435,28 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	// ring already routed correctly.
 	var need, lost []int
 	chunks := win.Chunks()
-	for i, held := range at[0] {
+	for i, held := range p.at[0] {
 		if held != win.Stripe && (!v.Moved || held < win.Stripe) {
 			need = append(need, i)
 		}
 		if chunks[i] == nil {
 			lost = append(lost, i)
+		}
+	}
+	if !slices.ContainsFunc(p.at[0], func(held uint64) bool { return held != win.Stripe }) {
+		// The stripe sits whole on the current placement: its parity must
+		// match its data. A read decodes the data chunks first, so the
+		// data wins — convergence makes durable what reads observe — and
+		// a mismatch rebuilds the M parity chunks from it.
+		start := time.Now()
+		ok, err := e.code.Verify(chunks)
+		b.code += time.Since(start)
+		if err != nil {
+			return v, err
+		}
+		for i := e.k; !ok && i < n; i++ {
+			need, lost = append(need, i), append(lost, i)
+			chunks[i] = nil
 		}
 	}
 	if len(need) > 0 && len(lost) > 0 {
@@ -498,6 +475,9 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 			}
 		}()
 	}
+	// Each refill replaces only the version the probe saw at its holder
+	// (an absent chunk is an add: Meta.K > 0 permits the insert), so
+	// anything written there since the probe wins.
 	refills := make([]subOp, len(need))
 	for j, i := range need {
 		cm := wire.ECMeta{
@@ -507,31 +487,24 @@ func (e *ecStrategy) converge(b *batcher, key string) (RepairReport, error) {
 		// The executor wraps each chunk in its payload as it issues the
 		// frame.
 		refills[j] = subOp{addr: cur[i], rawChunk: true, req: wire.BatchReq{
-			Op: wire.OpSetChunk, Key: wire.ChunkKey(key, i), Value: chunks[i],
-			TTLSeconds: win.TTL, Meta: cm,
+			Op: wire.OpCompareSet, Key: wire.ChunkKey(key, i), Value: chunks[i],
+			TTLSeconds: win.TTL, Compare: p.seen[0][i], Meta: cm,
 		}}
-		if v.Moved {
-			// Compare = the stripe observed at the holder: an absent chunk
-			// is an add (Meta.K>0 permits the insert), a stale one is
-			// swapped out atomically, and anything that changed since the
-			// probe wins.
-			refills[j].req.Op, refills[j].req.Compare = wire.OpCompareSet, at[0][i]
-		}
 	}
-	return b.settle(rings.View, v, refills, e.drains(key, places, at, win.Stripe))
+	return b.settle(rings.View, v, refills, e.drains(key, places, p.seen, 1, win.Stripe))
 }
 
-// drains plans the stripe-conditional deletes of the chunks the
-// draining placements still hold at positions that moved (at[s][i] !=
-// 0 for s > 0), none newer than limit — a newer one is not the
-// convergence's to remove. Each is conditional on the stripe observed
-// there, so only the copy the probe accounted for goes: a write that
-// lands after the probe changes the stripe and the delete misses,
-// harmlessly.
-func (e *ecStrategy) drains(key string, places [][]string, at [][]uint64, limit uint64) []subOp {
+// drains plans the stripe-conditional deletes of the chunks placements
+// from and later hold, none newer than limit — a newer one is not the
+// convergence's to remove — at the locations the probe asked (seen[s][i]
+// != 0: a position a later placement did not move was asked once, at
+// its first placement). Each is conditional on the version seen there,
+// so only the copy the probe accounted for goes: a write that lands
+// after the probe changes the version and the delete misses, harmlessly.
+func (e *ecStrategy) drains(key string, places [][]string, seen [][]uint64, from int, limit uint64) []subOp {
 	var ops []subOp
-	for s := 1; s < len(places); s++ {
-		for i, stripe := range at[s] {
+	for s := from; s < len(places); s++ {
+		for i, stripe := range seen[s] {
 			if stripe != 0 && stripe <= limit {
 				ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{
 					Op: wire.OpDelete, Key: wire.ChunkKey(key, i), Compare: stripe,
@@ -542,33 +515,14 @@ func (e *ecStrategy) drains(key string, places [][]string, at [][]uint64, limit 
 	return ops
 }
 
-// verify for the hybrid policy: probe both representations. A small
-// value must have its full, byte-identical replica set (a single live
-// replica is NOT healthy; it is one failure away from loss, which is
-// what the scrubber exists to catch); a large one its full consistent
-// stripe. A key with BOTH forms is never healthy: one of them is a
-// stale leftover from a cross-threshold overwrite whose purge did not
-// complete, and repair must resolve it before the stale form can
-// shadow the live one.
-func (h *hybridStrategy) verify(b *batcher, key string) (bool, error) {
-	ecOK, ecErr := h.ec.verify(b, key)
-	repOK, repErr := h.rep.verify(b, key)
-	ecGone := errors.Is(ecErr, ErrNotFound)
-	repGone := errors.Is(repErr, ErrNotFound)
-	switch {
-	case ecGone && repGone:
-		return false, ErrNotFound
-	case ecGone:
-		return repOK, repErr
-	case repGone:
-		return ecOK, ecErr
-	case ecErr != nil:
-		return false, ecErr
-	case repErr != nil:
-		return false, repErr
-	default:
-		return false, nil // dual representation: needs repair
-	}
+// purge deletes every chunk of key the probe saw at any source
+// placement, each conditional on the version seen there, and returns the
+// first failure that is not a lost race.
+func (e *ecStrategy) purge(b *batcher, key string, places [][]string, seen [][]uint64, epoch uint64) error {
+	ops := e.drains(key, places, seen, 0, math.MaxUint64)
+	b.send(ops, epoch)
+	_, _, err := landed(ops)
+	return err
 }
 
 // converge for the hybrid policy: converge whichever representation
@@ -577,24 +531,43 @@ func (h *hybridStrategy) verify(b *batcher, key string) (bool, error) {
 // complete — lets the replicated form win, because the read path
 // resolves it first: converging on it makes what reads already observe
 // durable, while any other choice would flip the value reads return.
-// The stale stripe is purged only after the replicated form converged.
-// A stripe's absence says nothing of replicas out of reach, so it does
-// not hide the replicated side's failure (the read path's rule too).
+// The stale stripe is purged only after the replicated form converged,
+// chunk by chunk against the stripe a probe saw, so a healthy small key
+// costs one probe of each form and no write. A stripe's absence says
+// nothing of replicas out of reach, so it does not hide the replicated
+// side's failure (the read path's rule too).
 func (h *hybridStrategy) converge(b *batcher, key string) (RepairReport, error) {
 	v, err := h.rep.converge(b, key)
 	if err == nil {
-		// A stale stripe surviving on an unreachable holder is an error,
-		// so the scrubber retries next cycle.
-		if err := h.ec.del(b, []string{key})[0].err; err != nil && !errors.Is(err, ErrNotFound) {
-			return v, err
-		}
-		return v, nil
+		return v, h.purgeStripe(b, key)
 	}
 	ev, eerr := h.ec.converge(b, key)
 	if errors.Is(eerr, ErrNotFound) && !errors.Is(err, ErrNotFound) {
 		return v, err
 	}
 	return ev, eerr
+}
+
+// purgeStripe removes the stale stripe of a key whose replicated form
+// converged. K or more holders out of reach may still hold a decodable
+// stripe between them, which is an error, so the scrubber retries next
+// cycle; fewer cannot.
+func (h *hybridStrategy) purgeStripe(b *batcher, key string) error {
+	e := h.ec
+	rings := e.c.view.Rings()
+	places := sourcePlacements(rings, key, e.k+e.m)
+	if places == nil {
+		return ErrUnavailable
+	}
+	defer b.release()
+	p := e.probe(b, key, rings.View.Epoch, places)
+	switch {
+	case p.wrongEpoch:
+		return wire.ErrWrongEpoch
+	case p.probed-p.reachable >= e.k:
+		return fmt.Errorf("%w: %d chunk holders of %q unreached", ErrUnavailable, p.probed-p.reachable, key)
+	}
+	return e.purge(b, key, places, p.seen, rings.View.Epoch)
 }
 
 // sameMembers reports whether a and b, each duplicate-free, name the

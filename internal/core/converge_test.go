@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"ecstore/internal/cluster"
 	"ecstore/internal/core"
 	"ecstore/internal/hashring"
+	"ecstore/internal/transport"
+	"ecstore/internal/wire"
 )
 
 // TestConvergenceCostsRoundsNotTrips pins the ARPE rule for the
@@ -16,10 +19,10 @@ import (
 // any is waited on, so an operation costs its rounds, not its
 // locations. Every server answers after a fixed netem delay, and the
 // unit is what that makes one blocking era-ce-cd Get of a healthy key
-// cost (one round of K chunk fetches). A Verify is one round — its K+M
-// probes used to be K+M serial round trips — and a Repair of a key
-// whose placement moved is three (probe, refill, drain), where the
-// probes alone used to be ten or so trips.
+// cost (one round of K chunk fetches). A Repair of a healthy key is one
+// round — its K+M probes used to be K+M serial round trips — and a
+// Repair of a key whose placement moved is three (probe, refill,
+// drain), where the probes alone used to be ten or so trips.
 func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-dependent")
@@ -40,7 +43,7 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	if err := c.Set(key, value); err != nil {
 		t.Fatal(err)
 	}
-	// A healthy key the join does not move: Verify probes it.
+	// A healthy key the join does not move: its Repair only probes.
 	before := hashring.Build(0, c.View().Servers)
 	healthy := ""
 	for i := 0; healthy == ""; i++ {
@@ -78,10 +81,10 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	if unit < delay {
 		t.Fatalf("a Get took %v under a %v delay: the delay is not in effect", unit, delay)
 	}
-	verify := timed(func() error {
-		ok, err := c.Verify(healthy)
-		if err == nil && !ok {
-			err = fmt.Errorf("healthy key did not verify")
+	probe := timed(func() error {
+		report, err := c.Repair(healthy)
+		if err == nil && (report.Missing != 0 || report.Dropped != 0) {
+			err = fmt.Errorf("healthy key was not converged: %+v", report)
 		}
 		return err
 	})
@@ -92,10 +95,10 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 		}
 		return err
 	})
-	t.Logf("unit (one Get) %v; Verify %.2f units; moving Repair %.2f units",
-		unit, float64(verify)/float64(unit), float64(migrate)/float64(unit))
-	if verify > 2*unit {
-		t.Errorf("Verify took %v, more than 2 rounds of %v", verify, unit)
+	t.Logf("unit (one Get) %v; healthy Repair %.2f units; moving Repair %.2f units",
+		unit, float64(probe)/float64(unit), float64(migrate)/float64(unit))
+	if probe > 2*unit {
+		t.Errorf("a healthy Repair took %v, more than 2 rounds of %v", probe, unit)
 	}
 	if migrate > 5*unit {
 		t.Errorf("a moving Repair took %v, more than 5 rounds of %v", migrate, unit)
@@ -151,5 +154,209 @@ func TestHybridMigratesStripeWhenReplicaSetStays(t *testing.T) {
 	// and finding no stripe of it is not an error.
 	if report, err := c.Repair(small); err != nil || report.Moved || report.Rewritten != 0 || report.Dropped != 0 {
 		t.Fatalf("migrate small key whose replica set stayed: %+v, %v", report, err)
+	}
+}
+
+// serverOps sums, over the first n servers of cl, the requests they
+// served of each op named.
+func serverOps(cl *cluster.Cluster, n int, ops ...string) (total int64) {
+	for i := 0; i < n; i++ {
+		snap := cl.Server(i).Metrics().Snapshot()
+		for _, op := range ops {
+			total += snap.Counter(`ecstore_server_ops_total{op="` + op + `"}`)
+		}
+	}
+	return total
+}
+
+// TestRepairOfHealthyKeyWritesNothing: Repair is the scrubber's one call
+// per key, so on a healthy key it costs its probe and not one write at
+// any server — in hybrid mode, not the purge of a stripe that is not
+// there either.
+func TestRepairOfHealthyKeyWritesNothing(t *testing.T) {
+	cl := startCluster(t, 5)
+	writes := []string{"set", "set-chunk", "compare-set", "delete", "encode-set"}
+	for _, tc := range []struct {
+		name, mode string
+		size       int
+	}{
+		{"era-ce-cd", "era-ce-cd", 6000},
+		{"era-se-sd", "era-se-sd", 6000},
+		{"sync-rep", "sync-rep", 100},
+		{"hybrid-small", "hybrid", 100},
+		{"hybrid-large", "hybrid", 16 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newClient(t, cl, allModes()[tc.mode])
+			key := "healthy-" + tc.name
+			if err := c.Set(key, bytes.Repeat([]byte("h"), tc.size)); err != nil {
+				t.Fatal(err)
+			}
+			before := serverOps(cl, 5, writes...)
+			requireConverged(t, c, key)
+			if n := serverOps(cl, 5, writes...) - before; n != 0 {
+				t.Fatalf("a Repair of a healthy key made %d server writes", n)
+			}
+		})
+	}
+}
+
+// TestRepairKeepsARacingCasWinner: a write that lands between a
+// repair's probe and its refill survives the refill. The first replica
+// holder — the one reads ask first — has lost its copy and the repair's
+// probe sees it empty; before the refill goes out, another client
+// overwrites the key and a CAS replaces that. A refill conditional on
+// what the probe saw there (nothing) answers Exists and the CAS winner
+// stays; an unconditional one would put the old value back where reads
+// look first, and the next repair would spread it to every replica.
+func TestRepairKeepsARacingCasWinner(t *testing.T) {
+	cl := startCluster(t, 5)
+	cfg := allModes()["sync-rep"]
+	writer := newClient(t, cl, cfg)
+	// The repairing client dials through a netem of its own: delaying
+	// its answers from one holder holds its probe round open, for it
+	// alone.
+	netem := transport.NewNetem(cl.Network())
+	cfg.Network, cfg.Servers = netem, cl.Addrs()
+	repairer, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(repairer.Close)
+
+	const key = "raced"
+	if err := writer.Set(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	placement := hashring.Build(0, writer.View().Servers).GetN(key, 3)
+	cl.Server(slices.Index(cl.Addrs(), placement[0])).Store().Delete(key)
+
+	const hold = time.Second
+	netem.Delay(placement[2], hold)
+	if err := repairer.Ping(placement[2]); err != nil { // moves the parked reader onto the delay
+		t.Fatal(err)
+	}
+	probed := serverOps(cl, 5, "get")
+	type outcome struct {
+		report core.RepairReport
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		report, err := repairer.Repair(key)
+		done <- outcome{report, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); serverOps(cl, 5, "get") < probed+3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the repair's probe never reached the replicas")
+		}
+	}
+
+	start := time.Now()
+	if err := writer.Set(key, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	item, err := writer.Gets(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Cas(key, []byte("v3"), 0, item.Version); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > hold/2 {
+		t.Fatalf("the writes took %v: they may not have landed inside the repair's %v window", took, hold)
+	}
+
+	r := <-done
+	if got, err := writer.Get(key); err != nil || string(got) != "v3" {
+		t.Fatalf("after the racing repair Get = %q, %v; want the CAS winner v3", got, err)
+	}
+	if r.err != nil || r.report.Missing != 0 || r.report.Rewritten != 0 {
+		t.Fatalf("racing repair: %s, %v; want its one refill lost to the newer value", r.report, r.err)
+	}
+	requireConverged(t, writer, key)
+}
+
+// TestMovedRottedChunkConvergesInOneRepair: a moved key whose chunk at
+// a position the ring change kept is bit-rotted. The repair refills that
+// chunk against the version its holder answered with, though the
+// payload failed its check; a refill that demanded an absent chunk would
+// answer Exists on every pass, and the view would never stop draining.
+func TestMovedRottedChunkConvergesInOneRepair(t *testing.T) {
+	cl := startCluster(t, 5)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	before := hashring.Build(0, cl.Addrs())
+	joined := hashring.Build(0, append(cl.Addrs(), "kv-joiner"))
+	key, kept := "", -1
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("rotted-%d", i)
+		now, then := joined.GetN(k, 5), before.GetN(k, 5)
+		for pos := range now {
+			if slices.Contains(now, "kv-joiner") && now[pos] == then[pos] {
+				key, kept = k, pos
+				break
+			}
+		}
+	}
+	value := bytes.Repeat([]byte("m"), 6000)
+	if err := c.Set(key, value); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddServer("kv-joiner"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RingAdd("kv-joiner"); err != nil {
+		t.Fatal(err)
+	}
+	if !rot(t, cl, 5, wire.ChunkKey(key, kept)) {
+		t.Fatal("no chunk to corrupt")
+	}
+	report, err := c.Repair(key)
+	if err != nil || !report.Moved || report.Missing < 2 || report.Rewritten != report.Missing {
+		t.Fatalf("moving repair of a rotted stripe: %s, %v; want every refill landed", report, err)
+	}
+	requireConverged(t, c, key)
+	if got, err := c.Get(key); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("read after the repair: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestRepairRewritesParityThatDisagrees: a parity chunk whose bytes are
+// wrong but whose record checks out (its CRC covers the wrong bytes) is
+// silent corruption no read notices. A repair finding the stripe whole
+// checks its parity against its data, and the data wins — reads decode
+// it first — so both parity chunks are rebuilt from it; a second repair
+// finds nothing to do.
+func TestRepairRewritesParityThatDisagrees(t *testing.T) {
+	cl := startCluster(t, 5)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	if err := c.Set("k", bytes.Repeat([]byte("p"), 6000)); err != nil {
+		t.Fatal(err)
+	}
+	parity := wire.ChunkKey("k", 3)
+	holder := replicaHolders(cl, 5, parity)
+	if len(holder) != 1 {
+		t.Fatalf("parity chunk on %d servers", len(holder))
+	}
+	st := cl.Server(holder[0]).Store()
+	payload, version, ttl, _ := st.GetMeta(parity)
+	want := bytes.Clone(payload)
+	meta, shard, err := wire.DecodeChunkPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := bytes.Clone(shard)
+	wrong[0] ^= 0xFF
+	if err := st.SetVersioned(parity, wire.EncodeChunkPayload(meta, wrong), ttl, version); err != nil {
+		t.Fatal(err)
+	}
+
+	report, err := c.Repair("k")
+	if err != nil || report.Missing != 2 || report.Rewritten != 2 {
+		t.Fatalf("repair of a stripe whose parity disagrees: %s, %v; want both parity chunks rewritten", report, err)
+	}
+	requireConverged(t, c, "k")
+	if got, _ := st.Get(parity); !bytes.Equal(got, want) {
+		t.Fatal("the rewritten parity chunk differs from the one the write stored")
 	}
 }

@@ -85,9 +85,7 @@ func TestDrainingRingIsASource(t *testing.T) {
 					t.Fatal(err)
 				}
 				finishDrain(t, c)
-				if ok, err := c.Verify(key); err != nil || !ok {
-					t.Fatalf("verify after the drain: %v, %v", ok, err)
-				}
+				requireConverged(t, c, key)
 				if got, err := c.Get(key); err != nil || !bytes.Equal(got, value) {
 					t.Fatalf("get after the drain: %d bytes, %v", len(got), err)
 				}

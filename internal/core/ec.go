@@ -527,7 +527,7 @@ func (e *ecStrategy) gatherDraining(b *batcher, rings *membership.Rings, keys []
 }
 
 // classify files the outcome of one chunk fetch — the one
-// classification reads, verification, repair and migration share — and
+// classification reads, repair and migration share — and
 // returns the stripe of the chunk it accepted, 0 when the location
 // yielded none: unreachable or hung (op.err), an authoritative miss, an
 // epoch rejection, another status, or a corrupt or torn payload. The
@@ -763,9 +763,9 @@ var _ strategy = (*hybridStrategy)(nil)
 // into one replicated and one erasure-coded write. After a key's write
 // lands, its OTHER representation is purged: a previous write of the
 // key may have been on the far side of the threshold, and its leftovers
-// would shadow this value on the rep-first read path or fail
-// verification forever. The purge is best-effort — the new value is
-// already durable, and the anti-entropy scrubber converges whatever a
+// would shadow this value on the rep-first read path (and a repair
+// keeps the replicated form). The purge is best-effort — the new value
+// is already durable, and the anti-entropy scrubber converges whatever a
 // down holder makes this miss — but it must run AFTER the write
 // succeeds, never before: purging first and then failing the write
 // would lose the old value without installing the new one.

@@ -122,17 +122,14 @@ func TestMetricsMoveAcrossOps(t *testing.T) {
 	// each call counts under its own op label and records its rounds'
 	// phases there. The repair finds the stripe healthy now the holder is
 	// back.
-	if ok, err := c.Verify("metrics-1"); err != nil || !ok {
-		t.Fatalf("Verify: %v, %v", ok, err)
-	}
 	if _, err := c.Repair("metrics-1"); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	if _, err := c.Verify("metrics-absent"); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("Verify of an absent key: %v", err)
+	if _, err := c.Repair("metrics-absent"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("Repair of an absent key: %v", err)
 	}
 	snap = c.Metrics().Snapshot()
-	for op, want := range map[string][2]int64{"verify": {2, 1}, "repair": {1, 0}} {
+	for op, want := range map[string][2]int64{"repair": {2, 1}} {
 		if got := snap.Counter(fmt.Sprintf("ecstore_client_ops_total{op=%q}", op)); got != want[0] {
 			t.Errorf("ops_total{op=%q} = %d, want %d", op, got, want[0])
 		}

@@ -153,7 +153,7 @@ func awaitGoroutines(t *testing.T, want int) {
 // leases live from the probe round to the end of the refill round. On
 // the harness above, every server answers one round in no less than
 // step, and one holder is Cut and another Hung part-way through a
-// Verify, a Repair and a Repair that moves its key (the view drains the
+// Repair and a Repair that moves its key (the view drains the
 // ring a join replaced) — before the probe, while its answers are in
 // flight (so the refills meet the faults) and while the refill acks are
 // (so the drains do). Whatever each call returns, the frame pool must
@@ -240,7 +240,6 @@ func TestConvergenceHoldsNoLeaseAcrossFaults(t *testing.T) {
 			finishDrain(t, admin)
 			restartFounder()
 			sweep(
-				func(c *core.Client, i int) { _, _ = c.Verify(keys[i%6]) },
 				func(c *core.Client, i int) { _, _ = c.Repair(keys[i%6]) },
 			)
 			waitPoolBaseline(t, baseline)

@@ -8,6 +8,15 @@ import (
 	"ecstore/internal/core"
 )
 
+// requireConverged asserts key is at full redundancy: a Repair finds
+// nothing to refill, rewrite or drain.
+func requireConverged(t *testing.T, c *core.Client, key string) {
+	t.Helper()
+	if report, err := c.Repair(key); err != nil || report.Missing != 0 || report.Rewritten != 0 || report.Dropped != 0 {
+		t.Errorf("Repair(%s) = %s, %v; want a converged key", key, report, err)
+	}
+}
+
 func TestRepairHealthyStripe(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
@@ -148,10 +157,9 @@ func TestRepairHybrid(t *testing.T) {
 // TestRepairHybridSmallAfterReplicaLoss is a regression test for the
 // hybrid strategy on small (replicated, not erasure-coded) values: a
 // server holding one of the replicas crashes and rejoins empty. The
-// value still reads, Verify must flag it degraded, and Repair must
-// restore the full replica set — previously the hybrid verifier
-// accepted any single live replica, so the scrubber never re-filled
-// the lost copy.
+// value still reads, and Repair must find the lost replica and restore
+// the full replica set — a hybrid health check once accepted any single
+// live replica, so the scrubber never re-filled the lost copy.
 func TestRepairHybridSmallAfterReplicaLoss(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{
@@ -173,9 +181,6 @@ func TestRepairHybridSmallAfterReplicaLoss(t *testing.T) {
 	if got, err := c.Get("small"); err != nil || !bytes.Equal(got, value) {
 		t.Fatalf("degraded read: %q, %v", got, err)
 	}
-	if ok, err := c.Verify("small"); err != nil || ok {
-		t.Fatalf("Verify with lost replica = %v, %v; want false, nil", ok, err)
-	}
 	report, err := c.Repair("small")
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +191,7 @@ func TestRepairHybridSmallAfterReplicaLoss(t *testing.T) {
 	if got := replicaHolders(cl, 5, "small"); len(got) != 3 {
 		t.Fatalf("%d replicas after repair, want 3", len(got))
 	}
-	if ok, err := c.Verify("small"); err != nil || !ok {
-		t.Fatalf("Verify after repair = %v, %v", ok, err)
-	}
+	requireConverged(t, c, "small")
 	if got, err := c.Get("small"); err != nil || !bytes.Equal(got, value) {
 		t.Fatalf("read after repair: %q, %v", got, err)
 	}

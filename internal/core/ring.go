@@ -18,10 +18,9 @@ const epochRetryLimit = 3
 // epochRetry runs fn and, on a membership-epoch rejection
 // (wire.ErrWrongEpoch), refreshes the client's view from the cluster
 // and re-runs it — retryKeys' epoch rule for the single-key entry
-// points that have no key-slice form (Cas and DeleteCas; Repair and
-// Verify). fn re-resolves placement from a fresh view
-// snapshot on every attempt, so the retry really does route against
-// the new ring.
+// points that have no key-slice form (Cas, DeleteCas and Repair). fn
+// re-resolves placement from a fresh view snapshot on every attempt, so
+// the retry really does route against the new ring.
 func epochRetry[T any](c *Client, fn func() (T, error)) (T, error) {
 	for attempt := 0; ; attempt++ {
 		v, err := fn()

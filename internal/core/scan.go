@@ -14,8 +14,8 @@ const DefaultScanPageSize = wire.DefaultScanLimit
 // requests and merges the per-server streams into one sorted list of
 // logical keys: derived chunk keys ("key\x00c3") are folded back to
 // their base key, and duplicates across replicas and chunk holders are
-// removed. It is the discovery half of the anti-entropy loop — Verify
-// and Repair are the per-key halves.
+// removed. It is the discovery half of the anti-entropy loop — Repair
+// is the per-key half.
 //
 // The scan is best-effort across servers: an unreachable server is
 // skipped (its keys also live on its replica/parity peers, which is

@@ -7,7 +7,12 @@ import (
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
+	"ecstore/internal/wire"
 )
+
+// The TestVerify* cases check what a Repair attests: a report with
+// Missing 0 and no error means full redundancy, and anything short of
+// it — a lost, diverged or corrupt copy — is found and refilled.
 
 func TestVerifyConsistentStripe(t *testing.T) {
 	cl := startCluster(t, 5)
@@ -17,10 +22,7 @@ func TestVerifyConsistentStripe(t *testing.T) {
 	if err := c.Set("k", bytes.Repeat([]byte("v"), 3000)); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.Verify("k")
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v, %v", ok, err)
-	}
+	requireConverged(t, c, "k")
 }
 
 func TestVerifyMissingKey(t *testing.T) {
@@ -28,7 +30,7 @@ func TestVerifyMissingKey(t *testing.T) {
 	c := newClient(t, cl, core.Config{
 		Resilience: core.ResilienceErasure, Scheme: core.SchemeCECD, K: 3, M: 2,
 	})
-	if _, err := c.Verify("nope"); !errors.Is(err, core.ErrNotFound) {
+	if _, err := c.Repair("nope"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -42,13 +44,33 @@ func TestVerifyIncompleteStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Kill(1)
-	ok, err := c.Verify("k")
+	report, err := c.Repair("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("incomplete stripe verified as consistent")
+	if report.Missing != 1 || report.Rewritten != 0 {
+		t.Fatalf("repair with a holder down: %s; want 1 missing, none rewritten", report)
 	}
+}
+
+// rot flips the last byte of item key on whichever of the first n
+// servers holds it, keeping the item's version and TTL — bit rot changes
+// bytes, never the version the write installed. It reports whether a
+// holder was found.
+func rot(t *testing.T, cl *cluster.Cluster, n int, key string) bool {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		st := cl.Server(i).Store()
+		if v, version, ttl, ok := st.GetMeta(key); ok {
+			v = bytes.Clone(v)
+			v[len(v)-1] ^= 0xFF
+			if err := st.SetVersioned(key, v, ttl, version); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}
+	}
+	return false
 }
 
 func TestVerifyDetectsCorruptChunk(t *testing.T) {
@@ -59,32 +81,14 @@ func TestVerifyDetectsCorruptChunk(t *testing.T) {
 	if err := c.Set("k", bytes.Repeat([]byte("v"), 3000)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one stored chunk in place on whichever server holds it.
-	corrupted := false
-	for i := 0; i < 5 && !corrupted; i++ {
-		st := cl.Server(i).Store()
-		for idx := 0; idx < 5; idx++ {
-			key := "k\x00c" + string(rune('0'+idx))
-			if payload, ok := st.Get(key); ok {
-				payload[len(payload)-1] ^= 0xFF
-				if err := st.Set(key, payload, 0); err != nil {
-					t.Fatal(err)
-				}
-				corrupted = true
-				break
-			}
-		}
-	}
-	if !corrupted {
+	if !rot(t, cl, 5, wire.ChunkKey("k", 4)) {
 		t.Fatal("found no chunk to corrupt")
 	}
-	ok, err := c.Verify("k")
-	if err != nil {
-		t.Fatal(err)
+	report, err := c.Repair("k")
+	if err != nil || report.Missing != 1 || report.Rewritten != 1 {
+		t.Fatalf("repair of a corrupt chunk: %s, %v; want it found and rewritten", report, err)
 	}
-	if ok {
-		t.Fatal("corrupted stripe verified as consistent")
-	}
+	requireConverged(t, c, "k")
 }
 
 func TestGetRecoversFromSilentCorruption(t *testing.T) {
@@ -99,22 +103,7 @@ func TestGetRecoversFromSilentCorruption(t *testing.T) {
 	if err := c.Set("k", value); err != nil {
 		t.Fatal(err)
 	}
-	corrupted := false
-	for i := 0; i < 5 && !corrupted; i++ {
-		st := cl.Server(i).Store()
-		for idx := 0; idx < 3; idx++ { // corrupt a data chunk
-			key := "k\x00c" + string(rune('0'+idx))
-			if payload, ok := st.Get(key); ok {
-				payload[len(payload)-1] ^= 0xFF
-				if err := st.Set(key, payload, 0); err != nil {
-					t.Fatal(err)
-				}
-				corrupted = true
-				break
-			}
-		}
-	}
-	if !corrupted {
+	if !rot(t, cl, 5, wire.ChunkKey("k", 0)) { // a data chunk
 		t.Fatal("no data chunk found to corrupt")
 	}
 	got, err := c.Get("k")
@@ -132,9 +121,7 @@ func TestGetRecoversFromSilentCorruption(t *testing.T) {
 	if report.Missing != 1 || report.Rewritten != 1 {
 		t.Fatalf("repair report %+v", report)
 	}
-	if ok, err := c.Verify("k"); err != nil || !ok {
-		t.Fatalf("verify after repair: %v %v", ok, err)
-	}
+	requireConverged(t, c, "k")
 }
 
 func TestVerifyHybrid(t *testing.T) {
@@ -149,10 +136,7 @@ func TestVerifyHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"small", "large"} {
-		ok, err := c.Verify(key)
-		if err != nil || !ok {
-			t.Fatalf("Verify(%s) = %v, %v", key, ok, err)
-		}
+		requireConverged(t, c, key)
 	}
 }
 
@@ -177,19 +161,10 @@ func TestVerifyReplicationDetectsLostReplica(t *testing.T) {
 	if len(holders) != 3 {
 		t.Fatalf("value on %d servers, want 3", len(holders))
 	}
-	if ok, err := c.Verify("k"); err != nil || !ok {
-		t.Fatalf("Verify with all replicas = %v, %v", ok, err)
-	}
+	requireConverged(t, c, "k")
 	// One holder loses its copy (a crash-and-restart-empty in
 	// miniature): the key still reads fine, but it is NOT healthy.
 	cl.Server(holders[0]).Store().Delete("k")
-	ok, err := c.Verify("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("Verify passed with a lost replica")
-	}
 	report, err := c.Repair("k")
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +172,7 @@ func TestVerifyReplicationDetectsLostReplica(t *testing.T) {
 	if report.Missing != 1 || report.Rewritten != 1 {
 		t.Fatalf("repair report %+v, want the one lost replica rewritten", report)
 	}
-	if ok, err := c.Verify("k"); err != nil || !ok {
-		t.Fatalf("Verify after repair = %v, %v", ok, err)
-	}
+	requireConverged(t, c, "k")
 }
 
 func TestVerifyReplicationDetectsDivergedReplica(t *testing.T) {
@@ -209,27 +182,30 @@ func TestVerifyReplicationDetectsDivergedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	holders := replicaHolders(cl, 5, "k")
-	if len(holders) == 0 {
-		t.Fatal("no replica holders")
+	if len(holders) != 3 {
+		t.Fatalf("value on %d servers, want 3", len(holders))
 	}
-	if err := cl.Server(holders[0]).Store().Set("k", []byte("DIVERGED!"), 0); err != nil {
-		t.Fatal(err)
+	if !rot(t, cl, 5, "k") {
+		t.Fatal("no replica to corrupt")
 	}
-	ok, err := c.Verify("k")
-	if err != nil {
-		t.Fatal(err)
+	// Whichever copy the read path takes first is authoritative, so the
+	// repair rewrites one replica or two — but every replica agrees after.
+	report, err := c.Repair("k")
+	if err != nil || report.Missing == 0 || report.Rewritten != report.Missing {
+		t.Fatalf("repair of a diverged replica: %s, %v", report, err)
 	}
-	if ok {
-		t.Fatal("Verify passed with a diverged replica")
+	requireConverged(t, c, "k")
+	want, _ := cl.Server(holders[0]).Store().Get("k")
+	for _, i := range holders[1:] {
+		if got, _ := cl.Server(i).Store().Get("k"); !bytes.Equal(got, want) {
+			t.Fatalf("replicas still differ after repair: %q vs %q", got, want)
+		}
 	}
 }
 
 func TestVerifyReplicationMissingKey(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, core.Config{Resilience: core.ResilienceAsyncRep, Replicas: 3})
-	if _, err := c.Verify("nope"); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("rep verify missing key: %v", err)
-	}
 	if _, err := c.Repair("nope"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("rep repair missing key: %v", err)
 	}

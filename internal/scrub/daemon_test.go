@@ -121,9 +121,9 @@ func TestLoopRetriesAFailedPass(t *testing.T) {
 func TestStopInterruptsAPassBetweenKeys(t *testing.T) {
 	f := newFake(100)
 	started := make(chan struct{}, 100)
-	f.verify = func(string) (bool, error) {
+	f.repair = func(string) (core.RepairReport, error) {
 		started <- struct{}{}
-		return true, nil
+		return core.RepairReport{}, nil
 	}
 	passes := make(chan Report, 1)
 	d := newDaemon(t, Config{Client: f, Interval: -1, Rate: 20, OnCycle: reportsTo(passes)}) // 50 ms per key
@@ -218,12 +218,12 @@ func TestWalkStopsOnCancel(t *testing.T) {
 func TestCycleBookkeeping(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newFake(1)
-	f.verify = func(string) (bool, error) {
+	f.repair = func(string) (core.RepairReport, error) {
 		if got := reg.Gauge("ecstore_scrub_in_progress").Value(); got != 1 {
 			t.Errorf("in-progress gauge = %d during the cycle", got)
 		}
 		time.Sleep(2 * time.Millisecond)
-		return true, nil
+		return core.RepairReport{}, nil
 	}
 	d := newDaemon(t, Config{Client: f, Rate: -1, Metrics: reg})
 	if r := d.RunCycle(nil); r.Duration < 2*time.Millisecond {
@@ -258,7 +258,7 @@ func TestRunCycleDrainsSource(t *testing.T) {
 	if got := f.View(); !got.Equal(want) || len(got.Draining) != 0 {
 		t.Fatalf("view after a clean pass = %s, want %s", got, want)
 	}
-	if _, repaired := f.calls(); repaired != 5 {
+	if repaired := f.calls(); repaired != 5 {
 		t.Fatalf("repaired %d keys, want 5", repaired)
 	}
 }
@@ -488,12 +488,17 @@ func TestMetricsCounters(t *testing.T) {
 
 // TestPassWalksCurrentAndDrainingServers: every pass is one walk over
 // the keys stored on every server the view names, current or draining
-// — a removed server's keys included — with Verify first and Repair for
-// each key Verify rejects.
+// — a removed server's keys included — with exactly one Repair per
+// scanned key, whose report alone says whether the key was healthy.
 func TestPassWalksCurrentAndDrainingServers(t *testing.T) {
 	f := newFake(3)
 	f.setView(membership.View{Epoch: 1, Servers: []string{"a:1", "b:1", "c:1"}}.WithRemoved("b:1"))
-	f.verify = func(key string) (bool, error) { return key != "k001", nil }
+	f.repair = func(key string) (core.RepairReport, error) {
+		if key == "k001" {
+			return core.RepairReport{Checked: 3, Missing: 1, Rewritten: 1}, nil
+		}
+		return core.RepairReport{Checked: 3}, nil
+	}
 	d := newDaemon(t, Config{Client: f, Rate: -1})
 	if r := d.RunCycle(nil); r.Draining != 1 || r.Scanned != 3 || r.Failed != 0 {
 		t.Fatalf("draining pass: %s", r)
@@ -501,21 +506,22 @@ func TestPassWalksCurrentAndDrainingServers(t *testing.T) {
 	if want := []string{"a:1", "b:1", "c:1"}; len(f.scanned) != 1 || !slices.Equal(f.scanned[0], want) {
 		t.Fatalf("scanned %v, want %v", f.scanned, want)
 	}
-	if verified, repaired := f.calls(); verified != 3 || repaired != 3 {
-		t.Fatalf("draining pass: %d Verify, %d Repair calls; want 3 and 3", verified, repaired)
+	if repaired := f.calls(); repaired != 3 {
+		t.Fatalf("draining pass: %d Repair calls; want 3", repaired)
 	}
 
-	// The list is gone: the same walk over the current servers, and only
-	// the key Verify rejects is repaired.
-	f.verified, f.repaired = nil, nil
-	if r := d.RunCycle(nil); r.Draining != 0 || r.Scanned != 3 || r.Healthy != 3 {
+	// The list is gone: the same walk over the current servers, one
+	// Repair per key, and only the key it refilled counts as repaired.
+	f.repaired = nil
+	if r := d.RunCycle(nil); r.Draining != 0 || r.Scanned != 3 || r.Healthy != 2 || r.Repaired != 1 {
 		t.Fatalf("steady pass: %s", r)
 	}
 	if want := []string{"a:1", "c:1"}; !slices.Equal(f.scanned[1], want) {
 		t.Fatalf("scanned %v, want %v", f.scanned[1], want)
 	}
-	if !slices.Equal(f.repaired, []string{"k001"}) {
-		t.Fatalf("steady pass repaired %q, want [k001]", f.repaired)
+	slices.Sort(f.repaired)
+	if !slices.Equal(f.repaired, []string{"k000", "k001", "k002"}) {
+		t.Fatalf("steady pass repaired %q, want each key once", f.repaired)
 	}
 }
 
@@ -564,7 +570,6 @@ func TestOneBudget(t *testing.T) {
 	const bound = 3
 	f := newFake(40)
 	f.delay = time.Millisecond
-	f.verify = func(string) (bool, error) { return false, nil } // every scrubbed key is repaired too
 	f.repair = func(string) (core.RepairReport, error) { return core.RepairReport{Missing: 1, Rewritten: 1}, nil }
 	var draining, steady atomic.Int32
 	d := newDaemon(t, Config{Client: f, Interval: 2 * time.Millisecond, Rate: -1, MaxConcurrent: bound, OnCycle: func(r Report) {

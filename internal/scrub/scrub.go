@@ -4,11 +4,11 @@
 // restarted server comes back empty) — and finishes every membership
 // change. Each pass is one walk over the keys stored on the servers of
 // the current view and of every ring it still drains
-// (membership.View.Draining): Client.Verify, then Client.Repair where
-// the key is degraded or a draining ring places it elsewhere. Repair
-// reads every source placement, so no key is repaired against the
-// current ring alone while its data may sit where only an older ring
-// places it. A pass that scanned, started and converged every key
+// (membership.View.Draining), with one Client.Repair per key: its probe
+// is the health check, and a healthy key costs that probe and no write.
+// Repair reads every source placement, so no key is repaired against
+// the current ring alone while its data may sit where only an older
+// ring places it. A pass that scanned, started and converged every key
 // clears the draining list by publishing the next epoch without it,
 // unless the view moved on during the pass.
 //
@@ -47,8 +47,8 @@ const (
 )
 
 // Client is the slice of core.Client the daemon needs: ScanKeysOn
-// lists the logical keys stored on addrs, Verify/Repair converge one
-// key, View is the current membership view, RefreshView learns the
+// lists the logical keys stored on addrs, Repair converges one key,
+// View is the current membership view, RefreshView learns the
 // cluster's, PushView publishes the one that clears its draining
 // rings, and New registers its hooks with OnServerRecovered and
 // OnViewChange. It is an interface so tests can
@@ -56,7 +56,6 @@ const (
 // the clear rule) without a live cluster.
 type Client interface {
 	ScanKeysOn(addrs []string) ([]string, error)
-	Verify(key string) (bool, error)
 	Repair(key string) (core.RepairReport, error)
 	View() membership.View
 	RefreshView() (membership.View, error)
@@ -280,7 +279,7 @@ func (d *Daemon) RunCycle(cancel <-chan struct{}) Report { return d.pass(cancel)
 // pass runs one pass over the cluster's current view — not just this
 // process's, so any daemon finishes a drain another one started: it
 // scans the keys stored on every server the view names, current or
-// draining, verifies each and repairs it where needed. The
+// draining, and repairs each. The
 // last-completed gauge moves only when the scan succeeded and the walk
 // started every key; the draining list is cleared only when, besides,
 // no key failed.
@@ -328,20 +327,9 @@ func (d *Daemon) clear(view membership.View) {
 	d.logf("scrub: epoch %d drained; installed %s", view.Epoch, installed)
 }
 
-// scrubKey verifies one key and repairs it when degraded or moved.
+// scrubKey converges one key: one Repair, whose report says whether it
+// was healthy, repaired, or is still short of full redundancy.
 func (d *Daemon) scrubKey(key string) Report {
-	ok, err := d.client.Verify(key)
-	switch {
-	case err == nil && ok, errors.Is(err, core.ErrNotFound):
-		// Healthy, or deleted (or expired) since the scan.
-		d.mKeysHealthy.Inc()
-		return Report{Healthy: 1}
-	case err != nil:
-		// Transient failure (e.g. unreachable holders): repair still
-		// probes the same locations and rewrites whatever it can.
-		d.logf("scrub: verify %q: %v", key, err)
-	}
-
 	rep, err := d.client.Repair(key)
 	out := Report{Refilled: rep.Rewritten, Dropped: rep.Dropped, BytesMoved: rep.BytesMoved}
 	if rep.Moved {
@@ -353,9 +341,8 @@ func (d *Daemon) scrubKey(key string) Report {
 	}
 	switch {
 	case errors.Is(err, core.ErrNotFound), err == nil && rep.Missing == 0:
-		// Deleted since, Verify was pessimistic (or raced a concurrent
-		// write), or a moved key had only drains left: the probe found
-		// full redundancy.
+		// Deleted (or expired) since the scan, or the probe found full
+		// redundancy — a moved key may still have had drains to send.
 		d.mKeysHealthy.Inc()
 		out.Healthy = 1
 	case err != nil:

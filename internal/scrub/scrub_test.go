@@ -23,7 +23,6 @@ type fakeClient struct {
 	keys    []string
 	scanErr error
 	view    membership.View
-	verify  func(key string) (bool, error)
 	repair  func(key string) (core.RepairReport, error)
 	// failKeys maps keys to the error Repair returns for them while the
 	// view drains.
@@ -38,7 +37,7 @@ type fakeClient struct {
 	// delay is how long every per-key call takes.
 	delay time.Duration
 
-	verified, repaired    []string
+	repaired              []string
 	scanned               [][]string
 	pushed                []membership.View
 	inFlight, maxInFlight int
@@ -103,25 +102,9 @@ func (f *fakeClient) begin(log *[]string, key string) func() {
 	}
 }
 
-// Verify rejects every key while the view drains — a draining ring
-// places it elsewhere — and answers any other through the verify
-// script.
-func (f *fakeClient) Verify(key string) (bool, error) {
-	defer f.begin(&f.verified, key)()
-	f.mu.Lock()
-	verify, draining := f.verify, len(f.view.Draining) > 0
-	f.mu.Unlock()
-	switch {
-	case draining:
-		return false, nil
-	case verify == nil:
-		return true, nil
-	}
-	return verify(key)
-}
-
 // Repair answers a key of a draining view from failKeys and reports
-// (a moved key), any other through the repair script.
+// (a moved key), any other through the repair script: a key without
+// one is healthy.
 func (f *fakeClient) Repair(key string) (core.RepairReport, error) {
 	defer f.begin(&f.repaired, key)()
 	if f.onRepair != nil {
@@ -183,11 +166,20 @@ func (f *fakeClient) OnServerRecovered(fn func(addr string)) { f.recoveredFn = f
 
 func (f *fakeClient) OnViewChange(fn func(old, new membership.View)) { f.onChange = fn }
 
-// calls returns how many Verify and Repair calls were made.
-func (f *fakeClient) calls() (verified, repaired int) {
+// calls returns how many Repair calls were made.
+func (f *fakeClient) calls() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.verified), len(f.repaired)
+	return len(f.repaired)
+}
+
+// requireConverged asserts key is at full redundancy: a Repair finds
+// nothing to refill, rewrite or drain.
+func requireConverged(t *testing.T, c *core.Client, key string) {
+	t.Helper()
+	if report, err := c.Repair(key); err != nil || report.Missing != 0 || report.Rewritten != 0 || report.Dropped != 0 {
+		t.Errorf("Repair(%s) = %s, %v; want a converged key", key, report, err)
+	}
 }
 
 func newDaemon(t *testing.T, cfg Config) *Daemon {
@@ -231,92 +223,64 @@ func TestRunCycleAllHealthy(t *testing.T) {
 	if report.Scanned != 3 || report.Healthy != 3 || report.Repaired != 0 || report.Failed != 0 {
 		t.Fatalf("report %+v", report)
 	}
-	if len(c.repaired) != 0 {
-		t.Fatalf("healthy keys were repaired: %q", c.repaired)
+	if len(c.repaired) != 3 {
+		t.Fatalf("repaired %q, want each key probed by one Repair", c.repaired)
 	}
 	if got := reg.Counter("ecstore_scrub_keys_healthy_total").Value(); got != 3 {
 		t.Fatalf("healthy counter = %d", got)
 	}
 }
 
-// TestScrubKeyOutcomes drives every verify/repair branch of scrubKey
-// through RunCycle with a single scripted key.
+// TestScrubKeyOutcomes drives every branch of scrubKey through
+// RunCycle with a single scripted key: one Repair call, whatever it
+// reports.
 func TestScrubKeyOutcomes(t *testing.T) {
-	notFound := core.ErrNotFound
 	for name, tc := range map[string]struct {
-		verify  func(string) (bool, error)
-		repair  func(string) (core.RepairReport, error)
-		want    Report
-		repairs int
+		repair func(string) (core.RepairReport, error)
+		want   Report
 	}{
-		"verify-healthy": {
-			verify: func(string) (bool, error) { return true, nil },
-			want:   Report{Scanned: 1, Healthy: 1},
-		},
-		"deleted-between-scan-and-verify": {
-			verify: func(string) (bool, error) { return false, notFound },
-			want:   Report{Scanned: 1, Healthy: 1},
-		},
-		"degraded-then-repaired": {
-			verify: func(string) (bool, error) { return false, nil },
-			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{Checked: 5, Missing: 2, Rewritten: 2, BytesMoved: 200}, nil
-			},
-			want:    Report{Scanned: 1, Repaired: 1, Refilled: 2, BytesMoved: 200},
-			repairs: 1,
-		},
-		"verify-error-falls-back-to-repair": {
-			verify: func(string) (bool, error) { return false, core.ErrUnavailable },
-			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{Checked: 3, Missing: 1, Rewritten: 1, BytesMoved: 10}, nil
-			},
-			want:    Report{Scanned: 1, Repaired: 1, Refilled: 1, BytesMoved: 10},
-			repairs: 1,
-		},
-		"verify-pessimistic-but-probe-healthy": {
-			verify: func(string) (bool, error) { return false, nil },
+		"healthy": {
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{Checked: 5}, nil
 			},
-			want:    Report{Scanned: 1, Healthy: 1},
-			repairs: 1,
+			want: Report{Scanned: 1, Healthy: 1},
 		},
-		"deleted-between-verify-and-repair": {
-			verify: func(string) (bool, error) { return false, nil },
+		"deleted-between-scan-and-repair": {
 			repair: func(string) (core.RepairReport, error) {
-				return core.RepairReport{}, notFound
+				return core.RepairReport{}, core.ErrNotFound
 			},
-			want:    Report{Scanned: 1, Healthy: 1},
-			repairs: 1,
+			want: Report{Scanned: 1, Healthy: 1},
+		},
+		"degraded-then-repaired": {
+			repair: func(string) (core.RepairReport, error) {
+				return core.RepairReport{Checked: 5, Missing: 2, Rewritten: 2, BytesMoved: 200}, nil
+			},
+			want: Report{Scanned: 1, Repaired: 1, Refilled: 2, BytesMoved: 200},
 		},
 		"repair-error": {
-			verify: func(string) (bool, error) { return false, nil },
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{}, core.ErrUnavailable
 			},
-			want:    Report{Scanned: 1, Failed: 1},
-			repairs: 1,
+			want: Report{Scanned: 1, Failed: 1},
 		},
 		"partial-repair-counts-work-and-fails": {
-			verify: func(string) (bool, error) { return false, nil },
 			repair: func(string) (core.RepairReport, error) {
 				return core.RepairReport{Checked: 5, Missing: 3, Rewritten: 1, BytesMoved: 7}, nil
 			},
-			want:    Report{Scanned: 1, Repaired: 1, Refilled: 1, BytesMoved: 7, Failed: 1},
-			repairs: 1,
+			want: Report{Scanned: 1, Repaired: 1, Refilled: 1, BytesMoved: 7, Failed: 1},
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := newFake(1)
-			c.verify, c.repair = tc.verify, tc.repair
+			c.repair = tc.repair
 			d := newDaemon(t, Config{Client: c, Rate: -1})
 			got := d.RunCycle(nil)
 			got.Duration = 0
 			if got != tc.want {
 				t.Fatalf("report %+v, want %+v", got, tc.want)
 			}
-			if len(c.repaired) != tc.repairs {
-				t.Fatalf("repair called %d times, want %d", len(c.repaired), tc.repairs)
+			if len(c.repaired) != 1 {
+				t.Fatalf("repair called %d times, want 1", len(c.repaired))
 			}
 		})
 	}
@@ -355,9 +319,9 @@ func TestRunCycleCancel(t *testing.T) {
 		t.Fatalf("cancelled cycle scanned all %d keys", report.Scanned)
 	}
 	// Everything it did scan was fully processed (no leaked goroutines
-	// past the barrier): scanned keys were all verified.
-	if verified, _ := c.calls(); verified != report.Scanned {
-		t.Fatalf("scanned %d but verified %d", report.Scanned, verified)
+	// past the barrier): scanned keys were all repaired.
+	if repaired := c.calls(); repaired != report.Scanned {
+		t.Fatalf("scanned %d but repaired %d", report.Scanned, repaired)
 	}
 }
 
@@ -377,9 +341,9 @@ func TestLastCompletedGauge(t *testing.T) {
 
 	cancel := make(chan struct{})
 	var once sync.Once
-	c.verify = func(string) (bool, error) {
+	c.repair = func(string) (core.RepairReport, error) {
 		once.Do(func() { close(cancel) }) // cut the walk after its first keys
-		return true, nil
+		return core.RepairReport{}, nil
 	}
 	if r := d.RunCycle(cancel); r.Scanned == 0 || r.Scanned == 100 || gauge.Value() != 0 {
 		t.Fatalf("cancelled walk: report %s, gauge %d", r, gauge.Value())
@@ -535,11 +499,9 @@ func TestScrubConvergesCluster(t *testing.T) {
 	if second.Healthy != len(values) || second.Repaired != 0 || second.Failed != 0 {
 		t.Fatalf("second cycle not clean: %s", second)
 	}
-	// …every key verifies, and every value reads back byte-identical.
+	// …every key is converged, and every value reads back byte-identical.
 	for k, v := range values {
-		if ok, err := c.Verify(k); err != nil || !ok {
-			t.Fatalf("Verify(%s) after scrub = %v, %v", k, ok, err)
-		}
+		requireConverged(t, c, k)
 		got, err := c.Get(k)
 		if err != nil || !bytes.Equal(got, v) {
 			t.Fatalf("Get(%s) after scrub: %d bytes, %v", k, len(got), err)
@@ -555,7 +517,7 @@ func TestScrubConvergesCluster(t *testing.T) {
 // answers. Its keys converge anyway — the refills land on the current
 // placement, and a drain that cannot reach a server the view no longer
 // names is not a failure — so a pass clears the list, and every key
-// reads back and verifies at the current placement alone.
+// reads back and is converged at the current placement alone.
 func TestRemovedCrashedServerDrains(t *testing.T) {
 	for name, cfg := range map[string]core.Config{
 		"sync-rep":  {Resilience: core.ResilienceSyncRep, Replicas: 3},
@@ -599,9 +561,7 @@ func TestRemovedCrashedServerDrains(t *testing.T) {
 				if got, err := c.Get(key); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("Get(%s) after the drain: %d bytes, %v", key, len(got), err)
 				}
-				if ok, err := c.Verify(key); err != nil || !ok {
-					t.Fatalf("Verify(%s) after the drain = %v, %v", key, ok, err)
-				}
+				requireConverged(t, c, key)
 			}
 		})
 	}

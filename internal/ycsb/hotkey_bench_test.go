@@ -70,11 +70,11 @@ func BenchmarkHotKeyZipfian(b *testing.B) {
 					ValueSize:    valueSize,
 					KeyPrefix:    "hot-",
 					Seed:         42,
-					// Unscrambled: keep the Zipfian head at item 0 so the
-					// hottest keys hash to fixed home servers instead of
-					// being spread by the scramble.
-					Distribution: ycsb.NewZipfian(records, ycsb.ZipfianConstant),
 				}
+				// Unscrambled: keep the Zipfian head at item 0 so the
+				// hottest keys hash to fixed home servers instead of
+				// being spread by the scramble.
+				dist := ycsb.NewZipfian(records, ycsb.ZipfianConstant)
 				if err := ycsb.Load(c, run); err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func BenchmarkHotKeyZipfian(b *testing.B) {
 				b.ResetTimer()
 				var ops, elapsed float64
 				for i := 0; i < b.N; i++ {
-					res := ycsb.Run(c, run)
+					res := ycsb.RunWith(c, run, dist)
 					if res.Errors > 0 {
 						b.Fatalf("%d errored operations", res.Errors)
 					}

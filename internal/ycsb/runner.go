@@ -58,9 +58,6 @@ type Config struct {
 	KeyPrefix string
 	// Seed makes the key sequence reproducible.
 	Seed int64
-	// Distribution overrides the request distribution
-	// (ScrambledZipfian over RecordCount if nil).
-	Distribution Generator
 }
 
 // Result is the outcome of a run.
@@ -104,12 +101,14 @@ func Load(db DB, cfg Config) error {
 }
 
 // Run executes the workload against db with cfg.Clients concurrent
-// clients and returns merged results.
+// clients, keys drawn ScrambledZipfian over RecordCount, and returns
+// merged results.
 func Run(db DB, cfg Config) Result {
-	dist := cfg.Distribution
-	if dist == nil {
-		dist = NewScrambledZipfian(uint64(cfg.RecordCount))
-	}
+	return run(db, cfg, NewScrambledZipfian(uint64(cfg.RecordCount)))
+}
+
+// run is Run with the keys drawn from dist.
+func run(db DB, cfg Config, dist Generator) Result {
 	res := Result{
 		ReadLatency:  stats.NewHistogram(),
 		WriteLatency: stats.NewHistogram(),

@@ -190,8 +190,8 @@ type uniform uint64
 
 func (u uniform) Next(rng *rand.Rand) uint64 { return uint64(rng.Int63n(int64(u))) }
 
-// TestRunUniformDistribution: Run draws its keys from the caller's
-// Generator when Config.Distribution names one.
+// TestRunUniformDistribution: a run draws its keys from the Generator
+// it is handed.
 func TestRunUniformDistribution(t *testing.T) {
 	db := newFakeDB()
 	cfg := Config{
@@ -201,12 +201,11 @@ func TestRunUniformDistribution(t *testing.T) {
 		OpsPerClient: 200,
 		ValueSize:    16,
 		Seed:         3,
-		Distribution: uniform(50),
 	}
 	if err := Load(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	res := Run(db, cfg)
+	res := RunWith(db, cfg, uniform(50))
 	if res.WriteLatency.Count() != 0 {
 		t.Fatal("workload C issued writes")
 	}
