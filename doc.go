@@ -6,7 +6,7 @@
 // The library lives under internal/:
 //
 //   - internal/core — the client: non-blocking ISet/IGet/Wait APIs and
-//     the resilience strategies (replication, four erasure schemes,
+//     the resilience strategies (replication, three erasure schemes,
 //     hybrid).
 //   - internal/server, internal/store — the Memcached-style server.
 //   - internal/gf256, internal/erasure — the coding substrate.

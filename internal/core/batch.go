@@ -172,8 +172,7 @@ const batchBytesBudget = wire.MaxValueLen
 // send executes one round under the client's operation deadline. All
 // sub-ops of a round come from ONE view snapshot, whose epoch rides on
 // every frame so a server whose ring differs rejects it with
-// WrongEpoch (zero = epoch-unaware: the rpc pool stamps the current
-// epoch at send time).
+// WrongEpoch.
 func (b *batcher) send(ops []subOp, epoch uint64) {
 	b.sendWithin(ops, epoch, b.c.cfg.OpTimeout)
 }

@@ -180,7 +180,7 @@ func (c *Client) MDelete(keys []string) error {
 	}
 	return c.bulkOp("mdelete", func(b *batcher) error {
 		res := c.retryKeys(false, func(idx []int) []result {
-			return c.strat.del(b, subset(keys, idx))
+			return c.strat.del(b, subset(keys, idx), 0)
 		})
 		for _, key := range keys {
 			c.invalidate(key)

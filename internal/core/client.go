@@ -165,18 +165,19 @@ type write struct {
 // transient failures and epoch rejections itself; set and del are not
 // idempotent and leave the epoch retry to the caller (retryKeys). An
 // ErrNotFound result is authoritative absence — the public APIs decide
-// whether that is an error for their call. compareSet and compareDelete
-// are single-key by nature (one decider per key) and return the version
-// installed, the CAS token later reads report. converge is the
+// whether that is an error for their call. del's expect, when non-zero,
+// makes every delete of its round conditional on that version (DeleteCas).
+// compareSet is single-key by nature (one decider or one stripe
+// per key) and returns the version installed, the CAS token later reads
+// report. converge is the
 // background half (converge.go): it brings one key to full redundancy at
 // the current placement, from that placement and every draining ring's,
 // writing only against what its own probe saw.
 type strategy interface {
 	get(b *batcher, keys []string) []result
 	set(b *batcher, writes []write) []result
-	del(b *batcher, keys []string) []result
+	del(b *batcher, keys []string, expect uint64) []result
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
-	compareDelete(b *batcher, key string, expect uint64) error
 	converge(b *batcher, key string) (RepairReport, error)
 }
 
@@ -247,12 +248,6 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		}),
 	}
 	c.rounds.New = func() any { return new(rpc.Round) }
-	// Safety net for requests that reach the wire without an explicit
-	// epoch (best-effort paths): stamp them with the current view's
-	// epoch at send time. Placement-derived requests are stamped by the
-	// strategies from the SAME snapshot their placement came from,
-	// which this send-time fallback cannot guarantee.
-	c.pool.SetEpochSource(c.view.Epoch)
 	reg.RegisterFunc("ecstore_client_membership_epoch", func() int64 { return int64(c.view.Epoch()) })
 	var err error
 	if c.strat, err = c.newStrategy(cfg.Resilience); err != nil {
@@ -371,50 +366,32 @@ func (c *Client) getOp(key string) func() (Item, error) {
 	}
 }
 
-func (c *Client) deleteOp(key string) func() (Item, error) {
+func (c *Client) deleteOp(key string, expect uint64) func() (Item, error) {
 	return func() (Item, error) {
 		b := c.begin("delete")
 		r := c.retryKeys(false, func([]int) []result {
-			return c.strat.del(b, []string{key})
+			return c.strat.del(b, []string{key}, expect)
 		})[0]
 		c.invalidate(key)
 		return b.end(Item{}, r.err)
 	}
 }
 
-// deleteCasOp needs a real token: zero is the unconditional-delete
-// sentinel on the wire.
-func (c *Client) deleteCasOp(key string, cas uint64) func() (Item, error) {
-	return func() (Item, error) {
-		if cas == 0 {
-			return Item{}, fmt.Errorf("core: delete-cas needs a non-zero cas token")
-		}
-		b := c.begin("delete")
-		return b.end(epochRetry(c, func() (Item, error) {
-			err := c.strat.compareDelete(b, key, cas)
-			// Invalidate on every outcome, as casOp: success removed the
-			// item, a conflict proves the cached version stale, and on
-			// failure the state is unknown.
-			c.invalidate(key)
-			return Item{}, err
-		}))
-	}
-}
-
 func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) func() (Item, error) {
 	return func() (Item, error) {
 		b := c.begin("cas")
-		return b.end(epochRetry(c, func() (Item, error) {
+		r := c.retryKeys(false, func([]int) []result {
 			version, err := c.strat.compareSet(b, key, value, ttl, cas)
-			// Invalidate on every outcome: success installed a new
-			// version, a conflict is an EXISTS observation proving the
-			// cached version stale, and on failure the state is unknown.
-			c.invalidate(key)
-			if err == nil {
-				c.fillAfterWrite(key, value, version, ttl)
-			}
-			return Item{Version: version}, err
-		}))
+			return []result{{item: Item{Version: version}, err: err}}
+		})[0]
+		// Invalidate on every outcome: success installed a new version, a
+		// conflict is an EXISTS observation proving the cached version
+		// stale, and on failure the state is unknown.
+		c.invalidate(key)
+		if r.err == nil {
+			c.fillAfterWrite(key, value, r.item.Version, ttl)
+		}
+		return b.end(r.item, r.err)
 	}
 }
 
@@ -449,9 +426,13 @@ func (c *Client) IGet(key string) *Future {
 // DeleteCas removes key, but only while the stored version still
 // equals cas — the atomic conditional delete behind the proxy's
 // `md <key> C<cas>`. A changed version yields ErrCASConflict, an absent
-// key ErrNotFound. cas must be non-zero.
+// key ErrNotFound. cas must be non-zero: zero is the unconditional
+// delete on the wire.
 func (c *Client) DeleteCas(key string, cas uint64) error {
-	_, err := c.run(c.deleteCasOp(key, cas))
+	if cas == 0 {
+		return fmt.Errorf("core: delete-cas needs a non-zero cas token")
+	}
+	_, err := c.run(c.deleteOp(key, cas))
 	return err
 }
 
@@ -477,7 +458,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 
 // Delete removes key from every server holding a copy or chunk.
 func (c *Client) Delete(key string) error {
-	_, err := c.run(c.deleteOp(key))
+	_, err := c.run(c.deleteOp(key, 0))
 	return err
 }
 

@@ -82,8 +82,13 @@ func (c *Client) Repair(key string) (RepairReport, error) {
 	// The strategies bail out with wire.ErrWrongEpoch before any write
 	// lands on a stale ring; adopt the newer view and re-resolve, the
 	// same transparent retry every data-path operation gets.
-	report, err := epochRetry(c, func() (RepairReport, error) { return c.strat.converge(b, key) })
-	_, err = b.end(Item{}, err)
+	var report RepairReport
+	r := c.retryKeys(false, func([]int) []result {
+		var err error
+		report, err = c.strat.converge(b, key)
+		return []result{{err: err}}
+	})[0]
+	_, err := b.end(Item{}, r.err)
 	return report, err
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -14,23 +13,6 @@ import (
 // re-resolves placement, so under a flapping ring the operation fails
 // with the epoch error instead of spinning forever.
 const epochRetryLimit = 3
-
-// epochRetry runs fn and, on a membership-epoch rejection
-// (wire.ErrWrongEpoch), refreshes the client's view from the cluster
-// and re-runs it — retryKeys' epoch rule for the single-key entry
-// points that have no key-slice form (Cas, DeleteCas and Repair). fn
-// re-resolves placement from a fresh view snapshot on every attempt, so
-// the retry really does route against the new ring.
-func epochRetry[T any](c *Client, fn func() (T, error)) (T, error) {
-	for attempt := 0; ; attempt++ {
-		v, err := fn()
-		if err == nil || !errors.Is(err, wire.ErrWrongEpoch) || attempt >= epochRetryLimit {
-			return v, err
-		}
-		c.mEpochRetries.Inc()
-		_, _ = c.RefreshView()
-	}
-}
 
 // View returns the client's current membership view.
 func (c *Client) View() membership.View { return c.view.Current() }

@@ -93,8 +93,8 @@ func (b *ClusterBackend) Delete(key string) (bool, error) {
 }
 
 // DeleteCas removes the key cluster-wide only while its stored stripe
-// version still equals cas — the wire-level conditional delete, decided
-// under one shard lock at the deciding replica.
+// version still equals cas — the wire-level conditional delete, checked
+// and applied under one shard lock at every holder.
 func (b *ClusterBackend) DeleteCas(key string, cas uint64) error {
 	return translate(b.Client.DeleteCas(key, cas))
 }

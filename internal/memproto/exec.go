@@ -189,7 +189,7 @@ func (h *Handler) update(o *op, miss result, next func(cur Item, found bool) ([]
 
 // remove executes delete and md. A token makes it conditional through
 // the backend's atomic DeleteCas — the compare and the removal happen
-// under one lock at the deciding store, so a concurrent writer can
+// under one lock at each holder's store, so a concurrent writer can
 // never slip between them.
 func (h *Handler) remove(o *op) (outcome, error) {
 	var err error

@@ -340,25 +340,11 @@ type Pool struct {
 	gSuspect     *metrics.Gauge
 	hCallSeconds *stats.Histogram
 
-	// epochSource, when set, supplies the sender's membership epoch;
-	// Issue stamps it onto every request that is not already
-	// stamped, so all call sites — strategies, bulk batches, scans —
-	// carry the epoch without threading it through each request
-	// literal. Atomic: the send path must not take the pool lock.
-	epochSource atomic.Pointer[func() uint64]
-
 	mu         sync.Mutex
 	conns      map[string]*muxConn
 	health     map[string]*health
 	onRecovery func(addr string)
 	closed     bool
-}
-
-// SetEpochSource registers fn as the pool's membership-epoch supplier.
-// Every subsequent request sent with a zero Epoch is stamped with
-// fn()'s value at send time.
-func (p *Pool) SetEpochSource(fn func() uint64) {
-	p.epochSource.Store(&fn)
 }
 
 // NewPool returns a Pool dialing through network.
@@ -414,11 +400,6 @@ func (p *Pool) FramePool() *bufpool.Pool { return p.framePool }
 // not touch req.Value afterwards, success or not.
 func (r *Round) Issue(c *Call, addr string, req *wire.Request) bool {
 	p := r.pool
-	if req.Epoch == 0 {
-		if src := p.epochSource.Load(); src != nil {
-			req.Epoch = (*src)()
-		}
-	}
 	h := p.healthFor(addr)
 	if h != nil && !h.admit(time.Now(), p.probeBase, p.probeMax) {
 		p.mFailFast.Inc()
