@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"time"
 
@@ -58,7 +59,8 @@ func subset[T any](all []T, idx []int) []T {
 //     congestion — and the round re-resolves placement against the new
 //     ring. The server rejects BEFORE executing, so the rejected request
 //     never landed; partially-landed multi-location writes are unwound
-//     by the strategies like any other mid-write failure. Bounded by
+//     by the strategies like any other mid-write failure, and a delete
+//     that landed elsewhere stands (errDeletedStale). Bounded by
 //     epochRetryLimit, so under a flapping ring the key fails with the
 //     epoch error instead of spinning;
 //   - idempotent is set and the failure is transient (retriable): up to
@@ -108,11 +110,23 @@ func (c *Client) retryKeys(idempotent bool, round func(idx []int) []result) []re
 			backoff = nextBackoff(backoff)
 		}
 		for j, r := range round(redo) {
+			switch i := redo[j]; {
+			case out[i].err != errDeletedStale:
+			case errors.Is(r.err, ErrNotFound):
+				r.err = nil
+			case errors.Is(r.err, wire.ErrWrongEpoch):
+				r.err = errDeletedStale
+			}
 			out[redo[j]] = r
 		}
 		last, n = redo, len(redo)
 	}
 }
+
+// errDeletedStale is a delete round's epoch error for a key it removed
+// somewhere: retryKeys reports the key deleted if the re-run at the new
+// view finds it absent, the rejecting holder no longer placed.
+var errDeletedStale = fmt.Errorf("%w after a deletion", wire.ErrWrongEpoch)
 
 // nextBackoff doubles the backoff base, clamping AFTER the
 // multiplication so no sleep's base ever exceeds retryBackoffCap.
