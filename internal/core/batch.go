@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ecstore/internal/nearcache"
 	"ecstore/internal/rpc"
 	"ecstore/internal/wire"
 )
@@ -142,6 +143,13 @@ type batcher struct {
 	gatherBuf   [1]gather
 	holderBuf   [8]string
 	chunkKeyBuf [8]string
+
+	// Backing for a read's miss: a one-key Get's key and result (getOp),
+	// and the fill generations of up to 16 led keys (fetch). The failover
+	// walk borrows holderBuf for its orders when they fit.
+	readKey [1]string
+	readRes [1]nearcache.Result
+	genBuf  [16]uint64
 }
 
 // begin opens the batcher of one operation, labelled op: timed from

@@ -115,7 +115,7 @@ func (c *Client) MGetEach(keys []string, each func(key string, item Item, err er
 	res := make([]nearcache.Result, len(keys))
 	// One ARPE window slot for the whole call.
 	_, closed := c.run(func() (Item, error) {
-		c.read(true, keys, res)
+		c.read(keys, res)
 		return Item{}, nil
 	})
 	for i, key := range keys {

@@ -358,11 +358,20 @@ func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item
 	}
 }
 
+// getOp is read for one key: a hit allocates nothing, and a miss keeps
+// its key and result in the batcher it begins.
 func (c *Client) getOp(key string) func() (Item, error) {
 	return func() (Item, error) {
-		keys, res := [1]string{key}, [1]nearcache.Result{}
-		c.read(false, keys[:], res[:])
-		return Item{Value: res[0].Data, Version: res[0].Version, TTL: res[0].TTL}, res[0].Err
+		start := time.Now()
+		if v, ok := c.cache.Get(key); ok {
+			c.ops["get"].done(start, nil)
+			return Item{Value: v.Data, Version: v.Version, TTL: v.TTL}, nil
+		}
+		b := c.begin("get")
+		b.readKey[0] = key
+		c.fetch(b, b.readKey[:], b.readRes[:])
+		r := &b.readRes[0]
+		return Item{Value: r.Data, Version: r.Version, TTL: r.TTL}, r.Err
 	}
 }
 

@@ -10,9 +10,12 @@ import (
 )
 
 // read is the hot-key read-scaling path every logical read goes through
-// (DESIGN §11), results by position: Get, Gets and IGet call it with
-// one key under the op label "get", MGetItems with many under "mget"
-// (bulk, which also feeds the bulk frame series).
+// (DESIGN §11), results by position: MGetEach calls it under the op
+// label "mget" (a bulk op, which also feeds the bulk frame series).
+// Get, Gets and IGet take the same path for one key under "get"
+// (getOp): they look the key up in the cache themselves and call fetch
+// on a miss, so that their key and result live in the batcher fetch
+// needs anyway.
 //
 //  1. the near cache (when Config.CacheBytes enables it) answers
 //     without any RPC, returning the value stamped with the stripe
@@ -37,13 +40,8 @@ import (
 //
 // keys must be duplicate-free and the caller's own: read reorders keys
 // and res together (cache misses first, then as Group.Fetch does), and
-// res[i] answers keys[i] as they stand on return. A single-key caller
-// passes arrays of one, which keeps the read's state off the heap.
-func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
-	op := "get"
-	if bulk {
-		op = "mget"
-	}
+// res[i] answers keys[i] as they stand on return.
+func (c *Client) read(keys []string, res []nearcache.Result) {
 	start := time.Now()
 	miss := 0
 	for i, key := range keys {
@@ -59,17 +57,23 @@ func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
 	if miss == 0 {
 		// Hits do no wire work: they take the op's counters, not a
 		// batcher.
-		c.ops[op].done(start, nil)
+		c.ops["mget"].done(start, nil)
 		return
 	}
-	b := c.begin(op)
-	b.bulk = bulk
-	joined := c.flight.Fetch(keys[:miss], res[:miss], func(lead []string) {
+	b := c.begin("mget")
+	b.bulk = true
+	c.fetch(b, keys[:miss], res[:miss])
+}
+
+// fetch reads keys, which the near cache missed, through the flight
+// group and the strategy, fills the cache with what it led, and closes
+// the operation's batcher b.
+func (c *Client) fetch(b *batcher, keys []string, res []nearcache.Result) {
+	joined := c.flight.Fetch(keys, res, func(lead []string) {
 		// Generations are drawn BEFORE the fetch, so a concurrent local
 		// write's invalidation in between wins and the fill is dropped.
-		var one [1]uint64
-		gens := one[:]
-		if len(lead) > 1 {
+		gens := b.genBuf[:]
+		if len(lead) > len(gens) {
 			gens = make([]uint64, len(lead))
 		}
 		for i, key := range lead {
@@ -98,8 +102,8 @@ func (c *Client) read(bulk bool, keys []string, res []nearcache.Result) {
 	// The op failed if a key did; absence fails a Get but is an answer
 	// to a bulk read.
 	var err error
-	for i := 0; i < miss && err == nil; i++ {
-		if e := res[i].Err; e != nil && !(bulk && errors.Is(e, ErrNotFound)) {
+	for i := 0; i < len(res) && err == nil; i++ {
+		if e := res[i].Err; e != nil && !(b.bulk && errors.Is(e, ErrNotFound)) {
 			err = e
 		}
 	}

@@ -48,10 +48,21 @@ func (c *Client) walk(b *batcher, keys []string, width int,
 		lastErr error
 		done    bool
 	}
-	states := make([]walkState, len(keys))
+	// The state of up to 16 keys lives on the stack, as roundBuf's
+	// sub-ops do.
+	var stateBuf [16]walkState
+	states := stateBuf[:]
+	if len(keys) > len(states) {
+		states = make([]walkState, len(keys))
+	}
+	states = states[:len(keys)]
 	// Every key's order is a window of one backing slice, sized so no
-	// append moves it.
-	orders := make([]string, 0, len(keys)*width)
+	// append moves it: the batcher's holderBuf when they fit (no walk
+	// runs inside another, nor inside a gatherGet).
+	orders := b.holderBuf[:0]
+	if len(keys)*width > len(b.holderBuf) {
+		orders = make([]string, 0, len(keys)*width)
+	}
 	for i, key := range keys {
 		start := len(orders)
 		if orders = ring.AppendN(orders, key, width); len(orders) == start {

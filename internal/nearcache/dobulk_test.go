@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -464,4 +465,86 @@ func waitForWaiter(t *testing.T, g *Group, key string, n int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("flight %q never accumulated %d waiters", key, n)
+}
+
+// TestFetchLeadAllocations: a Fetch that leads every key allocates
+// nothing — each led key's flight lives in the caller's Result.
+func TestFetchLeadAllocations(t *testing.T) {
+	var g Group
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("lead-%d", i)
+	}
+	res := make([]Result, len(keys))
+	data := []byte("v")
+	fetch := func(lead []string) {
+		for i := range lead {
+			res[i].Data = data
+		}
+	}
+	for _, n := range []int{1, len(keys)} {
+		if got := testing.AllocsPerRun(1000, func() {
+			if joined := g.Fetch(keys[:n], res[:n], fetch); joined != 0 {
+				t.Fatalf("joined %d keys with no other reader", joined)
+			}
+		}); got != 0 {
+			t.Errorf("Fetch leading %d keys: %v allocations, want 0", n, got)
+		}
+	}
+}
+
+// TestLeaderReusesResultAtOnce: a led key's flight lives in its
+// leader's Result, which the leader may reuse as soon as Fetch returns.
+// Every reader here scribbles over its Result the moment Fetch returns,
+// while the others keep joining the same key: each must still receive
+// what a leader fetched, never a scribble, and under -race no joiner may
+// touch a slot its leader reused. Afterwards no flight is registered,
+// so the next Fetch leads a fresh one.
+func TestLeaderReusesResultAtOnce(t *testing.T) {
+	var g Group
+	const readers, rounds = 8, 500
+	var joins atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var keys [1]string
+			var res [1]Result
+			for i := 0; i < rounds; i++ {
+				keys[0] = "hot"
+				joins.Add(int64(g.Fetch(keys[:], res[:], func([]string) {
+					runtime.Gosched() // let the other readers join
+					res[0].Value, res[0].Err = Value{Data: []byte("fetched"), Version: 7}, nil
+				})))
+				if string(res[0].Data) != "fetched" || res[0].Version != 7 || res[0].Err != nil {
+					t.Errorf("read %q v%d, %v; want what a leader fetched", res[0].Data, res[0].Version, res[0].Err)
+					return
+				}
+				res[0] = Result{Value: Value{Data: []byte("scribble"), Version: 666}, Err: errors.New("reused")}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("readers hung: a joiner parked on a flight its leader had already served")
+	}
+	if joins.Load() == 0 {
+		t.Fatal("no reader ever joined another's fetch")
+	}
+	g.mu.Lock()
+	left := len(g.flights)
+	g.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights still registered after every Fetch returned", left)
+	}
+	if _, joined, _ := fetchOne(&g, "hot", func() (Value, error) { return Value{Data: []byte("fresh")}, nil }); joined {
+		t.Fatal("a Fetch after the storm joined a finished flight")
+	}
 }

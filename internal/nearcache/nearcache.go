@@ -75,7 +75,8 @@ type Value struct {
 }
 
 // entry is one cached value and its place in its queue (intrusive, so
-// a new key costs one allocation).
+// a new key costs one allocation at most: none when it reuses the entry
+// the last removal freed).
 type entry struct {
 	key        string
 	data       []byte // read-only: lent to every Get
@@ -124,6 +125,7 @@ type Cache struct {
 	small     entry // queue sentinels: x.next is the newest entry,
 	main      entry // x.prev the next one evict examines
 	entries   map[string]*entry
+	spare     *entry // the last entry removed, cleared, for the next new key
 	gens      [genSlots]uint64
 	now       func() time.Time
 
@@ -255,7 +257,10 @@ func (c *Cache) Put(key string, v Value, gen uint64) {
 	e, ok := c.entries[key]
 	if !ok {
 		c.evict(charge)
-		e = &entry{key: key}
+		if e, c.spare = c.spare, nil; e == nil {
+			e = &entry{}
+		}
+		e.key = key
 		c.entries[key] = e
 		pushFront(&c.small, e)
 	}
@@ -329,6 +334,10 @@ func (c *Cache) evict(extra int64) {
 	}
 }
 
+// removeLocked unlinks e and keeps it, cleared, as the spare the next
+// new key's Put takes: nothing holds an entry once it is out of the map
+// and the queues (Get lends e.data, never e), and in a full cache every
+// new key follows an eviction, so the steady state allocates no entry.
 func (c *Cache) removeLocked(e *entry) {
 	e.prev.next, e.next.prev = e.next, e.prev
 	delete(c.entries, e.key)
@@ -336,6 +345,8 @@ func (c *Cache) removeLocked(e *entry) {
 	if !e.inMain {
 		c.smallUsed -= e.charge
 	}
+	*e = entry{}
+	c.spare = e
 	c.bytesGauge.Set(c.used)
 	c.itemsGauge.Set(int64(len(c.entries)))
 }
@@ -363,8 +374,13 @@ type Result struct {
 	// wait is where a key that joined another caller's fetch receives
 	// that fetch's outcome.
 	wait chan Result
+	// fl is the flight of a key this Result's caller leads: the group's
+	// map points at it while the fetch runs, so leading costs no
+	// allocation.
+	fl flight
 }
 
+// flight is one in-flight fetch of a key, kept in its leader's Result.
 type flight struct {
 	gen     uint64 // key's generation when the flight was created
 	waiters []chan Result
@@ -404,9 +420,10 @@ type Group struct {
 //
 // Fetch reorders keys and res together, led keys first in their input
 // order, so what fetch is handed is a prefix of the caller's own slice:
-// it must fill res[i] for every lead[i]. (A fetch cannot forget a key:
-// a slot it leaves alone reports the empty value.) A key listed twice
-// joins the flight its first occurrence leads.
+// it must fill res[i].Value and res[i].Err for every lead[i], and
+// nothing else of res[i], which holds the key's flight. (A fetch cannot
+// forget a key: a slot it leaves alone reports the empty value.) A key
+// listed twice joins the flight its first occurrence leads.
 //
 // Served before parking: led keys are fetched and their waiters served
 // BEFORE this call parks on the flights it joined. A call only joins
@@ -414,12 +431,15 @@ type Group struct {
 // in a cycle; the order keeps a led key's waiters from being held
 // behind the leader's own joins, and lets a call that joined its own
 // flight (a repeated key) be served by itself.
+//
+// A led key's flight is res[i].fl: its place is fixed once it is led,
+// as later swaps only touch higher positions, and it is unregistered
+// before Fetch returns, so the caller may reuse res at once.
 func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (joined int) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = make(map[string]*flight)
 	}
-	var led []flight // led[i] is the flight of keys[i], for i < n
 	n := 0
 	for i, key := range keys {
 		cur := g.gens[genSlot(key)]
@@ -433,13 +453,10 @@ func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (j
 		// return a value fetched before this caller's own completed
 		// write. Lead a fresh flight instead, superseding the stale one
 		// in the map.
-		if led == nil {
-			led = make([]flight, len(keys)-i)
-		}
-		led[n].gen = cur
-		g.flights[key] = &led[n]
 		keys[n], keys[i] = keys[i], keys[n]
 		res[n], res[i] = res[i], res[n]
+		res[n].fl = flight{gen: cur}
+		g.flights[key] = &res[n].fl
 		n++
 	}
 	g.mu.Unlock()
@@ -454,20 +471,21 @@ func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (j
 	// points at our flight — a superseded flight must not tear down its
 	// replacement.
 	g.mu.Lock()
-	for i := range led[:n] {
-		if g.flights[keys[i]] == &led[i] {
+	for i := range n {
+		if g.flights[keys[i]] == &res[i].fl {
 			delete(g.flights, keys[i])
 		}
 	}
 	g.mu.Unlock()
-	for i := range led[:n] {
-		for _, ch := range led[i].waiters {
-			r := Result{Err: res[i].Err}
-			if r.Err == nil {
-				r.Value = res[i].Value
-			}
+	for i := range n {
+		r := Result{Err: res[i].Err}
+		if r.Err == nil {
+			r.Value = res[i].Value
+		}
+		for _, ch := range res[i].fl.waiters {
 			ch <- r
 		}
+		res[i].fl = flight{}
 	}
 
 	for i := n; i < len(keys); i++ {

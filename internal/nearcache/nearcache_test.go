@@ -144,8 +144,9 @@ func TestPutAdoptsData(t *testing.T) {
 }
 
 // A hit costs no allocation, a re-Put of a live key none (it is
-// rewritten in place), and a new key one: the entry, which is its own
-// queue element.
+// rewritten in place), a new key one — the entry, which is its own
+// queue element — and a new key in a full cache none: it takes the
+// entry its eviction freed.
 func TestCacheAllocations(t *testing.T) {
 	c, _ := newCache(t, 1<<30, nil)
 	data := []byte("value")
@@ -179,6 +180,27 @@ func TestCacheAllocations(t *testing.T) {
 		next++
 	}); n != 1 {
 		t.Errorf("Put of a new key: %v allocations, want 1", n)
+	}
+
+	// A cache that holds 64 entries of this size, filled and then turned
+	// over once, so the map has reached its steady size too.
+	full, _ := newCache(t, 64*(int64(len("f0000"))+int64(len(data))+entryOverhead), nil)
+	fresh := make([]string, 2*1000+1)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("f%04d", i)
+	}
+	for _, k := range fresh[:1000] {
+		full.Put(k, Value{Data: data}, full.Begin(k))
+	}
+	if full.Len() != 64 {
+		t.Fatalf("full cache holds %d entries, want 64", full.Len())
+	}
+	next = 1000
+	if n := testing.AllocsPerRun(1000, func() {
+		full.Put(fresh[next], Value{Data: data, Version: 1}, full.Begin(fresh[next]))
+		next++
+	}); n != 0 {
+		t.Errorf("Put of a new key into a full cache: %v allocations, want 0", n)
 	}
 }
 

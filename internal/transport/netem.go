@@ -118,21 +118,24 @@ type netemConn struct {
 	closed bool
 }
 
-func (c *netemConn) faults() (hung, cut bool, delay time.Duration, closed bool) {
+func (c *netemConn) faults() (hung, cut, closed bool) {
 	c.net.mu.Lock()
 	hung = c.net.hung[c.addr]
 	cut = c.net.cut[c.addr]
-	delay = c.net.delay[c.addr]
 	c.net.mu.Unlock()
 	c.mu.Lock()
 	closed = c.closed
 	c.mu.Unlock()
-	return hung, cut, delay, closed
+	return hung, cut, closed
 }
 
+// Read delivers the inner connection's bytes, held back by the delay in
+// force when they arrive: it is read after the inner Read returns, so a
+// delay set while this reader was already waiting applies to the
+// delivery it was waiting for.
 func (c *netemConn) Read(p []byte) (int, error) {
 	for {
-		hung, cut, delay, closed := c.faults()
+		hung, cut, closed := c.faults()
 		if closed {
 			return 0, ErrClosed
 		}
@@ -141,6 +144,9 @@ func (c *netemConn) Read(p []byte) (int, error) {
 		}
 		if !hung {
 			n, err := c.inner.Read(p)
+			c.net.mu.Lock()
+			delay := c.net.delay[c.addr]
+			c.net.mu.Unlock()
 			if delay > 0 {
 				time.Sleep(delay)
 			}
@@ -152,7 +158,7 @@ func (c *netemConn) Read(p []byte) (int, error) {
 }
 
 func (c *netemConn) Write(p []byte) (int, error) {
-	hung, cut, _, closed := c.faults()
+	hung, cut, closed := c.faults()
 	if closed {
 		return 0, ErrClosed
 	}

@@ -159,6 +159,52 @@ func TestNetemDelay(t *testing.T) {
 	}
 }
 
+// TestNetemDelayAppliesToWaitingReader: a delay set while a reader is
+// already parked in the inner Read — every idle connection's reader is —
+// holds back the delivery that reader is waiting for, not only the ones
+// after it.
+func TestNetemDelayAppliesToWaitingReader(t *testing.T) {
+	netem := NewNetem(NewInproc(Shape{}))
+	startByteEcho(t, netem, "srv")
+
+	conn, err := netem.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	got := make(chan error, 1)
+	read := func() {
+		buf := make([]byte, 16)
+		_, err := conn.Read(buf)
+		got <- err
+	}
+	// The first round trip is undelayed; the reader of the second is
+	// parked before the delay is set.
+	go read()
+	if _, err := conn.Write([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	go read()
+	time.Sleep(10 * time.Millisecond)
+
+	const d = 30 * time.Millisecond
+	netem.Delay("srv", d)
+	start := time.Now()
+	if _, err := conn.Write([]byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < d {
+		t.Fatalf("the waiting reader's delivery took %v, want >= %v", elapsed, d)
+	}
+}
+
 func TestNetemClosedConnStopsPolling(t *testing.T) {
 	netem := NewNetem(NewInproc(Shape{}))
 	startByteEcho(t, netem, "srv")
