@@ -127,8 +127,7 @@ type batcher struct {
 	round   *rpc.Round
 
 	leases []*wire.Response
-	reqs   []wire.BatchReq // scratch for batch encoding
-	free   []rpc.Call      // call slots not handed out yet
+	free   []rpc.Call // call slots not handed out yet
 
 	// Backing for leases and slots while they are few: one key's rounds
 	// take K+M of each at most, and should not pay an allocation apiece.
@@ -144,12 +143,10 @@ type batcher struct {
 	holderBuf   [8]string
 	chunkKeyBuf [8]string
 
-	// Backing for a read's miss: a one-key Get's key and result (getOp),
-	// and the fill generations of up to 16 led keys (fetch). The failover
-	// walk borrows holderBuf for its orders when they fit.
+	// Backing for a one-key Get's miss (getOp): its key and result. The
+	// failover walk borrows holderBuf for its orders when they fit.
 	readKey [1]string
 	readRes [1]nearcache.Result
-	genBuf  [16]uint64
 }
 
 // begin opens the batcher of one operation, labelled op: timed from
@@ -268,14 +265,17 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 			req.Value, req.ValuePool = wire.EncodeChunkPayloadPooled(fp, op.req.Meta, op.req.Value), fp
 		}
 	} else {
-		b.reqs = b.reqs[:0]
+		// On the stack while the frame has at most 16 sub-ops: the
+		// encoder keeps no reference to the list.
+		var subs [16]wire.BatchReq
+		reqs := subs[:0]
 		size := wire.BatchOverhead
 		for i := first; i >= 0; i = ops[i].next {
 			r := ops[i].req
 			if ops[i].rawChunk {
 				r.Value = wire.EncodeChunkPayloadPooled(fp, r.Meta, r.Value)
 			}
-			b.reqs = append(b.reqs, r)
+			reqs = append(reqs, r)
 			size += r.EncodedSize()
 		}
 		// The payload is leased from the frame pool at its final size
@@ -284,11 +284,11 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		if fp != nil {
 			buf = fp.GetRaw(size)[:0]
 		}
-		payload, err := wire.AppendBatchRequests(buf, b.reqs)
+		payload, err := wire.AppendBatchRequests(buf, reqs)
 		if fp != nil {
 			for i, j := first, 0; i >= 0; i, j = ops[i].next, j+1 {
 				if ops[i].rawChunk {
-					fp.Put(b.reqs[j].Value) // copied into the batch payload
+					fp.Put(reqs[j].Value) // copied into the batch payload
 				}
 			}
 		}

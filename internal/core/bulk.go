@@ -63,7 +63,7 @@ func (c *Client) MSet(pairs map[string][]byte) error {
 			return c.strat.set(b, subset(writes, idx))
 		})
 		for _, key := range keys {
-			c.invalidate(key)
+			c.cache.Invalidate(key)
 		}
 		return firstFailure("mset", keys, res)
 	})
@@ -183,7 +183,7 @@ func (c *Client) MDelete(keys []string) error {
 			return c.strat.del(b, subset(keys, idx), 0)
 		})
 		for _, key := range keys {
-			c.invalidate(key)
+			c.cache.Invalidate(key)
 		}
 		return firstFailure("mdelete", keys, res)
 	})

@@ -47,12 +47,13 @@ type Client struct {
 	// protocol behaviour rather than buffering convenience.
 	window chan struct{}
 
-	// flight coalesces concurrent reads of one key into a single
-	// strategy fetch; cache is the optional version-stamped near cache
-	// over logical values (nil unless Config.CacheBytes > 0). Together
-	// they are the hot-key read-scaling layer of DESIGN §11.
-	flight nearcache.Group
-	cache  *nearcache.Cache
+	// cache is the hot-key read-scaling layer of DESIGN §11: it
+	// coalesces concurrent reads of one key into a single strategy fetch
+	// and, when Config.CacheBytes > 0, keeps version-stamped logical
+	// values. Every local Set/Cas/Delete invalidates its key whatever the
+	// outcome: on success the cached value is stale by construction, on
+	// failure the key's state is unknown.
+	cache *nearcache.Cache
 
 	// rounds recycles the rpc rounds operations run their calls in, and
 	// with each the deadline timer it armed: a batcher draws one in begin
@@ -350,7 +351,7 @@ func (c *Client) setOp(key string, value []byte, ttl time.Duration) func() (Item
 		r := c.retryKeys(false, func([]int) []result {
 			return c.strat.set(b, []write{{key: key, value: value, ttl: ttl}})
 		})[0]
-		c.invalidate(key)
+		c.cache.Invalidate(key)
 		if r.err == nil {
 			c.fillAfterWrite(key, value, r.item.Version, ttl)
 		}
@@ -381,7 +382,7 @@ func (c *Client) deleteOp(key string, expect uint64) func() (Item, error) {
 		r := c.retryKeys(false, func([]int) []result {
 			return c.strat.del(b, []string{key}, expect)
 		})[0]
-		c.invalidate(key)
+		c.cache.Invalidate(key)
 		return b.end(Item{}, r.err)
 	}
 }
@@ -396,7 +397,7 @@ func (c *Client) casOp(key string, value []byte, ttl time.Duration, cas uint64) 
 		// Invalidate on every outcome: success installed a new version, a
 		// conflict is an EXISTS observation proving the cached version
 		// stale, and on failure the state is unknown.
-		c.invalidate(key)
+		c.cache.Invalidate(key)
 		if r.err == nil {
 			c.fillAfterWrite(key, value, r.item.Version, ttl)
 		}
@@ -506,10 +507,9 @@ func (c *Client) FlushAll() error {
 		}
 	}
 	// Again after the flush has landed: a read that raced the loop may
-	// have re-filled a pre-flush value. Flight generations bump too, so
-	// no post-flush Get coalesces onto a pre-flush fetch.
+	// have re-filled a pre-flush value or begun a flight that a
+	// post-flush Get must not join.
 	c.cache.InvalidateAll()
-	c.flight.InvalidateAll()
 	return firstErr
 }
 

@@ -185,7 +185,7 @@ type Config struct {
 	// conditional write that loses with EXISTS drops the entry), on authoritative absence, and on TTL or CacheMaxAge
 	// expiry (DESIGN §11). Hot zipfian reads are served from local
 	// memory instead of dialing the key's home server. 0 disables
-	// caching (reads still coalesce through the singleflight group).
+	// caching; reads still coalesce through the cache, which keeps nothing.
 	CacheBytes int64
 	// CacheMaxAge caps how long any cached entry may be served
 	// regardless of its item TTL — the bound on cross-client staleness

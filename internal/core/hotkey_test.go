@@ -297,6 +297,51 @@ func TestNearCacheAbsorbsHotReads(t *testing.T) {
 	}
 }
 
+// An uncached client (CacheBytes 0) still reads through the near
+// cache, which only coalesces for it: it keeps no value — a write by
+// another client is seen at once — and counts no hit or miss.
+func TestUncachedClientCountsNoNearCacheActivity(t *testing.T) {
+	cl := startCluster(t, 5)
+	c := newClient(t, cl, allModes()["hybrid"])
+	other := newClient(t, cl, allModes()["hybrid"])
+	keys := []string{"u0", "u1", "u2"}
+	for _, value := range []string{"old", "new"} {
+		for _, k := range keys {
+			if err := other.Set(k, []byte(value)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Set(keys[0], []byte(value)); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if got, err := c.Get(k); err != nil || string(got) != value {
+				t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, value)
+			}
+		}
+		got, err := c.MGet(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if string(got[k]) != value {
+				t.Fatalf("MGet[%s] = %q, want %q", k, got[k], value)
+			}
+		}
+	}
+	snap := c.Metrics().Snapshot()
+	for _, name := range []string{"hits_total", "misses_total"} {
+		if got := snap.Counter("ecstore_client_nearcache_" + name); got != 0 {
+			t.Errorf("nearcache %s = %d, want 0", name, got)
+		}
+	}
+	for _, name := range []string{"items", "bytes"} {
+		if got := snap.Gauges["ecstore_client_nearcache_"+name]; got != 0 {
+			t.Errorf("nearcache %s = %d, want 0", name, got)
+		}
+	}
+}
+
 // MGet rides the same read-through path: hot keys in a batch are
 // served from the cache and invalidated by local writes.
 func TestNearCacheMGet(t *testing.T) {
@@ -408,7 +453,8 @@ func TestSetCallerMayReuseBuffer(t *testing.T) {
 }
 
 // A multi-get the near cache answers in full allocates per call, not
-// per key: hits are lent, not copied (25 objects while they were).
+// per key: hits are lent, not copied (25 objects while they were). A
+// one-key Get the cache answers allocates nothing.
 func TestCachedMGetAllocatesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -436,6 +482,14 @@ func TestCachedMGetAllocatesPerCall(t *testing.T) {
 		t.Errorf("a 16-key MGetItems of cached keys allocates %.0f objects, want <= 8", got)
 	} else {
 		t.Logf("allocates %.0f objects", got)
+	}
+	get := func() {
+		if _, err := c.Get(keys[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, get); got != 0 {
+		t.Errorf("a one-key Get of a cached key allocates %.0f objects, want 0", got)
 	}
 	if m := misses() - before; m != 0 {
 		t.Fatalf("%d near-cache misses: not every key was a hit", m)

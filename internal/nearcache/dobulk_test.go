@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// The bulk cases of Group.Fetch. The former "fetch forgot a key" case
+// The bulk cases of Cache.Fetch. The former "fetch forgot a key" case
 // is gone with the error it pinned: results are slots the fetch fills
 // by position, so an omission is not representable — a slot left alone
 // is the empty value, and every led key has one.
@@ -19,7 +19,7 @@ import (
 // fetchMap runs g.Fetch over a copy of keys and returns the outcome
 // keyed by key string, which is how these cases read best; fetch fills
 // res[i] for lead[i].
-func fetchMap(g *Group, keys []string, fetch func(lead []string, res []Result)) (values map[string]Value, errs map[string]error, joined int) {
+func fetchMap(g *Cache, keys []string, fetch func(lead []string, res []Result)) (values map[string]Value, errs map[string]error, joined int) {
 	keys = append([]string(nil), keys...)
 	res := make([]Result, len(keys))
 	joined = g.Fetch(keys, res, func(lead []string) { fetch(lead, res) })
@@ -36,7 +36,7 @@ func fetchMap(g *Group, keys []string, fetch func(lead []string, res []Result)) 
 
 // fetchOne is a read of one key: the value, whether it was another
 // caller's fetch that served it, and the error.
-func fetchOne(g *Group, key string, fn func() (Value, error)) (Value, bool, error) {
+func fetchOne(g *Cache, key string, fn func() (Value, error)) (Value, bool, error) {
 	keys, res := [1]string{key}, [1]Result{}
 	joined := g.Fetch(keys[:], res[:], func([]string) {
 		res[0].Value, res[0].Err = fn()
@@ -45,11 +45,11 @@ func fetchOne(g *Group, key string, fn func() (Value, error)) (Value, bool, erro
 }
 
 func TestDoBulkLeadsAllWhenIdle(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	var calls int32
 	var gotLead []string
 	boom := errors.New("boom")
-	values, errs, joined := fetchMap(&g, []string{"b", "a", "c"}, func(lead []string, res []Result) {
+	values, errs, joined := fetchMap(g, []string{"b", "a", "c"}, func(lead []string, res []Result) {
 		atomic.AddInt32(&calls, 1)
 		gotLead = append([]string(nil), lead...)
 		for i, key := range lead {
@@ -84,7 +84,7 @@ func TestDoBulkLeadsAllWhenIdle(t *testing.T) {
 // flight the first one leads, and every position still gets a result of
 // its own.
 func TestDoBulkDedupesKeys(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	keys := []string{"k", "k", "j", "k"}
 	res := make([]Result, len(keys))
 	joined := g.Fetch(keys, res, func(lead []string) {
@@ -109,12 +109,12 @@ func TestDoBulkDedupesKeys(t *testing.T) {
 // single-key leader are joined, not re-fetched — and the joined result
 // is the leader's own bytes, shared read-only.
 func TestDoBulkJoinsInFlightDo(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
 	leaderDone := make(chan Value, 1)
 	go func() {
-		v, _, _ := fetchOne(&g, "hot", func() (Value, error) {
+		v, _, _ := fetchOne(g, "hot", func() (Value, error) {
 			close(leaderIn)
 			<-release
 			return Value{Data: []byte("shared"), Version: 7}, nil
@@ -125,7 +125,7 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 
 	var fetchLead []string
 	// The bulk call parks on "hot" until the leader finishes.
-	values, errs, joined := fetchMap(&g, []string{"hot", "cold"}, func(lead []string, res []Result) {
+	values, errs, joined := fetchMap(g, []string{"hot", "cold"}, func(lead []string, res []Result) {
 		fetchLead = append([]string(nil), lead...)
 		// Registration (including the join on "hot") happened before
 		// this fetch ran, so the leader may finish now.
@@ -158,12 +158,12 @@ func TestDoBulkJoinsInFlightDo(t *testing.T) {
 // bulk read is leading receives the bulk fetch's result,
 // and the bulk caller counts no join for it.
 func TestDoBulkServesDoWaiters(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	fetchIn := make(chan struct{})
 	release := make(chan struct{})
 	bulkDone := make(chan int, 1)
 	go func() {
-		_, _, joined := fetchMap(&g, []string{"led"}, func(lead []string, res []Result) {
+		_, _, joined := fetchMap(g, []string{"led"}, func(lead []string, res []Result) {
 			close(fetchIn)
 			<-release
 			res[0].Value = Value{Data: []byte("bulk"), Version: 3}
@@ -177,12 +177,12 @@ func TestDoBulkServesDoWaiters(t *testing.T) {
 	var wCoalesced bool
 	go func() {
 		defer close(waiterDone)
-		wv, wCoalesced, _ = fetchOne(&g, "led", func() (Value, error) {
+		wv, wCoalesced, _ = fetchOne(g, "led", func() (Value, error) {
 			t.Error("waiter ran its own fetch instead of joining the bulk flight")
 			return Value{}, nil
 		})
 	}()
-	waitForWaiter(t, &g, "led", 1)
+	waitForWaiter(t, g, "led", 1)
 	close(release)
 	<-waiterDone
 
@@ -201,13 +201,13 @@ func TestDoBulkServesDoWaiters(t *testing.T) {
 // key's own outcome to the waiters parked on it — the error for the key
 // that failed, the value for the one beside it.
 func TestDoBulkErrorSharedWithWaiters(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	boom := errors.New("backend down")
 	fetchIn := make(chan struct{})
 	release := make(chan struct{})
 	bulkDone := make(chan map[string]error, 1)
 	go func() {
-		_, errs, _ := fetchMap(&g, []string{"bad", "good"}, func(lead []string, res []Result) {
+		_, errs, _ := fetchMap(g, []string{"bad", "good"}, func(lead []string, res []Result) {
 			close(fetchIn)
 			<-release
 			res[0].Err = boom
@@ -225,12 +225,12 @@ func TestDoBulkErrorSharedWithWaiters(t *testing.T) {
 	goodCh := make(chan outcome, 1)
 	for key, ch := range map[string]chan outcome{"bad": badCh, "good": goodCh} {
 		go func() {
-			v, _, err := fetchOne(&g, key, func() (Value, error) { return Value{}, nil })
+			v, _, err := fetchOne(g, key, func() (Value, error) { return Value{}, nil })
 			ch <- outcome{v, err}
 		}()
 	}
-	waitForWaiter(t, &g, "bad", 1)
-	waitForWaiter(t, &g, "good", 1)
+	waitForWaiter(t, g, "bad", 1)
+	waitForWaiter(t, g, "good", 1)
 	close(release)
 
 	if errs := <-bulkDone; len(errs) != 1 || errs["bad"] != boom {
@@ -248,13 +248,13 @@ func TestDoBulkErrorSharedWithWaiters(t *testing.T) {
 // and a bulk read must prevent coalescing — the bulk read leads a fresh
 // fetch so the caller's own completed write is visible.
 func TestDoBulkGenerationGuard(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	staleIn := make(chan struct{})
 	release := make(chan struct{})
 	staleDone := make(chan struct{})
 	go func() {
 		defer close(staleDone)
-		fetchOne(&g, "w", func() (Value, error) {
+		fetchOne(g, "w", func() (Value, error) {
 			close(staleIn)
 			<-release
 			return Value{Data: []byte("stale")}, nil
@@ -266,7 +266,7 @@ func TestDoBulkGenerationGuard(t *testing.T) {
 	g.Invalidate("w")
 
 	var fetchCalls int32
-	values, errs, joined := fetchMap(&g, []string{"w"}, func(lead []string, res []Result) {
+	values, errs, joined := fetchMap(g, []string{"w"}, func(lead []string, res []Result) {
 		atomic.AddInt32(&fetchCalls, 1)
 		res[0].Data = []byte("fresh")
 	})
@@ -287,7 +287,7 @@ func TestDoBulkGenerationGuard(t *testing.T) {
 // space must produce at most one fetch per (key, caller) — every caller
 // gets every key, whichever of them it led and whichever it joined.
 func TestDoBulkConcurrentStorm(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	const callers = 16
 	keys := []string{"s0", "s1", "s2", "s3"}
 	var fetches int32
@@ -300,7 +300,7 @@ func TestDoBulkConcurrentStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			values, errs, _ := fetchMap(&g, keys, func(lead []string, res []Result) {
+			values, errs, _ := fetchMap(g, keys, func(lead []string, res []Result) {
 				atomic.AddInt32(&fetches, 1)
 				mu.Lock()
 				for i, key := range lead {
@@ -344,7 +344,7 @@ func TestDoBulkConcurrentStorm(t *testing.T) {
 // holding "a" is released only once the read waiting on "b" has its
 // answer; parking first would hang all three.
 func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	inA, releaseA := make(chan struct{}), make(chan struct{})
 	inB, releaseB := make(chan struct{}), make(chan struct{})
 	fill := func(who string, in, release chan struct{}) func(lead []string, res []Result) {
@@ -365,7 +365,7 @@ func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
 	read := func(keys []string, fetch func(lead []string, res []Result)) chan outcome {
 		done := make(chan outcome, 1)
 		go func() {
-			values, _, joined := fetchMap(&g, keys, fetch)
+			values, _, joined := fetchMap(g, keys, fetch)
 			done <- outcome{values, joined}
 		}()
 		return done
@@ -392,7 +392,7 @@ func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
 	r2 := read([]string{"b", "a"}, fill("r2", inB, releaseB)) // leads b, joins a
 	<-inB
 	r3 := read([]string{"b", "c"}, fill("r3", nil, nil)) // joins b, leads c
-	waitForWaiter(t, &g, "b", 1)
+	waitForWaiter(t, g, "b", 1)
 	close(releaseB)
 	check("r3", r3, 1, map[string]string{"b": "r2:b", "c": "r3:c"})
 	close(releaseA)
@@ -404,11 +404,11 @@ func TestFlightServesLedWaitersBeforeParking(t *testing.T) {
 // waiter coalesced onto one fetch both receive the leader's result
 // itself — one buffer, read-only, for all three.
 func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	in, release := make(chan struct{}), make(chan struct{})
 	leader := make(chan Value, 1)
 	go func() {
-		v, _, _ := fetchOne(&g, "k", func() (Value, error) {
+		v, _, _ := fetchOne(g, "k", func() (Value, error) {
 			close(in)
 			<-release
 			return Value{Data: []byte("payload")}, nil
@@ -418,7 +418,7 @@ func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
 	<-in
 	single := make(chan Value, 1)
 	go func() {
-		v, joined, _ := fetchOne(&g, "k", func() (Value, error) { return Value{}, errors.New("not led") })
+		v, joined, _ := fetchOne(g, "k", func() (Value, error) { return Value{}, errors.New("not led") })
 		if !joined {
 			t.Error("single-key reader did not join")
 		}
@@ -426,7 +426,7 @@ func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
 	}()
 	bulk := make(chan Value, 1)
 	go func() {
-		values, _, joined := fetchMap(&g, []string{"z", "k"}, func(lead []string, res []Result) {
+		values, _, joined := fetchMap(g, []string{"z", "k"}, func(lead []string, res []Result) {
 			res[0].Data = []byte("z")
 		})
 		if joined != 1 {
@@ -434,7 +434,7 @@ func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
 		}
 		bulk <- values["k"]
 	}()
-	waitForWaiter(t, &g, "k", 2)
+	waitForWaiter(t, g, "k", 2)
 	close(release)
 
 	got := []Value{<-leader, <-single, <-bulk}
@@ -449,7 +449,7 @@ func TestFlightWaitersShareTheLeadersBytes(t *testing.T) {
 }
 
 // waitForWaiter polls until key's in-flight fetch has n parked waiters.
-func waitForWaiter(t *testing.T, g *Group, key string, n int) {
+func waitForWaiter(t *testing.T, g *Cache, key string, n int) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
 		g.mu.Lock()
@@ -470,7 +470,7 @@ func waitForWaiter(t *testing.T, g *Group, key string, n int) {
 // TestFetchLeadAllocations: a Fetch that leads every key allocates
 // nothing — each led key's flight lives in the caller's Result.
 func TestFetchLeadAllocations(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("lead-%d", i)
@@ -501,7 +501,7 @@ func TestFetchLeadAllocations(t *testing.T) {
 // touch a slot its leader reused. Afterwards no flight is registered,
 // so the next Fetch leads a fresh one.
 func TestLeaderReusesResultAtOnce(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	const readers, rounds = 8, 500
 	var joins atomic.Int64
 	done := make(chan struct{})
@@ -544,7 +544,7 @@ func TestLeaderReusesResultAtOnce(t *testing.T) {
 	if left != 0 {
 		t.Fatalf("%d flights still registered after every Fetch returned", left)
 	}
-	if _, joined, _ := fetchOne(&g, "hot", func() (Value, error) { return Value{Data: []byte("fresh")}, nil }); joined {
+	if _, joined, _ := fetchOne(g, "hot", func() (Value, error) { return Value{Data: []byte("fresh")}, nil }); joined {
 		t.Fatal("a Fetch after the storm joined a finished flight")
 	}
 }

@@ -1,41 +1,33 @@
-// Package nearcache is the client-side hot-key read-scaling layer: a
-// singleflight group that coalesces concurrent reads of one key into a
-// single backend fetch, and a size-bounded, version-stamped cache of
-// logical values that lets a proxy tier absorb zipfian hot reads
-// instead of collapsing the key's home server (ROADMAP item 2; the
-// design follows the lease/invalidate discipline of Nishtala et al.,
-// "Scaling Memcache at Facebook"). Eviction is S3-FIFO without its ghost
-// queue (Yang et al., SOSP 2023): a new entry waits in a small FIFO and
-// moves on to the main FIFO only if hit there; main reinserts its tail
-// while the tail's hit count lasts.
+// Package nearcache is the client-side hot-key read-scaling layer, one
+// type: a Cache coalesces concurrent reads of a key into one backend
+// fetch and, given a byte budget, keeps what it fetched, so a proxy tier
+// absorbs zipfian hot reads instead of collapsing the key's home server
+// (the lease/invalidate discipline of Nishtala et al., "Scaling Memcache
+// at Facebook"). Eviction is S3-FIFO without its ghost queue (Yang et
+// al., SOSP 2023): a new entry waits in a small FIFO and moves on to the
+// main FIFO only if hit there; main reinserts its tail while the tail's
+// hit count lasts.
 //
-// Consistency contract: every cached value carries the stripe version
-// it was read at — the same token the CAS machinery checks — so a
-// stale entry is self-correcting: a conditional write based on it
-// fails with EXISTS, and the client invalidates the entry on every
-// Cas outcome (cluster EXISTS responses carry no current version, so
-// invalidation is unconditional rather than version-compared).
-// Entries are invalidated eagerly on local Set/Cas/Delete and on TTL
-// or MaxAge expiry; a fill races a concurrent invalidation through
-// per-slot generation counters (Begin/Put), so an invalidation between
-// fetch and fill wins and the stale fill is dropped. The singleflight
-// group is guarded by the same generation discipline: a local write
-// bumps the key's flight generation (Group.Invalidate), and a later
-// read refuses to coalesce onto a flight begun before the bump — so
-// what a client reads is monotonic with respect to its own writes,
-// with or without the cache. Cross-client staleness is bounded by
+// Consistency: every cached value carries the stripe version it was
+// read at — the CAS token — so a stale entry is self-correcting: a
+// conditional write based on it fails with EXISTS, and the client
+// invalidates the key on every local Set/Cas/Delete, whatever the
+// outcome. One rule orders reads against the client's own writes: a
+// local write supersedes every read in flight. One table of per-slot
+// generations keeps it: Invalidate bumps the key's slot; a flight
+// remembers the generation it began under, so no later read joins it
+// and its fill is dropped; a fill outside a flight draws its generation
+// with Begin and hands it to Put. So what a client reads is monotonic
+// with respect to its own writes. Cross-client staleness is bounded by
 // MaxAge/TTL and corrected by the version stamp on the first
 // conditional write.
 //
-// Lease discipline: values are immutable and lent, never copied. Put
-// adopts the caller's bytes — the caller hands over memory nothing else
-// will write (the read path's fill is a copy out of a pooled frame or a
-// fresh join; a Set's base is copied where it enters, in core) — Get
-// returns the entry's own slice, and the singleflight group hands every
-// coalesced waiter the leader's result itself. So a value the cache or
-// the group returns is read-only and may be shared with other callers:
-// the rule the store already follows for the values it lends (DESIGN
-// §9). Put clips what it adopts to its length, so a holder's append
+// Lease discipline: values are immutable and lent, never copied. A fill
+// adopts the caller's bytes — memory nothing else will write — Get
+// returns the entry's own slice, and Fetch hands every coalesced waiter
+// the leader's result itself. So a value the cache returns is read-only
+// and may be shared (the store's rule for the values it lends, DESIGN
+// §9). An entry is clipped to its length, so a holder's append
 // reallocates instead of writing past the lent bytes.
 package nearcache
 
@@ -47,10 +39,11 @@ import (
 	"ecstore/internal/metrics"
 )
 
-// genSlots is the size of the striped generation table guarding fills
-// against concurrent invalidations. Collisions are safe (a colliding
-// invalidation drops an unrelated in-flight fill, never serves stale
-// data) and at 1024 slots rare enough not to matter.
+// genSlots is the size of the striped generation table guarding joins
+// and fills against concurrent invalidations. Collisions are safe (a
+// colliding invalidation drops an unrelated fill or starts a fresh
+// flight, never serves stale data) and at 1024 slots rare enough not to
+// matter.
 const genSlots = 1024
 
 // entryOverhead approximates the per-entry bookkeeping cost charged
@@ -98,7 +91,8 @@ func (e *entry) expired(now time.Time) bool {
 type Config struct {
 	// MaxBytes bounds the total charge (key + value + overhead) of
 	// cached entries, both queues together; the two-queue rule (see
-	// the package doc) evicts to stay under it. Required (> 0).
+	// the package doc) evicts to stay under it. At 0 or below the
+	// Cache keeps no value and only coalesces reads.
 	MaxBytes int64
 	// MaxAge caps how long any entry may be served regardless of its
 	// item TTL — a safety valve on cross-client staleness
@@ -112,10 +106,9 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Cache is the size-bounded version-stamped two-queue FIFO. A nil
-// *Cache is valid and behaves as an always-miss cache, so callers can
-// thread an optional cache without nil checks. Caches are safe for
-// concurrent use.
+// Cache is the size-bounded version-stamped two-queue FIFO and the
+// flights of the reads it missed, under one mutex and one generation
+// table. Caches are safe for concurrent use.
 type Cache struct {
 	mu        sync.Mutex
 	max       int64
@@ -126,6 +119,7 @@ type Cache struct {
 	main      entry // x.prev the next one evict examines
 	entries   map[string]*entry
 	spare     *entry // the last entry removed, cleared, for the next new key
+	flights   map[string]*flight
 	gens      [genSlots]uint64
 	now       func() time.Time
 
@@ -138,11 +132,9 @@ type Cache struct {
 	itemsGauge    *metrics.Gauge
 }
 
-// New returns a Cache; nil if cfg.MaxBytes <= 0 (caching disabled).
+// New returns a Cache; with cfg.MaxBytes <= 0 it keeps no value and
+// only coalesces reads.
 func New(cfg Config) *Cache {
-	if cfg.MaxBytes <= 0 {
-		return nil
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -152,6 +144,7 @@ func New(cfg Config) *Cache {
 		max:           cfg.MaxBytes,
 		maxAge:        cfg.MaxAge,
 		now:           now,
+		flights:       make(map[string]*flight),
 		hits:          reg.Counter("ecstore_client_nearcache_hits_total"),
 		misses:        reg.Counter("ecstore_client_nearcache_misses_total"),
 		evictions:     reg.Counter("ecstore_client_nearcache_evictions_total"),
@@ -175,14 +168,10 @@ func genSlot(key string) int {
 	return int(h % genSlots)
 }
 
-// Begin opens a fill attempt for key: the returned generation must be
-// passed to Put, which drops the fill if any invalidation of the key
-// (or a slot collision) happened in between. Call it BEFORE issuing
-// the backend read the fill's value comes from.
+// Begin opens a fill of key outside a flight, BEFORE the write or read
+// its value comes from: Put drops the fill if an invalidation of the
+// key's slot came in between.
 func (c *Cache) Begin(key string) uint64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	g := c.gens[genSlot(key)]
 	c.mu.Unlock()
@@ -194,9 +183,10 @@ func (c *Cache) Begin(key string) uint64 {
 // past MaxAge returns ok = false (expired entries are dropped). The
 // returned Value's TTL is the item's own remaining lifetime in whole
 // seconds, rounded up — the residency cap only decides serve/expire and
-// is never reported.
+// is never reported. A Cache that keeps no value misses at once and
+// counts nothing.
 func (c *Cache) Get(key string) (Value, bool) {
-	if c == nil {
+	if c.max <= 0 {
 		return Value{}, false
 	}
 	c.mu.Lock()
@@ -230,16 +220,19 @@ func (c *Cache) Get(key string) (Value, bool) {
 // nothing will write again. It is dropped if an invalidation of key
 // happened since gen was read with Begin (the fill lost the race —
 // installing it would resurrect a value a local write just overtook).
-// Values too large to ever fit are rejected. A new key enters the small
-// queue once evict has made room; a live key is rewritten in place (no
-// reader holds the entry, only the bytes it lent) and keeps its place.
 func (c *Cache) Put(key string, v Value, gen uint64) {
-	if c == nil {
-		return
-	}
-	charge := int64(len(key)) + int64(len(v.Data)) + entryOverhead
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.putLocked(key, v, gen)
+	c.mu.Unlock()
+}
+
+// putLocked is Put under c.mu, and a flight's fill. Values too large to
+// ever fit are rejected (every value, when the Cache keeps none). A new
+// key enters the small queue once evict has made room; a live key is
+// rewritten in place (no reader holds the entry, only the bytes it
+// lent) and keeps its place.
+func (c *Cache) putLocked(key string, v Value, gen uint64) {
+	charge := int64(len(key)) + int64(len(v.Data)) + entryOverhead
 	if charge > c.max {
 		return
 	}
@@ -275,12 +268,11 @@ func (c *Cache) Put(key string, v Value, gen uint64) {
 	c.itemsGauge.Set(int64(len(c.entries)))
 }
 
-// Invalidate drops key and bumps its generation slot, so any fill in
-// flight (Begin called before this) is dropped at Put.
+// Invalidate drops key and bumps its generation slot, after every local
+// Set/Cas/Delete of key: a fill in flight (Begin, or a flight begun,
+// before this) is dropped, and a later read refuses to join a flight
+// begun before this — it could return a value from before the write.
 func (c *Cache) Invalidate(key string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.gens[genSlot(key)]++
 	if e, ok := c.entries[key]; ok {
@@ -291,20 +283,15 @@ func (c *Cache) Invalidate(key string) {
 }
 
 // InvalidateAll empties the cache and bumps every generation slot
-// (flush_all).
+// (flush_all): every fill in flight is dropped, and no read joins a
+// flight begun before the flush.
 func (c *Cache) InvalidateAll() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	for i := range c.gens {
 		c.gens[i]++
 	}
-	n := int64(len(c.entries))
+	c.invalidations.Add(int64(len(c.entries)))
 	c.clear()
-	c.invalidations.Add(n)
-	c.bytesGauge.Set(0)
-	c.itemsGauge.Set(0)
 	c.mu.Unlock()
 }
 
@@ -357,6 +344,8 @@ func (c *Cache) clear() {
 	c.main.prev, c.main.next = &c.main, &c.main
 	c.entries = make(map[string]*entry)
 	c.used, c.smallUsed = 0, 0
+	c.bytesGauge.Set(0)
+	c.itemsGauge.Set(0)
 }
 
 // pushFront makes e the newest entry of the queue q heads.
@@ -365,16 +354,16 @@ func pushFront(q, e *entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// ---- singleflight ----
+// ---- flights ----
 
-// Result is one key's outcome of Group.Fetch.
+// Result is one key's outcome of Fetch.
 type Result struct {
 	Value
 	Err error
 	// wait is where a key that joined another caller's fetch receives
 	// that fetch's outcome.
 	wait chan Result
-	// fl is the flight of a key this Result's caller leads: the group's
+	// fl is the flight of a key this Result's caller leads: the flights
 	// map points at it while the fetch runs, so leading costs no
 	// allocation.
 	fl flight
@@ -386,64 +375,38 @@ type flight struct {
 	waiters []chan Result
 }
 
-// Group coalesces concurrent fetches of one key: the first caller (the
-// leader) fetches it; callers arriving while that is in flight wait and
-// receive the leader's result instead of dialing themselves. The zero
-// Group is ready to use.
-//
-// Sharing: every waiter receives the leader's result itself — the same
-// read-only bytes the leader returns and the cache holds (see the
-// package's lease discipline), so fetch must fill it with bytes nothing
-// will write again. Errors are shared as-is.
-//
-// Write ordering: flights are generation-guarded. Invalidate (called
-// after every local write of the key) bumps the key's generation, and
-// Fetch refuses to coalesce onto a flight created under an older
-// generation — without the guard, a read issued after the caller's own
-// completed write could park on a fetch that began before the write
-// and return the pre-write value. A superseded flight still delivers
-// to the waiters that joined it before the bump; their reads preceded
-// the write, so the older result is consistent for them.
-type Group struct {
-	mu      sync.Mutex
-	gens    [genSlots]uint64
-	flights map[string]*flight
-}
-
-// Fetch resolves keys, one Result per key by position — a read of one
-// key is a call with one. Each key independently either joins the
+// Fetch resolves keys the cache missed, one Result per key by position
+// — a read of one key is a call with one. Each key either joins the
 // in-flight fetch of its current generation or is led by this call, and
-// fetch runs ONCE, on the calling goroutine, for all led keys together:
-// that is what lets a bulk read stay one frame per server while still
-// coalescing per key with concurrent readers. The return counts the
-// keys satisfied from another caller's fetch.
+// fetch runs ONCE, on the calling goroutine, for all led keys together,
+// so a bulk read stays one frame per server while coalescing per key
+// with concurrent readers. The return counts the keys served by another
+// caller's fetch; errors are shared as-is.
 //
 // Fetch reorders keys and res together, led keys first in their input
 // order, so what fetch is handed is a prefix of the caller's own slice:
 // it must fill res[i].Value and res[i].Err for every lead[i], and
-// nothing else of res[i], which holds the key's flight. (A fetch cannot
-// forget a key: a slot it leaves alone reports the empty value.) A key
-// listed twice joins the flight its first occurrence leads.
+// nothing else of res[i], which holds the key's flight (a slot it leaves
+// alone reports the empty value). A key listed twice joins the flight
+// its first occurrence leads. A led key's value is the fill, installed
+// under its flight's generation where the flight is unregistered.
 //
 // Served before parking: led keys are fetched and their waiters served
 // BEFORE this call parks on the flights it joined. A call only joins
 // flights registered before its own, so calls cannot wait on each other
-// in a cycle; the order keeps a led key's waiters from being held
-// behind the leader's own joins, and lets a call that joined its own
-// flight (a repeated key) be served by itself.
+// in a cycle, and a call that joined its own flight (a repeated key) is
+// served by itself. A superseded flight still serves the waiters that
+// joined before the write; their reads preceded it.
 //
 // A led key's flight is res[i].fl: its place is fixed once it is led,
 // as later swaps only touch higher positions, and it is unregistered
 // before Fetch returns, so the caller may reuse res at once.
-func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (joined int) {
-	g.mu.Lock()
-	if g.flights == nil {
-		g.flights = make(map[string]*flight)
-	}
+func (c *Cache) Fetch(keys []string, res []Result, fetch func(lead []string)) (joined int) {
+	c.mu.Lock()
 	n := 0
 	for i, key := range keys {
-		cur := g.gens[genSlot(key)]
-		if f, ok := g.flights[key]; ok && f.gen == cur {
+		cur := c.gens[genSlot(key)]
+		if f, ok := c.flights[key]; ok && f.gen == cur {
 			res[i].wait = make(chan Result, 1)
 			f.waiters = append(f.waiters, res[i].wait)
 			continue
@@ -456,27 +419,29 @@ func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (j
 		keys[n], keys[i] = keys[i], keys[n]
 		res[n], res[i] = res[i], res[n]
 		res[n].fl = flight{gen: cur}
-		g.flights[key] = &res[n].fl
+		c.flights[key] = &res[n].fl
 		n++
 	}
-	g.mu.Unlock()
+	c.mu.Unlock()
 
 	if n > 0 {
 		fetch(keys[:n])
-	}
-
-	// Unregister before distributing: a read arriving after this point
-	// starts a fresh fetch instead of waiting on an already-finished one
-	// (and observing ever-staler data). Delete only where the map still
-	// points at our flight — a superseded flight must not tear down its
-	// replacement.
-	g.mu.Lock()
-	for i := range n {
-		if g.flights[keys[i]] == &res[i].fl {
-			delete(g.flights, keys[i])
+		// Unregister before distributing: a read arriving after this
+		// point finds the fill or starts a fresh fetch instead of waiting
+		// on an already-finished one (and observing ever-staler data).
+		// Delete only where the map still points at our flight — a
+		// superseded flight must not tear down its replacement.
+		c.mu.Lock()
+		for i := range n {
+			if c.flights[keys[i]] == &res[i].fl {
+				delete(c.flights, keys[i])
+			}
+			if res[i].Err == nil {
+				c.putLocked(keys[i], res[i].Value, res[i].fl.gen)
+			}
 		}
+		c.mu.Unlock()
 	}
-	g.mu.Unlock()
 	for i := range n {
 		r := Result{Err: res[i].Err}
 		if r.Err == nil {
@@ -492,25 +457,4 @@ func (g *Group) Fetch(keys []string, res []Result, fetch func(lead []string)) (j
 		res[i] = <-res[i].wait
 	}
 	return len(keys) - n
-}
-
-// Invalidate marks any in-flight fetch of key as predating a write:
-// callers arriving after this bump start a fresh fetch instead of
-// coalescing onto it. Called after every local Set/Cas/Delete of key —
-// this is what keeps coalesced reads monotonic with respect to the
-// caller's own writes.
-func (g *Group) Invalidate(key string) {
-	g.mu.Lock()
-	g.gens[genSlot(key)]++
-	g.mu.Unlock()
-}
-
-// InvalidateAll bumps every generation slot (flush_all): no caller
-// coalesces onto any flight begun before the flush.
-func (g *Group) InvalidateAll() {
-	g.mu.Lock()
-	for i := range g.gens {
-		g.gens[i]++
-	}
-	g.mu.Unlock()
 }

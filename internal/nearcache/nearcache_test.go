@@ -60,25 +60,31 @@ func newCache(t *testing.T, maxBytes int64, clk *fakeClock) (*Cache, *metrics.Re
 	return c, reg
 }
 
+// TestNewDisabled: at MaxBytes <= 0 New still returns a Cache — the
+// flight tests below coalesce through one — but it keeps no value,
+// neither a Put nor a flight's fill, and counts no hit or miss.
 func TestNewDisabled(t *testing.T) {
-	if New(Config{MaxBytes: 0}) != nil {
-		t.Fatal("MaxBytes=0 should disable the cache")
-	}
-	if New(Config{MaxBytes: -1}) != nil {
-		t.Fatal("negative MaxBytes should disable the cache")
-	}
-}
-
-func TestNilCacheIsSafe(t *testing.T) {
-	var c *Cache
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache must always miss")
-	}
-	c.Put("k", Value{Data: []byte("v")}, c.Begin("k"))
-	c.Invalidate("k")
-	c.InvalidateAll()
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache kept a Put")
+	for _, max := range []int64{0, -1} {
+		reg := metrics.NewRegistry()
+		c := New(Config{MaxBytes: max, Metrics: reg})
+		c.Put("k", Value{Data: []byte("v")}, c.Begin("k"))
+		fetchOne(c, "f", func() (Value, error) { return Value{Data: []byte("v")}, nil })
+		for _, key := range []string{"k", "f"} {
+			if _, ok := c.Get(key); ok {
+				t.Fatalf("MaxBytes=%d: %q cached", max, key)
+			}
+		}
+		c.Invalidate("k")
+		c.InvalidateAll()
+		if c.Len() != 0 || c.Bytes() != 0 {
+			t.Fatalf("MaxBytes=%d: %d entries, %d bytes", max, c.Len(), c.Bytes())
+		}
+		snap := reg.Snapshot()
+		for _, name := range []string{"hits", "misses", "fills_dropped", "invalidations"} {
+			if got := snap.Counter("ecstore_client_nearcache_" + name + "_total"); got != 0 {
+				t.Fatalf("MaxBytes=%d: %s = %d, want 0", max, name, got)
+			}
+		}
 	}
 }
 
@@ -519,8 +525,35 @@ func TestFillLosesRaceToInvalidation(t *testing.T) {
 	}
 }
 
+// TestWriteDuringLedFetchWins: a local write while a flight's fetch
+// runs — Invalidate, then the writer's own fill — wins over the value
+// the fetch returns: the flight installs under the generation it began
+// with, so its fill is dropped and the writer's value stays.
+func TestWriteDuringLedFetchWins(t *testing.T) {
+	c, reg := newCache(t, 1<<20, nil)
+	v, joined, err := fetchOne(c, "k", func() (Value, error) {
+		c.Invalidate("k")
+		c.Put("k", Value{Data: []byte("v2"), Version: 2}, c.Begin("k"))
+		return Value{Data: []byte("v1"), Version: 1}, nil
+	})
+	if err != nil || joined || string(v.Data) != "v1" {
+		t.Fatalf("Fetch = %q, joined %v, %v; want the led v1", v.Data, joined, err)
+	}
+	if got, ok := c.Get("k"); !ok || string(got.Data) != "v2" || got.Version != 2 {
+		t.Fatalf("Get after the write = %q v%d (%v), want the writer's v2", got.Data, got.Version, ok)
+	}
+	if got := reg.Snapshot().Counter("ecstore_client_nearcache_fills_dropped_total"); got != 1 {
+		t.Fatalf("fills_dropped = %d, want 1", got)
+	}
+	// Without a write in between, the led value is the fill.
+	fetchOne(c, "j", func() (Value, error) { return Value{Data: []byte("vj"), Version: 3}, nil })
+	if got, ok := c.Get("j"); !ok || string(got.Data) != "vj" || got.Version != 3 {
+		t.Fatalf("Get after a led fetch = %q v%d (%v), want the fill vj", got.Data, got.Version, ok)
+	}
+}
+
 func TestSingleflightCoalesces(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -533,7 +566,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := fetchOne(&g, "k", func() (Value, error) {
+			v, shared, err := fetchOne(g, "k", func() (Value, error) {
 				calls.Add(1)
 				close(started)
 				<-release
@@ -580,7 +613,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 }
 
 func TestSingleflightErrorShared(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -590,7 +623,7 @@ func TestSingleflightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := fetchOne(&g, "k", func() (Value, error) {
+			_, _, err := fetchOne(g, "k", func() (Value, error) {
 				close(started)
 				<-release
 				return Value{}, boom
@@ -610,7 +643,7 @@ func TestSingleflightErrorShared(t *testing.T) {
 }
 
 func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -618,7 +651,7 @@ func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
-			v, _, err := fetchOne(&g, key, func() (Value, error) {
+			v, _, err := fetchOne(g, key, func() (Value, error) {
 				calls.Add(1)
 				return Value{Data: []byte(key)}, nil
 			})
@@ -639,7 +672,7 @@ func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
 // post-write value while the pre-write leader is still in flight
 // (read-your-writes through the singleflight layer).
 func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	release := make(chan struct{})
 	started := make(chan struct{})
 
@@ -648,7 +681,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	var leaderV Value
 	go func() {
 		defer wg.Done()
-		leaderV, _, _ = fetchOne(&g, "k", func() (Value, error) {
+		leaderV, _, _ = fetchOne(g, "k", func() (Value, error) {
 			close(started)
 			<-release
 			return Value{Data: []byte("old"), Version: 1}, nil
@@ -663,7 +696,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	var preShared bool
 	go func() {
 		defer wg.Done()
-		preV, preShared, _ = fetchOne(&g, "k", func() (Value, error) {
+		preV, preShared, _ = fetchOne(g, "k", func() (Value, error) {
 			return Value{Data: []byte("fresh-pre")}, nil
 		})
 	}()
@@ -675,7 +708,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 	// A read arriving after the write must not park on the stale
 	// flight — it runs its own fetch even though the old leader is
 	// still blocked.
-	post, shared, err := fetchOne(&g, "k", func() (Value, error) {
+	post, shared, err := fetchOne(g, "k", func() (Value, error) {
 		return Value{Data: []byte("new"), Version: 2}, nil
 	})
 	if err != nil || shared {
@@ -696,7 +729,7 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 
 	// The superseded flight's completion must not have torn down live
 	// state: a fresh sequential read still works uncoalesced.
-	v, shared, err := fetchOne(&g, "k", func() (Value, error) {
+	v, shared, err := fetchOne(g, "k", func() (Value, error) {
 		return Value{Data: []byte("after")}, nil
 	})
 	if err != nil || shared || string(v.Data) != "after" {
@@ -707,14 +740,14 @@ func TestSingleflightInvalidateBreaksCoalescing(t *testing.T) {
 // InvalidateAll (flush_all) must stop every key from coalescing onto
 // pre-flush flights.
 func TestSingleflightInvalidateAll(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		fetchOne(&g, "k", func() (Value, error) {
+		fetchOne(g, "k", func() (Value, error) {
 			close(started)
 			<-release
 			return Value{Data: []byte("old")}, nil
@@ -722,7 +755,7 @@ func TestSingleflightInvalidateAll(t *testing.T) {
 	}()
 	<-started
 	g.InvalidateAll()
-	v, shared, err := fetchOne(&g, "k", func() (Value, error) {
+	v, shared, err := fetchOne(g, "k", func() (Value, error) {
 		return Value{Data: []byte("new")}, nil
 	})
 	if err != nil || shared || string(v.Data) != "new" {
@@ -735,10 +768,10 @@ func TestSingleflightInvalidateAll(t *testing.T) {
 // Sequential calls each run their own fetch (no flight lingers after
 // completion).
 func TestSingleflightSequential(t *testing.T) {
-	var g Group
+	g := New(Config{})
 	var calls int
 	for i := 0; i < 3; i++ {
-		v, shared, err := fetchOne(&g, "k", func() (Value, error) {
+		v, shared, err := fetchOne(g, "k", func() (Value, error) {
 			calls++
 			return Value{Data: []byte{byte(calls)}}, nil
 		})
