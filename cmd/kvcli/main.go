@@ -26,7 +26,7 @@
 //	                      pass that moves its data to the surviving
 //	                      placement (ring add/remove run the one
 //	                      background pass, internal/scrub, paced by
-//	                      -scrub-rate and -scrub-concurrency; a clean
+//	                      -scrub-rate, a page of keys at a time; a clean
 //	                      pass clears the view's draining rings, and
 //	                      `kvscrub -once` finishes a drain a pass left
 //	                      open)
@@ -73,7 +73,6 @@ func run() error {
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial retry backoff, doubling with jitter (0 = default 10ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve client-side Prometheus metrics at http://<addr>/metrics (empty = disabled)")
 	scrubRate := flag.Float64("scrub-rate", 0, "ring add/remove keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -204,7 +203,7 @@ func run() error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: ring status | ring add <addr> | ring remove <addr>")
 		}
-		return ringCmd(client, args[1:], *scrubRate, *scrubConcurrency)
+		return ringCmd(client, args[1:], *scrubRate)
 	case "bench":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: bench <n> <size>")
@@ -226,7 +225,7 @@ func run() error {
 // ringCmd is the membership admin surface: status prints each server's
 // view; add/remove publish a new epoch and then run one background pass
 // synchronously, printing its report.
-func ringCmd(client *core.Client, args []string, rate float64, concurrency int) error {
+func ringCmd(client *core.Client, args []string, rate float64) error {
 	switch args[0] {
 	case "status":
 		if _, err := client.RefreshView(); err != nil {
@@ -255,11 +254,10 @@ func ringCmd(client *core.Client, args []string, rate float64, concurrency int) 
 		}
 		fmt.Printf("installed epoch %d: %s\n", installed.Epoch, strings.Join(installed.Servers, ","))
 		daemon, err := scrub.New(scrub.Config{
-			Client:        client,
-			Rate:          rate,
-			MaxConcurrent: concurrency,
-			Metrics:       client.Metrics(),
-			Logf:          func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
+			Client:  client,
+			Rate:    rate,
+			Metrics: client.Metrics(),
+			Logf:    func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
 		})
 		if err != nil {
 			return err

@@ -49,7 +49,6 @@ func run() error {
 	opTimeout := flag.Duration("op-timeout", 0, "per-RPC deadline (0 = default 15s, negative disables)")
 	scrubInterval := flag.Duration("scrub-interval", scrub.DefaultInterval, "period between scrub cycles")
 	scrubRate := flag.Float64("scrub-rate", 0, "keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	metricsAddr := flag.String("metrics-addr", "", "serve scrub + client Prometheus metrics at http://<addr>/metrics (empty = disabled)")
 	once := flag.Bool("once", false, "run one cycle, print the report, exit (non-zero if keys failed)")
 	flag.Parse()
@@ -82,13 +81,12 @@ func run() error {
 	}
 
 	daemon, err := scrub.New(scrub.Config{
-		Client:        client,
-		Interval:      *scrubInterval,
-		Rate:          *scrubRate,
-		MaxConcurrent: *scrubConcurrency,
-		Metrics:       client.Metrics(),
-		OnCycle:       func(r scrub.Report) { log.Printf("kvscrub: %s", r) },
-		Logf:          log.Printf,
+		Client:   client,
+		Interval: *scrubInterval,
+		Rate:     *scrubRate,
+		Metrics:  client.Metrics(),
+		OnCycle:  func(r scrub.Report) { log.Printf("kvscrub: %s", r) },
+		Logf:     log.Printf,
 	})
 	if err != nil {
 		return err

@@ -49,7 +49,6 @@ func run() error {
 	pprofOn := flag.Bool("pprof", false, "also serve net/http/pprof profiles under http://<metrics-addr>/debug/pprof/")
 	scrubInterval := flag.Duration("scrub-interval", 0, "run the background daemon (anti-entropy scrub, rebalancing on membership epoch changes) with timed passes at this period (0 = disabled, negative such as -1s = passes on ring changes and recoveries only)")
 	scrubRate := flag.Float64("scrub-rate", 0, "daemon keyspace walk rate in keys/sec (0 = default 1000, negative disables throttling)")
-	scrubConcurrency := flag.Int("scrub-concurrency", 0, "max concurrent key repairs or moves (0 = default 4)")
 	flag.Parse()
 
 	resilience, scheme, err := core.ParseMode(*mode)
@@ -95,12 +94,11 @@ func run() error {
 
 	if *scrubInterval != 0 {
 		daemon, err := scrub.New(scrub.Config{
-			Client:        client,
-			Interval:      *scrubInterval,
-			Rate:          *scrubRate,
-			MaxConcurrent: *scrubConcurrency,
-			Metrics:       client.Metrics(),
-			Logf:          log.Printf,
+			Client:   client,
+			Interval: *scrubInterval,
+			Rate:     *scrubRate,
+			Metrics:  client.Metrics(),
+			Logf:     log.Printf,
 		})
 		if err != nil {
 			return err

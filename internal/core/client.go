@@ -157,8 +157,9 @@ type write struct {
 }
 
 // strategy executes whole operations under a resilience scheme, and
-// the key-slice form is the only form: a single-key Get/Set/Delete is a
-// call with one key, MGet/MSet/MDelete a call with many, through the
+// the key-slice form is the only form: a single-key Get/Set/Delete/Repair
+// is a call with one key, MGet/MSet/MDelete/RepairEach a call with many,
+// through the
 // same failover walk, absence classification, torn-write discipline and
 // unwind. Every wire round goes through the operation's batcher, one
 // frame per target server. Results come back by key position; key
@@ -168,18 +169,18 @@ type write struct {
 // ErrNotFound result is authoritative absence — the public APIs decide
 // whether that is an error for their call. del's expect, when non-zero,
 // makes every delete of its round conditional on that version (DeleteCas).
-// compareSet is single-key by nature (one decider or one stripe
-// per key) and returns the version installed, the CAS token later reads
-// report. converge is the
-// background half (converge.go): it brings one key to full redundancy at
-// the current placement, from that placement and every draining ring's,
-// writing only against what its own probe saw.
+// converge is the background half (converge.go): it brings every key to
+// full redundancy at the current placement, from that placement and
+// every draining ring's, writing only against what its own probe saw,
+// and answers each key's report into reports by position. compareSet
+// alone is single-key, by nature (one decider or one stripe per key),
+// and returns the version installed, the CAS token later reads report.
 type strategy interface {
 	get(b *batcher, keys []string) []result
 	set(b *batcher, writes []write) []result
 	del(b *batcher, keys []string, expect uint64) []result
+	converge(b *batcher, keys []string, reports []RepairReport) []result
 	compareSet(b *batcher, key string, value []byte, ttl time.Duration, expect uint64) (uint64, error)
-	converge(b *batcher, key string) (RepairReport, error)
 }
 
 // New returns a Client for the given configuration.
@@ -493,13 +494,15 @@ func (c *Client) SetVersion(key string, value []byte, ttl time.Duration) (uint64
 	return item.Version, err
 }
 
-// FlushAll clears the item store of every server in the current
-// membership view — the memcached `flush_all`. All servers are
-// attempted; the first error is returned.
+// FlushAll clears the item store of every server the current
+// membership view names, the servers only a draining ring names
+// included: reads still ask them (getDraining, gatherDraining) — the
+// memcached `flush_all`. All servers are attempted; the first error is
+// returned.
 func (c *Client) FlushAll() error {
 	c.cache.InvalidateAll()
 	var firstErr error
-	for _, addr := range c.view.Current().Servers {
+	for _, addr := range c.view.Current().AllServers() {
 		resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpFlush, Key: "flush"})
 		resp.Release()
 		if err != nil && firstErr == nil {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -22,7 +24,8 @@ import (
 // cost (one round of K chunk fetches). A Repair of a healthy key is one
 // round — its K+M probes used to be K+M serial round trips — and a
 // Repair of a key whose placement moved is three (probe, refill,
-// drain), where the probes alone used to be ten or so trips.
+// drain), where the probes alone used to be ten or so trips — and so is
+// a RepairEach of a page of moved keys.
 func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-dependent")
@@ -31,17 +34,28 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 	cl, netem := startNetemCluster(t, 5)
 	c := newClient(t, cl, migrationModes()["era-ce-cd"])
 
-	// A key the joiner takes a chunk of, so migrating it refills and drains.
+	// Keys the joiner takes a chunk of, so migrating them refills and
+	// drains: one alone, and a page of 16.
 	joined := hashring.Build(0, append(cl.Addrs(), "kv-joiner"))
-	key := ""
-	for i := 0; key == ""; i++ {
+	var moving []string
+	for i := 0; len(moving) < 17; i++ {
 		if k := fmt.Sprintf("rounds-%d", i); slices.Contains(joined.GetN(k, 5), "kv-joiner") {
-			key = k
+			moving = append(moving, k)
 		}
 	}
-	value := bytes.Repeat([]byte("r"), 6000)
-	if err := c.Set(key, value); err != nil {
-		t.Fatal(err)
+	key, page := moving[0], moving[1:]
+	// The page's values are small enough that a server's answer to a
+	// round of the page stays one inline frame: netem holds back every
+	// read, and a frame past wire.FrameInlineThreshold is read twice.
+	value, small := bytes.Repeat([]byte("r"), 6000), bytes.Repeat([]byte("s"), 120)
+	values := map[string][]byte{key: value}
+	for _, k := range page {
+		values[k] = small
+	}
+	for k, v := range values {
+		if err := c.Set(k, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A healthy key the join does not move: its Repair only probes.
 	before := hashring.Build(0, c.View().Servers)
@@ -95,19 +109,35 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 		}
 		return err
 	})
-	t.Logf("unit (one Get) %v; healthy Repair %.2f units; moving Repair %.2f units",
-		unit, float64(probe)/float64(unit), float64(migrate)/float64(unit))
+	// The page converges in the rounds one key takes.
+	migratePage := timed(func() error {
+		var err error
+		c.RepairEach(page, func(key string, report core.RepairReport, e error) {
+			if e == nil && (report.Rewritten == 0 || report.Dropped == 0) {
+				e = fmt.Errorf("migration of %s moved nothing: %+v", key, report)
+			}
+			err = cmp.Or(err, e)
+		})
+		return err
+	})
+	t.Logf("unit (one Get) %v; healthy Repair %.2f units; moving Repair %.2f units; moving page of %d %.2f units",
+		unit, float64(probe)/float64(unit), float64(migrate)/float64(unit), len(page), float64(migratePage)/float64(unit))
 	if probe > 2*unit {
 		t.Errorf("a healthy Repair took %v, more than 2 rounds of %v", probe, unit)
 	}
 	if migrate > 5*unit {
 		t.Errorf("a moving Repair took %v, more than 5 rounds of %v", migrate, unit)
 	}
+	if migratePage > 5*unit {
+		t.Errorf("a moving page of %d keys took %v, more than 5 rounds of %v", len(page), migratePage, unit)
+	}
 	for _, addr := range cl.Addrs() {
 		netem.Restore(addr)
 	}
-	if got, err := c.Get(key); err != nil || !bytes.Equal(got, value) {
-		t.Fatalf("read after migration: %d bytes, %v", len(got), err)
+	for k, v := range values {
+		if got, err := c.Get(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("read of %s after migration: %d bytes, %v", k, len(got), err)
+		}
 	}
 }
 
@@ -197,6 +227,66 @@ func TestRepairOfHealthyKeyWritesNothing(t *testing.T) {
 			if n := serverOps(cl, 5, writes...) - before; n != 0 {
 				t.Fatalf("a Repair of a healthy key made %d server writes", n)
 			}
+		})
+	}
+}
+
+// TestRepairEachOfHealthyPageCostsOneRound: RepairEach converges a
+// page of keys in rounds, not key by key, so a page of 16 healthy keys
+// on 5 servers costs one probe round — one frame per server — and, in
+// hybrid, one probe round of each form; not one write at any server,
+// and every response lease back in the frame pool. As 16 Repairs the
+// same keys cost 48 rpc calls in sync-rep, 80 in era-ce-cd and 128 in
+// hybrid.
+func TestRepairEachOfHealthyPageCostsOneRound(t *testing.T) {
+	cl := startCluster(t, 5)
+	writes := []string{"set", "set-chunk", "compare-set", "delete", "encode-set"}
+	for _, tc := range []struct {
+		mode         string
+		small, large int // value sizes of the even and the odd keys
+		calls        int64
+	}{
+		{"sync-rep", 100, 100, 5},
+		{"era-ce-cd", 6000, 6000, 5},
+		{"hybrid", 100, 16 << 10, 10},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			c := newClient(t, cl, allModes()[tc.mode])
+			keys := make([]string, 16)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("page-%s-%02d", tc.mode, i)
+				if err := c.Set(keys[i], bytes.Repeat([]byte("p"), []int{tc.small, tc.large}[i%2])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			baseline := poolDelta()
+			before := serverOps(cl, 5, writes...)
+			calls := c.Metrics().Snapshot().Counter("ecstore_rpc_calls_total")
+			// A duplicate is repaired once, and an absent key answers not
+			// found without failing the others.
+			absent := "page-" + tc.mode + "-absent"
+			var repaired []string
+			c.RepairEach(append(keys, keys[3], absent), func(key string, report core.RepairReport, err error) {
+				repaired = append(repaired, key)
+				switch {
+				case key == absent:
+					if !errors.Is(err, core.ErrNotFound) {
+						t.Errorf("RepairEach %s: %v; want not found", key, err)
+					}
+				case err != nil || report.Missing != 0 || report.Rewritten != 0 || report.Dropped != 0:
+					t.Errorf("RepairEach %s: %s, %v; want a healthy key", key, report, err)
+				}
+			})
+			if want := append(slices.Clone(keys), absent); !slices.Equal(repaired, want) {
+				t.Fatalf("RepairEach answered %q, want %q, each once in order", repaired, want)
+			}
+			if n := c.Metrics().Snapshot().Counter("ecstore_rpc_calls_total") - calls; n > tc.calls {
+				t.Errorf("a page of %d healthy keys cost %d rpc calls, want at most %d", len(keys), n, tc.calls)
+			}
+			if n := serverOps(cl, 5, writes...) - before; n != 0 {
+				t.Errorf("a page of healthy keys made %d server writes", n)
+			}
+			waitPoolBaseline(t, baseline)
 		})
 	}
 }

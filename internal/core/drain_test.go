@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -139,5 +140,38 @@ func TestCasCountsDrainingHolder(t *testing.T) {
 	}
 	if got, err := c.Get(key); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("get after the cas: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestFlushAllDuringDrain: while a view drains, a server only the
+// draining ring names still holds its copies and reads still ask it, so
+// flush_all must clear it too. A removal with no pass after it leaves
+// every key the removed server held there alone; after FlushAll, every
+// Get answers not found, none reads an old value back, and none is
+// unavailable.
+func TestFlushAllDuringDrain(t *testing.T) {
+	for _, name := range []string{"sync-rep", "era-ce-cd", "hybrid"} {
+		t.Run(name, func(t *testing.T) {
+			cl := startCluster(t, 5)
+			c := newClient(t, cl, allModes()[name])
+			keys := make([]string, 64)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("%s-flush-%02d", name, i)
+				if err := c.Set(keys[i], bytes.Repeat([]byte{'f'}, 100+(i%2)*(16<<10))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.RingRemove(cl.Addrs()[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				if got, err := c.Get(key); !errors.Is(err, core.ErrNotFound) {
+					t.Errorf("Get(%s) after FlushAll during a drain: %d bytes, %v; want not found", key, len(got), err)
+				}
+			}
+		})
 	}
 }

@@ -24,10 +24,10 @@ type ecStrategy struct {
 var _ strategy = (*ecStrategy)(nil)
 
 func newECStrategy(c *Client) (*ecStrategy, error) {
-	// The code draws reconstruction buffers from erasure.DefaultPool;
-	// the get/repair paths rely on that when they hand rebuilt chunks
-	// back to the pool.
-	code, err := erasure.NewRSVan(c.cfg.K, c.cfg.M, erasure.WithPool(erasure.DefaultPool))
+	// The code draws reconstruction buffers from erasure.DefaultPool, its
+	// default; the get/repair paths rely on that when they hand rebuilt
+	// chunks back to the pool.
+	code, err := erasure.NewRSVan(c.cfg.K, c.cfg.M)
 	if err != nil {
 		return nil, err
 	}

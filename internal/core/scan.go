@@ -7,9 +7,6 @@ import (
 	"ecstore/internal/wire"
 )
 
-// DefaultScanPageSize is the per-request page size ScanKeys uses.
-const DefaultScanPageSize = wire.DefaultScanLimit
-
 // ScanKeys walks the keyspace of every server with paged OpScan
 // requests and merges the per-server streams into one sorted list of
 // logical keys: derived chunk keys ("key\x00c3") are folded back to
@@ -34,7 +31,7 @@ func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
 	reached := 0
 	var lastErr error
 	for _, addr := range distinct(addrs) {
-		err := c.scanServer(addr, DefaultScanPageSize, func(stored string) {
+		err := c.scanServer(addr, func(stored string) {
 			key, _ := wire.LogicalKey(stored)
 			set[key] = struct{}{}
 		})
@@ -58,16 +55,12 @@ func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
 }
 
 // scanServer pages through one server's keyspace, calling emit for
-// every stored key.
-func (c *Client) scanServer(addr string, pageSize int, emit func(string)) error {
+// every stored key. The requests carry no page size, so the server
+// answers pages of wire.DefaultScanLimit keys.
+func (c *Client) scanServer(addr string, emit func(string)) error {
 	var cursor []byte
 	for {
-		resp, err := c.pool.Roundtrip(addr, &wire.Request{
-			Op:    wire.OpScan,
-			Key:   "scan",
-			Value: cursor,
-			Meta:  wire.ECMeta{TotalLen: uint32(pageSize)},
-		})
+		resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpScan, Key: "scan", Value: cursor})
 		if err != nil {
 			resp.Release()
 			return err

@@ -136,79 +136,68 @@ func TestStopInterruptsAPassBetweenKeys(t *testing.T) {
 	}
 }
 
+// TestWalkPacesBoundsAndVisitsEveryKey: a walk hands every key to
+// RepairEach once, in order, a page of at most pageKeys at a time with
+// one page in flight, sums the per-key reports, and keeps the rate:
+// page j is due at start + j·pageKeys/Rate and the walk returns no
+// sooner than start + len(keys)/Rate.
 func TestWalkPacesBoundsAndVisitsEveryKey(t *testing.T) {
 	reg := metrics.NewRegistry()
-	d := newDaemon(t, Config{Client: newFake(0), Rate: 200, MaxConcurrent: 2, Metrics: reg}) // 5 ms per key
-	var (
-		mu            sync.Mutex
-		seen          = map[string]int{}
-		inFlight, max int
-	)
-	start := time.Now()
-	sum := d.walk(newFake(9).keys, nil, func(key string) Report {
-		mu.Lock()
-		seen[key]++
-		inFlight++
-		if inFlight > max {
-			max = inFlight
-		}
-		mu.Unlock()
-		time.Sleep(12 * time.Millisecond) // slower than the pace: calls overlap
-		mu.Lock()
-		inFlight--
-		mu.Unlock()
-		return Report{Healthy: 1, BytesMoved: 2}
-	})
-	took := time.Since(start)
-	if sum.Scanned != 9 || len(seen) != 9 {
-		t.Fatalf("walked %d keys, saw %d distinct", sum.Scanned, len(seen))
+	f := newFake(40)
+	f.delay = 12 * time.Millisecond // under a page's 16 ms: the pace, not the calls, sets the length
+	f.repair = func(string) (core.RepairReport, error) {
+		return core.RepairReport{Missing: 1, Rewritten: 1, BytesMoved: 2}, nil
 	}
-	if sum.Healthy != 9 || sum.BytesMoved != 18 {
+	d := newDaemon(t, Config{Client: f, Rate: 1000, Metrics: reg}) // 16 ms per page
+	start := time.Now()
+	sum := d.walk(f.keys, nil)
+	took := time.Since(start)
+	if sum.Scanned != 40 || !slices.Equal(f.repaired, f.keys) {
+		t.Fatalf("walked %d keys, repaired %q", sum.Scanned, f.repaired)
+	}
+	if sum.Repaired != 40 || sum.Refilled != 40 || sum.BytesMoved != 80 {
 		t.Fatalf("per-key reports summed to %+v", sum)
 	}
-	if max != 2 {
-		t.Fatalf("%d calls in flight at once, want the bound of 2", max)
+	if sizes := []int{len(f.pages[0]), len(f.pages[1]), len(f.pages[2])}; len(f.pages) != 3 || !slices.Equal(sizes, []int{16, 16, 8}) {
+		t.Fatalf("pages %q, want 16, 16 and 8 keys", f.pages)
 	}
-	if took < 8*5*time.Millisecond {
-		t.Fatalf("9 keys at 200/s took %v, want >= 40ms", took)
+	if f.maxInFlight != 1 {
+		t.Fatalf("%d RepairEach calls in flight at once, want 1", f.maxInFlight)
 	}
-	if got := reg.Counter("ecstore_scrub_keys_scanned_total").Value(); got != 9 {
+	if took < 40*time.Millisecond {
+		t.Fatalf("40 keys at 1000/s took %v, want >= 40ms", took)
+	}
+	if got := reg.Counter("ecstore_scrub_keys_scanned_total").Value(); got != 40 {
 		t.Fatalf("keys scanned counter = %d", got)
 	}
 
-	// Unthrottled, with the default bound: every key, no pacing.
+	// Unthrottled: every key, no pacing.
 	d = newDaemon(t, Config{Client: newFake(0), Rate: -1})
-	if sum := d.walk(newFake(50).keys, nil, func(string) Report { return Report{} }); sum.Scanned != 50 {
+	if sum := d.walk(newFake(50).keys, nil); sum.Scanned != 50 {
 		t.Fatalf("unthrottled walk started %d of 50", sum.Scanned)
 	}
 }
 
 func TestWalkStopsOnCancel(t *testing.T) {
-	d := newDaemon(t, Config{Client: newFake(0), Rate: -1})
+	f := newFake(0)
+	d := newDaemon(t, Config{Client: f, Rate: -1})
 	closed := make(chan struct{})
 	close(closed)
-	if sum := d.walk(newFake(10).keys, closed, func(string) Report {
-		t.Error("call started after cancel")
-		return Report{}
-	}); sum.Scanned != 0 {
-		t.Fatalf("walk under a closed cancel started %d keys", sum.Scanned)
+	if sum := d.walk(newFake(10).keys, closed); sum.Scanned != 0 || f.calls() != 0 {
+		t.Fatalf("walk under a closed cancel started %d keys, repaired %d", sum.Scanned, f.calls())
 	}
 
-	// Cancelled while waiting for the next key's slot: the wait ends at
-	// once, and every call already started still finishes before walk
-	// returns.
-	d = newDaemon(t, Config{Client: newFake(0), Rate: 2}) // 500 ms per key
+	// Cancelled while waiting for the next page's slot: the wait ends at
+	// once, and the page already started finishes before walk returns.
+	f = newFake(0)
+	f.delay = 50 * time.Millisecond
+	d = newDaemon(t, Config{Client: f, Rate: 2}) // 8 s per page
 	cancel := make(chan struct{})
-	var done atomic.Int32
 	time.AfterFunc(30*time.Millisecond, func() { close(cancel) })
 	start := time.Now()
-	sum := d.walk(newFake(10).keys, cancel, func(string) Report {
-		time.Sleep(50 * time.Millisecond)
-		done.Add(1)
-		return Report{}
-	})
-	if sum.Scanned != 1 || done.Load() != 1 {
-		t.Fatalf("started %d, finished %d; want 1 and 1", sum.Scanned, done.Load())
+	sum := d.walk(newFake(40).keys, cancel)
+	if sum.Scanned != pageKeys || len(f.pages) != 1 || f.inFlight != 0 {
+		t.Fatalf("started %d keys in %d pages, %d in flight; want one page of %d, finished", sum.Scanned, len(f.pages), f.inFlight, pageKeys)
 	}
 	if took := time.Since(start); took > 400*time.Millisecond {
 		t.Fatalf("cancelled walk returned after %v: it slept out the pace", took)
@@ -488,8 +477,8 @@ func TestMetricsCounters(t *testing.T) {
 
 // TestPassWalksCurrentAndDrainingServers: every pass is one walk over
 // the keys stored on every server the view names, current or draining
-// — a removed server's keys included — with exactly one Repair per
-// scanned key, whose report alone says whether the key was healthy.
+// — a removed server's keys included — repairing each scanned key
+// exactly once, whose report alone says whether the key was healthy.
 func TestPassWalksCurrentAndDrainingServers(t *testing.T) {
 	f := newFake(3)
 	f.setView(membership.View{Epoch: 1, Servers: []string{"a:1", "b:1", "c:1"}}.WithRemoved("b:1"))
@@ -507,11 +496,11 @@ func TestPassWalksCurrentAndDrainingServers(t *testing.T) {
 		t.Fatalf("scanned %v, want %v", f.scanned, want)
 	}
 	if repaired := f.calls(); repaired != 3 {
-		t.Fatalf("draining pass: %d Repair calls; want 3", repaired)
+		t.Fatalf("draining pass: %d keys repaired; want 3", repaired)
 	}
 
-	// The list is gone: the same walk over the current servers, one
-	// Repair per key, and only the key it refilled counts as repaired.
+	// The list is gone: the same walk over the current servers, each key
+	// repaired once, and only the key it refilled counts as repaired.
 	f.repaired = nil
 	if r := d.RunCycle(nil); r.Draining != 0 || r.Scanned != 3 || r.Healthy != 2 || r.Repaired != 1 {
 		t.Fatalf("steady pass: %s", r)
@@ -565,14 +554,14 @@ func TestViewChangeMidPassKeepsNewerList(t *testing.T) {
 }
 
 // TestOneBudget: ticks, recovery kicks and view-change kicks all land
-// on one loop, so the per-key calls of every pass share one bound.
+// on one loop, so the pages of every pass share one budget: at most one
+// RepairEach call in flight.
 func TestOneBudget(t *testing.T) {
-	const bound = 3
 	f := newFake(40)
 	f.delay = time.Millisecond
 	f.repair = func(string) (core.RepairReport, error) { return core.RepairReport{Missing: 1, Rewritten: 1}, nil }
 	var draining, steady atomic.Int32
-	d := newDaemon(t, Config{Client: f, Interval: 2 * time.Millisecond, Rate: -1, MaxConcurrent: bound, OnCycle: func(r Report) {
+	d := newDaemon(t, Config{Client: f, Interval: 2 * time.Millisecond, Rate: -1, OnCycle: func(r Report) {
 		if r.Draining > 0 {
 			draining.Add(1)
 		} else {
@@ -599,9 +588,9 @@ func TestOneBudget(t *testing.T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.repaired) == 0 {
-		t.Fatal("no Repair calls")
+		t.Fatal("no RepairEach calls")
 	}
-	if f.maxInFlight > bound {
-		t.Fatalf("%d per-key calls in flight at once, bound %d", f.maxInFlight, bound)
+	if f.maxInFlight > 1 {
+		t.Fatalf("%d RepairEach calls in flight at once, want 1", f.maxInFlight)
 	}
 }

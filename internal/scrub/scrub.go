@@ -4,17 +4,18 @@
 // restarted server comes back empty) — and finishes every membership
 // change. Each pass is one walk over the keys stored on the servers of
 // the current view and of every ring it still drains
-// (membership.View.Draining), with one Client.Repair per key: its probe
-// is the health check, and a healthy key costs that probe and no write.
-// Repair reads every source placement, so no key is repaired against
+// (membership.View.Draining), one page of keys at a time, each page one
+// Client.RepairEach call: its probe is the health check, and a healthy
+// key costs its share of one probe round and no write. RepairEach reads
+// every source placement, so no key is repaired against
 // the current ring alone while its data may sit where only an older
 // ring places it. A pass that scanned, started and converged every key
 // clears the draining list by publishing the next epoch without it,
 // unless the view moved on during the pass.
 //
 // Recovery traffic, not foreground traffic, saturates erasure-coded
-// clusters (Rashmi et al.), so every pass spends one keys/sec rate and
-// one concurrency bound. Passes run on a periodic interval and on kicks:
+// clusters (Rashmi et al.), so every pass spends one keys/sec rate, with
+// one page in flight. Passes run on a periodic interval and on kicks:
 // Kick, a suspect server answering again (Client.OnServerRecovered), and
 // every adopted view that drains (Client.OnViewChange), so `ring add` /
 // `ring remove` start draining by themselves. A pass that leaves the
@@ -39,16 +40,18 @@ const (
 	DefaultInterval = 5 * time.Minute
 	// DefaultRate caps the keyspace walk at this many keys per second.
 	DefaultRate = 1000.0
-	// DefaultMaxConcurrent bounds the in-flight per-key calls of a walk.
-	DefaultMaxConcurrent = 4
+	// pageKeys is how many keys one RepairEach call converges. A page of
+	// 1 MB RS(3,2) values leases about 27 MB of probe responses until its
+	// refills are sent (DESIGN §8).
+	pageKeys = 16
 	// retryAfter is how long the loop waits to re-run a pass that left
 	// the view draining: its failed holders may be mid-restart.
 	retryAfter = time.Second
 )
 
 // Client is the slice of core.Client the daemon needs: ScanKeysOn
-// lists the logical keys stored on addrs, Repair converges one key,
-// View is the current membership view, RefreshView learns the
+// lists the logical keys stored on addrs, RepairEach converges a page
+// of keys, View is the current membership view, RefreshView learns the
 // cluster's, PushView publishes the one that clears its draining
 // rings, and New registers its hooks with OnServerRecovered and
 // OnViewChange. It is an interface so tests can
@@ -56,7 +59,7 @@ const (
 // the clear rule) without a live cluster.
 type Client interface {
 	ScanKeysOn(addrs []string) ([]string, error)
-	Repair(key string) (core.RepairReport, error)
+	RepairEach(keys []string, each func(key string, report core.RepairReport, err error))
 	View() membership.View
 	RefreshView() (membership.View, error)
 	PushView(v membership.View) (membership.View, error)
@@ -75,9 +78,6 @@ type Config struct {
 	// included, so a pass costs bounded cluster I/O (DefaultRate if zero;
 	// negative: unthrottled).
 	Rate float64
-	// MaxConcurrent bounds in-flight per-key calls
-	// (DefaultMaxConcurrent if zero or less).
-	MaxConcurrent int
 	// Metrics receives the ecstore_scrub_*/_migration_* series, if set.
 	Metrics *metrics.Registry
 	// OnCycle, if set, receives the report of every background pass.
@@ -131,7 +131,6 @@ type Daemon struct {
 	logf     func(format string, args ...any)
 	interval time.Duration
 	perKey   time.Duration // walk spacing, 0 = unthrottled
-	workers  int
 	kick     chan struct{}
 
 	// The loop's series, counting every pass.
@@ -162,7 +161,6 @@ func New(cfg Config) (*Daemon, error) {
 		onCycle:  cfg.OnCycle,
 		logf:     cfg.Logf,
 		interval: cmp.Or(cfg.Interval, DefaultInterval), // negative: no periodic timer
-		workers:  cfg.MaxConcurrent,
 		kick:     make(chan struct{}, 1),
 
 		mCycles:       reg.Counter("ecstore_scrub_cycles_total"),
@@ -185,9 +183,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if rate := cmp.Or(cfg.Rate, DefaultRate); rate > 0 { // negative: unthrottled
 		d.perKey = time.Duration(float64(time.Second) / rate)
-	}
-	if d.workers <= 0 {
-		d.workers = DefaultMaxConcurrent
 	}
 	// The pending-sources gauge follows the client's view: its length of
 	// draining rings now, and at every adoption (the clear's included).
@@ -219,7 +214,7 @@ func (d *Daemon) Start() {
 }
 
 // Stop halts the background loop, interrupting an in-flight pass
-// between keys and waiting for it. The daemon can be started again.
+// between pages and waiting for it. The daemon can be started again.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
 	stop := d.stop
@@ -273,7 +268,7 @@ func (d *Daemon) loop(stop chan struct{}) {
 }
 
 // RunCycle runs one pass synchronously and returns its report. A
-// closed cancel interrupts it between keys.
+// closed cancel interrupts it between pages.
 func (d *Daemon) RunCycle(cancel <-chan struct{}) Report { return d.pass(cancel) }
 
 // pass runs one pass over the cluster's current view — not just this
@@ -296,7 +291,7 @@ func (d *Daemon) pass(cancel <-chan struct{}) Report {
 		d.logf("scrub: scan failed: %v", err)
 		report.Err = err
 	} else {
-		report.add(d.walk(keys, cancel, d.scrubKey))
+		report.add(d.walk(keys, cancel))
 	}
 	if err == nil && report.Scanned == len(keys) {
 		d.gLastDone.Set(time.Now().Unix())
@@ -327,10 +322,45 @@ func (d *Daemon) clear(view membership.View) {
 	d.logf("scrub: epoch %d drained; installed %s", view.Epoch, installed)
 }
 
-// scrubKey converges one key: one Repair, whose report says whether it
-// was healthy, repaired, or is still short of full redundancy.
-func (d *Daemon) scrubKey(key string) Report {
-	rep, err := d.client.Repair(key)
+// walk converges keys a page at a time, each page one RepairEach call,
+// and returns the sum of their reports, with Scanned the number of keys
+// it started. Pages are paced on a fixed-rate schedule, not a fixed
+// sleep: page j is due at start + j·pageKeys/Rate, however long the
+// pages before it took, and the walk returns no sooner than
+// start + len(keys)/Rate, so no pass walks faster than Rate. A closed
+// cancel stops the walk between pages (and its wait for the next one);
+// Scanned below len(keys) means it was cut short.
+func (d *Daemon) walk(keys []string, cancel <-chan struct{}) Report {
+	var sum Report
+	next := time.Now()
+	for len(keys) > 0 {
+		select {
+		case <-cancel:
+			return sum
+		default:
+		}
+		page := keys[:min(pageKeys, len(keys))]
+		keys = keys[len(page):]
+		d.mKeysScanned.Add(int64(len(page)))
+		sum.Scanned += len(page)
+		d.client.RepairEach(page, func(key string, rep core.RepairReport, err error) {
+			sum.add(d.tally(key, rep, err))
+		})
+		next = next.Add(time.Duration(len(page)) * d.perKey)
+		if wait := time.Until(next); wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-cancel:
+				return sum
+			}
+		}
+	}
+	return sum
+}
+
+// tally files one key's RepairEach outcome: healthy, repaired, or still
+// short of full redundancy.
+func (d *Daemon) tally(key string, rep core.RepairReport, err error) Report {
 	out := Report{Refilled: rep.Rewritten, Dropped: rep.Dropped, BytesMoved: rep.BytesMoved}
 	if rep.Moved {
 		d.mRefilled.Add(int64(rep.Rewritten))
@@ -359,53 +389,4 @@ func (d *Daemon) scrubKey(key string) Report {
 		out.Repaired = 1
 	}
 	return out
-}
-
-// walk calls do for each key in order, each on a goroutine of its own,
-// at most MaxConcurrent at a time, and returns the sum of their reports
-// once every call has returned, with Scanned the number of keys it
-// started. Keys are paced on a fixed-rate schedule, not a fixed sleep:
-// key i is due at start + i/Rate, however long the calls before it
-// took. A closed cancel stops the walk between keys (and its wait for
-// the next one); Scanned below len(keys) means it was cut short.
-func (d *Daemon) walk(keys []string, cancel <-chan struct{}, do func(key string) Report) Report {
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		sum     Report
-		started int
-	)
-	sem := make(chan struct{}, d.workers)
-	next := time.Now()
-walk:
-	for _, key := range keys {
-		select {
-		case <-cancel:
-			break walk
-		default:
-		}
-		if wait := time.Until(next); d.perKey > 0 && wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-cancel:
-				break walk
-			}
-		}
-		next = next.Add(d.perKey)
-		d.mKeysScanned.Inc()
-		started++
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := do(key)
-			<-sem
-			mu.Lock()
-			sum.add(r)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sum.Scanned = started
-	return sum
 }

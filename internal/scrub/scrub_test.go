@@ -24,20 +24,21 @@ type fakeClient struct {
 	scanErr error
 	view    membership.View
 	repair  func(key string) (core.RepairReport, error)
-	// failKeys maps keys to the error Repair returns for them while the
+	// failKeys maps keys to the error RepairEach answers for them while the
 	// view drains.
 	failKeys map[string]error
-	// reports maps keys to the report Repair returns for them while the
+	// reports maps keys to the report RepairEach answers for them while the
 	// view drains (a moved key).
 	reports map[string]core.RepairReport
 	// pushErr fails every PushView.
 	pushErr error
-	// onRepair, if set, runs at the start of every Repair call.
+	// onRepair, if set, runs at the start of every key's repair.
 	onRepair func(key string)
-	// delay is how long every per-key call takes.
+	// delay is how long every RepairEach call takes.
 	delay time.Duration
 
 	repaired              []string
+	pages                 [][]string // the keys of every RepairEach call
 	scanned               [][]string
 	pushed                []membership.View
 	inFlight, maxInFlight int
@@ -85,11 +86,12 @@ func (f *fakeClient) ScanKeysOn(addrs []string) ([]string, error) {
 	return append([]string(nil), f.keys...), nil
 }
 
-// begin logs a per-key call and counts it in flight until the returned
-// func runs.
-func (f *fakeClient) begin(log *[]string, key string) func() {
+// begin logs a RepairEach call and counts it in flight until the
+// returned func runs.
+func (f *fakeClient) begin(keys []string) func() {
 	f.mu.Lock()
-	*log = append(*log, key)
+	f.repaired = append(f.repaired, keys...)
+	f.pages = append(f.pages, keys)
 	f.inFlight++
 	f.maxInFlight = max(f.maxInFlight, f.inFlight)
 	delay := f.delay
@@ -102,11 +104,20 @@ func (f *fakeClient) begin(log *[]string, key string) func() {
 	}
 }
 
-// Repair answers a key of a draining view from failKeys and reports
+// RepairEach answers every key of the page as repairKey does, the page
+// one call in flight for as long as it runs.
+func (f *fakeClient) RepairEach(keys []string, each func(string, core.RepairReport, error)) {
+	defer f.begin(keys)()
+	for _, key := range keys {
+		report, err := f.repairKey(key)
+		each(key, report, err)
+	}
+}
+
+// repairKey answers a key of a draining view from failKeys and reports
 // (a moved key), any other through the repair script: a key without
 // one is healthy.
-func (f *fakeClient) Repair(key string) (core.RepairReport, error) {
-	defer f.begin(&f.repaired, key)()
+func (f *fakeClient) repairKey(key string) (core.RepairReport, error) {
 	if f.onRepair != nil {
 		f.onRepair(key)
 	}
@@ -166,7 +177,7 @@ func (f *fakeClient) OnServerRecovered(fn func(addr string)) { f.recoveredFn = f
 
 func (f *fakeClient) OnViewChange(fn func(old, new membership.View)) { f.onChange = fn }
 
-// calls returns how many Repair calls were made.
+// calls returns how many keys RepairEach was asked to repair.
 func (f *fakeClient) calls() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -231,8 +242,8 @@ func TestRunCycleAllHealthy(t *testing.T) {
 	}
 }
 
-// TestScrubKeyOutcomes drives every branch of scrubKey through
-// RunCycle with a single scripted key: one Repair call, whatever it
+// TestScrubKeyOutcomes drives every branch of tally through
+// RunCycle with a single scripted key: one repair, whatever it
 // reports.
 func TestScrubKeyOutcomes(t *testing.T) {
 	for name, tc := range map[string]struct {
@@ -326,12 +337,12 @@ func TestRunCycleCancel(t *testing.T) {
 }
 
 // TestLastCompletedGauge: the gauge marks a finished scrub only — not
-// a pass whose scan failed, nor one cut short between keys.
+// a pass whose scan failed, nor one cut short between pages.
 func TestLastCompletedGauge(t *testing.T) {
 	reg := metrics.NewRegistry()
 	gauge := reg.Gauge("ecstore_scrub_last_completed_unix")
 	c := newFake(100)
-	d := newDaemon(t, Config{Client: c, Rate: -1, MaxConcurrent: 1, Metrics: reg})
+	d := newDaemon(t, Config{Client: c, Rate: -1, Metrics: reg})
 
 	c.scanErr = errors.New("cluster unreachable")
 	if r := d.RunCycle(nil); r.Err == nil || gauge.Value() != 0 {
