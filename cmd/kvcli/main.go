@@ -12,7 +12,8 @@
 //	del <key>             delete a key
 //	stats [full]          print per-server store statistics ("full"
 //	                      adds every server and client metric)
-//	ping                  check liveness of every server
+//	ping                  check liveness of every server (fails
+//	                      naming the servers that are down)
 //	repair <key>          restore full chunk/replica redundancy (a
 //	                      report with missing=0 attests it: every
 //	                      copy present, a stripe's parity consistent)
@@ -142,24 +143,19 @@ func run() error {
 		// `stats` prints the one-line store summary per server;
 		// `stats full` adds every server-side metric (counters, gauges,
 		// latency histograms) below each line, plus the client's own.
+		// Every server is asked in one round.
 		full := len(args) > 1 && args[1] == "full"
-		for _, addr := range strings.Split(*servers, ",") {
-			st, err := client.ServerStats(addr)
-			if err != nil {
-				fmt.Printf("%-24s DOWN (%v)\n", addr, err)
+		for _, srv := range client.StatsOf(strings.Split(*servers, ",")...) {
+			if srv.Err != nil {
+				fmt.Printf("%-24s DOWN (%v)\n", srv.Addr, srv.Err)
 				continue
 			}
 			fmt.Printf("%-24s items=%d used=%dB hits=%d misses=%d evictions=%d\n",
-				addr, st.Items, st.UsedBytes, st.Hits, st.Misses, st.Evictions)
+				srv.Addr, srv.Items, srv.UsedBytes, srv.Hits, srv.Misses, srv.Evictions)
 			if !full {
 				continue
 			}
-			snap, err := client.ServerMetrics(addr)
-			if err != nil {
-				fmt.Printf("  metrics unavailable (%v)\n", err)
-				continue
-			}
-			for _, line := range strings.Split(snap.String(), "\n") {
+			for _, line := range strings.Split(srv.Metrics.String(), "\n") {
 				fmt.Printf("  %s\n", line)
 			}
 		}
@@ -171,13 +167,12 @@ func run() error {
 		}
 		return nil
 	case "ping":
-		for _, addr := range strings.Split(*servers, ",") {
-			if err := client.Ping(addr); err != nil {
-				fmt.Printf("%-24s DOWN\n", addr)
-			} else {
-				fmt.Printf("%-24s ok\n", addr)
-			}
+		// One round to every server; the error names each one down.
+		addrs := strings.Split(*servers, ",")
+		if err := client.Ping(addrs...); err != nil {
+			return err
 		}
+		fmt.Printf("ok (%d servers)\n", len(addrs))
 		return nil
 	case "repair":
 		if len(args) != 2 {

@@ -84,7 +84,7 @@ func (op *subOp) fail() error {
 }
 
 // batcher is the executor every operation's wire rounds go through,
-// single-key and bulk alike, and the per-operation ledger beside it:
+// single-key, bulk and admin alike, and the per-operation ledger beside it:
 // the Figure 9 phase times (issue = request, wait-all = wait-response,
 // plus the encode/decode time the modes add), the frame and sub-op
 // counts, and the pooled responses the current round's results alias.
@@ -147,6 +147,10 @@ type batcher struct {
 	// failover walk borrows holderBuf for its orders when they fit.
 	readKey [1]string
 	readRes [1]nearcache.Result
+
+	// kept is each key's stripe that an epoch split left in place
+	// (stripeSet): the operation's retry writes it again.
+	kept map[string]uint64
 }
 
 // begin opens the batcher of one operation, labelled op: timed from
@@ -302,13 +306,8 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 		req.Op, req.Key, req.Value, req.ValuePool = wire.OpBatch, "batch", payload, fp
 	}
 	op.call = b.slot()
-	if !b.round.Issue(op.call, op.addr, req) {
-		return // never framed; collect reads why from the slot
-	}
-	b.frames++
-	if b.bulk {
-		// Sub-ops per batch frame; a group of one counts as a batch of 1.
-		b.c.hBulkBatchSize.Record(time.Duration(n))
+	if b.round.Issue(op.call, op.addr, req) { // else never framed; collect reads why from the slot
+		b.frames++
 	}
 }
 
@@ -415,7 +414,7 @@ func (b *batcher) release() {
 // through: the round back to the client's pool (every round of the
 // operation has been waited out), the accumulated phase times under the
 // op's label (a phase the op never entered records nothing), an M*
-// call's frame and sub-op counts to the bulk series, then the
+// call's frame and sub-op counts to the bulk counters, then the
 // end-to-end latency and the total and error counters.
 func (b *batcher) end(v Item, err error) (Item, error) {
 	c := b.c
@@ -429,10 +428,9 @@ func (b *batcher) end(v Item, err error) (Item, error) {
 			b.om.phases[ph.name].Record(ph.d)
 		}
 	}
-	if b.bulk && b.subops > 0 { // an MGet served from the near cache sent no round
+	if b.bulk {
 		c.mBulkFrames.Add(b.frames)
 		c.mBulkSubops.Add(b.subops)
-		c.hFramesPerBulk.Record(time.Duration(b.frames))
 	}
 	b.om.done(b.start, err)
 	return v, err

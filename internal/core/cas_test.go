@@ -12,6 +12,7 @@ import (
 	"ecstore/internal/core"
 	"ecstore/internal/hashring"
 	"ecstore/internal/server"
+	"ecstore/internal/transport"
 	"ecstore/internal/wire"
 )
 
@@ -585,4 +586,93 @@ func TestHybridDeleteCasForms(t *testing.T) {
 	if _, err := c.Get(key); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("Get after DeleteCas: %v, want ErrNotFound", err)
 	}
+}
+
+// TestCasSplitByEpochKeepsItsStripe: an erasure-coded CAS that four of
+// five chunk holders take while the fifth has already adopted a newer
+// ring, and a repair at that ring which copies the new stripe to the
+// fifth holder before the CAS hears back — the interleaving in which the
+// membership-churn soak lost its CAS chain. Unwinding the split write
+// deletes the new stripe at all five positions after it replaced the
+// old one at four: neither version survives. The write is kept instead,
+// and its epoch retry writes the same stripe at the newer ring, where
+// every holder already has its chunk: the CAS succeeds and reads back.
+func TestCasSplitByEpochKeepsItsStripe(t *testing.T) {
+	cl := startCluster(t, 5)
+	before := hashring.Build(0, cl.Addrs())
+	if _, err := cl.AddServer("kv-joiner"); err != nil {
+		t.Fatal(err)
+	}
+	after := hashring.Build(0, cl.Addrs())
+	// A key the newer ring places where the current one does: the
+	// split, not a move, is what the test is about.
+	key := ""
+	var place []string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("cas-epoch-split-%d", i)
+		if place = before.GetN(k, 5); slices.Equal(place, after.GetN(k, 5)) {
+			key = k
+		}
+	}
+	holder := func(j int) *server.Server { return cl.Server(slices.Index(cl.Addrs(), place[j])) }
+
+	// The CAS client dials through a netem of its own: delaying the
+	// answers it gets holds the CAS open, after its chunk writes landed,
+	// for it alone.
+	cfg := allModes()["era-ce-cd"]
+	netem := transport.NewNetem(cl.Network())
+	cfg.Network, cfg.Servers = netem, cl.Addrs()[:5]
+	c, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	repairer := newClient(t, cl, allModes()["era-ce-cd"])
+
+	stripe, err := c.SetVersion(key, []byte("v1"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !holder(4).AdoptView(c.View().WithAdded("kv-joiner")) {
+		t.Fatal("the fifth holder refused the newer ring")
+	}
+	const hold = 200 * time.Millisecond
+	for _, addr := range place {
+		netem.Delay(addr, hold)
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Cas(key, []byte("v2"), 0, stripe)
+		done <- err
+	}()
+	chunks := wire.AppendChunkKeys(nil, key, 0, 5)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		landed := 0
+		for j := range 4 {
+			if _, version, _, ok := holder(j).Store().GetMeta(chunks[j]); ok && version != stripe {
+				landed++
+			}
+		}
+		if landed == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the CAS's chunk writes never landed")
+		}
+	}
+	if report, err := repairer.Repair(key); err != nil || report.Rewritten != 1 {
+		t.Fatalf("repair during the split CAS: %s, %v; want the fifth chunk rewritten", report, err)
+	}
+	if took := time.Since(start); took > hold/2 {
+		t.Fatalf("the repair ended %v into the CAS: it may not have run inside the %v hold", took, hold)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatalf("CAS split by a ring change: %v", err)
+	}
+	if got, err := repairer.Get(key); err != nil || string(got) != "v2" {
+		t.Fatalf("Get after the split CAS = %q, %v; want v2", got, err)
+	}
+	requireConverged(t, repairer, key)
 }

@@ -77,18 +77,11 @@ type Client struct {
 	mCoalesced     *metrics.Counter
 	mEpochRetries  *metrics.Counter
 
-	// Bulk metric handles, fed by the M* calls only. mBulkFrames /
-	// mBulkSubops count the wire frames and sub-operations those calls
-	// issue — their ratio is the amortization the batching buys.
-	// hFramesPerBulk and hBulkBatchSize are count-valued histograms
-	// (samples recorded as time.Duration(n), so "1" in the export means
-	// one frame / one sub-op, not a nanosecond): frames per logical bulk
-	// call that sent a round, and sub-ops per batch frame (a batchable
-	// group of one counts as a batch of 1).
-	mBulkFrames    *metrics.Counter
-	mBulkSubops    *metrics.Counter
-	hFramesPerBulk *stats.Histogram
-	hBulkBatchSize *stats.Histogram
+	// Bulk metric handles, fed by the M* calls only: the wire frames and
+	// sub-operations those calls issue — their ratio is the amortization
+	// the batching buys.
+	mBulkFrames *metrics.Counter
+	mBulkSubops *metrics.Counter
 
 	// ledger remembers the chunk holders that keep missing on reads, so
 	// a read's first round asks around them (DESIGN §12).
@@ -227,6 +220,7 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 			"mset":    newOpMetrics(reg, "mset"),
 			"mdelete": newOpMetrics(reg, "mdelete"),
 			"repair":  newOpMetrics(reg, "repair"),
+			"admin":   newOpMetrics(reg, "admin"),
 		},
 		mRetries:       reg.Counter("ecstore_client_retries_total"),
 		mDegraded:      reg.Counter("ecstore_client_degraded_reads_total"),
@@ -241,8 +235,6 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		mEpochRetries:  reg.Counter("ecstore_client_epoch_retries_total"),
 		mBulkFrames:    reg.Counter("ecstore_client_bulk_frames_total"),
 		mBulkSubops:    reg.Counter("ecstore_client_bulk_subops_total"),
-		hFramesPerBulk: reg.Histogram("ecstore_client_frames_per_bulk_op"),
-		hBulkBatchSize: reg.Histogram("ecstore_client_bulk_batch_subops"),
 		cache: nearcache.New(nearcache.Config{
 			MaxBytes: cfg.CacheBytes,
 			MaxAge:   cfg.CacheMaxAge,
@@ -494,49 +486,103 @@ func (c *Client) SetVersion(key string, value []byte, ttl time.Duration) (uint64
 	return item.Version, err
 }
 
+// adminOps plans one admin request per server of addrs, in their order.
+// The servers exempt admin ops from the epoch gate, so the round that
+// sends them carries epoch 0.
+func adminOps(addrs []string, req wire.BatchReq) []subOp {
+	ops := make([]subOp, len(addrs))
+	for i, addr := range addrs {
+		ops[i] = subOp{addr: addr, req: req}
+	}
+	return ops
+}
+
+// admin sends ops as one round of b — every frame issued before any is
+// waited on, all under one OpTimeout, so however many servers hang the
+// round costs one timeout — and hands read each server's answer, in
+// order, while its body is still leased: op.resp is valid when err is
+// nil.
+func (b *batcher) admin(ops []subOp, read func(op *subOp, err error)) {
+	b.send(ops, 0)
+	for i := range ops {
+		read(&ops[i], ops[i].fail())
+	}
+	b.release()
+}
+
 // FlushAll clears the item store of every server the current
 // membership view names, the servers only a draining ring names
 // included: reads still ask them (getDraining, gatherDraining) — the
-// memcached `flush_all`. All servers are attempted; the first error is
-// returned.
+// memcached `flush_all`. All servers are asked in one round; the first
+// error, in AllServers order, is returned.
 func (c *Client) FlushAll() error {
 	c.cache.InvalidateAll()
+	b := c.begin("admin")
 	var firstErr error
-	for _, addr := range c.view.Current().AllServers() {
-		resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpFlush, Key: "flush"})
-		resp.Release()
+	b.admin(adminOps(c.view.Current().AllServers(), wire.BatchReq{Op: wire.OpFlush, Key: "flush"}), func(op *subOp, err error) {
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: flush %s: %w", addr, err)
+			firstErr = fmt.Errorf("core: flush %s: %w", op.addr, err)
 		}
-	}
-	// Again after the flush has landed: a read that raced the loop may
+	})
+	// Again after the flush has landed: a read that raced the round may
 	// have re-filled a pre-flush value or begun a flight that a
 	// post-flush Get must not join.
 	c.cache.InvalidateAll()
-	return firstErr
+	_, err := b.end(Item{}, firstErr)
+	return err
 }
 
-// Ping checks liveness of one server.
-func (c *Client) Ping(addr string) error {
-	resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpPing, Key: "ping"})
-	resp.Release()
+// Ping checks that every server of addrs answers, all in one round,
+// and returns an error naming each one that did not.
+func (c *Client) Ping(addrs ...string) error {
+	b := c.begin("admin")
+	var errs []error
+	b.admin(adminOps(addrs, wire.BatchReq{Op: wire.OpPing, Key: "admin"}), func(op *subOp, err error) {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: ping %s: %w", op.addr, err))
+		}
+	})
+	_, err := b.end(Item{}, errors.Join(errs...))
 	return err
+}
+
+// ServerStatus is one server's OpStats answer, the flat store.Stats
+// keys with the metrics snapshot nested under "metrics", or the error
+// that kept it.
+type ServerStatus struct {
+	Addr string `json:"-"`
+	store.Stats
+	Metrics metrics.Snapshot `json:"metrics"`
+	Err     error            `json:"-"`
+}
+
+// StatsOf asks every server of addrs for its statistics in one round
+// and answers in their order.
+func (c *Client) StatsOf(addrs ...string) []ServerStatus {
+	b := c.begin("admin")
+	out := make([]ServerStatus, 0, len(addrs))
+	var firstErr error
+	b.admin(adminOps(addrs, wire.BatchReq{Op: wire.OpStats, Key: "admin"}), func(op *subOp, err error) {
+		st := ServerStatus{Addr: op.addr}
+		if err == nil {
+			if derr := json.Unmarshal(op.resp.Value, &st); derr != nil {
+				err = fmt.Errorf("core: decode stats of %s: %w", op.addr, derr)
+			}
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		st.Err = err
+		out = append(out, st)
+	})
+	b.end(Item{}, firstErr)
+	return out
 }
 
 // ServerStats fetches the store statistics of one server.
 func (c *Client) ServerStats(addr string) (store.Stats, error) {
-	resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpStats, Key: "stats"})
-	if err != nil {
-		resp.Release()
-		return store.Stats{}, err
-	}
-	var st store.Stats
-	err = json.Unmarshal(resp.Value, &st)
-	resp.Release()
-	if err != nil {
-		return store.Stats{}, fmt.Errorf("core: decode stats: %w", err)
-	}
-	return st, nil
+	st := c.StatsOf(addr)[0]
+	return st.Stats, st.Err
 }
 
 // Metrics returns the client's metrics registry (Config.Metrics, or
@@ -544,23 +590,10 @@ func (c *Client) ServerStats(addr string) (store.Stats, error) {
 // metrics.Serve, or snapshot it for the stats subcommand.
 func (c *Client) Metrics() *metrics.Registry { return c.cfg.Metrics }
 
-// ServerMetrics fetches one server's metrics snapshot, carried by the
-// extended OpStats wire response next to the store statistics.
+// ServerMetrics fetches one server's metrics snapshot.
 func (c *Client) ServerMetrics(addr string) (metrics.Snapshot, error) {
-	resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpStats, Key: "stats"})
-	if err != nil {
-		resp.Release()
-		return metrics.Snapshot{}, err
-	}
-	var payload struct {
-		Metrics metrics.Snapshot `json:"metrics"`
-	}
-	err = json.Unmarshal(resp.Value, &payload)
-	resp.Release()
-	if err != nil {
-		return metrics.Snapshot{}, fmt.Errorf("core: decode metrics: %w", err)
-	}
-	return payload.Metrics, nil
+	st := c.StatsOf(addr)[0]
+	return st.Metrics, st.Err
 }
 
 // placement returns the n servers holding key's replicas or chunks —

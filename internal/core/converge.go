@@ -540,13 +540,17 @@ func (e *ecStrategy) plan(b *batcher, pg *page, i int, key string, p *chunkProbe
 
 	// An unmoved key's repair rewrites whatever does not hold the winning
 	// stripe's chunk — lost, corrupt, or from a superseded or torn write.
-	// A moved key keeps what is at least as new: stripe IDs are
-	// time-ordered, and a newer one is a concurrent overwrite the current
-	// ring already routed correctly.
+	// Stripe IDs are time-ordered, and a stripe newer than the winner is
+	// torn only once it is older than any write of it can run (its round
+	// and its unwind, 2 OpTimeouts); before that it is a write in flight,
+	// which a refill of the older winner would cut below the holders that
+	// acknowledged it. A moved key keeps whatever is newer: the current
+	// ring already routed that overwrite correctly.
 	var need, lost []int
 	chunks := win.Chunks()
+	settled := wire.StripeIDAt(time.Now().Add(-2 * e.c.cfg.OpTimeout))
 	for j, held := range p.at[0] {
-		if held != win.Stripe && (!moved || held < win.Stripe) {
+		if held != win.Stripe && (held < win.Stripe || !moved && held < settled) {
 			need = append(need, j)
 		}
 		if chunks[j] == nil {

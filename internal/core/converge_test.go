@@ -44,13 +44,10 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 		}
 	}
 	key, page := moving[0], moving[1:]
-	// The page's values are small enough that a server's answer to a
-	// round of the page stays one inline frame: netem holds back every
-	// read, and a frame past wire.FrameInlineThreshold is read twice.
-	value, small := bytes.Repeat([]byte("r"), 6000), bytes.Repeat([]byte("s"), 120)
-	values := map[string][]byte{key: value}
-	for _, k := range page {
-		values[k] = small
+	value := bytes.Repeat([]byte("r"), 6000)
+	values := map[string][]byte{}
+	for _, k := range moving {
+		values[k] = value
 	}
 	for k, v := range values {
 		if err := c.Set(k, v); err != nil {
@@ -75,12 +72,7 @@ func TestConvergenceCostsRoundsNotTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, addr := range cl.Addrs() {
-		// The delay applies from a connection's next read on, and each
-		// reader is already parked in one: a ping moves it along.
 		netem.Delay(addr, delay)
-		if err := c.Ping(addr); err != nil {
-			t.Fatal(err)
-		}
 	}
 	timed := func(op func() error) time.Duration {
 		t.Helper()
@@ -365,6 +357,63 @@ func TestRepairKeepsARacingCasWinner(t *testing.T) {
 		t.Fatalf("racing repair: %s, %v; want its one refill lost to the newer value", r.report, r.err)
 	}
 	requireConverged(t, writer, key)
+}
+
+// TestRepairLeavesAStripeWriteInFlight: a repair whose probe catches
+// an erasure-coded CAS after its first chunk write landed, with the old
+// stripe still at the other four holders — the interleaving in which
+// the membership-churn soak lost its CAS chain. The newer chunk is a
+// write in flight, not a torn one: refilling the old stripe over it
+// leaves the acknowledged CAS at four holders and the old stripe at the
+// fifth, so the next CAS conflicts there, unwinds the four, and the key
+// is gone. The repair leaves it, and the next CAS lands.
+func TestRepairLeavesAStripeWriteInFlight(t *testing.T) {
+	cl := startCluster(t, 5)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	const key = "cas-in-flight"
+	chunks := wire.AppendChunkKeys(nil, key, 0, 5)
+	type record struct {
+		value   []byte
+		version uint64
+	}
+	// records saves the chunk each holder has of the key's stripe.
+	records := func() (out [5]record) {
+		for j := range out {
+			value, version, _, _ := holderOf(t, cl, chunks[j]).Store().GetMeta(chunks[j])
+			out[j] = record{bytes.Clone(value), version}
+		}
+		return out
+	}
+	land := func(rs [5]record, positions ...int) {
+		for _, j := range positions {
+			if err := holderOf(t, cl, chunks[j]).Store().SetVersioned(chunks[j], rs[j].value, 0, rs[j].version); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := c.SetVersion(key, []byte("v1"), 0); err != nil {
+		t.Fatal(err)
+	}
+	old := records()
+	stripe, err := c.SetVersion(key, []byte("v2"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cas := records()
+	// The CAS has landed at position 0 only when the repair probes.
+	land(old, 1, 2, 3, 4)
+	if report, err := c.Repair(key); err != nil || report.Rewritten != 0 {
+		t.Errorf("repair during the CAS: %s, %v; want the in-flight chunk left alone", report, err)
+	}
+	land(cas, 1, 2, 3, 4)
+
+	if _, err := c.Cas(key, []byte("v3"), 0, stripe); err != nil {
+		t.Fatalf("CAS on the acknowledged stripe after the repair: %v", err)
+	}
+	if got, err := c.Get(key); err != nil || string(got) != "v3" {
+		t.Fatalf("Get after the CAS = %q, %v; want v3", got, err)
+	}
+	requireConverged(t, c, key)
 }
 
 // TestMovedRottedChunkConvergesInOneRepair: a moved key whose chunk at

@@ -70,7 +70,11 @@ func (e *ecStrategy) set(b *batcher, writes []write) []result {
 // waited out in full even after a failure: returning early would let the
 // remaining in-flight chunk writes keep landing after the error is
 // reported, leaving a torn stripe of this write that can shadow the
-// previous complete one. Failed keys' stripes are then unwound.
+// previous complete one. Failed keys' stripes are then unwound, but
+// for a write that more than M holders took and the rest rejected only
+// for its epoch: unwinding it would leave neither stripe decodable, so
+// it is kept, and its epoch retry writes the same stripe (batcher.kept;
+// DESIGN §5b).
 func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	n := e.k + e.m
 	ring, epoch := e.c.placementSnapshot()
@@ -102,7 +106,10 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			K:        uint8(e.k),
 			M:        uint8(e.m),
 			TotalLen: uint32(len(w.value)),
-			Stripe:   wire.NewStripeID(),
+			Stripe:   b.kept[w.key],
+		}
+		if meta.Stripe == 0 {
+			meta.Stripe = wire.NewStripeID()
 		}
 		op := wire.OpSetChunk
 		if w.cas {
@@ -132,12 +139,17 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	var dead []deadStripe
 	for lo := 0; lo < len(ops); {
 		i, w := ops[lo].key, &writes[ops[lo].key]
-		conflict, priors := false, 0
+		conflict, priors, landed, epochOnly := false, 0, 0, true
 		var err error
 		for ; lo < len(ops) && ops[lo].key == i; lo++ {
 			op := &ops[lo]
-			switch opErr := op.fail(); {
+			opErr := op.fail()
+			if w.cas && errors.Is(opErr, wire.ErrExists) && op.resp.Meta.Stripe == op.req.Meta.Stripe {
+				opErr = nil // the holder has this very chunk already (batcher.kept)
+			}
+			switch {
 			case opErr == nil:
+				landed++
 				if op.resp.Meta.Stripe != 0 {
 					priors++ // this holder really held the old stripe
 				}
@@ -146,6 +158,14 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 			case err == nil:
 				err = fmt.Errorf("chunk %d write: %w", op.req.Meta.ChunkIndex, opErr)
 			}
+			epochOnly = epochOnly && (opErr == nil || errors.Is(opErr, wire.ErrWrongEpoch))
+		}
+		if err != nil && !conflict && epochOnly && landed > e.m {
+			if b.kept == nil {
+				b.kept = make(map[string]uint64)
+			}
+			b.kept[w.key], out[i] = out[i].item.Version, result{err: err}
+			continue
 		}
 		switch {
 		case conflict:

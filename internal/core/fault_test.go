@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
 	"ecstore/internal/hashring"
+	"ecstore/internal/rpc"
 	"ecstore/internal/transport"
 	"ecstore/internal/wire"
 )
@@ -465,4 +468,120 @@ func TestCasConvergenceIsOneRound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAdminFanOutIsOneRound: an admin call's fan-out is one batcher
+// round under one deadline, so on 5 servers with two hung (T =
+// OpTimeout) a PushView and a FlushAll each return within 1.5T — one
+// timeout for both hung servers, where asking one server after another
+// cost 2T. PushView is acked by the three live servers; FlushAll
+// reports the first hung server in AllServers order, and the live
+// servers are flushed. Each call counts as one op labelled admin.
+func TestAdminFanOutIsOneRound(t *testing.T) {
+	const opTimeout = 250 * time.Millisecond
+	cl, netem := startNetemCluster(t, 5)
+	c := newClient(t, cl, core.Config{Resilience: core.ResilienceSyncRep, Replicas: 3, OpTimeout: opTimeout})
+	for i := range 20 {
+		if err := c.Set(fmt.Sprintf("admin-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := poolDelta()
+	all := c.View().AllServers()
+	hung := []string{all[1], all[3]}
+	for _, addr := range hung {
+		netem.Hang(addr)
+	}
+	budget := opTimeout + opTimeout/2
+	timed := func(name string, op func() error) error {
+		t.Helper()
+		start := time.Now()
+		err := op()
+		if elapsed := time.Since(start); elapsed >= budget {
+			t.Errorf("%s took %v with two hung servers, want one round (< %v)", name, elapsed, budget)
+		}
+		return err
+	}
+
+	counter := func(name string) int64 { return c.Metrics().Snapshot().Counter(name) }
+	ops, errs := counter(`ecstore_client_ops_total{op="admin"}`), counter(`ecstore_client_op_errors_total{op="admin"}`)
+
+	v := c.View().WithAdded(all[0]) // the next epoch, same servers
+	if err := timed("PushView", func() error { _, err := c.PushView(v); return err }); err != nil {
+		t.Fatalf("PushView acked by three servers, yet: %v", err)
+	}
+	for i, addr := range cl.Addrs() {
+		if got := cl.Server(i).View().Epoch; slices.Contains(hung, addr) != (got != v.Epoch) {
+			t.Errorf("server %s holds epoch %d after the push of %d (hung: %v)", addr, got, v.Epoch, slices.Contains(hung, addr))
+		}
+	}
+
+	err := timed("FlushAll", c.FlushAll)
+	if !errors.Is(err, rpc.ErrTimeout) || !strings.Contains(err.Error(), hung[0]) || strings.Contains(err.Error(), hung[1]) {
+		t.Fatalf("FlushAll returned %v, want the timeout of %s", err, hung[0])
+	}
+	for i, addr := range cl.Addrs() {
+		if items := cl.Server(i).Store().Stats().Items; !slices.Contains(hung, addr) && items != 0 {
+			t.Errorf("live server %s holds %d items after FlushAll", addr, items)
+		}
+	}
+	// Each call is one admin op; the flush, which returned an error, a failed one.
+	if got, gotErrs := counter(`ecstore_client_ops_total{op="admin"}`)-ops, counter(`ecstore_client_op_errors_total{op="admin"}`)-errs; got != 2 || gotErrs != 1 {
+		t.Errorf("PushView and FlushAll counted %d admin ops, %d failed; want 2, 1", got, gotErrs)
+	}
+	for _, addr := range hung {
+		netem.Restore(addr)
+	}
+	waitPoolBaseline(t, baseline)
+}
+
+// TestScanPagesServersInLockstep: a scan asks every server for its next
+// page in one round, so it costs the rounds of the longest keyspace,
+// not the sum over servers. Each of 5 servers holds three pages (an
+// erasure-coded key leaves a chunk on every one), and under Delay(d) on
+// all five ScanKeysOn returns the same sorted keys as with no delay
+// within 6d — three rounds — where paging one server after another took
+// at least 15d.
+func TestScanPagesServersInLockstep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-dependent")
+	}
+	const delay = 20 * time.Millisecond
+	cl, netem := startNetemCluster(t, 5)
+	c := newClient(t, cl, allModes()["era-ce-cd"])
+	want := make([]string, 2*wire.DefaultScanLimit+100)
+	for i := range want {
+		want[i] = fmt.Sprintf("lockstep-%04d", i)
+		if err := c.Set(want[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(want)
+	for i := range cl.Addrs() {
+		if n := cl.Server(i).Store().Stats().Items; n <= 2*wire.DefaultScanLimit {
+			t.Fatalf("server %d holds %d keys, fewer than three pages", i, n)
+		}
+	}
+	undelayed, err := c.ScanKeysOn(cl.Addrs())
+	if err != nil || !slices.Equal(undelayed, want) {
+		t.Fatalf("scan with no delay: %d keys, %v; want the %d written", len(undelayed), err, len(want))
+	}
+	baseline := poolDelta()
+	for _, addr := range cl.Addrs() {
+		netem.Delay(addr, delay)
+	}
+	start := time.Now()
+	got, err := c.ScanKeysOn(cl.Addrs())
+	elapsed := time.Since(start)
+	for _, addr := range cl.Addrs() {
+		netem.Restore(addr)
+	}
+	if err != nil || !slices.Equal(got, undelayed) {
+		t.Fatalf("delayed scan: %d keys, %v; want the %d of the undelayed scan", len(got), err, len(undelayed))
+	}
+	t.Logf("scan of 5 servers x 3 pages under a %v delay: %v (%.1f delays)", delay, elapsed, float64(elapsed)/float64(delay))
+	if elapsed >= 6*delay {
+		t.Errorf("scan took %v, want three rounds (< %v)", elapsed, 6*delay)
+	}
+	waitPoolBaseline(t, baseline)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ecstore/internal/membership"
 	"ecstore/internal/wire"
@@ -26,15 +25,16 @@ func (c *Client) OnViewChange(fn func(old, new membership.View)) {
 }
 
 // RefreshView polls every server the client knows of (RingStatus) for
-// its membership view,
-// adopts the newest epoch, and best-effort pushes the winner to the
-// servers that answered with an older one (the read-repair half of the
-// epoch protocol: a stale server rejects every data request until it
-// catches up, so repairing it directly shortens the outage window).
-// It fails only when NO server answered.
+// its membership view, adopts the newest epoch, and best-effort pushes
+// the winner to the servers that answered with an older one (the
+// read-repair half of the epoch protocol: a stale server rejects every
+// data request until it catches up, so repairing it directly shortens
+// the outage window). The poll is one round and the pushes another. It
+// fails only when NO server answered.
 func (c *Client) RefreshView() (membership.View, error) {
+	b := c.begin("admin")
 	cur := c.view.Current()
-	statuses := c.RingStatus()
+	statuses := c.ringStatus(b)
 	best := cur
 	reached := 0
 	var lastErr error
@@ -49,38 +49,54 @@ func (c *Client) RefreshView() (membership.View, error) {
 		}
 	}
 	if reached == 0 {
-		return cur, fmt.Errorf("%w: ring refresh reached no server: %v", ErrUnavailable, lastErr)
+		_, err := b.end(Item{}, fmt.Errorf("%w: ring refresh reached no server: %v", ErrUnavailable, lastErr))
+		return cur, err
 	}
 	c.view.Adopt(best)
+	var stale []string
 	for _, st := range statuses {
 		if st.Err == nil && st.View.Epoch < best.Epoch {
-			_, _ = c.pushViewTo(st.Addr, best)
+			stale = append(stale, st.Addr)
 		}
 	}
+	c.pushView(b, stale, best) // best effort
+	b.end(Item{}, nil)
 	return c.view.Current(), nil
 }
 
-// pushViewTo offers v to one server over the wire, returning the view
-// the server holds afterwards (v, or something even newer).
-func (c *Client) pushViewTo(addr string, v membership.View) (membership.View, error) {
-	resp, err := c.pool.Roundtrip(addr, &wire.Request{
-		Op: wire.OpRingUpdate, Key: "ring", Value: v.Encode(),
+// pushView offers v to every server of addrs in one round of b, and
+// adopts the newest view any of them answers with (v, or something even
+// newer a concurrent change installed). It fails when no server took
+// the offer.
+func (c *Client) pushView(b *batcher, addrs []string, v membership.View) error {
+	acked := 0
+	var lastErr error
+	b.admin(adminOps(addrs, wire.BatchReq{Op: wire.OpRingUpdate, Key: "ring", Value: v.Encode()}), func(op *subOp, err error) {
+		var got membership.View
+		if err == nil {
+			got, err = membership.Decode(op.resp.Value)
+		}
+		if err != nil {
+			lastErr = err
+			return
+		}
+		acked++
+		if got.Epoch > v.Epoch {
+			c.view.Adopt(got)
+		}
 	})
-	if err != nil {
-		resp.Release()
-		return membership.View{}, err
+	if acked == 0 {
+		return fmt.Errorf("%w: no server adopted epoch %d: %v", ErrUnavailable, v.Epoch, lastErr)
 	}
-	got, derr := membership.Decode(resp.Value)
-	resp.Release()
-	return got, derr
+	return nil
 }
 
-// PushView installs v locally and propagates it to every server of
-// both the outgoing and incoming views, draining rings included — a
-// departing server must learn the view that excludes it, or it would
-// keep accepting same-epoch traffic forever, and a server a draining
-// ring still names is sent the convergence's rounds stamped with v's
-// epoch. Unreachable servers are skipped (they adopt on
+// PushView installs v locally and propagates it, in one round, to every
+// server of both the outgoing and incoming views, draining rings
+// included — a departing server must learn the view that excludes it,
+// or it would keep accepting same-epoch traffic forever, and a server a
+// draining ring still names is sent the convergence's rounds stamped
+// with v's epoch. Unreachable servers are skipped (they adopt on
 // restart or via client read-repair); PushView fails only when no
 // server adopted. It returns the cluster's view afterwards, which may
 // be newer than v if a concurrent change won.
@@ -88,26 +104,11 @@ func (c *Client) PushView(v membership.View) (membership.View, error) {
 	if err := v.Validate(); err != nil {
 		return membership.View{}, err
 	}
+	b := c.begin("admin")
 	old := c.view.Current()
 	c.view.Adopt(v)
-	targets := distinct(append(v.AllServers(), old.AllServers()...))
-	acked := 0
-	var lastErr error
-	for _, addr := range targets {
-		got, err := c.pushViewTo(addr, v)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		acked++
-		if got.Epoch > v.Epoch {
-			c.view.Adopt(got)
-		}
-	}
-	if acked == 0 {
-		return c.view.Current(), fmt.Errorf("%w: no server adopted epoch %d: %v", ErrUnavailable, v.Epoch, lastErr)
-	}
-	return c.view.Current(), nil
+	_, err := b.end(Item{}, c.pushView(b, distinct(append(v.AllServers(), old.AllServers()...)), v))
+	return c.view.Current(), err
 }
 
 // RingAdd proposes a membership view with addr joined, pushes it to
@@ -158,28 +159,24 @@ type RingServerStatus struct {
 // server the current view names, draining rings included, and the
 // configured seeds — currently holds, for the admin `ring status`
 // surface and RefreshView: disagreement between the rows is the
-// propagation lag the epoch protocol closes.
+// propagation lag the epoch protocol closes. The servers are asked in
+// one round.
 func (c *Client) RingStatus() []RingServerStatus {
-	cur := c.view.Current()
-	addrs := distinct(append(cur.AllServers(), c.cfg.Servers...))
-	out := make([]RingServerStatus, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			out[i].Addr = addr
-			resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpRingGet, Key: "ring"})
-			if err != nil {
-				resp.Release()
-				out[i].Err = err
-				return
-			}
-			v, derr := membership.Decode(resp.Value)
-			resp.Release()
-			out[i].View, out[i].Err = v, derr
-		}(i, addr)
-	}
-	wg.Wait()
+	b := c.begin("admin")
+	defer b.end(Item{}, nil)
+	return c.ringStatus(b)
+}
+
+// ringStatus is RingStatus as one round of b.
+func (c *Client) ringStatus(b *batcher) []RingServerStatus {
+	ops := adminOps(distinct(append(c.view.Current().AllServers(), c.cfg.Servers...)), wire.BatchReq{Op: wire.OpRingGet, Key: "ring"})
+	out := make([]RingServerStatus, 0, len(ops))
+	b.admin(ops, func(op *subOp, err error) {
+		st := RingServerStatus{Addr: op.addr, Err: err}
+		if err == nil {
+			st.View, st.Err = membership.Decode(op.resp.Value)
+		}
+		out = append(out, st)
+	})
 	return out
 }

@@ -26,58 +26,55 @@ func (c *Client) ScanKeys() ([]string, error) {
 // daemon (internal/scrub) passes every server the view names, draining
 // rings included: data being drained still lives on servers only an
 // older ring names, and a current-view-only scan would miss it.
+//
+// The servers are paged in lockstep: each round asks every server that
+// has more for its next page, so a scan costs the rounds of the
+// longest keyspace, not the sum over servers. A request carries only
+// its cursor; the server answers pages of wire.DefaultScanLimit keys. A
+// server that fails a page keeps the keys of the pages it answered but
+// counts as unreached.
 func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
+	b := c.begin("admin")
 	set := make(map[string]struct{})
 	reached := 0
 	var lastErr error
-	for _, addr := range distinct(addrs) {
-		err := c.scanServer(addr, func(stored string) {
-			key, _ := wire.LogicalKey(stored)
-			set[key] = struct{}{}
+	ops := adminOps(distinct(addrs), wire.BatchReq{Op: wire.OpScan, Key: "scan"})
+	for len(ops) > 0 {
+		var next []subOp
+		b.admin(ops, func(op *subOp, err error) {
+			var page wire.ScanPage
+			if err == nil {
+				page, err = wire.DecodeScanPage(op.resp.Value) // copies its keys and cursor out
+			}
+			if err != nil {
+				c.mScanUnreached.Inc()
+				lastErr = fmt.Errorf("core: scan %s: %w", op.addr, err)
+				return
+			}
+			for _, stored := range page.Keys {
+				key, _ := wire.LogicalKey(stored)
+				set[key] = struct{}{}
+			}
+			if len(page.Next) == 0 {
+				reached++
+				return
+			}
+			next = append(next, subOp{addr: op.addr, req: wire.BatchReq{Op: wire.OpScan, Key: "scan", Value: page.Next}})
 		})
-		if err != nil {
-			c.mScanUnreached.Inc()
-			lastErr = err
-			continue
-		}
-		reached++
+		ops = next
 	}
 	c.mScans.Inc()
 	if reached == 0 {
-		return nil, fmt.Errorf("%w: scan reached no server: %v", ErrUnavailable, lastErr)
+		_, err := b.end(Item{}, fmt.Errorf("%w: scan reached no server: %v", ErrUnavailable, lastErr))
+		return nil, err
 	}
+	b.end(Item{}, nil)
 	keys := make([]string, 0, len(set))
 	for k := range set {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// scanServer pages through one server's keyspace, calling emit for
-// every stored key. The requests carry no page size, so the server
-// answers pages of wire.DefaultScanLimit keys.
-func (c *Client) scanServer(addr string, emit func(string)) error {
-	var cursor []byte
-	for {
-		resp, err := c.pool.Roundtrip(addr, &wire.Request{Op: wire.OpScan, Key: "scan", Value: cursor})
-		if err != nil {
-			resp.Release()
-			return err
-		}
-		page, err := wire.DecodeScanPage(resp.Value)
-		resp.Release() // the page copied its keys and cursor out
-		if err != nil {
-			return fmt.Errorf("core: scan %s: %w", addr, err)
-		}
-		for _, k := range page.Keys {
-			emit(k)
-		}
-		if len(page.Next) == 0 {
-			return nil
-		}
-		cursor = page.Next
-	}
 }
 
 // OnServerRecovered registers fn to be called whenever the rpc health

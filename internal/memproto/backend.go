@@ -105,14 +105,13 @@ func (b *ClusterBackend) Flush() error {
 }
 
 // Stats aggregates store statistics across the servers of the client's
-// current view.
+// current view, asked in one round.
 func (b *ClusterBackend) Stats() map[string]string {
 	out := map[string]string{"proxy": "ecstore"}
 	var items, used, hits, misses, evictions int64
 	live := 0
-	for _, addr := range b.Client.View().Servers {
-		st, err := b.Client.ServerStats(addr)
-		if err != nil {
+	for _, st := range b.Client.StatsOf(b.Client.View().Servers...) {
+		if st.Err != nil {
 			continue
 		}
 		live++

@@ -32,7 +32,7 @@ func startBenchEcho(b *testing.B, network transport.Network, addr string) {
 				br := bufio.NewReaderSize(conn, 256<<10)
 				var mu sync.Mutex
 				for {
-					req, err := wire.ReadRequest(br)
+					req, err := wire.ReadRequestPooled(br, nil)
 					if err != nil {
 						return
 					}

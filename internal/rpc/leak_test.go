@@ -114,7 +114,7 @@ func startMute(t *testing.T, network transport.Network, addr string, delay time.
 				br := bufio.NewReader(conn)
 				var mu sync.Mutex
 				for {
-					req, err := wire.ReadRequest(br)
+					req, err := wire.ReadRequestPooled(br, nil)
 					if err != nil {
 						return
 					}

@@ -41,7 +41,7 @@ func startStall(t *testing.T, network transport.Network, addr string) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {
-					if _, err := wire.ReadRequest(br); err != nil {
+					if _, err := wire.ReadRequestPooled(br, nil); err != nil {
 						return
 					}
 				}
@@ -103,7 +103,7 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {
-					req, err := wire.ReadRequest(br)
+					req, err := wire.ReadRequestPooled(br, nil)
 					if err != nil {
 						return
 					}
@@ -133,9 +133,9 @@ func TestLateResponseDoesNotCompleteLaterCall(t *testing.T) {
 		t.Fatalf("first call: got %v, want ErrTimeout", err)
 	}
 
-	resp, err := p.RoundtripTimeout("slow-once", &wire.Request{
+	resp, err := sendTimeout(p, "slow-once", &wire.Request{
 		Op: wire.OpGet, Key: "k", Value: []byte("second"),
-	}, 2*time.Second)
+	}, 2*time.Second).wait()
 	if err != nil {
 		t.Fatalf("second call: %v", err)
 	}

@@ -288,7 +288,7 @@ type Option func(*Pool)
 
 // WithCallTimeout sets the default deadline of a round (Begin,
 // Roundtrip); 0 (the initial default) disables deadlines. BeginTimeout
-// and RoundtripTimeout override it per round.
+// overrides it per round.
 func WithCallTimeout(d time.Duration) Option {
 	return func(p *Pool) { p.timeout = d }
 }
@@ -458,18 +458,13 @@ func (r *Round) Issue(c *Call, addr string, req *wire.Request) bool {
 // response is returned even on status errors so callers can inspect
 // metadata.
 func (p *Pool) Roundtrip(addr string, req *wire.Request) (*wire.Response, error) {
-	return p.RoundtripTimeout(addr, req, p.timeout)
-}
-
-// RoundtripTimeout is Roundtrip with an explicit deadline.
-func (p *Pool) RoundtripTimeout(addr string, req *wire.Request, timeout time.Duration) (*wire.Response, error) {
 	// The round and its slot share one allocation, which the returned
 	// response (it lives in the slot) keeps alive.
 	one := new(struct {
 		round Round
 		call  Call
 	})
-	p.BeginTimeout(&one.round, timeout)
+	p.Begin(&one.round)
 	one.round.Issue(&one.call, addr, req)
 	one.round.Wait()
 	resp, err := one.call.Result()

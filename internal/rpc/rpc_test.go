@@ -40,7 +40,7 @@ func startSlowEcho(t *testing.T, network transport.Network, addr string, delay t
 				br := bufio.NewReader(conn)
 				var mu sync.Mutex
 				for {
-					req, err := wire.ReadRequest(br)
+					req, err := wire.ReadRequestPooled(br, nil)
 					if err != nil {
 						return
 					}
@@ -248,7 +248,7 @@ func TestRoundtripMapsStatusErrors(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		for {
-			req, err := wire.ReadRequest(br)
+			req, err := wire.ReadRequestPooled(br, nil)
 			if err != nil {
 				return
 			}

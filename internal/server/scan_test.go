@@ -7,22 +7,20 @@ import (
 	"ecstore/internal/wire"
 )
 
-// scanServer pages through one server's keyspace over the wire,
-// asserting every page respects the requested limit.
+// scanServer pages through one server's keyspace over the wire, with
+// req's Meta on every page request, asserting no page holds more than
+// wire.DefaultScanLimit keys; it returns the keys and the page count.
 func scanServer(t *testing.T, pool interface {
 	Roundtrip(string, *wire.Request) (*wire.Response, error)
-}, addr string, limit int) []string {
+}, addr string, meta wire.ECMeta) ([]string, int) {
 	t.Helper()
 	var keys []string
 	var cursor []byte
-	for pages := 0; ; pages++ {
+	for pages := 1; ; pages++ {
 		if pages > 10000 {
 			t.Fatal("scan does not terminate")
 		}
-		resp, err := pool.Roundtrip(addr, &wire.Request{
-			Op: wire.OpScan, Key: "scan", Value: cursor,
-			Meta: wire.ECMeta{TotalLen: uint32(limit)},
-		})
+		resp, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpScan, Key: "scan", Value: cursor, Meta: meta})
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
@@ -30,12 +28,12 @@ func scanServer(t *testing.T, pool interface {
 		if err != nil {
 			t.Fatalf("decode page: %v", err)
 		}
-		if limit > 0 && len(page.Keys) > limit {
-			t.Fatalf("page of %d keys exceeds limit %d", len(page.Keys), limit)
+		if len(page.Keys) > wire.DefaultScanLimit {
+			t.Fatalf("page of %d keys exceeds %d", len(page.Keys), wire.DefaultScanLimit)
 		}
 		keys = append(keys, page.Keys...)
 		if len(page.Next) == 0 {
-			return keys
+			return keys, pages
 		}
 		cursor = page.Next
 	}
@@ -45,53 +43,51 @@ func TestScanPagination(t *testing.T) {
 	servers, pool := startServers(t, 1, 0)
 	addr := servers[0].Addr()
 	want := map[string]bool{}
-	for i := 0; i < 137; i++ {
+	for i := 0; i < 2*wire.DefaultScanLimit+137; i++ {
 		k := fmt.Sprintf("scan-key-%03d", i)
 		if _, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpSet, Key: k, Value: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = true
 	}
-	for _, limit := range []int{1, 3, 50, 1000} {
-		got := scanServer(t, pool, addr, limit)
-		if len(got) != len(want) {
-			t.Fatalf("limit %d: scan returned %d keys, want %d", limit, len(got), len(want))
+	got, pages := scanServer(t, pool, addr, wire.ECMeta{})
+	if len(got) != len(want) || pages < 3 {
+		t.Fatalf("scan returned %d keys in %d pages, want %d keys in 3 or more", len(got), pages, len(want))
+	}
+	seen := map[string]bool{}
+	for _, k := range got {
+		if seen[k] {
+			t.Fatalf("duplicate key %q", k)
 		}
-		seen := map[string]bool{}
-		for _, k := range got {
-			if seen[k] {
-				t.Fatalf("limit %d: duplicate key %q", limit, k)
-			}
-			seen[k] = true
-			if !want[k] {
-				t.Fatalf("limit %d: unknown key %q", limit, k)
-			}
+		seen[k] = true
+		if !want[k] {
+			t.Fatalf("unknown key %q", k)
 		}
 	}
 }
 
 func TestScanEmptyStore(t *testing.T) {
 	servers, pool := startServers(t, 1, 0)
-	if got := scanServer(t, pool, servers[0].Addr(), 10); len(got) != 0 {
+	if got, _ := scanServer(t, pool, servers[0].Addr(), wire.ECMeta{}); len(got) != 0 {
 		t.Fatalf("empty store scan returned %q", got)
 	}
 }
 
-func TestScanDefaultAndClampedLimit(t *testing.T) {
+// TestScanPageSizeIsFixed: a scan request carries only its cursor.
+// Whatever its Meta says — Meta.TotalLen was once a page-size limit —
+// the server answers pages of wire.DefaultScanLimit keys.
+func TestScanPageSizeIsFixed(t *testing.T) {
 	servers, pool := startServers(t, 1, 0)
 	addr := servers[0].Addr()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < wire.DefaultScanLimit+10; i++ {
 		if _, err := pool.Roundtrip(addr, &wire.Request{Op: wire.OpSet, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Limit 0 falls back to the default; an absurd limit is clamped —
-	// both still return the whole keyspace.
-	if got := scanServer(t, pool, addr, 0); len(got) != 10 {
-		t.Fatalf("default-limit scan returned %d keys", len(got))
-	}
-	if got := scanServer(t, pool, addr, 1<<20); len(got) != 10 {
-		t.Fatalf("clamped-limit scan returned %d keys", len(got))
+	for _, limit := range []uint32{0, 1, 1 << 20} {
+		if got, pages := scanServer(t, pool, addr, wire.ECMeta{TotalLen: limit}); len(got) != wire.DefaultScanLimit+10 || pages != 2 {
+			t.Fatalf("TotalLen %d: scan returned %d keys in %d pages, want %d in 2", limit, len(got), pages, wire.DefaultScanLimit+10)
+		}
 	}
 }
 

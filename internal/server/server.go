@@ -535,13 +535,7 @@ func (s *Server) handleScan(req *wire.Request) wire.Response {
 	if err != nil {
 		return errorResponse(err)
 	}
-	limit := int(req.Meta.TotalLen)
-	if limit <= 0 {
-		limit = wire.DefaultScanLimit
-	}
-	if limit > wire.MaxScanLimit {
-		limit = wire.MaxScanLimit
-	}
+	const limit = wire.DefaultScanLimit
 	shard, after := int(cur.Shard), cur.After
 	keys := make([]string, 0, limit)
 	for shard < s.store.Shards() && len(keys) < limit {

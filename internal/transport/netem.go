@@ -13,8 +13,8 @@ import (
 //   - Hang: the server still accepts connections, but requests written
 //     after the fault are swallowed and no response bytes are
 //     delivered — a hung process or a partition after accept.
-//   - Delay: every delivery of response bytes is held back by a fixed
-//     duration — a live but pathologically slow server.
+//   - Delay: response bytes are held back by a fixed duration from
+//     their arrival — a live but pathologically slow server.
 //   - Cut: new dials are refused and established connections fail on
 //     their next read or write — a dead host.
 //
@@ -63,7 +63,7 @@ func (n *Netem) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netemConn{net: n, addr: addr, inner: inner}, nil
+	return newNetemConn(n, addr, inner), nil
 }
 
 // Hang makes addr accept-then-stall: connections open but carry no
@@ -74,7 +74,8 @@ func (n *Netem) Hang(addr string) {
 	n.mu.Unlock()
 }
 
-// Delay holds every response delivery from addr back by d.
+// Delay holds the response bytes that arrive from addr from now on
+// back by d.
 func (n *Netem) Delay(addr string, d time.Duration) {
 	n.mu.Lock()
 	n.delay[addr] = d
@@ -108,14 +109,69 @@ func (n *Netem) DialCount(addr string) int {
 
 // netemConn applies the current faults of its destination on every
 // read and write, so a fault engaged mid-connection takes effect on
-// in-flight traffic too.
+// in-flight traffic too. A pump goroutine reads the inner connection as
+// bytes arrive and stamps each delivery with its due time — arrival
+// plus the delay in force then — so bytes that arrive together are
+// held back once, however many Reads take them (a frame written as two
+// vectors arrives as two deliveries a moment apart).
 type netemConn struct {
 	net   *Netem
 	addr  string
 	inner Conn
 
+	// The pump reads into a buffer from free and hands it over on in;
+	// the reader gives it back once drained. A fixed set of buffers
+	// circulates, so a delivery allocates nothing.
+	free chan []byte
+	in   chan delivery
+	done chan struct{} // closed by Close: the pump stops
+	cur  delivery      // the delivery the reader is draining
+	err  error         // the inner connection's failure, once delivered
+
 	mu     sync.Mutex
 	closed bool
+}
+
+// delivery is one inner Read: its bytes (data, within buf) or its
+// error, and when they may be handed on.
+type delivery struct {
+	buf, data []byte
+	err       error
+	due       time.Time
+}
+
+func newNetemConn(n *Netem, addr string, inner Conn) *netemConn {
+	c := &netemConn{net: n, addr: addr, inner: inner,
+		free: make(chan []byte, 4), in: make(chan delivery, 4), done: make(chan struct{})}
+	for range cap(c.free) {
+		c.free <- make([]byte, 16<<10)
+	}
+	go c.pump()
+	return c
+}
+
+// pump reads the inner connection until it fails, which Close causes.
+func (c *netemConn) pump() {
+	for {
+		var buf []byte
+		select {
+		case buf = <-c.free:
+		case <-c.done:
+			return
+		}
+		n, err := c.inner.Read(buf)
+		c.net.mu.Lock()
+		delay := c.net.delay[c.addr]
+		c.net.mu.Unlock()
+		select {
+		case c.in <- delivery{buf: buf, data: buf[:n], err: err, due: time.Now().Add(delay)}:
+		case <-c.done:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 func (c *netemConn) faults() (hung, cut, closed bool) {
@@ -129,10 +185,10 @@ func (c *netemConn) faults() (hung, cut, closed bool) {
 	return hung, cut, closed
 }
 
-// Read delivers the inner connection's bytes, held back by the delay in
-// force when they arrive: it is read after the inner Read returns, so a
+// Read delivers the inner connection's bytes once they are due. A
 // delay set while this reader was already waiting applies to the
-// delivery it was waiting for.
+// delivery it was waiting for: the pump reads the delay as the bytes
+// arrive.
 func (c *netemConn) Read(p []byte) (int, error) {
 	for {
 		hung, cut, closed := c.faults()
@@ -143,18 +199,31 @@ func (c *netemConn) Read(p []byte) (int, error) {
 			return 0, ErrConnRefused
 		}
 		if !hung {
-			n, err := c.inner.Read(p)
-			c.net.mu.Lock()
-			delay := c.net.delay[c.addr]
-			c.net.mu.Unlock()
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			return n, err
+			break
 		}
 		// Stalled link: poll until the fault clears or the conn closes.
 		time.Sleep(time.Millisecond)
 	}
+	if c.cur.buf == nil {
+		if c.err != nil {
+			return 0, c.err
+		}
+		select {
+		case c.cur = <-c.in:
+		case <-c.done:
+			return 0, ErrClosed
+		}
+	}
+	time.Sleep(time.Until(c.cur.due))
+	n := copy(p, c.cur.data)
+	if c.cur.data = c.cur.data[n:]; len(c.cur.data) == 0 {
+		c.free <- c.cur.buf
+		c.err, c.cur = c.cur.err, delivery{}
+		if n == 0 {
+			return 0, c.err
+		}
+	}
+	return n, nil
 }
 
 func (c *netemConn) Write(p []byte) (int, error) {
@@ -175,7 +244,10 @@ func (c *netemConn) Write(p []byte) (int, error) {
 
 func (c *netemConn) Close() error {
 	c.mu.Lock()
-	c.closed = true
+	if !c.closed {
+		c.closed = true
+		close(c.done)
+	}
 	c.mu.Unlock()
 	return c.inner.Close()
 }

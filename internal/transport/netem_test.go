@@ -205,6 +205,66 @@ func TestNetemDelayAppliesToWaitingReader(t *testing.T) {
 	}
 }
 
+// TestNetemDelayHoldsAFrameOnce: a frame written as two vectors — a
+// header and a value past wire.FrameInlineThreshold — arrives as two
+// deliveries, which the reader takes in two Reads. Delay(d) holds bytes
+// back from their arrival, so the two are held back together: the whole
+// frame reads in under 1.5 d, where a delay per Read made it 2 d.
+func TestNetemDelayHoldsAFrameOnce(t *testing.T) {
+	netem := NewNetem(NewInproc(Shape{}))
+	l, err := netem.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	head, value := make([]byte, 16), make([]byte, 6000)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			if _, err := conn.Read(make([]byte, 1)); err != nil {
+				return
+			}
+			if _, err := conn.Write(head); err != nil {
+				return
+			}
+			if _, err := conn.Write(value); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := netem.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const d = 50 * time.Millisecond
+	netem.Delay("srv", d)
+	start := time.Now()
+	if _, err := conn.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for got, want := 0, len(head)+len(value); got < want; reads++ {
+		n, err := conn.Read(make([]byte, want-got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+	}
+	elapsed := time.Since(start)
+	if reads < 2 {
+		t.Fatalf("the frame arrived in %d read; the test needs two", reads)
+	}
+	if elapsed < d || elapsed >= d+d/2 {
+		t.Fatalf("a two-vector frame read in %v (%d reads) under a %v delay, want [%v, %v)", elapsed, reads, d, d, d+d/2)
+	}
+}
+
 func TestNetemClosedConnStopsPolling(t *testing.T) {
 	netem := NewNetem(NewInproc(Shape{}))
 	startByteEcho(t, netem, "srv")

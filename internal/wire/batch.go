@@ -33,7 +33,7 @@ import (
 
 const (
 	// MaxBatchOps caps sub-operations per batch frame, like
-	// MaxScanLimit caps scan pages: a corrupt count field must not
+	// DefaultScanLimit caps scan pages: a corrupt count field must not
 	// drive a huge allocation.
 	MaxBatchOps = 4096
 	// BatchOverhead is the fixed payload prefix (the sub-op count).

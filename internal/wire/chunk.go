@@ -23,7 +23,7 @@ var lastStripe atomic.Uint64
 // minted before, so no two of its writes share one. Two processes mint
 // one ID only in the same nanosecond.
 func NewStripeID() uint64 {
-	id := stripeIDAt(time.Now())
+	id := StripeIDAt(time.Now())
 	for {
 		last := lastStripe.Load()
 		if id <= last {
@@ -38,10 +38,10 @@ func NewStripeID() uint64 {
 // stripeEpoch is the zero of stripe IDs.
 var stripeEpoch = time.Date(2020, time.January, 1, 0, 0, 0, 0, time.UTC).Unix()
 
-// stripeIDAt is the clock part of a stripe ID minted at t: the
+// StripeIDAt is the clock part of a stripe ID minted at t: the
 // nanoseconds since stripeEpoch, which fill 64 bits about 584 years
 // after it.
-func stripeIDAt(t time.Time) uint64 {
+func StripeIDAt(t time.Time) uint64 {
 	return uint64(t.Unix()-stripeEpoch)*uint64(time.Second) + uint64(t.Nanosecond())
 }
 

@@ -133,7 +133,7 @@ func FuzzChunkRecord(f *testing.F) {
 func TestStripeIDsDoNotWrap(t *testing.T) {
 	for _, n := range []int64{99, 100} {
 		wrap := time.Unix(0, n<<54)
-		before, after := stripeIDAt(wrap.Add(-time.Microsecond)), stripeIDAt(wrap.Add(time.Microsecond))
+		before, after := StripeIDAt(wrap.Add(-time.Microsecond)), StripeIDAt(wrap.Add(time.Microsecond))
 		if after <= before {
 			t.Errorf("around %v: ID %d minted 1µs after is not above %d minted 1µs before", wrap.UTC(), after, before)
 		}
@@ -146,7 +146,7 @@ func TestStripeIDsDoNotWrap(t *testing.T) {
 func TestStripeIDsResolveNanoseconds(t *testing.T) {
 	at := time.Date(2027, time.January, 31, 23, 57, 30, 0, time.UTC)
 	for ns := time.Duration(1); ns < time.Microsecond; ns++ {
-		if prev, id := stripeIDAt(at.Add(ns-1)), stripeIDAt(at.Add(ns)); id <= prev {
+		if prev, id := StripeIDAt(at.Add(ns-1)), StripeIDAt(at.Add(ns)); id <= prev {
 			t.Fatalf("ID %d minted at +%v is not above %d minted 1ns before", id, ns, prev)
 		}
 	}

@@ -109,7 +109,7 @@ func TestFieldBlocksRoundTrip(t *testing.T) {
 		if want := 4 + h.size(reqFrame) + len(req.Key) + len(req.Value); len(frame) != want {
 			t.Fatalf("request %+v: %d bytes, size says %d", req, len(frame), want)
 		}
-		got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
+		got, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(frame)), nil)
 		if err != nil {
 			t.Fatalf("request %+v: %v", req, err)
 		}
@@ -249,7 +249,7 @@ func TestFieldBlockRefusals(t *testing.T) {
 	fixLen := cases["key past the frame end"]
 	binary.BigEndian.PutUint32(fixLen, uint32(len(fixLen)-4))
 	for name, raw := range cases {
-		_, err := ReadRequest(bufio.NewReader(bytes.NewReader(raw)))
+		_, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(raw)), nil)
 		var fe *FrameError
 		if !errors.Is(err, ErrMalformed) || !errors.As(err, &fe) || fe.ID != 9 {
 			t.Errorf("%s: %v, want a FrameError for id 9 wrapping ErrMalformed", name, err)

@@ -20,9 +20,11 @@ func pooledRange(n int) bool { return n <= 4<<20 }
 // FuzzReadRequest drives the request frame parser with arbitrary
 // bytes: it must never panic, and any frame that decodes must re-encode
 // to exactly the bytes it was read from (the field encoding is
-// canonical) and decode again to the same request. The pooled reader
-// (Request.ReadPooled, the server's) runs on the same raw bytes and must
-// agree with ReadRequest frame for frame.
+// canonical) and decode again to the same request. The reader the
+// server uses (Request.ReadPooled) runs on the same raw bytes and must
+// agree frame for frame with readWhole, which reads the whole frame and
+// parses it once: a kept-value frame is parsed in the reader's buffer
+// by readKept, and readWhole is what checks that path.
 func FuzzReadRequest(f *testing.F) {
 	seed, err := AppendRequest(nil, &Request{
 		ID: 1, Op: OpSetChunk, Key: "key", Value: []byte("value"),
@@ -69,7 +71,7 @@ func FuzzReadRequest(f *testing.F) {
 	binary.BigEndian.PutUint32(short, uint32(len(seed)-4-len("value")-2))
 	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
+		req, err := readWhole(bufio.NewReader(bytes.NewReader(data)))
 		checkReadPooled(t, data, req, err)
 		if err != nil {
 			return
@@ -82,7 +84,7 @@ func FuzzReadRequest(f *testing.F) {
 		if !bytes.Equal(out, data[:len(out)]) {
 			t.Fatalf("re-encoding differs from the frame read:\n got %x\nread %x", out, data[:len(out)])
 		}
-		again, err := ReadRequest(bufio.NewReader(bytes.NewReader(out)))
+		again, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(out)), nil)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -121,8 +123,23 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
+// readWhole is the reference request reader: the whole frame read into
+// memory of its own, then one parse over the body — no peeking into the
+// reader's buffer and no kept-value path.
+func readWhole(br *bufio.Reader) (*Request, error) {
+	body, err := readFramePooled(br, minReqHeaderLen, nil)
+	if err != nil {
+		return nil, err
+	}
+	req := new(Request)
+	if err := req.parse(body); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
 // checkReadPooled runs Request.ReadPooled over the raw bytes data and
-// holds it to ReadRequest's verdict on them (want, wantErr): the same
+// holds it to readWhole's verdict on them (want, wantErr): the same
 // frames accepted with the same fields; every lease back in the pool
 // after Release, errors included; a kept value in memory of its own,
 // which scribbling over every buffer the pool hands out cannot change;
@@ -135,7 +152,7 @@ func checkReadPooled(t *testing.T, data []byte, want *Request, wantErr error) {
 	var got Request
 	err := got.ReadPooled(br, pool)
 	if (err == nil) != (wantErr == nil) {
-		t.Fatalf("ReadPooled error %v, ReadRequest error %v", err, wantErr)
+		t.Fatalf("pooled read error %v, whole-frame read error %v", err, wantErr)
 	}
 	frameLen := 0
 	if len(data) >= 4 {
@@ -149,7 +166,7 @@ func checkReadPooled(t *testing.T, data []byte, want *Request, wantErr error) {
 	if err == nil && (got.ID != want.ID || got.Op != want.Op || got.Key != want.Key ||
 		got.TTLSeconds != want.TTLSeconds || got.Compare != want.Compare || got.Epoch != want.Epoch ||
 		got.Meta != want.Meta || !bytes.Equal(got.Value, want.Value)) {
-		t.Fatalf("ReadPooled read %+v, ReadRequest %+v", got, *want)
+		t.Fatalf("pooled read %+v, whole-frame read %+v", got, *want)
 	}
 	kept := err == nil && keepsValue(got.Op) && len(got.Value) > 0
 	value := bytes.Clone(got.Value)

@@ -174,7 +174,7 @@ func TestFrameQueueConcurrentProducers(t *testing.T) {
 	got := make(map[string][]byte, producers)
 	br := bufio.NewReader(bytes.NewReader(w.bytes()))
 	for n := 0; n < producers*perProducer; n++ {
-		req, err := ReadRequest(br)
+		req, err := ReadRequestPooled(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", n, err)
 		}

@@ -18,7 +18,7 @@ func TestReadRequestNeverPanicsOnGarbage(t *testing.T) {
 		buf := make([]byte, n)
 		rng.Read(buf)
 		r := bufio.NewReader(bytes.NewReader(buf))
-		_, _ = ReadRequest(r)
+		_, _ = ReadRequestPooled(r, nil)
 		r = bufio.NewReader(bytes.NewReader(buf))
 		_, _ = ReadResponse(r)
 	}
@@ -41,7 +41,7 @@ func TestReadRequestMutatedFrames(t *testing.T) {
 		for f := 0; f < flips; f++ {
 			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
 		}
-		req, err := ReadRequest(bufio.NewReader(bytes.NewReader(mut)))
+		req, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(mut)), nil)
 		if err != nil {
 			continue
 		}
@@ -63,7 +63,7 @@ func TestHugeLengthPrefixDoesNotAllocate(t *testing.T) {
 	buf.Write(make([]byte, 16))
 	allocs := testing.AllocsPerRun(10, func() {
 		r := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-		_, _ = ReadRequest(r)
+		_, _ = ReadRequestPooled(r, nil)
 	})
 	// A bufio.Reader and small header scratch are fine; a 4 GB body
 	// buffer is not. Allocations must stay trivial.

@@ -6,15 +6,12 @@ import (
 	"strings"
 )
 
-// Scan limits. A page is bounded so one response frame can never
-// approach MaxValueLen even with every key at MaxKeyLen.
-const (
-	// DefaultScanLimit is the page size used when a request carries no
-	// explicit limit.
-	DefaultScanLimit = 256
-	// MaxScanLimit caps the per-page key count a server will honour.
-	MaxScanLimit = 4096
-)
+// DefaultScanLimit is the number of keys a server answers a scan page
+// with (fewer on the last page). It bounds a page so one response frame
+// stays far below MaxValueLen even with every key at MaxKeyLen, and a
+// corrupt count field above it is refused before it can drive an
+// allocation.
+const DefaultScanLimit = 256
 
 // ScanCursor is the resumption point of a paged keyspace scan. It is
 // opaque to clients (carried as bytes in the request value) but has a
@@ -104,7 +101,7 @@ func DecodeScanPage(b []byte) (ScanPage, error) {
 	}
 	count := int(binary.BigEndian.Uint32(b[0:4]))
 	b = b[4:]
-	if count > MaxScanLimit {
+	if count > DefaultScanLimit {
 		return p, fmt.Errorf("%w: scan page of %d keys exceeds limit", ErrMalformed, count)
 	}
 	p.Keys = make([]string, 0, count)

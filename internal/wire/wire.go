@@ -49,10 +49,9 @@ const (
 	// OpPing is a liveness check.
 	OpPing
 	// OpScan returns one page of the server's keyspace: the request
-	// value carries an opaque cursor (empty to start), Meta.TotalLen
-	// carries the page-size limit, and the response value is a ScanPage
-	// with the keys and the next cursor. The anti-entropy scrubber is
-	// built on this.
+	// carries only its value, an opaque cursor (empty to start), and the
+	// response value is a ScanPage with the next DefaultScanLimit keys
+	// and the next cursor. The anti-entropy scrubber is built on this.
 	OpScan
 	// OpCompareSet is a conditional store: the write lands only when
 	// the stored item's version matches Compare (CompareAbsent demands
@@ -471,25 +470,15 @@ func (r *Request) parseHeader(b []byte, frameLen int) (hdrLen, keyLen int, err e
 }
 
 // parse decodes a request frame body into r, overwriting every field.
-// With copyOut the key and value are copied out of body; otherwise
-// both alias body (pooled mode).
-func (r *Request) parse(body []byte, copyOut bool) error {
+// The key and value alias body.
+func (r *Request) parse(body []byte) error {
 	n, keyLen, err := r.parseHeader(body, len(body))
 	if err != nil {
 		return err
 	}
-	key, value := body[n:n+keyLen], body[n+keyLen:]
-	if copyOut {
-		r.Key = string(key)
-	} else {
-		r.Key = lentString(key)
-	}
-	if len(value) > 0 {
-		if copyOut {
-			r.Value = append([]byte(nil), value...)
-		} else {
-			r.Value = value
-		}
+	r.Key = lentString(body[n : n+keyLen])
+	if value := body[n+keyLen:]; len(value) > 0 {
+		r.Value = value
 	}
 	return nil
 }
@@ -504,33 +493,17 @@ func lentString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// ReadRequest reads one request frame from r. The returned request
-// owns its memory (the value is copied out of the frame buffer). A
-// *FrameError means the frame was read whole but does not parse.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	body, err := readFrame(r, minReqHeaderLen)
-	if err != nil {
-		return nil, err
-	}
-	req := new(Request)
-	if err := req.parse(body, true); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
 // ReadRequestPooled reads one request frame into a buffer leased from
 // pool; the returned request's Key and Value alias that buffer — except
 // in a kept frame (an OpSet, OpSetChunk or OpCompareSet), whose key is a
 // string of its own and whose value is read into an exact-size
 // allocation of its own, both of which the caller may keep. The caller
 // must call Request.Release once it is done with a leased frame, to
-// hand the buffer back for the next one. A nil pool falls back to
-// ReadRequest. On error no lease is retained.
+// hand the buffer back for the next one. A nil pool reads into a plain
+// allocation: the request owns its memory. A *FrameError means the
+// frame was read whole but does not parse. On error no lease is
+// retained.
 func ReadRequestPooled(r *bufio.Reader, pool *bufpool.Pool) (*Request, error) {
-	if pool == nil {
-		return ReadRequest(r)
-	}
 	req := new(Request)
 	if err := req.ReadPooled(r, pool); err != nil {
 		return nil, err
@@ -567,7 +540,7 @@ func (r *Request) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
 	if err != nil {
 		return err
 	}
-	if err := r.parse(body, false); err != nil {
+	if err := r.parse(body); err != nil {
 		if pool != nil {
 			pool.Put(body)
 		}
@@ -694,14 +667,10 @@ func (r *Response) ReadPooled(br *bufio.Reader, pool *bufpool.Pool) error {
 	return nil
 }
 
-// readFrame reads the length prefix and frame body, enforcing limits.
-func readFrame(r *bufio.Reader, minLen int) ([]byte, error) {
-	return readFramePooled(r, minLen, nil)
-}
-
-// readFramePooled is readFrame with the body drawn from pool (plain
-// allocation when pool is nil). On error the buffer is returned to the
-// pool before the call returns.
+// readFramePooled reads the length prefix and frame body, enforcing
+// limits, with the body drawn from pool (plain allocation when pool is
+// nil). On error the buffer is returned to the pool before the call
+// returns.
 func readFramePooled(r *bufio.Reader, minLen int, pool *bufpool.Pool) ([]byte, error) {
 	frameLen, err := readFrameLen(r, minLen)
 	if err != nil {

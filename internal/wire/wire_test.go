@@ -43,7 +43,7 @@ func roundTripRequest(t *testing.T, req *Request) *Request {
 	if err := WriteRequest(&buf, req); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRequest(bufio.NewReader(&buf))
+	got, err := ReadRequestPooled(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 	}
 	r := bufio.NewReader(&buf)
 	for i := 0; i < 10; i++ {
-		got, err := ReadRequest(r)
+		got, err := ReadRequestPooled(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 			t.Fatalf("frame %d has id %d", i, got.ID)
 		}
 	}
-	if _, err := ReadRequest(r); !errors.Is(err, io.EOF) {
+	if _, err := ReadRequestPooled(r, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -146,14 +146,14 @@ func TestMalformedFrames(t *testing.T) {
 	// Frame claiming a huge length.
 	var buf bytes.Buffer
 	_ = binary.Write(&buf, binary.BigEndian, uint32(MaxValueLen*4))
-	if _, err := ReadRequest(bufio.NewReader(&buf)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadRequestPooled(bufio.NewReader(&buf), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("huge frame: %v", err)
 	}
 	// Frame shorter than a header.
 	buf.Reset()
 	_ = binary.Write(&buf, binary.BigEndian, uint32(3))
 	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadRequest(bufio.NewReader(&buf)); !errors.Is(err, ErrMalformed) {
+	if _, err := ReadRequestPooled(bufio.NewReader(&buf), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short frame: %v", err)
 	}
 	// Truncated body.
@@ -163,7 +163,7 @@ func TestMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-1]
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(trunc))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(trunc)), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated: %v", err)
 	}
 	// Invalid opcode.
@@ -171,7 +171,7 @@ func TestMalformedFrames(t *testing.T) {
 	if err := WriteRequest(&buf, &Request{ID: 1, Op: Op(99), Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRequest(bufio.NewReader(&buf)); !errors.Is(err, ErrMalformed) {
+	if _, err := ReadRequestPooled(bufio.NewReader(&buf), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("bad opcode: %v", err)
 	}
 	// Internal length mismatch: keyLen says more than the frame has.
@@ -181,7 +181,7 @@ func TestMalformedFrames(t *testing.T) {
 	}
 	raw = raw[:len(raw)-1]                              // drop a key byte
 	binary.BigEndian.PutUint32(raw, uint32(len(raw)-4)) // fix outer length
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(raw))); !errors.Is(err, ErrMalformed) {
+	if _, err := ReadRequestPooled(bufio.NewReader(bytes.NewReader(raw)), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("length mismatch: %v", err)
 	}
 }
@@ -205,7 +205,7 @@ func TestRequestQuick(t *testing.T) {
 		if err := WriteRequest(&buf, req); err != nil {
 			return false
 		}
-		got, err := ReadRequest(bufio.NewReader(&buf))
+		got, err := ReadRequestPooled(bufio.NewReader(&buf), nil)
 		shards := int(k) + int(m)
 		if ci|k|m != 0 && (k == 0 || shards > 256 || int(ci) >= shards) {
 			return errors.Is(err, ErrMalformed)
