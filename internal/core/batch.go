@@ -99,15 +99,16 @@ func (op *subOp) fail() error {
 // size/count budget; response bodies stay leased until release; a
 // whole-frame rejection is retried by bisection.
 //
-// The batcher also owns the memory its calls run in: one call slot per
-// frame, and the rpc round for as long as the operation runs. A slot
-// serves one call only (rpc.Call says why), so slots are handed out and
-// never taken back, and the batcher itself is an ordinary allocation
-// per operation — never pooled, or a response arriving late could land
-// in another operation's call. The round is different: nothing late
-// touches it (DESIGN §5b), so begin draws it from the client's pool and
-// end gives it back, and the deadline timer it armed serves the next
-// operation too.
+// The batcher also owns the memory its calls run in, and is recycled
+// with it: begin draws one from the client's pool and end puts it back,
+// with its rpc round (and the deadline timer the round armed) and its
+// slab of call slots, so an operation allocates neither. A slot serves
+// one call only (rpc.Call says why), so the slab hands each slot out
+// once and is replaced whole when it runs out: a response arriving late
+// lands in a used slot of some slab, never in a slot of the operation
+// that holds the batcher next. Nothing late touches the round either
+// (DESIGN §5b). Nothing may read a batcher after end: an operation
+// takes its results out of the batcher first.
 type batcher struct {
 	c     *Client
 	om    *opMetrics // the calling op's metrics, set by begin
@@ -121,30 +122,29 @@ type batcher struct {
 	request, wait, code time.Duration
 
 	// The round in progress: its epoch, its deadline, and the rpc round
-	// its frames are calls of.
+	// its frames are calls of, which the batcher keeps for life.
 	epoch   uint64
 	timeout time.Duration
 	round   *rpc.Round
 
 	leases []*wire.Response
-	free   []rpc.Call // call slots not handed out yet
+	slab   []rpc.Call // call slots not handed out yet
 
-	// Backing for leases and slots while they are few: one key's rounds
-	// take K+M of each at most, and should not pay an allocation apiece.
+	// Backing for leases while they are few: one key's rounds take K+M
+	// at most, and should not pay an allocation apiece.
 	leaseBuf [8]*wire.Response
-	slotBuf  [8]rpc.Call
 
 	// Backing for a one-key client-decode read (gatherGet): its result,
-	// its chunk state, its placement and its chunk keys. Every gatherGet
-	// of the operation reuses them, so a result it returned is valid
-	// until the next one.
-	getBuf      [1]result
-	gatherBuf   [1]gather
-	holderBuf   [8]string
-	chunkKeyBuf [8]string
+	// its chunk state and its placement. Every gatherGet of the operation
+	// reuses them, so a result it returned is valid until the next one.
+	getBuf    [1]result
+	gatherBuf [1]gather
+	holderBuf [8]string
 
-	// Backing for a one-key Get's miss (getOp): its key and result. The
-	// failover walk borrows holderBuf for its orders when they fit.
+	// Backing for a one-key write's result (ecStrategy.set), and for a
+	// one-key Get's miss (getOp): its key and result. The failover walk
+	// borrows holderBuf for its orders when they fit.
+	setBuf  [1]result
 	readKey [1]string
 	readRes [1]nearcache.Result
 
@@ -153,23 +153,32 @@ type batcher struct {
 	kept map[string]uint64
 }
 
-// begin opens the batcher of one operation, labelled op: timed from
+// slabSlots is how many call slots a slab holds: a few operations' worth
+// of K+M calls, so a slab costs one allocation per several operations.
+const slabSlots = 32
+
+// newBatcher is the client's batcher pool's constructor.
+func (c *Client) newBatcher() any {
+	return &batcher{c: c, round: new(rpc.Round)}
+}
+
+// begin opens a batcher for one operation, labelled op: timed from
 // here, so the ARPE window wait is not charged to the op.
 func (c *Client) begin(op string) *batcher {
-	b := &batcher{c: c, om: c.ops[op], start: time.Now(), round: c.rounds.Get().(*rpc.Round)}
-	b.leases, b.free = b.leaseBuf[:0], b.slotBuf[:]
+	b := c.batchers.Get().(*batcher)
+	b.om, b.start, b.leases = c.ops[op], time.Now(), b.leaseBuf[:0]
 	return b
 }
 
-// slot hands out a fresh call slot: from the batcher's own array while
-// it lasts, then from heap chunks (a slot must not move while its call
-// is in flight, so the supply grows by whole chunks, never by append).
+// slot hands out a fresh call slot from the slab, and a new slab once
+// it runs out (a slot must not move while its call is in flight, so the
+// supply grows by whole slabs, never by append).
 func (b *batcher) slot() *rpc.Call {
-	if len(b.free) == 0 {
-		b.free = make([]rpc.Call, len(b.slotBuf))
+	if len(b.slab) == 0 {
+		b.slab = make([]rpc.Call, slabSlots)
 	}
-	c := &b.free[0]
-	b.free = b.free[1:]
+	c := &b.slab[0]
+	b.slab = b.slab[1:]
 	return c
 }
 
@@ -263,7 +272,7 @@ func (b *batcher) issueFrame(ops []subOp, first, n int) {
 	fp := b.c.pool.FramePool()
 	req := &wire.Request{Epoch: b.epoch}
 	if n == 1 {
-		req.Op, req.Key, req.Value = op.req.Op, op.req.Key, op.req.Value
+		req.Op, req.Key, req.Chunk, req.Value = op.req.Op, op.req.Key, op.req.Chunk, op.req.Value
 		req.TTLSeconds, req.Compare, req.Meta = op.req.TTLSeconds, op.req.Compare, op.req.Meta
 		if op.rawChunk {
 			req.Value, req.ValuePool = wire.EncodeChunkPayloadPooled(fp, op.req.Meta, op.req.Value), fp
@@ -411,15 +420,14 @@ func (b *batcher) release() {
 }
 
 // end closes the operation's ledger with its outcome, which it passes
-// through: the round back to the client's pool (every round of the
-// operation has been waited out), the accumulated phase times under the
-// op's label (a phase the op never entered records nothing), an M*
-// call's frame and sub-op counts to the bulk counters, then the
-// end-to-end latency and the total and error counters.
+// through: the accumulated phase times under the op's label (a phase the
+// op never entered records nothing), an M* call's frame and sub-op
+// counts to the bulk counters, then the end-to-end latency and the total
+// and error counters. Every round of the operation has been waited out,
+// so the batcher, cleared of the operation's state but for its round and
+// slab, goes back to the client's pool.
 func (b *batcher) end(v Item, err error) (Item, error) {
 	c := b.c
-	c.rounds.Put(b.round)
-	b.round = nil
 	for _, ph := range [...]struct {
 		name string
 		d    time.Duration
@@ -433,5 +441,7 @@ func (b *batcher) end(v Item, err error) (Item, error) {
 		c.mBulkSubops.Add(b.subops)
 	}
 	b.om.done(b.start, err)
+	*b = batcher{c: c, round: b.round, slab: b.slab}
+	c.batchers.Put(b)
 	return v, err
 }

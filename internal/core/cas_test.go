@@ -345,12 +345,21 @@ func TestDeleteCasWithFirstReplicaEmpty(t *testing.T) {
 	}
 }
 
+// chunkKeysOf returns the storage keys of key's chunks 0 to n-1.
+func chunkKeysOf(key string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = wire.ChunkKey(key, i)
+	}
+	return keys
+}
+
 // assertNoTrace fails t for every server that still holds key or one of
 // its five chunks.
 func assertNoTrace(t *testing.T, cl *cluster.Cluster, key string) {
 	t.Helper()
 	for i, addr := range cl.Addrs() {
-		for _, k := range append([]string{key}, wire.AppendChunkKeys(nil, key, 0, 5)...) {
+		for _, k := range append([]string{key}, chunkKeysOf(key, 5)...) {
 			if _, ok := cl.Server(i).Store().Get(k); ok {
 				t.Errorf("%s still holds %s", addr, k)
 			}
@@ -412,7 +421,7 @@ func TestDeleteCasOverStaleChunk(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, allModes()["era-ce-cd"])
 	const key = "delete-cas-stale-chunk"
-	chunkKeys := wire.AppendChunkKeys(nil, key, 0, 5)
+	chunkKeys := chunkKeysOf(key, 5)
 	// old keeps chunks 0..2 of a first stripe, as the holders store them.
 	type stored struct {
 		value   []byte
@@ -646,7 +655,7 @@ func TestCasSplitByEpochKeepsItsStripe(t *testing.T) {
 		_, err := c.Cas(key, []byte("v2"), 0, stripe)
 		done <- err
 	}()
-	chunks := wire.AppendChunkKeys(nil, key, 0, 5)
+	chunks := chunkKeysOf(key, 5)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		landed := 0
 		for j := range 4 {

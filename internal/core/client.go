@@ -55,12 +55,13 @@ type Client struct {
 	// failure the key's state is unknown.
 	cache *nearcache.Cache
 
-	// rounds recycles the rpc rounds operations run their calls in, and
-	// with each the deadline timer it armed: a batcher draws one in begin
-	// and gives it back in end (DESIGN §5b says why a round may pass from
-	// one operation to the next). Per client, not global, so that no
+	// batchers recycles the operations' executors, each with the rpc
+	// round its calls run in (and the deadline timer the round armed) and
+	// its slab of call slots: begin draws one and end gives it back
+	// (DESIGN §5b says why a round may pass from one operation to the
+	// next, and why a slot may not). Per client, not global, so that no
 	// timer is shared beyond the client that made it.
-	rounds sync.Pool
+	batchers sync.Pool
 
 	// Metric handles resolved once at construction; the strategies
 	// record through these on every operation.
@@ -241,7 +242,7 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 			Metrics:  reg,
 		}),
 	}
-	c.rounds.New = func() any { return new(rpc.Round) }
+	c.batchers.New = c.newBatcher
 	reg.RegisterFunc("ecstore_client_membership_epoch", func() int64 { return int64(c.view.Epoch()) })
 	var err error
 	if c.strat, err = c.newStrategy(cfg.Resilience); err != nil {
@@ -363,9 +364,9 @@ func (c *Client) getOp(key string) func() (Item, error) {
 		}
 		b := c.begin("get")
 		b.readKey[0] = key
-		c.fetch(b, b.readKey[:], b.readRes[:])
+		err := c.fetch(b, b.readKey[:], b.readRes[:])
 		r := &b.readRes[0]
-		return Item{Value: r.Data, Version: r.Version, TTL: r.TTL}, r.Err
+		return b.end(Item{Value: r.Data, Version: r.Version, TTL: r.TTL}, err)
 	}
 }
 

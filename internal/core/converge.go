@@ -414,10 +414,9 @@ func (e *ecStrategy) probe(b *batcher, rings *membership.Rings, keys []string, o
 			p.at[s] = stripes[2*s*n : (2*s+1)*n]
 			p.seen[s] = stripes[(2*s+1)*n : (2*s+2)*n]
 		}
-		chunkKeys := wire.AppendChunkKeys(nil, key, 0, n)
 		eachSource(p.places, 0, func(s, i int) {
 			ops = append(ops, subOp{addr: p.places[s][i], key: k, req: wire.BatchReq{
-				Op: wire.OpGetChunk, Key: chunkKeys[i],
+				Op: wire.OpGetChunk, Key: key, Chunk: wire.ChunkOf(i),
 			}})
 			locs = append(locs, s*n+i)
 			p.probed++
@@ -591,7 +590,7 @@ func (e *ecStrategy) plan(b *batcher, pg *page, i int, key string, p *chunkProbe
 	// each chunk in its payload as it issues the frame.
 	for _, j := range need {
 		pg.refills = append(pg.refills, subOp{addr: p.places[0][j], key: i, rawChunk: true, req: wire.BatchReq{
-			Op: wire.OpCompareSet, Key: wire.ChunkKey(key, j), Value: chunks[j],
+			Op: wire.OpCompareSet, Key: key, Chunk: wire.ChunkOf(j), Value: chunks[j],
 			TTLSeconds: win.TTL, Compare: p.seen[0][j], Meta: wire.ECMeta{
 				ChunkIndex: uint8(j), K: uint8(e.k), M: uint8(e.m),
 				TotalLen: win.TotalLen, Stripe: win.Stripe,
@@ -630,7 +629,7 @@ func (e *ecStrategy) drains(ops []subOp, i int, key string, p *chunkProbe, from 
 		for j, stripe := range p.seen[s] {
 			if stripe != 0 && stripe <= limit {
 				ops = append(ops, subOp{addr: p.places[s][j], key: i, req: wire.BatchReq{
-					Op: wire.OpDelete, Key: wire.ChunkKey(key, j), Compare: stripe,
+					Op: wire.OpDelete, Key: key, Chunk: wire.ChunkOf(j), Compare: stripe,
 				}})
 			}
 		}

@@ -371,7 +371,7 @@ func TestRepairLeavesAStripeWriteInFlight(t *testing.T) {
 	cl := startCluster(t, 5)
 	c := newClient(t, cl, allModes()["era-ce-cd"])
 	const key = "cas-in-flight"
-	chunks := wire.AppendChunkKeys(nil, key, 0, 5)
+	chunks := chunkKeysOf(key, 5)
 	type record struct {
 		value   []byte
 		version uint64

@@ -50,12 +50,15 @@ func (e *ecStrategy) clientDecodes() bool {
 
 // set is the erasure-coded write: one stripe write of every write,
 // encoded by the client (stripeSet) or by a coordinator server
-// (coordinatorSet).
+// (coordinatorSet). A one-key write's result lives in the batcher.
 func (e *ecStrategy) set(b *batcher, writes []write) []result {
 	if !e.clientEncodes() {
 		return e.coordinatorSet(b, writes)
 	}
-	out := make([]result, len(writes))
+	out := b.setBuf[:]
+	if len(writes) > 1 {
+		out = make([]result, len(writes))
+	}
 	e.stripeSet(b, writes, out)
 	return out
 }
@@ -83,7 +86,6 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 	// The common few-writes call keeps its split handles on the stack.
 	var splitBuf [4]*erasure.PooledShards
 	splits := splitBuf[:0]
-	var keyBuf [8]string // one key's chunk keys: substrings of one string
 	var placeBuf [8]string
 	start := time.Now()
 	for i, w := range writes {
@@ -115,13 +117,13 @@ func (e *ecStrategy) stripeSet(b *batcher, writes []write, out []result) {
 		if w.cas {
 			op = wire.OpCompareSet
 		}
-		keys := wire.AppendChunkKeys(keyBuf[:0], w.key, 0, n)
 		for j, addr := range placement {
 			cm := meta
 			cm.ChunkIndex = uint8(j)
 			ops = append(ops, subOp{addr: addr, key: i, rawChunk: true, req: wire.BatchReq{
 				Op:         op,
-				Key:        keys[j],
+				Key:        w.key,
+				Chunk:      wire.ChunkOf(j),
 				Value:      ps.Shards[j],
 				TTLSeconds: wire.TTLSeconds(w.ttl),
 				Compare:    w.expect,
@@ -205,12 +207,10 @@ type deadStripe struct {
 func (e *ecStrategy) unwindStripes(b *batcher, epoch uint64, dead []deadStripe) {
 	var buf roundBuf
 	ops := roundOps(&buf, len(dead)*(e.k+e.m))
-	var keyBuf [8]string
 	for _, d := range dead {
-		keys := wire.AppendChunkKeys(keyBuf[:0], d.key, 0, len(d.placement))
 		for j, addr := range d.placement {
 			ops = append(ops, subOp{addr: addr, req: wire.BatchReq{
-				Op: wire.OpDelete, Key: keys[j], Compare: d.stripe,
+				Op: wire.OpDelete, Key: d.key, Chunk: wire.ChunkOf(j), Compare: d.stripe,
 			}})
 		}
 	}
@@ -314,24 +314,23 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 // bodies, which stay leased until Join has copied every value out.
 //
 // A one-key read keeps its state in the batcher (getBuf, gatherBuf,
-// holderBuf, chunkKeyBuf), which the next gatherGet of the operation
-// reuses: a retryKeys round reads the results it retries before it asks
-// for new ones, and every other caller copies its result out first.
+// holderBuf), which the next gatherGet of the operation reuses: a
+// retryKeys round reads the results it retries before it asks for new
+// ones, and every other caller copies its result out first.
 func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	n := e.k + e.m
 	var out []result
 	var states []gather
-	// Every key's placement is a window of holders, and its chunk keys,
-	// built once for all the rounds, a window of chunkKeys.
-	var holders, chunkKeys []string
+	// Every key's placement, resolved once for all the rounds, is a
+	// window of holders.
+	var holders []string
 	if len(keys) == 1 && n <= len(b.holderBuf) {
 		b.getBuf, b.gatherBuf = [1]result{}, [1]gather{}
 		out, states = b.getBuf[:], b.gatherBuf[:]
-		holders, chunkKeys = b.holderBuf[:0], b.chunkKeyBuf[:0]
+		holders = b.holderBuf[:0]
 	} else {
 		out, states = make([]result, len(keys)), make([]gather, len(keys))
-		names := make([]string, 2*len(keys)*n)
-		holders, chunkKeys = names[:0:len(keys)*n], names[len(keys)*n:][:0]
+		holders = make([]string, 0, len(keys)*n)
 	}
 	rings := e.c.view.Rings()
 	ring, epoch := rings.Current, rings.View.Epoch
@@ -349,9 +348,6 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 		if len(skipped) > 0 {
 			st.skip = skipSet(st.placement, skipped)
 		}
-		start = len(chunkKeys)
-		chunkKeys = wire.AppendChunkKeys(chunkKeys, key, 0, n)
-		st.chunkKeys = chunkKeys[start:]
 	}
 	defer b.release()
 
@@ -380,7 +376,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 				if want.Has(j) {
 					st.asked.Add(j)
 					ops = append(ops, subOp{addr: st.placement[j], key: i, req: wire.BatchReq{
-						Op: wire.OpGetChunk, Key: st.chunkKeys[j],
+						Op: wire.OpGetChunk, Key: keys[i], Chunk: wire.ChunkOf(j),
 					}})
 				}
 			}
@@ -488,12 +484,12 @@ func (e *ecStrategy) observe(st *gather) {
 }
 
 // gather is one key's state across the rounds of a client-decode read:
-// where its chunks live and under which keys, which positions it has
-// asked for and which its first round should ask around, and the chunks
-// fetched so far, grouped by stripe in the collector.
+// where its chunks live, which positions it has asked for and which its
+// first round should ask around, and the chunks fetched so far, grouped
+// by stripe in the collector.
 type gather struct {
-	placement, chunkKeys []string
-	asked, skip          erasure.ShardSet
+	placement   []string
+	asked, skip erasure.ShardSet
 	wire.ChunkCollector
 	// reachable counts locations that answered at all (chunk, not-found
 	// or another status); notFound the authoritative misses among them.
@@ -524,7 +520,7 @@ func (e *ecStrategy) gatherDraining(b *batcher, rings *membership.Rings, keys []
 		places := sourcePlacements(rings, keys[i], e.k+e.m)
 		eachSource(places, 1, func(s, j int) {
 			ops = append(ops, subOp{addr: places[s][j], key: i, req: wire.BatchReq{
-				Op: wire.OpGetChunk, Key: st.chunkKeys[j],
+				Op: wire.OpGetChunk, Key: keys[i], Chunk: wire.ChunkOf(j),
 			}})
 		})
 	}
@@ -600,24 +596,22 @@ func (e *ecStrategy) del(b *batcher, keys []string, expect uint64) []result {
 // in out.
 func (e *ecStrategy) delOps(ops []subOp, rings *membership.Rings, keys []string, expect uint64, out []result) []subOp {
 	n := e.k + e.m
-	var keyBuf [8]string
 	for i, key := range keys {
 		placement := placementOn(rings.Current, key, n)
 		if placement == nil {
 			out[i].err = ErrUnavailable
 			continue
 		}
-		chunkKeys := wire.AppendChunkKeys(keyBuf[:0], key, 0, n)
 		for j, addr := range placement {
 			ops = append(ops, subOp{addr: addr, key: i, req: wire.BatchReq{
-				Op: wire.OpDelete, Key: chunkKeys[j], Compare: expect,
+				Op: wire.OpDelete, Key: key, Chunk: wire.ChunkOf(j), Compare: expect,
 			}})
 		}
 		if len(rings.Draining) > 0 {
 			places := sourcePlacements(rings, key, n)
 			eachSource(places, 1, func(s, j int) {
 				ops = append(ops, subOp{addr: places[s][j], key: i, req: wire.BatchReq{
-					Op: wire.OpDelete, Key: chunkKeys[j], Compare: expect,
+					Op: wire.OpDelete, Key: key, Chunk: wire.ChunkOf(j), Compare: expect,
 				}})
 			})
 		}
@@ -738,7 +732,7 @@ func (e *ecStrategy) heldElsewhere(b *batcher, key string, stripe uint64) bool {
 	places := sourcePlacements(rings, key, e.k+e.m)
 	var ops []subOp
 	eachSource(places, 1, func(s, i int) {
-		ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{Op: wire.OpGetChunk, Key: wire.ChunkKey(key, i)}})
+		ops = append(ops, subOp{addr: places[s][i], req: wire.BatchReq{Op: wire.OpGetChunk, Key: key, Chunk: wire.ChunkOf(i)}})
 	})
 	b.send(ops, rings.View.Epoch)
 	return slices.ContainsFunc(ops, func(op subOp) bool {

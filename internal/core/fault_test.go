@@ -585,3 +585,72 @@ func TestScanPagesServersInLockstep(t *testing.T) {
 	}
 	waitPoolBaseline(t, baseline)
 }
+
+// TestLateCompletionMissesRecycledBatcher drives the hazard the
+// batcher's pool must not open: a round's deadline fires on a call to a
+// slow holder, the operation ends and its batcher — round and slab —
+// goes back to the client's pool, and the next operation draws the same
+// batcher and issues to the same holder while the late response is
+// still on its way. The holder's delay straddles the deadline, so the
+// response sometimes beats it, sometimes lands just after, and sometimes
+// races the firing itself. A late completion may only reach a used slot:
+// every Get returns its own key's value (or fails), most operations run
+// in a recycled batcher, and the frame pool balances.
+func TestLateCompletionMissesRecycledBatcher(t *testing.T) {
+	baseline := poolDelta()
+	cl, netem := startNetemCluster(t, 5)
+	const timeout = 10 * time.Millisecond
+	cfg := allModes()["era-ce-cd"]
+	cfg.OpTimeout, cfg.MaxRetries = timeout, -1
+	c := newClient(t, cl, cfg)
+	constructed := core.CountBatchers(c)
+	// The ledger's skip window never holds, so every Get asks the slow
+	// holder again.
+	var now time.Time
+	core.SetClock(c, func() time.Time { now = now.Add(time.Hour); return now })
+
+	// Two keys whose first data chunk one server holds, with values of
+	// one length: a chunk of one key delivered to the other's call would
+	// decode to a wrong value, not fail on its size.
+	ring := hashring.Build(0, c.View().Servers)
+	slow := ring.GetN("late-a", 5)[0]
+	keys := []string{"late-a"}
+	for i := 0; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("late-b-%d", i); ring.GetN(k, 5)[0] == slow {
+			keys = append(keys, k)
+		}
+	}
+	values := map[string][]byte{}
+	for i, k := range keys {
+		values[k] = bytes.Repeat([]byte{byte('a' + i)}, 1<<10)
+		if err := c.Set(k, values[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// At and after the deadline, each between two answers well before
+	// it, so the holder never fails three times running and stays out of
+	// the suspect state.
+	delays := []time.Duration{-3 * time.Millisecond, 0, -3 * time.Millisecond, time.Millisecond}
+	const rounds = 60
+	for i := range rounds {
+		for j, k := range keys {
+			netem.Delay(slow, timeout+delays[(2*i+j)%len(delays)])
+			got, err := c.Get(k)
+			switch {
+			case err != nil && !errors.Is(err, core.ErrUnavailable) && !rpc.IsUnavailable(err):
+				t.Fatalf("Get(%s): %v", k, err)
+			case err == nil && !bytes.Equal(got, values[k]):
+				t.Fatalf("Get(%s) returned another key's value (%q...)", k, got[:4])
+			}
+		}
+	}
+	netem.Restore(slow)
+	if c.Metrics().Snapshot().Counter("ecstore_rpc_timeouts_total") == 0 {
+		t.Error("no round's deadline fired")
+	}
+	if n := constructed(); n > rounds {
+		t.Errorf("%d operations constructed %d batchers: the pool recycled too few to test", 2*rounds, n)
+	}
+	waitPoolBaseline(t, baseline)
+}

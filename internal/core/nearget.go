@@ -62,13 +62,14 @@ func (c *Client) read(keys []string, res []nearcache.Result) {
 	}
 	b := c.begin("mget")
 	b.bulk = true
-	c.fetch(b, keys[:miss], res[:miss])
+	b.end(Item{}, c.fetch(b, keys[:miss], res[:miss]))
 }
 
 // fetch reads keys, which the near cache missed, through the cache's
-// flights and the strategy — the cache installs what it led — and
-// closes the operation's batcher b.
-func (c *Client) fetch(b *batcher, keys []string, res []nearcache.Result) {
+// flights and the strategy of the operation's batcher b — the cache
+// installs what it led — and returns the operation's outcome, for the
+// caller to close b with once it has taken its results out.
+func (c *Client) fetch(b *batcher, keys []string, res []nearcache.Result) error {
 	joined := c.cache.Fetch(keys, res, func(lead []string) {
 		// The strategy's retries (transient and epoch) run INSIDE the
 		// flight leader: placement is re-resolved against the refreshed
@@ -95,7 +96,7 @@ func (c *Client) fetch(b *batcher, keys []string, res []nearcache.Result) {
 			err = e
 		}
 	}
-	b.end(Item{}, err)
+	return err
 }
 
 // fillAfterWrite is the write-through fill: it installs the value a

@@ -319,7 +319,7 @@ func (r *repStrategy) delVerdict(ops []subOp, out []result, rest []subOp) []subO
 func appendExisting(rest, ops []subOp) []subOp {
 	for _, op := range ops {
 		if op.err == nil && op.resp.Status == wire.StatusExists {
-			rest = append(rest, subOp{addr: op.addr, req: wire.BatchReq{Op: wire.OpDelete, Key: op.req.Key, Compare: op.resp.Meta.Stripe}})
+			rest = append(rest, subOp{addr: op.addr, req: wire.BatchReq{Op: wire.OpDelete, Key: op.req.Key, Chunk: op.req.Chunk, Compare: op.resp.Meta.Stripe}})
 		}
 	}
 	return rest

@@ -53,9 +53,16 @@ type countingConn struct {
 	net *countingNet
 }
 
+// Write counts p before it forwards it: the peer can read the bytes,
+// answer and let the operation return before the inner Write does, so a
+// count taken after it could miss the last frame of an operation that
+// has already finished. A short write takes back what did not go.
 func (c countingConn) Write(p []byte) (int, error) {
+	c.net.written.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.net.written.Add(int64(n))
+	if n < len(p) {
+		c.net.written.Add(int64(n - len(p)))
+	}
 	return n, err
 }
 

@@ -88,7 +88,8 @@ func (r *RSVan) Encode(shards [][]byte) error {
 	if err != nil {
 		return err
 	}
-	jobs := make([]codeJob, 0, r.m)
+	var jobBuf [inlineShards]codeJob
+	jobs := jobBuf[:0]
 	for row := 0; row < r.m; row++ {
 		idx := r.k + row
 		if shards[idx] == nil {
@@ -143,7 +144,8 @@ func (r *RSVan) reconstruct(shards [][]byte, withParity bool) error {
 	}
 	// Recompute any missing parity directly from the (now complete)
 	// data shards.
-	jobs := make([]codeJob, 0, r.m)
+	var jobBuf [inlineShards]codeJob
+	jobs := jobBuf[:0]
 	for row := 0; row < r.m; row++ {
 		idx := r.k + row
 		if shards[idx] != nil {
@@ -159,9 +161,10 @@ func (r *RSVan) reconstruct(shards [][]byte, withParity bool) error {
 	return nil
 }
 
-// inlineShards is how many sources and outputs a decode keeps on the
-// stack, more than K at the usual geometries. A degraded read decodes
-// on every call, so its slices must not cost an allocation each.
+// inlineShards is how many sources and outputs a coding pass keeps on
+// the stack, more than K or M at the usual geometries. Every Set encodes
+// and a degraded read decodes, so their slices must not cost an
+// allocation each.
 const inlineShards = 8
 
 func (r *RSVan) reconstructData(shards [][]byte, size int) error {

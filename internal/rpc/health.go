@@ -49,6 +49,11 @@ type health struct {
 	fails     int
 	probeWait time.Duration // next backoff step
 	nextProbe time.Time
+	// okStart is when the latest successful call started. A call that
+	// started before it and fails afterwards (a timeout of a request sent
+	// before the server recovered) says nothing the success has not
+	// overruled, and is not counted.
+	okStart time.Time
 }
 
 // snapshot returns the current state.
@@ -84,12 +89,13 @@ func (h *health) admit(now time.Time, base, max time.Duration) bool {
 	return true
 }
 
-// observe records one call outcome and reports state transitions:
-// toSuspect when the server just crossed the failure threshold (the
-// caller then drops its cached connection so the next probe redials),
-// recovered when a probe of a suspect server succeeded and the circuit
-// closed again.
-func (h *health) observe(err error, threshold int, base time.Duration) (toSuspect, recovered bool) {
+// observe records the outcome of one call that started at start and
+// reports state transitions: toSuspect when the server just crossed the
+// failure threshold (the caller then drops its cached connection so the
+// next probe redials), recovered when a probe of a suspect server
+// succeeded and the circuit closed again. A failure of a call that
+// started before the latest success is ignored.
+func (h *health) observe(start time.Time, err error, threshold int, base time.Duration) (toSuspect, recovered bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err == nil {
@@ -97,7 +103,13 @@ func (h *health) observe(err error, threshold int, base time.Duration) (toSuspec
 		h.state = StateHealthy
 		h.fails = 0
 		h.probeWait = 0
+		if start.After(h.okStart) {
+			h.okStart = start
+		}
 		return false, recovered
+	}
+	if start.Before(h.okStart) {
+		return false, false
 	}
 	h.fails++
 	if h.state == StateHealthy && h.fails >= threshold {

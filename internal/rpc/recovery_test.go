@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,8 +56,8 @@ func TestRecoveryHookFires(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The hook runs on the reader's goroutine after the waiter has been
-	// released, so the successful Roundtrip can return first.
+	// The hook runs on the reader's goroutine before the waiter is
+	// released (TestProbeSuccessClosesCircuitBeforeReturning).
 	for {
 		mu.Lock()
 		got := append([]string(nil), fired...)
@@ -68,6 +69,46 @@ func TestRecoveryHookFires(t *testing.T) {
 			t.Fatalf("recovery hook calls = %q, want exactly [flap]", got)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestProbeSuccessClosesCircuitBeforeReturning pins that a call's
+// outcome reaches the health tracker before its caller wakes: the probe
+// that finds a suspect server back returns with the circuit closed, so
+// the caller's next call is admitted, not refused as "awaiting probe".
+// The recovery hook runs inside that update and takes 30 ms here, so a
+// waiter released first would return with the hook not yet run.
+func TestProbeSuccessClosesCircuitBeforeReturning(t *testing.T) {
+	netem := transport.NewNetem(transport.NewInproc(transport.Shape{}))
+	p := NewPool(netem, withHealthPolicy(3, 10*time.Millisecond, 50*time.Millisecond))
+	defer p.Close()
+	var recovered atomic.Bool
+	p.SetRecoveryHook(func(string) {
+		time.Sleep(30 * time.Millisecond)
+		recovered.Store(true)
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := send(p, "flap", &wire.Request{Op: wire.OpPing, Key: "k"}).wait(); !errors.Is(err, ErrServerDown) {
+			t.Fatalf("failure %d: got %v", i, err)
+		}
+	}
+	startEcho(t, netem, "flap")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := p.Roundtrip("flap", &wire.Request{Op: wire.OpPing, Key: "k"})
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("suspect server never recovered through probes: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !recovered.Load() || p.Suspect("flap") {
+		t.Fatalf("the probe returned before its success was observed (hook run %v, suspect %v)", recovered.Load(), p.Suspect("flap"))
+	}
+	if _, err := p.Roundtrip("flap", &wire.Request{Op: wire.OpPing, Key: "k"}); err != nil {
+		t.Fatalf("the call after a successful probe: %v", err)
 	}
 }
 

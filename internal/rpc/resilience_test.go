@@ -337,14 +337,14 @@ func TestHealthProbeWindow(t *testing.T) {
 	base, max := 20*time.Millisecond, 80*time.Millisecond
 	boom := errors.New("boom")
 
-	if toSuspect, _ := h.observe(boom, 3, base); toSuspect {
+	if toSuspect, _ := h.observe(time.Now(), boom, 3, base); toSuspect {
 		t.Fatal("single failure must not suspect")
 	}
 	if h.snapshot() != StateHealthy {
 		t.Fatal("below threshold: must stay healthy")
 	}
-	h.observe(boom, 3, base)
-	if toSuspect, _ := h.observe(boom, 3, base); !toSuspect {
+	h.observe(time.Now(), boom, 3, base)
+	if toSuspect, _ := h.observe(time.Now(), boom, 3, base); !toSuspect {
 		t.Fatal("threshold failure must report the suspect transition")
 	}
 	if h.snapshot() != StateSuspect {
@@ -365,7 +365,7 @@ func TestHealthProbeWindow(t *testing.T) {
 	}
 
 	// A success heals the tracker completely and reports the recovery.
-	if _, recovered := h.observe(nil, 3, base); !recovered {
+	if _, recovered := h.observe(time.Now(), nil, 3, base); !recovered {
 		t.Fatal("successful probe of a suspect server must report recovery")
 	}
 	if h.snapshot() != StateHealthy {
@@ -374,8 +374,53 @@ func TestHealthProbeWindow(t *testing.T) {
 	if !h.admit(now, base, max) {
 		t.Fatal("healthy server must admit freely")
 	}
-	if toSuspect, recovered := h.observe(boom, 3, base); toSuspect || recovered {
+	if toSuspect, recovered := h.observe(time.Now(), boom, 3, base); toSuspect || recovered {
 		t.Fatal("failure streak must restart after recovery")
+	}
+}
+
+// TestHealthIgnoresFailuresFromBeforeARecovery pins that a call which
+// started before the latest success cannot count against the server
+// when it fails afterwards: three timeouts of requests sent while a
+// server was hung, arriving after a probe found it back, must not
+// re-open the circuit; failures of calls started after the success do.
+func TestHealthIgnoresFailuresFromBeforeARecovery(t *testing.T) {
+	h := &health{}
+	base := 20 * time.Millisecond
+	boom := errors.New("boom")
+	t0 := time.Now()
+	at := func(d time.Duration) time.Time { return t0.Add(d * time.Millisecond) }
+
+	for i := 1; i <= 3; i++ {
+		h.observe(at(time.Duration(i)), boom, 3, base)
+	}
+	if h.snapshot() != StateSuspect {
+		t.Fatal("three failures must suspect the server")
+	}
+	if _, recovered := h.observe(at(10), nil, 3, base); !recovered {
+		t.Fatal("the successful probe must report the recovery")
+	}
+	// Late failures of calls issued before the probe.
+	for i := 4; i <= 9; i++ {
+		if toSuspect, _ := h.observe(at(time.Duration(i)), boom, 3, base); toSuspect {
+			t.Fatalf("failure of a call started at %dms re-opened the circuit", i)
+		}
+	}
+	if h.snapshot() != StateHealthy || h.fails != 0 {
+		t.Fatalf("after stale failures: state %v, %d failures counted; want healthy, 0", h.snapshot(), h.fails)
+	}
+	// A success of an older call does not move the mark back.
+	h.observe(at(5), nil, 3, base)
+	if toSuspect, _ := h.observe(at(9), boom, 3, base); toSuspect || h.fails != 0 {
+		t.Fatalf("an older success moved the mark back: %d failures counted", h.fails)
+	}
+	for i := 11; i <= 12; i++ {
+		if toSuspect, _ := h.observe(at(time.Duration(i)), boom, 3, base); toSuspect {
+			t.Fatal("suspect before the threshold")
+		}
+	}
+	if toSuspect, _ := h.observe(at(13), boom, 3, base); !toSuspect {
+		t.Fatal("three failures of calls started after the success must suspect the server")
 	}
 }
 

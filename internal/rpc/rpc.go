@@ -69,16 +69,18 @@ const (
 // Call is the slot of one request: the caller provides it, Round.Issue
 // fills it in, and after Round.Wait it holds the outcome (Result). It
 // lives wherever the caller keeps it — an array beside the round, a
-// slice sized to the fan-out — so issuing a call allocates nothing.
+// slab of slots the caller hands out one by one — so issuing a call
+// allocates nothing.
 //
 // A slot serves ONE call, ever. The connection's reader and the round's
 // deadline each take a slot pointer under the connection lock and use it
 // after dropping that lock, so a late completion can land on a slot whose
 // round is long over. On a slot nobody reuses that is harmless (the
 // completion loses and releases its response); on a recycled slot it
-// would hand one call's answer to another. Callers therefore let used
-// slots go to the garbage collector with whatever holds them and take
-// fresh ones for the next round.
+// would hand one call's answer to another. Callers therefore take a
+// fresh slot for every call — the holder of a slab may keep it across
+// rounds and operations, handing each slot out once — and let used
+// slots go to the garbage collector with whatever holds them.
 type Call struct {
 	state atomic.Uint32
 	resp  wire.Response
@@ -133,24 +135,34 @@ func (c *Call) settle(resp *wire.Response, err error) bool {
 	if !c.state.CompareAndSwap(callPending, callClaimed) {
 		return false
 	}
+	c.deliver(resp, err)
+	return true
+}
+
+// deliver fills a claimed slot with the outcome and releases the
+// round's waiter.
+func (c *Call) deliver(resp *wire.Response, err error) {
 	if resp != nil {
 		c.resp = *resp // the lease moves into the slot with it
 	}
 	c.err = err
 	c.state.Store(callDone)
 	c.round.wg.Done()
-	return true
 }
 
 // complete is settle for a call that reached the wire (or its
-// connection's pending table): the outcome also feeds the pool's
-// counters, latency histogram and health tracker, after the waiter has
-// been released.
+// connection's pending table). The outcome also feeds the pool's health
+// tracker, before the waiter is released: the caller's next call is
+// admitted by the state this one leaves, so a probe that found the
+// server back must have closed the circuit by then. The counters and
+// the latency histogram follow the release.
 func (c *Call) complete(resp *wire.Response, err error) bool {
-	if !c.settle(resp, err) {
+	if !c.state.CompareAndSwap(callPending, callClaimed) {
 		return false
 	}
 	p := c.pool
+	p.observe(c.addr, c.start, err)
+	c.deliver(resp, err)
 	p.hCallSeconds.Record(time.Since(c.start))
 	switch {
 	case err == nil:
@@ -160,7 +172,6 @@ func (c *Call) complete(resp *wire.Response, err error) bool {
 	default:
 		p.mCallErrors.Inc()
 	}
-	p.observe(c.addr, err)
 	return true
 }
 
@@ -171,7 +182,7 @@ func (c *Call) sendFailed(err error) {
 	p := c.pool
 	p.mSendErrors.Inc()
 	p.drop(c.addr, c.mc)
-	p.observe(c.addr, err)
+	p.observe(c.addr, c.start, err)
 	c.settle(nil, fmt.Errorf("%w: %s: %v", ErrServerDown, c.addr, err))
 }
 
@@ -410,7 +421,7 @@ func (r *Round) Issue(c *Call, addr string, req *wire.Request) bool {
 	mc, err := p.conn(addr)
 	if err != nil {
 		p.mSendErrors.Inc()
-		p.observe(addr, err)
+		p.observe(addr, time.Now(), err)
 		req.ReleaseValue()
 		c.refuse(err)
 		return false
@@ -513,9 +524,9 @@ func (p *Pool) healthFor(addr string) *health {
 	return h
 }
 
-// observe feeds one call outcome to addr's health tracker. Pool
-// shutdown is not a server failure.
-func (p *Pool) observe(addr string, err error) {
+// observe feeds the outcome of one call to addr, started at start, to
+// addr's health tracker. Pool shutdown is not a server failure.
+func (p *Pool) observe(addr string, start time.Time, err error) {
 	if err != nil && errors.Is(err, transport.ErrClosed) {
 		return
 	}
@@ -523,7 +534,7 @@ func (p *Pool) observe(addr string, err error) {
 	if h == nil {
 		return
 	}
-	toSuspect, recovered := h.observe(err, p.failThreshold, p.probeBase)
+	toSuspect, recovered := h.observe(start, err, p.failThreshold, p.probeBase)
 	if recovered {
 		p.mRecoveries.Inc()
 		p.gSuspect.Add(-1)

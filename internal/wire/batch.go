@@ -44,8 +44,11 @@ const (
 // the correlation ID (positional) or a value pool (the batch encoder
 // copies sub-values into the shared frame payload).
 type BatchReq struct {
-	Op         Op
-	Key        string
+	Op  Op
+	Key string
+	// Chunk names a chunk of Key, as Request.Chunk does; zero is a plain
+	// key. Decoded sub-requests carry zero and their whole storage key.
+	Chunk      ChunkRef
 	Value      []byte
 	TTLSeconds uint32
 	Compare    uint64
@@ -54,7 +57,7 @@ type BatchReq struct {
 
 // header stores r's field block in f, which is zero.
 func (r *BatchReq) header(f *fields) {
-	f.code, f.keyLen, f.valueLen = byte(r.Op), len(r.Key), len(r.Value)
+	f.code, f.keyLen, f.valueLen = byte(r.Op), r.Chunk.keyLen(r.Key), len(r.Value)
 	f.compare, f.ttl, f.meta = r.Compare, r.TTLSeconds, r.Meta
 }
 
@@ -70,7 +73,7 @@ func (r *BatchReq) EncodedSizeWith(valueLen int) int {
 	var f fields
 	r.header(&f)
 	f.valueLen = valueLen
-	return f.size(reqSub) + len(r.Key) + valueLen
+	return f.size(reqSub) + f.keyLen + valueLen
 }
 
 // BatchResp is one sub-response of an OpBatch frame.
@@ -118,8 +121,8 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 		if !sub.Op.Valid() || sub.Op == OpBatch {
 			return nil, fmt.Errorf("%w: sub-request %d op %v not batchable", ErrMalformed, i, sub.Op)
 		}
-		if len(sub.Key) > MaxKeyLen {
-			return nil, fmt.Errorf("%w: sub-request %d key %d bytes", ErrFrameTooLarge, i, len(sub.Key))
+		if n := sub.Chunk.keyLen(sub.Key); n > MaxKeyLen {
+			return nil, fmt.Errorf("%w: sub-request %d key %d bytes", ErrFrameTooLarge, i, n)
 		}
 		if len(sub.Value) > MaxValueLen {
 			return nil, fmt.Errorf("%w: sub-request %d value %d bytes", ErrFrameTooLarge, i, len(sub.Value))
@@ -135,7 +138,7 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 		sub := &subs[i]
 		var f fields
 		sub.header(&f)
-		buf = append(appendFields(buf, reqSub, &f), sub.Key...)
+		buf = sub.Chunk.appendKey(appendFields(buf, reqSub, &f), sub.Key)
 		buf = append(buf, sub.Value...)
 	}
 	return buf, nil

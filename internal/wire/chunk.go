@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -157,34 +156,36 @@ func ChunkKey(key string, idx int) string {
 	return key + chunkKeySep + strconv.Itoa(idx)
 }
 
-// AppendChunkKeys appends the storage keys of chunks [lo, hi) of key to
-// dst. The keys are substrings of one string, so a round that addresses
-// a key's whole stripe allocates once for all of them.
-func AppendChunkKeys(dst []string, key string, lo, hi int) []string {
-	if hi <= lo {
-		return dst
+// ChunkRef is a request's chunk field: it names one chunk of the
+// request's Key, whose storage key — ChunkKey(Key, idx) — the frame
+// encoder writes in place of Key, so a sender never builds it. The
+// zero ChunkRef means a plain key. A request read off the wire always
+// carries the zero ChunkRef and its whole storage key.
+type ChunkRef uint16
+
+// ChunkOf returns the ChunkRef naming chunk idx, which is below 256.
+func ChunkOf(idx int) ChunkRef { return ChunkRef(idx + 1) }
+
+// keyLen returns the length of key's storage key under c.
+func (c ChunkRef) keyLen(key string) int {
+	if c == 0 {
+		return len(key)
 	}
-	var all strings.Builder
-	all.Grow((hi - lo) * (len(key) + len(chunkKeySep) + 3))
-	var num [3]byte // chunk indices are below 256
-	for idx := lo; idx < hi; idx++ {
-		all.WriteString(key)
-		all.WriteString(chunkKeySep)
-		all.Write(strconv.AppendInt(num[:0], int64(idx), 10))
+	n := len(key) + len(chunkKeySep) + 1
+	for idx := c - 1; idx >= 10; idx /= 10 {
+		n++
 	}
-	s := all.String()
-	for idx, off := lo, 0; idx < hi; idx++ {
-		n := len(key) + len(chunkKeySep) + 1
-		if idx >= 10 {
-			n++
-		}
-		if idx >= 100 {
-			n++
-		}
-		dst = append(dst, s[off:off+n])
-		off += n
+	return n
+}
+
+// appendKey appends key's storage key under c to buf: key itself, or
+// ChunkKey(key, idx) byte for byte for the chunk c names.
+func (c ChunkRef) appendKey(buf []byte, key string) []byte {
+	buf = append(buf, key...)
+	if c == 0 {
+		return buf
 	}
-	return dst
+	return strconv.AppendUint(append(buf, chunkKeySep...), uint64(c-1), 10)
 }
 
 // inlineChunks is how many chunks a stripe group holds without

@@ -54,15 +54,15 @@ func EncodeRequestFrame(pool *bufpool.Pool, req *Request) (Frame, error) {
 		req.ReleaseValue()
 		return Frame{}, err
 	}
+	var h fields
+	req.header(&h)
 	inline := len(req.Value) <= FrameInlineThreshold
-	hdrLen := 4 + maxReqHeaderLen + len(req.Key)
+	hdrLen := 4 + maxReqHeaderLen + h.keyLen
 	if inline {
 		hdrLen += len(req.Value)
 	}
 	f := Frame{hdr: getRawFrom(pool, hdrLen), hdrPool: pool}
-	var h fields
-	req.header(&h)
-	f.hdr = append(appendFrameHeader(f.hdr[:0], reqFrame, &h, len(req.Key)+len(req.Value)), req.Key...)
+	f.hdr = req.Chunk.appendKey(appendFrameHeader(f.hdr[:0], reqFrame, &h, h.keyLen+len(req.Value)), req.Key)
 	if inline {
 		f.hdr = append(f.hdr, req.Value...)
 		req.ReleaseValue()

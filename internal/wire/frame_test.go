@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"ecstore/internal/bufpool"
@@ -181,4 +183,73 @@ func TestEncodeChunkPayloadPooledMatchesUnpooled(t *testing.T) {
 	}
 	p.Put(got)
 	mustBalance(t, p)
+}
+
+// TestChunkFieldEncodesChunkKey pins that a request naming its chunk by
+// the chunk field is the request that carries the derived key: the same
+// bytes from AppendRequest and EncodeRequestFrame (value inlined and
+// vectored), the same batch payload and the same EncodedSize, at every
+// index width, and the same limit on the key's length.
+func TestChunkFieldEncodesChunkKey(t *testing.T) {
+	p := bufpool.New()
+	for _, idx := range []int{0, 4, 9, 10, 99, 100, 255} {
+		for _, value := range [][]byte{nil, bytes.Repeat([]byte("v"), 100), bytes.Repeat([]byte("V"), FrameInlineThreshold+1)} {
+			byField := Request{ID: 9, Op: OpSetChunk, Key: "user:42", Chunk: ChunkOf(idx), Value: value, Epoch: 3,
+				Meta: ECMeta{ChunkIndex: uint8(idx), K: 3, M: 2, TotalLen: 1024, Stripe: 77}}
+			byKey := byField
+			byKey.Key, byKey.Chunk = ChunkKey("user:42", idx), 0
+			want, err := AppendRequest(nil, &byKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendRequest(nil, &byField)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("chunk %d, %d-byte value: AppendRequest %q (%v), want %q", idx, len(value), got, err, want)
+			}
+			f, err := EncodeRequestFrame(p, &byField)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var framed bytes.Buffer
+			if _, err := f.WriteTo(&framed); err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+			if !bytes.Equal(framed.Bytes(), want) {
+				t.Fatalf("chunk %d, %d-byte value: EncodeRequestFrame differs from the derived key's frame", idx, len(value))
+			}
+
+			subField := BatchReq{Op: OpGetChunk, Key: "user:42", Chunk: ChunkOf(idx), Value: value, Compare: 5}
+			subKey := subField
+			subKey.Key, subKey.Chunk = ChunkKey("user:42", idx), 0
+			if subField.EncodedSize() != subKey.EncodedSize() {
+				t.Fatalf("chunk %d: EncodedSize %d, want %d", idx, subField.EncodedSize(), subKey.EncodedSize())
+			}
+			wantBatch, err := AppendBatchRequests(nil, []BatchReq{subKey, {Op: OpGet, Key: "plain"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotBatch, err := AppendBatchRequests(nil, []BatchReq{subField, {Op: OpGet, Key: "plain"}})
+			if err != nil || !bytes.Equal(gotBatch, wantBatch) {
+				t.Fatalf("chunk %d: batch payload differs from the derived key's (%v)", idx, err)
+			}
+			if size := BatchRequestsSize([]BatchReq{subField, {Op: OpGet, Key: "plain"}}); size != len(wantBatch) {
+				t.Fatalf("chunk %d: BatchRequestsSize %d, want %d", idx, size, len(wantBatch))
+			}
+		}
+	}
+	mustBalance(t, p)
+
+	// The suffix counts toward MaxKeyLen: a key that fits alone but not
+	// with its chunk suffix is refused, in a plain frame and in a batch.
+	long := strings.Repeat("k", MaxKeyLen-2)
+	if _, err := AppendRequest(nil, &Request{Op: OpGetChunk, Key: long}); err != nil {
+		t.Fatalf("plain %d-byte key refused: %v", len(long), err)
+	}
+	if _, err := AppendRequest(nil, &Request{Op: OpGetChunk, Key: long, Chunk: ChunkOf(1)}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("chunk key of %d bytes: %v, want ErrFrameTooLarge", len(long)+3, err)
+	}
+	if _, err := AppendBatchRequests(nil, []BatchReq{{Op: OpGetChunk, Key: long, Chunk: ChunkOf(1)}}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("batched chunk key of %d bytes: %v, want ErrFrameTooLarge", len(long)+3, err)
+	}
 }

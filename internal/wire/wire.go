@@ -229,12 +229,17 @@ type Request struct {
 	ID uint64
 	// Op is the operation.
 	Op Op
-	// Key is the item key (for chunk ops, the derived chunk key). A
-	// request read into a leased frame (Request.ReadPooled) lends its key
-	// as it lends its value: both alias the frame until Release, so
-	// whatever outlives the request — a key the store keeps — must be
-	// cloned. A kept frame owns both.
+	// Key is the item key (for chunk ops, the derived chunk key, or the
+	// logical one when Chunk is set). A request read into a leased frame
+	// (Request.ReadPooled) lends its key as it lends its value: both
+	// alias the frame until Release, so whatever outlives the request — a
+	// key the store keeps — must be cloned. A kept frame owns both.
 	Key string
+	// Chunk, when non-zero, names the chunk of Key the request addresses:
+	// the encoder writes ChunkKey(Key, idx) as the frame's key, so the
+	// frame is byte for byte the one that key would make. Zero is a plain
+	// key.
+	Chunk ChunkRef
 	// Value is the payload for writes; nil for reads.
 	Value []byte
 	// TTLSeconds is the item lifetime for Set-type operations;
@@ -402,8 +407,8 @@ func keepsValue(op Op) bool {
 
 // checkRequestSize validates req against the frame limits.
 func checkRequestSize(req *Request) error {
-	if len(req.Key) > MaxKeyLen {
-		return fmt.Errorf("%w: key %d bytes", ErrFrameTooLarge, len(req.Key))
+	if n := req.Chunk.keyLen(req.Key); n > MaxKeyLen {
+		return fmt.Errorf("%w: key %d bytes", ErrFrameTooLarge, n)
 	}
 	if len(req.Value) > MaxValueLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(req.Value))
@@ -416,7 +421,7 @@ func checkRequestSize(req *Request) error {
 // temporary and copied with wide loads of its narrow stores, which
 // stalls store-to-load forwarding on every frame.
 func (r *Request) header(f *fields) {
-	f.code, f.id, f.keyLen = byte(r.Op), r.ID, len(r.Key)
+	f.code, f.id, f.keyLen = byte(r.Op), r.ID, r.Chunk.keyLen(r.Key)
 	f.epoch, f.compare, f.ttl, f.meta = r.Epoch, r.Compare, r.TTLSeconds, r.Meta
 }
 
@@ -442,11 +447,11 @@ func AppendRequest(buf []byte, req *Request) ([]byte, error) {
 	if err := checkRequestSize(req); err != nil {
 		return nil, err
 	}
-	buf = slices.Grow(buf, 4+maxReqHeaderLen+len(req.Key)+len(req.Value))
 	var f fields
 	req.header(&f)
-	buf = appendFrameHeader(buf, reqFrame, &f, len(req.Key)+len(req.Value))
-	buf = append(buf, req.Key...)
+	buf = slices.Grow(buf, 4+maxReqHeaderLen+f.keyLen+len(req.Value))
+	buf = appendFrameHeader(buf, reqFrame, &f, f.keyLen+len(req.Value))
+	buf = req.Chunk.appendKey(buf, req.Key)
 	return append(buf, req.Value...), nil
 }
 
