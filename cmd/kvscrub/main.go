@@ -3,8 +3,8 @@
 // whole keyspace and repairs each key — one probe, and writes only
 // where a copy is missing — at a bounded rate so recovery traffic never
 // starves foreground I/O. A server that crashes and rejoins empty is re-filled
-// automatically — promptly, because the rpc health tracker's
-// suspect-to-recovered transition kicks a pass outside the interval.
+// automatically — promptly, because the rpc pool's down-to-recovered
+// transition kicks a pass outside the interval.
 // Whenever the cluster membership changes (kvcli ring add/remove), the
 // view drains the old ring until a pass has moved every key whose
 // placement moved, within the same -scrub-rate budget, so ring changes

@@ -84,12 +84,9 @@ type Client struct {
 	mBulkFrames *metrics.Counter
 	mBulkSubops *metrics.Counter
 
-	// ledger remembers the chunk holders that keep missing on reads, so
-	// a read's first round asks around them (DESIGN §12).
-	ledger holderLedger
-
-	// sleep and now stand in for time.Sleep in the retry backoff and
-	// time.Now in the ledger (tests only; the real ones when nil).
+	// sleep stands in for time.Sleep in the retry backoff (tests only;
+	// the real one when nil). now is time.Now in what reads tell the pool
+	// of its servers, unless a test set another clock (SetClock).
 	sleep func(time.Duration)
 	now   func() time.Time
 
@@ -194,8 +191,8 @@ func New(cfg Config) (*Client, error) {
 			cfg.Replicas, len(cfg.Servers))
 	}
 	// The pool is the failure detector: per-call deadlines bound every
-	// round trip, and the per-server health tracker turns repeated
-	// failures into a fast-failing suspect state — see Config.OpTimeout
+	// round trip, and each server's record turns repeated failures into
+	// a fast-failing down state — see Config.OpTimeout
 	// and Config.MaxRetries. It shares the client's metrics registry, so
 	// rpc call/timeout/health counters land next to the per-op series.
 	pool := rpc.NewPool(cfg.Network, rpc.WithCallTimeout(cfg.OpTimeout), rpc.WithMetrics(cfg.Metrics))
@@ -212,6 +209,7 @@ func newClient(cfg Config, pool *rpc.Pool, view *membership.Tracker) (*Client, e
 		pool:   pool,
 		view:   view,
 		window: make(chan struct{}, cfg.Window),
+		now:    time.Now,
 		ops: map[string]*opMetrics{
 			"set":     newOpMetrics(reg, "set"),
 			"get":     newOpMetrics(reg, "get"),

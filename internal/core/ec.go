@@ -304,7 +304,7 @@ func (e *ecStrategy) get(b *batcher, keys []string) []result {
 
 // gatherGet is the client-decode read (Equation 8): one round fetching
 // K chunks of every key — the data chunks, or parity in place of those
-// whose holders the client's ledger skips — each server receiving ONE
+// whose holders the pool avoids (rpc.Pool.Avoided) — each server receiving ONE
 // frame carrying its chunk of every key it holds; then, for the keys
 // still short of K chunks, a round asking for what each one's most
 // complete stripe lacks, then a last round asking for every position
@@ -335,7 +335,7 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	rings := e.c.view.Rings()
 	ring, epoch := rings.Current, rings.View.Epoch
 	var skipBuf [8]string
-	skipped := e.c.ledger.skipped(skipBuf[:0], e.c.clock)
+	skipped := e.c.pool.Avoided(skipBuf[:0], e.c.now)
 	for i, key := range keys {
 		st := &states[i]
 		st.ChunkCollector = wire.NewChunkCollector(e.k, n)
@@ -461,9 +461,9 @@ func (e *ecStrategy) gatherGet(b *batcher, keys []string) []result {
 	return out
 }
 
-// observe tells the ledger what the current placement's rounds showed
-// of a key that decoded from them: which holders returned a chunk of
-// the winning stripe, and which none at all.
+// observe tells the pool what the current placement's rounds showed of
+// a key that decoded from them: which holders returned a chunk of the
+// winning stripe, and which none at all.
 func (e *ecStrategy) observe(st *gather) {
 	win := st.Best()
 	if win == nil {
@@ -480,7 +480,19 @@ func (e *ecStrategy) observe(st *gather) {
 			misses.Add(j)
 		}
 	}
-	e.c.ledger.record(st.placement, hits, misses, e.c.clock)
+	e.c.pool.ObserveChunks(st.placement, hits, misses, e.c.now)
+}
+
+// skipSet returns the positions of placement whose holders are in
+// skipped.
+func skipSet(placement, skipped []string) erasure.ShardSet {
+	var s erasure.ShardSet
+	for j, addr := range placement {
+		if slices.Contains(skipped, addr) {
+			s.Add(j)
+		}
+	}
+	return s
 }
 
 // gather is one key's state across the rounds of a client-decode read:

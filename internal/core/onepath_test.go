@@ -84,7 +84,7 @@ func TestECDeleteWaitsOutEveryFrame(t *testing.T) {
 // one round of K+M chunk writes, no read before it. The Gets with chunks
 // out of reach stand in for degraded-64k, and must still return the value
 // and leave the frame pool balanced. After the warm-up reads the client's
-// ledger skips every holder that kept missing, so each of them is ONE
+// pool avoids every holder that kept missing, so each of them is ONE
 // round of K calls that decodes from a cached inverse: with one data
 // chunk lost (degraded-64k's shape: the holder is up, the chunk gone) or
 // one data holder cut, the first round asks the other data chunks and one

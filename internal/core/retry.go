@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"ecstore/internal/rpc"
@@ -15,7 +16,7 @@ import (
 const retryBackoffCap = time.Second
 
 // retriable reports whether an operation failed for a reason that may
-// clear on its own: a timed-out call, a down or suspect server, or too
+// clear on its own: a timed-out call, an unreachable or down server, or too
 // few servers reachable. Authoritative answers (found, not-found,
 // corrupt) are never retriable.
 func retriable(err error) bool {
@@ -150,14 +151,6 @@ func (c *Client) retrySleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// clock returns the time, through the test hook when one is installed.
-func (c *Client) clock() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
-}
-
 // retryJitter spreads d over [d/2, 3d/2) so concurrent operations that
 // failed together do not retry in lockstep against a recovering
 // server.
@@ -168,16 +161,18 @@ func retryJitter(d time.Duration) time.Duration {
 	return d/2 + rand.N(d)
 }
 
-// healthOrder puts distinct servers in failover order, in place:
-// healthy first, servers the rpc health tracker currently suspects moved
-// to the back — each group in its original order — so failover loops try
-// known-good candidates first while still reaching suspects as a last
-// resort (whose probes are how recovery gets noticed).
-func (c *Client) healthOrder(servers []string) {
+// healthOrder puts distinct servers in failover order, in place: the
+// servers the pool avoids (rpc.Pool.Avoided) moved to the back — each
+// group in its original order — so failover loops try known-good
+// candidates first while still reaching avoided ones as a last resort.
+func healthOrder(servers, avoided []string) {
+	if len(avoided) == 0 {
+		return
+	}
 	h := 0
 	for i, a := range servers {
-		if !c.pool.Suspect(a) {
-			// The suspects in [h, i) move up one to make room.
+		if !slices.Contains(avoided, a) {
+			// The avoided servers in [h, i) move up one to make room.
 			copy(servers[h+1:i+1], servers[h:i])
 			servers[h] = a
 			h++

@@ -77,8 +77,8 @@ func (c *Client) ScanKeysOn(addrs []string) ([]string, error) {
 	return keys, nil
 }
 
-// OnServerRecovered registers fn to be called whenever the rpc health
-// tracker sees a previously suspect server answer again — the signal
+// OnServerRecovered registers fn to be called whenever the pool sees a
+// server it had down answer again — the signal
 // that a crashed server has rejoined (empty) and its share of every
 // stripe needs re-filling. scrub.New registers the daemon's Kick here
 // so recovery repair starts promptly instead of waiting for the next

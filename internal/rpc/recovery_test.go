@@ -34,8 +34,8 @@ func TestRecoveryHookFires(t *testing.T) {
 			t.Fatalf("failure %d: got %v", i, err)
 		}
 	}
-	if !p.Suspect("flap") {
-		t.Fatal("server not suspect after threshold consecutive failures")
+	if !isDown(p, "flap") {
+		t.Fatal("server not down after threshold consecutive failures")
 	}
 	mu.Lock()
 	early := len(fired)
@@ -104,8 +104,8 @@ func TestProbeSuccessClosesCircuitBeforeReturning(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !recovered.Load() || p.Suspect("flap") {
-		t.Fatalf("the probe returned before its success was observed (hook run %v, suspect %v)", recovered.Load(), p.Suspect("flap"))
+	if !recovered.Load() || isDown(p, "flap") {
+		t.Fatalf("the probe returned before its success was observed (hook run %v, down %v)", recovered.Load(), isDown(p, "flap"))
 	}
 	if _, err := p.Roundtrip("flap", &wire.Request{Op: wire.OpPing, Key: "k"}); err != nil {
 		t.Fatalf("the call after a successful probe: %v", err)

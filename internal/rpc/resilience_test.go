@@ -18,8 +18,16 @@ import (
 // from base to max. Outside this package the policy is fixed.
 func withHealthPolicy(threshold int, base, max time.Duration) Option {
 	return func(p *Pool) {
-		p.failThreshold, p.probeBase, p.probeMax = threshold, base, max
+		p.pol = policy{threshold, base, max}
 	}
+}
+
+// isDown reports whether p has addr down.
+func isDown(p *Pool, addr string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := p.records[addr]
+	return r != nil && r.down
 }
 
 // startStall runs a server that accepts connections and reads requests
@@ -299,8 +307,8 @@ func TestSuspectFailsFastAndProbesRecover(t *testing.T) {
 			t.Fatalf("failure %d: got %v", i, err)
 		}
 	}
-	if !p.Suspect("flap") {
-		t.Fatal("server not suspect after threshold consecutive failures")
+	if !isDown(p, "flap") {
+		t.Fatal("server not down after threshold consecutive failures")
 	}
 
 	// While suspect and before the probe window opens, requests fail
@@ -327,54 +335,56 @@ func TestSuspectFailsFastAndProbesRecover(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if p.Suspect("flap") {
-		t.Fatal("server still suspect after a successful probe")
+	if isDown(p, "flap") {
+		t.Fatal("server still down after a successful probe")
 	}
 }
 
 func TestHealthProbeWindow(t *testing.T) {
-	h := &health{}
+	r := &record{}
 	base, max := 20*time.Millisecond, 80*time.Millisecond
+	pol := policy{3, base, max}
 	boom := errors.New("boom")
+	observe := func(err error) (toDown, recovered bool) { return r.observe(time.Now(), time.Now(), err, pol) }
 
-	if toSuspect, _ := h.observe(time.Now(), boom, 3, base); toSuspect {
-		t.Fatal("single failure must not suspect")
+	if toDown, _ := observe(boom); toDown {
+		t.Fatal("single failure must not take the server down")
 	}
-	if h.snapshot() != StateHealthy {
-		t.Fatal("below threshold: must stay healthy")
+	if r.down {
+		t.Fatal("below threshold: must stay up")
 	}
-	h.observe(time.Now(), boom, 3, base)
-	if toSuspect, _ := h.observe(time.Now(), boom, 3, base); !toSuspect {
-		t.Fatal("threshold failure must report the suspect transition")
+	observe(boom)
+	if toDown, _ := observe(boom); !toDown {
+		t.Fatal("threshold failure must report the down transition")
 	}
-	if h.snapshot() != StateSuspect {
-		t.Fatal("at threshold: must be suspect")
+	if !r.down {
+		t.Fatal("at threshold: must be down")
 	}
 
 	// Exactly one request is admitted per probe window.
-	now := h.nextProbe
-	if !h.admit(now, base, max) {
+	now := r.nextProbe
+	if !r.admit(now, pol) {
 		t.Fatal("probe not admitted once the window opened")
 	}
-	if h.admit(now, base, max) {
+	if r.admit(now, pol) {
 		t.Fatal("second request admitted inside the same probe window")
 	}
 	// The backoff doubles but stays capped.
-	if h.probeWait > max {
-		t.Fatalf("probe backoff %v exceeds cap %v", h.probeWait, max)
+	if r.probeWait > max {
+		t.Fatalf("probe backoff %v exceeds cap %v", r.probeWait, max)
 	}
 
-	// A success heals the tracker completely and reports the recovery.
-	if _, recovered := h.observe(time.Now(), nil, 3, base); !recovered {
-		t.Fatal("successful probe of a suspect server must report recovery")
+	// A success heals the record completely and reports the recovery.
+	if _, recovered := observe(nil); !recovered {
+		t.Fatal("successful probe of a down server must report recovery")
 	}
-	if h.snapshot() != StateHealthy {
-		t.Fatal("success must reset to healthy")
+	if r.down {
+		t.Fatal("success must bring the server back")
 	}
-	if !h.admit(now, base, max) {
-		t.Fatal("healthy server must admit freely")
+	if !r.admit(now, pol) {
+		t.Fatal("a server that is up must admit freely")
 	}
-	if toSuspect, recovered := h.observe(time.Now(), boom, 3, base); toSuspect || recovered {
+	if toDown, recovered := observe(boom); toDown || recovered {
 		t.Fatal("failure streak must restart after recovery")
 	}
 }
@@ -385,47 +395,42 @@ func TestHealthProbeWindow(t *testing.T) {
 // server was hung, arriving after a probe found it back, must not
 // re-open the circuit; failures of calls started after the success do.
 func TestHealthIgnoresFailuresFromBeforeARecovery(t *testing.T) {
-	h := &health{}
-	base := 20 * time.Millisecond
+	r := &record{}
+	pol := policy{3, 20 * time.Millisecond, time.Second}
 	boom := errors.New("boom")
 	t0 := time.Now()
 	at := func(d time.Duration) time.Time { return t0.Add(d * time.Millisecond) }
+	observe := func(start time.Time, err error) (toDown, recovered bool) { return r.observe(at(20), start, err, pol) }
 
 	for i := 1; i <= 3; i++ {
-		h.observe(at(time.Duration(i)), boom, 3, base)
+		observe(at(time.Duration(i)), boom)
 	}
-	if h.snapshot() != StateSuspect {
-		t.Fatal("three failures must suspect the server")
+	if !r.down {
+		t.Fatal("three failures must take the server down")
 	}
-	if _, recovered := h.observe(at(10), nil, 3, base); !recovered {
+	if _, recovered := observe(at(10), nil); !recovered {
 		t.Fatal("the successful probe must report the recovery")
 	}
 	// Late failures of calls issued before the probe.
 	for i := 4; i <= 9; i++ {
-		if toSuspect, _ := h.observe(at(time.Duration(i)), boom, 3, base); toSuspect {
+		if toDown, _ := observe(at(time.Duration(i)), boom); toDown {
 			t.Fatalf("failure of a call started at %dms re-opened the circuit", i)
 		}
 	}
-	if h.snapshot() != StateHealthy || h.fails != 0 {
-		t.Fatalf("after stale failures: state %v, %d failures counted; want healthy, 0", h.snapshot(), h.fails)
+	if r.down || r.fails != 0 {
+		t.Fatalf("after stale failures: down %v, %d failures counted; want up, 0", r.down, r.fails)
 	}
 	// A success of an older call does not move the mark back.
-	h.observe(at(5), nil, 3, base)
-	if toSuspect, _ := h.observe(at(9), boom, 3, base); toSuspect || h.fails != 0 {
-		t.Fatalf("an older success moved the mark back: %d failures counted", h.fails)
+	observe(at(5), nil)
+	if toDown, _ := observe(at(9), boom); toDown || r.fails != 0 {
+		t.Fatalf("an older success moved the mark back: %d failures counted", r.fails)
 	}
 	for i := 11; i <= 12; i++ {
-		if toSuspect, _ := h.observe(at(time.Duration(i)), boom, 3, base); toSuspect {
-			t.Fatal("suspect before the threshold")
+		if toDown, _ := observe(at(time.Duration(i)), boom); toDown {
+			t.Fatal("down before the threshold")
 		}
 	}
-	if toSuspect, _ := h.observe(at(13), boom, 3, base); !toSuspect {
-		t.Fatal("three failures of calls started after the success must suspect the server")
-	}
-}
-
-func TestHealthStateString(t *testing.T) {
-	if StateHealthy.String() != "healthy" || StateSuspect.String() != "suspect" {
-		t.Fatalf("got %q/%q", StateHealthy, StateSuspect)
+	if toDown, _ := observe(at(13), boom); !toDown {
+		t.Fatal("three failures of calls started after the success must take the server down")
 	}
 }

@@ -16,7 +16,7 @@
 // Recovery traffic, not foreground traffic, saturates erasure-coded
 // clusters (Rashmi et al.), so every pass spends one keys/sec rate, with
 // one page in flight. Passes run on a periodic interval and on kicks:
-// Kick, a suspect server answering again (Client.OnServerRecovered), and
+// Kick, a down server answering again (Client.OnServerRecovered), and
 // every adopted view that drains (Client.OnViewChange), so `ring add` /
 // `ring remove` start draining by themselves. A pass that leaves the
 // list in place runs again after a second.

@@ -19,7 +19,7 @@ import (
 //     their next read or write — a dead host.
 //
 // Netem also counts dials per address, which tests use to assert that
-// the client's health tracker stops re-dialing known-dead servers.
+// the client's pool stops re-dialing known-dead servers.
 // The listen side passes straight through to the inner network.
 type Netem struct {
 	inner Network
